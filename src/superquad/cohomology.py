@@ -296,14 +296,6 @@ def sub3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
               for j in range(n)) for i in range(n)))
 
 
-def scale3(q, a: ScalarCochain3) -> ScalarCochain3:
-    q = frac(q)
-    n = a.basis.dim
-    return ScalarCochain3(a.basis, tuple(
-        tuple(tuple(q * a.f[i][j][k] for k in range(n)) for j in range(n))
-        for i in range(n)))
-
-
 def is_zero3(a: ScalarCochain3) -> bool:
     return all(q == 0 for r in a.f for v in r for q in v)
 

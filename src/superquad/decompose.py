@@ -22,14 +22,15 @@ from .errors import (InternalCheckError, PreconditionError,
 from .forms import (EvenForm, QuadraticLieSuperalgebra, is_totally_isotropic,
                     orthogonal, quadratic)
 from .linalg import (Mat, RowReducer, Vec, ZERO, charpoly, coords_in,
-                     diagonalize_symmetric, frac, kernel, mat, mat_vec, rank,
-                     rational_roots, sqrt_fraction, transpose, unit_vec,
-                     vec_add, vec_is_zero, vec_scale, zero_vec)
+                     diagonalize_symmetric, frac, inverse, kernel, mat,
+                     mat_vec, rank, rational_roots, rref, sqrt_fraction,
+                     transpose, unit_vec, vec_add, vec_is_zero, vec_scale,
+                     zero_vec)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, bracket,
                            class_condition, extend_subspace, graded_basis,
                            graded_complement, is_ideal, is_nilpotent,
                            is_solvable, subspace, zero_subspace)
-from .tstar import TStarExtension, recognize
+from .tstar import TStarExtension, quadratic_morphism_violation, recognize
 
 _QUADRIC_VARS = ("x", "y", "z", "w")
 
@@ -135,7 +136,14 @@ class Decomposition:
 
 
 class _InducedSpace:
-    """The subquotient W^perp / W with its induced action and form."""
+    """The subquotient W^perp / W with its induced action and form.
+
+    The spanning rows [reps | W basis] are independent, so their values
+    on the d pivot columns of their row echelon form determine the
+    coordinates of any vector they span.  That d x d pivot block is
+    inverted once; ``project`` is then a matrix-vector product followed
+    by an exact sparse check that the coordinates rebuild the vector.
+    """
 
     def __init__(self, q: QuadraticLieSuperalgebra, w: Subspace):
         self.q = q
@@ -146,9 +154,14 @@ class _InducedSpace:
         self.rep_vectors = comp.vectors          # lifts of the V' basis
         self.parities = comp.parities
         self.dim = len(self.rep_vectors)
-        self._wmat = w.vectors
-        # coordinates in V': solve against the spanning rows [reps | W basis]
-        self._span_rows = tuple(self.rep_vectors) + tuple(self._wmat)
+        span_rows = tuple(self.rep_vectors) + tuple(w.vectors)
+        self._span_nz = tuple(
+            tuple((k, c) for k, c in enumerate(row) if c != 0)
+            for row in span_rows)
+        _, self._pivots = rref(span_rows)
+        # x = S^-1 v[pivots], with S[t][r] = span_r[pivot_t]
+        self._solver = inverse(tuple(
+            tuple(row[p] for row in span_rows) for p in self._pivots))
         self.gram = mat([[q.form.apply(u, v) for v in self.rep_vectors]
                          for u in self.rep_vectors])
 
@@ -156,8 +169,14 @@ class _InducedSpace:
         """V'-coordinates of a vector of W^perp."""
         if self.dim == 0:
             return ()
-        x = coords_in(self._span_rows, v)
-        if x is None:
+        vp = [(t, v[p]) for t, p in enumerate(self._pivots) if v[p] != 0]
+        x = [sum((row[t] * c for t, c in vp), ZERO) for row in self._solver]
+        rebuilt = [ZERO] * len(v)
+        for xr, nz in zip(x, self._span_nz):
+            if xr != 0:
+                for k, c in nz:
+                    rebuilt[k] += xr * c
+        if any(a != b for a, b in zip(rebuilt, v)):
             raise InternalCheckError("vector is not in W^perp")
         return tuple(x[:self.dim])
 
@@ -477,33 +496,29 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
                          embedding=embedding, parity_case="odd")
 
 
+_EMBEDDING_FAILURES = {
+    "parity": "embedding is not even",
+    "bracket": "embedding is not a bracket map",
+    "form": "embedding is not an isometry",
+}
+
+
 def _verify_codim1_embedding(q: QuadraticLieSuperalgebra,
                              ext: TStarExtension, m: Mat) -> None:
     """The embedding must be injective, even, a bracket map, an isometry
     onto its image, and its image a graded nondegenerate ideal of
     codimension 1."""
-    from .superalgebra import vector_parity
     n = q.dim
     total = ext.total
     N = total.dim
     if rank(m) != n:
         raise InternalCheckError("embedding is not injective")
+    # injective, so no column is zero and every column's parity is checked
+    bad = quadratic_morphism_violation(q, total, m)
+    if bad is not None:
+        kind, witness = bad
+        raise InternalCheckError(_EMBEDDING_FAILURES[kind], witness=witness)
     cols = [tuple(m[r][a] for r in range(N)) for a in range(n)]
-    for a, col in enumerate(cols):
-        if vector_parity(total.basis, col) != q.basis.parity(a):
-            raise InternalCheckError("embedding is not even", witness=a)
-    for a in range(n):
-        for b in range(n):
-            lhs = mat_vec(m, bracket(q.algebra, unit_vec(n, a),
-                                     unit_vec(n, b)))
-            rhs = bracket(total.algebra, cols[a], cols[b])
-            if lhs != rhs:
-                raise InternalCheckError("embedding is not a bracket map",
-                                         witness=(a, b))
-            if total.form.apply(cols[a], cols[b]) != q.form.apply(
-                    unit_vec(n, a), unit_vec(n, b)):
-                raise InternalCheckError("embedding is not an isometry",
-                                         witness=(a, b))
     image = subspace(total.basis, cols)
     if image.dim != N - 1:
         raise InternalCheckError("image does not have codimension 1")

@@ -8,13 +8,12 @@ and every odd homogeneous vector is automatically isotropic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (DimensionMismatch, FormError, PreconditionError)
-from .linalg import (HALF, Mat, Vec, ZERO, dot, kernel, mat, mat_vec,
-                     rank, solve_unique, transpose, vec, vec_is_zero,
-                     vec_sub)
+from .linalg import (HALF, Mat, Vec, ZERO, kernel, mat, rank, solve_unique,
+                     transpose, vec, vec_is_zero, vec_sub)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, center,
                            derived_subspace, graded_complement,
                            require_axioms, sgn, subspace)
@@ -22,15 +21,26 @@ from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, center,
 
 @dataclass(frozen=True)
 class EvenForm:
-    """Gram matrix of an even supersymmetric bilinear form."""
+    """Gram matrix of an even supersymmetric bilinear form.
+
+    ``gram`` is the public dense view.  Construction also derives a
+    sparse row table, ``_rows[i] = ((j, G[i][j]), ...)`` over the nonzero
+    entries only, and pairings walk that table: a T*-extension's Gram
+    has a single nonzero per row, so a dense product would mostly
+    multiply zeros.
+    """
 
     basis: GradedBasis
     gram: Mat
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.basis.dim
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise DimensionMismatch("Gram matrix must be dim x dim")
+        object.__setattr__(self, "_rows", tuple(
+            tuple((j, q) for j, q in enumerate(row) if q != 0)
+            for row in self.gram))
         p = self.basis.parities
         for i in range(n):
             for j in range(n):
@@ -45,7 +55,21 @@ class EvenForm:
         return self.basis.dim
 
     def apply(self, x: Vec, y: Vec) -> Fraction:
-        return dot(mat_vec(self.gram, y), x)
+        """B(x, y), summed over the nonzeros of x and of the Gram rows."""
+        rows = self._rows
+        if len(x) != len(rows) or len(y) != len(rows):
+            raise DimensionMismatch("vectors do not match the basis")
+        acc = ZERO
+        for i, xi in enumerate(x):
+            if xi != 0:
+                s = ZERO
+                for j, q in rows[i]:
+                    yj = y[j]
+                    if yj != 0:
+                        s += q * yj
+                if s != 0:
+                    acc += xi * s
+        return acc
 
 
 def even_form(basis: GradedBasis, gram) -> EvenForm:
@@ -77,7 +101,8 @@ def is_invariant(g: LieSuperalgebra, B: EvenForm) -> bool:
 
 def orthogonal(B: EvenForm, w: Subspace) -> Subspace:
     """w^perp = {v : B(v, u) = 0 for all u in w}."""
-    rows = [mat_vec(B.gram, u) for u in w.vectors]
+    rows = [tuple(sum((q * u[j] for j, q in row if u[j] != 0), ZERO)
+                  for row in B._rows) for u in w.vectors]
     rows = [r for r in rows if not vec_is_zero(r)]
     if not rows:
         from .superalgebra import full_subspace

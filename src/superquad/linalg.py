@@ -1,9 +1,13 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Vectors and matrices are immutable tuples with ``Fraction`` entries and
 every operation is exact; nothing in this package ever rounds.  The
-solvers are plain Gaussian elimination, which is entirely adequate at
-the desk scale this library targets (dimensions up to a few dozen).
+solvers here are plain dense Gaussian elimination, adequate at the desk
+scale this library targets (dimensions up to a few dozen).  Hot callers
+avoid re-solving: ``forms.EvenForm`` pairs through a sparse Gram row
+table, ``superalgebra.Subspace`` tests membership by reducing against
+its RREF rows by pivot, and the decomposition's induced spaces invert
+their pivot block once and project by a matrix-vector product.
 """
 
 from __future__ import annotations

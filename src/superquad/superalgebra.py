@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, InitVar
 
 from .errors import (AxiomError, DimensionMismatch, NotGradedError,
                      NotIdealError, PreconditionError)
-from .linalg import (Mat, RowReducer, Vec, ZERO, coords_in, frac, inverse,
-                     kernel, mat, rank, row_basis, transpose, unit_vec, vec,
-                     vec_is_zero, vec_scale, zero_vec)
+from .linalg import (Mat, RowReducer, Vec, ZERO, frac, inverse, kernel, mat,
+                     rank, row_basis, transpose, unit_vec, vec, vec_is_zero,
+                     vec_scale, zero_vec)
 
 EVEN = 0
 ODD = 1
@@ -216,10 +216,6 @@ def bracket(g: LieSuperalgebra, x: Vec, y: Vec) -> Vec:
     return tuple(out)
 
 
-def _basis_bracket(g: LieSuperalgebra, i: int, j: int):
-    return g._table[i][j]
-
-
 def jacobi_defect(g: LieSuperalgebra, i: int, j: int, k: int) -> Vec:
     """(-1)^{xz}[e_i,[e_j,e_k]] + (-1)^{xy}[e_j,[e_k,e_i]] + (-1)^{yz}[e_k,[e_i,e_j]]."""
     n = g.dim
@@ -314,11 +310,29 @@ def vector_parity(basis: GradedBasis, v: Vec) -> int | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Graded subspace with a canonical homogeneous (per-parity RREF) basis."""
+    """Graded subspace with a canonical homogeneous (per-parity RREF) basis.
+
+    Construction records each row's pivot column and nonzeros, so
+    membership reduces a vector against the rows by pivot instead of
+    solving a linear system per query.
+    """
 
     basis: GradedBasis
     even_rows: Mat
     odd_rows: Mat
+    _pivots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = self.even_rows + self.odd_rows
+        pivots = []
+        for row in rows:
+            nz = tuple((k, q) for k, q in enumerate(row) if q != 0)
+            if not nz or nz[0][1] != 1 or sum(
+                    1 for other in rows if other[nz[0][0]] != 0) != 1:
+                raise PreconditionError(
+                    "subspace rows must be in reduced row echelon form")
+            pivots.append((nz[0][0], nz))
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     @property
     def vectors(self) -> Mat:
@@ -336,9 +350,15 @@ class Subspace:
         return self.dim == 0
 
     def contains_vector(self, v: Vec) -> bool:
-        ev, od = split_vector(self.basis, v)
-        return (coords_in(self.even_rows, ev) is not None
-                and coords_in(self.odd_rows, od) is not None)
+        if len(v) != self.basis.dim:
+            raise DimensionMismatch("vector does not match the ambient basis")
+        r = list(v)
+        for p, nz in self._pivots:
+            f = r[p]
+            if f != 0:
+                for k, q in nz:
+                    r[k] -= f * q
+        return all(a == 0 for a in r)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.vectors)
@@ -385,10 +405,6 @@ def full_subspace(basis: GradedBasis) -> Subspace:
     return subspace(basis, [unit_vec(n, i) for i in range(n)])
 
 
-def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    return subspace(a.basis, a.vectors + b.vectors)
-
-
 def extend_subspace(w: Subspace, v: Vec) -> Subspace:
     return subspace(w.basis, w.vectors + (vec(v),))
 
@@ -414,12 +430,6 @@ def graded_complement(basis: GradedBasis, inner: Subspace,
 # ---------------------------------------------------------------------------
 # center, series, predicates
 # ---------------------------------------------------------------------------
-
-def ad_matrix(g: LieSuperalgebra, x: Vec) -> Mat:
-    """Matrix of ad_x = [x, .] with columns indexed by basis vectors."""
-    cols = [bracket(g, x, unit_vec(g.dim, j)) for j in range(g.dim)]
-    return transpose(mat(cols))
-
 
 def center(g: LieSuperalgebra) -> Subspace:
     """Graded subspace {x : [x, g] = 0}, via one stacked kernel computation."""

@@ -227,24 +227,33 @@ def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,
     (parity preservation, bracket, form), or None if it verifies.
 
     The matrix acts on coordinate columns: (m x) are the dst-coordinates.
+    Pairs are checked in lexicographic order, so the witness is the first
+    failing pair.  m [e_a, e_b] is summed from the columns of m over the
+    nonzero structure constants of src only.
     """
     n = src.dim
-    cols = [tuple(m[r][a] for r in range(len(m))) for a in range(n)]
+    N = len(m)
+    cols = [tuple(m[r][a] for r in range(N)) for a in range(n)]
     for a in range(n):
         col = cols[a]
         if vec_is_zero(col):
             continue
         if vector_parity(dst.basis, col) != src.basis.parity(a):
             return ("parity", a)
+    col_nz = [tuple((r, q) for r, q in enumerate(col) if q != 0)
+              for col in cols]
+    table = src.algebra._table
+    src_gram = src.form.gram
     for a in range(n):
         for b in range(n):
-            lhs = mat_vec(m, bracket(src.algebra, unit_vec(n, a),
-                                     unit_vec(n, b)))
+            lhs = [ZERO] * N
+            for k, c in table[a][b]:
+                for r, q in col_nz[k]:
+                    lhs[r] += c * q
             rhs = bracket(dst.algebra, cols[a], cols[b])
-            if lhs != rhs:
+            if tuple(lhs) != rhs:
                 return ("bracket", (a, b))
-            if dst.form.apply(cols[a], cols[b]) != src.form.apply(
-                    unit_vec(n, a), unit_vec(n, b)):
+            if dst.form.apply(cols[a], cols[b]) != src_gram[a][b]:
                 return ("form", (a, b))
     return None
 

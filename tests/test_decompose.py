@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.cohomology import unhat, z3_basis
-from superquad.decompose import (Decomposition, decompose, isotropic_vector,
-                                 max_isotropic_ideal)
+from superquad.decompose import (Decomposition, _InducedSpace, decompose,
+                                 isotropic_vector, max_isotropic_ideal)
 from superquad.errors import (InternalCheckError, PreconditionError,
                               RationalPointNotFound)
 from superquad.forms import EvenForm, is_totally_isotropic, orthogonal, quadratic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
-from superquad.linalg import mat, rank, unit_vec, vec
+from superquad.linalg import (coords_in, mat, rank, unit_vec, vec, vec_add,
+                              vec_scale, zero_vec)
 from superquad.superalgebra import (EVEN, ODD, bracket, is_ideal, subspace)
 from superquad.tstar import build
 
@@ -158,3 +160,41 @@ def test_decompose_g2_roundtrip_with_cocycle(supercyclic_bases):
     dec = decompose(Q)
     assert dec.parity_case == "even"
     assert dec.ideal.dim == 6
+
+
+@pytest.fixture(scope="module")
+def induced_spaces():
+    """(W^perp, span rows, induced space) along the flags of an even, an
+    odd-dimensional and a solvable class-c algebra."""
+    out = []
+    for Q in (build(sq.heisenberg3()).total,
+              orthogonal_direct_sum(build(sq.abelian(1, 2)).total,
+                                    even_line()),
+              sq.build_class_c_example(2)):
+        for w in max_isotropic_ideal(Q).chain:
+            ind = _InducedSpace(Q, w)
+            out.append((orthogonal(Q.form, w),
+                        tuple(ind.rep_vectors) + tuple(w.vectors), ind))
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_project_matches_dense_solve(induced_spaces, data):
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    for wperp, span_rows, ind in induced_spaces:
+        n = len(wperp.basis.names)
+        v = zero_vec(n)
+        for u in wperp.vectors:
+            v = vec_add(v, vec_scale(data.draw(coeffs), u))
+        outside = vec_add(v, unit_vec(n, data.draw(st.integers(0, n - 1))))
+        for x in (v, outside):
+            dense = coords_in(span_rows, x)
+            if ind.dim == 0:
+                assert ind.project(x) == ()
+            elif dense is None:
+                with pytest.raises(InternalCheckError,
+                                   match="not in W\\^perp"):
+                    ind.project(x)
+            else:
+                assert ind.project(x) == dense[:ind.dim]

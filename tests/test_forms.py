@@ -1,19 +1,47 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superquad as sq
-from superquad.errors import FormError, PreconditionError
+from superquad.errors import DimensionMismatch, FormError, PreconditionError
 from superquad.forms import (EvenForm, center_orthogonality_check,
                              invariance_violation, is_invariant,
                              is_nondegenerate, is_totally_isotropic,
                              isotropic_complement, orthogonal, quadratic)
-from superquad.linalg import mat, unit_vec, vec, zeros
+from superquad.linalg import (dot, kernel, mat, mat_vec, unit_vec, vec,
+                              vec_is_zero, zeros)
 from superquad.superalgebra import (EVEN, ODD, full_subspace, graded_basis,
-                                    sgn, subspace, zero_subspace)
+                                    sgn, split_vector, subspace,
+                                    zero_subspace)
 from superquad.tstar import build
 
 F = Fraction
+
+# mostly zeros, as in the Gram matrices of T*-extensions
+sparse_entries = st.one_of(
+    st.just(F(0)), st.just(F(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+@st.composite
+def even_forms_and_vectors(draw):
+    """A random even supersymmetric form, odd blocks included, and two
+    vectors of its dimension."""
+    parities = draw(st.lists(st.sampled_from((EVEN, ODD)),
+                             min_size=1, max_size=7))
+    n = len(parities)
+    G = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if parities[i] != parities[j] or (i == j and parities[i] == ODD):
+                continue
+            q = draw(sparse_entries)
+            G[i][j] = q
+            G[j][i] = sgn(parities[i] * parities[j]) * q
+    basis = graded_basis([f"b{i}" for i in range(n)], parities)
+    vectors = st.lists(sparse_entries, min_size=n, max_size=n).map(vec)
+    return EvenForm(basis, mat(G)), draw(vectors), draw(vectors)
 
 
 def test_evenness_enforced():
@@ -29,6 +57,28 @@ def test_supersymmetry_enforced():
     basis = graded_basis(("o1", "o2"), (ODD, ODD))
     with pytest.raises(FormError):
         EvenForm(basis, mat([[0, 1], [1, 0]]))
+
+
+@given(even_forms_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_sparse_apply_and_orthogonal_match_dense_gram(case):
+    B, x, y = case
+    assert B.apply(x, y) == dot(mat_vec(B.gram, y), x)
+    w = subspace(B.basis, [v for v in split_vector(B.basis, x)
+                           if not vec_is_zero(v)])
+    rows = [r for r in (mat_vec(B.gram, u) for u in w.vectors)
+            if not vec_is_zero(r)]
+    dense = (subspace(B.basis, kernel(mat(rows))) if rows
+             else full_subspace(B.basis))
+    assert orthogonal(B, w).equals(dense)
+
+
+def test_apply_rejects_wrong_length():
+    B = sq.hyperbolic_even().form
+    for x, y in (((1,), (1, 0)), ((1, 0), (1,)), ((1, 0, 0), (1, 0)),
+                 ((1, 0), (0, 1, 0))):
+        with pytest.raises(DimensionMismatch):
+            B.apply(vec(x), vec(y))
 
 
 def test_nondegeneracy():

@@ -1,18 +1,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superquad as sq
-from superquad.errors import (AxiomError, NotGradedError, NotIdealError,
-                              PreconditionError)
-from superquad.linalg import mat, mat_mul, mat_vec, unit_vec, vec, vec_is_zero
-from superquad.superalgebra import (EVEN, ODD, DualVector, coadjoint,
-                                    derived_subspace, dual_vector,
+from superquad.errors import (AxiomError, DimensionMismatch, NotGradedError,
+                              NotIdealError, PreconditionError)
+from superquad.linalg import (coords_in, mat, mat_mul, mat_vec, unit_vec, vec,
+                              vec_add, vec_is_zero, vec_scale, zero_vec)
+from superquad.superalgebra import (EVEN, ODD, DualVector, Subspace,
+                                    coadjoint, derived_subspace, dual_vector,
                                     full_subspace, graded_basis,
                                     jacobi_defect, product_subspace,
-                                    quotient, sgn, subspace, zero_subspace)
+                                    quotient, sgn, split_vector, subspace,
+                                    zero_subspace)
 
 F = Fraction
+
+sparse_entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=3))
 
 
 # --- bracket oracles ---------------------------------------------------------
@@ -262,6 +268,57 @@ def test_subspace_equality_by_double_inclusion():
     b = subspace(g.basis, [vec([1, 0, 0]), vec([1, 2, 0])])
     assert a.equals(b)
     assert not a.equals(subspace(g.basis, [vec([1, 0, 0])]))
+
+
+def _dense_contains(w, v):
+    """Membership by solving one linear system per parity."""
+    ev, od = split_vector(w.basis, v)
+    return (coords_in(w.even_rows, ev) is not None
+            and coords_in(w.odd_rows, od) is not None)
+
+
+@st.composite
+def graded_subspaces_and_vectors(draw):
+    """A random graded subspace, a vector inside it, a random vector and
+    their sum."""
+    parities = draw(st.lists(st.sampled_from((EVEN, ODD)),
+                             min_size=1, max_size=6))
+    n = len(parities)
+    basis = graded_basis([f"b{i}" for i in range(n)], parities)
+    vectors = st.lists(sparse_entries, min_size=n, max_size=n).map(vec)
+    spanning = [split_vector(basis, v)[p]
+                for v, p in draw(st.lists(st.tuples(vectors, st.sampled_from(
+                    (EVEN, ODD))), max_size=5))]
+    w = subspace(basis, spanning)
+    inside = zero_vec(n)
+    for v in spanning:
+        inside = vec_add(inside, vec_scale(draw(sparse_entries), v))
+    noise = draw(vectors)
+    return w, (inside, noise, vec_add(inside, noise))
+
+
+@given(graded_subspaces_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_contains_vector_matches_dense_solve(case):
+    w, (inside, noise, mixed) = case
+    assert w.contains_vector(inside)
+    for v in (inside, noise, mixed):
+        assert w.contains_vector(v) == _dense_contains(w, v)
+
+
+def test_contains_vector_rejects_wrong_length():
+    basis = sq.heisenberg3().basis
+    for w in (zero_subspace(basis), subspace(basis, [unit_vec(3, 2)])):
+        for v in ((0, 0), (0, 0, 1, 0)):
+            with pytest.raises(DimensionMismatch):
+                w.contains_vector(vec(v))
+
+
+def test_subspace_rows_must_be_reduced():
+    basis = sq.abelian(2, 0).basis
+    for rows in ([[2, 0]], [[1, 1], [0, 1]], [[0, 0]]):
+        with pytest.raises(PreconditionError):
+            Subspace(basis, mat(rows), ())
 
 
 def test_quotient_h3_by_center_is_abelian():

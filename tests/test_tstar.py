@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.cohomology import (add3, collect_cochain2dual, delta_scalar2,
@@ -10,12 +11,15 @@ from superquad.cohomology import (add3, collect_cochain2dual, delta_scalar2,
                                   z3_basis, zero_cochain2, zero_scalar2)
 from superquad.errors import (CocycleError, InternalCheckError,
                               NotSupercyclicError, PreconditionError)
+from superquad.decompose import _verify_codim1_embedding, decompose
 from superquad.forms import is_totally_isotropic
-from superquad.gallery import (random_cochain2, random_cocycle2,
+from superquad.gallery import (even_line, orthogonal_direct_sum,
+                               random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
-from superquad.linalg import kernel, mat, mat_mul, rank, unit_vec, vec, vec_is_zero
+from superquad.linalg import (kernel, mat, mat_mul, mat_vec, rank, unit_vec,
+                              vec, vec_is_zero)
 from superquad.superalgebra import (bracket, center, derived_subspace,
-                                    is_ideal, sgn, subspace)
+                                    is_ideal, sgn, subspace, vector_parity)
 from superquad.tstar import (build, lemma_halfdim_ideal_iff_abelian,
                              negative_test_invariance,
                              quadratic_morphism_violation, recognize,
@@ -330,3 +334,83 @@ def test_center_formula_for_zero_cocycle(gallery):
         expected_vectors += [(F(0),) * n + tuple(a) for a in ann]
         expected = subspace(ext.total.basis, expected_vectors)
         assert center(ext.total.algebra).equals(expected), name
+
+
+# --- the sparse morphism check against the dense loop it replaced ------------
+
+def _dense_morphism_violation(src, dst, m):
+    """First failure of m as a quadratic morphism, by dense products."""
+    n = src.dim
+    cols = [tuple(m[r][a] for r in range(len(m))) for a in range(n)]
+    for a in range(n):
+        if not vec_is_zero(cols[a]) and (
+                vector_parity(dst.basis, cols[a]) != src.basis.parity(a)):
+            return ("parity", a)
+    for a in range(n):
+        for b in range(n):
+            lhs = mat_vec(m, bracket(src.algebra, unit_vec(n, a),
+                                     unit_vec(n, b)))
+            if lhs != bracket(dst.algebra, cols[a], cols[b]):
+                return ("bracket", (a, b))
+            if dst.form.apply(cols[a], cols[b]) != src.form.apply(
+                    unit_vec(n, a), unit_vec(n, b)):
+                return ("form", (a, b))
+    return None
+
+
+@pytest.fixture(scope="module")
+def odd_decomposition():
+    odd = orthogonal_direct_sum(build(sq.abelian(1, 2)).total, even_line())
+    return odd, decompose(odd)
+
+
+@pytest.fixture(scope="module")
+def morphisms(odd_decomposition):
+    """(src, dst, m): a recognition isometry, a shear isometry between
+    extensions with odd parts, and a non-square codimension-1 embedding."""
+    ext = build(sq.heisenberg3())
+    rec, psi = recognize(ext.total, ext.dual_ideal())
+    g = sq.build_glnn(1)
+    shear = s_phi_isometry(g, zero_cochain2(g),
+                           random_scalar2(g, random.Random(5)))
+    odd, dec = odd_decomposition
+    return [(ext.total, rec.total, psi),
+            (shear.source.total, shear.target.total, shear.matrix),
+            (odd, dec.extension.total, dec.embedding)]
+
+
+def _perturbed(data, m):
+    r = data.draw(st.integers(0, len(m) - 1))
+    c = data.draw(st.integers(0, len(m[0]) - 1))
+    delta = data.draw(st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=2).filter(bool))
+    return tuple(tuple(q + delta if (i, j) == (r, c) else q
+                       for j, q in enumerate(row))
+                 for i, row in enumerate(m))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_morphism_check_matches_dense_loop(morphisms, data):
+    for src, dst, m in morphisms:
+        assert quadratic_morphism_violation(src, dst, m) is None
+        assert _dense_morphism_violation(src, dst, m) is None
+        bad = _perturbed(data, m)
+        assert (quadratic_morphism_violation(src, dst, bad)
+                == _dense_morphism_violation(src, dst, bad))
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_codim1_embedding_check_reports_the_dense_witness(odd_decomposition,
+                                                          data):
+    src, dec = odd_decomposition
+    bad = _perturbed(data, dec.embedding)
+    witness = _dense_morphism_violation(src, dec.extension.total, bad)
+    if rank(bad) != src.dim or witness is None:
+        return
+    messages = {"parity": "not even", "bracket": "not a bracket map",
+                "form": "not an isometry"}
+    with pytest.raises(InternalCheckError, match=messages[witness[0]]) as exc:
+        _verify_codim1_embedding(src, dec.extension, bad)
+    assert exc.value.witness == witness[1]
