@@ -17,16 +17,29 @@ The linear solves for cocycle spaces run in free coordinates: index
 triples sorted ascending, where an index may repeat only when it is odd
 (super-alternation is symmetric on odd pairs, and triple repeats are
 killed by evenness).  The dense tensors are kept as the redundant oracle
-and the enumeration is unit-tested against them.
+and the enumeration is unit-tested against them.  Z^2, Z^2_sc and Z^3 are
+all solved by one helper that canonicalizes symbolic identity rows into
+free coordinates and reduces them with the sparse ``RowReducer``; the
+coboundaries delta(e_ab) of the unit 2-cochains are read off the bracket
+table once, straight in free coordinates.
+
+Closedness is checked and solved on sorted 4-tuples i <= j <= k <= l only.
+For a super-alternating f, d f is super-alternating in its four
+arguments, so the identity at any other ordering of a 4-tuple is a
+signed copy of the identity at the sorted one.  The sorted ordering is
+also the lexicographically smallest, so the first violated 4-tuple in
+lexicographic order over all n^4 is always sorted: ``closed3_violation``
+returns the same witness the full loop would.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CochainError, DimensionMismatch, PreconditionError)
-from .linalg import (Mat, RowReducer, Vec, ZERO, frac, mat, solve, transpose,
+from .linalg import (Mat, RowReducer, Vec, ZERO, frac, mat, solve,
                      vec, vec_is_zero)
 from .superalgebra import EVEN, GradedBasis, LieSuperalgebra, sgn
 
@@ -420,14 +433,22 @@ def closed3_defect(g: LieSuperalgebra, f: ScalarCochain3,
     return acc
 
 
+def _sorted_tuples4(parities):
+    """Basis 4-tuples i <= j <= k <= l of even parity sum, in
+    lexicographic order; every other 4-tuple's closedness identity is a
+    signed copy of one of these, or vanishes by evenness."""
+    n = len(parities)
+    for quad in itertools.combinations_with_replacement(range(n), 4):
+        if sum(parities[i] for i in quad) % 2 == 0:
+            yield quad
+
+
 def closed3_violation(g: LieSuperalgebra, f: ScalarCochain3):
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if closed3_defect(g, f, i, j, k, l) != 0:
-                        return (i, j, k, l)
+    """First basis 4-tuple, in lexicographic order, where d f is nonzero,
+    or None.  Only sorted 4-tuples are visited (see the module notes)."""
+    for i, j, k, l in _sorted_tuples4(g.basis.parities):
+        if closed3_defect(g, f, i, j, k, l) != 0:
+            return (i, j, k, l)
     return None
 
 
@@ -485,136 +506,119 @@ def unhat(f: ScalarCochain3) -> Cochain2Dual:
 # cocycle spaces by exact linear solving
 # ---------------------------------------------------------------------------
 
+def _cocycle_space(basis: GradedBasis, coords: list[Triple], canon, rows,
+                   expand) -> list:
+    """Solve a cocycle space in free coordinates.
+
+    ``rows`` yields symbolic identities, lists of ((a, b, c), coeff)
+    terms meaning coeff * entry (a, b, c); ``canon(parities, a, b, c)``
+    maps an entry to (free coordinate, sign), or to (None, 0) when the
+    entry is forced to vanish.  The rows are reduced sparsely and each kernel
+    vector is expanded into a cochain by ``expand``.
+    """
+    index = {key: t for t, key in enumerate(coords)}
+    p = basis.parities
+    red = RowReducer(len(coords))
+    for terms in rows:
+        row: dict[int, Fraction] = {}
+        for (a, b, c), coeff in terms:
+            key, s = canon(p, a, b, c)
+            if key is not None:
+                t = index[key]
+                row[t] = row.get(t, ZERO) + s * coeff
+        row = {t: q for t, q in row.items() if q != 0}
+        if row:
+            red.add_sparse(row)
+    return [expand(basis, {coords[t]: q for t, q in enumerate(kv) if q != 0})
+            for kv in red.kernel()]
+
+
+def _canon_cochain2dual(parities, a: int, b: int, c: int):
+    """Free coordinate and sign of the entry w[a][b][c] of an even
+    dual-valued 2-cochain, or (None, 0) when it vanishes."""
+    pair, s = canon2_first(parities, a, b)
+    if pair is None or (parities[a] + parities[b] + parities[c]) % 2:
+        return None, 0
+    return (pair[0], pair[1], c), s
+
+
+def _cocycle2_identities(g: LieSuperalgebra):
+    for i, j, k in itertools.combinations_with_replacement(range(g.dim), 3):
+        yield from _cocycle2_rows(g, i, j, k)
+
+
+def _supercyclic_identities(basis: GradedBasis):
+    p = basis.parities
+    for i, j, k in itertools.product(range(basis.dim), repeat=3):
+        yield [((i, j, k), frac(1)),
+               ((j, k, i), -frac(sgn(p[i] * (p[j] + p[k]))))]
+
+
 def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     """Basis of the even scalar 3-cocycles, solved in free coordinates."""
-    coords = free_coords_alt3(g.basis)
-    index = {key: t for t, key in enumerate(coords)}
-    p = g.basis.parities
-    red = RowReducer(len(coords))
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if (p[i] + p[j] + p[k] + p[l]) % 2:
-                        continue
-                    terms = _closed3_row(g, i, j, k, l)
-                    if not terms:
-                        continue
-                    row: dict[int, Fraction] = {}
-                    for (a, b, c), coeff in terms:
-                        key, s = canon3(p, a, b, c)
-                        if key is None:
-                            continue
-                        t = index[key]
-                        row[t] = row.get(t, ZERO) + s * coeff
-                    row = {t: q for t, q in row.items() if q != 0}
-                    if row:
-                        red.add_sparse(row)
-    out = []
-    for kv in red.kernel():
-        out.append(expand_alt3(
-            g.basis, {coords[t]: q for t, q in enumerate(kv) if q != 0}))
-    return out
+    rows = (_closed3_row(g, *quad)
+            for quad in _sorted_tuples4(g.basis.parities))
+    return _cocycle_space(g.basis, free_coords_alt3(g.basis), canon3, rows,
+                          expand_alt3)
 
 
 def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     """Basis of the supercyclic even dual-valued 2-cocycles, solved
     independently of :func:`z3_basis` in its own coordinate space."""
-    coords = free_coords_cochain2dual(g.basis)
-    index = {key: t for t, key in enumerate(coords)}
-    p = g.basis.parities
-    red = RowReducer(len(coords))
-    n = g.dim
-
-    def canon_entry(a, b, c):
-        pair, s = canon2_first(p, a, b)
-        if pair is None or (p[a] + p[b] + p[c]) % 2:
-            return None, 0
-        return (pair[0], pair[1], c), s
-
-    # supercyclicity rows
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row: dict[int, Fraction] = {}
-                for (a, b, c), coeff in (((i, j, k), frac(1)),
-                                         ((j, k, i),
-                                          -frac(sgn(p[i] * (p[j] + p[k]))))):
-                    key, s = canon_entry(a, b, c)
-                    if key is None:
-                        continue
-                    t = index[key]
-                    row[t] = row.get(t, ZERO) + s * coeff
-                row = {t: q for t, q in row.items() if q != 0}
-                if row:
-                    red.add_sparse(row)
-    # cocycle identity rows
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                for terms in _cocycle2_rows(g, i, j, k):
-                    row = {}
-                    for (a, b, c), coeff in terms:
-                        key, s = canon_entry(a, b, c)
-                        if key is None:
-                            continue
-                        t = index[key]
-                        row[t] = row.get(t, ZERO) + s * coeff
-                    row = {t: q for t, q in row.items() if q != 0}
-                    if row:
-                        red.add_sparse(row)
-    out = []
-    for kv in red.kernel():
-        out.append(expand_cochain2dual(
-            g.basis, {coords[t]: q for t, q in enumerate(kv) if q != 0}))
-    return out
+    rows = itertools.chain(_supercyclic_identities(g.basis),
+                           _cocycle2_identities(g))
+    return _cocycle_space(g.basis, free_coords_cochain2dual(g.basis),
+                          _canon_cochain2dual, rows, expand_cochain2dual)
 
 
 def z2_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     """Basis of all even dual-valued 2-cocycles (supercyclic or not)."""
-    coords = free_coords_cochain2dual(g.basis)
-    index = {key: t for t, key in enumerate(coords)}
-    p = g.basis.parities
-    red = RowReducer(len(coords))
-    n = g.dim
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                for terms in _cocycle2_rows(g, i, j, k):
-                    row: dict[int, Fraction] = {}
-                    for (a, b, c), coeff in terms:
-                        pair, s = canon2_first(p, a, b)
-                        if pair is None or (p[a] + p[b] + p[c]) % 2:
-                            continue
-                        t = index[(pair[0], pair[1], c)]
-                        row[t] = row.get(t, ZERO) + s * coeff
-                    row = {t: q for t, q in row.items() if q != 0}
-                    if row:
-                        red.add_sparse(row)
-    out = []
-    for kv in red.kernel():
-        out.append(expand_cochain2dual(
-            g.basis, {coords[t]: q for t, q in enumerate(kv) if q != 0}))
-    return out
+    return _cocycle_space(g.basis, free_coords_cochain2dual(g.basis),
+                          _canon_cochain2dual, _cocycle2_identities(g),
+                          expand_cochain2dual)
 
 
 def _alt3_coord_vector(f: ScalarCochain3, coords: list[Triple]) -> Vec:
     return tuple(f.f[i][j][k] for (i, j, k) in coords)
 
 
+def _coboundary_columns(g: LieSuperalgebra):
+    """(alt-3 coordinates, scalar 2-coordinates, columns): column s is
+    delta(e_ab) for the unit 2-cochain at the s-th free coordinate (a, b),
+    as a sparse {alt-3 coordinate index: value}, read off the bracket
+    table with the formula of :func:`delta_scalar2`."""
+    p = g.basis.parities
+    table = g._table
+    coords = free_coords_alt3(g.basis)
+    keys2 = free_coords_scalar2(g.basis)
+    index2 = {key: s for s, key in enumerate(keys2)}
+    cols: list[dict[int, Fraction]] = [{} for _ in keys2]
+    for t, (i, j, k) in enumerate(coords):
+        # delta(phi)(e_i, e_j, e_k) = -phi([e_i, e_j], e_k)
+        #   + (-1)^{|j||k|} phi([e_i, e_k], e_j)
+        #   - (-1)^{|i|(|j|+|k|)} phi([e_j, e_k], e_i)
+        for a, b, c, sign in ((i, j, k, -1), (i, k, j, sgn(p[j] * p[k])),
+                              (j, k, i, -sgn(p[i] * (p[j] + p[k])))):
+            for m, q in table[a][b]:
+                if p[m] != p[c]:
+                    continue
+                key, s = canon2_first(p, m, c)
+                if key is not None:
+                    col = cols[index2[key]]
+                    col[t] = col.get(t, ZERO) + sign * s * q
+    return coords, keys2, [{t: q for t, q in col.items() if q != 0}
+                           for col in cols]
+
+
 def b3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     """Basis of the coboundaries delta(phi), in canonical form."""
-    coords = free_coords_alt3(g.basis)
+    coords, _, cols = _coboundary_columns(g)
     red = RowReducer(len(coords))
-    for key in free_coords_scalar2(g.basis):
-        phi = expand_scalar2(g.basis, {key: frac(1)})
-        red.add(_alt3_coord_vector(delta_scalar2(g, phi), coords))
-    out = []
-    for row in red.rows:
-        out.append(expand_alt3(
-            g.basis, {coords[t]: q for t, q in enumerate(row) if q != 0}))
-    return out
+    for col in cols:
+        red.add_sparse(col)
+    return [expand_alt3(g.basis, {coords[t]: q
+                                  for t, q in red.rows[piv].items()})
+            for piv in red.pivots]
 
 
 def h3_dim(g: LieSuperalgebra) -> int:
@@ -626,16 +630,13 @@ def cohomologous(g: LieSuperalgebra, f1: ScalarCochain3,
     """A scalar 2-cochain phi with f2 = f1 - delta(phi), or None."""
     if not is_closed3(g, f1) or not is_closed3(g, f2):
         raise PreconditionError("both cochains must be closed")
-    coords = free_coords_alt3(g.basis)
-    keys2 = free_coords_scalar2(g.basis)
-    cols = []
-    for key in keys2:
-        phi = expand_scalar2(g.basis, {key: frac(1)})
-        cols.append(_alt3_coord_vector(delta_scalar2(g, phi), coords))
+    coords, keys2, cols = _coboundary_columns(g)
     target = _alt3_coord_vector(sub3(f1, f2), coords)
     if not cols:
         return zero_scalar2(g) if vec_is_zero(target) else None
-    sol = solve(transpose(mat(cols)), target)
+    A = tuple(tuple(col.get(t, ZERO) for col in cols)
+              for t in range(len(coords)))
+    sol = solve(A, target)
     if sol.particular is None:
         return None
     return expand_scalar2(

@@ -2,12 +2,16 @@
 
 Vectors and matrices are immutable tuples with ``Fraction`` entries and
 every operation is exact; nothing in this package ever rounds.  The
-solvers here are plain dense Gaussian elimination, adequate at the desk
-scale this library targets (dimensions up to a few dozen).  Hot callers
-avoid re-solving: ``forms.EvenForm`` pairs through a sparse Gram row
-table, ``superalgebra.Subspace`` tests membership by reducing against
-its RREF rows by pivot, and the decomposition's induced spaces invert
-their pivot block once and project by a matrix-vector product.
+batch solvers (``rref``, ``kernel``, ``solve``, ``inverse``) are dense
+Gaussian elimination, adequate at the desk scale this library targets
+(dimensions up to a few dozen).  :class:`RowReducer`, which the
+cocycle-space solves feed with thousands of short rows, is sparse: dict
+rows in a map from pivot column to row, kept in reduced row echelon
+form.  Hot callers avoid re-solving: ``forms.EvenForm`` pairs through a
+sparse Gram row table, ``superalgebra.Subspace`` tests membership by
+reducing against its RREF rows by pivot, and the decomposition's induced
+spaces invert their pivot block once and project by a matrix-vector
+product.
 """
 
 from __future__ import annotations
@@ -246,58 +250,84 @@ def coords_in(vectors: Sequence[Vec], v: Vec) -> Vec | None:
     return s.particular
 
 
-class RowReducer:
-    """Incremental row reduction for large, mostly sparse systems.
+def _sub_scaled(r: dict[int, Fraction], f: Fraction,
+                row: dict[int, Fraction]) -> None:
+    """r -= f * row on dict rows, dropping the entries that cancel."""
+    for c, q in row.items():
+        v = r.get(c, ZERO) - f * q
+        if v:
+            r[c] = v
+        else:
+            del r[c]
 
-    Rows are added one at a time and reduced against the pivots found so
-    far; the reduced rows are kept in RREF so rank and kernel queries
-    are cheap at any point.
+
+class RowReducer:
+    """Incremental sparse row reduction.
+
+    Each reduced row is a dict {column: value} of its nonzero entries,
+    held in ``rows``, a map from the row's pivot column to the row.  A
+    row has entry 1 at its pivot and 0 at every other pivot column, and
+    its pivot is its first nonzero column, so the rows always form the
+    reduced row echelon form of everything added: rank, RREF and
+    :meth:`kernel` are the same canonical ones a batch ``rref`` gives.
+    A new row is reduced against the pivots it touches, normalized, and
+    then eliminated from the earlier rows that are nonzero at its pivot.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict[int, Fraction]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
-    def reduce(self, row: Sequence[Fraction]) -> list[Fraction]:
-        r = list(row)
-        for piv_row, p in zip(self.rows, self.pivots):
-            if r[p] != 0:
-                f = r[p]
-                r = [a - f * b for a, b in zip(r, piv_row)]
-        return r
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rows))
 
-    def add(self, row: Sequence[Fraction]) -> bool:
-        """Add a constraint row; True if it increased the rank."""
-        r = self.reduce(row)
-        p = next((c for c in range(self.ncols) if r[c] != 0), None)
-        if p is None:
+    def add(self, row: Sequence[Fraction] | dict[int, Fraction]) -> bool:
+        """Add a constraint row, dense or a {column: value} dict; True if
+        it increased the rank."""
+        if isinstance(row, dict):
+            if any(c not in range(self.ncols) for c in row):
+                raise DimensionMismatch(
+                    f"sparse row has a column outside range({self.ncols})")
+            r = {c: q for c, q in row.items() if q != 0}
+        else:
+            if len(row) != self.ncols:
+                raise DimensionMismatch(
+                    f"row has {len(row)} entries, expected {self.ncols}")
+            r = {c: q for c, q in enumerate(row) if q != 0}
+        rows = self.rows
+        for c in [c for c in r if c in rows]:
+            _sub_scaled(r, r[c], rows[c])
+        if not r:
             return False
+        p = min(r)
         inv = ONE / r[p]
-        r = [inv * a for a in r]
-        for i in range(len(self.rows)):
-            if self.rows[i][p] != 0:
-                f = self.rows[i][p]
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], r)]
-        at = next((i for i, q in enumerate(self.pivots) if q > p),
-                  len(self.pivots))
-        self.rows.insert(at, r)
-        self.pivots.insert(at, p)
+        r = {c: inv * q for c, q in r.items()}
+        for other in rows.values():
+            if p in other:
+                _sub_scaled(other, other[p], r)
+        rows[p] = r
         return True
 
     def add_sparse(self, entries: dict[int, Fraction]) -> bool:
-        row = [ZERO] * self.ncols
-        for c, q in entries.items():
-            row[c] = q
-        return self.add(row)
+        """Add a constraint row given as {column: value}."""
+        return self.add(entries)
 
     def kernel(self) -> list[Vec]:
         """Kernel of the system whose rows were added."""
-        return _kernel_from_rref(self.rows, self.pivots, self.ncols)
+        free = [c for c in range(self.ncols) if c not in self.rows]
+        basis = {f: [ZERO] * self.ncols for f in free}
+        for f, x in basis.items():
+            x[f] = ONE
+        for p, row in self.rows.items():
+            for c, q in row.items():
+                if c != p:
+                    basis[c][p] = -q
+        return [tuple(basis[f]) for f in free]
 
 
 def charpoly(A: Mat) -> tuple[Fraction, ...]:

@@ -204,12 +204,11 @@ def bracket(g: LieSuperalgebra, x: Vec, y: Vec) -> Vec:
         raise DimensionMismatch("vectors do not match the basis")
     out = [ZERO] * n
     table = g._table
+    y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
-        if xi == 0:
+        if not xi:
             continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
+        for j, yj in y_nonzero:
             f = xi * yj
             for k, q in table[i][j]:
                 out[k] += f * q

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
-                                  ScalarCochain3, b3_basis, canon3,
-                                  closed3_defect, cocycle2_defect,
+                                  ScalarCochain3, add3, b3_basis, canon3,
+                                  closed3_defect, closed3_violation,
+                                  cocycle2_defect,
                                   cohomologous, collect_alt3,
                                   collect_cochain2dual, delta_scalar2,
                                   expand_alt3, expand_cochain2dual,
@@ -21,7 +22,8 @@ from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   zero_cochain2, zero_scalar2)
 from superquad.errors import CochainError, PreconditionError
 from superquad.gallery import random_scalar2, random_supercyclic_cocycle
-from superquad.linalg import frac, inverse, mat, mat_vec, rank, unit_vec, vec
+from superquad.linalg import (frac, inverse, kernel, mat, mat_vec, rank, rref,
+                              solve, transpose, unit_vec, vec)
 from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra, bracket,
                                     graded_basis, sgn)
 
@@ -251,6 +253,95 @@ def test_cohomologous_identity_and_roundtrip(gallery):
         phi1 = cohomologous(g, f1, f2)
         assert phi1 is not None, name
         assert delta_scalar2(g, phi1).f == delta_scalar2(g, phi0).f, name
+
+
+# --- the sorted-tuple and table-built fast paths against dense oracles -------
+
+def _closed3_violation_all_tuples(g, f):
+    """First violated 4-tuple over all n^4 orderings."""
+    for quad in itertools.product(range(g.dim), repeat=4):
+        if closed3_defect(g, f, *quad) != 0:
+            return quad
+    return None
+
+
+def test_closed3_violation_matches_full_loop(gallery):
+    rng = random.Random(41)
+    violated = 0
+    for name, g in gallery.items():
+        coords = free_coords_alt3(g.basis)
+        cochains = [expand_alt3(g.basis, {key: 1}) for key in coords]
+        cochains += [expand_alt3(g.basis, {key: rng.randint(-2, 2)
+                                           for key in coords
+                                           if rng.random() < 0.4})
+                     for _ in range(4)]
+        for f in cochains:
+            full = _closed3_violation_all_tuples(g, f)
+            assert closed3_violation(g, f) == full, name
+            violated += full is not None
+    assert violated > 10
+
+
+def _z3_oracle(g):
+    """Kernel of the closedness identity at every one of the n^4 basis
+    4-tuples, each row read off the dense defect of the unit cochains."""
+    coords = free_coords_alt3(g.basis)
+    units = [expand_alt3(g.basis, {key: 1}) for key in coords]
+    rows = [tuple(closed3_defect(g, u, *quad) for u in units)
+            for quad in itertools.product(range(g.dim), repeat=4)]
+    return [expand_alt3(g.basis, {coords[t]: q for t, q in enumerate(v)
+                                  if q != 0})
+            for v in kernel(mat(rows))]
+
+
+def test_z3_basis_matches_all_tuples_oracle(gallery):
+    for name, g in gallery.items():
+        assert [f.f for f in z3_basis(g)] == [f.f for f in _z3_oracle(g)], \
+            name
+
+
+def _coboundary_oracle(g):
+    """Free alt-3 coordinates of delta_scalar2 of each unit 2-cochain."""
+    coords = free_coords_alt3(g.basis)
+    cols = []
+    for key in free_coords_scalar2(g.basis):
+        d = delta_scalar2(g, expand_scalar2(g.basis, {key: 1}))
+        cols.append(tuple(d.f[i][j][k] for (i, j, k) in coords))
+    return coords, cols
+
+
+def test_b3_basis_and_cohomologous_match_dense_coboundaries(gallery):
+    rng = random.Random(43)
+    solved = rejected = 0
+    for name, g in gallery.items():
+        coords, cols = _coboundary_oracle(g)
+        R, pivots = rref(mat(cols)) if cols else ((), ())
+        expected = [expand_alt3(g.basis, {coords[t]: q
+                                          for t, q in enumerate(R[r])
+                                          if q != 0}).f
+                    for r in range(len(pivots))]
+        assert [f.f for f in b3_basis(g)] == expected, name
+        z3 = z3_basis(g)
+        if not z3 or not cols:
+            continue
+        keys2 = free_coords_scalar2(g.basis)
+        f1 = z3[0]
+        for f2 in (sub3(f1, delta_scalar2(g, random_scalar2(g, rng))),
+                   add3(f1, z3[-1]), f1):
+            target = tuple(f1.f[i][j][k] - f2.f[i][j][k]
+                           for (i, j, k) in coords)
+            sol = solve(transpose(mat(cols)), target)
+            phi = cohomologous(g, f1, f2)
+            if sol.particular is None:
+                assert phi is None, name
+                rejected += 1
+            else:
+                assert phi.p == expand_scalar2(
+                    g.basis, {keys2[t]: q
+                              for t, q in enumerate(sol.particular)
+                              if q != 0}).p, name
+                solved += 1
+    assert solved >= 4 and rejected >= 1
 
 
 # --- invariance under graded base change --------------------------------------

@@ -7,7 +7,7 @@ from superquad.errors import DimensionMismatch
 from superquad.linalg import (RowReducer, charpoly, coords_in, det,
                               diagonalize_symmetric, identity, inverse,
                               kernel, mat, mat_mul, mat_vec, poly_eval, rank,
-                              rational_roots, solve, sqrt_fraction,
+                              rational_roots, rref, solve, sqrt_fraction,
                               transpose, vec, zeros)
 
 F = Fraction
@@ -152,16 +152,63 @@ def test_inverse_and_coords():
     assert coords_in([vec([1, 0, 1])], vec([0, 1, 0])) is None
 
 
-@given(_matrices())
-@settings(max_examples=40, deadline=None)
-def test_row_reducer_matches_batch(rows):
+@st.composite
+def _reducer_inputs(draw):
+    """Rows of a random matrix with zero, duplicate and redundant rows
+    mixed in, each tagged True when it is fed to ``add_sparse``."""
+    entries = st.one_of(st.just(F(0)), small_fractions)
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "combination")))
+        if kind == "zero":
+            extra = [F(0)] * ncols
+        elif kind == "duplicate":
+            extra = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(small_fractions), draw(small_fractions)
+            extra = [s * x + t * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    sparse = draw(st.lists(st.booleans(), min_size=len(rows),
+                           max_size=len(rows)))
+    return rows, sparse
+
+
+@given(_reducer_inputs())
+@settings(max_examples=80, deadline=None)
+def test_row_reducer_matches_batch(data):
+    rows, sparse = data
     A = mat(rows)
-    red = RowReducer(len(A[0]))
-    for r in A:
-        red.add(r)
+    ncols = len(A[0])
+    red = RowReducer(ncols)
+    for r, as_dict in zip(A, sparse):
+        before = red.rank
+        if as_dict:
+            raised = red.add_sparse({c: q for c, q in enumerate(r) if q != 0})
+        else:
+            raised = red.add(r)
+        assert raised == (red.rank == before + 1)
+        assert red.rank in (before, before + 1)
+    R, pivots = rref(A)
     assert red.rank == rank(A)
-    ker_inc = red.kernel()
-    ker_batch = kernel(A)
-    assert len(ker_inc) == len(ker_batch)
-    for k in ker_inc:
-        assert all(q == 0 for q in mat_vec(A, k))
+    assert red.pivots == pivots
+    assert all(q != 0 for row in red.rows.values() for q in row.values())
+    dense = tuple(tuple(red.rows[p].get(c, F(0)) for c in range(ncols))
+                  for p in red.pivots)
+    assert dense == R[:len(pivots)]
+    assert red.kernel() == kernel(A)
+
+
+def test_row_reducer_rejects_wrong_shapes():
+    red = RowReducer(3)
+    for row in (vec([1]), vec([1, 0, 0, 0])):
+        with pytest.raises(DimensionMismatch):
+            red.add(row)
+    for entries in ({3: F(1)}, {-1: F(1)}, {0: F(1), 5: F(0)}):
+        with pytest.raises(DimensionMismatch):
+            red.add_sparse(entries)
+    assert red.rank == 0
+    assert red.add(vec([0, 2, 1])) and red.add_sparse({0: F(1)})
+    assert red.kernel() == [vec([0, F(-1, 2), 1])]
