@@ -28,8 +28,8 @@ from .superalgebra import (EVEN, ODD, AxiomReport, DualVector, GradedBasis,
                            LieSuperalgebra, Subspace, abelian, bracket,
                            center, check_axioms, class_condition, coadjoint,
                            derived_series, from_brackets, graded_basis,
-                           is_nilpotent, is_solvable, lie_superalgebra,
-                           lower_central_series, quotient, subspace)
+                           is_nilpotent, is_solvable, lower_central_series,
+                           quotient, subspace)
 from .tstar import (TStarExtension, build, lemma_halfdim_ideal_iff_abelian,
                     negative_test_invariance, recognize, s_phi_isometry)
 

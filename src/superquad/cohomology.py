@@ -13,11 +13,14 @@ Conventions (docs/conventions.md):
   f(x, y, z) = w(x, y)(z), is even and super-alternating:
   f(x,y,z) = -(-1)^{|x||y|} f(y,x,z) = -(-1)^{|y||z|} f(x,z,y).
 
-The linear solves for cocycle spaces run in free coordinates: index
-triples sorted ascending, where an index may repeat only when it is odd
-(super-alternation is symmetric on odd pairs, and triple repeats are
-killed by evenness).  The dense tensors are kept as the redundant oracle
-and the enumeration is unit-tested against them.  Z^2, Z^2_sc and Z^3 are
+Cochains are stored, and cocycle spaces solved, in free coordinates:
+index tuples that are their own canonical representative (for scalar
+3-cochains, triples sorted ascending where an index may repeat only when
+it is odd; super-alternation is symmetric on odd pairs, and triple
+repeats are killed by evenness).  A cochain keeps only its nonzero values
+keyed by free coordinate, so evenness and super-antisymmetry hold by
+construction and only the keys are checked; any other entry is read
+through its canonical representative and sign.  Z^2, Z^2_sc and Z^3 are
 all solved by one helper that canonicalizes symbolic identity rows into
 free coordinates and reduces them with the sparse ``RowReducer``; the
 coboundaries delta(e_ab) of the unit 2-cochains are read off the bracket
@@ -39,8 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CochainError, DimensionMismatch, PreconditionError)
-from .linalg import (Mat, RowReducer, Vec, ZERO, frac, mat, solve,
-                     vec, vec_is_zero)
+from .linalg import RowReducer, Vec, ZERO, frac, solve, vec_is_zero
 from .superalgebra import EVEN, GradedBasis, LieSuperalgebra, sgn
 
 Triple = tuple[int, int, int]
@@ -81,242 +83,183 @@ def canon2_first(parities, i: int, j: int):
     return (i, j), 1
 
 
+def _canon_cochain2dual(parities, a: int, b: int, c: int):
+    """Free coordinate and sign of the entry w(e_a, e_b)(e_c) of an even
+    dual-valued 2-cochain, or (None, 0) when it vanishes."""
+    pair, s = canon2_first(parities, a, b)
+    if pair is None or (parities[a] + parities[b] + parities[c]) % 2:
+        return None, 0
+    return (pair[0], pair[1], c), s
+
+
+def _canon_scalar2(parities, i: int, j: int):
+    """Free coordinate and sign of the entry phi(e_i, e_j) of an even
+    scalar 2-cochain, or (None, 0) when it vanishes."""
+    if parities[i] != parities[j]:
+        return None, 0
+    return canon2_first(parities, i, j)
+
+
+def _free_coords(basis: GradedBasis, arity: int, canon) -> list:
+    """The index tuples that are their own canonical representative, in
+    lexicographic order."""
+    return [key for key in itertools.product(range(basis.dim), repeat=arity)
+            if canon(basis.parities, *key)[0] == key]
+
+
 def free_coords_alt3(basis: GradedBasis) -> list[Triple]:
     """Free coordinates of even super-alternating trilinear tensors."""
-    n = basis.dim
-    p = basis.parities
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and p[i] == EVEN:
-                continue
-            for k in range(j, n):
-                if j == k and p[j] == EVEN:
-                    continue
-                if (p[i] + p[j] + p[k]) % 2 == 0:
-                    out.append((i, j, k))
-    return out
+    return _free_coords(basis, 3, canon3)
 
 
 def free_coords_cochain2dual(basis: GradedBasis) -> list[Triple]:
     """Free coordinates (i, j, k) of even 2-cochains with values in the
     dual space, antisymmetric in (i, j)."""
-    n = basis.dim
-    p = basis.parities
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and p[i] == EVEN:
-                continue
-            for k in range(n):
-                if (p[i] + p[j] + p[k]) % 2 == 0:
-                    out.append((i, j, k))
-    return out
+    return _free_coords(basis, 3, _canon_cochain2dual)
 
 
 def free_coords_scalar2(basis: GradedBasis) -> list[tuple[int, int]]:
-    n = basis.dim
-    p = basis.parities
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and p[i] == EVEN:
-                continue
-            if p[i] == p[j]:
-                out.append((i, j))
-    return out
+    return _free_coords(basis, 2, _canon_scalar2)
 
 
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
 
-def _check_tensor3(basis: GradedBasis, t) -> tuple:
-    n = basis.dim
-    if len(t) != n or any(len(r) != n for r in t) or any(
-            len(v) != n for r in t for v in r):
-        raise DimensionMismatch("tensor must be dim^3")
-    return tuple(tuple(vec(v) for v in r) for r in t)
+def _store_free_entries(cochain, arity: int, canon) -> None:
+    """Keep the nonzero values of ``cochain.coords``, sorted by key.
+    Evenness and super-antisymmetry live in the key set, so only the keys
+    are checked: each must be its own canonical representative."""
+    n = cochain.basis.dim
+    p = cochain.basis.parities
+    out = {}
+    for key, q in cochain.coords.items():
+        if (not isinstance(key, tuple) or len(key) != arity
+                or any(a not in range(n) for a in key)):
+            raise DimensionMismatch(f"cochain index {key!r} outside the basis")
+        if canon(p, *key)[0] != key:
+            raise CochainError("cochain entry is not a free coordinate",
+                               entry=key)
+        q = frac(q)
+        if q != 0:
+            out[key] = q
+    object.__setattr__(cochain, "coords", dict(sorted(out.items())))
 
 
 @dataclass(frozen=True)
 class Cochain2Dual:
-    """Even bilinear map g x g -> g*, stored as w[i][j][k] = w(e_i, e_j)(e_k),
-    super-antisymmetric in (i, j)."""
+    """Even bilinear map g x g -> g*, super-antisymmetric in its two
+    arguments, stored as its nonzero values on the free coordinates:
+    coords[(i, j, k)] = w(e_i, e_j)(e_k) with i <= j."""
 
     basis: GradedBasis
-    w: tuple
+    coords: dict
 
     def __post_init__(self):
-        w = _check_tensor3(self.basis, self.w)
-        object.__setattr__(self, "w", w)
-        p = self.basis.parities
-        n = self.basis.dim
-        for i in range(n):
-            for j in range(n):
-                s = -sgn(p[i] * p[j])
-                for k in range(n):
-                    if (p[i] + p[j] + p[k]) % 2 and w[i][j][k] != 0:
-                        raise CochainError("cochain is not even",
-                                           entry=(i, j, k))
-                    if w[i][j][k] != s * w[j][i][k]:
-                        raise CochainError(
-                            "cochain is not super-antisymmetric in (i, j)",
-                            entry=(i, j, k))
+        _store_free_entries(self, 3, _canon_cochain2dual)
 
 
 @dataclass(frozen=True)
 class ScalarCochain3:
-    """Even super-alternating trilinear scalar form f[i][j][k]."""
+    """Even super-alternating trilinear scalar form, stored as its nonzero
+    values on the ascending free triples (see :func:`free_coords_alt3`)."""
 
     basis: GradedBasis
-    f: tuple
+    coords: dict
 
     def __post_init__(self):
-        f = _check_tensor3(self.basis, self.f)
-        object.__setattr__(self, "f", f)
-        p = self.basis.parities
-        n = self.basis.dim
-        for i in range(n):
-            for j in range(n):
-                s1 = -sgn(p[i] * p[j])
-                for k in range(n):
-                    if (p[i] + p[j] + p[k]) % 2 and f[i][j][k] != 0:
-                        raise CochainError("cochain is not even",
-                                           entry=(i, j, k))
-                    if f[i][j][k] != s1 * f[j][i][k]:
-                        raise CochainError(
-                            "cochain is not super-antisymmetric in (i, j)",
-                            entry=(i, j, k))
-                    if f[i][j][k] != -sgn(p[j] * p[k]) * f[i][k][j]:
-                        raise CochainError(
-                            "cochain is not super-antisymmetric in (j, k)",
-                            entry=(i, j, k))
+        _store_free_entries(self, 3, canon3)
 
 
 @dataclass(frozen=True)
 class ScalarCochain2:
-    """Even super-antisymmetric bilinear scalar form p[i][j]."""
+    """Even super-antisymmetric bilinear scalar form, stored as its nonzero
+    values phi(e_i, e_j) on the free pairs i <= j."""
 
     basis: GradedBasis
-    p: Mat
+    coords: dict
 
     def __post_init__(self):
-        n = self.basis.dim
-        if len(self.p) != n or any(len(r) != n for r in self.p):
-            raise DimensionMismatch("matrix must be dim x dim")
-        object.__setattr__(self, "p", mat(self.p))
-        par = self.basis.parities
-        for i in range(n):
-            for j in range(n):
-                if par[i] != par[j] and self.p[i][j] != 0:
-                    raise CochainError("cochain is not even", entry=(i, j))
-                if self.p[i][j] != -sgn(par[i] * par[j]) * self.p[j][i]:
-                    raise CochainError(
-                        "cochain is not super-antisymmetric", entry=(i, j))
+        _store_free_entries(self, 2, _canon_scalar2)
 
 
-# construction from free coordinates -----------------------------------------
-
-def _zero3(n: int):
-    return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-
+# free coordinates in and out -------------------------------------------------
 
 def expand_alt3(basis: GradedBasis, coords: dict[Triple, Fraction]) -> ScalarCochain3:
-    """Dense tensor from values on the free coordinates."""
-    n = basis.dim
-    p = basis.parities
-    t = _zero3(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                key, s = canon3(p, i, j, k)
-                if key is not None and key in coords:
-                    t[i][j][k] = s * frac(coords[key])
-    return ScalarCochain3(basis, tuple(tuple(tuple(v) for v in r) for r in t))
+    return ScalarCochain3(basis, coords)
 
 
 def collect_alt3(f: ScalarCochain3) -> dict[Triple, Fraction]:
-    return {key: f.f[key[0]][key[1]][key[2]]
-            for key in free_coords_alt3(f.basis)
-            if f.f[key[0]][key[1]][key[2]] != 0}
+    return dict(f.coords)
 
 
 def expand_cochain2dual(basis: GradedBasis,
                         coords: dict[Triple, Fraction]) -> Cochain2Dual:
-    n = basis.dim
-    p = basis.parities
-    t = _zero3(n)
-    for i in range(n):
-        for j in range(n):
-            pair, s = canon2_first(p, i, j)
-            if pair is None:
-                continue
-            for k in range(n):
-                key = (pair[0], pair[1], k)
-                if key in coords and (p[i] + p[j] + p[k]) % 2 == 0:
-                    t[i][j][k] = s * frac(coords[key])
-    return Cochain2Dual(basis, tuple(tuple(tuple(v) for v in r) for r in t))
+    return Cochain2Dual(basis, coords)
 
 
 def collect_cochain2dual(w: Cochain2Dual) -> dict[Triple, Fraction]:
-    return {key: w.w[key[0]][key[1]][key[2]]
-            for key in free_coords_cochain2dual(w.basis)
-            if w.w[key[0]][key[1]][key[2]] != 0}
+    return dict(w.coords)
 
 
 def expand_scalar2(basis: GradedBasis,
                    coords: dict[tuple[int, int], Fraction]) -> ScalarCochain2:
-    n = basis.dim
-    p = basis.parities
-    m = [[ZERO] * n for _ in range(n)]
-    for (i, j), q in coords.items():
-        q = frac(q)
-        m[i][j] = q
-        if i != j:
-            m[j][i] = -sgn(p[i] * p[j]) * q
-    return ScalarCochain2(basis, tuple(tuple(r) for r in m))
+    return ScalarCochain2(basis, coords)
 
 
 def collect_scalar2(phi: ScalarCochain2) -> dict[tuple[int, int], Fraction]:
-    return {key: phi.p[key[0]][key[1]] for key in free_coords_scalar2(phi.basis)
-            if phi.p[key[0]][key[1]] != 0}
+    return dict(phi.coords)
 
 
 def zero_cochain2(g: LieSuperalgebra | GradedBasis) -> Cochain2Dual:
     basis = g if isinstance(g, GradedBasis) else g.basis
-    return expand_cochain2dual(basis, {})
+    return Cochain2Dual(basis, {})
 
 
 def zero_scalar2(g: LieSuperalgebra | GradedBasis) -> ScalarCochain2:
     basis = g if isinstance(g, GradedBasis) else g.basis
-    return expand_scalar2(basis, {})
+    return ScalarCochain2(basis, {})
 
 
-# tensor arithmetic -----------------------------------------------------------
+def _entry2dual(w: Cochain2Dual, a: int, b: int, c: int) -> Fraction:
+    """w(e_a, e_b)(e_c), read through its free coordinate; an entry whose
+    sorted key is not stored vanishes, so the sign is only needed for the
+    stored ones."""
+    q = w.coords.get((min(a, b), max(a, b), c))
+    return canon2_first(w.basis.parities, a, b)[1] * q if q else ZERO
+
+
+def _entry3(f: ScalarCochain3, a: int, b: int, c: int) -> Fraction:
+    """f(e_a, e_b, e_c), read through its free coordinate, as above."""
+    q = f.coords.get(tuple(sorted((a, b, c))))
+    return canon3(f.basis.parities, a, b, c)[1] * q if q else ZERO
+
+
+# arithmetic ------------------------------------------------------------------
+
+def _combined(a, b, s: int) -> dict:
+    if a.basis != b.basis:
+        raise DimensionMismatch("cochains live on different bases")
+    out = dict(a.coords)
+    for key, q in b.coords.items():
+        out[key] = out.get(key, ZERO) + s * q
+    return out
+
 
 def add3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
-    n = a.basis.dim
-    return ScalarCochain3(a.basis, tuple(
-        tuple(tuple(a.f[i][j][k] + b.f[i][j][k] for k in range(n))
-              for j in range(n)) for i in range(n)))
+    return ScalarCochain3(a.basis, _combined(a, b, 1))
 
 
 def sub3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
-    n = a.basis.dim
-    return ScalarCochain3(a.basis, tuple(
-        tuple(tuple(a.f[i][j][k] - b.f[i][j][k] for k in range(n))
-              for j in range(n)) for i in range(n)))
+    return ScalarCochain3(a.basis, _combined(a, b, -1))
 
 
 def is_zero3(a: ScalarCochain3) -> bool:
-    return all(q == 0 for r in a.f for v in r for q in v)
+    return not a.coords
 
 
 def add_scalar2(a: ScalarCochain2, b: ScalarCochain2) -> ScalarCochain2:
-    n = a.basis.dim
-    return ScalarCochain2(a.basis, tuple(
-        tuple(a.p[i][j] + b.p[i][j] for j in range(n)) for i in range(n)))
+    return ScalarCochain2(a.basis, _combined(a, b, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +270,11 @@ def _cocycle2_rows(g: LieSuperalgebra, i: int, j: int, k: int):
     """Symbolic 2-cocycle identity at the basis triple (i, j, k).
 
     Yields (l, terms) per output coordinate l, where terms is a list of
-    ((a, b, c), coeff) contributions meaning coeff * w[a][b][c].
+    ((a, b, c), coeff) contributions meaning coeff * w(e_a, e_b)(e_c).
     """
     p = g.basis.parities
     n = g.dim
-    table = g._table
+    table = g.table
     x, y, z = p[i], p[j], p[k]
     s_yzx = sgn(x * (y + z))
     s_zxy = sgn(z * (x + y))
@@ -360,7 +303,7 @@ def cocycle2_defect(g: LieSuperalgebra, w: Cochain2Dual,
     for terms in rows:
         acc = ZERO
         for (a, b, c), coeff in terms:
-            val = w.w[a][b][c]
+            val = _entry2dual(w, a, b, c)
             if val != 0:
                 acc += coeff * val
         out.append(acc)
@@ -385,16 +328,20 @@ def is_cocycle2(g: LieSuperalgebra, w: Cochain2Dual) -> bool:
 
 def supercyclic_defect(w: Cochain2Dual, i: int, j: int, k: int) -> Fraction:
     p = w.basis.parities
-    return w.w[i][j][k] - sgn(p[i] * (p[j] + p[k])) * w.w[j][k][i]
+    return (_entry2dual(w, i, j, k)
+            - sgn(p[i] * (p[j] + p[k])) * _entry2dual(w, j, k, i))
 
 
 def supercyclic_violation(w: Cochain2Dual):
-    n = w.basis.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if supercyclic_defect(w, i, j, k) != 0:
-                    return (i, j, k)
+    """First basis triple, in lexicographic order, where supercyclicity
+    fails, or None.  The defect at (i, j, k) reads w at (i, j, k) and at
+    (j, k, i), so only triples next to a stored entry can fail."""
+    support = set()
+    for a, b, c in w.coords:
+        support.update(((a, b, c), (b, a, c)))
+    for t in sorted(support | {(c, a, b) for a, b, c in support}):
+        if supercyclic_defect(w, *t) != 0:
+            return t
     return None
 
 
@@ -404,9 +351,9 @@ def is_supercyclic(w: Cochain2Dual) -> bool:
 
 def _closed3_row(g: LieSuperalgebra, i: int, j: int, k: int, l: int):
     """Symbolic closedness identity at the basis 4-tuple: a list of
-    ((a, b, c), coeff) contributions meaning coeff * f[a][b][c]."""
+    ((a, b, c), coeff) contributions meaning coeff * f(e_a, e_b, e_c)."""
     p = g.basis.parities
-    table = g._table
+    table = g.table
     x, y, z, v = p[i], p[j], p[k], p[l]
     pieces = (
         ((i, j), (k, l), 1),
@@ -427,7 +374,7 @@ def closed3_defect(g: LieSuperalgebra, f: ScalarCochain3,
                    i: int, j: int, k: int, l: int) -> Fraction:
     acc = ZERO
     for (a, b, c), coeff in _closed3_row(g, i, j, k, l):
-        val = f.f[a][b][c]
+        val = _entry3(f, a, b, c)
         if val != 0:
             acc += coeff * val
     return acc
@@ -460,25 +407,17 @@ def is_closed3(g: LieSuperalgebra, f: ScalarCochain3) -> bool:
 
 def delta_scalar2(g: LieSuperalgebra, phi: ScalarCochain2) -> ScalarCochain3:
     """(d phi)(x,y,z) = -phi([x,y],z) + (-1)^{|y||z|} phi([x,z],y)
-    - (-1)^{|x|(|y|+|z|)} phi([y,z],x), extended trilinearly."""
-    n = g.dim
-    p = g.basis.parities
-    table = g._table
-    t = _zero3(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = ZERO
-                for m, q in table[i][j]:
-                    acc -= q * phi.p[m][k]
-                s = sgn(p[j] * p[k])
-                for m, q in table[i][k]:
-                    acc += s * q * phi.p[m][j]
-                s = sgn(p[i] * (p[j] + p[k]))
-                for m, q in table[j][k]:
-                    acc -= s * q * phi.p[m][i]
-                t[i][j][k] = acc
-    return ScalarCochain3(g.basis, tuple(tuple(tuple(v) for v in r) for r in t))
+    - (-1)^{|x|(|y|+|z|)} phi([y,z],x), extended trilinearly: the sum of
+    phi's coordinates times the coboundaries of the unit 2-cochains."""
+    if phi.basis != g.basis:
+        raise DimensionMismatch("cochain basis differs from the algebra")
+    coords, keys2, cols = _coboundary_columns(g)
+    col_of = dict(zip(keys2, cols))
+    out: dict[int, Fraction] = {}
+    for key, q in phi.coords.items():
+        for t, v in col_of[key].items():
+            out[t] = out.get(t, ZERO) + q * v
+    return ScalarCochain3(g.basis, {coords[t]: q for t, q in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +426,26 @@ def delta_scalar2(g: LieSuperalgebra, phi: ScalarCochain2) -> ScalarCochain3:
 
 def hat(w: Cochain2Dual) -> ScalarCochain3:
     """Reinterpret a supercyclic dual-valued 2-cochain as the scalar
-    trilinear tensor (x, y, z) -> w(x, y)(z).  The coordinates are
-    literally the same; supercyclicity is what makes the result fully
-    super-alternating."""
+    trilinear tensor (x, y, z) -> w(x, y)(z).  The values are literally
+    the same, so hat keeps w's ascending free coordinates; supercyclicity
+    is what makes the result fully super-alternating."""
     bad = supercyclic_violation(w)
     if bad is not None:
         raise PreconditionError(
             f"cochain is not supercyclic (violated at {bad})")
-    return ScalarCochain3(w.basis, w.w)
+    return ScalarCochain3(w.basis, {(i, j, k): q for (i, j, k), q
+                                    in w.coords.items() if j <= k})
 
 
 def unhat(f: ScalarCochain3) -> Cochain2Dual:
     """Inverse of :func:`hat`; always lands on a supercyclic cochain."""
-    return Cochain2Dual(f.basis, f.f)
+    p = f.basis.parities
+    coords = {}
+    for key, q in f.coords.items():
+        for a, b, c in set(itertools.permutations(key)):
+            if a <= b:
+                coords[(a, b, c)] = canon3(p, a, b, c)[1] * q
+    return Cochain2Dual(f.basis, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +460,7 @@ def _cocycle_space(basis: GradedBasis, coords: list[Triple], canon, rows,
     terms meaning coeff * entry (a, b, c); ``canon(parities, a, b, c)``
     maps an entry to (free coordinate, sign), or to (None, 0) when the
     entry is forced to vanish.  The rows are reduced sparsely and each kernel
-    vector is expanded into a cochain by ``expand``.
+    vector becomes a cochain through the constructor ``expand``.
     """
     index = {key: t for t, key in enumerate(coords)}
     p = basis.parities
@@ -531,15 +477,6 @@ def _cocycle_space(basis: GradedBasis, coords: list[Triple], canon, rows,
             red.add_sparse(row)
     return [expand(basis, {coords[t]: q for t, q in enumerate(kv) if q != 0})
             for kv in red.kernel()]
-
-
-def _canon_cochain2dual(parities, a: int, b: int, c: int):
-    """Free coordinate and sign of the entry w[a][b][c] of an even
-    dual-valued 2-cochain, or (None, 0) when it vanishes."""
-    pair, s = canon2_first(parities, a, b)
-    if pair is None or (parities[a] + parities[b] + parities[c]) % 2:
-        return None, 0
-    return (pair[0], pair[1], c), s
 
 
 def _cocycle2_identities(g: LieSuperalgebra):
@@ -559,7 +496,7 @@ def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     rows = (_closed3_row(g, *quad)
             for quad in _sorted_tuples4(g.basis.parities))
     return _cocycle_space(g.basis, free_coords_alt3(g.basis), canon3, rows,
-                          expand_alt3)
+                          ScalarCochain3)
 
 
 def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
@@ -568,27 +505,23 @@ def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     rows = itertools.chain(_supercyclic_identities(g.basis),
                            _cocycle2_identities(g))
     return _cocycle_space(g.basis, free_coords_cochain2dual(g.basis),
-                          _canon_cochain2dual, rows, expand_cochain2dual)
+                          _canon_cochain2dual, rows, Cochain2Dual)
 
 
 def z2_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     """Basis of all even dual-valued 2-cocycles (supercyclic or not)."""
     return _cocycle_space(g.basis, free_coords_cochain2dual(g.basis),
                           _canon_cochain2dual, _cocycle2_identities(g),
-                          expand_cochain2dual)
-
-
-def _alt3_coord_vector(f: ScalarCochain3, coords: list[Triple]) -> Vec:
-    return tuple(f.f[i][j][k] for (i, j, k) in coords)
+                          Cochain2Dual)
 
 
 def _coboundary_columns(g: LieSuperalgebra):
     """(alt-3 coordinates, scalar 2-coordinates, columns): column s is
     delta(e_ab) for the unit 2-cochain at the s-th free coordinate (a, b),
     as a sparse {alt-3 coordinate index: value}, read off the bracket
-    table with the formula of :func:`delta_scalar2`."""
+    table."""
     p = g.basis.parities
-    table = g._table
+    table = g.table
     coords = free_coords_alt3(g.basis)
     keys2 = free_coords_scalar2(g.basis)
     index2 = {key: s for s, key in enumerate(keys2)}
@@ -600,9 +533,7 @@ def _coboundary_columns(g: LieSuperalgebra):
         for a, b, c, sign in ((i, j, k, -1), (i, k, j, sgn(p[j] * p[k])),
                               (j, k, i, -sgn(p[i] * (p[j] + p[k])))):
             for m, q in table[a][b]:
-                if p[m] != p[c]:
-                    continue
-                key, s = canon2_first(p, m, c)
+                key, s = _canon_scalar2(p, m, c)
                 if key is not None:
                     col = cols[index2[key]]
                     col[t] = col.get(t, ZERO) + sign * s * q
@@ -616,8 +547,8 @@ def b3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     red = RowReducer(len(coords))
     for col in cols:
         red.add_sparse(col)
-    return [expand_alt3(g.basis, {coords[t]: q
-                                  for t, q in red.rows[piv].items()})
+    return [ScalarCochain3(g.basis, {coords[t]: q
+                                     for t, q in red.rows[piv].items()})
             for piv in red.pivots]
 
 
@@ -631,7 +562,8 @@ def cohomologous(g: LieSuperalgebra, f1: ScalarCochain3,
     if not is_closed3(g, f1) or not is_closed3(g, f2):
         raise PreconditionError("both cochains must be closed")
     coords, keys2, cols = _coboundary_columns(g)
-    target = _alt3_coord_vector(sub3(f1, f2), coords)
+    diff = sub3(f1, f2).coords
+    target = tuple(diff.get(key, ZERO) for key in coords)
     if not cols:
         return zero_scalar2(g) if vec_is_zero(target) else None
     A = tuple(tuple(col.get(t, ZERO) for col in cols)
@@ -639,5 +571,5 @@ def cohomologous(g: LieSuperalgebra, f1: ScalarCochain3,
     sol = solve(A, target)
     if sol.particular is None:
         return None
-    return expand_scalar2(
+    return ScalarCochain2(
         g.basis, {keys2[t]: q for t, q in enumerate(sol.particular) if q != 0})

@@ -438,21 +438,11 @@ def _augment_with_central_line(q: QuadraticLieSuperalgebra,
         t_name += "'"
     names = basis.names + (t_name,)
     parities = basis.parities + (EVEN,)
-    n = q.dim
-    N = n + 1
-    c = [[[ZERO] * N for _ in range(N)] for _ in range(N)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = q.algebra.c[i][j][k]
-    G = [[ZERO] * N for _ in range(N)]
-    for i in range(n):
-        for j in range(n):
-            G[i][j] = q.form.gram[i][j]
-    G[n][n] = -beta
+    table = tuple(row + ((),) for row in q.algebra.table)
+    gram = tuple(row + (ZERO,) for row in q.form.gram)
     alg = LieSuperalgebra(graded_basis(names, parities),
-                          tuple(tuple(tuple(v) for v in r) for r in c))
-    form = EvenForm(alg.basis, tuple(tuple(r) for r in G))
+                          table + (((),) * (q.dim + 1),))
+    form = EvenForm(alg.basis, gram + ((ZERO,) * q.dim + (-beta,),))
     return quadratic(alg, form, check_algebra=False)
 
 

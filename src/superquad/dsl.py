@@ -29,7 +29,7 @@ from .cohomology import (Cochain2Dual, ScalarCochain2, ScalarCochain3,
                          expand_cochain2dual, expand_scalar2)
 from .errors import SuperquadError
 from .forms import EvenForm, QuadraticLieSuperalgebra
-from .linalg import Vec, ZERO, vec, vec_is_zero, vec_scale, zero_vec
+from .linalg import Vec, ZERO, vec_is_zero, vec_scale, zero_vec
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra, Subspace,
                            graded_basis, sgn, subspace)
 
@@ -479,14 +479,12 @@ def document_algebra(doc: AlgebraDocument) -> LieSuperalgebra:
         raise ParseError("document declares no basis", 1, 1)
     basis = doc.basis()
     n = basis.dim
-    c = [[list(zero_vec(n)) for _ in range(n)] for _ in range(n)]
+    table = [[() for _ in range(n)] for _ in range(n)]
     for (i, j), v in doc.brackets.items():
-        c[i][j] = list(v)
-        if i != j:
-            c[j][i] = list(vec_scale(-sgn(doc.parities[i] * doc.parities[j]),
-                                     v))
-    return LieSuperalgebra(basis,
-                           tuple(tuple(tuple(r) for r in row) for row in c))
+        s = -sgn(doc.parities[i] * doc.parities[j])
+        table[i][j] = tuple(enumerate(v))
+        table[j][i] = tuple((k, s * q) for k, q in enumerate(v))
+    return LieSuperalgebra(basis, tuple(tuple(row) for row in table))
 
 
 def document_form(doc: AlgebraDocument) -> EvenForm | None:
@@ -528,9 +526,8 @@ def document_from(algebra: LieSuperalgebra,
         for j in range(i, n):
             if i == j and sgn(basis.parity(i) * basis.parity(j)) == 1:
                 continue
-            v = vec(algebra.c[i][j])
-            if not vec_is_zero(v):
-                brackets[(i, j)] = v
+            if algebra.table[i][j]:
+                brackets[(i, j)] = algebra.bracket_vector(i, j)
     form_entries = {}
     if form is not None:
         for i in range(n):

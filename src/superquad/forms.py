@@ -84,7 +84,7 @@ def invariance_violation(g: LieSuperalgebra, B: EvenForm):
     """First basis triple with B([e_i,e_j],e_k) != B(e_i,[e_j,e_k]), or None."""
     n = g.dim
     G = B.gram
-    table = g._table
+    table = g.table
     for i in range(n):
         for j in range(n):
             for k in range(n):

@@ -18,10 +18,10 @@ from .cohomology import (Cochain2Dual, ScalarCochain2, expand_cochain2dual,
                          free_coords_scalar2, z2_basis, z2_supercyclic_basis)
 from .errors import InternalCheckError, PreconditionError
 from .forms import EvenForm, QuadraticLieSuperalgebra, quadratic
-from .linalg import ZERO, mat, zero_vec
+from .linalg import ZERO, mat
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, abelian, center,
                            from_brackets, graded_basis, is_nilpotent,
-                           lie_superalgebra, require_axioms, sgn)
+                           require_axioms, sgn)
 from .tstar import TStarExtension, build
 
 
@@ -62,17 +62,19 @@ def build_glnn(n: int) -> LieSuperalgebra:
         raise PreconditionError("n must be at least 1")
     labels, positions, parities = _glnn_layout(n)
     index = {pos: t for t, pos in enumerate(positions)}
-    dim = len(labels)
-    c = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
+    table = []
     for i, (p, q) in enumerate(positions):
+        row = []
         for j, (r, s) in enumerate(positions):
-            sign = sgn(parities[i] * parities[j])
             # E_pq E_rs = delta_qr E_ps ; E_rs E_pq = delta_sp E_rq
+            entry = []
             if q == r:
-                c[i][j][index[(p, s)]] += Fraction(1)
+                entry.append((index[(p, s)], 1))
             if s == p:
-                c[i][j][index[(r, q)]] -= Fraction(sign)
-    alg = lie_superalgebra(labels, parities, c)
+                entry.append((index[(r, q)], -sgn(parities[i] * parities[j])))
+            row.append(entry)
+        table.append(tuple(row))
+    alg = LieSuperalgebra(graded_basis(labels, parities), tuple(table))
     require_axioms(alg, "gl(n,n)")
     return alg
 
@@ -121,24 +123,27 @@ def build_gn(n: int) -> LieSuperalgebra:
         raise PreconditionError("n must be at least 1")
     labels, positions, parities = _triangular_layout(n)
     index = {pos: t for t, pos in enumerate(positions)}
-    dim = len(labels)
-    c = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
+    table = []
     for i, (p, q) in enumerate(positions):
+        row = []
         for j, (r, s) in enumerate(positions):
-            sign = sgn(parities[i] * parities[j])
             entries: dict[tuple[int, int], Fraction] = {}
             if q == r:
                 entries[(p, s)] = entries.get((p, s), ZERO) + 1
             if s == p:
-                entries[(r, q)] = entries.get((r, q), ZERO) - Fraction(sign)
+                entries[(r, q)] = (entries.get((r, q), ZERO)
+                                   - sgn(parities[i] * parities[j]))
+            entry = {}
             for pos, coeff in entries.items():
                 if coeff == 0:
                     continue
                 if pos not in index:
                     raise InternalCheckError(
                         f"bracket left the triangular family at {pos}")
-                c[i][j][index[pos]] += coeff
-    alg = lie_superalgebra(labels, parities, c)
+                entry[index[pos]] = coeff
+            row.append(entry)
+        table.append(tuple(row))
+    alg = LieSuperalgebra(graded_basis(labels, parities), tuple(table))
     require_axioms(alg, "triangular family")
     return alg
 
@@ -230,22 +235,13 @@ def orthogonal_direct_sum(a: QuadraticLieSuperalgebra,
         prefixes[1] + s for s in b.basis.names)
     parities = a.basis.parities + b.basis.parities
     na, nb = a.dim, b.dim
-    n = na + nb
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    g = [[ZERO] * n for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            g[i][j] = a.form.gram[i][j]
-            for k in range(na):
-                c[i][j][k] = a.algebra.c[i][j][k]
-    for i in range(nb):
-        for j in range(nb):
-            g[na + i][na + j] = b.form.gram[i][j]
-            for k in range(nb):
-                c[na + i][na + j][na + k] = b.algebra.c[i][j][k]
-    alg = LieSuperalgebra(graded_basis(names, parities),
-                          tuple(tuple(tuple(v) for v in r) for r in c))
-    form = EvenForm(alg.basis, tuple(tuple(r) for r in g))
+    table = tuple(row + ((),) * nb for row in a.algebra.table) + tuple(
+        ((),) * na + tuple(tuple((na + k, q) for k, q in e) for e in row)
+        for row in b.algebra.table)
+    gram = tuple(row + (ZERO,) * nb for row in a.form.gram) + tuple(
+        (ZERO,) * na + row for row in b.form.gram)
+    alg = LieSuperalgebra(graded_basis(names, parities), table)
+    form = EvenForm(alg.basis, gram)
     return quadratic(alg, form)
 
 

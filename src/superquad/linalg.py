@@ -85,7 +85,8 @@ def vec_is_zero(x: Vec) -> bool:
 
 
 def dot(x: Vec, y: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(x, y, strict=True)), ZERO)
+    """Sum of the products x_i y_i, skipping those with a zero factor."""
+    return sum((a * b for a, b in zip(x, y, strict=True) if a and b), ZERO)
 
 
 def mat_vec(A: Mat, x: Vec) -> Vec:

@@ -1,8 +1,9 @@
 """Finite-dimensional Lie superalgebras by structure constants.
 
-A superalgebra lives on a :class:`GradedBasis`; the bracket is stored as
-a dense rational tensor c[i][j][k] meaning [e_i, e_j] = sum_k c[i][j][k] e_k,
-for *all* ordered pairs (i, j).  Storing both orders and enforcing
+A superalgebra lives on a :class:`GradedBasis`; the bracket is stored only
+as a sparse table, table[i][j] = ((k, c_ijk), ...) over the nonzero
+structure constants of [e_i, e_j] = sum_k c_ijk e_k, in ascending k, for
+*all* ordered pairs (i, j).  Storing both orders and enforcing
 super-skew-symmetry at construction keeps sign bookkeeping out of the
 algorithms, which is where superalgebra code usually goes wrong.
 
@@ -21,8 +22,7 @@ from dataclasses import dataclass, field, InitVar
 from .errors import (AxiomError, DimensionMismatch, NotGradedError,
                      NotIdealError, PreconditionError)
 from .linalg import (Mat, RowReducer, Vec, ZERO, frac, inverse, kernel, mat,
-                     rank, row_basis, transpose, unit_vec, vec, vec_is_zero,
-                     vec_scale, zero_vec)
+                     rank, row_basis, transpose, unit_vec, vec, vec_is_zero)
 
 EVEN = 0
 ODD = 1
@@ -90,6 +90,8 @@ class DualVector:
 
 def dual_vector(basis: GradedBasis, coords, parity: int | None = None) -> DualVector:
     cs = vec(coords)
+    if len(cs) != basis.dim:
+        raise DimensionMismatch("functional does not match the basis")
     support = {basis.parity(k) for k, q in enumerate(cs) if q != 0}
     if len(support) > 1:
         raise NotGradedError("functional mixes parities")
@@ -100,25 +102,37 @@ def dual_vector(basis: GradedBasis, coords, parity: int | None = None) -> DualVe
     return DualVector(cs, parity)
 
 
+def _entry(n: int, pairs) -> tuple:
+    """Canonical table entry from (k, coeff) pairs: summed, nonzero,
+    ascending in k."""
+    acc = {}
+    for k, q in pairs:
+        if k not in range(n):
+            raise DimensionMismatch("bracket coordinate outside the basis")
+        acc[k] = acc.get(k, ZERO) + frac(q)
+    return tuple((k, q) for k, q in sorted(acc.items()) if q != 0)
+
+
 @dataclass(frozen=True)
 class LieSuperalgebra:
-    """Lie superalgebra given by its structure-constant tensor."""
+    """Lie superalgebra given by its sparse bracket table.
+
+    ``table[i][j]`` may list [e_i, e_j] as any (k, coeff) pairs or a
+    {k: coeff} dict; construction stores the canonical entry, so two
+    algebras are equal iff their bases and brackets are.
+    """
 
     basis: GradedBasis
-    c: tuple[tuple[Vec, ...], ...]
+    table: tuple
     validate: InitVar[bool] = True
-    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, validate: bool):
         n = self.basis.dim
-        if len(self.c) != n or any(len(row) != n for row in self.c) or any(
-                len(v) != n for row in self.c for v in row):
-            raise DimensionMismatch("structure tensor must be dim^3")
-        # sparse bracket table: _table[i][j] = ((k, coeff), ...)
-        table = tuple(
-            tuple(tuple((k, q) for k, q in enumerate(self.c[i][j]) if q != 0)
-                  for j in range(n)) for i in range(n))
-        object.__setattr__(self, "_table", table)
+        if len(self.table) != n or any(len(row) != n for row in self.table):
+            raise DimensionMismatch("bracket table must be dim x dim")
+        object.__setattr__(self, "table", tuple(
+            tuple(_entry(n, e.items() if isinstance(e, dict) else e)
+                  for e in row) for row in self.table))
         if validate:
             bad = _grading_violations(self)
             if bad:
@@ -137,12 +151,12 @@ class LieSuperalgebra:
     def parity(self, i: int) -> int:
         return self.basis.parity(i)
 
-
-def lie_superalgebra(names, parities, c, validate: bool = True) -> LieSuperalgebra:
-    n = len(tuple(names))
-    tensor = tuple(
-        tuple(vec(c[i][j]) for j in range(n)) for i in range(n))
-    return LieSuperalgebra(graded_basis(names, parities), tensor, validate)
+    def bracket_vector(self, i: int, j: int) -> Vec:
+        """[e_i, e_j] as a dense coordinate vector."""
+        out = [ZERO] * self.dim
+        for k, q in self.table[i][j]:
+            out[k] = q
+        return tuple(out)
 
 
 def from_brackets(names, parities, brackets,
@@ -154,43 +168,38 @@ def from_brackets(names, parities, brackets,
     """
     basis = graded_basis(names, parities)
     n = basis.dim
-    c = [[list(zero_vec(n)) for _ in range(n)] for _ in range(n)]
-    seen: dict[tuple[int, int], Vec] = {}
+    table: dict[tuple[int, int], tuple] = {}
 
-    def assign(i: int, j: int, v: Vec, origin: str):
-        prev = seen.get((i, j))
+    def assign(i: int, j: int, v: tuple, origin: str):
+        prev = table.get((i, j))
         if prev is not None:
             if prev != v:
                 raise PreconditionError(
                     f"contradictory bracket entries for ({origin})")
             return
-        seen[(i, j)] = v
-        c[i][j] = list(v)
+        table[(i, j)] = v
 
     for (a, b), terms in brackets.items():
         i, j = basis.index(a), basis.index(b)
-        v = list(zero_vec(n))
         items = terms.items() if isinstance(terms, dict) else terms
-        for label, q in items:
-            v[basis.index(label)] += frac(q)
-        v = tuple(v)
+        v = _entry(n, ((basis.index(label), q) for label, q in items))
         s = sgn(basis.parity(i) * basis.parity(j))
         assign(i, j, v, f"{a},{b}")
         if i != j:
-            assign(j, i, vec_scale(-s, v), f"{a},{b}")
-        elif s == 1 and not vec_is_zero(v):
+            assign(j, i, tuple((k, -s * q) for k, q in v), f"{a},{b}")
+        elif s == 1 and v:
             raise PreconditionError(
                 f"bracket [{a},{a}] must vanish for an even generator")
-    tensor = tuple(tuple(tuple(v) for v in row) for row in c)
-    return LieSuperalgebra(basis, tensor, validate)
+    return LieSuperalgebra(basis, tuple(
+        tuple(table.get((i, j), ()) for j in range(n)) for i in range(n)),
+        validate)
 
 
 def abelian(even: int, odd: int) -> LieSuperalgebra:
     names = [f"e{i+1}" for i in range(even)] + [f"o{i+1}" for i in range(odd)]
     parities = [EVEN] * even + [ODD] * odd
     n = even + odd
-    tensor = tuple(tuple(zero_vec(n) for _ in range(n)) for _ in range(n))
-    return LieSuperalgebra(graded_basis(names, parities), tensor)
+    return LieSuperalgebra(graded_basis(names, parities), (((),) * n,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +212,7 @@ def bracket(g: LieSuperalgebra, x: Vec, y: Vec) -> Vec:
     if len(x) != n or len(y) != n:
         raise DimensionMismatch("vectors do not match the basis")
     out = [ZERO] * n
-    table = g._table
+    table = g.table
     y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
         if not xi:
@@ -219,7 +228,7 @@ def jacobi_defect(g: LieSuperalgebra, i: int, j: int, k: int) -> Vec:
     """(-1)^{xz}[e_i,[e_j,e_k]] + (-1)^{xy}[e_j,[e_k,e_i]] + (-1)^{yz}[e_k,[e_i,e_j]]."""
     n = g.dim
     p = g.basis.parities
-    table = g._table
+    table = g.table
     out = [ZERO] * n
     for (a, b, c_), s in (((i, j, k), sgn(p[i] * p[k])),
                           ((j, k, i), sgn(p[i] * p[j])),
@@ -249,7 +258,7 @@ def _grading_violations(g: LieSuperalgebra):
     for i in range(g.dim):
         for j in range(g.dim):
             target = (p[i] + p[j]) % 2
-            for k, q in g._table[i][j]:
+            for k, q in g.table[i][j]:
                 if p[k] != target:
                     bad.append((i, j, k))
     return bad
@@ -261,9 +270,7 @@ def _skew_violations(g: LieSuperalgebra):
     for i in range(g.dim):
         for j in range(i, g.dim):
             s = sgn(p[i] * p[j])
-            lhs = g.c[i][j]
-            rhs = vec_scale(-s, g.c[j][i])
-            if lhs != rhs:
+            if g.table[i][j] != tuple((k, -s * q) for k, q in g.table[j][i]):
                 bad.append((i, j))
     return bad
 
@@ -433,12 +440,12 @@ def graded_complement(basis: GradedBasis, inner: Subspace,
 def center(g: LieSuperalgebra) -> Subspace:
     """Graded subspace {x : [x, g] = 0}, via one stacked kernel computation."""
     n = g.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            row = tuple(g.c[i][j][k] for i in range(n))
-            if not vec_is_zero(row):
-                rows.append(row)
+    by_jk: dict[tuple[int, int], list] = {}
+    for i in range(n):
+        for j in range(n):
+            for k, q in g.table[i][j]:
+                by_jk.setdefault((j, k), [ZERO] * n)[i] = q
+    rows = [by_jk[jk] for jk in sorted(by_jk)]
     if not rows:
         return full_subspace(g.basis)
     return subspace(g.basis, kernel(mat(rows)))
@@ -494,10 +501,10 @@ def class_condition(g: LieSuperalgebra) -> bool:
     n = g.dim
     evens = [i for i in range(n) if g.parity(i) == EVEN]
     odds = [i for i in range(n) if g.parity(i) == ODD]
-    even_sq = [vec(g.c[i][j]) for i in evens for j in evens]
-    odd_sq = [vec(g.c[i][j]) for i in odds for j in odds]
-    even_span = subspace(g.basis, [v for v in even_sq if not vec_is_zero(v)])
-    return all(even_span.contains_vector(v) for v in odd_sq)
+    even_span = subspace(g.basis, [g.bracket_vector(i, j) for i in evens
+                                   for j in evens if g.table[i][j]])
+    return all(even_span.contains_vector(g.bracket_vector(i, j))
+               for i in odds for j in odds if g.table[i][j])
 
 
 def is_ideal(g: LieSuperalgebra, w: Subspace) -> bool:
@@ -516,6 +523,9 @@ def is_ideal(g: LieSuperalgebra, w: Subspace) -> bool:
 
 def coadjoint(g: LieSuperalgebra, x: Vec, F: DualVector) -> DualVector:
     """(pi(x)F)(y) = -(-1)^{|x||F|} F([x, y]) for homogeneous x and F."""
+    if len(x) != g.dim or len(F.coords) != g.dim:
+        raise DimensionMismatch(
+            "vector or functional does not match the basis")
     px = vector_parity(g.basis, x)
     if px is None:
         if vec_is_zero(vec(x)):
@@ -525,7 +535,7 @@ def coadjoint(g: LieSuperalgebra, x: Vec, F: DualVector) -> DualVector:
     s = -sgn(px * F.parity)
     n = g.dim
     out = [ZERO] * n
-    table = g._table
+    table = g.table
     for i, xi in enumerate(x):
         if xi == 0:
             continue
@@ -574,14 +584,11 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
     if names is None:
         names = tuple(f"q{r+1}" for r in range(q))
     qbasis = graded_basis(names, comp.parities)
-    tensor = []
-    for i in range(q):
-        row = []
-        for j in range(q):
-            br = bracket(g, comp.vectors[i], comp.vectors[j])
-            row.append(tuple(a for a in _apply(projection, br)))
-        tensor.append(tuple(row))
-    alg = LieSuperalgebra(qbasis, tuple(tensor))
+    table = tuple(tuple(
+        enumerate(_apply(projection, bracket(g, comp.vectors[i],
+                                             comp.vectors[j])))
+        for j in range(q)) for i in range(q))
+    alg = LieSuperalgebra(qbasis, table)
     require_axioms(alg, "quotient algebra")
     return QuotientResult(alg, projection, section)
 

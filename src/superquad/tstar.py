@@ -27,9 +27,8 @@ from .forms import (EvenForm, QuadraticLieSuperalgebra, invariance_violation,
 from .linalg import (Mat, Vec, ZERO, mat, mat_vec, rank, transpose,
                      unit_vec, vec_is_zero, vec_sub)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
-                           check_axioms, graded_basis, is_ideal,
-                           jacobi_defect, quotient, sgn, subspace,
-                           vector_parity)
+                           check_axioms, graded_basis, is_ideal, quotient,
+                           sgn, subspace, vector_parity)
 
 
 @dataclass(frozen=True)
@@ -61,36 +60,27 @@ def _dual_names(basis: GradedBasis) -> tuple[str, ...]:
     return duals
 
 
-def _extension_tensor(g: LieSuperalgebra, w: Cochain2Dual):
-    """Structure constants of g + g* for an arbitrary even
-    super-antisymmetric w (no cocycle condition assumed)."""
+def _extension_table(g: LieSuperalgebra, w: Cochain2Dual) -> tuple:
+    """Bracket table of g + g* for an arbitrary even super-antisymmetric w
+    (no cocycle condition assumed)."""
     n = g.dim
     p = g.basis.parities
     N = 2 * n
-    c = [[[ZERO] * N for _ in range(N)] for _ in range(N)]
+    table = [[{} for _ in range(N)] for _ in range(N)]
     for i in range(n):
-        for j in range(n):
-            # [e_i, e_j] = [e_i, e_j]_g + w(e_i, e_j)
-            for k, q in enumerate(g.c[i][j]):
-                if q != 0:
-                    c[i][j][k] = q
-            for k in range(n):
-                q = w.w[i][j][k]
-                if q != 0:
-                    c[i][j][n + k] = q
-            # [e_i, e_j*] = pi(e_i)(e_j*): coordinate on e_k* is
-            # -(-1)^{p_i p_j} c[i][k][j]
-            s = -sgn(p[i] * p[j])
-            for k in range(n):
-                q = g.c[i][k][j]
-                if q != 0:
-                    c[i][n + j][n + k] = s * q
-            # [e_i*, e_j] = -(-1)^{p_i p_j} pi(e_j)(e_i*), which unwinds to
-            for k in range(n):
-                q = g.c[j][k][i]
-                if q != 0:
-                    c[n + i][j][n + k] = q
-    return tuple(tuple(tuple(v) for v in row) for row in c)
+        for k in range(n):
+            for j, q in g.table[i][k]:      # q = c_ikj
+                # [e_i, e_k] = [e_i, e_k]_g + w(e_i, e_k), the g part
+                table[i][k][j] = q
+                # [e_i, e_j*] = pi(e_i)(e_j*): coordinate on e_k* is
+                # -(-1)^{p_i p_j} c_ikj
+                table[i][n + j][n + k] = -sgn(p[i] * p[j]) * q
+                # [e_j*, e_i] = -(-1)^{p_i p_j} pi(e_i)(e_j*): on e_k*, c_ikj
+                table[n + j][i][n + k] = q
+    for (i, j, k), q in w.coords.items():   # the g* part of [e_i, e_j]
+        table[i][j][n + k] = q
+        table[j][i][n + k] = -sgn(p[i] * p[j]) * q
+    return tuple(tuple(row) for row in table)
 
 
 def _pairing_gram(basis: GradedBasis) -> Mat:
@@ -113,19 +103,9 @@ def _raw_extension(g: LieSuperalgebra, w: Cochain2Dual) -> tuple[LieSuperalgebra
     """The would-be extension, built without the cocycle/supercyclicity
     preconditions; grading and skew-symmetry always hold."""
     basis = _extended_basis(g)
-    alg = LieSuperalgebra(basis, _extension_tensor(g, w))
+    alg = LieSuperalgebra(basis, _extension_table(g, w))
     form = EvenForm(basis, _pairing_gram(g.basis))
     return alg, form
-
-
-def find_jacobi_violation(g: LieSuperalgebra):
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not vec_is_zero(jacobi_defect(g, i, j, k)):
-                    return (i, j, k)
-    return None
 
 
 def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtension:
@@ -142,9 +122,10 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
     bad = cocycle2_violation(g, omega)
     if bad is not None:
         alg, _ = _raw_extension(g, omega)
+        jacobi = check_axioms(alg).jacobi
         raise CocycleError(
             f"omega is not a 2-cocycle (identity fails at {bad})",
-            triple=bad, jacobi_witness=find_jacobi_violation(alg))
+            triple=bad, jacobi_witness=jacobi[0] if jacobi else None)
     bad = supercyclic_violation(omega)
     if bad is not None:
         alg, form = _raw_extension(g, omega)
@@ -242,7 +223,7 @@ def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,
             return ("parity", a)
     col_nz = [tuple((r, q) for r, q in enumerate(col) if q != 0)
               for col in cols]
-    table = src.algebra._table
+    table = src.algebra.table
     src_gram = src.form.gram
     for a in range(n):
         for b in range(n):
@@ -308,18 +289,19 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
     def transported(u: Vec) -> Vec:
         return tuple(q.form.apply(u, cv) for cv in cvecs)
 
-    # omega(x, y) = transported I-part of [s(x), s(y)]
-    w_tensor = []
+    # omega(x, y) = transported I-part of [s(x), s(y)], on the free
+    # coordinates i <= j (super-antisymmetry gives the rest)
+    w_coords = {}
     for i in range(m):
-        row = []
-        for j in range(m):
+        for j in range(i, m):
             br = bracket(q.algebra, cvecs[i], cvecs[j])
             alpha = mat_vec(quot.projection, br)
             ipart = vec_sub(br, mat_vec(quot.section, alpha))
-            row.append(transported(ipart))
-        w_tensor.append(tuple(row))
+            for k, val in enumerate(transported(ipart)):
+                if val != 0:
+                    w_coords[(i, j, k)] = val
     try:
-        omega = Cochain2Dual(quot.algebra.basis, tuple(w_tensor))
+        omega = Cochain2Dual(quot.algebra.basis, w_coords)
         ext = build(quot.algebra, omega)
     except (CocycleError, NotSupercyclicError) as exc:
         raise InternalCheckError(
@@ -355,11 +337,10 @@ def shear_matrix(g: LieSuperalgebra, phi: ScalarCochain2) -> Mat:
     m = [[ZERO] * N for _ in range(N)]
     for a in range(N):
         m[a][a] = Fraction(1)
-    for i in range(n):
-        for k in range(n):
-            q = phi.p[i][k]
-            if q != 0:
-                m[n + k][i] = q
+    p = g.basis.parities
+    for (i, k), q in phi.coords.items():
+        m[n + k][i] = q
+        m[n + i][k] = -sgn(p[i] * p[k]) * q
     return tuple(tuple(r) for r in m)
 
 

@@ -1,0 +1,216 @@
+"""Dense tensors of the library's sparse objects, for oracle tests only.
+
+The library stores a bracket only as its sparse table and a cochain only
+as its nonzero values on free coordinates.  The helpers here expand them
+into dense n^3 (or n^2) tensors, check those tensors with the entrywise
+validators for evenness and super-antisymmetry, and evaluate the cocycle,
+supercyclicity and closedness identities by plain loops over every
+ordered tuple, so the sparse fast paths can be compared with the
+definitions entry by entry.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
+                                  ScalarCochain3, canon2_first, canon3,
+                                  free_coords_alt3, free_coords_cochain2dual,
+                                  free_coords_scalar2)
+from superquad.superalgebra import sgn
+
+ZERO = Fraction(0)
+
+
+def _zero3(n):
+    return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+
+
+# --- expansions --------------------------------------------------------------
+
+def bracket_tensor(g):
+    """c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    c = _zero3(g.dim)
+    for i, row in enumerate(g.table):
+        for j, entry in enumerate(row):
+            for k, q in entry:
+                c[i][j][k] = q
+    return c
+
+
+def alt3_tensor(f):
+    """f[i][j][k] for every ordered triple, from the free coordinates."""
+    p = f.basis.parities
+    n = f.basis.dim
+    t = _zero3(n)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        key, s = canon3(p, i, j, k)
+        if key is not None:
+            t[i][j][k] = s * f.coords.get(key, ZERO)
+    return t
+
+
+def cochain2dual_tensor(w):
+    """w[i][j][k] = w(e_i, e_j)(e_k) for every ordered triple."""
+    p = w.basis.parities
+    n = w.basis.dim
+    t = _zero3(n)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        pair, s = canon2_first(p, i, j)
+        if pair is not None and (p[i] + p[j] + p[k]) % 2 == 0:
+            t[i][j][k] = s * w.coords.get((pair[0], pair[1], k), ZERO)
+    return t
+
+
+def scalar2_matrix(phi):
+    """phi[i][j] = phi(e_i, e_j) for every ordered pair."""
+    p = phi.basis.parities
+    n = phi.basis.dim
+    m = [[ZERO] * n for _ in range(n)]
+    for (i, j), q in phi.coords.items():
+        m[i][j] = q
+        m[j][i] = -sgn(p[i] * p[j]) * q
+    return m
+
+
+# --- the entrywise validators ------------------------------------------------
+
+def alt3_violation(p, f):
+    """First entry where a dense trilinear form is not even or not
+    super-antisymmetric in (i, j) or in (j, k), or None."""
+    n = len(p)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if (p[i] + p[j] + p[k]) % 2 and f[i][j][k] != 0:
+            return ("even", (i, j, k))
+        if f[i][j][k] != -sgn(p[i] * p[j]) * f[j][i][k]:
+            return ("antisymmetric in (i, j)", (i, j, k))
+        if f[i][j][k] != -sgn(p[j] * p[k]) * f[i][k][j]:
+            return ("antisymmetric in (j, k)", (i, j, k))
+    return None
+
+
+def cochain2dual_violation(p, w):
+    """First entry where a dense dual-valued 2-cochain is not even or not
+    super-antisymmetric in (i, j), or None."""
+    n = len(p)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if (p[i] + p[j] + p[k]) % 2 and w[i][j][k] != 0:
+            return ("even", (i, j, k))
+        if w[i][j][k] != -sgn(p[i] * p[j]) * w[j][i][k]:
+            return ("antisymmetric in (i, j)", (i, j, k))
+    return None
+
+
+def scalar2_violation(p, m):
+    """First entry where a dense scalar 2-cochain is not even or not
+    super-antisymmetric, or None."""
+    n = len(p)
+    for i, j in itertools.product(range(n), repeat=2):
+        if p[i] != p[j] and m[i][j] != 0:
+            return ("even", (i, j))
+        if m[i][j] != -sgn(p[i] * p[j]) * m[j][i]:
+            return ("antisymmetric", (i, j))
+    return None
+
+
+def skew_violations(p, c):
+    """Pairs i <= j with [e_i, e_j] != -(-1)^{|i||j|} [e_j, e_i]."""
+    n = len(p)
+    return [(i, j) for i in range(n) for j in range(i, n)
+            if any(c[i][j][k] != -sgn(p[i] * p[j]) * c[j][i][k]
+                   for k in range(n))]
+
+
+# --- the identities, over every ordered tuple --------------------------------
+
+def cocycle2_defect(p, c, w, i, j, k):
+    """Sum over the cyclic rotations (a, b, d) of (i, j, k) of
+    w(e_a, [e_b, e_d]) + pi(e_a) w(e_b, e_d), with the rotation signs."""
+    n = len(p)
+    out = [ZERO] * n
+    for a, b, d, s in ((i, j, k, 1), (j, k, i, sgn(p[i] * (p[j] + p[k]))),
+                       (k, i, j, sgn(p[k] * (p[i] + p[j])))):
+        t = -sgn(p[a] * (p[b] + p[d]))
+        for l in range(n):
+            out[l] += s * sum((c[b][d][m] * w[a][m][l] for m in range(n)
+                               if c[b][d][m]), ZERO)
+            out[l] += s * t * sum((c[a][l][m] * w[b][d][m] for m in range(n)
+                                   if c[a][l][m]), ZERO)
+    return out
+
+
+def cocycle2_violation(p, c, w):
+    n = len(p)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if any(cocycle2_defect(p, c, w, i, j, k)):
+            return (i, j, k)
+    return None
+
+
+def supercyclic_violation(p, w):
+    n = len(p)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if w[i][j][k] != sgn(p[i] * (p[j] + p[k])) * w[j][k][i]:
+            return (i, j, k)
+    return None
+
+
+def closed3_defect(p, c, f, i, j, k, l):
+    x, y, z, v = p[i], p[j], p[k], p[l]
+    acc = ZERO
+    for (a, b), (d, e), s in (((i, j), (k, l), 1),
+                              ((i, k), (j, l), -sgn(y * z)),
+                              ((j, k), (i, l), sgn(x * (y + z))),
+                              ((i, l), (j, k), sgn((y + z) * v)),
+                              ((j, l), (i, k), -sgn(x * (y + v) + v * z)),
+                              ((k, l), (i, j), sgn((x + y) * (z + v)))):
+        acc += s * sum((c[a][b][m] * f[m][d][e] for m in range(len(p))
+                        if c[a][b][m]), ZERO)
+    return acc
+
+
+def closed3_violation(p, c, f):
+    for quad in itertools.product(range(len(p)), repeat=4):
+        if closed3_defect(p, c, f, *quad) != 0:
+            return quad
+    return None
+
+
+def extension_tensor(p, c, w):
+    """Structure constants of g + g* for a dense bracket c and a dense
+    even super-antisymmetric w:  [e_i, e_j] = [e_i, e_j]_g + w(e_i, e_j),
+    [e_i, e_j*] = -(-1)^{|i||j|} sum_k c[i][k][j] e_k*,
+    [e_i*, e_j] = sum_k c[j][k][i] e_k*."""
+    n = len(p)
+    N = 2 * n
+    t = _zero3(N)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        t[i][j][k] = c[i][j][k]
+        t[i][j][n + k] = w[i][j][k]
+        t[i][n + j][n + k] = -sgn(p[i] * p[j]) * c[i][k][j]
+        t[n + i][j][n + k] = c[j][k][i]
+    return t
+
+
+# --- back to the sparse containers -------------------------------------------
+
+def cochain2dual_from_tensor(basis, t):
+    """The Cochain2Dual of a dense tensor that passes the validator."""
+    assert cochain2dual_violation(basis.parities, t) is None
+    return Cochain2Dual(basis, {key: t[key[0]][key[1]][key[2]]
+                                for key in free_coords_cochain2dual(basis)})
+
+
+def alt3_from_tensor(basis, t):
+    """The ScalarCochain3 of a dense tensor that passes the validator."""
+    assert alt3_violation(basis.parities, t) is None
+    return ScalarCochain3(basis, {key: t[key[0]][key[1]][key[2]]
+                                  for key in free_coords_alt3(basis)})
+
+
+def scalar2_from_matrix(basis, m):
+    """The ScalarCochain2 of a dense matrix that passes the validator."""
+    assert scalar2_violation(basis.parities, m) is None
+    return ScalarCochain2(basis, {key: m[key[0]][key[1]]
+                                  for key in free_coords_scalar2(basis)})

@@ -9,23 +9,26 @@ import superquad as sq
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   ScalarCochain3, add3, b3_basis, canon3,
                                   closed3_defect, closed3_violation,
-                                  cocycle2_defect,
+                                  cocycle2_defect, cocycle2_violation,
                                   cohomologous, collect_alt3,
-                                  collect_cochain2dual, delta_scalar2,
-                                  expand_alt3, expand_cochain2dual,
-                                  expand_scalar2, free_coords_alt3,
-                                  free_coords_cochain2dual,
+                                  collect_cochain2dual, collect_scalar2,
+                                  delta_scalar2, expand_alt3,
+                                  expand_cochain2dual, expand_scalar2,
+                                  free_coords_alt3, free_coords_cochain2dual,
                                   free_coords_scalar2, hat, is_closed3,
                                   is_cocycle2, is_supercyclic, is_zero3,
-                                  sub3, unhat, z2_basis,
-                                  z2_supercyclic_basis, z3_basis,
+                                  sub3, supercyclic_violation, unhat,
+                                  z2_basis, z2_supercyclic_basis, z3_basis,
                                   zero_cochain2, zero_scalar2)
-from superquad.errors import CochainError, PreconditionError
+from superquad.errors import (CochainError, DimensionMismatch,
+                              PreconditionError)
 from superquad.gallery import random_scalar2, random_supercyclic_cocycle
 from superquad.linalg import (frac, inverse, kernel, mat, mat_vec, rank, rref,
                               solve, transpose, unit_vec, vec)
 from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra, bracket,
                                     graded_basis, sgn)
+
+import dense_oracle as dense
 
 F = Fraction
 
@@ -48,20 +51,12 @@ def test_alt3_expansion_matches_dense_definition(basis, data):
     for key in free_coords_alt3(basis):
         coords[key] = data.draw(small_fractions)
     f = expand_alt3(basis, coords)
-    p = basis.parities
-    n = basis.dim
     # dense-tensor definition: evenness and the two adjacent swaps
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if (p[i] + p[j] + p[k]) % 2:
-                    assert f.f[i][j][k] == 0
-                assert f.f[i][j][k] == -sgn(p[i] * p[j]) * f.f[j][i][k]
-                assert f.f[i][j][k] == -sgn(p[j] * p[k]) * f.f[i][k][j]
-    # round trip
-    collected = collect_alt3(f)
-    for key, q in coords.items():
-        assert collected.get(key, F(0)) == q
+    t = dense.alt3_tensor(f)
+    assert dense.alt3_violation(basis.parities, t) is None
+    # round trips, through the coordinates and through the dense tensor
+    assert collect_alt3(f) == {key: q for key, q in coords.items() if q != 0}
+    assert dense.alt3_from_tensor(basis, t) == f
 
 
 @given(_bases(), st.data())
@@ -71,17 +66,25 @@ def test_cochain2dual_expansion_matches_dense_definition(basis, data):
     for key in free_coords_cochain2dual(basis):
         coords[key] = data.draw(small_fractions)
     w = expand_cochain2dual(basis, coords)
-    p = basis.parities
-    n = basis.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if (p[i] + p[j] + p[k]) % 2:
-                    assert w.w[i][j][k] == 0
-                assert w.w[i][j][k] == -sgn(p[i] * p[j]) * w.w[j][i][k]
-    collected = collect_cochain2dual(w)
-    for key, q in coords.items():
-        assert collected.get(key, F(0)) == q
+    t = dense.cochain2dual_tensor(w)
+    assert dense.cochain2dual_violation(basis.parities, t) is None
+    assert collect_cochain2dual(w) == {key: q for key, q in coords.items()
+                                       if q != 0}
+    assert dense.cochain2dual_from_tensor(basis, t) == w
+
+
+@given(_bases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scalar2_expansion_matches_dense_definition(basis, data):
+    coords = {}
+    for key in free_coords_scalar2(basis):
+        coords[key] = data.draw(small_fractions)
+    phi = expand_scalar2(basis, coords)
+    m = dense.scalar2_matrix(phi)
+    assert dense.scalar2_violation(basis.parities, m) is None
+    assert collect_scalar2(phi) == {key: q for key, q in coords.items()
+                                    if q != 0}
+    assert dense.scalar2_from_matrix(basis, m) == phi
 
 
 def test_free_coords_diagonal_rules():
@@ -99,11 +102,40 @@ def test_free_coords_diagonal_rules():
 
 def test_container_validation_errors():
     basis = graded_basis(("e1", "e2"), (EVEN, EVEN))
-    bad = [[[F(0), F(0)], [F(1), F(0)]], [[F(1), F(0)], [F(0), F(0)]]]
     with pytest.raises(CochainError):
-        Cochain2Dual(basis, tuple(tuple(tuple(v) for v in r) for r in bad))
+        Cochain2Dual(basis, {(1, 0, 0): 1})      # not i <= j
     with pytest.raises(CochainError):
-        ScalarCochain2(basis, mat([[1, 0], [0, 0]]))
+        Cochain2Dual(basis, {(0, 0, 1): 1})      # repeated even index
+    with pytest.raises(CochainError):
+        ScalarCochain2(basis, {(0, 0): 1})
+    mixed = graded_basis(("e", "o"), (EVEN, ODD))
+    with pytest.raises(CochainError):
+        Cochain2Dual(mixed, {(0, 1, 0): 1})      # odd parity sum
+    with pytest.raises(CochainError):
+        ScalarCochain2(mixed, {(0, 1): 1})
+    with pytest.raises(CochainError):
+        ScalarCochain3(mixed, {(0, 1, 1): 1, (1, 1, 0): 1})
+    assert ScalarCochain3(mixed, {(0, 1, 1): 1}).coords == {(0, 1, 1): 1}
+    with pytest.raises(DimensionMismatch):
+        ScalarCochain2(basis, {(0, 1, 1): 1})    # wrong arity
+
+
+def test_non_free_keys_are_rejected():
+    """Keys that are not free coordinates, or indices outside the basis,
+    are errors rather than silently dropped or an IndexError."""
+    h3 = sq.heisenberg3()
+    with pytest.raises(CochainError):
+        expand_alt3(h3.basis, {(2, 1, 0): 1})
+    with pytest.raises(DimensionMismatch):
+        expand_alt3(h3.basis, {(0, 1, 7): 1})
+    with pytest.raises(CochainError):
+        expand_cochain2dual(h3.basis, {(1, 0, 2): 1})
+    with pytest.raises(DimensionMismatch):
+        expand_scalar2(h3.basis, {(0, 5): 1})
+    with pytest.raises(DimensionMismatch):
+        expand_scalar2(h3.basis, {(-1, 0): 1})
+    # zero values are dropped, so equal cochains compare equal
+    assert expand_alt3(h3.basis, {(0, 1, 2): 0}) == expand_alt3(h3.basis, {})
 
 
 # --- supercyclicity and the transported tensor -------------------------------
@@ -132,12 +164,15 @@ def test_hat_unhat_roundtrip(gallery, supercyclic_bases):
                                            basis=supercyclic_bases[name])
             f = hat(w)
             assert is_closed3(g, f), name
-            assert unhat(f).w == w.w, name
+            assert unhat(f) == w, name
+            # the same numbers: f(x, y, z) = w(x, y)(z) entry by entry
+            assert dense.alt3_tensor(f) == dense.cochain2dual_tensor(w), name
         for f in z3_basis(g):
             w = unhat(f)
             assert is_supercyclic(w), name
             assert is_cocycle2(g, w), name
-            assert hat(w).f == f.f, name
+            assert hat(w) == f, name
+            assert dense.alt3_tensor(f) == dense.cochain2dual_tensor(w), name
 
 
 def test_dimension_agreement(gallery):
@@ -184,7 +219,8 @@ def test_cocycle2_examples(gallery):
 # --- the coboundary ----------------------------------------------------------
 
 def _phi_apply(phi, x, y):
-    return sum((xi * phi.p[i][j] * yj
+    m = dense.scalar2_matrix(phi)
+    return sum((xi * m[i][j] * yj
                 for i, xi in enumerate(x) if xi != 0
                 for j, yj in enumerate(y) if yj != 0), F(0))
 
@@ -203,14 +239,14 @@ def _delta_direct(g, phi, i, j, k):
 def test_delta_matches_direct_evaluation(gallery):
     rng = random.Random(23)
     for name, g in gallery.items():
-        phi = random_scalar2(g, rng)
-        df = delta_scalar2(g, phi)
-        n = g.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    assert df.f[i][j][k] == _delta_direct(g, phi, i, j, k), \
-                        (name, i, j, k)
+        phis = [expand_scalar2(g.basis, {key: 1})
+                for key in free_coords_scalar2(g.basis)]
+        phis += [random_scalar2(g, rng) for _ in range(3)]
+        for phi in phis:
+            df = dense.alt3_tensor(delta_scalar2(g, phi))
+            for i, j, k in itertools.product(range(g.dim), repeat=3):
+                assert df[i][j][k] == _delta_direct(g, phi, i, j, k), \
+                    (name, i, j, k)
 
 
 def test_delta_zero_cases():
@@ -232,7 +268,7 @@ def test_delta_lands_in_z3(gallery):
 def test_h3_volume_not_a_coboundary():
     h3 = sq.heisenberg3()
     vol = z3_basis(h3)[0]
-    zero = ScalarCochain3(h3.basis, zero_cochain2(h3).w)
+    zero = ScalarCochain3(h3.basis, {})
     assert cohomologous(h3, zero, vol) is None
 
 
@@ -252,23 +288,18 @@ def test_cohomologous_identity_and_roundtrip(gallery):
         f2 = sub3(f1, delta_scalar2(g, phi0))
         phi1 = cohomologous(g, f1, f2)
         assert phi1 is not None, name
-        assert delta_scalar2(g, phi1).f == delta_scalar2(g, phi0).f, name
+        assert delta_scalar2(g, phi1) == delta_scalar2(g, phi0), name
 
 
 # --- the sorted-tuple and table-built fast paths against dense oracles -------
 
-def _closed3_violation_all_tuples(g, f):
-    """First violated 4-tuple over all n^4 orderings."""
-    for quad in itertools.product(range(g.dim), repeat=4):
-        if closed3_defect(g, f, *quad) != 0:
-            return quad
-    return None
-
-
 def test_closed3_violation_matches_full_loop(gallery):
+    """The sorted-tuple loop over canonical reads finds the witness of the
+    full n^4 loop over the dense tensor."""
     rng = random.Random(41)
     violated = 0
     for name, g in gallery.items():
+        p, c = g.basis.parities, dense.bracket_tensor(g)
         coords = free_coords_alt3(g.basis)
         cochains = [expand_alt3(g.basis, {key: 1}) for key in coords]
         cochains += [expand_alt3(g.basis, {key: rng.randint(-2, 2)
@@ -276,8 +307,54 @@ def test_closed3_violation_matches_full_loop(gallery):
                                            if rng.random() < 0.4})
                      for _ in range(4)]
         for f in cochains:
-            full = _closed3_violation_all_tuples(g, f)
+            t = dense.alt3_tensor(f)
+            full = dense.closed3_violation(p, c, t)
             assert closed3_violation(g, f) == full, name
+            violated += full is not None
+        for f in cochains[-4:]:
+            t = dense.alt3_tensor(f)
+            for quad in itertools.product(range(g.dim), repeat=4):
+                assert closed3_defect(g, f, *quad) == dense.closed3_defect(
+                    p, c, t, *quad), (name, quad)
+    assert violated > 10
+
+
+def test_cocycle2_violation_matches_dense_loop(gallery, z2_bases):
+    """The sorted-triple loop over canonical reads finds the witness of the
+    full n^3 loop over the dense bracket and cochain tensors."""
+    rng = random.Random(47)
+    violated = 0
+    for name, g in gallery.items():
+        p, c = g.basis.parities, dense.bracket_tensor(g)
+        cochains = [expand_cochain2dual(g.basis, {key: 1})
+                    for key in free_coords_cochain2dual(g.basis)]
+        cochains += [sq.gallery.random_cochain2(g, rng) for _ in range(4)]
+        cochains += [sq.gallery.random_cocycle2(g, rng, basis=z2_bases[name])
+                     for _ in range(2)]
+        for w in cochains:
+            full = dense.cocycle2_violation(p, c, dense.cochain2dual_tensor(w))
+            assert cocycle2_violation(g, w) == full, name
+            violated += full is not None
+        for w in cochains[-6:]:
+            t = dense.cochain2dual_tensor(w)
+            for ijk in itertools.product(range(g.dim), repeat=3):
+                assert list(cocycle2_defect(g, w, *ijk)) == \
+                    dense.cocycle2_defect(p, c, t, *ijk), (name, ijk)
+    assert violated > 10
+
+
+def test_supercyclic_violation_matches_dense_loop(gallery, supercyclic_bases):
+    rng = random.Random(53)
+    violated = 0
+    for name, g in gallery.items():
+        p = g.basis.parities
+        cochains = [expand_cochain2dual(g.basis, {key: 1})
+                    for key in free_coords_cochain2dual(g.basis)]
+        cochains += [sq.gallery.random_cochain2(g, rng) for _ in range(4)]
+        cochains += list(supercyclic_bases[name])
+        for w in cochains:
+            full = dense.supercyclic_violation(p, dense.cochain2dual_tensor(w))
+            assert supercyclic_violation(w) == full, name
             violated += full is not None
     assert violated > 10
 
@@ -296,17 +373,17 @@ def _z3_oracle(g):
 
 def test_z3_basis_matches_all_tuples_oracle(gallery):
     for name, g in gallery.items():
-        assert [f.f for f in z3_basis(g)] == [f.f for f in _z3_oracle(g)], \
-            name
+        assert z3_basis(g) == _z3_oracle(g), name
 
 
 def _coboundary_oracle(g):
-    """Free alt-3 coordinates of delta_scalar2 of each unit 2-cochain."""
+    """The coboundary of each unit 2-cochain on the free alt-3
+    coordinates, evaluated directly from bracket vectors."""
     coords = free_coords_alt3(g.basis)
     cols = []
     for key in free_coords_scalar2(g.basis):
-        d = delta_scalar2(g, expand_scalar2(g.basis, {key: 1}))
-        cols.append(tuple(d.f[i][j][k] for (i, j, k) in coords))
+        unit = expand_scalar2(g.basis, {key: 1})
+        cols.append(tuple(_delta_direct(g, unit, *t) for t in coords))
     return coords, cols
 
 
@@ -318,9 +395,9 @@ def test_b3_basis_and_cohomologous_match_dense_coboundaries(gallery):
         R, pivots = rref(mat(cols)) if cols else ((), ())
         expected = [expand_alt3(g.basis, {coords[t]: q
                                           for t, q in enumerate(R[r])
-                                          if q != 0}).f
+                                          if q != 0})
                     for r in range(len(pivots))]
-        assert [f.f for f in b3_basis(g)] == expected, name
+        assert b3_basis(g) == expected, name
         z3 = z3_basis(g)
         if not z3 or not cols:
             continue
@@ -328,23 +405,23 @@ def test_b3_basis_and_cohomologous_match_dense_coboundaries(gallery):
         f1 = z3[0]
         for f2 in (sub3(f1, delta_scalar2(g, random_scalar2(g, rng))),
                    add3(f1, z3[-1]), f1):
-            target = tuple(f1.f[i][j][k] - f2.f[i][j][k]
-                           for (i, j, k) in coords)
+            t1, t2 = dense.alt3_tensor(f1), dense.alt3_tensor(f2)
+            target = tuple(t1[i][j][k] - t2[i][j][k] for (i, j, k) in coords)
             sol = solve(transpose(mat(cols)), target)
             phi = cohomologous(g, f1, f2)
             if sol.particular is None:
                 assert phi is None, name
                 rejected += 1
             else:
-                assert phi.p == expand_scalar2(
+                assert phi == expand_scalar2(
                     g.basis, {keys2[t]: q
                               for t, q in enumerate(sol.particular)
-                              if q != 0}).p, name
+                              if q != 0}), name
                 solved += 1
     assert solved >= 4 and rejected >= 1
 
 
-# --- invariance under graded base change --------------------------------------
+# --- invariance under graded base change -------------------------------------
 
 def _random_graded_invertible(basis, rng):
     n = basis.dim
@@ -364,17 +441,14 @@ def _conjugate_algebra(g, L):
     n = g.dim
     Linv = inverse(L)
     cols = [mat_vec(L, unit_vec(n, i)) for i in range(n)]
-    c = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(mat_vec(Linv, bracket(g, cols[i], cols[j])))
-        c.append(tuple(row))
-    return LieSuperalgebra(g.basis, tuple(c))
+    return LieSuperalgebra(g.basis, tuple(
+        tuple(tuple(enumerate(mat_vec(Linv, bracket(g, cols[i], cols[j]))))
+              for j in range(n)) for i in range(n)))
 
 
 def _transport_cochain2(w, L):
     basis = w.basis
+    dw = dense.cochain2dual_tensor(w)
     n = basis.dim
     cols = [mat_vec(L, unit_vec(n, i)) for i in range(n)]
     t = []
@@ -393,11 +467,11 @@ def _transport_cochain2(w, L):
                         for c, zc in enumerate(cols[k]):
                             if zc == 0:
                                 continue
-                            acc += xa * yb * zc * w.w[a][b][c]
+                            acc += xa * yb * zc * dw[a][b][c]
                 entry.append(acc)
             row.append(tuple(entry))
         t.append(tuple(row))
-    return Cochain2Dual(basis, tuple(t))
+    return dense.cochain2dual_from_tensor(basis, t)
 
 
 def test_identities_invariant_under_graded_base_change(gallery,
@@ -432,15 +506,16 @@ def test_identities_invariant_under_graded_base_change(gallery,
         from superquad.linalg import mat_mul, transpose
         for _ in range(3):
             phi = random_scalar2(g, rng)
-            pulled = ScalarCochain2(
-                g.basis, mat_mul(mat_mul(transpose(L), phi.p), L))
+            pulled = dense.scalar2_from_matrix(g.basis, mat_mul(mat_mul(
+                transpose(L), mat(dense.scalar2_matrix(phi))), L))
             lhs = delta_scalar2(g2, pulled)
             rhs = _transport_scalar3(delta_scalar2(g, phi), L)
-            assert lhs.f == rhs.f
+            assert lhs == rhs
 
 
 def _transport_scalar3(f, L):
     basis = f.basis
+    df = dense.alt3_tensor(f)
     n = basis.dim
     from superquad.linalg import mat_vec, unit_vec as uv
     cols = [mat_vec(L, uv(n, i)) for i in range(n)]
@@ -460,8 +535,8 @@ def _transport_scalar3(f, L):
                         for c, zc in enumerate(cols[k]):
                             if zc == 0:
                                 continue
-                            acc += xa * yb * zc * f.f[a][b][c]
+                            acc += xa * yb * zc * df[a][b][c]
                 entry.append(acc)
             row.append(tuple(entry))
         t.append(tuple(row))
-    return ScalarCochain3(basis, tuple(t))
+    return dense.alt3_from_tensor(basis, t)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from superquad.gallery import (build_class_c_example, build_glnn, build_gn,
 from superquad.linalg import mat_mul, unit_vec, vec_is_zero
 from superquad.superalgebra import (EVEN, ODD, bracket, center, sgn,
                                     subspace)
+
+import dense_oracle as dense
 
 F = Fraction
 
@@ -145,3 +148,61 @@ def test_orthogonal_direct_sum():
     q = orthogonal_direct_sum(stock("hyperbolic-even"), even_line())
     assert q.dim == 3
     assert sq.check_axioms(q.algebra).passed
+
+
+# --- the sparse tables against dense constructions ---------------------------
+
+def _dense_matrix_algebra(n, names, parities):
+    """c[i][j][k] of the span of gl(n,n) matrix units named ``names``,
+    from [M, N] = MN - (-1)^{|M||N|} NM on 2n x 2n grids."""
+    units = [matrix_of_glnn(n, label) for label in names]
+    where = [next((r, c) for r in range(2 * n) for c in range(2 * n)
+                  if u[r][c] == 1) for u in units]
+    d = len(names)
+    c = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
+    for i, j in itertools.product(range(d), repeat=2):
+        s = sgn(parities[i] * parities[j])
+        prod1 = mat_mul(units[i], units[j])
+        prod2 = mat_mul(units[j], units[i])
+        br = [[a - s * b for a, b in zip(r1, r2)]
+              for r1, r2 in zip(prod1, prod2)]
+        for k, (r, col) in enumerate(where):
+            c[i][j][k] = br[r][col]
+            br[r][col] = F(0)
+        assert all(q == 0 for row in br for q in row)   # closed in the span
+    return c
+
+
+@pytest.mark.parametrize("build,sizes", [(build_glnn, (1, 2)),
+                                         (build_gn, (1, 2, 3))])
+def test_matrix_family_tables_match_dense_construction(build, sizes):
+    for n in sizes:
+        g = build(n)
+        want = _dense_matrix_algebra(n, g.basis.names, g.basis.parities)
+        assert dense.bracket_tensor(g) == want, n
+
+
+def test_stock_and_direct_sum_tables_match_dense_construction():
+    h3 = dense.bracket_tensor(stock("heisenberg3"))
+    assert h3 == [[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                  [[0, 0, -1], [0, 0, 0], [0, 0, 0]],
+                  [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]
+    s2 = dense.bracket_tensor(stock("solvable2d"))
+    assert s2 == [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
+    assert dense.bracket_tensor(stock("abelian(1|2)")) == [
+        [[0] * 3 for _ in range(3)] for _ in range(3)]
+    a, b = stock("hyperbolic-odd"), build_class_c_example(2)
+    q = orthogonal_direct_sum(a, b)
+    ca, cb = dense.bracket_tensor(a.algebra), dense.bracket_tensor(b.algebra)
+    na, nb = a.dim, b.dim
+    want = [[[F(0)] * (na + nb) for _ in range(na + nb)]
+            for _ in range(na + nb)]
+    for i, j, k in itertools.product(range(na), repeat=3):
+        want[i][j][k] = ca[i][j][k]
+    for i, j, k in itertools.product(range(nb), repeat=3):
+        want[na + i][na + j][na + k] = cb[i][j][k]
+    assert dense.bracket_tensor(q.algebra) == want
+    assert [row[:na] for row in q.form.gram[:na]] == list(a.form.gram)
+    assert [row[na:] for row in q.form.gram[na:]] == list(b.form.gram)
+    assert all(q.form.gram[i][na + j] == 0 == q.form.gram[na + j][i]
+               for i in range(na) for j in range(nb))

@@ -6,14 +6,17 @@ from hypothesis import given, settings, strategies as st
 import superquad as sq
 from superquad.errors import (AxiomError, DimensionMismatch, NotGradedError,
                               NotIdealError, PreconditionError)
-from superquad.linalg import (coords_in, mat, mat_mul, mat_vec, unit_vec, vec,
-                              vec_add, vec_is_zero, vec_scale, zero_vec)
+from superquad.linalg import (coords_in, kernel, mat, mat_mul, mat_vec,
+                              unit_vec, vec, vec_add, vec_is_zero, vec_scale,
+                              zero_vec)
 from superquad.superalgebra import (EVEN, ODD, DualVector, Subspace,
                                     coadjoint, derived_subspace, dual_vector,
                                     full_subspace, graded_basis,
                                     jacobi_defect, product_subspace,
                                     quotient, sgn, split_vector, subspace,
                                     zero_subspace)
+
+import dense_oracle as dense
 
 F = Fraction
 
@@ -99,12 +102,10 @@ def test_check_axioms_pass_on_gallery(gallery):
 def test_grading_violation_reported():
     # even pair mapping onto an odd index
     basis = graded_basis(("x", "y", "o"), (EVEN, EVEN, ODD))
-    n = 3
-    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    c[0][1][2] = F(1)
-    c[1][0][2] = F(-1)
-    g = sq.LieSuperalgebra(basis, tuple(
-        tuple(tuple(v) for v in row) for row in c), False)
+    table = [[()] * 3 for _ in range(3)]
+    table[0][1] = ((2, 1),)
+    table[1][0] = ((2, -1),)
+    g = sq.LieSuperalgebra(basis, tuple(map(tuple, table)), False)
     report = sq.check_axioms(g)
     assert not report.passed
     assert (0, 1, 2) in report.grading
@@ -112,12 +113,11 @@ def test_grading_violation_reported():
 
 def test_construction_rejects_bad_grading():
     basis = graded_basis(("x", "y", "o"), (EVEN, EVEN, ODD))
-    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][2] = F(1)
-    c[1][0][2] = F(-1)
+    table = [[()] * 3 for _ in range(3)]
+    table[0][1] = ((2, 1),)
+    table[1][0] = ((2, -1),)
     with pytest.raises(AxiomError):
-        sq.LieSuperalgebra(basis, tuple(
-            tuple(tuple(v) for v in row) for row in c))
+        sq.LieSuperalgebra(basis, tuple(map(tuple, table)))
 
 
 def test_jacobi_violation_reported():
@@ -233,6 +233,19 @@ def test_coadjoint_is_representation(gallery):
                     assert lhs == rhs, (name, i, j, k)
 
 
+def test_dual_vector_and_coadjoint_check_shapes():
+    h3 = sq.heisenberg3()
+    with pytest.raises(DimensionMismatch):
+        dual_vector(h3.basis, (0, 1))
+    e3_star = dual_vector(h3.basis, (0, 0, 1))
+    with pytest.raises(DimensionMismatch):
+        coadjoint(h3, (1, 0), e3_star)
+    with pytest.raises(DimensionMismatch):
+        coadjoint(h3, (1, 0, 0, 0), e3_star)
+    with pytest.raises(DimensionMismatch):
+        coadjoint(h3, unit_vec(3, 0), DualVector(vec([0, 0, 1, 0]), EVEN))
+
+
 def _coadjoint_vec(g, x, px, f):
     """coadjoint for a possibly-zero homogeneous vector of known parity."""
     if vec_is_zero(x):
@@ -325,13 +338,13 @@ def test_quotient_h3_by_center_is_abelian():
     h3 = sq.heisenberg3()
     q = quotient(h3, sq.center(h3))
     assert q.algebra.dim == 2
-    assert all(vec_is_zero(v) for row in q.algebra.c for v in row)
+    assert q.algebra.table == (((), ()), ((), ()))
 
 
 def test_quotient_by_zero_is_copy():
     h3 = sq.heisenberg3()
     q = quotient(h3, zero_subspace(h3.basis))
-    assert q.algebra.c == h3.c
+    assert q.algebra.table == h3.table
 
 
 def test_quotient_by_whole_is_zero():
@@ -356,3 +369,61 @@ def test_parity_of_brackets(gallery):
                     continue
                 p = sq.superalgebra.vector_parity(g.basis, br)
                 assert p == (g.parity(i) + g.parity(j)) % 2, (name, i, j)
+
+
+# --- the sparse bracket table against dense tensors --------------------------
+
+@st.composite
+def _raw_tables(draw):
+    """A basis and an arbitrary table: entries for each ordered pair drawn
+    independently, so super-skew-symmetry and the grading may fail."""
+    ps = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=1, max_size=4))
+    n = len(ps)
+    basis = graded_basis(tuple(f"v{i}" for i in range(n)), tuple(ps))
+    table = tuple(tuple(
+        tuple((k, q) for k in range(n)
+              for q in [draw(sparse_entries)] if q != 0)
+        for _ in range(n)) for _ in range(n))
+    return basis, table
+
+
+@given(_raw_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_skew_violations_and_center_match_dense(raw, data):
+    basis, table = raw
+    n = basis.dim
+    # make part of the table super-skew so that both outcomes occur
+    table = [list(row) for row in table]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if data.draw(st.booleans()):
+                s = -sgn(basis.parity(i) * basis.parity(j))
+                table[j][i] = tuple((k, s * q) for k, q in table[i][j])
+    g = sq.LieSuperalgebra(basis, tuple(map(tuple, table)), False)
+    c = dense.bracket_tensor(g)
+    assert c == [[[dict(table[i][j]).get(k, F(0)) for k in range(n)]
+                  for j in range(n)] for i in range(n)]
+    assert sq.superalgebra._skew_violations(g) == dense.skew_violations(
+        basis.parities, c)
+    rows = [tuple(c[i][j][k] for i in range(n))
+            for j in range(n) for k in range(n)]
+    try:
+        want = subspace(basis, kernel(mat(rows)))
+    except NotGradedError:
+        with pytest.raises(NotGradedError):
+            sq.center(g)
+    else:
+        assert sq.center(g).equals(want)
+
+
+def test_gallery_tables_are_canonical(gallery):
+    """Each gallery table lists, in ascending order, exactly the nonzero
+    coordinates of the dense bracket vectors."""
+    for name, g in gallery.items():
+        c = dense.bracket_tensor(g)
+        for i in range(g.dim):
+            for j in range(g.dim):
+                assert g.table[i][j] == tuple(
+                    (k, q) for k, q in enumerate(c[i][j]) if q != 0), name
+                assert g.bracket_vector(i, j) == tuple(c[i][j]), name
+        assert not dense.skew_violations(g.basis.parities, c), name

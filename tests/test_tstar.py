@@ -9,8 +9,9 @@ from superquad.cohomology import (add3, collect_cochain2dual, delta_scalar2,
                                   expand_cochain2dual, expand_scalar2, hat,
                                   is_cocycle2, is_supercyclic, sub3, unhat,
                                   z3_basis, zero_cochain2, zero_scalar2)
-from superquad.errors import (CocycleError, InternalCheckError,
-                              NotSupercyclicError, PreconditionError)
+from superquad.errors import (CocycleError, DimensionMismatch,
+                              InternalCheckError, NotSupercyclicError,
+                              PreconditionError)
 from superquad.decompose import _verify_codim1_embedding, decompose
 from superquad.forms import is_totally_isotropic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
@@ -24,6 +25,8 @@ from superquad.tstar import (build, lemma_halfdim_ideal_iff_abelian,
                              negative_test_invariance,
                              quadratic_morphism_violation, recognize,
                              s_phi_isometry, shear_matrix)
+
+import dense_oracle as dense
 
 F = Fraction
 
@@ -40,7 +43,7 @@ def test_build_purely_odd_frozen():
     assert ext.total.basis.parities == (1, 1)
     G = ext.total.form.gram
     assert G[0][1] == -1 and G[1][0] == 1 and G[0][0] == 0 and G[1][1] == 0
-    assert all(vec_is_zero(v) for row in ext.total.algebra.c for v in row)
+    assert ext.total.algebra.table == (((), ()), ((), ()))
 
 
 def test_dual_parity_convention(gallery):
@@ -183,8 +186,8 @@ def test_lemma_agreement_on_random_subspaces(gallery):
 def test_recognize_roundtrip_zero_cocycle():
     ext = sq.tstar_of_gn(2)
     ext2, psi = recognize(ext.total, ext.dual_ideal())
-    assert all(q == 0 for r in ext2.omega.w for v in r for q in v)
-    assert ext2.base.c == ext.base.c
+    assert not ext2.omega.coords
+    assert ext2.base.table == ext.base.table
 
 
 def test_recognize_roundtrip_random(gallery, supercyclic_bases):
@@ -197,8 +200,8 @@ def test_recognize_roundtrip_random(gallery, supercyclic_bases):
             ext = build(g, w)
             ext2, psi = recognize(ext.total, ext.dual_ideal())
             # canonical section recovers the cocycle on the nose
-            assert ext2.omega.w == w.w, name
-            assert ext2.base.c == g.c, name
+            assert collect_cochain2dual(ext2.omega) == collect_cochain2dual(w)
+            assert ext2.base.table == g.table, name
             assert rank(psi) == ext.total.dim
 
 
@@ -217,10 +220,10 @@ def test_recognize_with_sheared_section_gives_cohomologous(gallery,
             tuple(shear[r][i] for r in range(N)) for i in range(n)])
         ext2, psi = recognize(ext.total, ext.dual_ideal(),
                               complement=sheared)
-        assert ext2.base.c == g.c, name
-        # quotient basis names differ; the tensors live on the same grading
+        assert ext2.base.table == g.table, name
+        # quotient basis names differ; the cochains live on the same grading
         from superquad.cohomology import Cochain2Dual, cohomologous
-        w_rec = Cochain2Dual(g.basis, ext2.omega.w)
+        w_rec = Cochain2Dual(g.basis, ext2.omega.coords)
         phi_rec = cohomologous(g, hat(w_rec), hat(w))
         assert phi_rec is not None, name
 
@@ -237,7 +240,7 @@ def test_s_phi_zero_is_identity():
     shear = s_phi_isometry(h3, zero_cochain2(h3), zero_scalar2(h3))
     n = shear.source.total.dim
     assert shear.matrix == tuple(unit_vec(n, i) for i in range(n))
-    assert shear.source.omega.w == shear.target.omega.w
+    assert shear.source.omega == shear.target.omega
 
 
 def test_s_phi_abelian_shear():
@@ -246,7 +249,7 @@ def test_s_phi_abelian_shear():
     w1 = random_supercyclic_cocycle(a, rng)
     phi = expand_scalar2(a.basis, {(1, 1): 2, (1, 2): 1})
     shear = s_phi_isometry(a, w1, phi)
-    assert shear.target.omega.w == w1.w      # delta(phi) = 0 on abelian
+    assert shear.target.omega == w1          # delta(phi) = 0 on abelian
     n = 2 * a.dim
     assert shear.matrix != tuple(unit_vec(n, i) for i in range(n))
 
@@ -260,7 +263,7 @@ def test_s_phi_random_verified(gallery, supercyclic_bases):
             phi = random_scalar2(g, rng)
             shear = s_phi_isometry(g, w1, phi)      # verifies internally
             expected = sub3(hat(w1), delta_scalar2(g, phi))
-            assert shear.target.omega.w == unhat(expected).w, name
+            assert shear.target.omega == unhat(expected), name
 
 
 def test_s_phi_perturbation_breaks_bracket(gallery, supercyclic_bases):
@@ -305,7 +308,7 @@ def test_isometries_compose(gallery, supercyclic_bases):
         from superquad.cohomology import add_scalar2
         s12 = s_phi_isometry(g, w1, add_scalar2(p1, p2))
         assert mat_mul(s2.matrix, s1.matrix) == s12.matrix, name
-        assert s2.target.omega.w == s12.target.omega.w, name
+        assert s2.target.omega == s12.target.omega, name
 
 
 def test_nilpotence_preserved(nilpotent_gallery, supercyclic_bases):
@@ -414,3 +417,43 @@ def test_codim1_embedding_check_reports_the_dense_witness(odd_decomposition,
     with pytest.raises(InternalCheckError, match=messages[witness[0]]) as exc:
         _verify_codim1_embedding(src, dec.extension, bad)
     assert exc.value.witness == witness[1]
+
+
+# --- the sparse builders against the dense formulas --------------------------
+
+def test_extension_table_matches_dense_formula(gallery, z2_bases):
+    """The extension's bracket table, for cocycles and for cochains that
+    are not, equals the dense extension tensor entry by entry."""
+    from superquad.tstar import _raw_extension
+    rng = random.Random(59)
+    for name, g in gallery.items():
+        p, c = g.basis.parities, dense.bracket_tensor(g)
+        cochains = [random_cochain2(g, rng) for _ in range(2)]
+        cochains += [random_cocycle2(g, rng, basis=z2_bases[name])]
+        for w in cochains:
+            alg, _ = _raw_extension(g, w)
+            want = dense.extension_tensor(p, c, dense.cochain2dual_tensor(w))
+            assert dense.bracket_tensor(alg) == want, name
+
+
+def test_shear_matrix_matches_dense_formula(gallery):
+    rng = random.Random(61)
+    for name, g in gallery.items():
+        n = g.dim
+        phi = random_scalar2(g, rng)
+        m = dense.scalar2_matrix(phi)
+        want = [[F(int(r == s)) for s in range(2 * n)] for r in range(2 * n)]
+        for i in range(n):
+            for k in range(n):
+                want[n + k][i] = m[i][k]
+        assert shear_matrix(g, phi) == mat(want), name
+
+
+def test_phi_on_another_basis_is_rejected():
+    h3 = sq.heisenberg3()
+    for phi in (expand_scalar2(sq.build_gn(2).basis, {(0, 1): 1}),
+                expand_scalar2(sq.abelian(2, 1).basis, {(0, 1): 1})):
+        with pytest.raises(DimensionMismatch):
+            delta_scalar2(h3, phi)
+        with pytest.raises(DimensionMismatch):
+            s_phi_isometry(h3, zero_cochain2(h3), phi)
