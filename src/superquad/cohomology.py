@@ -282,7 +282,7 @@ def _cocycle2_rows(g: LieSuperalgebra, i: int, j: int, k: int):
     # w(e_i, [e_j, e_k]) and cyclic rotations
     for (a, bc, s) in ((i, (j, k), 1), (j, (k, i), s_yzx), (k, (i, j), s_zxy)):
         for m, q in table[bc[0]][bc[1]]:
-            coeff = s * q
+            coeff = q if s == 1 else -q
             for l in range(n):
                 rows[l].append(((a, m, l), coeff))
     # pi(e_i)(w(e_j, e_k)) and cyclic rotations:
@@ -292,20 +292,36 @@ def _cocycle2_rows(g: LieSuperalgebra, i: int, j: int, k: int):
         outer = -s * sgn(p[a] * pf)
         for l in range(n):
             for t, q in table[a][l]:
-                rows[l].append(((bc[0], bc[1], t), outer * q))
+                rows[l].append(((bc[0], bc[1], t),
+                                q if outer == 1 else -q))
     return rows
+
+
+def _free_row(parities, terms, canon) -> dict:
+    """A symbolic identity row, a list of ((a, b, c), coeff) terms meaning
+    coeff * entry (a, b, c), as {free coordinate: coeff}: ``canon``
+    maps an entry to (free coordinate, sign), or to (None, 0) when the
+    entry is forced to vanish.  Terms that cancel are dropped."""
+    row: dict = {}
+    for (a, b, c), coeff in terms:
+        key, s = canon(parities, a, b, c)
+        if key is not None:
+            q = coeff if s == 1 else -coeff
+            row[key] = row[key] + q if key in row else q
+    return {key: q for key, q in row.items() if q}
 
 
 def cocycle2_defect(g: LieSuperalgebra, w: Cochain2Dual,
                     i: int, j: int, k: int) -> Vec:
-    rows = _cocycle2_rows(g, i, j, k)
+    p = g.basis.parities
+    coords = w.coords
     out = []
-    for terms in rows:
+    for terms in _cocycle2_rows(g, i, j, k):
         acc = ZERO
-        for (a, b, c), coeff in terms:
-            val = _entry2dual(w, a, b, c)
-            if val != 0:
-                acc += coeff * val
+        if terms:
+            for key, q in _free_row(p, terms, _canon_cochain2dual).items():
+                if key in coords:
+                    acc += q * coords[key]
         out.append(acc)
     return tuple(out)
 
@@ -456,25 +472,18 @@ def _cocycle_space(basis: GradedBasis, coords: list[Triple], canon, rows,
                    expand) -> list:
     """Solve a cocycle space in free coordinates.
 
-    ``rows`` yields symbolic identities, lists of ((a, b, c), coeff)
-    terms meaning coeff * entry (a, b, c); ``canon(parities, a, b, c)``
-    maps an entry to (free coordinate, sign), or to (None, 0) when the
-    entry is forced to vanish.  The rows are reduced sparsely and each kernel
-    vector becomes a cochain through the constructor ``expand``.
+    ``rows`` yields symbolic identities, each taken to free coordinates
+    by :func:`_free_row` with ``canon``.  The rows are reduced sparsely
+    and each kernel vector becomes a cochain through the constructor
+    ``expand``.
     """
     index = {key: t for t, key in enumerate(coords)}
     p = basis.parities
     red = RowReducer(len(coords))
     for terms in rows:
-        row: dict[int, Fraction] = {}
-        for (a, b, c), coeff in terms:
-            key, s = canon(p, a, b, c)
-            if key is not None:
-                t = index[key]
-                row[t] = row.get(t, ZERO) + s * coeff
-        row = {t: q for t, q in row.items() if q != 0}
+        row = _free_row(p, terms, canon)
         if row:
-            red.add_sparse(row)
+            red.add_sparse({index[key]: q for key, q in row.items()})
     return [expand(basis, {coords[t]: q for t, q in enumerate(kv) if q != 0})
             for kv in red.kernel()]
 

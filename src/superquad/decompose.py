@@ -21,11 +21,10 @@ from .errors import (InternalCheckError, PreconditionError,
                      RationalPointNotFound)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, is_totally_isotropic,
                     orthogonal, quadratic)
-from .linalg import (Mat, RowReducer, Vec, ZERO, charpoly, coords_in,
-                     diagonalize_symmetric, frac, inverse, kernel, mat,
-                     mat_vec, rank, rational_roots, rref, sqrt_fraction,
-                     transpose, unit_vec, vec_add, vec_is_zero, vec_scale,
-                     zero_vec)
+from .linalg import (Mat, RowReducer, Vec, ZERO, charpoly,
+                     diagonalize_symmetric, frac, kernel, mat, mat_mul,
+                     mat_vec, rank, rational_roots, sqrt_fraction, transpose,
+                     unit_vec, vec_add, vec_is_zero, vec_scale)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, bracket,
                            class_condition, extend_subspace, graded_basis,
                            graded_complement, is_ideal, is_nilpotent,
@@ -102,11 +101,7 @@ def isotropic_vector(gram: Mat, parities: tuple[int, ...]) -> Vec | None:
         if all(c == 0 for c in combo):
             continue
         if sum(frac(c) * frac(c) * diag[r] for r, c in enumerate(combo)) == 0:
-            out = zero_vec(k)
-            for r, c in enumerate(combo):
-                if c != 0:
-                    out = vec_add(out, vec_scale(c, P[r]))
-            return out
+            return mat_vec(transpose(P[:span]), combo)
     return None
 
 
@@ -135,14 +130,40 @@ class Decomposition:
     parity_case: str  # "even" or "odd"
 
 
+class _Coordinates:
+    """Coordinates in the span of independent rows, factored once.
+
+    Each row r_t is reduced once as [r_t | e_t].  Reducing [v | 0]
+    against them then leaves [v - sum_p v[p] R_p | -x], with R_p the RREF
+    row of the span at pivot p and x the coordinates of v; v is in the
+    span exactly when the first part vanishes.
+    """
+
+    def __init__(self, rows):
+        self._n = n = len(rows[0]) if rows else 0
+        self._pad = (ZERO,) * len(rows)
+        self._red = RowReducer(n + len(rows))
+        for t, row in enumerate(rows):
+            self._red.add((*row, *unit_vec(len(rows), t)))
+        if any(p >= n for p in self._red.rows):
+            raise InternalCheckError("spanning rows are dependent")
+
+    def of(self, v: Vec) -> Vec | None:
+        """Coordinates of v, or None if v is not in the span."""
+        r = self._red.reduce((*v, *self._pad))
+        if any(c < self._n for c in r):
+            return None
+        x = list(self._pad)
+        for c, q in r.items():
+            x[c - self._n] = -q
+        return tuple(x)
+
+
 class _InducedSpace:
     """The subquotient W^perp / W with its induced action and form.
 
-    The spanning rows [reps | W basis] are independent, so their values
-    on the d pivot columns of their row echelon form determine the
-    coordinates of any vector they span.  That d x d pivot block is
-    inverted once; ``project`` is then a matrix-vector product followed
-    by an exact sparse check that the coordinates rebuild the vector.
+    The spanning rows [reps | W basis] are independent and factored
+    once; ``project`` reads V'-coordinates off that factorization.
     """
 
     def __init__(self, q: QuadraticLieSuperalgebra, w: Subspace):
@@ -154,14 +175,7 @@ class _InducedSpace:
         self.rep_vectors = comp.vectors          # lifts of the V' basis
         self.parities = comp.parities
         self.dim = len(self.rep_vectors)
-        span_rows = tuple(self.rep_vectors) + tuple(w.vectors)
-        self._span_nz = tuple(
-            tuple((k, c) for k, c in enumerate(row) if c != 0)
-            for row in span_rows)
-        _, self._pivots = rref(span_rows)
-        # x = S^-1 v[pivots], with S[t][r] = span_r[pivot_t]
-        self._solver = inverse(tuple(
-            tuple(row[p] for row in span_rows) for p in self._pivots))
+        self._coords = _Coordinates(tuple(self.rep_vectors) + tuple(w.vectors))
         self.gram = mat([[q.form.apply(u, v) for v in self.rep_vectors]
                          for u in self.rep_vectors])
 
@@ -169,23 +183,13 @@ class _InducedSpace:
         """V'-coordinates of a vector of W^perp."""
         if self.dim == 0:
             return ()
-        vp = [(t, v[p]) for t, p in enumerate(self._pivots) if v[p] != 0]
-        x = [sum((row[t] * c for t, c in vp), ZERO) for row in self._solver]
-        rebuilt = [ZERO] * len(v)
-        for xr, nz in zip(x, self._span_nz):
-            if xr != 0:
-                for k, c in nz:
-                    rebuilt[k] += xr * c
-        if any(a != b for a, b in zip(rebuilt, v)):
+        x = self._coords.of(v)
+        if x is None:
             raise InternalCheckError("vector is not in W^perp")
-        return tuple(x[:self.dim])
+        return x[:self.dim]
 
     def lift(self, u: Vec) -> Vec:
-        out = zero_vec(self.q.dim)
-        for c, rep in zip(u, self.rep_vectors):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, rep))
-        return out
+        return mat_vec(transpose(self.rep_vectors), u)
 
     def operator(self, x: Vec) -> Mat:
         """Matrix of the induced action of x on V' (columns = images)."""
@@ -194,49 +198,40 @@ class _InducedSpace:
         return transpose(mat(cols)) if cols else ()
 
     def induced_gram_on(self, rows: list[Vec]) -> Mat:
-        G = self.gram
-        def pair(a, b):
-            return sum((ai * sum((G[i][j] * bj for j, bj in enumerate(b)
-                                  if bj != 0), ZERO)
-                        for i, ai in enumerate(a) if ai != 0), ZERO)
-        return mat([[pair(a, b) for b in rows] for a in rows])
+        return mat_mul(mat_mul(rows, self.gram), transpose(rows))
 
 
 def _common_kernel(ops: list[Mat], dim: int) -> list[Vec]:
-    rows = []
+    red = RowReducer(dim)
     for op in ops:
-        rows.extend(op)
-    rows = [r for r in rows if not vec_is_zero(r)]
-    if not rows:
-        return [unit_vec(dim, r) for r in range(dim)]
-    return kernel(mat(rows))
+        for row in op:
+            red.add(row)
+    return red.kernel()
 
 
 def _split_by_parity(vectors: list[Vec], parities) -> list[Vec]:
     """Split span vectors of a graded subspace of V' into homogeneous ones."""
-    out = []
+    whole, red = RowReducer(len(parities)), RowReducer(len(parities))
+    basis = []
     for v in vectors:
+        whole.add(v)
         for p in (EVEN, ODD):
             part = tuple(c if parities[r] == p else ZERO
                          for r, c in enumerate(v))
-            if not vec_is_zero(part):
-                out.append(part)
-    red = RowReducer(len(parities))
-    basis = []
-    for v in out:
-        if red.add(v):
-            basis.append(v)
-    if len(basis) != rank(mat(vectors)):
+            if red.add(part):
+                basis.append(part)
+    if len(basis) != whole.rank:
         raise InternalCheckError("graded operator kernel failed to split")
     return basis
 
 
 def _restrict_operator(op: Mat, rows: list[Vec]) -> Mat:
-    """Matrix of op on the subspace spanned by rows (must be invariant)."""
+    """Matrix of op on the subspace spanned by the independent rows
+    (which must be invariant)."""
+    coords = _Coordinates(rows)
     cols = []
     for r in rows:
-        img = mat_vec(op, r)
-        x = coords_in(rows, img)
+        x = coords.of(mat_vec(op, r))
         if x is None:
             raise InternalCheckError("subspace is not operator-invariant")
         cols.append(x)
@@ -283,11 +278,7 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
         point = isotropic_vector(ind.induced_gram_on(space), par)
         if point is None:
             return None
-        out = zero_vec(ind.dim)
-        for c, row in zip(point, space):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, row))
-        return out
+        return mat_vec(transpose(space), point)
 
     def descend(space: list[Vec], k: int) -> Vec | None:
         if k == len(even_ops):
@@ -306,13 +297,8 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
                 tuple(op[r][s] - (lam if r == s else ZERO)
                       for s in range(len(space)))
                 for r in range(len(space)))
-            new_space = []
-            for u in kernel(shifted):
-                w = zero_vec(ind.dim)
-                for c, row in zip(u, space):
-                    if c != 0:
-                        w = vec_add(w, vec_scale(c, row))
-                new_space.append(w)
+            new_space = [mat_vec(transpose(space), u)
+                         for u in kernel(shifted)]
             got = descend(_split_by_parity(new_space, ind.parities), k + 1)
             if got is not None:
                 return got
@@ -354,10 +340,7 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
             gram_u = ind.induced_gram_on(u_rows)
             point = isotropic_vector(gram_u, par)
             if point is not None:
-                vprime = zero_vec(ind.dim)
-                for c, row in zip(point, u_rows):
-                    if c != 0:
-                        vprime = vec_add(vprime, vec_scale(c, row))
+                vprime = mat_vec(transpose(u_rows), point)
             else:
                 ev = [r for r, p in enumerate(par) if p == EVEN]
                 sub_gram = mat([[gram_u[r][s] for s in ev] for r in ev])

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (DimensionMismatch, FormError, PreconditionError)
-from .linalg import (HALF, Mat, Vec, ZERO, kernel, mat, rank, solve_unique,
-                     transpose, vec, vec_is_zero, vec_sub)
+from .linalg import (HALF, Mat, RowReducer, Vec, ZERO, inverse, mat, mat_mul,
+                     mat_vec, rank, transpose, vec_sub)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, center,
                            derived_subspace, graded_complement,
                            require_axioms, sgn, subspace)
@@ -101,13 +101,11 @@ def is_invariant(g: LieSuperalgebra, B: EvenForm) -> bool:
 
 def orthogonal(B: EvenForm, w: Subspace) -> Subspace:
     """w^perp = {v : B(v, u) = 0 for all u in w}."""
-    rows = [tuple(sum((q * u[j] for j, q in row if u[j] != 0), ZERO)
-                  for row in B._rows) for u in w.vectors]
-    rows = [r for r in rows if not vec_is_zero(r)]
-    if not rows:
-        from .superalgebra import full_subspace
-        return full_subspace(B.basis)
-    return subspace(B.basis, kernel(mat(rows)))
+    red = RowReducer(B.dim)
+    for u in w.vectors:
+        red.add(tuple(sum((q * u[j] for j, q in row if u[j] != 0), ZERO)
+                      for row in B._rows))
+    return subspace(B.basis, red.kernel())
 
 
 def is_totally_isotropic(B: EvenForm, w: Subspace) -> bool:
@@ -141,16 +139,13 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
                 "isotropic subspace is not half-dimensional in each parity")
         if not w_rows:
             continue
-        # pairing matrix M[u][b] = B(iso_u, w_b) is invertible here
-        M = mat([[B.apply(u, w) for w in w_rows] for u in i_rows])
+        # pairing matrix M[u][b] = B(iso_u, w_b) is invertible here;
+        # h(w_a) = sum_u x_u iso_u with x = (M^T)^-1 (1/2 B(w_a, w_b))_b
+        h = mat_mul(transpose(i_rows), inverse(mat(
+            [[B.apply(u, w) for u in i_rows] for w in w_rows])))
         for w_a in w_rows:
-            rhs = vec([HALF * B.apply(w_a, w_b) for w_b in w_rows])
-            x = solve_unique(transpose(M), rhs)
-            h = [ZERO] * n
-            for coeff, u in zip(x, i_rows):
-                for t, q in enumerate(u):
-                    h[t] += coeff * q
-            corrected.append(vec_sub(w_a, tuple(h)))
+            corrected.append(vec_sub(w_a, mat_vec(
+                h, [HALF * B.apply(w_a, w_b) for w_b in w_rows])))
     out = subspace(B.basis, corrected)
     if not (out.dim == iso.dim and is_totally_isotropic(B, out)):
         raise PreconditionError("isotropic complement construction failed")

@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Vectors and matrices are immutable tuples with ``Fraction`` entries and
-every operation is exact; nothing in this package ever rounds.  The
-batch solvers (``rref``, ``kernel``, ``solve``, ``inverse``) are dense
-Gaussian elimination, adequate at the desk scale this library targets
-(dimensions up to a few dozen).  :class:`RowReducer`, which the
-cocycle-space solves feed with thousands of short rows, is sparse: dict
-rows in a map from pivot column to row, kept in reduced row echelon
-form.  Hot callers avoid re-solving: ``forms.EvenForm`` pairs through a
-sparse Gram row table, ``superalgebra.Subspace`` tests membership by
-reducing against its RREF rows by pivot, and the decomposition's induced
-spaces invert their pivot block once and project by a matrix-vector
-product.
+every operation is exact; nothing in this package ever rounds.  There is
+one eliminator, the sparse :class:`RowReducer`: dict rows in a map from
+pivot column to row, kept in reduced row echelon form as rows arrive.
+The batch solvers read a single reduction each: ``rref`` and ``rank``
+reduce A, ``kernel`` reads the free columns, ``solve`` reduces [A | b]
+(a pivot in the last column means no solution) and ``inverse`` reduces
+[A | I].  All of them reject a ragged matrix.  Hot callers avoid
+re-solving: ``forms.EvenForm`` pairs through a sparse Gram row table,
+``superalgebra.Subspace`` tests membership by reducing against its RREF
+rows by pivot, and the decomposition factors each spanning set once and
+reads coordinates off that factorization.
 """
 
 from __future__ import annotations
@@ -110,147 +110,6 @@ def trace(A: Mat) -> Fraction:
     return sum((A[i][i] for i in range(len(A))), ZERO)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * a for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
-    rows, pivots = _rref([list(r) for r in A])
-    return tuple(tuple(r) for r in rows), tuple(pivots)
-
-
-def rank(A: Mat) -> int:
-    return len(rref(A)[1])
-
-
-def row_basis(A: Mat) -> list[Vec]:
-    """Canonical (RREF) basis of the row space."""
-    R, pivots = rref(A)
-    return [R[i] for i in range(len(pivots))]
-
-
-def _kernel_from_rref(R: Sequence[Sequence[Fraction]], pivots: Sequence[int],
-                      ncols: int) -> list[Vec]:
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for t, p in enumerate(pivots):
-            x[p] = -R[t][f]
-        basis.append(tuple(x))
-    return basis
-
-
-def kernel(A: Mat) -> list[Vec]:
-    """Basis of the right null space {x : A x = 0}."""
-    if not A:
-        return []
-    R, pivots = rref(A)
-    return _kernel_from_rref(R, pivots, len(A[0]))
-
-
-@dataclass(frozen=True)
-class SolutionSet:
-    """Full solution of a linear system A x = b.
-
-    ``particular`` is present iff the system is consistent;
-    ``kernel_basis`` always spans ker(A).
-    """
-
-    particular: Vec | None
-    kernel_basis: tuple[Vec, ...]
-
-
-def solve(A: Mat, b: Vec) -> SolutionSet:
-    if len(A) != len(b):
-        raise DimensionMismatch(
-            f"matrix has {len(A)} rows but right-hand side has {len(b)}")
-    n = len(A[0]) if A else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    if not aug:
-        return SolutionSet(particular=(), kernel_basis=())
-    R, pivots = _rref(aug)
-    piv_A = [p for p in pivots if p < n]
-    kern = tuple(_kernel_from_rref(R, piv_A, n))
-    if len(piv_A) != len(pivots):  # pivot in the b column: inconsistent
-        return SolutionSet(particular=None, kernel_basis=kern)
-    x = [ZERO] * n
-    for t, p in enumerate(piv_A):
-        x[p] = R[t][n]
-    return SolutionSet(particular=tuple(x), kernel_basis=kern)
-
-
-def solve_unique(A: Mat, b: Vec) -> Vec:
-    """Solution of a system known to be uniquely solvable."""
-    s = solve(A, b)
-    if s.particular is None or s.kernel_basis:
-        raise DimensionMismatch("system is not uniquely solvable")
-    return s.particular
-
-
-def inverse(A: Mat) -> Mat:
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise DimensionMismatch("only square matrices can be inverted")
-    aug = [list(r) + list(unit_vec(n, i)) for i, r in enumerate(A)]
-    R, pivots = _rref(aug)
-    if list(pivots) != list(range(n)):
-        raise DimensionMismatch("matrix is singular")
-    return tuple(tuple(R[i][n:]) for i in range(n))
-
-
-def det(A: Mat) -> Fraction:
-    n = len(A)
-    rows = [list(r) for r in A]
-    sign = 1
-    result = ONE
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if p is None:
-            return ZERO
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return result * sign
-
-
-def coords_in(vectors: Sequence[Vec], v: Vec) -> Vec | None:
-    """Coordinates of v in the span of ``vectors``, or None."""
-    if not vectors:
-        return () if vec_is_zero(v) else None
-    A = transpose(mat(vectors))
-    s = solve(A, v)
-    return s.particular
-
-
 def _sub_scaled(r: dict[int, Fraction], f: Fraction,
                 row: dict[int, Fraction]) -> None:
     """r -= f * row on dict rows, dropping the entries that cancel."""
@@ -271,8 +130,9 @@ class RowReducer:
     its pivot is its first nonzero column, so the rows always form the
     reduced row echelon form of everything added: rank, RREF and
     :meth:`kernel` are the same canonical ones a batch ``rref`` gives.
-    A new row is reduced against the pivots it touches, normalized, and
-    then eliminated from the earlier rows that are nonzero at its pivot.
+    A new row is reduced against the pivots it touches (:meth:`reduce`,
+    which alone tests membership), normalized, and then eliminated from
+    the earlier rows that are nonzero at its pivot.
     """
 
     def __init__(self, ncols: int):
@@ -287,9 +147,10 @@ class RowReducer:
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self.rows))
 
-    def add(self, row: Sequence[Fraction] | dict[int, Fraction]) -> bool:
-        """Add a constraint row, dense or a {column: value} dict; True if
-        it increased the rank."""
+    def reduce(self, row: Sequence[Fraction] | dict[int, Fraction]
+               ) -> dict[int, Fraction]:
+        """What is left of a row, dense or a {column: value} dict, after
+        eliminating the pivot columns: empty iff the row is in the span."""
         if isinstance(row, dict):
             if any(c not in range(self.ncols) for c in row):
                 raise DimensionMismatch(
@@ -303,8 +164,15 @@ class RowReducer:
         rows = self.rows
         for c in [c for c in r if c in rows]:
             _sub_scaled(r, r[c], rows[c])
+        return r
+
+    def add(self, row: Sequence[Fraction] | dict[int, Fraction]) -> bool:
+        """Add a constraint row, dense or a {column: value} dict; True if
+        it increased the rank."""
+        r = self.reduce(row)
         if not r:
             return False
+        rows = self.rows
         p = min(r)
         inv = ONE / r[p]
         r = {c: inv * q for c, q in r.items()}
@@ -318,17 +186,109 @@ class RowReducer:
         """Add a constraint row given as {column: value}."""
         return self.add(entries)
 
+    def basis(self) -> Mat:
+        """The dense RREF rows, in pivot order."""
+        out = []
+        for p in self.pivots:
+            x = [ZERO] * self.ncols
+            for c, q in self.rows[p].items():
+                x[c] = q
+            out.append(tuple(x))
+        return tuple(out)
+
     def kernel(self) -> list[Vec]:
         """Kernel of the system whose rows were added."""
-        free = [c for c in range(self.ncols) if c not in self.rows]
-        basis = {f: [ZERO] * self.ncols for f in free}
+        return self._kernel(self.ncols)
+
+    def _kernel(self, n: int) -> list[Vec]:
+        """Kernel on the first n columns, one vector per free column; for
+        rows [A | b] and n the width of A, the kernel of A."""
+        free = [c for c in range(n) if c not in self.rows]
+        basis = {f: [ZERO] * n for f in free}
         for f, x in basis.items():
             x[f] = ONE
         for p, row in self.rows.items():
             for c, q in row.items():
-                if c != p:
+                if c != p and c < n:
                     basis[c][p] = -q
         return [tuple(basis[f]) for f in free]
+
+
+def _width(A: Mat) -> int:
+    """Number of columns of A; a ragged A is rejected, so a solver never
+    reads a short row as zero-padded or a long one as augmented."""
+    n = len(A[0]) if A else 0
+    for i, row in enumerate(A):
+        if len(row) != n:
+            raise DimensionMismatch(
+                f"matrix row {i} has {len(row)} entries, expected {n}")
+    return n
+
+
+def _reduced(rows: Iterable, ncols: int) -> RowReducer:
+    red = RowReducer(ncols)
+    for row in rows:
+        red.add(row)
+    return red
+
+
+def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form, padded with zero rows to A's shape, and
+    the pivot columns."""
+    n = _width(A)
+    red = _reduced(A, n)
+    return red.basis() + zeros(len(A) - red.rank, n), red.pivots
+
+
+def rank(A: Mat) -> int:
+    return _reduced(A, _width(A)).rank
+
+
+def kernel(A: Mat) -> list[Vec]:
+    """Basis of the right null space {x : A x = 0}."""
+    return _reduced(A, _width(A)).kernel()
+
+
+@dataclass(frozen=True)
+class SolutionSet:
+    """Full solution of a linear system A x = b.
+
+    ``particular`` is present iff the system is consistent;
+    ``kernel_basis`` always spans ker(A).
+    """
+
+    particular: Vec | None
+    kernel_basis: tuple[Vec, ...]
+
+
+def solve(A: Mat, b: Vec) -> SolutionSet:
+    """Reduce [A | b]: a pivot in the last column means no solution;
+    the free columns of A give the kernel."""
+    if len(A) != len(b):
+        raise DimensionMismatch(
+            f"matrix has {len(A)} rows but right-hand side has {len(b)}")
+    n = _width(A)
+    red = _reduced(((*row, rhs) for row, rhs in zip(A, b)), n + 1)
+    kern = tuple(red._kernel(n))
+    if n in red.rows:
+        return SolutionSet(particular=None, kernel_basis=kern)
+    x = [ZERO] * n
+    for p, row in red.rows.items():
+        x[p] = row.get(n, ZERO)
+    return SolutionSet(particular=tuple(x), kernel_basis=kern)
+
+
+def inverse(A: Mat) -> Mat:
+    """Inverse of a square matrix, read off the reduction of [A | I]."""
+    n = len(A)
+    if any(len(r) != n for r in A):
+        raise DimensionMismatch("only square matrices can be inverted")
+    red = _reduced(({**{c: q for c, q in enumerate(r) if q}, n + i: ONE}
+                    for i, r in enumerate(A)), 2 * n)
+    if red.pivots != tuple(range(n)):
+        raise DimensionMismatch("matrix is singular")
+    return tuple(tuple(red.rows[i].get(n + c, ZERO) for c in range(n))
+                 for i in range(n))
 
 
 def charpoly(A: Mat) -> tuple[Fraction, ...]:

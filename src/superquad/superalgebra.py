@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, InitVar
 
 from .errors import (AxiomError, DimensionMismatch, NotGradedError,
                      NotIdealError, PreconditionError)
-from .linalg import (Mat, RowReducer, Vec, ZERO, frac, inverse, kernel, mat,
-                     rank, row_basis, transpose, unit_vec, vec, vec_is_zero)
+from .linalg import (Mat, RowReducer, Vec, ZERO, frac, inverse, mat, mat_vec,
+                     transpose, unit_vec, vec, vec_is_zero)
 
 EVEN = 0
 ODD = 1
@@ -318,27 +318,26 @@ def vector_parity(basis: GradedBasis, v: Vec) -> int | None:
 class Subspace:
     """Graded subspace with a canonical homogeneous (per-parity RREF) basis.
 
-    Construction records each row's pivot column and nonzeros, so
-    membership reduces a vector against the rows by pivot instead of
-    solving a linear system per query.
+    Construction feeds the rows to a ``RowReducer`` and requires them to
+    be its RREF rows, so membership reduces a vector against the rows by
+    pivot instead of solving a linear system per query.
     """
 
     basis: GradedBasis
     even_rows: Mat
     odd_rows: Mat
-    _pivots: tuple = field(init=False, repr=False, compare=False)
+    _reducer: RowReducer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = self.even_rows + self.odd_rows
-        pivots = []
+        red = RowReducer(self.basis.dim)
         for row in rows:
-            nz = tuple((k, q) for k, q in enumerate(row) if q != 0)
-            if not nz or nz[0][1] != 1 or sum(
-                    1 for other in rows if other[nz[0][0]] != 0) != 1:
-                raise PreconditionError(
-                    "subspace rows must be in reduced row echelon form")
-            pivots.append((nz[0][0], nz))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+            red.add(row)
+        # RREF rows in pivot order are in descending lexicographic order
+        if red.basis() != tuple(sorted(rows, reverse=True)):
+            raise PreconditionError(
+                "subspace rows must be in reduced row echelon form")
+        object.__setattr__(self, "_reducer", red)
 
     @property
     def vectors(self) -> Mat:
@@ -358,13 +357,7 @@ class Subspace:
     def contains_vector(self, v: Vec) -> bool:
         if len(v) != self.basis.dim:
             raise DimensionMismatch("vector does not match the ambient basis")
-        r = list(v)
-        for p, nz in self._pivots:
-            f = r[p]
-            if f != 0:
-                for k, q in nz:
-                    r[k] -= f * q
-        return all(a == 0 for a in r)
+        return not self._reducer.reduce(v)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.vectors)
@@ -376,30 +369,26 @@ class Subspace:
 def subspace(basis: GradedBasis, vectors) -> Subspace:
     """Graded subspace spanned by ``vectors``.
 
-    Every vector is split into parity components; if the split enlarges
-    the span the input did not span a graded subspace and the
-    construction is rejected.
+    The input spans a graded subspace iff its rank is the sum of the
+    ranks of its parity parts, taken only from the vectors that raise
+    the rank (the parts of a dependent vector lie in their span).
     """
     vs = [vec(v) for v in vectors]
+    n = basis.dim
     for v in vs:
-        if len(v) != basis.dim:
+        if len(v) != n:
             raise DimensionMismatch("vector does not match the ambient basis")
-    evens, odds = [], []
+    whole, by_parity = RowReducer(n), (RowReducer(n), RowReducer(n))
+    p = basis.parities
     for v in vs:
-        ev, od = split_vector(basis, v)
-        if not vec_is_zero(ev):
-            evens.append(ev)
-        if not vec_is_zero(od):
-            odds.append(od)
-    original = [v for v in vs if not vec_is_zero(v)]
-    if original:
-        split_rank = rank(mat(evens + odds))
-        if split_rank != rank(mat(original)):
-            raise NotGradedError(
-                "spanning set does not span a graded subspace")
-    return Subspace(basis,
-                    tuple(row_basis(mat(evens))) if evens else (),
-                    tuple(row_basis(mat(odds))) if odds else ())
+        nz = {k: q for k, q in enumerate(v) if q}
+        if whole.add(nz):
+            for par, red in enumerate(by_parity):
+                red.add({k: q for k, q in nz.items() if p[k] == par})
+    even, odd = by_parity
+    if whole.rank != even.rank + odd.rank:
+        raise NotGradedError("spanning set does not span a graded subspace")
+    return Subspace(basis, even.basis(), odd.basis())
 
 
 def zero_subspace(basis: GradedBasis) -> Subspace:
@@ -408,7 +397,9 @@ def zero_subspace(basis: GradedBasis) -> Subspace:
 
 def full_subspace(basis: GradedBasis) -> Subspace:
     n = basis.dim
-    return subspace(basis, [unit_vec(n, i) for i in range(n)])
+    units = [(unit_vec(n, i), par) for i, par in enumerate(basis.parities)]
+    return Subspace(basis, tuple(u for u, par in units if par == EVEN),
+                    tuple(u for u, par in units if par == ODD))
 
 
 def extend_subspace(w: Subspace, v: Vec) -> Subspace:
@@ -445,21 +436,16 @@ def center(g: LieSuperalgebra) -> Subspace:
         for j in range(n):
             for k, q in g.table[i][j]:
                 by_jk.setdefault((j, k), [ZERO] * n)[i] = q
-    rows = [by_jk[jk] for jk in sorted(by_jk)]
-    if not rows:
-        return full_subspace(g.basis)
-    return subspace(g.basis, kernel(mat(rows)))
+    red = RowReducer(n)
+    for row in by_jk.values():
+        red.add(row)
+    return subspace(g.basis, red.kernel())
 
 
 def product_subspace(g: LieSuperalgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of [a, b] over the spanning sets."""
-    vecs = []
-    for u in a.vectors:
-        for v in b.vectors:
-            w = bracket(g, u, v)
-            if not vec_is_zero(w):
-                vecs.append(w)
-    return subspace(g.basis, vecs)
+    return subspace(g.basis, [bracket(g, u, v) for u in a.vectors
+                              for v in b.vectors])
 
 
 def derived_series(g: LieSuperalgebra) -> list[Subspace]:
@@ -492,7 +478,10 @@ def is_nilpotent(g: LieSuperalgebra) -> bool:
 
 
 def derived_subspace(g: LieSuperalgebra) -> Subspace:
-    return product_subspace(g, full_subspace(g.basis), full_subspace(g.basis))
+    """[g, g], spanned by the nonzero entries of the bracket table."""
+    n = g.dim
+    return subspace(g.basis, [g.bracket_vector(i, j) for i in range(n)
+                              for j in range(n) if g.table[i][j]])
 
 
 def class_condition(g: LieSuperalgebra) -> bool:
@@ -574,10 +563,10 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
     if comp.dim + ideal.dim != g.dim:
         raise PreconditionError("complement has the wrong dimension")
     cols = list(comp.vectors) + list(ideal.vectors)
-    M = transpose(mat(cols))
-    if rank(M) != g.dim:
-        raise PreconditionError("complement overlaps the ideal")
-    Minv = inverse(M)
+    try:
+        Minv = inverse(transpose(mat(cols)))
+    except DimensionMismatch:
+        raise PreconditionError("complement overlaps the ideal") from None
     q = comp.dim
     projection = tuple(Minv[:q])
     section = transpose(mat(comp.vectors))
@@ -585,13 +574,9 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
         names = tuple(f"q{r+1}" for r in range(q))
     qbasis = graded_basis(names, comp.parities)
     table = tuple(tuple(
-        enumerate(_apply(projection, bracket(g, comp.vectors[i],
-                                             comp.vectors[j])))
+        enumerate(mat_vec(projection, bracket(g, comp.vectors[i],
+                                              comp.vectors[j])))
         for j in range(q)) for i in range(q))
     alg = LieSuperalgebra(qbasis, table)
     require_axioms(alg, "quotient algebra")
     return QuotientResult(alg, projection, section)
-
-
-def _apply(A: Mat, x: Vec) -> Vec:
-    return tuple(sum((r * q for r, q in zip(row, x)), ZERO) for row in A)

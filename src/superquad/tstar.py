@@ -279,8 +279,6 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
         if comp.dim != n // 2 or not is_totally_isotropic(q.form, comp):
             raise PreconditionError(
                 "complement must be totally isotropic of half the dimension")
-        if rank(mat(comp.vectors + iso.vectors)) != n:
-            raise PreconditionError("complement overlaps the ideal")
     quot = quotient(q.algebra, iso, complement=comp, names=quotient_names)
     m = quot.algebra.dim
     cvecs = comp.vectors

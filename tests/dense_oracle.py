@@ -1,4 +1,5 @@
-"""Dense tensors of the library's sparse objects, for oracle tests only.
+"""Dense tensors of the library's sparse objects, and dense Gaussian
+elimination, for oracle tests only.
 
 The library stores a bracket only as its sparse table and a cochain only
 as its nonzero values on free coordinates.  The helpers here expand them
@@ -7,6 +8,11 @@ validators for evenness and super-antisymmetry, and evaluate the cocycle,
 supercyclicity and closedness identities by plain loops over every
 ordered tuple, so the sparse fast paths can be compared with the
 definitions entry by entry.
+
+The library also has a single eliminator, the sparse ``RowReducer``.
+The last section is the dense elimination it replaced (in-place RREF
+with row swaps, coordinates by solving a system, the determinant by
+forward elimination), so the batch solvers can be compared with it.
 """
 
 from __future__ import annotations
@@ -214,3 +220,107 @@ def scalar2_from_matrix(basis, m):
     assert scalar2_violation(basis.parities, m) is None
     return ScalarCochain2(basis, {key: m[key[0]][key[1]]
                                   for key in free_coords_scalar2(basis)})
+
+
+# --- dense Gaussian elimination ----------------------------------------------
+
+def _rref(rows):
+    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [inv * a for a in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rref(A):
+    rows, pivots = _rref([list(r) for r in A])
+    return tuple(tuple(r) for r in rows), tuple(pivots)
+
+
+def _kernel_from_rref(R, pivots, ncols):
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        x = [ZERO] * ncols
+        x[f] = Fraction(1)
+        for t, p in enumerate(pivots):
+            x[p] = -R[t][f]
+        basis.append(tuple(x))
+    return basis
+
+
+def kernel(A):
+    if not A:
+        return []
+    R, pivots = rref(A)
+    return _kernel_from_rref(R, pivots, len(A[0]))
+
+
+def solve(A, b):
+    """(particular solution or None, kernel basis) of A x = b."""
+    n = len(A[0]) if A else 0
+    if not A:
+        return (), ()
+    R, pivots = _rref([list(row) + [rhs] for row, rhs in zip(A, b)])
+    piv_A = [p for p in pivots if p < n]
+    kern = tuple(_kernel_from_rref(R, piv_A, n))
+    if len(piv_A) != len(pivots):  # pivot in the b column: inconsistent
+        return None, kern
+    x = [ZERO] * n
+    for t, p in enumerate(piv_A):
+        x[p] = R[t][n]
+    return tuple(x), kern
+
+
+def inverse(A):
+    """Inverse of a square matrix, or None when it is singular."""
+    n = len(A)
+    R, pivots = _rref([list(r) + [Fraction(int(i == j)) for j in range(n)]
+                       for i, r in enumerate(A)])
+    if list(pivots) != list(range(n)):
+        return None
+    return tuple(tuple(R[i][n:]) for i in range(n))
+
+
+def det(A):
+    n = len(A)
+    rows = [list(r) for r in A]
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if p is None:
+            return ZERO
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            sign = -sign
+        result *= rows[c][c]
+        inv = Fraction(1) / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return result * sign
+
+
+def coords_in(vectors, v):
+    """Coordinates of v in the span of ``vectors``, or None."""
+    if not vectors:
+        return () if all(a == 0 for a in v) else None
+    return solve(tuple(zip(*vectors)), v)[0]

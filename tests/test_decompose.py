@@ -6,17 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.cohomology import unhat, z3_basis
-from superquad.decompose import (Decomposition, _InducedSpace, decompose,
-                                 isotropic_vector, max_isotropic_ideal)
+from superquad.decompose import (Decomposition, _InducedSpace,
+                                 _common_kernel, _restrict_operator,
+                                 decompose, isotropic_vector,
+                                 max_isotropic_ideal)
 from superquad.errors import (InternalCheckError, PreconditionError,
                               RationalPointNotFound)
 from superquad.forms import EvenForm, is_totally_isotropic, orthogonal, quadratic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
-from superquad.linalg import (coords_in, mat, rank, unit_vec, vec, vec_add,
-                              vec_scale, zero_vec)
+from superquad.linalg import (RowReducer, mat, mat_mul, mat_vec, rank,
+                              transpose, unit_vec, vec, vec_add, vec_scale,
+                              zero_vec)
 from superquad.superalgebra import (EVEN, ODD, bracket, is_ideal, subspace)
 from superquad.tstar import build
+
+import dense_oracle as dense
 
 F = Fraction
 
@@ -189,12 +194,67 @@ def test_project_matches_dense_solve(induced_spaces, data):
             v = vec_add(v, vec_scale(data.draw(coeffs), u))
         outside = vec_add(v, unit_vec(n, data.draw(st.integers(0, n - 1))))
         for x in (v, outside):
-            dense = coords_in(span_rows, x)
+            want = dense.coords_in(span_rows, x)
             if ind.dim == 0:
                 assert ind.project(x) == ()
-            elif dense is None:
+            elif want is None:
                 with pytest.raises(InternalCheckError,
                                    match="not in W\\^perp"):
                     ind.project(x)
             else:
-                assert ind.project(x) == dense[:ind.dim]
+                assert ind.project(x) == want[:ind.dim]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_restrict_operator_matches_dense_coordinates(data):
+    """An operator built on a random basis to leave the span of its first
+    d vectors invariant (or, on request, to move them anywhere) against
+    coordinates solved one image at a time by dense elimination."""
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    m = data.draw(st.integers(1, 5))
+    d = data.draw(st.integers(1, m))
+    red, basis = RowReducer(m), []
+    for v in data.draw(st.lists(st.lists(coeffs, min_size=m, max_size=m),
+                                max_size=m)) + [unit_vec(m, i)
+                                                for i in range(m)]:
+        if red.add(vec(v)):
+            basis.append(vec(v))
+    rows = basis[:d]
+    invariant = data.draw(st.booleans())
+    images = []
+    for t in range(m):
+        if t < d and invariant:
+            image = zero_vec(m)
+            for r in rows:
+                image = vec_add(image, vec_scale(data.draw(coeffs), r))
+        else:
+            image = vec(data.draw(st.lists(coeffs, min_size=m, max_size=m)))
+        images.append(image)
+    # op maps basis[t] to images[t]
+    op = mat_mul(transpose(images), dense.inverse(transpose(basis)))
+    cols = [dense.coords_in(rows, mat_vec(op, r)) for r in rows]
+    if any(x is None for x in cols):
+        assert not invariant
+        with pytest.raises(InternalCheckError, match="not operator-invariant"):
+            _restrict_operator(op, rows)
+    else:
+        assert _restrict_operator(op, rows) == transpose(mat(cols))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_common_kernel_matches_dense_kernel(data):
+    """The joint kernel of a few operators against the dense kernel of
+    their stacked rows; with no rows, or only zero rows, the whole space."""
+    dim = data.draw(st.integers(1, 5))
+    entries = st.one_of(st.just(F(0)), st.just(F(0)),
+                        st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=3))
+    ops = data.draw(st.lists(st.lists(
+        st.lists(entries, min_size=dim, max_size=dim).map(vec),
+        min_size=dim, max_size=dim).map(tuple), max_size=3))
+    rows = [row for op in ops for row in op if any(row)]
+    want = dense.kernel(rows) if rows else [unit_vec(dim, i)
+                                            for i in range(dim)]
+    assert _common_kernel(ops, dim) == want

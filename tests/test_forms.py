@@ -16,6 +16,8 @@ from superquad.superalgebra import (EVEN, ODD, full_subspace, graded_basis,
                                     zero_subspace)
 from superquad.tstar import build
 
+import dense_oracle as dense
+
 F = Fraction
 
 # mostly zeros, as in the Gram matrices of T*-extensions
@@ -176,6 +178,30 @@ def test_isotropic_complement_postconditions(gallery):
         assert is_totally_isotropic(ext.form, c), name
         from superquad.linalg import rank
         assert rank(mat(c.vectors + iso.vectors)) == ext.dim, name
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_isotropic_complement_with_an_unsymmetric_pairing(data):
+    """Gram [[0, A], [A^T, C]] on even e1..e2k with iso = span(e1..ek):
+    the pairing of iso with the unit complement is A, which is not
+    symmetric in general, and a nonzero C makes the correction nonzero."""
+    k = data.draw(st.integers(1, 3))
+    ints = st.integers(-3, 3).map(F)
+    A = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                           min_size=k, max_size=k).filter(
+                               lambda a: dense.det(a) != 0))
+    C = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                           min_size=k, max_size=k))
+    gram = [[F(0)] * k + A[i] for i in range(k)] + [
+        [A[j][i] for j in range(k)] + [C[i][j] + C[j][i] for j in range(k)]
+        for i in range(k)]
+    basis = graded_basis([f"e{i}" for i in range(2 * k)], [EVEN] * (2 * k))
+    B = EvenForm(basis, mat(gram))
+    iso = subspace(basis, [unit_vec(2 * k, i) for i in range(k)])
+    c = isotropic_complement(B, iso)
+    assert c.dim == k and is_totally_isotropic(B, c)
+    assert subspace(basis, c.vectors + iso.vectors).dim == 2 * k
 
 
 def test_isotropic_complement_preconditions():

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superquad.errors import DimensionMismatch
-from superquad.linalg import (RowReducer, charpoly, coords_in, det,
-                              diagonalize_symmetric, identity, inverse,
-                              kernel, mat, mat_mul, mat_vec, poly_eval, rank,
-                              rational_roots, rref, solve, sqrt_fraction,
-                              transpose, vec, zeros)
+from superquad.linalg import (RowReducer, charpoly, diagonalize_symmetric,
+                              identity, inverse, kernel, mat, mat_mul,
+                              mat_vec, poly_eval, rank, rational_roots, rref,
+                              solve, sqrt_fraction, transpose, vec, zeros)
+
+import dense_oracle as dense
 
 F = Fraction
 
@@ -108,7 +109,7 @@ def test_charpoly_matches_determinant(rows):
         shifted = tuple(
             tuple((t if i == j else F(0)) - A[i][j] for j in range(n))
             for i in range(n))
-        assert poly_eval(coeffs, t) == det(shifted)
+        assert poly_eval(coeffs, t) == dense.det(shifted)
 
 
 def test_rational_roots_roundtrip():
@@ -147,9 +148,10 @@ def test_diagonalize_symmetric(rows):
 def test_inverse_and_coords():
     A = mat([[1, 2], [3, 5]])
     assert mat_mul(A, inverse(A)) == identity(2)
-    assert coords_in([vec([1, 0, 1]), vec([0, 1, 0])], vec([2, 3, 2])) \
+    assert dense.coords_in([vec([1, 0, 1]), vec([0, 1, 0])],
+                           vec([2, 3, 2])) \
         == vec([2, 3])
-    assert coords_in([vec([1, 0, 1])], vec([0, 1, 0])) is None
+    assert dense.coords_in([vec([1, 0, 1])], vec([0, 1, 0])) is None
 
 
 @st.composite
@@ -191,14 +193,14 @@ def test_row_reducer_matches_batch(data):
             raised = red.add(r)
         assert raised == (red.rank == before + 1)
         assert red.rank in (before, before + 1)
-    R, pivots = rref(A)
-    assert red.rank == rank(A)
+    R, pivots = dense.rref(A)
+    assert red.rank == len(pivots)
     assert red.pivots == pivots
     assert all(q != 0 for row in red.rows.values() for q in row.values())
-    dense = tuple(tuple(red.rows[p].get(c, F(0)) for c in range(ncols))
-                  for p in red.pivots)
-    assert dense == R[:len(pivots)]
-    assert red.kernel() == kernel(A)
+    rows = tuple(tuple(red.rows[p].get(c, F(0)) for c in range(ncols))
+                 for p in red.pivots)
+    assert rows == R[:len(pivots)] == red.basis()
+    assert red.kernel() == dense.kernel(A)
 
 
 def test_row_reducer_rejects_wrong_shapes():
@@ -212,3 +214,74 @@ def test_row_reducer_rejects_wrong_shapes():
     assert red.rank == 0
     assert red.add(vec([0, 2, 1])) and red.add_sparse({0: F(1)})
     assert red.kernel() == [vec([0, F(-1, 2), 1])]
+
+
+@st.composite
+def _awkward_matrices(draw, square=False):
+    """A random matrix with zero, duplicate and combination rows and
+    zero columns mixed in; square on request, which makes many of them
+    singular."""
+    entries = st.one_of(st.just(F(0)), small_fractions)
+    ncols = draw(st.integers(1, 6))
+    nrows = ncols if square else draw(st.integers(1, 7))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))]
+    while len(rows) < nrows:
+        kind = draw(st.sampled_from(("random", "zero", "duplicate",
+                                     "combination")))
+        if kind == "random":
+            rows.append(draw(st.lists(entries, min_size=ncols,
+                                      max_size=ncols)))
+        elif kind == "zero":
+            rows.append([F(0)] * ncols)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(small_fractions), draw(small_fractions)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = F(0)
+    return mat(draw(st.permutations(rows)))
+
+
+@given(_awkward_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_batch_solvers_match_dense_elimination(A, data):
+    R, pivots = dense.rref(A)
+    assert rref(A) == (R, pivots)
+    assert rank(A) == len(pivots)
+    assert kernel(A) == dense.kernel(A)
+    # a right-hand side in the column space, and an arbitrary one, which
+    # is inconsistent whenever A is not onto
+    x = data.draw(st.lists(small_fractions, min_size=len(A[0]),
+                           max_size=len(A[0])))
+    for b in (mat_vec(A, vec(x)),
+              vec(data.draw(st.lists(small_fractions, min_size=len(A),
+                                     max_size=len(A))))):
+        s = solve(A, b)
+        assert (s.particular, s.kernel_basis) == dense.solve(A, b)
+
+
+@given(_awkward_matrices(square=True))
+@settings(max_examples=100, deadline=None)
+def test_inverse_matches_dense_elimination(A):
+    if dense.det(A) == 0:
+        assert dense.inverse(A) is None
+        with pytest.raises(DimensionMismatch, match="singular"):
+            inverse(A)
+    else:
+        Ainv = inverse(A)
+        assert Ainv == dense.inverse(A)
+        assert mat_mul(A, Ainv) == identity(len(A))
+
+
+def test_batch_solvers_reject_ragged_matrices():
+    long_row = ((F(1), F(0)), (F(0), F(1), F(5)))
+    short_row = ((F(1), F(2)), (F(3),))
+    for A in (long_row, short_row):
+        for call in (rref, rank, kernel, inverse,
+                     lambda A: solve(A, vec([1, 2]))):
+            with pytest.raises(DimensionMismatch, match="expected 2"
+                               if call is not inverse else "square"):
+                call(A)

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 import superquad as sq
 from superquad.errors import (AxiomError, DimensionMismatch, NotGradedError,
                               NotIdealError, PreconditionError)
-from superquad.linalg import (coords_in, kernel, mat, mat_mul, mat_vec,
-                              unit_vec, vec, vec_add, vec_is_zero, vec_scale,
-                              zero_vec)
+from superquad.linalg import (kernel, mat, mat_mul, mat_vec, unit_vec, vec,
+                              vec_add, vec_is_zero, vec_scale, zero_vec)
 from superquad.superalgebra import (EVEN, ODD, DualVector, Subspace,
                                     coadjoint, derived_subspace, dual_vector,
                                     full_subspace, graded_basis,
@@ -286,8 +285,8 @@ def test_subspace_equality_by_double_inclusion():
 def _dense_contains(w, v):
     """Membership by solving one linear system per parity."""
     ev, od = split_vector(w.basis, v)
-    return (coords_in(w.even_rows, ev) is not None
-            and coords_in(w.odd_rows, od) is not None)
+    return (dense.coords_in(w.even_rows, ev) is not None
+            and dense.coords_in(w.odd_rows, od) is not None)
 
 
 @st.composite
@@ -319,6 +318,63 @@ def test_contains_vector_matches_dense_solve(case):
         assert w.contains_vector(v) == _dense_contains(w, v)
 
 
+@st.composite
+def _spanning_sets(draw):
+    """A basis and a spanning list mixing homogeneous vectors with zero
+    vectors, duplicates, sums of earlier vectors and vectors of mixed
+    parity, so that the span is graded in some draws and not in others."""
+    parities = draw(st.lists(st.sampled_from((EVEN, ODD)),
+                             min_size=1, max_size=6))
+    n = len(parities)
+    basis = graded_basis([f"b{i}" for i in range(n)], parities)
+    vectors = st.lists(sparse_entries, min_size=n, max_size=n).map(vec)
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("even", "odd", "mixed", "zero",
+                                     "duplicate", "sum")))
+        if kind in ("even", "odd"):
+            out.append(split_vector(basis, draw(vectors))[kind == "odd"])
+        elif kind == "mixed":  # nonzero everywhere: mixed if both occur
+            out.append(vec(draw(st.lists(
+                st.fractions(min_value=-4, max_value=4,
+                             max_denominator=3).filter(bool),
+                min_size=n, max_size=n))))
+        elif kind == "zero" or not out:
+            out.append(zero_vec(n))
+        elif kind == "duplicate":
+            out.append(draw(st.sampled_from(out)))
+        else:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append(vec_add(a, vec_scale(draw(sparse_entries), b)))
+    return basis, out
+
+
+@given(_spanning_sets())
+@settings(max_examples=150, deadline=None)
+def test_subspace_matches_dense_elimination(case):
+    basis, vectors = case
+
+    def rref_rows(vs):
+        R, pivots = dense.rref([v for v in vs if not vec_is_zero(v)])
+        return R[:len(pivots)]
+
+    evens = [split_vector(basis, v)[0] for v in vectors]
+    odds = [split_vector(basis, v)[1] for v in vectors]
+    if len(rref_rows(evens + odds)) != len(rref_rows(vectors)):
+        with pytest.raises(NotGradedError):
+            subspace(basis, vectors)
+    else:
+        w = subspace(basis, vectors)
+        assert (w.even_rows, w.odd_rows) == (rref_rows(evens),
+                                             rref_rows(odds))
+
+
+def test_full_subspace_is_the_spanned_whole_space(gallery):
+    for name, g in gallery.items():
+        units = [unit_vec(g.dim, i) for i in reversed(range(g.dim))]
+        assert full_subspace(g.basis) == subspace(g.basis, units), name
+
+
 def test_contains_vector_rejects_wrong_length():
     basis = sq.heisenberg3().basis
     for w in (zero_subspace(basis), subspace(basis, [unit_vec(3, 2)])):
@@ -329,7 +385,7 @@ def test_contains_vector_rejects_wrong_length():
 
 def test_subspace_rows_must_be_reduced():
     basis = sq.abelian(2, 0).basis
-    for rows in ([[2, 0]], [[1, 1], [0, 1]], [[0, 0]]):
+    for rows in ([[2, 0]], [[1, 1], [0, 1]], [[0, 0]], [[1, 0], [1, 0]]):
         with pytest.raises(PreconditionError):
             Subspace(basis, mat(rows), ())
 
@@ -351,6 +407,13 @@ def test_quotient_by_whole_is_zero():
     h3 = sq.heisenberg3()
     q = quotient(h3, full_subspace(h3.basis))
     assert q.algebra.dim == 0
+
+
+def test_quotient_rejects_an_overlapping_complement():
+    h3 = sq.heisenberg3()
+    comp = subspace(h3.basis, [unit_vec(3, 0), unit_vec(3, 2)])
+    with pytest.raises(PreconditionError, match="overlaps the ideal"):
+        quotient(h3, sq.center(h3), complement=comp)
 
 
 def test_quotient_requires_ideal():
@@ -427,3 +490,42 @@ def test_gallery_tables_are_canonical(gallery):
                     (k, q) for k, q in enumerate(c[i][j]) if q != 0), name
                 assert g.bracket_vector(i, j) == tuple(c[i][j]), name
         assert not dense.skew_violations(g.basis.parities, c), name
+
+
+@st.composite
+def _few_entry_tables(draw):
+    """A basis and a table with at most three nonzero entries, each an
+    arbitrary vector, so that [g, g] is often a proper subspace and, when
+    an entry mixes parities, often not a graded one."""
+    ps = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=1, max_size=5))
+    n = len(ps)
+    table = [[() for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = tuple((k, q) for k in range(n)
+                            for q in [draw(sparse_entries)] if q != 0)
+    return (graded_basis(tuple(f"v{i}" for i in range(n)), tuple(ps)),
+            tuple(map(tuple, table)))
+
+
+@given(st.one_of(_raw_tables(), _few_entry_tables()))
+@settings(max_examples=100, deadline=None)
+def test_derived_subspace_matches_brackets_of_the_whole(raw):
+    """[g, g] from the table entries against the span of the brackets of
+    every pair of basis vectors, also on tables that break the grading."""
+    basis, table = raw
+    g = sq.LieSuperalgebra(basis, table, False)
+    whole = full_subspace(basis)
+    try:
+        want = product_subspace(g, whole, whole)
+    except NotGradedError:
+        with pytest.raises(NotGradedError):
+            derived_subspace(g)
+    else:
+        assert derived_subspace(g) == want
+
+
+def test_derived_subspace_of_gallery(gallery):
+    for name, g in gallery.items():
+        whole = full_subspace(g.basis)
+        assert derived_subspace(g) == product_subspace(g, whole, whole), name

@@ -235,6 +235,13 @@ def test_recognize_rejects_odd_dim():
         recognize(q, zero_subspace(q.basis))
 
 
+def test_recognize_rejects_an_overlapping_complement():
+    ext = build(sq.heisenberg3())
+    iso = ext.dual_ideal()
+    with pytest.raises(PreconditionError, match="overlaps the ideal"):
+        recognize(ext.total, iso, complement=iso)
+
+
 def test_s_phi_zero_is_identity():
     h3 = sq.heisenberg3()
     shear = s_phi_isometry(h3, zero_cochain2(h3), zero_scalar2(h3))
