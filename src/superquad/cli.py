@@ -27,7 +27,8 @@ from .forms import (QuadraticLieSuperalgebra, invariance_violation,
                     is_nondegenerate, is_totally_isotropic, quadratic)
 from .gallery import (build_class_c_example, build_glnn, build_gn, stock,
                       STOCK_NAMES)
-from .superalgebra import (center, check_axioms, class_condition,
+from .linalg import kernel, unit_vec
+from .superalgebra import (bracket, center, check_axioms, class_condition,
                            is_nilpotent, is_solvable)
 from .tstar import build, recognize, s_phi_isometry
 
@@ -201,7 +202,6 @@ def _cmd_check(args, report: Report, out) -> int:
 
 def _radical_vector(form):
     """A nonzero vector pairing to zero with everything, as a witness."""
-    from .linalg import kernel
     ker = kernel(form.gram)
     return _vec_strs(ker[0]) if ker else None
 
@@ -223,8 +223,6 @@ def _isotropy_witness(form, w):
 
 
 def _ideal_witness(alg, w, names):
-    from .linalg import unit_vec
-    from .superalgebra import bracket
     for i in range(alg.dim):
         for v in w.vectors:
             if not w.contains_vector(bracket(alg, unit_vec(alg.dim, i), v)):
@@ -232,24 +230,40 @@ def _ideal_witness(alg, w, names):
     return None
 
 
+def _document_omega(args, report: Report, doc, alg, label: str):
+    """The cochain named by --omega (default 0), with its cocycle and
+    supercyclicity checks reported under ``label``."""
+    if args.omega is None:
+        omega = zero_cochain2(alg)
+    elif args.omega in doc.cochain2:
+        omega = dsl.document_cochain2(doc, args.omega)
+    else:
+        raise PreconditionError(
+            f"document defines no cochain2 named {args.omega!r}")
+    bad = cocycle2_violation(alg, omega)
+    report.check(f"{label}.cocycle", bad is None, _triple_names(doc.names, bad))
+    if bad is None:
+        bad = supercyclic_violation(omega)
+        report.check(f"{label}.supercyclic", bad is None,
+                     _triple_names(doc.names, bad))
+    return omega
+
+
+def _document_quadratic(report: Report, doc, alg, what: str):
+    """The document's quadratic algebra, or None when a form check fails."""
+    form = dsl.document_form(doc)
+    if form is None:
+        raise PreconditionError(f"{what} needs a form in the document")
+    _form_checks(report, doc, alg, form)
+    return quadratic(alg, form, check_algebra=False) if report.passed else None
+
+
 def _cmd_tstar(args, report: Report, out) -> int:
     doc = _load_document(args, report)
     alg = dsl.document_algebra(doc)
     if not _axiom_checks(report, doc, alg):
         return report.render(out)
-    if args.omega is not None:
-        if args.omega not in doc.cochain2:
-            raise PreconditionError(
-                f"document defines no cochain2 named {args.omega!r}")
-        omega = dsl.document_cochain2(doc, args.omega)
-    else:
-        omega = zero_cochain2(alg)
-    bad = cocycle2_violation(alg, omega)
-    report.check("omega.cocycle", bad is None, _triple_names(doc.names, bad))
-    if bad is None:
-        bad = supercyclic_violation(omega)
-        report.check("omega.supercyclic", bad is None,
-                     _triple_names(doc.names, bad))
+    omega = _document_omega(args, report, doc, alg, "omega")
     if not report.passed:
         return report.render(out)
     ext = build(alg, omega)
@@ -293,19 +307,7 @@ def _cmd_isometry(args, report: Report, out) -> int:
         raise PreconditionError(
             f"document defines no scalar2 named {args.phi!r}")
     phi = dsl.document_scalar2(doc, args.phi)
-    if args.omega is not None:
-        if args.omega not in doc.cochain2:
-            raise PreconditionError(
-                f"document defines no cochain2 named {args.omega!r}")
-        omega1 = dsl.document_cochain2(doc, args.omega)
-    else:
-        omega1 = zero_cochain2(alg)
-    bad = cocycle2_violation(alg, omega1)
-    report.check("omega1.cocycle", bad is None, _triple_names(doc.names, bad))
-    if bad is None:
-        bad = supercyclic_violation(omega1)
-        report.check("omega1.supercyclic", bad is None,
-                     _triple_names(doc.names, bad))
+    omega1 = _document_omega(args, report, doc, alg, "omega1")
     if not report.passed:
         return report.render(out)
     shear = s_phi_isometry(alg, omega1, phi)
@@ -321,13 +323,9 @@ def _cmd_recognize(args, report: Report, out) -> int:
     alg = dsl.document_algebra(doc)
     if not _axiom_checks(report, doc, alg):
         return report.render(out)
-    form = dsl.document_form(doc)
-    if form is None:
-        raise PreconditionError("recognition needs a form in the document")
-    _form_checks(report, doc, alg, form)
-    if not report.passed:
+    q = _document_quadratic(report, doc, alg, "recognition")
+    if q is None:
         return report.render(out)
-    q = quadratic(alg, form, check_algebra=False)
     ideal = dsl.parse_span(doc, args.ideal)
     report.dims["ideal_dim"] = ideal.dim
     halfdim = q.dim % 2 == 0 and 2 * ideal.dim == q.dim
@@ -359,13 +357,9 @@ def _cmd_decompose(args, report: Report, out) -> int:
     alg = dsl.document_algebra(doc)
     if not _axiom_checks(report, doc, alg):
         return report.render(out)
-    form = dsl.document_form(doc)
-    if form is None:
-        raise PreconditionError("decomposition needs a form in the document")
-    _form_checks(report, doc, alg, form)
-    if not report.passed:
+    q = _document_quadratic(report, doc, alg, "decomposition")
+    if q is None:
         return report.render(out)
-    q = quadratic(alg, form, check_algebra=False)
     try:
         dec = run_decompose(q)
     except RationalPointNotFound as exc:

@@ -43,7 +43,8 @@ from fractions import Fraction
 
 from .errors import (CochainError, DimensionMismatch, PreconditionError)
 from .linalg import RowReducer, Vec, ZERO, frac, solve, vec_is_zero
-from .superalgebra import EVEN, GradedBasis, LieSuperalgebra, sgn
+from .superalgebra import (EVEN, GradedBasis, LieSuperalgebra, sgn,
+                           table_by_target)
 
 Triple = tuple[int, int, int]
 
@@ -311,27 +312,61 @@ def _free_row(parities, terms, canon) -> dict:
     return {key: q for key, q in row.items() if q}
 
 
+def _dual_lookup(w: Cochain2Dual) -> dict:
+    """w(e_a, e_b) as {c: value} for every ordered pair (a, b) where it is
+    nonzero, expanded once from the free coordinates."""
+    p = w.basis.parities
+    out: dict = {}
+    for (a, b, c), q in w.coords.items():
+        out.setdefault((a, b), {})[c] = q
+        if a != b:
+            out.setdefault((b, a), {})[c] = -sgn(p[a] * p[b]) * q
+    return out
+
+
+def _cocycle2_defect(g: LieSuperalgebra, lookup: dict, by_t: list,
+                     i: int, j: int, k: int) -> dict:
+    """The terms of :func:`_cocycle2_rows` at (i, j, k), evaluated on w
+    through its :func:`_dual_lookup`, as {l: value}; pi(e_a)F is summed
+    over the support of F through ``by_t = table_by_target(g)``."""
+    p = g.basis.parities
+    table = g.table
+    x, y, z = p[i], p[j], p[k]
+    out: dict = {}
+    for a, b, c, s in ((i, j, k, 1), (j, k, i, sgn(x * (y + z))),
+                       (k, i, j, sgn(z * (x + y)))):
+        # w(e_a, [e_b, e_c])
+        for m, q in table[b][c]:
+            w_am = lookup.get((a, m))
+            if w_am:
+                q = q if s == 1 else -q
+                for l, v in w_am.items():
+                    out[l] = out.get(l, ZERO) + q * v
+        # pi(e_a)(w(e_b, e_c)) at e_l: -(-1)^{p_a p_F} F([e_a, e_l])
+        w_bc = lookup.get((b, c))
+        if w_bc:
+            outer = -s * sgn(p[a] * (p[b] + p[c]))
+            for t, v in w_bc.items():
+                v = v if outer == 1 else -v
+                for l, q in by_t[a].get(t, ()):
+                    out[l] = out.get(l, ZERO) + q * v
+    return out
+
+
 def cocycle2_defect(g: LieSuperalgebra, w: Cochain2Dual,
                     i: int, j: int, k: int) -> Vec:
-    p = g.basis.parities
-    coords = w.coords
-    out = []
-    for terms in _cocycle2_rows(g, i, j, k):
-        acc = ZERO
-        if terms:
-            for key, q in _free_row(p, terms, _canon_cochain2dual).items():
-                if key in coords:
-                    acc += q * coords[key]
-        out.append(acc)
-    return tuple(out)
+    out = _cocycle2_defect(g, _dual_lookup(w), table_by_target(g), i, j, k)
+    return tuple(out.get(l, ZERO) for l in range(g.dim))
 
 
 def cocycle2_violation(g: LieSuperalgebra, w: Cochain2Dual):
+    """First sorted basis triple where the 2-cocycle identity fails."""
     n = g.dim
+    lookup, by_t = _dual_lookup(w), table_by_target(g)
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                if not vec_is_zero(cocycle2_defect(g, w, i, j, k)):
+                if any(_cocycle2_defect(g, lookup, by_t, i, j, k).values()):
                     return (i, j, k)
     return None
 

@@ -26,9 +26,9 @@ from .linalg import (Mat, RowReducer, Vec, ZERO, charpoly,
                      mat_vec, rank, rational_roots, sqrt_fraction, transpose,
                      unit_vec, vec_add, vec_is_zero, vec_scale)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, bracket,
-                           class_condition, extend_subspace, graded_basis,
-                           graded_complement, is_ideal, is_nilpotent,
-                           is_solvable, subspace, zero_subspace)
+                           class_condition, derived_subspace, extend_subspace,
+                           graded_basis, graded_complement, is_ideal,
+                           is_nilpotent, is_solvable, subspace, zero_subspace)
 from .tstar import TStarExtension, quadratic_morphism_violation, recognize
 
 _QUADRIC_VARS = ("x", "y", "z", "w")
@@ -262,7 +262,6 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
     for i in range(n):
         if g.parity(i) == ODD:
             killers.append(ind.operator(unit_vec(n, i)))
-    from .superalgebra import derived_subspace
     for v in derived_subspace(g).vectors:
         killers.append(ind.operator(v))
     vpp = _common_kernel(killers, ind.dim)

@@ -16,7 +16,7 @@ from .linalg import (HALF, Mat, RowReducer, Vec, ZERO, inverse, mat, mat_mul,
                      mat_vec, rank, transpose, vec_sub)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, center,
                            derived_subspace, graded_complement,
-                           require_axioms, sgn, subspace)
+                           require_axioms, sgn, subspace, table_by_target)
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,18 @@ class EvenForm:
         n = self.basis.dim
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise DimensionMismatch("Gram matrix must be dim x dim")
-        object.__setattr__(self, "_rows", tuple(
-            tuple((j, q) for j, q in enumerate(row) if q != 0)
-            for row in self.gram))
+        rows = tuple(tuple((j, q) for j, q in enumerate(row) if q != 0)
+                     for row in self.gram)
+        object.__setattr__(self, "_rows", rows)
+        # (i, j) can fail only where G[i][j] or G[j][i] is nonzero
+        nz = {(i, j): q for i, row in enumerate(rows) for j, q in row}
         p = self.basis.parities
-        for i in range(n):
-            for j in range(n):
-                if p[i] != p[j] and self.gram[i][j] != 0:
-                    raise FormError("form is not even", witness=(i, j))
-                if self.gram[i][j] != sgn(p[i] * p[j]) * self.gram[j][i]:
-                    raise FormError("form is not supersymmetric",
-                                    witness=(i, j))
+        for i, j in sorted(nz.keys() | {(j, i) for i, j in nz}):
+            q = nz.get((i, j), ZERO)
+            if p[i] != p[j] and q != 0:
+                raise FormError("form is not even", witness=(i, j))
+            if q != sgn(p[i] * p[j]) * nz.get((j, i), ZERO):
+                raise FormError("form is not supersymmetric", witness=(i, j))
 
     @property
     def dim(self) -> int:
@@ -81,17 +82,24 @@ def is_nondegenerate(B: EvenForm) -> bool:
 
 
 def invariance_violation(g: LieSuperalgebra, B: EvenForm):
-    """First basis triple with B([e_i,e_j],e_k) != B(e_i,[e_j,e_k]), or None."""
-    n = g.dim
-    G = B.gram
+    """First basis triple with B([e_i,e_j],e_k) != B(e_i,[e_j,e_k]), or None.
+    Per pair (i, j) both sides are summed over the nonzeros of the table
+    and the Gram rows into one {k: difference} dict; its least key wins."""
+    rows = B._rows
     table = g.table
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = sum((q * G[m][k] for m, q in table[i][j]), ZERO)
-                rhs = sum((q * G[i][m] for m, q in table[j][k]), ZERO)
-                if lhs != rhs:
-                    return (i, j, k)
+    by_t = table_by_target(g)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            diff: dict = {}
+            for m, q in table[i][j]:
+                for k, r in rows[m]:
+                    diff[k] = diff.get(k, ZERO) + q * r
+            for m, r in rows[i]:
+                for k, q in by_t[j].get(m, ()):
+                    diff[k] = diff.get(k, ZERO) - q * r
+            bad = [k for k, v in diff.items() if v]
+            if bad:
+                return (i, j, min(bad))
     return None
 
 

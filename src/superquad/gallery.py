@@ -13,9 +13,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cohomology import (Cochain2Dual, ScalarCochain2, expand_cochain2dual,
-                         expand_scalar2, free_coords_cochain2dual,
-                         free_coords_scalar2, z2_basis, z2_supercyclic_basis)
+from .cohomology import (Cochain2Dual, ScalarCochain2, collect_cochain2dual,
+                         expand_cochain2dual, expand_scalar2,
+                         free_coords_cochain2dual, free_coords_scalar2,
+                         z2_basis, z2_supercyclic_basis)
 from .errors import InternalCheckError, PreconditionError
 from .forms import EvenForm, QuadraticLieSuperalgebra, quadratic
 from .linalg import ZERO, mat
@@ -284,7 +285,6 @@ def _random_combination(basis_cochains, rng, expand, g):
 def random_supercyclic_cocycle(g: LieSuperalgebra, rng,
                                basis=None) -> Cochain2Dual:
     """Random rational combination of a basis of the supercyclic cocycles."""
-    from .cohomology import collect_cochain2dual
     if basis is None:
         basis = z2_supercyclic_basis(g)
     return _random_combination([collect_cochain2dual(w) for w in basis],
@@ -293,7 +293,6 @@ def random_supercyclic_cocycle(g: LieSuperalgebra, rng,
 
 def random_cocycle2(g: LieSuperalgebra, rng, basis=None) -> Cochain2Dual:
     """Random element of the full 2-cocycle space (maybe not supercyclic)."""
-    from .cohomology import collect_cochain2dual
     if basis is None:
         basis = z2_basis(g)
     return _random_combination([collect_cochain2dual(w) for w in basis],

@@ -27,8 +27,8 @@ from .forms import (EvenForm, QuadraticLieSuperalgebra, invariance_violation,
 from .linalg import (Mat, Vec, ZERO, mat, mat_vec, rank, transpose,
                      unit_vec, vec_is_zero, vec_sub)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
-                           check_axioms, graded_basis, is_ideal, quotient,
-                           sgn, subspace, vector_parity)
+                           check_axioms, graded_basis, is_ideal,
+                           jacobi_violations, quotient, sgn, subspace)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
     bad = cocycle2_violation(g, omega)
     if bad is not None:
         alg, _ = _raw_extension(g, omega)
-        jacobi = check_axioms(alg).jacobi
+        jacobi = jacobi_violations(alg, first=True)
         raise CocycleError(
             f"omega is not a 2-cocycle (identity fails at {bad})",
             triple=bad, jacobi_witness=jacobi[0] if jacobi else None)
@@ -209,32 +209,40 @@ def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,
 
     The matrix acts on coordinate columns: (m x) are the dst-coordinates.
     Pairs are checked in lexicographic order, so the witness is the first
-    failing pair.  m [e_a, e_b] is summed from the columns of m over the
-    nonzero structure constants of src only.
+    failing pair.  The columns of m are sparse dicts, m [e_a, e_b] -
+    [m e_a, m e_b] is summed from the two bracket tables and B_dst(m e_a,
+    m e_b) from the sparse Gram rows.
     """
     n = src.dim
     N = len(m)
-    cols = [tuple(m[r][a] for r in range(N)) for a in range(n)]
-    for a in range(n):
-        col = cols[a]
-        if vec_is_zero(col):
-            continue
-        if vector_parity(dst.basis, col) != src.basis.parity(a):
+    cols = [{r: m[r][a] for r in range(N) if m[r][a] != 0} for a in range(n)]
+    p_dst = dst.basis.parities
+    for a, col in enumerate(cols):
+        if col and {p_dst[r] for r in col} != {src.basis.parity(a)}:
             return ("parity", a)
-    col_nz = [tuple((r, q) for r, q in enumerate(col) if q != 0)
-              for col in cols]
-    table = src.algebra.table
-    src_gram = src.form.gram
+    src_table, dst_table = src.algebra.table, dst.algebra.table
+    src_rows = [dict(row) for row in src.form._rows]
+    dst_rows = dst.form._rows
     for a in range(n):
+        ca = cols[a]
         for b in range(n):
-            lhs = [ZERO] * N
-            for k, c in table[a][b]:
-                for r, q in col_nz[k]:
-                    lhs[r] += c * q
-            rhs = bracket(dst.algebra, cols[a], cols[b])
-            if tuple(lhs) != rhs:
+            cb = cols[b]
+            diff: dict = {}
+            for k, c in src_table[a][b]:
+                for r, q in cols[k].items():
+                    diff[r] = diff.get(r, ZERO) + c * q
+            for r, x in ca.items():
+                row = dst_table[r]
+                for s, y in cb.items():
+                    if row[s]:
+                        xy = x * y
+                        for t, q in row[s]:
+                            diff[t] = diff.get(t, ZERO) - xy * q
+            if any(diff.values()):
                 return ("bracket", (a, b))
-            if dst.form.apply(cols[a], cols[b]) != src_gram[a][b]:
+            form = sum((x * q * cb[s] for r, x in ca.items()
+                        for s, q in dst_rows[r] if s in cb), ZERO)
+            if form != src_rows[a].get(b, ZERO):
                 return ("form", (a, b))
     return None
 

@@ -4,10 +4,10 @@ elimination, for oracle tests only.
 The library stores a bracket only as its sparse table and a cochain only
 as its nonzero values on free coordinates.  The helpers here expand them
 into dense n^3 (or n^2) tensors, check those tensors with the entrywise
-validators for evenness and super-antisymmetry, and evaluate the cocycle,
-supercyclicity and closedness identities by plain loops over every
-ordered tuple, so the sparse fast paths can be compared with the
-definitions entry by entry.
+validators for evenness and super-antisymmetry, and evaluate the Jacobi,
+invariance, morphism, cocycle, supercyclicity and closedness identities
+by plain loops over every ordered tuple and every coordinate, so the
+sparse fast paths can be compared with the definitions entry by entry.
 
 The library also has a single eliminator, the sparse ``RowReducer``.
 The last section is the dense elimination it replaced (in-place RREF
@@ -120,6 +120,32 @@ def scalar2_violation(p, m):
     return None
 
 
+def split_vector(basis, v):
+    """Parity components (even part, odd part) of a coordinate vector."""
+    p = basis.parities
+    return (tuple(q if p[k] == 0 else ZERO for k, q in enumerate(v)),
+            tuple(q if p[k] == 1 else ZERO for k, q in enumerate(v)))
+
+
+def grading_violations(p, c):
+    """Ordered triples with c[i][j][k] != 0 although |k| != |i| + |j|."""
+    n = len(p)
+    return [(i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+            if c[i][j][k] != 0 and p[k] != (p[i] + p[j]) % 2]
+
+
+def even_form_violation(p, G):
+    """First (message, (i, j)) where a dense Gram matrix is not even or
+    not supersymmetric, checking evenness first at each entry, or None."""
+    n = len(p)
+    for i, j in itertools.product(range(n), repeat=2):
+        if p[i] != p[j] and G[i][j] != 0:
+            return ("form is not even", (i, j))
+        if G[i][j] != sgn(p[i] * p[j]) * G[j][i]:
+            return ("form is not supersymmetric", (i, j))
+    return None
+
+
 def skew_violations(p, c):
     """Pairs i <= j with [e_i, e_j] != -(-1)^{|i||j|} [e_j, e_i]."""
     n = len(p)
@@ -129,6 +155,63 @@ def skew_violations(p, c):
 
 
 # --- the identities, over every ordered tuple --------------------------------
+
+def jacobi_defect(p, c, i, j, k):
+    """(-1)^{xz}[e_i,[e_j,e_k]] + (-1)^{xy}[e_j,[e_k,e_i]]
+    + (-1)^{yz}[e_k,[e_i,e_j]] as a dense vector."""
+    n = len(p)
+    out = [ZERO] * n
+    for a, b, d, s in ((i, j, k, sgn(p[i] * p[k])), (j, k, i, sgn(p[i] * p[j])),
+                       (k, i, j, sgn(p[j] * p[k]))):
+        for m in range(n):
+            if c[b][d][m]:
+                for t in range(n):
+                    out[t] += s * c[b][d][m] * c[a][m][t]
+    return out
+
+
+def jacobi_violations(p, c):
+    """The ordered triples where the Jacobiator is nonzero, generated in
+    lexicographic order."""
+    return (t for t in itertools.product(range(len(p)), repeat=3)
+            if any(jacobi_defect(p, c, *t)))
+
+
+def invariance_violation(c, G):
+    """First ordered triple with B([e_i,e_j],e_k) != B(e_i,[e_j,e_k])."""
+    n = len(G)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = sum((c[i][j][m] * G[m][k] for m in range(n)), ZERO)
+        rhs = sum((c[j][k][m] * G[i][m] for m in range(n)), ZERO)
+        if lhs != rhs:
+            return (i, j, k)
+    return None
+
+
+def morphism_violation(p_src, c_src, G_src, p_dst, c_dst, G_dst, m):
+    """First failure of the matrix m (dst coordinates of the columns) as a
+    map of quadratic superalgebras: ("parity", a) for a nonzero column
+    that is not homogeneous of the parity of e_a, then per pair (a, b) in
+    lexicographic order ("bracket", (a, b)) and ("form", (a, b))."""
+    n, N = len(p_src), len(p_dst)
+    cols = [[m[r][a] for r in range(N)] for a in range(n)]
+    for a, col in enumerate(cols):
+        if any(col) and {p_dst[r] for r in range(N) if col[r]} != {p_src[a]}:
+            return ("parity", a)
+    for a, b in itertools.product(range(n), repeat=2):
+        lhs = [sum((c_src[a][b][k] * cols[k][r] for k in range(n)), ZERO)
+               for r in range(N)]
+        rhs = [sum((cols[a][r] * cols[b][s] * c_dst[r][s][t]
+                    for r in range(N) for s in range(N)), ZERO)
+               for t in range(N)]
+        if lhs != rhs:
+            return ("bracket", (a, b))
+        form = sum((cols[a][r] * G_dst[r][s] * cols[b][s]
+                    for r in range(N) for s in range(N)), ZERO)
+        if form != G_src[a][b]:
+            return ("form", (a, b))
+    return None
+
 
 def cocycle2_defect(p, c, w, i, j, k):
     """Sum over the cyclic rotations (a, b, d) of (i, j, k) of

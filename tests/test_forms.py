@@ -12,11 +12,11 @@ from superquad.forms import (EvenForm, center_orthogonality_check,
 from superquad.linalg import (dot, kernel, mat, mat_vec, unit_vec, vec,
                               vec_is_zero, zeros)
 from superquad.superalgebra import (EVEN, ODD, full_subspace, graded_basis,
-                                    sgn, split_vector, subspace,
-                                    zero_subspace)
+                                    sgn, subspace, zero_subspace)
 from superquad.tstar import build
 
 import dense_oracle as dense
+from dense_oracle import split_vector
 
 F = Fraction
 

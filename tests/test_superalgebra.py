@@ -11,9 +11,8 @@ from superquad.linalg import (kernel, mat, mat_mul, mat_vec, unit_vec, vec,
 from superquad.superalgebra import (EVEN, ODD, DualVector, Subspace,
                                     coadjoint, derived_subspace, dual_vector,
                                     full_subspace, graded_basis,
-                                    jacobi_defect, product_subspace,
-                                    quotient, sgn, split_vector, subspace,
-                                    zero_subspace)
+                                    product_subspace, quotient, sgn,
+                                    subspace, zero_subspace)
 
 import dense_oracle as dense
 
@@ -284,7 +283,7 @@ def test_subspace_equality_by_double_inclusion():
 
 def _dense_contains(w, v):
     """Membership by solving one linear system per parity."""
-    ev, od = split_vector(w.basis, v)
+    ev, od = dense.split_vector(w.basis, v)
     return (dense.coords_in(w.even_rows, ev) is not None
             and dense.coords_in(w.odd_rows, od) is not None)
 
@@ -298,7 +297,7 @@ def graded_subspaces_and_vectors(draw):
     n = len(parities)
     basis = graded_basis([f"b{i}" for i in range(n)], parities)
     vectors = st.lists(sparse_entries, min_size=n, max_size=n).map(vec)
-    spanning = [split_vector(basis, v)[p]
+    spanning = [dense.split_vector(basis, v)[p]
                 for v, p in draw(st.lists(st.tuples(vectors, st.sampled_from(
                     (EVEN, ODD))), max_size=5))]
     w = subspace(basis, spanning)
@@ -333,7 +332,7 @@ def _spanning_sets(draw):
         kind = draw(st.sampled_from(("even", "odd", "mixed", "zero",
                                      "duplicate", "sum")))
         if kind in ("even", "odd"):
-            out.append(split_vector(basis, draw(vectors))[kind == "odd"])
+            out.append(dense.split_vector(basis, draw(vectors))[kind == "odd"])
         elif kind == "mixed":  # nonzero everywhere: mixed if both occur
             out.append(vec(draw(st.lists(
                 st.fractions(min_value=-4, max_value=4,
@@ -358,8 +357,8 @@ def test_subspace_matches_dense_elimination(case):
         R, pivots = dense.rref([v for v in vs if not vec_is_zero(v)])
         return R[:len(pivots)]
 
-    evens = [split_vector(basis, v)[0] for v in vectors]
-    odds = [split_vector(basis, v)[1] for v in vectors]
+    evens = [dense.split_vector(basis, v)[0] for v in vectors]
+    odds = [dense.split_vector(basis, v)[1] for v in vectors]
     if len(rref_rows(evens + odds)) != len(rref_rows(vectors)):
         with pytest.raises(NotGradedError):
             subspace(basis, vectors)

@@ -1,0 +1,319 @@
+"""Differential tests of the sparse structure verifiers against the dense
+loops of ``dense_oracle``: the Jacobi scan of ``check_axioms``,
+``invariance_violation``, the isometry check behind ``verify_isometry``,
+the evenness checks of ``EvenForm`` and the witnesses ``build`` attaches
+to its rejections."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import superquad as sq
+from superquad.errors import CocycleError, FormError, NotSupercyclicError
+from superquad.forms import EvenForm, invariance_violation
+from superquad.gallery import (random_cochain2, random_cocycle2,
+                               random_scalar2, random_supercyclic_cocycle)
+from superquad.superalgebra import (AxiomReport, LieSuperalgebra,
+                                    check_axioms, graded_basis, sgn)
+from superquad.tstar import (_raw_extension, quadratic_morphism_violation,
+                             s_phi_isometry)
+
+import dense_oracle as dense
+from conftest import make_rng
+
+F = Fraction
+
+# mostly zeros, so the violations are scattered over the triples
+sparse_entries = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.just(F(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2))
+
+
+def _algebra(parities, c, validate=True):
+    n = len(parities)
+    basis = graded_basis([f"b{i}" for i in range(n)], parities)
+    table = tuple(tuple({k: c[i][j][k] for k in range(n) if c[i][j][k]}
+                        for j in range(n)) for i in range(n))
+    return LieSuperalgebra(basis, table, validate)
+
+
+@st.composite
+def bracket_tensors(draw, kind="lie", max_dim=5):
+    """(parities, c) for a random bracket tensor.  ``kind`` "lie" is
+    graded and super-skew; "not-skew" is graded with both orders drawn
+    independently; "ungraded" is super-skew with any output parity."""
+    p = tuple(draw(st.lists(st.sampled_from((0, 1)), min_size=1,
+                            max_size=max_dim)))
+    n = len(p)
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        if kind != "not-skew" and (j < i or (i == j and p[i] == 0)):
+            continue
+        for k in range(n):
+            if kind != "ungraded" and p[k] != (p[i] + p[j]) % 2:
+                continue
+            q = draw(sparse_entries)
+            c[i][j][k] = q
+            if kind != "not-skew" and i != j:
+                c[j][i][k] = -sgn(p[i] * p[j]) * q
+    return p, c
+
+
+def _dense_report(p, c):
+    return AxiomReport(tuple(dense.grading_violations(p, c)),
+                       tuple(dense.skew_violations(p, c)),
+                       tuple(dense.jacobi_violations(p, c)))
+
+
+# --- check_axioms ------------------------------------------------------------
+
+@given(bracket_tensors())
+@settings(max_examples=120, deadline=None)
+def test_axiom_report_matches_dense_on_graded_skew_tables(case):
+    p, c = case
+    assert check_axioms(_algebra(p, c)) == _dense_report(p, c)
+
+
+@given(st.sampled_from(("not-skew", "ungraded")).flatmap(
+    lambda kind: bracket_tensors(kind=kind, max_dim=4)))
+@settings(max_examples=120, deadline=None)
+def test_axiom_report_matches_dense_on_fallback_tables(case):
+    p, c = case
+    assert check_axioms(_algebra(p, c, validate=False)) == _dense_report(p, c)
+
+
+def test_fallback_loop_keeps_order_dependent_violations():
+    # graded but not skew: [x, x] = x and [y, z] = x with [z, y] = 0
+    # break Jacobi at the cyclic rotations of (x, y, z) only
+    p = (0, 0, 0)
+    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][0][0] = c[1][2][0] = F(1)
+    report = check_axioms(_algebra(p, c, validate=False))
+    assert report == _dense_report(p, c)
+    assert report.jacobi == ((0, 0, 0), (0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def test_axiom_report_lists_every_permutation(gallery):
+    # [x, y] = z, [y, z] = x, [x, z] = x fails Jacobi only at the
+    # permutations of one sorted triple
+    g = sq.from_brackets(("x", "y", "z"), (0, 0, 0),
+                         {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1},
+                          ("y", "z"): {"x": 1}})
+    report = check_axioms(g)
+    assert report.jacobi == tuple(sorted(itertools.permutations((0, 1, 2))))
+    for g in gallery.values():
+        assert check_axioms(g).passed
+
+
+# --- invariance_violation ----------------------------------------------------
+
+@st.composite
+def even_grams(draw, p):
+    n = len(p)
+    G = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if p[i] != p[j] or (i == j and p[i] == 1):
+                continue
+            q = draw(sparse_entries)
+            G[i][j] = q
+            G[j][i] = sgn(p[i] * p[j]) * q
+    return G
+
+
+@given(bracket_tensors().flatmap(
+    lambda case: st.tuples(st.just(case), even_grams(case[0]))))
+@settings(max_examples=150, deadline=None)
+def test_invariance_witness_matches_dense_on_random_tables(case):
+    (p, c), G = case
+    g = _algebra(p, c)
+    B = EvenForm(g.basis, tuple(map(tuple, G)))
+    assert invariance_violation(g, B) == dense.invariance_violation(c, G)
+
+
+@pytest.fixture(scope="module")
+def extensions(gallery, supercyclic_bases):
+    rng = make_rng(11)
+    out = []
+    for name in ("heisenberg3", "gl(1,1)", "solvable2d", "abelian(1|2)"):
+        g = gallery[name]
+        w = random_supercyclic_cocycle(g, rng, basis=supercyclic_bases[name])
+        out.append(sq.build(g, w).total)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_invariance_witness_matches_dense_after_one_perturbation(
+        extensions, data):
+    """A T*-extension is invariant; perturbing one skew pair of the table
+    or one supersymmetric pair of the Gram matrix moves the witness deep
+    into the lexicographic order."""
+    for q in extensions:
+        p = q.basis.parities
+        n = q.dim
+        c = dense.bracket_tensor(q.algebra)
+        G = [list(r) for r in q.form.gram]
+        assert invariance_violation(q.algebra, q.form) is None
+        assert dense.invariance_violation(c, G) is None
+        i, j = sorted(data.draw(st.tuples(st.integers(0, n - 1),
+                                          st.integers(0, n - 1))))
+        delta = data.draw(st.sampled_from((F(1), F(-1, 2), F(3))))
+        if data.draw(st.booleans()):
+            ks = [k for k in range(n) if p[k] == (p[i] + p[j]) % 2]
+            if i == j and p[i] == 0:
+                continue
+            k = data.draw(st.sampled_from(ks))
+            c[i][j][k] += delta
+            if i != j:
+                c[j][i][k] = -sgn(p[i] * p[j]) * c[i][j][k]
+        elif p[i] == p[j] and not (i == j and p[i] == 1):
+            G[i][j] += delta
+            G[j][i] = sgn(p[i] * p[j]) * G[i][j]
+        g = _algebra(p, c)
+        B = EvenForm(g.basis, tuple(map(tuple, G)))
+        assert invariance_violation(g, B) == dense.invariance_violation(c, G)
+
+
+# --- EvenForm ----------------------------------------------------------------
+
+@given(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=5).flatmap(
+    lambda p: st.tuples(st.just(tuple(p)), st.lists(
+        st.lists(sparse_entries, min_size=len(p), max_size=len(p)),
+        min_size=len(p), max_size=len(p)))))
+@settings(max_examples=200, deadline=None)
+def test_even_form_error_matches_dense(case):
+    p, G = case
+    basis = graded_basis([f"b{i}" for i in range(len(p))], p)
+    expected = dense.even_form_violation(p, G)
+    if expected is None:
+        EvenForm(basis, tuple(map(tuple, G)))
+        return
+    with pytest.raises(FormError) as exc:
+        EvenForm(basis, tuple(map(tuple, G)))
+    assert (str(exc.value), exc.value.witness) == expected
+
+
+# --- quadratic_morphism_violation ---------------------------------------------
+
+def _dense_morphism(src, dst, m):
+    return dense.morphism_violation(
+        src.basis.parities, dense.bracket_tensor(src.algebra), src.form.gram,
+        dst.basis.parities, dense.bracket_tensor(dst.algebra), dst.form.gram,
+        m)
+
+
+@pytest.fixture(scope="module")
+def shears(gallery, supercyclic_bases):
+    rng = make_rng(5)
+    out = []
+    for name in ("heisenberg3", "gl(1,1)", "solvable2d"):
+        g = gallery[name]
+        w = random_supercyclic_cocycle(g, rng, basis=supercyclic_bases[name])
+        out.append(s_phi_isometry(g, w, random_scalar2(g, rng)))
+    return out
+
+
+def test_shear_matrices_verify(shears):
+    for sh in shears:
+        src, dst = sh.source.total, sh.target.total
+        assert quadratic_morphism_violation(src, dst, sh.matrix) is None
+        assert _dense_morphism(src, dst, sh.matrix) is None
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_morphism_witness_matches_dense_after_one_perturbation(shears, data):
+    for sh in shears:
+        src, dst = sh.source.total, sh.target.total
+        N = len(sh.matrix)
+        r, a = data.draw(st.tuples(st.integers(0, N - 1),
+                                   st.integers(0, N - 1)))
+        if src.basis.parity(a) != dst.basis.parity(r):
+            continue
+        m = [list(row) for row in sh.matrix]
+        m[r][a] += data.draw(st.sampled_from((F(1), F(-2), F(1, 3))))
+        got = quadratic_morphism_violation(src, dst, m)
+        assert got == _dense_morphism(src, dst, m)
+        assert got is not None and got[0] in ("bracket", "form")
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_morphism_parity_witness_matches_dense(shears, data):
+    for sh in shears:
+        src, dst = sh.source.total, sh.target.total
+        N = len(sh.matrix)
+        r, a = data.draw(st.tuples(st.integers(0, N - 1),
+                                   st.integers(0, N - 1)))
+        if src.basis.parity(a) == dst.basis.parity(r):
+            continue
+        m = [list(row) for row in sh.matrix]
+        m[r][a] += F(1)
+        got = quadratic_morphism_violation(src, dst, m)
+        assert got == _dense_morphism(src, dst, m) == ("parity", a)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_morphism_form_witness_matches_dense_on_abelian(data):
+    """T* of an abelian algebra is abelian, so every even matrix keeps the
+    bracket and only the form comparison can fail."""
+    q = sq.build(sq.abelian(1, 1)).total
+    p = q.basis.parities
+    n = q.dim
+    m = [[data.draw(sparse_entries) if p[r] == p[a] else F(0)
+          for a in range(n)] for r in range(n)]
+    got = quadratic_morphism_violation(q, q, m)
+    assert got == _dense_morphism(q, q, m)
+    assert got is None or got[0] == "form"
+
+
+# --- witnesses attached by build ---------------------------------------------
+
+def _late_non_cocycle(g, rng):
+    """A coboundary with its last free coordinate perturbed, so the cocycle
+    identity fails only at triples that touch that coordinate."""
+    w = sq.unhat(sq.delta_scalar2(g, random_scalar2(g, rng)))
+    coords = dict(w.coords)
+    key = sq.cohomology.free_coords_cochain2dual(g.basis)[-1]
+    coords[key] = coords.get(key, F(0)) + 1
+    return sq.Cochain2Dual(g.basis, coords)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_build_jacobi_witness_is_first_dense_violation(size):
+    g = sq.build_gn(size)
+    rng = make_rng(17 + size)
+    cochains = [random_cochain2(g, rng)]
+    if size == 2:  # on dim 30 the dense scan to a late witness takes seconds
+        cochains.append(_late_non_cocycle(g, rng))
+    for w in cochains:
+        with pytest.raises(CocycleError) as exc:
+            sq.build(g, w)
+        alg, _ = _raw_extension(g, w)
+        c = dense.bracket_tensor(alg)
+        first = next(dense.jacobi_violations(alg.basis.parities, c), None)
+        assert first is not None
+        assert exc.value.jacobi_witness == first
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "g(2)"])
+def test_build_invariance_witness_is_first_dense_violation(
+        gallery, z2_bases, name):
+    g = gallery[name]
+    rng = make_rng(23)
+    seen = 0
+    for _ in range(20):
+        w = random_cocycle2(g, rng, basis=z2_bases[name])
+        if sq.is_supercyclic(w):
+            continue
+        seen += 1
+        with pytest.raises(NotSupercyclicError) as exc:
+            sq.build(g, w)
+        alg, form = _raw_extension(g, w)
+        assert exc.value.invariance_witness == dense.invariance_violation(
+            dense.bracket_tensor(alg), form.gram)
+    assert seen
