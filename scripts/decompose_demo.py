@@ -11,9 +11,8 @@ import superquad as sq
 from superquad.cohomology import unhat, z3_basis
 from superquad.decompose import decompose, max_isotropic_ideal
 from superquad.errors import RationalPointNotFound
-from superquad.forms import EvenForm, quadratic
+from superquad.forms import even_form, quadratic
 from superquad.gallery import even_line, orthogonal_direct_sum
-from superquad.linalg import mat
 from superquad.tstar import build
 
 
@@ -47,7 +46,7 @@ def main() -> int:
          orthogonal_direct_sum(build(h3).total, even_line()))
     a2 = sq.abelian(2, 0)
     show("anisotropic plane over the rationals",
-         quadratic(a2, EvenForm(a2.basis, mat([[1, 0], [0, 1]])),
+         quadratic(a2, even_form(a2.basis, [[1, 0], [0, 1]]),
                    check_algebra=False))
     return 0
 

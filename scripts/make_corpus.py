@@ -12,7 +12,7 @@ import sys
 
 import superquad as sq
 from superquad import dsl
-from superquad.cohomology import unhat, z3_basis, zero_scalar2, expand_scalar2
+from superquad.cohomology import ScalarCochain2, unhat, z3_basis, zero_scalar2
 from superquad.gallery import build_glnn, build_gn, stock, tstar_of_gn
 from superquad.tstar import build
 
@@ -46,7 +46,7 @@ def main() -> int:
 
     # h3 with the volume 2-cocycle, a scalar 2-cochain and a 3-cochain
     vol = z3_basis(h3)[0]
-    phi = expand_scalar2(h3.basis, {(0, 1): 1, (0, 2): -2})
+    phi = ScalarCochain2(h3.basis, {(0, 1): 1, (0, 2): -2})
     files["h3_volume_cochains.sqd"] = dsl.emit(dsl.document_from(
         h3, cochain2={"w": unhat(vol)}, cochain3={"f": vol},
         scalar2={"phi": phi}))

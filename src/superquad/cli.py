@@ -24,10 +24,11 @@ from .decompose import decompose as run_decompose
 from .errors import (NotIdealError, PreconditionError, RationalPointNotFound,
                      SuperquadError)
 from .forms import (QuadraticLieSuperalgebra, invariance_violation,
-                    is_nondegenerate, is_totally_isotropic, quadratic)
+                    is_nondegenerate, is_totally_isotropic, quadratic,
+                    radical)
 from .gallery import (build_class_c_example, build_glnn, build_gn, stock,
                       STOCK_NAMES)
-from .linalg import kernel, unit_vec
+from .linalg import unit_vec
 from .superalgebra import (bracket, center, check_axioms, class_condition,
                            is_nilpotent, is_solvable)
 from .tstar import build, recognize, s_phi_isometry
@@ -202,7 +203,7 @@ def _cmd_check(args, report: Report, out) -> int:
 
 def _radical_vector(form):
     """A nonzero vector pairing to zero with everything, as a witness."""
-    ker = kernel(form.gram)
+    ker = radical(form)
     return _vec_strs(ker[0]) if ker else None
 
 
@@ -500,11 +501,7 @@ def main(argv=None, out=None) -> int:
     except dsl.ParseError as exc:
         return _error_exit(out, "parse", str(exc), text_mode,
                            exc.line, exc.column)
-    except FileNotFoundError as exc:
-        return _error_exit(out, "input", str(exc), text_mode)
-    except PreconditionError as exc:
-        return _error_exit(out, "input", str(exc), text_mode)
-    except SuperquadError as exc:
+    except (FileNotFoundError, SuperquadError) as exc:
         return _error_exit(out, "input", str(exc), text_mode)
 
 

@@ -84,7 +84,7 @@ def canon2_first(parities, i: int, j: int):
     return (i, j), 1
 
 
-def _canon_cochain2dual(parities, a: int, b: int, c: int):
+def canon_cochain2dual(parities, a: int, b: int, c: int):
     """Free coordinate and sign of the entry w(e_a, e_b)(e_c) of an even
     dual-valued 2-cochain, or (None, 0) when it vanishes."""
     pair, s = canon2_first(parities, a, b)
@@ -93,7 +93,7 @@ def _canon_cochain2dual(parities, a: int, b: int, c: int):
     return (pair[0], pair[1], c), s
 
 
-def _canon_scalar2(parities, i: int, j: int):
+def canon_scalar2(parities, i: int, j: int):
     """Free coordinate and sign of the entry phi(e_i, e_j) of an even
     scalar 2-cochain, or (None, 0) when it vanishes."""
     if parities[i] != parities[j]:
@@ -116,35 +116,36 @@ def free_coords_alt3(basis: GradedBasis) -> list[Triple]:
 def free_coords_cochain2dual(basis: GradedBasis) -> list[Triple]:
     """Free coordinates (i, j, k) of even 2-cochains with values in the
     dual space, antisymmetric in (i, j)."""
-    return _free_coords(basis, 3, _canon_cochain2dual)
+    return _free_coords(basis, 3, canon_cochain2dual)
 
 
 def free_coords_scalar2(basis: GradedBasis) -> list[tuple[int, int]]:
-    return _free_coords(basis, 2, _canon_scalar2)
+    return _free_coords(basis, 2, canon_scalar2)
 
 
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
 
-def _store_free_entries(cochain, arity: int, canon) -> None:
-    """Keep the nonzero values of ``cochain.coords``, sorted by key.
-    Evenness and super-antisymmetry live in the key set, so only the keys
-    are checked: each must be its own canonical representative."""
-    n = cochain.basis.dim
-    p = cochain.basis.parities
+def store_free_entries(obj, arity: int, canon, error=CochainError) -> None:
+    """Keep the nonzero values of ``obj.coords``, sorted by key.
+    Evenness and the (anti)symmetry live in the key set, so only the keys
+    are checked: each must be its own canonical representative, or
+    ``error`` is raised with the key as its witness."""
+    n = obj.basis.dim
+    p = obj.basis.parities
+    what = type(obj).__name__
     out = {}
-    for key, q in cochain.coords.items():
+    for key, q in obj.coords.items():
         if (not isinstance(key, tuple) or len(key) != arity
                 or any(a not in range(n) for a in key)):
-            raise DimensionMismatch(f"cochain index {key!r} outside the basis")
+            raise DimensionMismatch(f"{what} index {key!r} outside the basis")
         if canon(p, *key)[0] != key:
-            raise CochainError("cochain entry is not a free coordinate",
-                               entry=key)
+            raise error(f"{what} entry {key!r} is not a free coordinate", key)
         q = frac(q)
         if q != 0:
             out[key] = q
-    object.__setattr__(cochain, "coords", dict(sorted(out.items())))
+    object.__setattr__(obj, "coords", dict(sorted(out.items())))
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ class Cochain2Dual:
     coords: dict
 
     def __post_init__(self):
-        _store_free_entries(self, 3, _canon_cochain2dual)
+        store_free_entries(self, 3, canon_cochain2dual)
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ class ScalarCochain3:
     coords: dict
 
     def __post_init__(self):
-        _store_free_entries(self, 3, canon3)
+        store_free_entries(self, 3, canon3)
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ class ScalarCochain2:
     coords: dict
 
     def __post_init__(self):
-        _store_free_entries(self, 2, _canon_scalar2)
+        store_free_entries(self, 2, canon_scalar2)
 
 
 # free coordinates in and out -------------------------------------------------
@@ -194,18 +195,8 @@ def collect_alt3(f: ScalarCochain3) -> dict[Triple, Fraction]:
     return dict(f.coords)
 
 
-def expand_cochain2dual(basis: GradedBasis,
-                        coords: dict[Triple, Fraction]) -> Cochain2Dual:
-    return Cochain2Dual(basis, coords)
-
-
 def collect_cochain2dual(w: Cochain2Dual) -> dict[Triple, Fraction]:
     return dict(w.coords)
-
-
-def expand_scalar2(basis: GradedBasis,
-                   coords: dict[tuple[int, int], Fraction]) -> ScalarCochain2:
-    return ScalarCochain2(basis, coords)
 
 
 def collect_scalar2(phi: ScalarCochain2) -> dict[tuple[int, int], Fraction]:
@@ -222,16 +213,10 @@ def zero_scalar2(g: LieSuperalgebra | GradedBasis) -> ScalarCochain2:
     return ScalarCochain2(basis, {})
 
 
-def _entry2dual(w: Cochain2Dual, a: int, b: int, c: int) -> Fraction:
-    """w(e_a, e_b)(e_c), read through its free coordinate; an entry whose
+def _entry3(f: ScalarCochain3, a: int, b: int, c: int) -> Fraction:
+    """f(e_a, e_b, e_c), read through its free coordinate; an entry whose
     sorted key is not stored vanishes, so the sign is only needed for the
     stored ones."""
-    q = w.coords.get((min(a, b), max(a, b), c))
-    return canon2_first(w.basis.parities, a, b)[1] * q if q else ZERO
-
-
-def _entry3(f: ScalarCochain3, a: int, b: int, c: int) -> Fraction:
-    """f(e_a, e_b, e_c), read through its free coordinate, as above."""
     q = f.coords.get(tuple(sorted((a, b, c))))
     return canon3(f.basis.parities, a, b, c)[1] * q if q else ZERO
 
@@ -377,22 +362,19 @@ def is_cocycle2(g: LieSuperalgebra, w: Cochain2Dual) -> bool:
     return cocycle2_violation(g, w) is None
 
 
-def supercyclic_defect(w: Cochain2Dual, i: int, j: int, k: int) -> Fraction:
-    p = w.basis.parities
-    return (_entry2dual(w, i, j, k)
-            - sgn(p[i] * (p[j] + p[k])) * _entry2dual(w, j, k, i))
-
-
 def supercyclic_violation(w: Cochain2Dual):
     """First basis triple, in lexicographic order, where supercyclicity
     fails, or None.  The defect at (i, j, k) reads w at (i, j, k) and at
-    (j, k, i), so only triples next to a stored entry can fail."""
-    support = set()
-    for a, b, c in w.coords:
-        support.update(((a, b, c), (b, a, c)))
-    for t in sorted(support | {(c, a, b) for a, b, c in support}):
-        if supercyclic_defect(w, *t) != 0:
-            return t
+    (j, k, i) through its :func:`_dual_lookup`, so only triples next to a
+    nonzero entry can fail."""
+    p = w.basis.parities
+    lookup = _dual_lookup(w)
+    support = {(a, b, c) for (a, b), col in lookup.items() for c in col}
+    for i, j, k in sorted(support | {(c, a, b) for a, b, c in support}):
+        w_ijk = lookup.get((i, j), {}).get(k, ZERO)
+        w_jki = lookup.get((j, k), {}).get(i, ZERO)
+        if w_ijk != sgn(p[i] * (p[j] + p[k])) * w_jki:
+            return (i, j, k)
     return None
 
 
@@ -549,13 +531,13 @@ def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     rows = itertools.chain(_supercyclic_identities(g.basis),
                            _cocycle2_identities(g))
     return _cocycle_space(g.basis, free_coords_cochain2dual(g.basis),
-                          _canon_cochain2dual, rows, Cochain2Dual)
+                          canon_cochain2dual, rows, Cochain2Dual)
 
 
 def z2_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     """Basis of all even dual-valued 2-cocycles (supercyclic or not)."""
     return _cocycle_space(g.basis, free_coords_cochain2dual(g.basis),
-                          _canon_cochain2dual, _cocycle2_identities(g),
+                          canon_cochain2dual, _cocycle2_identities(g),
                           Cochain2Dual)
 
 
@@ -577,7 +559,7 @@ def _coboundary_columns(g: LieSuperalgebra):
         for a, b, c, sign in ((i, j, k, -1), (i, k, j, sgn(p[j] * p[k])),
                               (j, k, i, -sgn(p[i] * (p[j] + p[k])))):
             for m, q in table[a][b]:
-                key, s = _canon_scalar2(p, m, c)
+                key, s = canon_scalar2(p, m, c)
                 if key is not None:
                     col = cols[index2[key]]
                     col[t] = col.get(t, ZERO) + sign * s * q

@@ -176,8 +176,8 @@ class _InducedSpace:
         self.parities = comp.parities
         self.dim = len(self.rep_vectors)
         self._coords = _Coordinates(tuple(self.rep_vectors) + tuple(w.vectors))
-        self.gram = mat([[q.form.apply(u, v) for v in self.rep_vectors]
-                         for u in self.rep_vectors])
+        self.rep_gram = mat([[q.form.apply(u, v) for v in self.rep_vectors]
+                             for u in self.rep_vectors])
 
     def project(self, v: Vec) -> Vec:
         """V'-coordinates of a vector of W^perp."""
@@ -198,7 +198,7 @@ class _InducedSpace:
         return transpose(mat(cols)) if cols else ()
 
     def induced_gram_on(self, rows: list[Vec]) -> Mat:
-        return mat_mul(mat_mul(rows, self.gram), transpose(rows))
+        return mat_mul(mat_mul(rows, self.rep_gram), transpose(rows))
 
 
 def _common_kernel(ops: list[Mat], dim: int) -> list[Vec]:
@@ -421,10 +421,9 @@ def _augment_with_central_line(q: QuadraticLieSuperalgebra,
     names = basis.names + (t_name,)
     parities = basis.parities + (EVEN,)
     table = tuple(row + ((),) for row in q.algebra.table)
-    gram = tuple(row + (ZERO,) for row in q.form.gram)
     alg = LieSuperalgebra(graded_basis(names, parities),
                           table + (((),) * (q.dim + 1),))
-    form = EvenForm(alg.basis, gram + ((ZERO,) * q.dim + (-beta,),))
+    form = EvenForm(alg.basis, {**q.form.coords, (q.dim, q.dim): -beta})
     return quadratic(alg, form, check_algebra=False)
 
 

@@ -11,25 +11,26 @@ Grammar (docs/grammar.ebnf has the formal version)::
     # comment
 
 Scalars are exact rationals written as integers or p/q.  Unspecified
-entries default to zero.  Symmetric/skew completions are applied
-automatically from the container invariants; an explicit entry that
-contradicts the completion (or restates it with a different value) is a
-hard error, as is any entry that violates the parity rules.
+entries default to zero.  Each form or cochain entry is stored under its
+container's free coordinate, with the sign the container's canon
+function gives, so symmetric/skew completions are automatic; an explicit
+entry that contradicts the completion (or restates it with a different
+value) is a hard error, as is any entry that violates the parity rules.
+Every entry statement declares its name.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import (Cochain2Dual, ScalarCochain2, ScalarCochain3,
-                         canon2_first, canon3, collect_cochain2dual,
-                         collect_alt3, collect_scalar2, expand_alt3,
-                         expand_cochain2dual, expand_scalar2)
+                         canon3, canon_cochain2dual, canon_scalar2)
 from .errors import SuperquadError
-from .forms import EvenForm, QuadraticLieSuperalgebra
-from .linalg import Vec, ZERO, vec_is_zero, vec_scale, zero_vec
+from .forms import EvenForm, QuadraticLieSuperalgebra, canon_form
+from .linalg import Vec, vec_is_zero, vec_scale, zero_vec
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra, Subspace,
                            graded_basis, sgn, subspace)
 
@@ -152,13 +153,6 @@ class _DocBuilder:
         except ValueError:
             lp.error(f"undeclared basis label {label!r}")
 
-    def assign(self, store: dict, key, value, lp: _LineParser, what: str):
-        if key in store:
-            if store[key] != value:
-                lp.error(f"contradictory entry for {what}")
-            return
-        store[key] = value
-
 
 def _parse_lincomb(lp: _LineParser, builder: _DocBuilder) -> Vec:
     n = len(builder.names)
@@ -239,151 +233,65 @@ def _handle_bracket(lp: _LineParser, b: _DocBuilder):
         key, val = (c, a), vec_scale(-s, v)
     else:
         key, val = (a, c), v
-    if vec_is_zero(val):
-        if key in b.brackets and not vec_is_zero(b.brackets[key]):
-            lp.error("contradictory entry for bracket")
-        return
-    b.assign(b.brackets, key, val, lp, f"bracket [{b.names[a]},{b.names[c]}]")
+    if b.brackets.get(key, val) != val:
+        lp.error(f"contradictory entry for bracket "
+                 f"[{b.names[a]},{b.names[c]}]")
+    if not vec_is_zero(val):
+        b.brackets[key] = val
 
 
-def _handle_form(lp: _LineParser, b: _DocBuilder):
+# keyword -> (separators between the labels, canon of the container's
+# free coordinates)
+_ENTRIES = {
+    "form": ((",",), canon_form),
+    "cochain2": ((",", ";"), canon_cochain2dual),
+    "cochain3": ((",", ","), canon3),
+    "scalar2": ((",",), canon_scalar2),
+}
+
+
+def _handle_entry(kind: str, lp: _LineParser, b: _DocBuilder):
+    """One entry statement, stored under its container's free coordinate
+    with the sign ``canon`` gives; every statement declares its name."""
+    seps, canon = _ENTRIES[kind]
     b.require_basis(lp)
     name = lp.label()
-    if b.form_name is not None and b.form_name != name:
-        lp.error(f"document already defines form {b.form_name!r}")
-    b.form_name = name
+    if kind == "form":
+        if b.form_name not in (None, name):
+            lp.error(f"document already defines form {b.form_name!r}")
+        b.form_name = name
+        store = b.form_entries
+    else:
+        store = getattr(b, kind).setdefault(name, {})
     lp.literal("(")
-    i = b.index(lp, lp.label())
-    lp.literal(",")
-    j = b.index(lp, lp.label())
+    idx = [b.index(lp, lp.label())]
+    for sep in seps:
+        lp.literal(sep)
+        idx.append(b.index(lp, lp.label()))
     lp.literal(")")
     lp.literal("=")
     q = lp.rational()
     if not lp.at_end():
         lp.error("unexpected trailing input")
-    p = b.parities
-    if p[i] != p[j]:
-        if q != 0:
-            lp.error("parity violation: an even form pairs equal parities")
-        return
-    if i == j and p[i] == ODD:
-        if q != 0:
-            lp.error("an odd generator pairs to zero with itself")
-        return
-    key = (i, j) if i <= j else (j, i)
-    val = q if i <= j else sgn(p[i] * p[j]) * q
-    if val == 0:
-        if key in b.form_entries and b.form_entries[key] != 0:
-            lp.error("contradictory entry for form")
-        return
-    b.assign(b.form_entries, key, val, lp, f"form entry ({i},{j})")
-
-
-def _canon_cochain2(lp, b, i, j, k, q):
-    p = b.parities
-    if (p[i] + p[j] + p[k]) % 2:
-        if q != 0:
-            lp.error("parity violation: cochain entries must be even")
-        return None, ZERO
-    pair, s = canon2_first(p, i, j)
-    if pair is None:
-        if q != 0:
-            lp.error("entry with a repeated even index must vanish")
-        return None, ZERO
-    return (pair[0], pair[1], k), s * q
-
-
-def _handle_cochain2(lp: _LineParser, b: _DocBuilder):
-    b.require_basis(lp)
-    name = lp.label()
-    lp.literal("(")
-    i = b.index(lp, lp.label())
-    lp.literal(",")
-    j = b.index(lp, lp.label())
-    lp.literal(";")
-    k = b.index(lp, lp.label())
-    lp.literal(")")
-    lp.literal("=")
-    q = lp.rational()
-    if not lp.at_end():
-        lp.error("unexpected trailing input")
-    key, val = _canon_cochain2(lp, b, i, j, k, q)
-    store = b.cochain2.setdefault(name, {})
-    if key is None:
-        return
-    if val == 0:
-        if key in store and store[key] != 0:
-            lp.error("contradictory entry for cochain2")
-        return
-    b.assign(store, key, val, lp, f"cochain2 {name}")
-
-
-def _handle_cochain3(lp: _LineParser, b: _DocBuilder):
-    b.require_basis(lp)
-    name = lp.label()
-    lp.literal("(")
-    i = b.index(lp, lp.label())
-    lp.literal(",")
-    j = b.index(lp, lp.label())
-    lp.literal(",")
-    k = b.index(lp, lp.label())
-    lp.literal(")")
-    lp.literal("=")
-    q = lp.rational()
-    if not lp.at_end():
-        lp.error("unexpected trailing input")
-    key, s = canon3(b.parities, i, j, k)
-    store = b.cochain3.setdefault(name, {})
+    key, s = canon(b.parities, *idx)
     if key is None:
         if q != 0:
-            lp.error("entry is forced to vanish by parity or alternation")
+            args = "".join(sep + b.names[i]
+                           for sep, i in zip(("",) + seps, idx))
+            lp.error(f"parity violation: {kind} entry {name}({args}) "
+                     "must vanish")
         return
     val = s * q
-    if val == 0:
-        if key in store and store[key] != 0:
-            lp.error("contradictory entry for cochain3")
-        return
-    b.assign(store, key, val, lp, f"cochain3 {name}")
-
-
-def _handle_scalar2(lp: _LineParser, b: _DocBuilder):
-    b.require_basis(lp)
-    name = lp.label()
-    lp.literal("(")
-    i = b.index(lp, lp.label())
-    lp.literal(",")
-    j = b.index(lp, lp.label())
-    lp.literal(")")
-    lp.literal("=")
-    q = lp.rational()
-    if not lp.at_end():
-        lp.error("unexpected trailing input")
-    p = b.parities
-    if p[i] != p[j]:
-        if q != 0:
-            lp.error("parity violation: scalar2 pairs equal parities")
-        return
-    if i == j and p[i] == EVEN:
-        if q != 0:
-            lp.error("scalar2 entry with a repeated even index must vanish")
-        return
-    key = (i, j) if i <= j else (j, i)
-    val = q if i <= j else -sgn(p[i] * p[j]) * q
-    store = b.scalar2.setdefault(name, {})
-    if val == 0:
-        if key in store and store[key] != 0:
-            lp.error("contradictory entry for scalar2")
-        return
-    b.assign(store, key, val, lp, f"scalar2 {name}")
+    if store.get(key, val) != val:
+        lp.error(f"contradictory entry for {kind} {name}")
+    if val:
+        store[key] = val
 
 
 _HANDLERS = {
     "basis": _handle_basis,
     "bracket": _handle_bracket,
-    "form": _handle_form,
-    "cochain2": _handle_cochain2,
-    "cochain3": _handle_cochain3,
-    "scalar2": _handle_scalar2,
+    **{kind: functools.partial(_handle_entry, kind) for kind in _ENTRIES},
 }
 
 
@@ -490,26 +398,19 @@ def document_algebra(doc: AlgebraDocument) -> LieSuperalgebra:
 def document_form(doc: AlgebraDocument) -> EvenForm | None:
     if doc.form_name is None:
         return None
-    basis = doc.basis()
-    n = basis.dim
-    g = [[ZERO] * n for _ in range(n)]
-    for (i, j), q in doc.form_entries.items():
-        g[i][j] = q
-        if i != j:
-            g[j][i] = sgn(doc.parities[i] * doc.parities[j]) * q
-    return EvenForm(basis, tuple(tuple(r) for r in g))
+    return EvenForm(doc.basis(), doc.form_entries)
 
 
 def document_cochain2(doc: AlgebraDocument, name: str) -> Cochain2Dual:
-    return expand_cochain2dual(doc.basis(), doc.cochain2[name])
+    return Cochain2Dual(doc.basis(), doc.cochain2[name])
 
 
 def document_cochain3(doc: AlgebraDocument, name: str) -> ScalarCochain3:
-    return expand_alt3(doc.basis(), doc.cochain3[name])
+    return ScalarCochain3(doc.basis(), doc.cochain3[name])
 
 
 def document_scalar2(doc: AlgebraDocument, name: str) -> ScalarCochain2:
-    return expand_scalar2(doc.basis(), doc.scalar2[name])
+    return ScalarCochain2(doc.basis(), doc.scalar2[name])
 
 
 def document_from(algebra: LieSuperalgebra,
@@ -519,6 +420,8 @@ def document_from(algebra: LieSuperalgebra,
                   cochain3: dict[str, ScalarCochain3] | None = None,
                   scalar2: dict[str, ScalarCochain2] | None = None
                   ) -> AlgebraDocument:
+    """The document of library objects; every entry map is the object's
+    own free coordinates."""
     basis = algebra.basis
     n = basis.dim
     brackets = {}
@@ -528,23 +431,16 @@ def document_from(algebra: LieSuperalgebra,
                 continue
             if algebra.table[i][j]:
                 brackets[(i, j)] = algebra.bracket_vector(i, j)
-    form_entries = {}
-    if form is not None:
-        for i in range(n):
-            for j in range(i, n):
-                if form.gram[i][j] != 0:
-                    form_entries[(i, j)] = form.gram[i][j]
+
+    def coords(objs):
+        return {k: dict(v.coords) for k, v in sorted((objs or {}).items())}
     return AlgebraDocument(
         names=basis.names, parities=basis.parities,
         brackets=dict(sorted(brackets.items())),
         form_name=form_name if form is not None else None,
-        form_entries=dict(sorted(form_entries.items())),
-        cochain2={k: dict(sorted(collect_cochain2dual(v).items()))
-                  for k, v in sorted((cochain2 or {}).items())},
-        cochain3={k: dict(sorted(collect_alt3(v).items()))
-                  for k, v in sorted((cochain3 or {}).items())},
-        scalar2={k: dict(sorted(collect_scalar2(v).items()))
-                 for k, v in sorted((scalar2 or {}).items())},
+        form_entries=dict(form.coords) if form is not None else {},
+        cochain2=coords(cochain2), cochain3=coords(cochain3),
+        scalar2=coords(scalar2),
     )
 
 

@@ -11,52 +11,57 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cohomology import store_free_entries
 from .errors import (DimensionMismatch, FormError, PreconditionError)
-from .linalg import (HALF, Mat, RowReducer, Vec, ZERO, inverse, mat, mat_mul,
-                     mat_vec, rank, transpose, vec_sub)
-from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, center,
-                           derived_subspace, graded_complement,
+from .linalg import (HALF, RowReducer, Vec, ZERO, inverse, mat, mat_mul,
+                     mat_vec, transpose, vec_sub)
+from .superalgebra import (ODD, GradedBasis, LieSuperalgebra, Subspace,
+                           center, derived_subspace, graded_complement,
                            require_axioms, sgn, subspace, table_by_target)
+
+
+def canon_form(parities, i: int, j: int):
+    """Free coordinate and sign of the entry B(e_i, e_j) of an even
+    supersymmetric form, or (None, 0) when it vanishes: mixed parity, or
+    an odd index paired with itself."""
+    if parities[i] != parities[j] or (i == j and parities[i] == ODD):
+        return None, 0
+    return ((i, j), 1) if i <= j else ((j, i), sgn(parities[i]))
 
 
 @dataclass(frozen=True)
 class EvenForm:
-    """Gram matrix of an even supersymmetric bilinear form.
+    """Even supersymmetric bilinear form, stored as its nonzero values on
+    the free coordinates: coords[(i, j)] = B(e_i, e_j) for i <= j of equal
+    parity, where only an even index may repeat (:func:`canon_form`).
 
-    ``gram`` is the public dense view.  Construction also derives a
-    sparse row table, ``_rows[i] = ((j, G[i][j]), ...)`` over the nonzero
-    entries only, and pairings walk that table: a T*-extension's Gram
-    has a single nonzero per row, so a dense product would mostly
-    multiply zeros.
+    Construction also derives the sparse rows, ``_rows[i] = ((j,
+    B(e_i, e_j)), ...)`` over the nonzero entries, ascending j, and
+    pairings walk them: a T*-extension's form has a single nonzero per
+    row, so a dense product would mostly multiply zeros.
     """
 
     basis: GradedBasis
-    gram: Mat
+    coords: dict
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.basis.dim
-        if len(self.gram) != n or any(len(r) != n for r in self.gram):
-            raise DimensionMismatch("Gram matrix must be dim x dim")
-        rows = tuple(tuple((j, q) for j, q in enumerate(row) if q != 0)
-                     for row in self.gram)
-        object.__setattr__(self, "_rows", rows)
-        # (i, j) can fail only where G[i][j] or G[j][i] is nonzero
-        nz = {(i, j): q for i, row in enumerate(rows) for j, q in row}
+        store_free_entries(self, 2, canon_form, FormError)
         p = self.basis.parities
-        for i, j in sorted(nz.keys() | {(j, i) for i, j in nz}):
-            q = nz.get((i, j), ZERO)
-            if p[i] != p[j] and q != 0:
-                raise FormError("form is not even", witness=(i, j))
-            if q != sgn(p[i] * p[j]) * nz.get((j, i), ZERO):
-                raise FormError("form is not supersymmetric", witness=(i, j))
+        rows: list[list] = [[] for _ in range(self.dim)]
+        # sorted keys reach row i first from (j, i), j < i, then from (i, j)
+        for (i, j), q in self.coords.items():
+            rows[i].append((j, q))
+            if i != j:
+                rows[j].append((i, sgn(p[i]) * q))
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
     def apply(self, x: Vec, y: Vec) -> Fraction:
-        """B(x, y), summed over the nonzeros of x and of the Gram rows."""
+        """B(x, y), summed over the nonzeros of x and of the rows."""
         rows = self._rows
         if len(x) != len(rows) or len(y) != len(rows):
             raise DimensionMismatch("vectors do not match the basis")
@@ -74,17 +79,43 @@ class EvenForm:
 
 
 def even_form(basis: GradedBasis, gram) -> EvenForm:
-    return EvenForm(basis, mat(gram))
+    """The form with the dense Gram matrix G[i][j] = B(e_i, e_j).  G must
+    be even and supersymmetric; that can fail at (i, j) only where G[i][j]
+    or G[j][i] is nonzero, and the first such failure is the witness."""
+    G = mat(gram)
+    n = basis.dim
+    if len(G) != n or any(len(r) != n for r in G):
+        raise DimensionMismatch("Gram matrix must be dim x dim")
+    nz = {(i, j): q for i, row in enumerate(G) for j, q in enumerate(row)
+          if q != 0}
+    p = basis.parities
+    for i, j in sorted(nz.keys() | {(j, i) for i, j in nz}):
+        q = nz.get((i, j), ZERO)
+        if p[i] != p[j] and q != 0:
+            raise FormError("form is not even", witness=(i, j))
+        if q != sgn(p[i] * p[j]) * nz.get((j, i), ZERO):
+            raise FormError("form is not supersymmetric", witness=(i, j))
+    return EvenForm(basis, {key: q for key, q in nz.items()
+                            if key[0] <= key[1]})
+
+
+def radical(B: EvenForm) -> list[Vec]:
+    """Basis of {v : B(e_i, v) = 0 for all i}, from one reduction of the
+    sparse rows."""
+    red = RowReducer(B.dim)
+    for row in B._rows:
+        red.add(dict(row))
+    return red.kernel()
 
 
 def is_nondegenerate(B: EvenForm) -> bool:
-    return rank(B.gram) == B.dim
+    return not radical(B)
 
 
 def invariance_violation(g: LieSuperalgebra, B: EvenForm):
     """First basis triple with B([e_i,e_j],e_k) != B(e_i,[e_j,e_k]), or None.
     Per pair (i, j) both sides are summed over the nonzeros of the table
-    and the Gram rows into one {k: difference} dict; its least key wins."""
+    and the rows of B into one {k: difference} dict; its least key wins."""
     rows = B._rows
     table = g.table
     by_t = table_by_target(g)

@@ -14,7 +14,6 @@ import re
 from fractions import Fraction
 
 from .cohomology import (Cochain2Dual, ScalarCochain2, collect_cochain2dual,
-                         expand_cochain2dual, expand_scalar2,
                          free_coords_cochain2dual, free_coords_scalar2,
                          z2_basis, z2_supercyclic_basis)
 from .errors import InternalCheckError, PreconditionError
@@ -183,20 +182,20 @@ def solvable2d() -> LieSuperalgebra:
 
 def hyperbolic_even() -> QuadraticLieSuperalgebra:
     alg = abelian(2, 0)
-    form = EvenForm(alg.basis, mat([[0, 1], [1, 0]]))
-    return quadratic(alg, form, check_algebra=False)
+    return quadratic(alg, EvenForm(alg.basis, {(0, 1): 1}),
+                     check_algebra=False)
 
 
 def hyperbolic_odd() -> QuadraticLieSuperalgebra:
     alg = abelian(0, 2)
-    form = EvenForm(alg.basis, mat([[0, 1], [-1, 0]]))
-    return quadratic(alg, form, check_algebra=False)
+    return quadratic(alg, EvenForm(alg.basis, {(0, 1): 1}),
+                     check_algebra=False)
 
 
 def even_line() -> QuadraticLieSuperalgebra:
     alg = abelian(1, 0)
-    form = EvenForm(alg.basis, mat([[1]]))
-    return quadratic(alg, form, check_algebra=False)
+    return quadratic(alg, EvenForm(alg.basis, {(0, 0): 1}),
+                     check_algebra=False)
 
 
 _ABELIAN_RE = re.compile(r"^abelian\((\d+)\|(\d+)\)$")
@@ -239,10 +238,9 @@ def orthogonal_direct_sum(a: QuadraticLieSuperalgebra,
     table = tuple(row + ((),) * nb for row in a.algebra.table) + tuple(
         ((),) * na + tuple(tuple((na + k, q) for k, q in e) for e in row)
         for row in b.algebra.table)
-    gram = tuple(row + (ZERO,) * nb for row in a.form.gram) + tuple(
-        (ZERO,) * na + row for row in b.form.gram)
     alg = LieSuperalgebra(graded_basis(names, parities), table)
-    form = EvenForm(alg.basis, gram)
+    form = EvenForm(alg.basis, {**a.form.coords, **{
+        (na + i, na + j): q for (i, j), q in b.form.coords.items()}})
     return quadratic(alg, form)
 
 
@@ -260,7 +258,7 @@ def random_cochain2(g: LieSuperalgebra, rng) -> Cochain2Dual:
     for key in free_coords_cochain2dual(g.basis):
         if rng.random() < 0.6:
             coords[key] = _random_fraction(rng)
-    return expand_cochain2dual(g.basis, coords)
+    return Cochain2Dual(g.basis, coords)
 
 
 def random_scalar2(g: LieSuperalgebra, rng) -> ScalarCochain2:
@@ -268,7 +266,7 @@ def random_scalar2(g: LieSuperalgebra, rng) -> ScalarCochain2:
     for key in free_coords_scalar2(g.basis):
         if rng.random() < 0.7:
             coords[key] = _random_fraction(rng)
-    return expand_scalar2(g.basis, coords)
+    return ScalarCochain2(g.basis, coords)
 
 
 def _random_combination(basis_cochains, rng, expand, g):
@@ -288,7 +286,7 @@ def random_supercyclic_cocycle(g: LieSuperalgebra, rng,
     if basis is None:
         basis = z2_supercyclic_basis(g)
     return _random_combination([collect_cochain2dual(w) for w in basis],
-                               rng, expand_cochain2dual, g)
+                               rng, Cochain2Dual, g)
 
 
 def random_cocycle2(g: LieSuperalgebra, rng, basis=None) -> Cochain2Dual:
@@ -296,4 +294,4 @@ def random_cocycle2(g: LieSuperalgebra, rng, basis=None) -> Cochain2Dual:
     if basis is None:
         basis = z2_basis(g)
     return _random_combination([collect_cochain2dual(w) for w in basis],
-                               rng, expand_cochain2dual, g)
+                               rng, Cochain2Dual, g)

@@ -83,17 +83,6 @@ def _extension_table(g: LieSuperalgebra, w: Cochain2Dual) -> tuple:
     return tuple(tuple(row) for row in table)
 
 
-def _pairing_gram(basis: GradedBasis) -> Mat:
-    n = basis.dim
-    N = 2 * n
-    G = [[ZERO] * N for _ in range(N)]
-    for i in range(n):
-        s = Fraction(sgn(basis.parity(i)))
-        G[i][n + i] = s          # B(e_i, e_i*) = (-1)^{p_i}
-        G[n + i][i] = Fraction(1)  # B(e_i*, e_i) = 1
-    return tuple(tuple(r) for r in G)
-
-
 def _extended_basis(g: LieSuperalgebra) -> GradedBasis:
     return graded_basis(g.basis.names + _dual_names(g.basis),
                         g.basis.parities + g.basis.parities)
@@ -104,7 +93,9 @@ def _raw_extension(g: LieSuperalgebra, w: Cochain2Dual) -> tuple[LieSuperalgebra
     preconditions; grading and skew-symmetry always hold."""
     basis = _extended_basis(g)
     alg = LieSuperalgebra(basis, _extension_table(g, w))
-    form = EvenForm(basis, _pairing_gram(g.basis))
+    # B(e_i, e_i*) = (-1)^{p_i}; B(e_i*, e_i) = 1 by supersymmetry
+    form = EvenForm(basis, {(i, g.dim + i): sgn(p)
+                            for i, p in enumerate(g.basis.parities)})
     return alg, form
 
 

@@ -1,13 +1,14 @@
 """Dense tensors of the library's sparse objects, and dense Gaussian
 elimination, for oracle tests only.
 
-The library stores a bracket only as its sparse table and a cochain only
-as its nonzero values on free coordinates.  The helpers here expand them
-into dense n^3 (or n^2) tensors, check those tensors with the entrywise
-validators for evenness and super-antisymmetry, and evaluate the Jacobi,
-invariance, morphism, cocycle, supercyclicity and closedness identities
-by plain loops over every ordered tuple and every coordinate, so the
-sparse fast paths can be compared with the definitions entry by entry.
+The library stores a bracket only as its sparse table, and a cochain or
+a form only as its nonzero values on free coordinates.  The helpers here
+expand them into dense n^3 (or n^2) tensors, check those tensors with
+the entrywise validators for evenness and super-antisymmetry, and
+evaluate the Jacobi, invariance, morphism, cocycle, supercyclicity and
+closedness identities by plain loops over every ordered tuple and every
+coordinate, so the sparse fast paths can be compared with the
+definitions entry by entry.
 
 The library also has a single eliminator, the sparse ``RowReducer``.
 The last section is the dense elimination it replaced (in-place RREF
@@ -78,6 +79,19 @@ def scalar2_matrix(phi):
         m[i][j] = q
         m[j][i] = -sgn(p[i] * p[j]) * q
     return m
+
+
+def gram(B):
+    """G[i][j] = B(e_i, e_j) for every ordered pair, completed from the
+    free coordinates by supersymmetry:
+    B(e_j, e_i) = (-1)^{|i||j|} B(e_i, e_j)."""
+    p = B.basis.parities
+    n = B.basis.dim
+    G = [[ZERO] * n for _ in range(n)]
+    for (i, j), q in B.coords.items():
+        G[i][j] = q
+        G[j][i] = sgn(p[i] * p[j]) * q
+    return tuple(tuple(r) for r in G)
 
 
 # --- the entrywise validators ------------------------------------------------

@@ -26,7 +26,7 @@ from superquad.cohomology import (add3, collect_cochain2dual, delta_scalar2,
 from superquad.decompose import decompose, max_isotropic_ideal
 from superquad.errors import (CocycleError, NotSupercyclicError,
                               RationalPointNotFound)
-from superquad.forms import (EvenForm, center_orthogonality_check,
+from superquad.forms import (center_orthogonality_check, even_form,
                              is_totally_isotropic, quadratic)
 from superquad.gallery import (build_glnn, build_gn, even_line,
                                orthogonal_direct_sum, random_cochain2,
@@ -268,7 +268,7 @@ def test_criterion_6_structure_decomposition():
             assert rank(gram) == image.dim
         # rational-field failure carries the anisotropic quadric
         a2 = sq.abelian(2, 0)
-        qid = quadratic(a2, EvenForm(a2.basis, mat([[1, 0], [0, 1]])),
+        qid = quadratic(a2, even_form(a2.basis, [[1, 0], [0, 1]]),
                         check_algebra=False)
         with pytest.raises(RationalPointNotFound) as exc:
             max_isotropic_ideal(qid)

@@ -13,7 +13,6 @@ from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   cohomologous, collect_alt3,
                                   collect_cochain2dual, collect_scalar2,
                                   delta_scalar2, expand_alt3,
-                                  expand_cochain2dual, expand_scalar2,
                                   free_coords_alt3, free_coords_cochain2dual,
                                   free_coords_scalar2, hat, is_closed3,
                                   is_cocycle2, is_supercyclic, is_zero3,
@@ -64,7 +63,7 @@ def test_cochain2dual_expansion_matches_dense_definition(basis, data):
     coords = {}
     for key in free_coords_cochain2dual(basis):
         coords[key] = data.draw(small_fractions)
-    w = expand_cochain2dual(basis, coords)
+    w = Cochain2Dual(basis, coords)
     t = dense.cochain2dual_tensor(w)
     assert dense.cochain2dual_violation(basis.parities, t) is None
     assert collect_cochain2dual(w) == {key: q for key, q in coords.items()
@@ -78,7 +77,7 @@ def test_scalar2_expansion_matches_dense_definition(basis, data):
     coords = {}
     for key in free_coords_scalar2(basis):
         coords[key] = data.draw(small_fractions)
-    phi = expand_scalar2(basis, coords)
+    phi = ScalarCochain2(basis, coords)
     m = dense.scalar2_matrix(phi)
     assert dense.scalar2_violation(basis.parities, m) is None
     assert collect_scalar2(phi) == {key: q for key, q in coords.items()
@@ -128,11 +127,11 @@ def test_non_free_keys_are_rejected():
     with pytest.raises(DimensionMismatch):
         expand_alt3(h3.basis, {(0, 1, 7): 1})
     with pytest.raises(CochainError):
-        expand_cochain2dual(h3.basis, {(1, 0, 2): 1})
+        Cochain2Dual(h3.basis, {(1, 0, 2): 1})
     with pytest.raises(DimensionMismatch):
-        expand_scalar2(h3.basis, {(0, 5): 1})
+        ScalarCochain2(h3.basis, {(0, 5): 1})
     with pytest.raises(DimensionMismatch):
-        expand_scalar2(h3.basis, {(-1, 0): 1})
+        ScalarCochain2(h3.basis, {(-1, 0): 1})
     # zero values are dropped, so equal cochains compare equal
     assert expand_alt3(h3.basis, {(0, 1, 2): 0}) == expand_alt3(h3.basis, {})
 
@@ -142,7 +141,7 @@ def test_non_free_keys_are_rejected():
 def test_supercyclic_examples():
     a3 = sq.abelian(3, 0)
     assert is_supercyclic(zero_cochain2(a3))
-    w = expand_cochain2dual(a3.basis, {(0, 1, 2): 1})
+    w = Cochain2Dual(a3.basis, {(0, 1, 2): 1})
     assert not is_supercyclic(w)
     from superquad.cohomology import supercyclic_violation
     assert supercyclic_violation(w) is not None
@@ -150,7 +149,7 @@ def test_supercyclic_examples():
 
 def test_hat_requires_supercyclic():
     a3 = sq.abelian(3, 0)
-    w = expand_cochain2dual(a3.basis, {(0, 1, 2): 1})
+    w = Cochain2Dual(a3.basis, {(0, 1, 2): 1})
     with pytest.raises(PreconditionError):
         hat(w)
 
@@ -200,7 +199,7 @@ def test_b3_inside_z3(gallery):
 
 def test_cocycle2_examples(gallery):
     a3 = sq.abelian(3, 0)
-    w = expand_cochain2dual(a3.basis, {(0, 1, 2): 1})
+    w = Cochain2Dual(a3.basis, {(0, 1, 2): 1})
     assert is_cocycle2(a3, w)  # abelian: every container-valid cochain
     h3 = sq.heisenberg3()
     rng = random.Random(5)
@@ -238,7 +237,7 @@ def _delta_direct(g, phi, i, j, k):
 def test_delta_matches_direct_evaluation(gallery):
     rng = random.Random(23)
     for name, g in gallery.items():
-        phis = [expand_scalar2(g.basis, {key: 1})
+        phis = [ScalarCochain2(g.basis, {key: 1})
                 for key in free_coords_scalar2(g.basis)]
         phis += [random_scalar2(g, rng) for _ in range(3)]
         for phi in phis:
@@ -325,7 +324,7 @@ def test_cocycle2_violation_matches_dense_loop(gallery, z2_bases):
     violated = 0
     for name, g in gallery.items():
         p, c = g.basis.parities, dense.bracket_tensor(g)
-        cochains = [expand_cochain2dual(g.basis, {key: 1})
+        cochains = [Cochain2Dual(g.basis, {key: 1})
                     for key in free_coords_cochain2dual(g.basis)]
         cochains += [sq.gallery.random_cochain2(g, rng) for _ in range(4)]
         cochains += [sq.gallery.random_cocycle2(g, rng, basis=z2_bases[name])
@@ -347,7 +346,7 @@ def test_supercyclic_violation_matches_dense_loop(gallery, supercyclic_bases):
     violated = 0
     for name, g in gallery.items():
         p = g.basis.parities
-        cochains = [expand_cochain2dual(g.basis, {key: 1})
+        cochains = [Cochain2Dual(g.basis, {key: 1})
                     for key in free_coords_cochain2dual(g.basis)]
         cochains += [sq.gallery.random_cochain2(g, rng) for _ in range(4)]
         cochains += list(supercyclic_bases[name])
@@ -381,7 +380,7 @@ def _coboundary_oracle(g):
     coords = free_coords_alt3(g.basis)
     cols = []
     for key in free_coords_scalar2(g.basis):
-        unit = expand_scalar2(g.basis, {key: 1})
+        unit = ScalarCochain2(g.basis, {key: 1})
         cols.append(tuple(_delta_direct(g, unit, *t) for t in coords))
     return coords, cols
 
@@ -412,7 +411,7 @@ def test_b3_basis_and_cohomologous_match_dense_coboundaries(gallery):
                 assert phi is None, name
                 rejected += 1
             else:
-                assert phi == expand_scalar2(
+                assert phi == ScalarCochain2(
                     g.basis, {keys2[t]: q
                               for t, q in enumerate(particular)
                               if q != 0}), name

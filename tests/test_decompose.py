@@ -12,7 +12,7 @@ from superquad.decompose import (Decomposition, _InducedSpace,
                                  max_isotropic_ideal)
 from superquad.errors import (InternalCheckError, PreconditionError,
                               RationalPointNotFound)
-from superquad.forms import EvenForm, is_totally_isotropic, orthogonal, quadratic
+from superquad.forms import even_form, is_totally_isotropic, orthogonal, quadratic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
 from superquad.linalg import (RowReducer, mat, mat_mul, mat_vec, rank,
@@ -36,7 +36,7 @@ def test_flag_hyperbolic_even_picks_first_null_vector():
 
 def test_flag_anisotropic_rational_failure():
     a2 = sq.abelian(2, 0)
-    q = quadratic(a2, EvenForm(a2.basis, mat([[1, 0], [0, 1]])),
+    q = quadratic(a2, even_form(a2.basis, [[1, 0], [0, 1]]),
                   check_algebra=False)
     with pytest.raises(RationalPointNotFound) as exc:
         max_isotropic_ideal(q)

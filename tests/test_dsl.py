@@ -1,13 +1,17 @@
+import io
+import json
 import pathlib
 from fractions import Fraction
 
 import pytest
 
 import superquad as sq
-from superquad import dsl
+from superquad import cli, dsl
 from superquad.cohomology import hat, unhat, z3_basis
 from superquad.errors import NotGradedError
 from superquad.linalg import vec
+
+import dense_oracle as dense
 
 F = Fraction
 
@@ -67,6 +71,73 @@ def test_contradiction_errors():
         dsl.parse("basis x:even\ncochain2 w(x,x;x) = 1")
 
 
+def test_every_entry_statement_declares_its_name():
+    doc = dsl.parse("basis x:even o:odd\n"
+                    "form B(x,o) = 0\n"
+                    "cochain2 w(x,x;x) = 0\n"
+                    "cochain3 f(x,x,o) = 0\n"
+                    "scalar2 phi(x,o) = 0\n")
+    assert (doc.form_name, doc.form_entries) == ("B", {})
+    assert doc.cochain2 == {"w": {}}
+    assert doc.cochain3 == {"f": {}}
+    assert doc.scalar2 == {"phi": {}}
+    assert dsl.document_scalar2(doc, "phi") == sq.zero_scalar2(doc.basis())
+
+
+def test_entries_in_any_order_read_back_where_written():
+    """Each statement, transposed or not, is the container's value at the
+    position written, by the dense completions of the oracle."""
+    doc = dsl.parse("basis x:even y:even o:odd p:odd\n"
+                    "form B(y,x) = 2\nform B(p,o) = 3\nform B(x,x) = 1\n"
+                    "cochain2 w(p,o;x) = 5\ncochain2 w(y,x;y) = 7\n"
+                    "cochain3 f(o,x,p) = 1\ncochain3 f(p,p,y) = 2\n"
+                    "scalar2 phi(y,x) = 1\nscalar2 phi(p,o) = 6\n"
+                    "scalar2 phi(o,o) = 4\n")
+    G = dense.gram(dsl.document_form(doc))
+    assert (G[1][0], G[3][2], G[0][0]) == (2, 3, 1)
+    w = dense.cochain2dual_tensor(dsl.document_cochain2(doc, "w"))
+    assert (w[3][2][0], w[1][0][1]) == (5, 7)
+    f = dense.alt3_tensor(dsl.document_cochain3(doc, "f"))
+    assert (f[2][0][3], f[3][3][1]) == (1, 2)
+    phi = dense.scalar2_matrix(dsl.document_scalar2(doc, "phi"))
+    assert (phi[1][0], phi[3][2], phi[2][2]) == (1, 6, 4)
+
+
+# (statements after the basis line, a word the message must contain or
+# None, line, column)
+REJECTED_ENTRIES = [
+    ("form B(x,o) = 1", "parity", 2, 16),
+    ("form B(o,o) = 1", None, 2, 16),
+    ("form B(x,y) = 1\nform B(y,x) = 2", "contradictory", 3, 16),
+    ("form B(x,y) = 1\nform B(y,x) = 0", "contradictory", 3, 16),
+    ("form B(x,y) = 1\nform C(x,y) = 1", "already defines form", 3, 7),
+    ("cochain2 w(x,y;o) = 1", "parity", 2, 22),
+    ("cochain2 w(x,x;y) = 1", None, 2, 22),
+    ("cochain2 w(x,y;z) = 1\ncochain2 w(y,x;z) = 1", "contradictory", 3, 22),
+    ("cochain3 f(x,y,o) = 1", "parity", 2, 22),
+    ("cochain3 f(x,x,y) = 1", None, 2, 22),
+    ("cochain3 f(x,y,z) = 1\ncochain3 f(y,x,z) = 1", "contradictory", 3, 22),
+    ("scalar2 phi(x,o) = 1  # comment", "parity", 2, 21),
+    ("scalar2 phi(x,x) = 1", None, 2, 21),
+    ("scalar2 phi(x,y) = 1\nscalar2 phi(y,x) = 1", "contradictory", 3, 21),
+]
+
+
+@pytest.mark.parametrize("body,word,line,column", REJECTED_ENTRIES)
+def test_rejected_entry_statements(monkeypatch, body, word, line, column):
+    text = f"basis x:even y:even z:even o:odd\n{body}\n"
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert word is None or word in str(exc.value)
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["check"], out=out) == 2
+    error = json.loads(out.getvalue())["error"]
+    assert (error["kind"], error["line"], error["column"]) == (
+        "parse", line, column)
+
+
 def test_syntax_error_position():
     with pytest.raises(dsl.ParseError) as exc:
         dsl.parse("basis x:even\nbracket [x y] = 0")
@@ -105,7 +176,7 @@ def test_document_quadratic_roundtrip():
     ext = sq.tstar_of_gn(2).total
     doc = dsl.parse(dsl.emit(dsl.document_quadratic(ext)))
     assert dsl.document_algebra(doc) == ext.algebra
-    assert dsl.document_form(doc).gram == ext.form.gram
+    assert dsl.document_form(doc) == ext.form
 
 
 def test_cochain_roundtrip():

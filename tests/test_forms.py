@@ -1,18 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import superquad as sq
+from superquad import dsl
 from superquad.errors import DimensionMismatch, FormError, PreconditionError
-from superquad.forms import (EvenForm, center_orthogonality_check,
+from superquad.forms import (EvenForm, center_orthogonality_check, even_form,
                              invariance_violation, is_invariant,
                              is_nondegenerate, is_totally_isotropic,
-                             isotropic_complement, orthogonal, quadratic)
+                             isotropic_complement, orthogonal, quadratic,
+                             radical)
 from superquad.linalg import (dot, kernel, mat, mat_vec, unit_vec, vec,
                               vec_is_zero, zeros)
-from superquad.superalgebra import (EVEN, ODD, full_subspace, graded_basis,
-                                    sgn, subspace, zero_subspace)
+from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra,
+                                    full_subspace, graded_basis, sgn,
+                                    subspace, zero_subspace)
 from superquad.tstar import build
 
 import dense_oracle as dense
@@ -43,36 +46,99 @@ def even_forms_and_vectors(draw):
             G[j][i] = sgn(parities[i] * parities[j]) * q
     basis = graded_basis([f"b{i}" for i in range(n)], parities)
     vectors = st.lists(sparse_entries, min_size=n, max_size=n).map(vec)
-    return EvenForm(basis, mat(G)), draw(vectors), draw(vectors)
+    return even_form(basis, G), draw(vectors), draw(vectors)
+
+
+@st.composite
+def free_coordinate_forms(draw, entries=sparse_entries):
+    """A random form given straight by its free coordinates: pairs i <= j
+    of equal parity, where only an even index repeats."""
+    parities = draw(st.lists(st.sampled_from((EVEN, ODD)),
+                             min_size=1, max_size=7))
+    n = len(parities)
+    basis = graded_basis([f"b{i}" for i in range(n)], parities)
+    return EvenForm(basis, {
+        (i, j): draw(entries) for i in range(n) for j in range(i, n)
+        if parities[i] == parities[j] and (i < j or parities[i] == EVEN)})
+
+
+# --- the free-coordinate store, against the dense Gram matrix ----------------
+
+@given(free_coordinate_forms())
+@settings(max_examples=150, deadline=None)
+def test_rows_match_dense_gram(B):
+    assert B._rows == tuple(tuple((j, q) for j, q in enumerate(row) if q)
+                            for row in dense.gram(B))
+
+
+@given(free_coordinate_forms())
+@settings(max_examples=150, deadline=None)
+def test_even_form_of_the_dense_gram_is_the_form(B):
+    assert even_form(B.basis, dense.gram(B)) == B
+
+
+@given(free_coordinate_forms())
+@settings(max_examples=150, deadline=None)
+def test_radical_matches_dense_kernel(B):
+    ker = dense.kernel(dense.gram(B))
+    assert radical(B) == ker
+    assert is_nondegenerate(B) == (not ker)
+
+
+@given(free_coordinate_forms(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4)))
+@settings(max_examples=100, deadline=None)
+def test_dsl_roundtrip_of_random_forms(B):
+    assume(B.basis.odd_dim % 2 == 0 and is_nondegenerate(B))
+    n = B.dim
+    q = quadratic(LieSuperalgebra(B.basis, (((),) * n,) * n), B)
+    doc = dsl.parse(dsl.emit(dsl.document_quadratic(q)))
+    assert dsl.document_form(doc) == q.form
+
+
+def test_non_free_keys_are_rejected():
+    basis = graded_basis(("e1", "o1", "e2", "o2"), (EVEN, ODD, EVEN, ODD))
+    # transposed, mixed parity, odd diagonal
+    for key in ((2, 0), (3, 1), (0, 1), (1, 2), (1, 1), (3, 3)):
+        with pytest.raises(FormError) as exc:
+            EvenForm(basis, {(0, 0): 1, key: 1})
+        assert exc.value.witness == key
+    for key in ((0, 4), (-1, 0), (0,), (0, 1, 2), "e1"):
+        with pytest.raises(DimensionMismatch):
+            EvenForm(basis, {key: 1})
+    B = EvenForm(basis, {(2, 2): 2, (1, 3): F(1, 2), (0, 2): 0, (0, 0): 3})
+    assert B.coords == {(0, 0): 3, (1, 3): F(1, 2), (2, 2): 2}
+    assert list(B.coords) == sorted(B.coords)
 
 
 def test_evenness_enforced():
     basis = graded_basis(("e", "o"), (EVEN, ODD))
     with pytest.raises(FormError):
-        EvenForm(basis, mat([[0, 1], [1, 0]]))
+        even_form(basis, [[0, 1], [1, 0]])
 
 
 def test_supersymmetry_enforced():
     basis = graded_basis(("e1", "e2"), (EVEN, EVEN))
     with pytest.raises(FormError):
-        EvenForm(basis, mat([[0, 1], [-1, 0]]))
+        even_form(basis, [[0, 1], [-1, 0]])
     basis = graded_basis(("o1", "o2"), (ODD, ODD))
     with pytest.raises(FormError):
-        EvenForm(basis, mat([[0, 1], [1, 0]]))
+        even_form(basis, [[0, 1], [1, 0]])
 
 
 @given(even_forms_and_vectors())
 @settings(max_examples=150, deadline=None)
 def test_sparse_apply_and_orthogonal_match_dense_gram(case):
     B, x, y = case
-    assert B.apply(x, y) == dot(mat_vec(B.gram, y), x)
+    G = dense.gram(B)
+    assert B.apply(x, y) == dot(mat_vec(G, y), x)
     w = subspace(B.basis, [v for v in split_vector(B.basis, x)
                            if not vec_is_zero(v)])
-    rows = [r for r in (mat_vec(B.gram, u) for u in w.vectors)
+    rows = [r for r in (mat_vec(G, u) for u in w.vectors)
             if not vec_is_zero(r)]
-    dense = (subspace(B.basis, kernel(mat(rows))) if rows
-             else full_subspace(B.basis))
-    assert orthogonal(B, w).equals(dense)
+    want = (subspace(B.basis, kernel(mat(rows))) if rows
+            else full_subspace(B.basis))
+    assert orthogonal(B, w).equals(want)
 
 
 def test_apply_rejects_wrong_length():
@@ -85,18 +151,18 @@ def test_apply_rejects_wrong_length():
 
 def test_nondegeneracy():
     g = sq.abelian(2, 0)
-    assert is_nondegenerate(EvenForm(g.basis, mat([[1, 0], [0, 1]])))
-    assert not is_nondegenerate(EvenForm(g.basis, zeros(2, 2)))
+    assert is_nondegenerate(even_form(g.basis, [[1, 0], [0, 1]]))
+    assert not is_nondegenerate(even_form(g.basis, zeros(2, 2)))
     ext = build(sq.heisenberg3())
     assert is_nondegenerate(ext.total.form)
 
 
 def test_invariance_trivial_and_failure():
     g = sq.abelian(2, 0)
-    B = EvenForm(g.basis, mat([[1, 2], [2, 5]]))
+    B = even_form(g.basis, [[1, 2], [2, 5]])
     assert is_invariant(g, B)
     h3 = sq.heisenberg3()
-    Bid = EvenForm(h3.basis, mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    Bid = even_form(h3.basis, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     w = invariance_violation(h3, Bid)
     assert w is not None
     # B([e1,e2],e3) = B(e3,e3) = 1 but B(e1,[e2,e3]) = 0
@@ -131,9 +197,9 @@ def test_derived_orthogonal_is_center(gallery):
 
 def test_isotropy_examples():
     g = sq.abelian(2, 0)
-    zero_form = EvenForm(g.basis, zeros(2, 2))
+    zero_form = even_form(g.basis, zeros(2, 2))
     assert is_totally_isotropic(zero_form, full_subspace(g.basis))
-    line = EvenForm(g.basis, mat([[1, 0], [0, 0]]))
+    line = even_form(g.basis, [[1, 0], [0, 0]])
     assert not is_totally_isotropic(
         line, subspace(g.basis, [unit_vec(2, 0)]))
     ext = build(sq.build_gn(2))
@@ -148,7 +214,7 @@ def test_odd_vectors_always_isotropic():
 
 def test_isotropic_complement_hyperbolic_correction():
     basis = graded_basis(("u", "v"), (EVEN, EVEN))
-    B = EvenForm(basis, mat([[0, 1], [1, 2]]))
+    B = even_form(basis, [[0, 1], [1, 2]])
     iso = subspace(basis, [unit_vec(2, 0)])
     c = isotropic_complement(B, iso)
     assert c.equals(subspace(basis, [vec([-1, 1])]))  # span{v - u}
@@ -197,7 +263,7 @@ def test_isotropic_complement_with_an_unsymmetric_pairing(data):
         [A[j][i] for j in range(k)] + [C[i][j] + C[j][i] for j in range(k)]
         for i in range(k)]
     basis = graded_basis([f"e{i}" for i in range(2 * k)], [EVEN] * (2 * k))
-    B = EvenForm(basis, mat(gram))
+    B = even_form(basis, gram)
     iso = subspace(basis, [unit_vec(2 * k, i) for i in range(k)])
     c = isotropic_complement(B, iso)
     assert c.dim == k and is_totally_isotropic(B, c)
@@ -208,14 +274,14 @@ def test_isotropic_complement_preconditions():
     q = sq.hyperbolic_even()
     with pytest.raises(PreconditionError):
         isotropic_complement(q.form, zero_subspace(q.basis))
-    anis = EvenForm(q.basis, mat([[1, 0], [0, 1]]))
+    anis = even_form(q.basis, [[1, 0], [0, 1]])
     with pytest.raises(PreconditionError):
         isotropic_complement(anis, subspace(q.basis, [unit_vec(2, 0)]))
 
 
 def test_quadratic_rejects_noninvariant():
     h3 = sq.heisenberg3()
-    Bid = EvenForm(h3.basis, mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    Bid = even_form(h3.basis, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(FormError):
         quadratic(h3, Bid)
 

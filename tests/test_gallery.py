@@ -202,7 +202,8 @@ def test_stock_and_direct_sum_tables_match_dense_construction():
     for i, j, k in itertools.product(range(nb), repeat=3):
         want[na + i][na + j][na + k] = cb[i][j][k]
     assert dense.bracket_tensor(q.algebra) == want
-    assert [row[:na] for row in q.form.gram[:na]] == list(a.form.gram)
-    assert [row[na:] for row in q.form.gram[na:]] == list(b.form.gram)
-    assert all(q.form.gram[i][na + j] == 0 == q.form.gram[na + j][i]
+    G = dense.gram(q.form)
+    assert [row[:na] for row in G[:na]] == list(dense.gram(a.form))
+    assert [row[na:] for row in G[na:]] == list(dense.gram(b.form))
+    assert all(G[i][na + j] == 0 == G[na + j][i]
                for i in range(na) for j in range(nb))

@@ -1,7 +1,7 @@
 """Differential tests of the sparse structure verifiers against the dense
 loops of ``dense_oracle``: the Jacobi scan of ``check_axioms``,
 ``invariance_violation``, the isometry check behind ``verify_isometry``,
-the evenness checks of ``EvenForm`` and the witnesses ``build`` attaches
+the evenness checks of ``even_form`` and the witnesses ``build`` attaches
 to its rejections."""
 
 import itertools
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.errors import CocycleError, FormError, NotSupercyclicError
-from superquad.forms import EvenForm, invariance_violation
+from superquad.forms import even_form, invariance_violation
 from superquad.gallery import (random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
 from superquad.superalgebra import (AxiomReport, LieSuperalgebra,
@@ -129,7 +129,7 @@ def even_grams(draw, p):
 def test_invariance_witness_matches_dense_on_random_tables(case):
     (p, c), G = case
     g = _algebra(p, c)
-    B = EvenForm(g.basis, tuple(map(tuple, G)))
+    B = even_form(g.basis, G)
     assert invariance_violation(g, B) == dense.invariance_violation(c, G)
 
 
@@ -155,7 +155,7 @@ def test_invariance_witness_matches_dense_after_one_perturbation(
         p = q.basis.parities
         n = q.dim
         c = dense.bracket_tensor(q.algebra)
-        G = [list(r) for r in q.form.gram]
+        G = [list(r) for r in dense.gram(q.form)]
         assert invariance_violation(q.algebra, q.form) is None
         assert dense.invariance_violation(c, G) is None
         i, j = sorted(data.draw(st.tuples(st.integers(0, n - 1),
@@ -173,11 +173,11 @@ def test_invariance_witness_matches_dense_after_one_perturbation(
             G[i][j] += delta
             G[j][i] = sgn(p[i] * p[j]) * G[i][j]
         g = _algebra(p, c)
-        B = EvenForm(g.basis, tuple(map(tuple, G)))
+        B = even_form(g.basis, G)
         assert invariance_violation(g, B) == dense.invariance_violation(c, G)
 
 
-# --- EvenForm ----------------------------------------------------------------
+# --- even_form ---------------------------------------------------------------
 
 @given(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=5).flatmap(
     lambda p: st.tuples(st.just(tuple(p)), st.lists(
@@ -189,10 +189,10 @@ def test_even_form_error_matches_dense(case):
     basis = graded_basis([f"b{i}" for i in range(len(p))], p)
     expected = dense.even_form_violation(p, G)
     if expected is None:
-        EvenForm(basis, tuple(map(tuple, G)))
+        even_form(basis, G)
         return
     with pytest.raises(FormError) as exc:
-        EvenForm(basis, tuple(map(tuple, G)))
+        even_form(basis, G)
     assert (str(exc.value), exc.value.witness) == expected
 
 
@@ -200,9 +200,9 @@ def test_even_form_error_matches_dense(case):
 
 def _dense_morphism(src, dst, m):
     return dense.morphism_violation(
-        src.basis.parities, dense.bracket_tensor(src.algebra), src.form.gram,
-        dst.basis.parities, dense.bracket_tensor(dst.algebra), dst.form.gram,
-        m)
+        src.basis.parities, dense.bracket_tensor(src.algebra),
+        dense.gram(src.form), dst.basis.parities,
+        dense.bracket_tensor(dst.algebra), dense.gram(dst.form), m)
 
 
 @pytest.fixture(scope="module")
@@ -315,5 +315,5 @@ def test_build_invariance_witness_is_first_dense_violation(
             sq.build(g, w)
         alg, form = _raw_extension(g, w)
         assert exc.value.invariance_witness == dense.invariance_violation(
-            dense.bracket_tensor(alg), form.gram)
+            dense.bracket_tensor(alg), dense.gram(form))
     assert seen
