@@ -2,8 +2,9 @@
 """Print one line per CLI report: its SHA-256, the exit code and the command.
 
 Runs each applicable ``superquad`` subcommand over ``corpus/*.sqd``, plus
-the ``example gn 2 | cohomology`` and ``example class-c 2 | decompose``
-pipes, from the source tree of a checkout.  Two checkouts whose digests
+the ``example gn 2 | cohomology``, ``example class-c 2 | decompose`` and
+``example class-c 3 | decompose`` pipes (the last at dimension 30, the
+default ``--max-dim``), from the source tree of a checkout.  Two checkouts whose digests
 print identically produce byte-identical reports, so the output of
 
     python3 scripts/report_digest.py [CHECKOUT]
@@ -23,7 +24,8 @@ import sys
 from pathlib import Path
 
 PIPES = ((("example", "gn", "2"), ("cohomology", "-")),
-         (("example", "class-c", "2"), ("decompose", "-")))
+         (("example", "class-c", "2"), ("decompose", "-")),
+         (("example", "class-c", "3"), ("decompose", "-")))
 
 
 def _run(root: Path, args, stdin: bytes | None = None):

@@ -21,15 +21,13 @@ from .cohomology import (b3_basis, collect_alt3, collect_cochain2dual,
                          cocycle2_violation, supercyclic_violation,
                          z2_supercyclic_basis, z3_basis, zero_cochain2)
 from .decompose import decompose as run_decompose
-from .errors import (NotIdealError, PreconditionError, RationalPointNotFound,
-                     SuperquadError)
+from .errors import (FormError, NotIdealError, PreconditionError,
+                     RationalPointNotFound, SuperquadError)
 from .forms import (QuadraticLieSuperalgebra, invariance_violation,
-                    is_nondegenerate, is_totally_isotropic, quadratic,
-                    radical)
+                    is_nondegenerate, is_totally_isotropic, radical)
 from .gallery import (build_class_c_example, build_glnn, build_gn, stock,
                       STOCK_NAMES)
-from .linalg import unit_vec
-from .superalgebra import (bracket, center, check_axioms, class_condition,
+from .superalgebra import (ad_images, center, check_axioms, class_condition,
                            is_nilpotent, is_solvable)
 from .tstar import build, recognize, s_phi_isometry
 
@@ -155,6 +153,7 @@ def _entries_strs(entries: dict, names) -> dict:
 
 
 def _load_document(args, report: Report):
+    """The input document and its algebra."""
     text = _read_input(args.file)
     report.digest(text)
     doc = dsl.parse(text)
@@ -163,7 +162,7 @@ def _load_document(args, report: Report):
     if doc.dim > args.max_dim:
         raise PreconditionError(
             f"document dimension {doc.dim} exceeds --max-dim {args.max_dim}")
-    return doc
+    return doc, dsl.document_algebra(doc)
 
 
 def _axiom_checks(report: Report, doc, alg) -> bool:
@@ -183,8 +182,7 @@ def _axiom_checks(report: Report, doc, alg) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args, report: Report, out) -> int:
-    doc = _load_document(args, report)
-    alg = dsl.document_algebra(doc)
+    doc, alg = _load_document(args, report)
     ok = _axiom_checks(report, doc, alg)
     if ok:
         report.dims["dim"] = alg.dim
@@ -216,18 +214,15 @@ def _form_checks(report: Report, doc, alg, form) -> None:
 
 
 def _isotropy_witness(form, w):
-    for u in w.vectors:
-        for v in w.vectors:
-            if form.apply(u, v) != 0:
-                return [_vec_strs(u), _vec_strs(v)]
-    return None
+    return next(([_vec_strs(u), _vec_strs(v)] for u in w.vectors
+                 for v in w.vectors if form.apply(u, v) != 0), None)
 
 
 def _ideal_witness(alg, w, names):
-    for i in range(alg.dim):
-        for v in w.vectors:
-            if not w.contains_vector(bracket(alg, unit_vec(alg.dim, i), v)):
-                return [names[i], _vec_strs(v)]
+    m = len(w.vectors)
+    for t, image in enumerate(ad_images(alg, w.vectors)):
+        if not w.contains_vector(image):
+            return [names[t // m], _vec_strs(w.vectors[t % m])]
     return None
 
 
@@ -251,17 +246,25 @@ def _document_omega(args, report: Report, doc, alg, label: str):
 
 
 def _document_quadratic(report: Report, doc, alg, what: str):
-    """The document's quadratic algebra, or None when a form check fails."""
+    """The document's quadratic algebra, or None when a form check fails;
+    the witnesses are only searched for after a failure."""
     form = dsl.document_form(doc)
     if form is None:
         raise PreconditionError(f"{what} needs a form in the document")
-    _form_checks(report, doc, alg, form)
-    return quadratic(alg, form, check_algebra=False) if report.passed else None
+    try:
+        q = QuadraticLieSuperalgebra(alg, form)
+    except FormError:
+        _form_checks(report, doc, alg, form)
+        if report.passed:
+            raise
+        return None
+    report.check("form.nondegenerate", True)
+    report.check("form.invariant", True)
+    return q
 
 
 def _cmd_tstar(args, report: Report, out) -> int:
-    doc = _load_document(args, report)
-    alg = dsl.document_algebra(doc)
+    doc, alg = _load_document(args, report)
     if not _axiom_checks(report, doc, alg):
         return report.render(out)
     omega = _document_omega(args, report, doc, alg, "omega")
@@ -276,8 +279,7 @@ def _cmd_tstar(args, report: Report, out) -> int:
 
 
 def _cmd_cohomology(args, report: Report, out) -> int:
-    doc = _load_document(args, report)
-    alg = dsl.document_algebra(doc)
+    doc, alg = _load_document(args, report)
     if not _axiom_checks(report, doc, alg):
         return report.render(out)
     z2sc = z2_supercyclic_basis(alg)
@@ -300,8 +302,7 @@ def _cmd_cohomology(args, report: Report, out) -> int:
 
 
 def _cmd_isometry(args, report: Report, out) -> int:
-    doc = _load_document(args, report)
-    alg = dsl.document_algebra(doc)
+    doc, alg = _load_document(args, report)
     if not _axiom_checks(report, doc, alg):
         return report.render(out)
     if args.phi not in doc.scalar2:
@@ -320,8 +321,7 @@ def _cmd_isometry(args, report: Report, out) -> int:
 
 
 def _cmd_recognize(args, report: Report, out) -> int:
-    doc = _load_document(args, report)
-    alg = dsl.document_algebra(doc)
+    doc, alg = _load_document(args, report)
     if not _axiom_checks(report, doc, alg):
         return report.render(out)
     q = _document_quadratic(report, doc, alg, "recognition")
@@ -354,8 +354,7 @@ def _cmd_recognize(args, report: Report, out) -> int:
 
 
 def _cmd_decompose(args, report: Report, out) -> int:
-    doc = _load_document(args, report)
-    alg = dsl.document_algebra(doc)
+    doc, alg = _load_document(args, report)
     if not _axiom_checks(report, doc, alg):
         return report.render(out)
     q = _document_quadratic(report, doc, alg, "decomposition")

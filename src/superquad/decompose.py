@@ -22,49 +22,42 @@ from .errors import (InternalCheckError, PreconditionError,
 from .forms import (EvenForm, QuadraticLieSuperalgebra, is_totally_isotropic,
                     orthogonal, quadratic)
 from .linalg import (Mat, RowReducer, Vec, ZERO, charpoly,
-                     diagonalize_symmetric, frac, kernel, mat, mat_mul,
-                     mat_vec, rank, rational_roots, sqrt_fraction, transpose,
-                     unit_vec, vec_add, vec_is_zero, vec_scale)
-from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, bracket,
-                           class_condition, derived_subspace, extend_subspace,
-                           graded_basis, graded_complement, is_ideal,
-                           is_nilpotent, is_solvable, subspace, zero_subspace)
+                     diagonalize_symmetric, frac, kernel, mat, mat_vec, rank,
+                     rational_roots, sqrt_fraction, transpose, unit_vec,
+                     vec_add, vec_is_zero, vec_scale)
+from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, ad_images,
+                           bracket, class_condition, derived_subspace,
+                           extend_subspace, graded_basis, graded_complement,
+                           is_ideal, is_nilpotent, is_solvable, subspace,
+                           zero_subspace)
 from .tstar import TStarExtension, quadratic_morphism_violation, recognize
 
 _QUADRIC_VARS = ("x", "y", "z", "w")
 
 
-def _quadric_string(diag: tuple[Fraction, ...]) -> str:
+def _signed_sum(terms) -> str:
+    """Join (coefficient, monomial) pairs as "2*x^2 - y^2 + 3": zero
+    coefficients are skipped, a unit one is left off, and "" is the
+    constant monomial."""
     parts = []
-    for r, d in enumerate(diag):
-        if d == 0:
-            continue
-        name = _QUADRIC_VARS[r] if r < len(_QUADRIC_VARS) else f"x{r}"
-        mag = abs(d)
-        term = f"{name}^2" if mag == 1 else f"{mag}*{name}^2"
-        if not parts:
-            parts.append(term if d > 0 else f"-{term}")
-        else:
-            parts.append(("+ " if d > 0 else "- ") + term)
+    for c, base in terms:
+        if c != 0:
+            m = abs(c)
+            term = (base if m == 1 else f"{m}*{base}") if base else str(m)
+            parts.append((("+ " if c > 0 else "- ") if parts
+                          else ("" if c > 0 else "-")) + term)
     return " ".join(parts) if parts else "0"
+
+
+def _quadric_string(diag: tuple[Fraction, ...]) -> str:
+    return _signed_sum((d, (_QUADRIC_VARS[r] if r < len(_QUADRIC_VARS)
+                            else f"x{r}") + "^2") for r, d in enumerate(diag))
 
 
 def _poly_string(coeffs: tuple[Fraction, ...]) -> str:
     n = len(coeffs) - 1
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        power = n - i
-        base = "1" if power == 0 else ("t" if power == 1 else f"t^{power}")
-        mag = abs(c)
-        term = base if (mag == 1 and power > 0) else (
-            f"{mag}" if power == 0 else f"{mag}*{base}")
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
+    return _signed_sum((c, {0: "", 1: "t"}.get(n - i, f"t^{n - i}"))
+                       for i, c in enumerate(coeffs))
 
 
 def isotropic_vector(gram: Mat, parities: tuple[int, ...]) -> Vec | None:
@@ -160,7 +153,7 @@ class _Coordinates:
 
 
 class _InducedSpace:
-    """The subquotient W^perp / W with its induced action and form.
+    """The subquotient V' = W^perp / W with its induced action and form.
 
     The spanning rows [reps | W basis] are independent and factored
     once; ``project`` reads V'-coordinates off that factorization.
@@ -168,6 +161,7 @@ class _InducedSpace:
 
     def __init__(self, q: QuadraticLieSuperalgebra, w: Subspace):
         self.q = q
+        self.w = w
         wperp = orthogonal(q.form, w)
         if not wperp.contains(w):
             raise InternalCheckError("flag subspace is not isotropic")
@@ -176,8 +170,6 @@ class _InducedSpace:
         self.parities = comp.parities
         self.dim = len(self.rep_vectors)
         self._coords = _Coordinates(tuple(self.rep_vectors) + tuple(w.vectors))
-        self.rep_gram = mat([[q.form.apply(u, v) for v in self.rep_vectors]
-                             for u in self.rep_vectors])
 
     def project(self, v: Vec) -> Vec:
         """V'-coordinates of a vector of W^perp."""
@@ -197,8 +189,21 @@ class _InducedSpace:
                 for rep in self.rep_vectors]
         return transpose(mat(cols)) if cols else ()
 
+    def invariants(self) -> list[Vec]:
+        """The g-invariants of V', as U / W for U = (W + [g, W^perp])^perp;
+        W is an ideal, so the images of the lifts suffice.  The basis is
+        the one the stacked induced operators give (docs/conventions.md)."""
+        q = self.q
+        images = filter(None, ad_images(q.algebra, self.rep_vectors))
+        span = subspace(q.basis, itertools.chain(self.w.vectors, images))
+        red = RowReducer(self.dim)
+        for u in orthogonal(q.form, span).vectors:
+            red.add(self.project(u))
+        return _common_kernel([red.kernel()], self.dim)
+
     def induced_gram_on(self, rows: list[Vec]) -> Mat:
-        return mat_mul(mat_mul(rows, self.rep_gram), transpose(rows))
+        lifts = [self.lift(r) for r in rows]
+        return mat([[self.q.form.apply(u, v) for v in lifts] for u in lifts])
 
 
 def _common_kernel(ops: list[Mat], dim: int) -> list[Vec]:
@@ -329,8 +334,7 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
     chain = [w]
     while w.dim < target:
         ind = _InducedSpace(q, w)
-        ops = [ind.operator(unit_vec(n, i)) for i in range(n)]
-        u_basis = _common_kernel(ops, ind.dim)
+        u_basis = ind.invariants()
         vprime = None
         quadric_cert = None
         if u_basis:
@@ -401,12 +405,9 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         if not (wperp.contains(w) and wperp.dim == w.dim + 1):
             raise InternalCheckError("orthogonal of the maximal member is "
                                      "not one dimension bigger")
-        for i in range(n):
-            for v in wperp.vectors:
-                if not w.contains_vector(bracket(g, unit_vec(n, i), v)):
-                    raise InternalCheckError(
-                        "action does not map the orthogonal of the maximal "
-                        "member into it")
+        if not all(map(w.contains_vector, ad_images(g, wperp.vectors))):
+            raise InternalCheckError("action does not map the orthogonal "
+                                     "of the maximal member into it")
     return IsotropicFlagResult(w, tuple(chain), w.dim)
 
 

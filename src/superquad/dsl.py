@@ -233,11 +233,9 @@ def _handle_bracket(lp: _LineParser, b: _DocBuilder):
         key, val = (c, a), vec_scale(-s, v)
     else:
         key, val = (a, c), v
-    if b.brackets.get(key, val) != val:
+    if b.brackets.setdefault(key, val) != val:
         lp.error(f"contradictory entry for bracket "
                  f"[{b.names[a]},{b.names[c]}]")
-    if not vec_is_zero(val):
-        b.brackets[key] = val
 
 
 # keyword -> (separators between the labels, canon of the container's
@@ -281,11 +279,8 @@ def _handle_entry(kind: str, lp: _LineParser, b: _DocBuilder):
             lp.error(f"parity violation: {kind} entry {name}({args}) "
                      "must vanish")
         return
-    val = s * q
-    if store.get(key, val) != val:
+    if store.setdefault(key, s * q) != s * q:
         lp.error(f"contradictory entry for {kind} {name}")
-    if val:
-        store[key] = val
 
 
 _HANDLERS = {
@@ -310,19 +305,19 @@ def parse(text: str) -> AlgebraDocument:
                      else "expected a statement keyword")
         lp.pos = m.end()
         _HANDLERS[keyword](lp, b)
-    doc = AlgebraDocument(
+    # explicit zeros were kept only to catch a later contradiction
+    def nonzero(store: dict) -> dict:
+        return {k: q for k, q in sorted(store.items()) if q}
+
+    def named(stores: dict) -> dict:
+        return {k: nonzero(v) for k, v in sorted(stores.items())}
+
+    return AlgebraDocument(
         names=tuple(b.names), parities=tuple(b.parities),
-        brackets=dict(sorted(b.brackets.items())),
+        brackets={k: v for k, v in sorted(b.brackets.items()) if any(v)},
         form_name=b.form_name,
-        form_entries=dict(sorted(b.form_entries.items())),
-        cochain2={k: dict(sorted(v.items()))
-                  for k, v in sorted(b.cochain2.items())},
-        cochain3={k: dict(sorted(v.items()))
-                  for k, v in sorted(b.cochain3.items())},
-        scalar2={k: dict(sorted(v.items()))
-                 for k, v in sorted(b.scalar2.items())},
-    )
-    return doc
+        form_entries=nonzero(b.form_entries), cochain2=named(b.cochain2),
+        cochain3=named(b.cochain3), scalar2=named(b.scalar2))
 
 
 # ---------------------------------------------------------------------------

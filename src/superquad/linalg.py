@@ -155,12 +155,12 @@ class RowReducer:
             if any(c not in range(self.ncols) for c in row):
                 raise DimensionMismatch(
                     f"sparse row has a column outside range({self.ncols})")
-            r = {c: q for c, q in row.items() if q != 0}
+            r = {c: q for c, q in row.items() if q}
         else:
             if len(row) != self.ncols:
                 raise DimensionMismatch(
                     f"row has {len(row)} entries, expected {self.ncols}")
-            r = {c: q for c, q in enumerate(row) if q != 0}
+            r = {c: q for c, q in enumerate(row) if q}
         rows = self.rows
         for c in [c for c in r if c in rows]:
             _sub_scaled(r, r[c], rows[c])

@@ -225,6 +225,22 @@ def bracket(g: LieSuperalgebra, x: Vec, y: Vec) -> Vec:
     return tuple(out)
 
 
+def ad_images(g: LieSuperalgebra, vectors):
+    """Yield [e_i, v] for every basis index i and every v in ``vectors``,
+    i-major, each as the {k: c} dict of its nonzeros, read straight off
+    the table; each v's nonzeros are read once."""
+    if any(len(v) != g.dim for v in vectors):
+        raise DimensionMismatch("vectors do not match the basis")
+    supports = [[(j, q) for j, q in enumerate(v) if q] for v in vectors]
+    for row in g.table:
+        for support in supports:
+            acc: dict = {}
+            for j, q in support:
+                for k, c in row[j]:
+                    acc[k] = acc.get(k, ZERO) + q * c
+            yield {k: c for k, c in acc.items() if c}
+
+
 def table_by_target(g: LieSuperalgebra) -> list:
     """by_t[a][t] = [(l, c), ...] over the l where [e_a, e_l] has the
     coefficient c != 0 on e_t: the bracket table read by output index."""
@@ -378,8 +394,9 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def contains_vector(self, v: Vec) -> bool:
-        if len(v) != self.basis.dim:
+    def contains_vector(self, v: Vec | dict) -> bool:
+        """Whether v, dense or a {k: c} dict, lies in the subspace."""
+        if not isinstance(v, dict) and len(v) != self.basis.dim:
             raise DimensionMismatch("vector does not match the ambient basis")
         return not self._reducer.reduce(v)
 
@@ -391,24 +408,23 @@ class Subspace:
 
 
 def subspace(basis: GradedBasis, vectors) -> Subspace:
-    """Graded subspace spanned by ``vectors``.
+    """Graded subspace spanned by ``vectors``, dense or {k: c} dicts.
 
     The input spans a graded subspace iff its rank is the sum of the
     ranks of its parity parts, taken only from the vectors that raise
     the rank (the parts of a dependent vector lie in their span).
     """
-    vs = [vec(v) for v in vectors]
     n = basis.dim
-    for v in vs:
-        if len(v) != n:
-            raise DimensionMismatch("vector does not match the ambient basis")
     whole, by_parity = RowReducer(n), (RowReducer(n), RowReducer(n))
     p = basis.parities
-    for v in vs:
-        nz = {k: q for k, q in enumerate(v) if q}
-        if whole.add(nz):
+    for v in vectors:
+        if not isinstance(v, dict):
+            if len(v) != n:
+                raise DimensionMismatch("vector does not match the basis")
+            v = {k: frac(q) for k, q in enumerate(v) if q}
+        if whole.add(v):
             for par, red in enumerate(by_parity):
-                red.add({k: q for k, q in nz.items() if p[k] == par})
+                red.add({k: q for k, q in v.items() if p[k] == par})
     even, odd = by_parity
     if whole.rank != even.rank + odd.rank:
         raise NotGradedError("spanning set does not span a graded subspace")
@@ -483,10 +499,9 @@ def derived_series(g: LieSuperalgebra) -> list[Subspace]:
 
 
 def lower_central_series(g: LieSuperalgebra) -> list[Subspace]:
-    whole = full_subspace(g.basis)
-    series = [whole]
+    series = [full_subspace(g.basis)]
     while True:
-        nxt = product_subspace(g, whole, series[-1])
+        nxt = subspace(g.basis, filter(None, ad_images(g, series[-1].vectors)))
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -503,31 +518,21 @@ def is_nilpotent(g: LieSuperalgebra) -> bool:
 
 def derived_subspace(g: LieSuperalgebra) -> Subspace:
     """[g, g], spanned by the nonzero entries of the bracket table."""
-    n = g.dim
-    return subspace(g.basis, [g.bracket_vector(i, j) for i in range(n)
-                              for j in range(n) if g.table[i][j]])
+    return subspace(g.basis, [dict(e) for row in g.table for e in row if e])
 
 
 def class_condition(g: LieSuperalgebra) -> bool:
     """True iff the span of odd-odd brackets lies inside the span of
     even-even brackets."""
-    n = g.dim
-    evens = [i for i in range(n) if g.parity(i) == EVEN]
-    odds = [i for i in range(n) if g.parity(i) == ODD]
-    even_span = subspace(g.basis, [g.bracket_vector(i, j) for i in evens
-                                   for j in evens if g.table[i][j]])
-    return all(even_span.contains_vector(g.bracket_vector(i, j))
-               for i in odds for j in odds if g.table[i][j])
+    p = g.basis.parities
+    even, odd = ([dict(e) for i, row in enumerate(g.table)
+                  for j, e in enumerate(row) if e and p[i] == p[j] == par]
+                 for par in (EVEN, ODD))
+    return all(map(subspace(g.basis, even).contains_vector, odd))
 
 
 def is_ideal(g: LieSuperalgebra, w: Subspace) -> bool:
-    n = g.dim
-    for i in range(n):
-        ei = unit_vec(n, i)
-        for v in w.vectors:
-            if not w.contains_vector(bracket(g, ei, v)):
-                return False
-    return True
+    return all(map(w.contains_vector, ad_images(g, w.vectors)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ the entrywise validators for evenness and super-antisymmetry, and
 evaluate the Jacobi, invariance, morphism, cocycle, supercyclicity and
 closedness identities by plain loops over every ordered tuple and every
 coordinate, so the sparse fast paths can be compared with the
-definitions entry by entry.
+definitions entry by entry.  The ideal test and the lower central
+series bracket basis vectors with dense vectors the same way.
 
 The library also has a single eliminator, the sparse ``RowReducer``.
 The last section is the dense elimination it replaced (in-place RREF
@@ -189,6 +190,37 @@ def jacobi_violations(p, c):
     lexicographic order."""
     return (t for t in itertools.product(range(len(p)), repeat=3)
             if any(jacobi_defect(p, c, *t)))
+
+
+def ad_image(c, i, v):
+    """[e_i, v], summed over every coordinate of v."""
+    n = len(c)
+    return tuple(sum((v[j] * c[i][j][k] for j in range(n)), ZERO)
+                 for k in range(n))
+
+
+def ideal_witness(c, vectors):
+    """First (i, v), looping over i and then over v, with [e_i, v] outside
+    the span of ``vectors`` (by solving for its coordinates), or None."""
+    for i in range(len(c)):
+        for v in vectors:
+            if coords_in(vectors, ad_image(c, i, v)) is None:
+                return i, v
+    return None
+
+
+def lower_central_series(c):
+    """Nonzero dense RREF rows of g, [g, g], [g, [g, g]], ..., stopping at
+    the first member that does not shrink."""
+    n = len(c)
+    series = [rref([[Fraction(int(i == j)) for j in range(n)]
+                    for i in range(n)])[0]]
+    while True:
+        R, pivots = rref([ad_image(c, i, v) for i in range(n)
+                          for v in series[-1]])
+        if len(pivots) == len(series[-1]):
+            return series
+        series.append(R[:len(pivots)])
 
 
 def invariance_violation(c, G):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from superquad import cli
+from superquad import cli, dsl
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -200,3 +200,37 @@ def test_missing_file_exit_2():
     code, rep = run_json(["check", "/nonexistent/path.sqd"])
     assert code == 2
     assert rep["error"]["kind"] == "input"
+
+
+def _form_checks(rep):
+    return [c for c in rep["checks"] if c["name"].startswith("form.")]
+
+
+def test_form_checks_match_the_check_command():
+    """decompose and recognize report the form checks check reports, with
+    the same witnesses, on a degenerate and a non-invariant form too."""
+    docs = [(CORPUS / name).read_text() for name in
+            ("heisenberg3_idgram.sqd", "g2_tstar0.sqd", "hyperbolic_odd.sqd")]
+    docs.append("basis e1:even e2:even\nform B(e1,e1) = 1\n")
+    for text in docs:
+        _, want = run_json(["check"], stdin_text=text)
+        label = dsl.parse(text).names[0]
+        for argv in (["decompose"], ["recognize", "--ideal", label]):
+            _, rep = run_json(argv, stdin_text=text)
+            assert _form_checks(rep) == _form_checks(want), (argv, text)
+    assert [c["witness"] for c in _form_checks(want)] == [["0", "1"], None]
+
+
+def test_form_verified_once_on_success(monkeypatch):
+    """A passing form is checked by the quadratic algebra's construction
+    alone; the CLI's own checks only run to find witnesses."""
+    calls = []
+    for name in ("is_nondegenerate", "invariance_violation"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(
+            name))
+    _, doc = run_cli(["example", "class-c", "2"])
+    code, rep = run_json(["decompose"], stdin_text=doc)
+    assert code == 0 and calls == []
+    assert _form_checks(rep) == [
+        {"name": "form.nondegenerate", "passed": True, "witness": None},
+        {"name": "form.invariant", "passed": True, "witness": None}]

@@ -258,3 +258,41 @@ def test_common_kernel_matches_dense_kernel(data):
     want = dense.kernel(rows) if rows else [unit_vec(dim, i)
                                             for i in range(dim)]
     assert _common_kernel(ops, dim) == want
+
+
+def _direct_sum(a, b):
+    """a ⊕ b with the two bases side by side and no mixed brackets."""
+    n = a.dim
+    basis = sq.graded_basis(tuple(f"l_{s}" for s in a.basis.names)
+                            + tuple(f"r_{s}" for s in b.basis.names),
+                            a.basis.parities + b.basis.parities)
+    table = tuple(row + ((),) * b.dim for row in a.table) + tuple(
+        ((),) * n + tuple(tuple((k + n, q) for k, q in e) for e in row)
+        for row in b.table)
+    return sq.LieSuperalgebra(basis, table)
+
+
+def test_invariants_match_stacked_induced_operators(supercyclic_bases,
+                                                    gallery):
+    """At every flag step, the invariants read from the form against the
+    common kernel of all n induced operators, as lists."""
+    rng = random.Random(71)
+    cases = {f"T*({name}, seeded)": build(
+        gallery[name], random_supercyclic_cocycle(
+            gallery[name], rng, basis=supercyclic_bases[name])).total
+        for name in ("heisenberg3", "abelian(1|2)", "g(2)")}
+    cases["T*(solvable2d + heisenberg3)"] = build(
+        _direct_sum(sq.solvable2d(), sq.heisenberg3())).total
+    cases["class-c(2)"] = sq.build_class_c_example(2)
+    cases["T*(heisenberg3) + line"] = orthogonal_direct_sum(
+        build(sq.heisenberg3()).total, even_line())
+    steps = 0
+    for name, Q in cases.items():
+        n = Q.dim
+        for w in max_isotropic_ideal(Q).chain:
+            ind = _InducedSpace(Q, w)
+            ops = [ind.operator(unit_vec(n, i)) for i in range(n)]
+            want = _common_kernel(ops, ind.dim)
+            assert ind.invariants() == want, (name, w.dim)
+            steps += ind.dim > 0
+    assert steps == 27

@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -211,3 +212,26 @@ def test_comments_and_blank_lines():
     text = "# header\n\nbasis x:even  # trailing\n\n# done\n"
     doc = dsl.parse(text)
     assert doc.names == ("x",)
+
+
+@pytest.mark.parametrize("body, what", [
+    ("form B(x,y) = 0\nform B(y,x) = 1", "form B"),
+    ("bracket [x,y] = 0\nbracket [x,y] = z", "bracket [x,y]"),
+    ("bracket [x,y] = 0\nbracket [y,x] = z", "bracket [y,x]"),
+    ("cochain2 w(x,y;z) = 0\ncochain2 w(y,x;z) = 1", "cochain2 w"),
+])
+def test_contradicting_an_explicit_zero(body, what):
+    with pytest.raises(dsl.ParseError,
+                       match=re.escape(f"contradictory entry for {what}")
+                       ) as exc:
+        dsl.parse("basis x:even y:even z:even\n" + body)
+    assert exc.value.line == 3
+
+
+def test_restated_zeros_are_not_stored():
+    doc = dsl.parse("basis x:even y:even z:even\n"
+                    "form B(x,y) = 0\nform B(y,x) = 0\nform B(z,z) = 1\n"
+                    "bracket [x,y] = 0\nbracket [y,x] = 0\n"
+                    "bracket [x,z] = 0\nbracket [y,z] = x\n")
+    assert doc.form_entries == {(2, 2): 1}
+    assert doc.brackets == {(1, 2): vec([1, 0, 0])}

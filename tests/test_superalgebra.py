@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -528,3 +529,79 @@ def test_derived_subspace_of_gallery(gallery):
     for name, g in gallery.items():
         whole = full_subspace(g.basis)
         assert derived_subspace(g) == product_subspace(g, whole, whole), name
+
+
+# --- brackets with basis vectors, read sparse from the table -----------------
+
+def _ad_algebras(gallery):
+    """The gallery plus larger tables: two T*-extensions and class-c(2)."""
+    return {**gallery,
+            "T*(heisenberg3)": sq.build(sq.heisenberg3()).total.algebra,
+            "T*(g(2))": sq.tstar_of_gn(2).total.algebra,
+            "class-c(2)": sq.build_class_c_example(2).algebra}
+
+
+def _random_graded_vectors(rng, basis, count):
+    """``count`` homogeneous vectors with one to three small nonzeros."""
+    out = []
+    for _ in range(count):
+        p = rng.choice(basis.parities)
+        idx = [k for k in range(basis.dim) if basis.parity(k) == p]
+        v = [F(0)] * basis.dim
+        for k in rng.sample(idx, min(len(idx), rng.randint(1, 3))):
+            v[k] = rng.choice([F(1), F(-1), F(2), F(-3), F(1, 2)])
+        out.append(tuple(v))
+    return out
+
+
+def test_ad_images_match_bracket_with_unit_vectors(gallery):
+    rng = random.Random(17)
+    for name, g in _ad_algebras(gallery).items():
+        n = g.dim
+        vs = [zero_vec(n), unit_vec(n, n - 1),
+              *_random_graded_vectors(rng, g.basis, 4),
+              vec(rng.randint(-2, 2) for _ in range(n))]
+        got = list(sq.superalgebra.ad_images(g, vs))
+        assert all(all(d.values()) for d in got), name
+        assert [tuple(d.get(k, F(0)) for k in range(n)) for d in got] == [
+            sq.bracket(g, unit_vec(n, i), v) for i in range(n) for v in vs
+        ], name
+    with pytest.raises(DimensionMismatch):
+        list(sq.superalgebra.ad_images(g, [zero_vec(n + 1)]))
+
+
+def _ideal_cases(rng, g):
+    """Ideals of g and random graded subspaces, most of them not ideals."""
+    whole = full_subspace(g.basis)
+    cases = [whole, zero_subspace(g.basis), sq.center(g), derived_subspace(g)]
+    for _ in range(12):
+        cases.append(subspace(g.basis, _random_graded_vectors(
+            rng, g.basis, rng.randint(1, 3))))
+    return cases
+
+
+def test_is_ideal_and_lower_central_series_match_dense_loops(gallery):
+    """is_ideal against the first dense failure, looping over i and then
+    over v; the witness order is exercised (v-major would differ)."""
+    from superquad.cli import _ideal_witness
+    rng = random.Random(23)
+    orders_differ = False
+    for name, g in _ad_algebras(gallery).items():
+        c = dense.bracket_tensor(g)
+        for w in _ideal_cases(rng, g):
+            want = dense.ideal_witness(c, w.vectors)
+            assert sq.superalgebra.is_ideal(g, w) == (want is None), name
+            names = g.basis.names
+            assert _ideal_witness(g, w, names) == (None if want is None else [
+                names[want[0]], [str(q) for q in want[1]]]), name
+            v_major = next(((i, v) for v in w.vectors for i in range(g.dim)
+                            if dense.coords_in(w.vectors, dense.ad_image(
+                                c, i, v)) is None), None)
+            orders_differ |= v_major != want
+        series = sq.lower_central_series(g)
+        want = dense.lower_central_series(c)
+        assert len(series) == len(want), name
+        for member, rows in zip(series, want):
+            R, pivots = dense.rref(member.vectors)
+            assert R[:len(pivots)] == rows, name
+    assert orders_differ
