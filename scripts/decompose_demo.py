@@ -21,7 +21,8 @@ def show(title: str, q) -> None:
     try:
         flag = max_isotropic_ideal(q)
     except RationalPointNotFound as exc:
-        print(f"   no rational isotropic vector: {exc.quadric_str}")
+        print(f"   no rational isotropic vector: {exc.quadric_str} "
+              f"(obstruction: {exc.obstruction})")
         print()
         return
     dims = [w.dim for w in flag.chain]

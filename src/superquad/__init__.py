@@ -24,13 +24,12 @@ from .forms import (EvenForm, QuadraticLieSuperalgebra, is_invariant,
 from .gallery import (build_class_c_example, build_glnn, build_gn,
                       heisenberg3, hyperbolic_even, hyperbolic_odd,
                       orthogonal_direct_sum, solvable2d, stock, tstar_of_gn)
-from .superalgebra import (EVEN, ODD, AxiomReport, DualVector, GradedBasis,
+from .superalgebra import (EVEN, ODD, AxiomReport, GradedBasis,
                            LieSuperalgebra, Subspace, abelian, bracket,
-                           center, check_axioms, class_condition, coadjoint,
+                           center, check_axioms, class_condition,
                            derived_series, from_brackets, graded_basis,
                            is_nilpotent, is_solvable, lower_central_series,
                            quotient, subspace)
-from .tstar import (TStarExtension, build, lemma_halfdim_ideal_iff_abelian,
-                    negative_test_invariance, recognize, s_phi_isometry)
+from .tstar import TStarExtension, build, recognize, s_phi_isometry
 
 __version__ = "0.1.0"

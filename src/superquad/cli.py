@@ -3,9 +3,9 @@
 One command per invocation; every command reads a DSL document from a
 file (or stdin with ``-``), writes a deterministic report to stdout and
 exits 0 when all mathematical checks pass, 1 when one fails (the report
-carries a witness) and 2 on input or parse errors.  ``example`` is the
-exception: it emits a bare DSL document so its output can be piped into
-the other commands.
+carries a witness) and 2 on input, parse or undecided errors.
+``example`` is the exception: it emits a bare DSL document so its output
+can be piped into the other commands.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .cohomology import (b3_basis, collect_alt3, collect_cochain2dual,
                          z2_supercyclic_basis, z3_basis, zero_cochain2)
 from .decompose import decompose as run_decompose
 from .errors import (FormError, NotIdealError, PreconditionError,
-                     RationalPointNotFound, SuperquadError)
+                     RationalPointNotFound, SuperquadError, UndecidedError)
 from .forms import (QuadraticLieSuperalgebra, invariance_violation,
                     is_nondegenerate, is_totally_isotropic, radical)
 from .gallery import (build_class_c_example, build_glnn, build_gn, stock,
@@ -365,6 +365,8 @@ def _cmd_decompose(args, report: Report, out) -> int:
     except RationalPointNotFound as exc:
         report.check("decomposition.rational_point", False,
                      exc.quadric_str or exc.polynomial_str or str(exc))
+        if exc.obstruction is not None:
+            report.dims["obstruction"] = exc.obstruction
         return report.render(out)
     report.check("decomposition.flag_complete", True)
     report.check("decomposition.embedding_verified", True)
@@ -500,6 +502,8 @@ def main(argv=None, out=None) -> int:
     except dsl.ParseError as exc:
         return _error_exit(out, "parse", str(exc), text_mode,
                            exc.line, exc.column)
+    except UndecidedError as exc:
+        return _error_exit(out, "undecided", str(exc), text_mode)
     except (FileNotFoundError, SuperquadError) as exc:
         return _error_exit(out, "input", str(exc), text_mode)
 

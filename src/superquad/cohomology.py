@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CochainError, DimensionMismatch, PreconditionError)
-from .linalg import RowReducer, Vec, ZERO, frac, solve, vec_is_zero
+from .linalg import RowReducer, ZERO, frac, solve, vec_is_zero
 from .superalgebra import (EVEN, GradedBasis, LieSuperalgebra, sgn,
                            table_by_target)
 
@@ -232,20 +232,8 @@ def _combined(a, b, s: int) -> dict:
     return out
 
 
-def add3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
-    return ScalarCochain3(a.basis, _combined(a, b, 1))
-
-
 def sub3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
     return ScalarCochain3(a.basis, _combined(a, b, -1))
-
-
-def is_zero3(a: ScalarCochain3) -> bool:
-    return not a.coords
-
-
-def add_scalar2(a: ScalarCochain2, b: ScalarCochain2) -> ScalarCochain2:
-    return ScalarCochain2(a.basis, _combined(a, b, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +324,6 @@ def _cocycle2_defect(g: LieSuperalgebra, lookup: dict, by_t: list,
                 for l, q in by_t[a].get(t, ()):
                     out[l] = out.get(l, ZERO) + q * v
     return out
-
-
-def cocycle2_defect(g: LieSuperalgebra, w: Cochain2Dual,
-                    i: int, j: int, k: int) -> Vec:
-    out = _cocycle2_defect(g, _dual_lookup(w), table_by_target(g), i, j, k)
-    return tuple(out.get(l, ZERO) for l in range(g.dim))
 
 
 def cocycle2_violation(g: LieSuperalgebra, w: Cochain2Dual):

@@ -21,10 +21,10 @@ from .errors import (InternalCheckError, PreconditionError,
                      RationalPointNotFound)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, is_totally_isotropic,
                     orthogonal, quadratic)
+from .isotropy import isotropic_point
 from .linalg import (Mat, RowReducer, Vec, ZERO, charpoly,
                      diagonalize_symmetric, frac, kernel, mat, mat_vec, rank,
-                     rational_roots, sqrt_fraction, transpose, unit_vec,
-                     vec_add, vec_is_zero, vec_scale)
+                     rational_roots, transpose, unit_vec, vec_is_zero)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, ad_images,
                            bracket, class_condition, derived_subspace,
                            extend_subspace, graded_basis, graded_complement,
@@ -60,15 +60,14 @@ def _poly_string(coeffs: tuple[Fraction, ...]) -> str:
                        for i, c in enumerate(coeffs))
 
 
-def isotropic_vector(gram: Mat, parities: tuple[int, ...]) -> Vec | None:
-    """A nonzero isotropic vector for the given Gram matrix, found by a
-    deterministic bounded search, or None.
-
-    Search order: any odd coordinate vector (always isotropic), then raw
-    even basis vectors with zero diagonal, then zero entries of the
-    congruence-diagonalized even block, then two-variable slices solved
-    by a rational square-root test, then a small integer grid.
-    """
+def isotropic_vector(gram: Mat, parities: tuple[int, ...], *,
+                     certify: bool = False) -> Vec | None:
+    """A nonzero isotropic vector for the Gram matrix: an odd coordinate
+    vector, a raw even basis vector with zero diagonal, a zero entry of
+    the congruence-diagonalized even block, or else the point that
+    :func:`isotropy.isotropic_point` decides and builds.  None when there
+    is none over Q; with ``certify``, RationalPointNotFound carrying the
+    diagonalized quadric and its obstruction instead."""
     k = len(gram)
     odd = [r for r in range(k) if parities[r] == ODD]
     if odd:
@@ -80,21 +79,14 @@ def isotropic_vector(gram: Mat, parities: tuple[int, ...]) -> Vec | None:
     for r, d in enumerate(diag):
         if d == 0:
             return P[r]
-    for r in range(k):
-        for s in range(k):
-            if r == s:
-                continue
-            ratio = -diag[s] / diag[r]
-            root = sqrt_fraction(ratio)
-            if root is not None:
-                return vec_add(vec_scale(root, P[r]), P[s])
-    # small deterministic grid over the first few diagonalized directions
-    span = min(k, 4)
-    for combo in itertools.product(range(-3, 4), repeat=span):
-        if all(c == 0 for c in combo):
-            continue
-        if sum(frac(c) * frac(c) * diag[r] for r, c in enumerate(combo)) == 0:
-            return mat_vec(transpose(P[:span]), combo)
+    point, obstruction = isotropic_point(diag)
+    if point is not None:
+        return mat_vec(transpose(P), point)
+    if certify:
+        raise RationalPointNotFound(
+            "the even quadric has no rational isotropic vector",
+            quadric=diag, quadric_str=_quadric_string(diag),
+            obstruction=obstruction)
     return None
 
 
@@ -335,25 +327,18 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
     while w.dim < target:
         ind = _InducedSpace(q, w)
         u_basis = ind.invariants()
-        vprime = None
-        quadric_cert = None
+        vprime = quadric_cert = None
         if u_basis:
             u_rows = _split_by_parity(u_basis, ind.parities)
             par = tuple(_row_parity(ind.parities, v) for v in u_rows)
-            gram_u = ind.induced_gram_on(u_rows)
-            point = isotropic_vector(gram_u, par)
-            if point is not None:
+            try:
+                point = isotropic_vector(ind.induced_gram_on(u_rows), par,
+                                         certify=True)
                 vprime = mat_vec(transpose(u_rows), point)
-            else:
-                ev = [r for r, p in enumerate(par) if p == EVEN]
-                sub_gram = mat([[gram_u[r][s] for s in ev] for r in ev])
-                _, diag = diagonalize_symmetric(sub_gram)
-                quadric_cert = diag
+            except RationalPointNotFound as exc:
                 if nilp:
-                    raise RationalPointNotFound(
-                        "no rational isotropic vector found in the "
-                        "invariant subspace", quadric=diag,
-                        quadric_str=_quadric_string(diag))
+                    raise
+                quadric_cert = exc
         elif nilp:
             raise InternalCheckError(
                 "empty invariant subspace for a nilpotent action")
@@ -367,8 +352,9 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
                         "no rational isotropic vector found in the "
                         "invariant subspace, and no rational isotropic "
                         "joint eigenvector exists",
-                        quadric=quadric_cert,
-                        quadric_str=_quadric_string(quadric_cert))
+                        quadric=quadric_cert.quadric,
+                        quadric_str=quadric_cert.quadric_str,
+                        obstruction=quadric_cert.obstruction)
                 if poly is not None:
                     raise RationalPointNotFound(
                         "characteristic polynomial of an induced operator "

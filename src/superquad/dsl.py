@@ -400,10 +400,6 @@ def document_cochain2(doc: AlgebraDocument, name: str) -> Cochain2Dual:
     return Cochain2Dual(doc.basis(), doc.cochain2[name])
 
 
-def document_cochain3(doc: AlgebraDocument, name: str) -> ScalarCochain3:
-    return ScalarCochain3(doc.basis(), doc.cochain3[name])
-
-
 def document_scalar2(doc: AlgebraDocument, name: str) -> ScalarCochain2:
     return ScalarCochain2(doc.basis(), doc.scalar2[name])
 

@@ -92,6 +92,10 @@ class InternalCheckError(SuperquadError):
         self.witness = witness
 
 
+class UndecidedError(SuperquadError):
+    """Trial division up to ``linalg.FACTOR_CAP`` cannot settle a decision."""
+
+
 class RationalPointNotFound(SuperquadError):
     """An isotropic-vector or eigenvector search needs a point that does
     not exist (or was not found) over the rationals.
@@ -100,13 +104,15 @@ class RationalPointNotFound(SuperquadError):
     the restricted form and ``quadric_str`` a rendering like
     ``"x^2 + y^2"``.  For eigenvalue failures ``polynomial`` holds the
     monic characteristic polynomial coefficients and ``polynomial_str``
-    its rendering.
+    its rendering.  ``obstruction`` says why a quadric has no point:
+    ``"definite"``, or a prime p over whose p-adic field it has none.
     """
 
     def __init__(self, message, quadric=None, quadric_str=None,
-                 polynomial=None, polynomial_str=None):
+                 polynomial=None, polynomial_str=None, obstruction=None):
         super().__init__(message)
         self.quadric = quadric
         self.quadric_str = quadric_str
         self.polynomial = polynomial
         self.polynomial_str = polynomial_str
+        self.obstruction = obstruction

@@ -16,8 +16,8 @@ from .errors import (DimensionMismatch, FormError, PreconditionError)
 from .linalg import (HALF, RowReducer, Vec, ZERO, inverse, mat, mat_mul,
                      mat_vec, transpose, vec_sub)
 from .superalgebra import (ODD, GradedBasis, LieSuperalgebra, Subspace,
-                           center, derived_subspace, graded_complement,
-                           require_axioms, sgn, subspace, table_by_target)
+                           graded_complement, require_axioms, sgn, subspace,
+                           table_by_target)
 
 
 def canon_form(parities, i: int, j: int):
@@ -225,9 +225,3 @@ def quadratic(algebra: LieSuperalgebra, form: EvenForm,
     if check_algebra:
         require_axioms(algebra)
     return QuadraticLieSuperalgebra(algebra, form)
-
-
-def center_orthogonality_check(q: QuadraticLieSuperalgebra) -> bool:
-    """orthogonal(B, [g, g]) = z(g), exactly."""
-    return orthogonal(q.form, derived_subspace(q.algebra)).equals(
-        center(q.algebra))

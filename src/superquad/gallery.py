@@ -18,7 +18,7 @@ from .cohomology import (Cochain2Dual, ScalarCochain2, collect_cochain2dual,
                          z2_basis, z2_supercyclic_basis)
 from .errors import InternalCheckError, PreconditionError
 from .forms import EvenForm, QuadraticLieSuperalgebra, quadratic
-from .linalg import ZERO, mat
+from .linalg import ZERO
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, abelian, center,
                            from_brackets, graded_basis, is_nilpotent,
                            require_axioms, sgn)
@@ -77,15 +77,6 @@ def build_glnn(n: int) -> LieSuperalgebra:
     alg = LieSuperalgebra(graded_basis(labels, parities), tuple(table))
     require_axioms(alg, "gl(n,n)")
     return alg
-
-
-def matrix_of_glnn(n: int, label: str):
-    """The 2n x 2n matrix of a gl(n,n) basis label (for oracle tests)."""
-    labels, positions, _ = _glnn_layout(n)
-    pos = positions[labels.index(label)]
-    m = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    m[pos[0]][pos[1]] = Fraction(1)
-    return mat(m)
 
 
 def _triangular_layout(n: int):

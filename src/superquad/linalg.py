@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PreconditionError, UndecidedError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -65,10 +65,6 @@ def zeros(rows: int, cols: int) -> Mat:
 
 def identity(n: int) -> Mat:
     return tuple(unit_vec(n, i) for i in range(n))
-
-
-def vec_add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
 
 
 def vec_sub(x: Vec, y: Vec) -> Vec:
@@ -318,17 +314,32 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
+FACTOR_CAP = 10 ** 5
+
+
+def factorize(m: int) -> dict[int, int]:
+    """{p: e} for the nonzero integer m, by trial division up to
+    FACTOR_CAP; a cofactor past FACTOR_CAP^2 raises UndecidedError."""
+    if not m:
+        raise PreconditionError("0 has no prime factorization")
+    m, out, p = abs(m), {}, 2
+    while p * p <= m and p <= FACTOR_CAP:
+        while m % p == 0:
+            m, out[p] = m // p, out.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if m > FACTOR_CAP ** 2:
+        raise UndecidedError(f"undecided: cannot factor {m} past {FACTOR_CAP}")
+    if m > 1:
+        out[m] = 1
+    return out
+
+
 def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    small, large = [], []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            small.append(i)
-            if i != m // i:
-                large.append(m // i)
-        i += 1
-    return small + large[::-1]
+    """The positive divisors of m != 0, from its factorization."""
+    out = [1]
+    for p, e in factorize(m).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return out
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
@@ -357,17 +368,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
                     if poly_eval(cs, cand) == 0:
                         roots.add(cand)
     return sorted(roots)
-
-
-def sqrt_fraction(q: Fraction) -> Fraction | None:
-    """Exact square root of q if q is a perfect rational square."""
-    if q < 0:
-        return None
-    sn = math.isqrt(q.numerator)
-    sd = math.isqrt(q.denominator)
-    if sn * sn == q.numerator and sd * sd == q.denominator:
-        return Fraction(sn, sd)
-    return None
 
 
 def diagonalize_symmetric(G: Mat) -> tuple[Mat, Vec]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, InitVar
 from .errors import (AxiomError, DimensionMismatch, NotGradedError,
                      NotIdealError, PreconditionError)
 from .linalg import (Mat, RowReducer, Vec, ZERO, frac, inverse, mat, mat_vec,
-                     transpose, unit_vec, vec, vec_is_zero)
+                     transpose, unit_vec, vec)
 
 EVEN = 0
 ODD = 1
@@ -75,32 +75,6 @@ class GradedBasis:
 
 def graded_basis(names, parities) -> GradedBasis:
     return GradedBasis(tuple(names), tuple(int(p) for p in parities))
-
-
-@dataclass(frozen=True)
-class DualVector:
-    """Linear functional with a definite parity.
-
-    The coordinate F_k is the value on the k-th basis vector; parity a
-    means F vanishes on every basis vector of the opposite parity.
-    """
-
-    coords: Vec
-    parity: int
-
-
-def dual_vector(basis: GradedBasis, coords, parity: int | None = None) -> DualVector:
-    cs = vec(coords)
-    if len(cs) != basis.dim:
-        raise DimensionMismatch("functional does not match the basis")
-    support = {basis.parity(k) for k, q in enumerate(cs) if q != 0}
-    if len(support) > 1:
-        raise NotGradedError("functional mixes parities")
-    if parity is None:
-        parity = support.pop() if support else EVEN
-    elif support and support != {parity}:
-        raise NotGradedError("functional support contradicts declared parity")
-    return DualVector(cs, parity)
 
 
 def _entry(n: int, pairs) -> tuple:
@@ -346,14 +320,6 @@ def require_axioms(g: LieSuperalgebra, what: str = "algebra") -> None:
 # graded subspaces
 # ---------------------------------------------------------------------------
 
-def vector_parity(basis: GradedBasis, v: Vec) -> int | None:
-    """Parity of a homogeneous vector, or None if v mixes parities or is 0."""
-    support = {basis.parity(k) for k, q in enumerate(v) if q != 0}
-    if len(support) == 1:
-        return support.pop()
-    return None
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Graded subspace with a canonical homogeneous (per-parity RREF) basis.
@@ -533,39 +499,6 @@ def class_condition(g: LieSuperalgebra) -> bool:
 
 def is_ideal(g: LieSuperalgebra, w: Subspace) -> bool:
     return all(map(w.contains_vector, ad_images(g, w.vectors)))
-
-
-# ---------------------------------------------------------------------------
-# coadjoint representation
-# ---------------------------------------------------------------------------
-
-def coadjoint(g: LieSuperalgebra, x: Vec, F: DualVector) -> DualVector:
-    """(pi(x)F)(y) = -(-1)^{|x||F|} F([x, y]) for homogeneous x and F."""
-    if len(x) != g.dim or len(F.coords) != g.dim:
-        raise DimensionMismatch(
-            "vector or functional does not match the basis")
-    px = vector_parity(g.basis, x)
-    if px is None:
-        if vec_is_zero(vec(x)):
-            px = EVEN
-        else:
-            raise NotGradedError("coadjoint needs a homogeneous vector")
-    s = -sgn(px * F.parity)
-    n = g.dim
-    out = [ZERO] * n
-    table = g.table
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for m in range(n):
-            acc = ZERO
-            for t, q in table[i][m]:
-                ft = F.coords[t]
-                if ft != 0:
-                    acc += q * ft
-            if acc != 0:
-                out[m] += s * xi * acc
-    return dual_vector(g.basis, out, (px + F.parity) % 2)
 
 
 # ---------------------------------------------------------------------------

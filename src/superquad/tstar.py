@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import (Cochain2Dual, ScalarCochain2, cocycle2_violation,
-                         delta_scalar2, hat, is_cocycle2, is_supercyclic,
-                         sub3, supercyclic_violation, unhat, zero_cochain2)
+                         delta_scalar2, hat, sub3, supercyclic_violation,
+                         unhat, zero_cochain2)
 from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
                      NotIdealError, NotSupercyclicError, PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, invariance_violation,
                     is_totally_isotropic, isotropic_complement, quadratic)
 from .linalg import (Mat, Vec, ZERO, mat, mat_vec, rank, transpose,
-                     unit_vec, vec_is_zero, vec_sub)
+                     unit_vec, vec_sub)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
                            check_axioms, graded_basis, is_ideal,
                            jacobi_violations, quotient, sgn, subspace)
@@ -135,61 +135,6 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
     base_embedding = transpose(mat(base_embedding))
     dual_embedding = transpose(mat([unit_vec(2 * n, n + i) for i in range(n)]))
     return TStarExtension(g, omega, total, base_embedding, dual_embedding)
-
-
-@dataclass(frozen=True)
-class InvarianceFailure:
-    """A basis triple of the extension where B([x,y],z) != B(x,[y,z])."""
-
-    triple: tuple[int, int, int]
-    lhs: Fraction
-    rhs: Fraction
-
-
-def negative_test_invariance(g: LieSuperalgebra,
-                             omega: Cochain2Dual) -> InvarianceFailure:
-    """For omega in Z^2 but not supercyclic: build the bracket anyway and
-    exhibit a triple where the pairing fails invariance."""
-    if not is_cocycle2(g, omega):
-        raise PreconditionError("omega must be a 2-cocycle")
-    if is_supercyclic(omega):
-        raise PreconditionError("omega is supercyclic; nothing to refute")
-    alg, form = _raw_extension(g, omega)
-    w = invariance_violation(alg, form)
-    if w is None:
-        raise InternalCheckError(
-            "no invariance violation found for a non-supercyclic cocycle")
-    i, j, k = w
-    n = alg.dim
-    lhs = form.apply(bracket(alg, unit_vec(n, i), unit_vec(n, j)),
-                     unit_vec(n, k))
-    rhs = form.apply(unit_vec(n, i),
-                     bracket(alg, unit_vec(n, j), unit_vec(n, k)))
-    return InvarianceFailure(w, lhs, rhs)
-
-
-def lemma_halfdim_ideal_iff_abelian(q: QuadraticLieSuperalgebra,
-                                    iso: Subspace) -> bool:
-    """For a graded totally isotropic subspace of half the (even total)
-    dimension: being an ideal is equivalent to being abelian.  The two
-    booleans are computed independently and must agree; disagreement is
-    a library bug, not a property of the input."""
-    n = q.dim
-    if n % 2 != 0:
-        raise PreconditionError("total dimension must be even")
-    if 2 * iso.dim != n:
-        raise PreconditionError("subspace must have half the dimension")
-    if not is_totally_isotropic(q.form, iso):
-        raise PreconditionError("subspace must be totally isotropic")
-    ideal_flag = is_ideal(q.algebra, iso)
-    abelian_flag = all(
-        vec_is_zero(bracket(q.algebra, u, v))
-        for u in iso.vectors for v in iso.vectors)
-    if ideal_flag != abelian_flag:
-        raise InternalCheckError(
-            "ideal/abelian equivalence failed for a Lagrangian subspace",
-            witness=(ideal_flag, abelian_flag))
-    return ideal_flag
 
 
 def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,

@@ -18,7 +18,7 @@ import pytest
 
 import superquad as sq
 from superquad import cli, dsl
-from superquad.cohomology import (add3, collect_cochain2dual, delta_scalar2,
+from superquad.cohomology import (collect_cochain2dual, delta_scalar2,
                                   hat, is_cocycle2,
                                   is_supercyclic, sub3, unhat,
                                   z2_supercyclic_basis, z3_basis,
@@ -26,8 +26,7 @@ from superquad.cohomology import (add3, collect_cochain2dual, delta_scalar2,
 from superquad.decompose import decompose, max_isotropic_ideal
 from superquad.errors import (CocycleError, NotSupercyclicError,
                               RationalPointNotFound)
-from superquad.forms import (center_orthogonality_check, even_form,
-                             is_totally_isotropic, quadratic)
+from superquad.forms import even_form, is_totally_isotropic, quadratic
 from superquad.gallery import (build_glnn, build_gn, even_line,
                                orthogonal_direct_sum, random_cochain2,
                                random_cocycle2, random_scalar2,
@@ -35,10 +34,11 @@ from superquad.gallery import (build_glnn, build_gn, even_line,
 from superquad.linalg import kernel, mat, rank, unit_vec, vec_is_zero
 from superquad.superalgebra import (ODD, bracket, center, derived_subspace,
                                     is_nilpotent, sgn, subspace)
-from superquad.tstar import (build, lemma_halfdim_ideal_iff_abelian,
-                             negative_test_invariance,
-                             quadratic_morphism_violation, shear_matrix,
-                             s_phi_isometry)
+from superquad.tstar import (build, quadratic_morphism_violation,
+                             shear_matrix, s_phi_isometry)
+
+from support import (add3, center_orthogonality_check,
+                     lemma_halfdim_ideal_iff_abelian, negative_test_invariance)
 
 F = Fraction
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"

@@ -156,6 +156,28 @@ def test_decompose_rational_failure_reports_quadric():
     assert by_name["decomposition.rational_point"]["witness"] == "x^2 + y^2"
 
 
+def _diagonal_document(*diag):
+    names = [f"e{i + 1}" for i in range(len(diag))]
+    return ("basis " + " ".join(f"{n}:even" for n in names) + "\n"
+            + "".join(f"form B({n},{n}) = {d}\n" for n, d in zip(names, diag)))
+
+
+def test_decompose_exact_isotropy_outcomes():
+    code, rep = run_json(["decompose"],
+                         stdin_text=_diagonal_document(1, 1, -41))
+    assert code == 0 and rep["dims"]["ideal_dim"] == 1
+    code, rep = run_json(["decompose"],
+                         stdin_text=_diagonal_document(1, 1, -3))
+    assert code == 1
+    assert rep["dims"]["obstruction"] == 2
+    assert rep["checks"][-1]["witness"] == "x^2 + y^2 - 3*z^2"
+    # 100003 * 100019: two primes above the trial-division cap
+    code, rep = run_json(["decompose"],
+                         stdin_text=_diagonal_document(1, 1, -10002200057))
+    assert code == 2
+    assert rep["error"]["kind"] == "undecided"
+
+
 def test_parse_error_exit_2():
     code, rep = run_json(["check"], stdin_text="basis x:even\nbad line\n")
     assert code == 2

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
-                                  ScalarCochain3, add3, b3_basis, canon3,
+                                  ScalarCochain3, b3_basis, canon3,
                                   closed3_defect, closed3_violation,
-                                  cocycle2_defect, cocycle2_violation,
+                                  cocycle2_violation,
                                   cohomologous, collect_alt3,
                                   collect_cochain2dual, collect_scalar2,
                                   delta_scalar2, expand_alt3,
                                   free_coords_alt3, free_coords_cochain2dual,
                                   free_coords_scalar2, hat, is_closed3,
-                                  is_cocycle2, is_supercyclic, is_zero3,
+                                  is_cocycle2, is_supercyclic,
                                   sub3, supercyclic_violation, unhat,
                                   z2_basis, z2_supercyclic_basis, z3_basis,
                                   zero_cochain2, zero_scalar2)
@@ -27,6 +27,7 @@ from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra, bracket,
                                     graded_basis, sgn)
 
 import dense_oracle as dense
+from support import add3, cocycle2_defect, is_zero3
 
 F = Fraction
 

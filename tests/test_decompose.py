@@ -16,12 +16,12 @@ from superquad.forms import even_form, is_totally_isotropic, orthogonal, quadrat
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
 from superquad.linalg import (RowReducer, mat, mat_mul, mat_vec, rank,
-                              transpose, unit_vec, vec, vec_add, vec_scale,
-                              zero_vec)
+                              transpose, unit_vec, vec, vec_scale, zero_vec)
 from superquad.superalgebra import (EVEN, ODD, bracket, is_ideal, subspace)
 from superquad.tstar import build
 
 import dense_oracle as dense
+from support import vec_add
 
 F = Fraction
 
@@ -81,7 +81,7 @@ def test_isotropic_vector_prefers_raw_basis():
     assert sum(v[i] * gram[i][j] * v[j] for i in range(2)
                for j in range(2)) == 0
     assert isotropic_vector(mat([[1, 0], [0, 2]]), (EVEN, EVEN)) is None
-    # the small grid catches three-variable points like (1, 1, 1)
+    # the exact decision finds three-variable points like (1, 1, 1)
     v = isotropic_vector(mat([[1, 0, 0], [0, 2, 0], [0, 0, -3]]),
                          (EVEN, EVEN, EVEN))
     assert v is not None

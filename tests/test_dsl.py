@@ -13,6 +13,7 @@ from superquad.errors import NotGradedError
 from superquad.linalg import vec
 
 import dense_oracle as dense
+from support import document_cochain3
 
 F = Fraction
 
@@ -98,7 +99,7 @@ def test_entries_in_any_order_read_back_where_written():
     assert (G[1][0], G[3][2], G[0][0]) == (2, 3, 1)
     w = dense.cochain2dual_tensor(dsl.document_cochain2(doc, "w"))
     assert (w[3][2][0], w[1][0][1]) == (5, 7)
-    f = dense.alt3_tensor(dsl.document_cochain3(doc, "f"))
+    f = dense.alt3_tensor(document_cochain3(doc, "f"))
     assert (f[2][0][3], f[3][3][1]) == (1, 2)
     phi = dense.scalar2_matrix(dsl.document_scalar2(doc, "phi"))
     assert (phi[1][0], phi[3][2], phi[2][2]) == (1, 6, 4)
@@ -186,7 +187,7 @@ def test_cochain_roundtrip():
     doc = dsl.parse(dsl.emit(dsl.document_from(
         h3, cochain2={"w": unhat(vol)}, cochain3={"f": vol})))
     assert dsl.document_cochain2(doc, "w") == unhat(vol)
-    assert dsl.document_cochain3(doc, "f") == vol
+    assert document_cochain3(doc, "f") == vol
 
 
 def test_parse_span():

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 import superquad as sq
 from superquad import dsl
 from superquad.errors import DimensionMismatch, FormError, PreconditionError
-from superquad.forms import (EvenForm, center_orthogonality_check, even_form,
-                             invariance_violation, is_invariant,
+from superquad.forms import (EvenForm, even_form, invariance_violation,
+                             is_invariant,
                              is_nondegenerate, is_totally_isotropic,
                              isotropic_complement, orthogonal, quadratic,
                              radical)
@@ -20,6 +20,7 @@ from superquad.tstar import build
 
 import dense_oracle as dense
 from dense_oracle import split_vector
+from support import center_orthogonality_check
 
 F = Fraction
 

@@ -7,9 +7,10 @@ from superquad.errors import DimensionMismatch
 from superquad.linalg import (RowReducer, charpoly, diagonalize_symmetric,
                               identity, inverse, kernel, mat, mat_mul,
                               mat_vec, poly_eval, rank, rational_roots, rref,
-                              solve, sqrt_fraction, transpose, vec, zeros)
+                              solve, transpose, vec, zeros)
 
 import dense_oracle as dense
+from support import sqrt_fraction
 
 F = Fraction
 

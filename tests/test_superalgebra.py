@@ -8,14 +8,15 @@ import superquad as sq
 from superquad.errors import (AxiomError, DimensionMismatch, NotGradedError,
                               NotIdealError, PreconditionError)
 from superquad.linalg import (kernel, mat, mat_mul, mat_vec, unit_vec, vec,
-                              vec_add, vec_is_zero, vec_scale, zero_vec)
-from superquad.superalgebra import (EVEN, ODD, DualVector, Subspace,
-                                    coadjoint, derived_subspace, dual_vector,
+                              vec_is_zero, vec_scale, zero_vec)
+from superquad.superalgebra import (EVEN, ODD, Subspace, derived_subspace,
                                     full_subspace, graded_basis,
                                     product_subspace, quotient, sgn,
                                     subspace, zero_subspace)
 
 import dense_oracle as dense
+from support import (DualVector, coadjoint, dual_vector, vec_add,
+                     vector_parity)
 
 F = Fraction
 
@@ -430,7 +431,7 @@ def test_parity_of_brackets(gallery):
                 br = sq.bracket(g, unit_vec(n, i), unit_vec(n, j))
                 if vec_is_zero(br):
                     continue
-                p = sq.superalgebra.vector_parity(g.basis, br)
+                p = vector_parity(g.basis, br)
                 assert p == (g.parity(i) + g.parity(j)) % 2, (name, i, j)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superquad as sq
-from superquad.cohomology import (Cochain2Dual, ScalarCochain2, add3,
+from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   collect_cochain2dual, delta_scalar2, hat,
                                   is_cocycle2, is_supercyclic, sub3, unhat,
                                   z3_basis, zero_cochain2, zero_scalar2)
@@ -20,13 +20,14 @@ from superquad.gallery import (even_line, orthogonal_direct_sum,
 from superquad.linalg import (kernel, mat, mat_mul, mat_vec, rank, unit_vec,
                               vec, vec_is_zero)
 from superquad.superalgebra import (bracket, center, derived_subspace,
-                                    is_ideal, sgn, subspace, vector_parity)
-from superquad.tstar import (build, lemma_halfdim_ideal_iff_abelian,
-                             negative_test_invariance,
-                             quadratic_morphism_violation, recognize,
+                                    is_ideal, sgn, subspace)
+from superquad.tstar import (build, quadratic_morphism_violation, recognize,
                              s_phi_isometry, shear_matrix)
 
 import dense_oracle as dense
+from support import (add3, add_scalar2, is_zero3,
+                     lemma_halfdim_ideal_iff_abelian, negative_test_invariance,
+                     vector_parity)
 
 F = Fraction
 
@@ -281,7 +282,7 @@ def test_s_phi_perturbation_breaks_bracket(gallery, supercyclic_bases):
         from superquad.cohomology import b3_basis
         b3 = b3_basis(g)
         noncob = None
-        from superquad.cohomology import cohomologous, is_zero3
+        from superquad.cohomology import cohomologous
         zero3 = hat(zero_cochain2(g))
         for f in z3:
             if cohomologous(g, zero3, f) is None:
@@ -312,7 +313,6 @@ def test_isometries_compose(gallery, supercyclic_bases):
         p2 = random_scalar2(g, rng)
         s1 = s_phi_isometry(g, w1, p1)
         s2 = s_phi_isometry(g, s1.target.omega, p2)
-        from superquad.cohomology import add_scalar2
         s12 = s_phi_isometry(g, w1, add_scalar2(p1, p2))
         assert mat_mul(s2.matrix, s1.matrix) == s12.matrix, name
         assert s2.target.omega == s12.target.omega, name
