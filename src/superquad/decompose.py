@@ -206,22 +206,6 @@ def _common_kernel(ops: list[Mat], dim: int) -> list[Vec]:
     return red.kernel()
 
 
-def _split_by_parity(vectors: list[Vec], parities) -> list[Vec]:
-    """Split span vectors of a graded subspace of V' into homogeneous ones."""
-    whole, red = RowReducer(len(parities)), RowReducer(len(parities))
-    basis = []
-    for v in vectors:
-        whole.add(v)
-        for p in (EVEN, ODD):
-            part = tuple(c if parities[r] == p else ZERO
-                         for r, c in enumerate(v))
-            if red.add(part):
-                basis.append(part)
-    if len(basis) != whole.rank:
-        raise InternalCheckError("graded operator kernel failed to split")
-    return basis
-
-
 def _restrict_operator(op: Mat, rows: list[Vec]) -> Mat:
     """Matrix of op on the subspace spanned by the independent rows
     (which must be invariant)."""
@@ -236,8 +220,13 @@ def _restrict_operator(op: Mat, rows: list[Vec]) -> Mat:
 
 
 def _row_parity(parities, v: Vec) -> int:
-    return EVEN if all(parities[r] == EVEN or c == 0
-                       for r, c in enumerate(v)) else ODD
+    """The parity of a nonzero homogeneous vector of V'; the kernels the
+    flag step reads are homogeneous (docs/conventions.md, "Flag step")."""
+    found = {parities[r] for r, c in enumerate(v) if c}
+    if len(found) != 1:
+        raise InternalCheckError("vector of V' is not homogeneous",
+                                 witness=v)
+    return found.pop()
 
 
 def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
@@ -264,7 +253,6 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
     vpp = _common_kernel(killers, ind.dim)
     if not vpp:
         return None, None
-    space0 = _split_by_parity(vpp, ind.parities)
     even_ops = [ind.operator(unit_vec(n, i)) for i in range(n)
                 if g.parity(i) == EVEN]
     first_poly: list = [None]
@@ -295,12 +283,12 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
                 for r in range(len(space)))
             new_space = [mat_vec(transpose(space), u)
                          for u in kernel(shifted)]
-            got = descend(_split_by_parity(new_space, ind.parities), k + 1)
+            got = descend(new_space, k + 1)
             if got is not None:
                 return got
         return None
 
-    return descend(space0, 0), first_poly[0]
+    return descend(vpp, 0), first_poly[0]
 
 
 def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
@@ -329,12 +317,11 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         u_basis = ind.invariants()
         vprime = quadric_cert = None
         if u_basis:
-            u_rows = _split_by_parity(u_basis, ind.parities)
-            par = tuple(_row_parity(ind.parities, v) for v in u_rows)
+            par = tuple(_row_parity(ind.parities, v) for v in u_basis)
             try:
-                point = isotropic_vector(ind.induced_gram_on(u_rows), par,
+                point = isotropic_vector(ind.induced_gram_on(u_basis), par,
                                          certify=True)
-                vprime = mat_vec(transpose(u_rows), point)
+                vprime = mat_vec(transpose(u_basis), point)
             except RationalPointNotFound as exc:
                 if nilp:
                     raise
@@ -362,13 +349,8 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
                         polynomial_str=_poly_string(poly))
                 raise RationalPointNotFound(
                     "the rational joint-eigenvector search failed")
-        # keep a homogeneous representative
-        for p in (ODD, EVEN):
-            part = tuple(c if ind.parities[r] == p else ZERO
-                         for r, c in enumerate(vprime))
-            if not vec_is_zero(part):
-                vprime = part
-                break
+        # a combination of rows of one parity, so homogeneous
+        _row_parity(ind.parities, vprime)
         lift = ind.lift(vprime)
         if q.form.apply(lift, lift) != 0:
             raise InternalCheckError("selected vector is not isotropic")

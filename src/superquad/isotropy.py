@@ -95,24 +95,27 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def _legendre(a: int, b: int) -> tuple[int, int, int]:
+def _legendre(a: int, b: int, primes) -> tuple[int, int, int]:
     """A nonzero integer solution of x^2 = a y^2 + b z^2, for squarefree
-    a and b when one exists.  With t^2 - a = b k, |t| <= |b|/2, a solution
-    for (a, squarefree part of k) times t + sqrt(a) solves (a, b)."""
+    a and b when one exists; ``primes`` are divided out of b before the
+    rest is factored.  With t^2 - a = b k, |t| <= |b|/2, a solution for
+    (a, squarefree part of k) times t + sqrt(a) solves (a, b)."""
     if a == 1:
         return 1, 1, 0
     if b == 1:
         return 1, 0, 1
     if abs(a) > abs(b):
-        x, y, z = _legendre(b, a)
+        x, y, z = _legendre(b, a, primes)
         return x, z, y
     t, m = 0, 1
-    for p in factorize(b):  # t^2 = a mod |b|, by the Chinese remainders
+    known = [p for p in primes if b % p == 0]
+    rest = factorize(b // math.prod(known))  # b is squarefree
+    for p in known + list(rest):  # t^2 = a mod |b|, by the CRT
         t += m * ((_sqrt_mod_prime(a, p) - t) * pow(m, -1, p) % p)
         m *= p
     t = t - m if 2 * t > m else t
     s, r = _squarefree((t * t - a) // b)
-    x, y, z = _legendre(a, s)
+    x, y, z = _legendre(a, s, primes)
     x, y, z = x * t + a * y, x + t * y, s * r * z
     g = math.gcd(x, y, z)
     return x // g, y // g, z // g
@@ -127,7 +130,8 @@ def _solve(a: list[int], primes: set[int]) -> list[Fraction]:
         return [Fraction(1), Fraction(1)]  # isotropic means a_2 = -a_1
     if len(a) == 3:  # x = a_1 X gives Legendre's form
         g2, g3 = math.gcd(a[0], a[1]), math.gcd(a[0], a[2])
-        x, y, z = _legendre(-a[0] * a[1] // g2 ** 2, -a[0] * a[2] // g3 ** 2)
+        x, y, z = _legendre(-a[0] * a[1] // g2 ** 2, -a[0] * a[2] // g3 ** 2,
+                            primes)
         return [Fraction(x, a[0]), Fraction(y, g2), Fraction(z, g3)]
     for m in count(1):
         f = factorize(m)

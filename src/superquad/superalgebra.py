@@ -322,28 +322,32 @@ def require_axioms(g: LieSuperalgebra, what: str = "algebra") -> None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Graded subspace with a canonical homogeneous (per-parity RREF) basis.
+    """Graded subspace, stored as the ``RowReducer`` of its span.
 
-    Construction feeds the rows to a ``RowReducer`` and requires them to
-    be its RREF rows, so membership reduces a vector against the rows by
-    pivot instead of solving a linear system per query.
+    The span is graded iff every RREF row of the reducer is homogeneous
+    (docs/conventions.md, "Exact linear algebra"); construction checks
+    that and reads the canonical homogeneous basis off the rows, split by
+    pivot parity.  Membership reduces a vector against the rows by pivot.
     """
 
     basis: GradedBasis
-    even_rows: Mat
-    odd_rows: Mat
-    _reducer: RowReducer = field(init=False, repr=False, compare=False)
+    reducer: RowReducer = field(repr=False, compare=False)
+    even_rows: Mat = field(init=False)
+    odd_rows: Mat = field(init=False)
 
     def __post_init__(self):
-        rows = self.even_rows + self.odd_rows
-        red = RowReducer(self.basis.dim)
-        for row in rows:
-            red.add(row)
-        # RREF rows in pivot order are in descending lexicographic order
-        if red.basis() != tuple(sorted(rows, reverse=True)):
-            raise PreconditionError(
-                "subspace rows must be in reduced row echelon form")
-        object.__setattr__(self, "_reducer", red)
+        red = self.reducer
+        if red.ncols != self.basis.dim:
+            raise DimensionMismatch("reducer width does not match the basis")
+        p = self.basis.parities
+        rows: tuple[list, list] = ([], [])
+        for pivot, dense in zip(red.pivots, red.basis()):
+            if len({p[c] for c in red.rows[pivot]}) != 1:
+                raise NotGradedError(
+                    "spanning set does not span a graded subspace")
+            rows[p[pivot]].append(dense)
+        object.__setattr__(self, "even_rows", tuple(rows[EVEN]))
+        object.__setattr__(self, "odd_rows", tuple(rows[ODD]))
 
     @property
     def vectors(self) -> Mat:
@@ -355,7 +359,7 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.even_rows) + len(self.odd_rows)
+        return self.reducer.rank
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -364,7 +368,7 @@ class Subspace:
         """Whether v, dense or a {k: c} dict, lies in the subspace."""
         if not isinstance(v, dict) and len(v) != self.basis.dim:
             raise DimensionMismatch("vector does not match the ambient basis")
-        return not self._reducer.reduce(v)
+        return not self.reducer.reduce(v)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.vectors)
@@ -374,38 +378,26 @@ class Subspace:
 
 
 def subspace(basis: GradedBasis, vectors) -> Subspace:
-    """Graded subspace spanned by ``vectors``, dense or {k: c} dicts.
-
-    The input spans a graded subspace iff its rank is the sum of the
-    ranks of its parity parts, taken only from the vectors that raise
-    the rank (the parts of a dependent vector lie in their span).
-    """
+    """Graded subspace spanned by ``vectors``, dense or {k: c} dicts,
+    from one reduction; NotGradedError unless the span is graded."""
     n = basis.dim
-    whole, by_parity = RowReducer(n), (RowReducer(n), RowReducer(n))
-    p = basis.parities
+    red = RowReducer(n)
     for v in vectors:
         if not isinstance(v, dict):
             if len(v) != n:
                 raise DimensionMismatch("vector does not match the basis")
             v = {k: frac(q) for k, q in enumerate(v) if q}
-        if whole.add(v):
-            for par, red in enumerate(by_parity):
-                red.add({k: q for k, q in v.items() if p[k] == par})
-    even, odd = by_parity
-    if whole.rank != even.rank + odd.rank:
-        raise NotGradedError("spanning set does not span a graded subspace")
-    return Subspace(basis, even.basis(), odd.basis())
+        red.add(v)
+    return Subspace(basis, red)
 
 
 def zero_subspace(basis: GradedBasis) -> Subspace:
-    return Subspace(basis, (), ())
+    return Subspace(basis, RowReducer(basis.dim))
 
 
 def full_subspace(basis: GradedBasis) -> Subspace:
     n = basis.dim
-    units = [(unit_vec(n, i), par) for i, par in enumerate(basis.parities)]
-    return Subspace(basis, tuple(u for u, par in units if par == EVEN),
-                    tuple(u for u, par in units if par == ODD))
+    return subspace(basis, [unit_vec(n, i) for i in range(n)])
 
 
 def extend_subspace(w: Subspace, v: Vec) -> Subspace:
@@ -507,11 +499,10 @@ def is_ideal(g: LieSuperalgebra, w: Subspace) -> bool:
 
 @dataclass(frozen=True)
 class QuotientResult:
-    """Quotient algebra together with the projection and a graded section."""
+    """Quotient algebra together with the projection onto its coordinates."""
 
     algebra: LieSuperalgebra
     projection: Mat  # (q x n), quotient coordinates of an ambient vector
-    section: Mat     # (n x q), the chosen coset representatives as columns
 
 
 def quotient(g: LieSuperalgebra, ideal: Subspace,
@@ -531,7 +522,6 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
         raise PreconditionError("complement overlaps the ideal") from None
     q = comp.dim
     projection = tuple(Minv[:q])
-    section = transpose(mat(comp.vectors))
     if names is None:
         names = tuple(f"q{r+1}" for r in range(q))
     qbasis = graded_basis(names, comp.parities)
@@ -541,4 +531,4 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
         for j in range(q)) for i in range(q))
     alg = LieSuperalgebra(qbasis, table)
     require_axioms(alg, "quotient algebra")
-    return QuotientResult(alg, projection, section)
+    return QuotientResult(alg, projection)

@@ -24,8 +24,7 @@ from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
                      NotIdealError, NotSupercyclicError, PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, invariance_violation,
                     is_totally_isotropic, isotropic_complement, quadratic)
-from .linalg import (Mat, Vec, ZERO, mat, mat_vec, rank, transpose,
-                     unit_vec, vec_sub)
+from .linalg import Mat, ZERO, mat, rank, transpose, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
                            check_axioms, graded_basis, is_ideal,
                            jacobi_violations, quotient, sgn, subspace)
@@ -227,19 +226,16 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
     m = quot.algebra.dim
     cvecs = comp.vectors
 
-    # transport of the ideal into the dual of the quotient: u -> B(u, s(.))
-    def transported(u: Vec) -> Vec:
-        return tuple(q.form.apply(u, cv) for cv in cvecs)
-
-    # omega(x, y) = transported I-part of [s(x), s(y)], on the free
-    # coordinates i <= j (super-antisymmetry gives the rest)
+    # comp is totally isotropic, so B(s(x), s_k) = 0 and the ideal part
+    # of [s(x), s(y)] pairs with s_k as the whole bracket does:
+    # omega(x, y)(e_k) = B([s(x), s(y)], s_k), on the free coordinates
+    # i <= j (super-antisymmetry gives the rest)
     w_coords = {}
     for i in range(m):
         for j in range(i, m):
             br = bracket(q.algebra, cvecs[i], cvecs[j])
-            alpha = mat_vec(quot.projection, br)
-            ipart = vec_sub(br, mat_vec(quot.section, alpha))
-            for k, val in enumerate(transported(ipart)):
+            for k, cv in enumerate(cvecs):
+                val = q.form.apply(br, cv)
                 if val != 0:
                     w_coords[(i, j, k)] = val
     try:
@@ -250,14 +246,10 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
             "recovered cochain failed its theorem-backed checks: "
             f"{exc}") from exc
 
-    # psi: ambient -> quotient coords ++ transported dual coords
-    cols = []
-    for a in range(n):
-        e = unit_vec(n, a)
-        alpha = mat_vec(quot.projection, e)
-        ipart = vec_sub(e, mat_vec(quot.section, alpha))
-        cols.append(tuple(alpha) + transported(ipart))
-    psi = transpose(mat(cols))
+    # psi: ambient -> quotient coords ++ (B(., s_k))_k
+    psi = quot.projection + tuple(
+        tuple(q.form.apply(unit_vec(n, a), cv) for a in range(n))
+        for cv in cvecs)
     verify_isometry(q, ext.total, psi, what="recognition isometry")
     return ext, psi
 

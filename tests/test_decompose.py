@@ -8,6 +8,7 @@ import superquad as sq
 from superquad.cohomology import unhat, z3_basis
 from superquad.decompose import (Decomposition, _InducedSpace,
                                  _common_kernel, _restrict_operator,
+                                 _row_parity,
                                  decompose, isotropic_vector,
                                  max_isotropic_ideal)
 from superquad.errors import (InternalCheckError, PreconditionError,
@@ -296,3 +297,12 @@ def test_invariants_match_stacked_induced_operators(supercyclic_bases,
             assert ind.invariants() == want, (name, w.dim)
             steps += ind.dim > 0
     assert steps == 27
+
+
+def test_row_parity_rejects_mixed_and_zero_vectors():
+    parities = (EVEN, ODD, EVEN)
+    assert _row_parity(parities, vec([1, 0, -2])) == EVEN
+    assert _row_parity(parities, vec([0, 3, 0])) == ODD
+    for v in ([1, 1, 0], [0, 1, 1], [0, 0, 0]):
+        with pytest.raises(InternalCheckError, match="not homogeneous"):
+            _row_parity(parities, vec(v))

@@ -183,6 +183,14 @@ def test_factorization_cap():
         isotropic_point((F(1), F(1), F(-P1 * P2)))
 
 
+def test_point_uses_the_decided_primes():
+    """The decision factors each coefficient below the cap; the descent
+    must reuse those primes instead of factoring their product P1 * P2."""
+    diag = (F(P1), F(-2), F(-P2))
+    x, found = isotropic_point(diag)
+    assert found is None and any(x) and _value(diag, x) == 0
+
+
 def _old_rational_roots(coeffs):
     """The divisor enumeration rational_roots used before it factored."""
     lcm = math.lcm(*(F(c).denominator for c in coeffs))

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 import superquad as sq
 from superquad.errors import (AxiomError, DimensionMismatch, NotGradedError,
                               NotIdealError, PreconditionError)
-from superquad.linalg import (kernel, mat, mat_mul, mat_vec, unit_vec, vec,
-                              vec_is_zero, vec_scale, zero_vec)
+from superquad.linalg import (RowReducer, kernel, mat, mat_mul, mat_vec,
+                              unit_vec, vec, vec_is_zero, vec_scale, zero_vec)
 from superquad.superalgebra import (EVEN, ODD, Subspace, derived_subspace,
-                                    full_subspace, graded_basis,
+                                    extend_subspace, full_subspace,
+                                    graded_basis,
                                     product_subspace, quotient, sgn,
                                     subspace, zero_subspace)
 
@@ -384,11 +385,34 @@ def test_contains_vector_rejects_wrong_length():
                 w.contains_vector(vec(v))
 
 
-def test_subspace_rows_must_be_reduced():
-    basis = sq.abelian(2, 0).basis
-    for rows in ([[2, 0]], [[1, 1], [0, 1]], [[0, 0]], [[1, 0], [1, 0]]):
-        with pytest.raises(PreconditionError):
-            Subspace(basis, mat(rows), ())
+def test_subspace_reducer_rows_must_be_homogeneous():
+    basis = graded_basis(["e", "o", "f"], [EVEN, ODD, EVEN])
+    for rows in ([[1, 1, 0]], [[1, 0, 0], [0, 1, 1]], [[0, 2, 1]]):
+        red = RowReducer(3)
+        for row in rows:
+            red.add(vec(row))
+        with pytest.raises(NotGradedError):
+            Subspace(basis, red)
+
+
+def test_subspace_reducer_must_match_the_basis():
+    basis = sq.abelian(2, 1).basis
+    for width in (2, 4):
+        with pytest.raises(DimensionMismatch):
+            Subspace(basis, RowReducer(width))
+
+
+def test_subspace_constructors_match_the_span(gallery):
+    """zero_subspace and extend_subspace equal the span of the same
+    vectors; full_subspace is checked the same way above."""
+    for name, g in gallery.items():
+        n = g.dim
+        units = [unit_vec(n, i) for i in range(n)]
+        assert zero_subspace(g.basis) == subspace(g.basis, []), name
+        w = subspace(g.basis, units[::2])
+        for v in units[1::2]:
+            assert extend_subspace(w, v) == subspace(g.basis, w.vectors
+                                                     + (v,)), name
 
 
 def test_quotient_h3_by_center_is_abelian():
