@@ -107,9 +107,8 @@ def _error_exit(out, kind: str, message: str, text_mode: bool,
         "error": {"kind": kind, "message": message,
                   "line": line, "column": column},
     }
-    if text_mode:
-        loc = f" (line {line}, column {column})" if line else ""
-        out.write(f"error[{kind}]{loc}: {message}\n")
+    if text_mode:  # a parse error's message already names its location
+        out.write(f"error[{kind}]: {message}\n")
     else:
         json.dump(payload, out, sort_keys=True, indent=2)
         out.write("\n")
@@ -152,19 +151,6 @@ def _entries_strs(entries: dict, names) -> dict:
     return out
 
 
-def _load_document(args, report: Report):
-    """The input document and its algebra."""
-    text = _read_input(args.file)
-    report.digest(text)
-    doc = dsl.parse(text)
-    if doc.dim == 0:
-        raise dsl.ParseError("document declares no basis", 1, 1)
-    if doc.dim > args.max_dim:
-        raise PreconditionError(
-            f"document dimension {doc.dim} exceeds --max-dim {args.max_dim}")
-    return doc, dsl.document_algebra(doc)
-
-
 def _axiom_checks(report: Report, doc, alg) -> bool:
     ax = check_axioms(alg)
     names = doc.names
@@ -181,20 +167,16 @@ def _axiom_checks(report: Report, doc, alg) -> bool:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args, report: Report, out) -> int:
-    doc, alg = _load_document(args, report)
-    ok = _axiom_checks(report, doc, alg)
-    if ok:
-        report.dims["dim"] = alg.dim
-        report.dims["dim_even"] = alg.basis.even_dim
-        report.dims["dim_odd"] = alg.basis.odd_dim
-        z = center(alg)
-        report.dims["dim_center"] = z.dim
-        report.dims["nilpotent"] = is_nilpotent(alg)
-        report.dims["solvable"] = is_solvable(alg)
-        report.dims["class_condition"] = class_condition(alg)
+def _cmd_check(args, report: Report, out, doc, alg) -> int:
+    report.dims["dim"] = alg.dim
+    report.dims["dim_even"] = alg.basis.even_dim
+    report.dims["dim_odd"] = alg.basis.odd_dim
+    report.dims["dim_center"] = center(alg).dim
+    report.dims["nilpotent"] = is_nilpotent(alg)
+    report.dims["solvable"] = is_solvable(alg)
+    report.dims["class_condition"] = class_condition(alg)
     form = dsl.document_form(doc)
-    if form is not None and ok:
+    if form is not None:
         _form_checks(report, doc, alg, form)
     return report.render(out)
 
@@ -263,10 +245,7 @@ def _document_quadratic(report: Report, doc, alg, what: str):
     return q
 
 
-def _cmd_tstar(args, report: Report, out) -> int:
-    doc, alg = _load_document(args, report)
-    if not _axiom_checks(report, doc, alg):
-        return report.render(out)
+def _cmd_tstar(args, report: Report, out, doc, alg) -> int:
     omega = _document_omega(args, report, doc, alg, "omega")
     if not report.passed:
         return report.render(out)
@@ -278,10 +257,7 @@ def _cmd_tstar(args, report: Report, out) -> int:
     return report.render(out, document=document)
 
 
-def _cmd_cohomology(args, report: Report, out) -> int:
-    doc, alg = _load_document(args, report)
-    if not _axiom_checks(report, doc, alg):
-        return report.render(out)
+def _cmd_cohomology(args, report: Report, out, doc, alg) -> int:
     z2sc = z2_supercyclic_basis(alg)
     z3 = z3_basis(alg)
     b3 = b3_basis(alg)
@@ -301,10 +277,7 @@ def _cmd_cohomology(args, report: Report, out) -> int:
     return report.render(out)
 
 
-def _cmd_isometry(args, report: Report, out) -> int:
-    doc, alg = _load_document(args, report)
-    if not _axiom_checks(report, doc, alg):
-        return report.render(out)
+def _cmd_isometry(args, report: Report, out, doc, alg) -> int:
     if args.phi not in doc.scalar2:
         raise PreconditionError(
             f"document defines no scalar2 named {args.phi!r}")
@@ -320,10 +293,7 @@ def _cmd_isometry(args, report: Report, out) -> int:
     return report.render(out)
 
 
-def _cmd_recognize(args, report: Report, out) -> int:
-    doc, alg = _load_document(args, report)
-    if not _axiom_checks(report, doc, alg):
-        return report.render(out)
+def _cmd_recognize(args, report: Report, out, doc, alg) -> int:
     q = _document_quadratic(report, doc, alg, "recognition")
     if q is None:
         return report.render(out)
@@ -353,10 +323,7 @@ def _cmd_recognize(args, report: Report, out) -> int:
     return report.render(out)
 
 
-def _cmd_decompose(args, report: Report, out) -> int:
-    doc, alg = _load_document(args, report)
-    if not _axiom_checks(report, doc, alg):
-        return report.render(out)
+def _cmd_decompose(args, report: Report, out, doc, alg) -> int:
     q = _document_quadratic(report, doc, alg, "decomposition")
     if q is None:
         return report.render(out)
@@ -381,7 +348,7 @@ def _cmd_decompose(args, report: Report, out) -> int:
     return report.render(out)
 
 
-def _cmd_example(args, report: Report, out) -> int:
+def _cmd_example(args, out) -> int:
     kind = args.kind
     if kind in ("gn", "glnn", "class-c"):
         try:
@@ -498,7 +465,20 @@ def main(argv=None, out=None) -> int:
     text_mode = not args.json
     report = Report(args.command, args.seed, text_mode)
     try:
-        return args.fn(args, report, out)
+        if args.command == "example":
+            return args.fn(args, out)
+        text = _read_input(args.file)
+        report.digest(text)
+        doc = dsl.parse(text)
+        if doc.dim == 0:
+            raise dsl.ParseError("document declares no basis", 1, 1)
+        if doc.dim > args.max_dim:
+            raise PreconditionError(f"document dimension {doc.dim} exceeds "
+                                    f"--max-dim {args.max_dim}")
+        alg = dsl.document_algebra(doc)
+        if not _axiom_checks(report, doc, alg):
+            return report.render(out)
+        return args.fn(args, report, out, doc, alg)
     except dsl.ParseError as exc:
         return _error_exit(out, "parse", str(exc), text_mode,
                            exc.line, exc.column)

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dsl import signed_sum
 from .errors import (InternalCheckError, PreconditionError,
                      RationalPointNotFound)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, is_totally_isotropic,
@@ -35,28 +36,14 @@ from .tstar import TStarExtension, quadratic_morphism_violation, recognize
 _QUADRIC_VARS = ("x", "y", "z", "w")
 
 
-def _signed_sum(terms) -> str:
-    """Join (coefficient, monomial) pairs as "2*x^2 - y^2 + 3": zero
-    coefficients are skipped, a unit one is left off, and "" is the
-    constant monomial."""
-    parts = []
-    for c, base in terms:
-        if c != 0:
-            m = abs(c)
-            term = (base if m == 1 else f"{m}*{base}") if base else str(m)
-            parts.append((("+ " if c > 0 else "- ") if parts
-                          else ("" if c > 0 else "-")) + term)
-    return " ".join(parts) if parts else "0"
-
-
 def _quadric_string(diag: tuple[Fraction, ...]) -> str:
-    return _signed_sum((d, (_QUADRIC_VARS[r] if r < len(_QUADRIC_VARS)
+    return signed_sum((d, (_QUADRIC_VARS[r] if r < len(_QUADRIC_VARS)
                             else f"x{r}") + "^2") for r, d in enumerate(diag))
 
 
 def _poly_string(coeffs: tuple[Fraction, ...]) -> str:
     n = len(coeffs) - 1
-    return _signed_sum((c, {0: "", 1: "t"}.get(n - i, f"t^{n - i}"))
+    return signed_sum((c, {0: "", 1: "t"}.get(n - i, f"t^{n - i}"))
                        for i, c in enumerate(coeffs))
 
 
@@ -175,10 +162,18 @@ class _InducedSpace:
     def lift(self, u: Vec) -> Vec:
         return mat_vec(transpose(self.rep_vectors), u)
 
-    def operator(self, x: Vec) -> Mat:
-        """Matrix of the induced action of x on V' (columns = images)."""
-        cols = [self.project(bracket(self.q.algebra, x, rep))
-                for rep in self.rep_vectors]
+    def action(self, x: Vec, space: list[Vec]) -> Mat:
+        """Matrix of the induced action of x on the span of the independent
+        V'-vectors ``space`` (columns = images), which must be invariant."""
+        coords = _Coordinates(space)
+        cols = []
+        for s in space:
+            c = coords.of(self.project(bracket(self.q.algebra, x,
+                                               self.lift(s))))
+            if c is None:
+                raise InternalCheckError(
+                    "span is not invariant under the induced action")
+            cols.append(c)
         return transpose(mat(cols)) if cols else ()
 
     def invariants(self) -> list[Vec]:
@@ -188,35 +183,16 @@ class _InducedSpace:
         q = self.q
         images = filter(None, ad_images(q.algebra, self.rep_vectors))
         span = subspace(q.basis, itertools.chain(self.w.vectors, images))
-        red = RowReducer(self.dim)
+        red, annihilator = RowReducer(self.dim), RowReducer(self.dim)
         for u in orthogonal(q.form, span).vectors:
             red.add(self.project(u))
-        return _common_kernel([red.kernel()], self.dim)
+        for v in red.kernel():
+            annihilator.add(v)
+        return annihilator.kernel()
 
     def induced_gram_on(self, rows: list[Vec]) -> Mat:
         lifts = [self.lift(r) for r in rows]
         return mat([[self.q.form.apply(u, v) for v in lifts] for u in lifts])
-
-
-def _common_kernel(ops: list[Mat], dim: int) -> list[Vec]:
-    red = RowReducer(dim)
-    for op in ops:
-        for row in op:
-            red.add(row)
-    return red.kernel()
-
-
-def _restrict_operator(op: Mat, rows: list[Vec]) -> Mat:
-    """Matrix of op on the subspace spanned by the independent rows
-    (which must be invariant)."""
-    coords = _Coordinates(rows)
-    cols = []
-    for r in rows:
-        x = coords.of(mat_vec(op, r))
-        if x is None:
-            raise InternalCheckError("subspace is not operator-invariant")
-        cols.append(x)
-    return transpose(mat(cols)) if cols else ()
 
 
 def _row_parity(parities, v: Vec) -> int:
@@ -244,17 +220,17 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
     """
     g = q.algebra
     n = g.dim
-    killers: list[Mat] = []
-    for i in range(n):
-        if g.parity(i) == ODD:
-            killers.append(ind.operator(unit_vec(n, i)))
-    for v in derived_subspace(g).vectors:
-        killers.append(ind.operator(v))
-    vpp = _common_kernel(killers, ind.dim)
+    whole = [unit_vec(ind.dim, t) for t in range(ind.dim)]
+    joint = RowReducer(ind.dim)
+    for x in itertools.chain((unit_vec(n, i) for i in range(n)
+                              if g.parity(i) == ODD),
+                             derived_subspace(g).vectors):
+        for row in ind.action(x, whole):
+            joint.add(row)
+    vpp = joint.kernel()
     if not vpp:
         return None, None
-    even_ops = [ind.operator(unit_vec(n, i)) for i in range(n)
-                if g.parity(i) == EVEN]
+    evens = [unit_vec(n, i) for i in range(n) if g.parity(i) == EVEN]
     first_poly: list = [None]
 
     def leaf_pick(space: list[Vec]) -> Vec | None:
@@ -265,9 +241,9 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
         return mat_vec(transpose(space), point)
 
     def descend(space: list[Vec], k: int) -> Vec | None:
-        if k == len(even_ops):
+        if k == len(evens):
             return leaf_pick(space)
-        op = _restrict_operator(even_ops[k], space)
+        op = ind.action(evens[k], space)
         if all(vec_is_zero(r) for r in op):
             return descend(space, k + 1)
         coeffs = charpoly(op)

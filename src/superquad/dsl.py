@@ -132,30 +132,20 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-class _DocBuilder:
-    def __init__(self):
-        self.names: list[str] = []
-        self.parities: list[int] = []
-        self.brackets: dict = {}
-        self.form_name: str | None = None
-        self.form_entries: dict = {}
-        self.cochain2: dict = {}
-        self.cochain3: dict = {}
-        self.scalar2: dict = {}
-
-    def require_basis(self, lp: _LineParser):
-        if not self.names:
-            lp.error("basis must be declared before this statement")
-
-    def index(self, lp: _LineParser, label: str) -> int:
-        try:
-            return self.names.index(label)
-        except ValueError:
-            lp.error(f"undeclared basis label {label!r}")
+def _require_basis(lp: _LineParser, doc: AlgebraDocument):
+    if not doc.names:
+        lp.error("basis must be declared before this statement")
 
 
-def _parse_lincomb(lp: _LineParser, builder: _DocBuilder) -> Vec:
-    n = len(builder.names)
+def _index(lp: _LineParser, doc: AlgebraDocument, label: str) -> int:
+    try:
+        return doc.index(label)
+    except ValueError:
+        lp.error(f"undeclared basis label {label!r}")
+
+
+def _parse_lincomb(lp: _LineParser, doc: AlgebraDocument) -> Vec:
+    n = doc.dim
     out = list(zero_vec(n))
     first = True
     while True:
@@ -172,21 +162,21 @@ def _parse_lincomb(lp: _LineParser, builder: _DocBuilder) -> Vec:
             coeff = lp.rational()
             if lp.try_literal("*"):
                 label = lp.label()
-                out[builder.index(lp, label)] += sign * coeff
+                out[_index(lp, doc, label)] += sign * coeff
             elif coeff == 0:
                 pass  # a bare zero term is allowed
             else:
                 lp.error("a bare scalar term must be 0")
         else:
             label = lp.label()
-            out[builder.index(lp, label)] += sign
+            out[_index(lp, doc, label)] += sign
         first = False
         if lp.at_end():
             break
     return tuple(out)
 
 
-def _handle_basis(lp: _LineParser, b: _DocBuilder):
+def _handle_basis(lp: _LineParser, doc: AlgebraDocument):
     any_decl = False
     while not lp.at_end():
         label = lp.label()
@@ -198,44 +188,43 @@ def _handle_basis(lp: _LineParser, b: _DocBuilder):
             parity = ODD
         else:
             lp.error("parity must be 'even' or 'odd'")
-        if label in b.names:
+        if label in doc.names:
             lp.error(f"duplicate basis label {label!r}")
-        b.names.append(label)
-        b.parities.append(parity)
+        doc.names += (label,)
+        doc.parities += (parity,)
         any_decl = True
     if not any_decl:
         lp.error("empty basis declaration")
 
 
-def _handle_bracket(lp: _LineParser, b: _DocBuilder):
-    b.require_basis(lp)
+def _handle_bracket(lp: _LineParser, doc: AlgebraDocument):
+    _require_basis(lp, doc)
     lp.literal("[")
-    a = b.index(lp, lp.label())
+    a = _index(lp, doc, lp.label())
     lp.literal(",")
-    c = b.index(lp, lp.label())
+    c = _index(lp, doc, lp.label())
     lp.literal("]")
     lp.literal("=")
-    v = _parse_lincomb(lp, b)
-    parities = b.parities
+    v = _parse_lincomb(lp, doc)
+    names, parities = doc.names, doc.parities
     target = (parities[a] + parities[c]) % 2
     for k, q in enumerate(v):
         if q != 0 and parities[k] != target:
             lp.error(
-                f"parity violation: [{b.names[a]},{b.names[c]}] cannot "
-                f"contain {b.names[k]}")
+                f"parity violation: [{names[a]},{names[c]}] cannot "
+                f"contain {names[k]}")
     s = sgn(parities[a] * parities[c])
     if a == c and s == 1:
         if not vec_is_zero(v):
-            lp.error(f"bracket [{b.names[a]},{b.names[a]}] must vanish for "
+            lp.error(f"bracket [{names[a]},{names[a]}] must vanish for "
                      "an even generator")
         return
     if a > c:
         key, val = (c, a), vec_scale(-s, v)
     else:
         key, val = (a, c), v
-    if b.brackets.setdefault(key, val) != val:
-        lp.error(f"contradictory entry for bracket "
-                 f"[{b.names[a]},{b.names[c]}]")
+    if doc.brackets.setdefault(key, val) != val:
+        lp.error(f"contradictory entry for bracket [{names[a]},{names[c]}]")
 
 
 # keyword -> (separators between the labels, canon of the container's
@@ -248,36 +237,46 @@ _ENTRIES = {
 }
 
 
-def _handle_entry(kind: str, lp: _LineParser, b: _DocBuilder):
+def _labels(names, seps, idx) -> str:
+    """The arguments of an entry statement, e.g. ``a,b;c``."""
+    return "".join(sep + names[i] for sep, i in zip(("",) + seps, idx))
+
+
+def _named_entries(doc: AlgebraDocument, kind: str) -> dict:
+    """name -> entries for one keyword of ``_ENTRIES``."""
+    if kind != "form":
+        return getattr(doc, kind)
+    return {} if doc.form_name is None else {doc.form_name: doc.form_entries}
+
+
+def _handle_entry(kind: str, lp: _LineParser, doc: AlgebraDocument):
     """One entry statement, stored under its container's free coordinate
     with the sign ``canon`` gives; every statement declares its name."""
     seps, canon = _ENTRIES[kind]
-    b.require_basis(lp)
+    _require_basis(lp, doc)
     name = lp.label()
     if kind == "form":
-        if b.form_name not in (None, name):
-            lp.error(f"document already defines form {b.form_name!r}")
-        b.form_name = name
-        store = b.form_entries
+        if doc.form_name not in (None, name):
+            lp.error(f"document already defines form {doc.form_name!r}")
+        doc.form_name = name
+        store = doc.form_entries
     else:
-        store = getattr(b, kind).setdefault(name, {})
+        store = getattr(doc, kind).setdefault(name, {})
     lp.literal("(")
-    idx = [b.index(lp, lp.label())]
+    idx = [_index(lp, doc, lp.label())]
     for sep in seps:
         lp.literal(sep)
-        idx.append(b.index(lp, lp.label()))
+        idx.append(_index(lp, doc, lp.label()))
     lp.literal(")")
     lp.literal("=")
     q = lp.rational()
     if not lp.at_end():
         lp.error("unexpected trailing input")
-    key, s = canon(b.parities, *idx)
+    key, s = canon(doc.parities, *idx)
     if key is None:
         if q != 0:
-            args = "".join(sep + b.names[i]
-                           for sep, i in zip(("",) + seps, idx))
-            lp.error(f"parity violation: {kind} entry {name}({args}) "
-                     "must vanish")
+            lp.error(f"parity violation: {kind} entry "
+                     f"{name}({_labels(doc.names, seps, idx)}) must vanish")
         return
     if store.setdefault(key, s * q) != s * q:
         lp.error(f"contradictory entry for {kind} {name}")
@@ -291,7 +290,7 @@ _HANDLERS = {
 
 
 def parse(text: str) -> AlgebraDocument:
-    b = _DocBuilder()
+    doc = AlgebraDocument()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
         if not line.strip():
@@ -304,37 +303,34 @@ def parse(text: str) -> AlgebraDocument:
             lp.error(f"unknown statement {keyword!r}" if keyword
                      else "expected a statement keyword")
         lp.pos = m.end()
-        _HANDLERS[keyword](lp, b)
+        _HANDLERS[keyword](lp, doc)
     # explicit zeros were kept only to catch a later contradiction
     def nonzero(store: dict) -> dict:
         return {k: q for k, q in sorted(store.items()) if q}
 
-    def named(stores: dict) -> dict:
-        return {k: nonzero(v) for k, v in sorted(stores.items())}
-
-    return AlgebraDocument(
-        names=tuple(b.names), parities=tuple(b.parities),
-        brackets={k: v for k, v in sorted(b.brackets.items()) if any(v)},
-        form_name=b.form_name,
-        form_entries=nonzero(b.form_entries), cochain2=named(b.cochain2),
-        cochain3=named(b.cochain3), scalar2=named(b.scalar2))
+    doc.brackets = {k: v for k, v in sorted(doc.brackets.items()) if any(v)}
+    doc.form_entries = nonzero(doc.form_entries)
+    for kind in ("cochain2", "cochain3", "scalar2"):
+        setattr(doc, kind, {name: nonzero(entries) for name, entries
+                            in sorted(getattr(doc, kind).items())})
+    return doc
 
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
-def _format_lincomb(doc: AlgebraDocument, v: Vec) -> str:
+def signed_sum(terms) -> str:
+    """Join (coefficient, monomial) pairs as "2*x - y + 3": zero
+    coefficients are skipped, a unit one is left off, "" is the constant
+    monomial, and the empty sum is "0"."""
     parts = []
-    for k, q in enumerate(v):
-        if q == 0:
-            continue
-        mag = abs(q)
-        term = doc.names[k] if mag == 1 else f"{mag}*{doc.names[k]}"
-        if not parts:
-            parts.append(term if q > 0 else f"-{term}")
-        else:
-            parts.append(("+ " if q > 0 else "- ") + term)
+    for c, base in terms:
+        if c != 0:
+            m = abs(c)
+            term = (base if m == 1 else f"{m}*{base}") if base else str(m)
+            parts.append((("+ " if c > 0 else "- ") if parts
+                          else ("" if c > 0 else "-")) + term)
     return " ".join(parts) if parts else "0"
 
 
@@ -347,29 +343,11 @@ def emit(doc: AlgebraDocument) -> str:
     for (i, j), v in sorted(doc.brackets.items()):
         if not vec_is_zero(v):
             lines.append(f"bracket [{doc.names[i]},{doc.names[j]}] = "
-                         f"{_format_lincomb(doc, v)}")
-    if doc.form_name is not None:
-        for (i, j), q in sorted(doc.form_entries.items()):
-            if q != 0:
-                lines.append(f"form {doc.form_name}({doc.names[i]},"
-                             f"{doc.names[j]}) = {q}")
-    for name, entries in sorted(doc.cochain2.items()):
-        for (i, j, k), q in sorted(entries.items()):
-            if q != 0:
-                lines.append(
-                    f"cochain2 {name}({doc.names[i]},{doc.names[j]};"
-                    f"{doc.names[k]}) = {q}")
-    for name, entries in sorted(doc.cochain3.items()):
-        for (i, j, k), q in sorted(entries.items()):
-            if q != 0:
-                lines.append(
-                    f"cochain3 {name}({doc.names[i]},{doc.names[j]},"
-                    f"{doc.names[k]}) = {q}")
-    for name, entries in sorted(doc.scalar2.items()):
-        for (i, j), q in sorted(entries.items()):
-            if q != 0:
-                lines.append(f"scalar2 {name}({doc.names[i]},"
-                             f"{doc.names[j]}) = {q}")
+                         + signed_sum(zip(v, doc.names)))
+    for kind, (seps, _) in _ENTRIES.items():
+        for name, entries in sorted(_named_entries(doc, kind).items()):
+            lines.extend(f"{kind} {name}({_labels(doc.names, seps, key)}) "
+                         f"= {q}" for key, q in sorted(entries.items()) if q)
     return "\n".join(lines) + "\n"
 
 
@@ -444,16 +422,13 @@ def document_quadratic(q: QuadraticLieSuperalgebra,
 def parse_span(doc: AlgebraDocument, text: str) -> Subspace:
     """Subspace from a semicolon-separated list of linear combinations,
     e.g. ``"e1*; e2 + 1/2*e3"``."""
-    b = _DocBuilder()
-    b.names = list(doc.names)
-    b.parities = list(doc.parities)
     vectors = []
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         lp = _LineParser(part, 1)
-        vectors.append(_parse_lincomb(lp, b))
+        vectors.append(_parse_lincomb(lp, doc))
         if not lp.at_end():
             lp.error("unexpected trailing input in span expression")
     return subspace(doc.basis(), vectors)

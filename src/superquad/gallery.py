@@ -18,7 +18,7 @@ from .cohomology import (Cochain2Dual, ScalarCochain2, collect_cochain2dual,
                          z2_basis, z2_supercyclic_basis)
 from .errors import InternalCheckError, PreconditionError
 from .forms import EvenForm, QuadraticLieSuperalgebra, quadratic
-from .linalg import ZERO
+from .linalg import ONE, ZERO
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, abelian, center,
                            from_brackets, graded_basis, is_nilpotent,
                            require_axioms, sgn)
@@ -29,98 +29,39 @@ from .tstar import TStarExtension, build
 # gl(n, n) and the triangular family
 # ---------------------------------------------------------------------------
 
-def _glnn_layout(n: int):
-    """Basis labels and their (row, col) positions in the 2n x 2n matrix,
-    even blocks (diagonal) first, odd blocks after, row-major inside."""
+def _layout(n: int, triangular: bool):
+    """Basis labels, their (row, col) positions in the 2n x 2n matrix and
+    their parities: the A and D blocks (even) first, then B and C (odd),
+    row-major inside.  ``triangular`` keeps the nilpotent triangular
+    subalgebra: strictly upper-triangular A, D and C blocks and an
+    upper-triangular B block."""
     labels, positions, parities = [], [], []
-    for p in range(n):          # A block
-        for q in range(n):
-            labels.append(f"a{p+1}{q+1}")
-            positions.append((p, q))
-            parities.append(EVEN)
-    for p in range(n):          # D block
-        for q in range(n):
-            labels.append(f"d{p+1}{q+1}")
-            positions.append((n + p, n + q))
-            parities.append(EVEN)
-    for p in range(n):          # B block
-        for q in range(n):
-            labels.append(f"b{p+1}{q+1}")
-            positions.append((p, n + q))
-            parities.append(ODD)
-    for p in range(n):          # C block
-        for q in range(n):
-            labels.append(f"c{p+1}{q+1}")
-            positions.append((n + p, q))
-            parities.append(ODD)
+    for letter, (dr, dc), parity in (("a", (0, 0), EVEN), ("d", (n, n), EVEN),
+                                     ("b", (0, n), ODD), ("c", (n, 0), ODD)):
+        for p in range(n):
+            start = (p if letter == "b" else p + 1) if triangular else 0
+            for q in range(start, n):
+                labels.append(f"{letter}{p+1}{q+1}")
+                positions.append((dr + p, dc + q))
+                parities.append(parity)
     return labels, positions, parities
 
 
-def build_glnn(n: int) -> LieSuperalgebra:
-    """gl(n, n) on the matrix-unit basis with [M, N] = MN - (-1)^{ab} NM."""
+def _matrix_algebra(n: int, triangular: bool, what: str) -> LieSuperalgebra:
+    """The span of the layout's matrix units under
+    [M, N] = MN - (-1)^{ab} NM; closure is verified on every basis pair."""
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    labels, positions, parities = _glnn_layout(n)
+    labels, positions, parities = _layout(n, triangular)
     index = {pos: t for t, pos in enumerate(positions)}
     table = []
     for i, (p, q) in enumerate(positions):
         row = []
         for j, (r, s) in enumerate(positions):
             # E_pq E_rs = delta_qr E_ps ; E_rs E_pq = delta_sp E_rq
-            entry = []
-            if q == r:
-                entry.append((index[(p, s)], 1))
-            if s == p:
-                entry.append((index[(r, q)], -sgn(parities[i] * parities[j])))
-            row.append(entry)
-        table.append(tuple(row))
-    alg = LieSuperalgebra(graded_basis(labels, parities), tuple(table))
-    require_axioms(alg, "gl(n,n)")
-    return alg
-
-
-def _triangular_layout(n: int):
-    """Basis of the nilpotent triangular subalgebra of gl(n,n):
-    strictly upper-triangular diagonal blocks, upper-triangular upper-right
-    block, strictly upper-triangular lower-left block."""
-    labels, positions, parities = [], [], []
-    for p in range(n):          # A block, strict
-        for q in range(p + 1, n):
-            labels.append(f"a{p+1}{q+1}")
-            positions.append((p, q))
-            parities.append(EVEN)
-    for p in range(n):          # D block, strict
-        for q in range(p + 1, n):
-            labels.append(f"d{p+1}{q+1}")
-            positions.append((n + p, n + q))
-            parities.append(EVEN)
-    for p in range(n):          # B block, with diagonal
-        for q in range(p, n):
-            labels.append(f"b{p+1}{q+1}")
-            positions.append((p, n + q))
-            parities.append(ODD)
-    for p in range(n):          # C block, strict
-        for q in range(p + 1, n):
-            labels.append(f"c{p+1}{q+1}")
-            positions.append((n + p, q))
-            parities.append(ODD)
-    return labels, positions, parities
-
-
-def build_gn(n: int) -> LieSuperalgebra:
-    """The nilpotent triangular sub-superalgebra of gl(n,n); closure under
-    the bracket is verified on every basis pair."""
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    labels, positions, parities = _triangular_layout(n)
-    index = {pos: t for t, pos in enumerate(positions)}
-    table = []
-    for i, (p, q) in enumerate(positions):
-        row = []
-        for j, (r, s) in enumerate(positions):
             entries: dict[tuple[int, int], Fraction] = {}
             if q == r:
-                entries[(p, s)] = entries.get((p, s), ZERO) + 1
+                entries[(p, s)] = ONE
             if s == p:
                 entries[(r, q)] = (entries.get((r, q), ZERO)
                                    - sgn(parities[i] * parities[j]))
@@ -135,8 +76,19 @@ def build_gn(n: int) -> LieSuperalgebra:
             row.append(entry)
         table.append(tuple(row))
     alg = LieSuperalgebra(graded_basis(labels, parities), tuple(table))
-    require_axioms(alg, "triangular family")
+    require_axioms(alg, what)
     return alg
+
+
+def build_glnn(n: int) -> LieSuperalgebra:
+    """gl(n, n) on the matrix-unit basis with [M, N] = MN - (-1)^{ab} NM."""
+    return _matrix_algebra(n, False, "gl(n,n)")
+
+
+def build_gn(n: int) -> LieSuperalgebra:
+    """The nilpotent triangular sub-superalgebra of gl(n,n); closure under
+    the bracket is verified on every basis pair."""
+    return _matrix_algebra(n, True, "triangular family")
 
 
 def build_class_c_example(n: int) -> QuadraticLieSuperalgebra:
@@ -199,7 +151,10 @@ def stock(name: str) -> LieSuperalgebra | QuadraticLieSuperalgebra:
     """Named catalog algebra; see docs/catalog.md for the full list."""
     m = _ABELIAN_RE.match(name)
     if m:
-        return abelian(int(m.group(1)), int(m.group(2)))
+        p, q = int(m.group(1)), int(m.group(2))
+        if p + q == 0:
+            raise PreconditionError("abelian(p|q) needs p + q >= 1")
+        return abelian(p, q)
     table = {
         "heisenberg3": heisenberg3,
         "solvable2d": solvable2d,

@@ -23,7 +23,7 @@ from superquad.errors import (DimensionMismatch, InternalCheckError,
                               NotGradedError, PreconditionError)
 from superquad.forms import (QuadraticLieSuperalgebra, invariance_violation,
                              is_totally_isotropic, orthogonal)
-from superquad.gallery import _glnn_layout
+from superquad.gallery import _layout
 from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
 from superquad.superalgebra import (EVEN, GradedBasis, LieSuperalgebra,
                                     Subspace, bracket, center,
@@ -56,7 +56,7 @@ def document_cochain3(doc: AlgebraDocument, name: str) -> ScalarCochain3:
 
 def matrix_of_glnn(n: int, label: str):
     """The 2n x 2n matrix of a gl(n,n) basis label (for oracle tests)."""
-    labels, positions, _ = _glnn_layout(n)
+    labels, positions, _ = _layout(n, False)
     pos = positions[labels.index(label)]
     m = [[ZERO] * (2 * n) for _ in range(2 * n)]
     m[pos[0]][pos[1]] = Fraction(1)

@@ -85,6 +85,15 @@ def test_example_stock_and_unknown():
     assert code == 2
 
 
+def test_example_stock_empty_abelian_is_an_input_error():
+    """Every document `example` emits parses, so the empty algebra is
+    refused with exit 2 rather than emitted as a bare basis line."""
+    code, rep = run_json(["example", "stock", "abelian(0|0)"])
+    assert code == 2
+    assert rep["error"]["kind"] == "input"
+    assert "p + q >= 1" in rep["error"]["message"]
+
+
 def test_example_size_gate():
     code, _ = run_cli(["example", "gn", "5"])
     assert code == 2

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.cohomology import unhat, z3_basis
-from superquad.decompose import (Decomposition, _InducedSpace,
-                                 _common_kernel, _restrict_operator,
-                                 _row_parity,
+from superquad.decompose import (Decomposition, _InducedSpace, _row_parity,
                                  decompose, isotropic_vector,
                                  max_isotropic_ideal)
 from superquad.errors import (InternalCheckError, PreconditionError,
@@ -16,7 +14,7 @@ from superquad.errors import (InternalCheckError, PreconditionError,
 from superquad.forms import even_form, is_totally_isotropic, orthogonal, quadratic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
-from superquad.linalg import (RowReducer, mat, mat_mul, mat_vec, rank,
+from superquad.linalg import (RowReducer, mat, mat_vec, rank,
                               transpose, unit_vec, vec, vec_scale, zero_vec)
 from superquad.superalgebra import (EVEN, ODD, bracket, is_ideal, subspace)
 from superquad.tstar import build
@@ -171,12 +169,12 @@ def test_decompose_g2_roundtrip_with_cocycle(supercyclic_bases):
 @pytest.fixture(scope="module")
 def induced_spaces():
     """(W^perp, span rows, induced space) along the flags of an even, an
-    odd-dimensional and a solvable class-c algebra."""
+    odd-dimensional, a class-c and a solvable non-nilpotent algebra."""
     out = []
     for Q in (build(sq.heisenberg3()).total,
               orthogonal_direct_sum(build(sq.abelian(1, 2)).total,
                                     even_line()),
-              sq.build_class_c_example(2)):
+              sq.build_class_c_example(2), build(sq.solvable2d()).total):
         for w in max_isotropic_ideal(Q).chain:
             ind = _InducedSpace(Q, w)
             out.append((orthogonal(Q.form, w),
@@ -207,58 +205,40 @@ def test_project_matches_dense_solve(induced_spaces, data):
 
 
 @given(data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_restrict_operator_matches_dense_coordinates(data):
-    """An operator built on a random basis to leave the span of its first
-    d vectors invariant (or, on request, to move them anywhere) against
-    coordinates solved one image at a time by dense elimination."""
-    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    m = data.draw(st.integers(1, 5))
-    d = data.draw(st.integers(1, m))
-    red, basis = RowReducer(m), []
-    for v in data.draw(st.lists(st.lists(coeffs, min_size=m, max_size=m),
-                                max_size=m)) + [unit_vec(m, i)
-                                                for i in range(m)]:
-        if red.add(vec(v)):
-            basis.append(vec(v))
-    rows = basis[:d]
-    invariant = data.draw(st.booleans())
-    images = []
-    for t in range(m):
-        if t < d and invariant:
-            image = zero_vec(m)
-            for r in rows:
-                image = vec_add(image, vec_scale(data.draw(coeffs), r))
-        else:
-            image = vec(data.draw(st.lists(coeffs, min_size=m, max_size=m)))
-        images.append(image)
-    # op maps basis[t] to images[t]
-    op = mat_mul(transpose(images), dense.inverse(transpose(basis)))
-    cols = [dense.coords_in(rows, mat_vec(op, r)) for r in rows]
-    if any(x is None for x in cols):
-        assert not invariant
-        with pytest.raises(InternalCheckError, match="not operator-invariant"):
-            _restrict_operator(op, rows)
-    else:
-        assert _restrict_operator(op, rows) == transpose(mat(cols))
-
-
-@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_common_kernel_matches_dense_kernel(data):
-    """The joint kernel of a few operators against the dense kernel of
-    their stacked rows; with no rows, or only zero rows, the whole space."""
-    dim = data.draw(st.integers(1, 5))
-    entries = st.one_of(st.just(F(0)), st.just(F(0)),
-                        st.fractions(min_value=-3, max_value=3,
-                                     max_denominator=3))
-    ops = data.draw(st.lists(st.lists(
-        st.lists(entries, min_size=dim, max_size=dim).map(vec),
-        min_size=dim, max_size=dim).map(tuple), max_size=3))
-    rows = [row for op in ops for row in op if any(row)]
-    want = dense.kernel(rows) if rows else [unit_vec(dim, i)
-                                            for i in range(dim)]
-    assert _common_kernel(ops, dim) == want
+def test_action_matches_dense_coordinates(induced_spaces, data):
+    """The matrix of a random x on a span of V' against coordinates solved
+    one image at a time by dense elimination, with x's dense matrix on V'
+    read from the span rows [reps | W basis].  A Krylov span of that
+    matrix and the invariants are invariant spans; a drawn span often is
+    not, and then ``action`` raises."""
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    wperp, span_rows, ind = data.draw(st.sampled_from(
+        [case for case in induced_spaces if case[2].dim]))
+    g, n, m = ind.q.algebra, ind.q.dim, ind.dim
+    x = vec(data.draw(st.lists(coeffs, min_size=n, max_size=n)))
+    op = transpose(mat([dense.coords_in(span_rows, bracket(g, x, rep))[:m]
+                        for rep in ind.rep_vectors]))
+    kind = data.draw(st.sampled_from(("krylov", "invariants", "drawn")))
+    draws = [vec(v) for v in data.draw(st.lists(
+        st.lists(coeffs, min_size=m, max_size=m), min_size=1, max_size=m))]
+    space, red = [], RowReducer(m)
+    if kind == "invariants":
+        space = ind.invariants()
+    elif kind == "drawn":
+        space = [v for v in draws if red.add(v)]
+    else:  # v, op v, op^2 v, ... up to the first dependent one
+        v = draws[0]
+        while red.add(v):
+            space.append(v)
+            v = mat_vec(op, v)
+    want = [dense.coords_in(space, mat_vec(op, u)) for u in space]
+    if any(c is None for c in want):
+        assert kind == "drawn"
+        with pytest.raises(InternalCheckError, match="not invariant"):
+            ind.action(x, space)
+    else:
+        assert ind.action(x, space) == (transpose(mat(want)) if want else ())
 
 
 def _direct_sum(a, b):
@@ -276,7 +256,8 @@ def _direct_sum(a, b):
 def test_invariants_match_stacked_induced_operators(supercyclic_bases,
                                                     gallery):
     """At every flag step, the invariants read from the form against the
-    common kernel of all n induced operators, as lists."""
+    dense kernel of all n induced operators stacked, each built column by
+    column from projected brackets, as lists."""
     rng = random.Random(71)
     cases = {f"T*({name}, seeded)": build(
         gallery[name], random_supercyclic_cocycle(
@@ -292,8 +273,11 @@ def test_invariants_match_stacked_induced_operators(supercyclic_bases,
         n = Q.dim
         for w in max_isotropic_ideal(Q).chain:
             ind = _InducedSpace(Q, w)
-            ops = [ind.operator(unit_vec(n, i)) for i in range(n)]
-            want = _common_kernel(ops, ind.dim)
+            rows = [row for i in range(n) for row in transpose(mat(
+                [ind.project(bracket(Q.algebra, unit_vec(n, i), rep))
+                 for rep in ind.rep_vectors])) if any(row)]
+            want = dense.kernel(rows) if rows else [
+                unit_vec(ind.dim, t) for t in range(ind.dim)]
             assert ind.invariants() == want, (name, w.dim)
             steps += ind.dim > 0
     assert steps == 27

@@ -156,6 +156,14 @@ def test_rationals_and_coefficients():
     assert alg.table[2][0] == ((1, F(1, 2)), (2, -3))
 
 
+def test_signed_sum_renders_brackets_quadrics_and_polynomials():
+    assert dsl.signed_sum([(F(-1, 2), "b"), (3, "c")]) == "-1/2*b + 3*c"
+    assert dsl.signed_sum([(2, "x^2"), (-1, "y^2"), (0, "z^2"),
+                           (F(-3, 2), "")]) == "2*x^2 - y^2 - 3/2"
+    assert dsl.signed_sum([(-1, "t"), (1, "")]) == "-t + 1"
+    assert dsl.signed_sum([(0, "x")]) == dsl.signed_sum([]) == "0"
+
+
 def test_emit_parse_fixed_point_corpus():
     files = sorted(CORPUS.glob("*.sqd"))
     assert len(files) == 10

@@ -83,7 +83,14 @@ def test_text_mode_decompose_renders():
 def test_text_mode_error():
     code, text = run_cli(["--text", "check"], stdin_text="junk\n")
     assert code == 2
-    assert "error[parse]" in text
+    assert text == "error[parse]: line 1, column 1: unknown statement 'junk'\n"
+    # the location is printed once; JSON keeps it in the message and fields
+    code, text = run_cli(["--text", "check"], stdin_text="basis\n")
+    assert text == "error[parse]: line 1, column 6: empty basis declaration\n"
+    code, text = run_cli(["check"], stdin_text="basis\n")
+    assert json.loads(text)["error"] == {
+        "kind": "parse", "line": 1, "column": 6,
+        "message": "line 1, column 6: empty basis declaration"}
 
 
 def test_dsl_primed_and_starred_labels():

@@ -138,6 +138,13 @@ def test_stock_names():
         stock("nope")
 
 
+def test_stock_abelian_needs_a_basis_vector():
+    """abelian(0|0) has no DSL document, so the catalog refuses it."""
+    with pytest.raises(PreconditionError, match="p \\+ q >= 1"):
+        stock("abelian(0|0)")
+    assert stock("abelian(1|0)").dim == stock("abelian(0|1)").dim == 1
+
+
 def test_purely_odd_quadratic_is_class_c():
     q = stock("hyperbolic-odd")
     z = center(q.algebra)
