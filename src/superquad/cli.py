@@ -25,8 +25,8 @@ from .errors import (FormError, NotIdealError, PreconditionError,
                      RationalPointNotFound, SuperquadError, UndecidedError)
 from .forms import (QuadraticLieSuperalgebra, invariance_violation,
                     is_nondegenerate, is_totally_isotropic, radical)
-from .gallery import (build_class_c_example, build_glnn, build_gn, stock,
-                      STOCK_NAMES)
+from .gallery import (ABELIAN_RE, build_class_c_example, build_glnn,
+                      build_gn, stock, STOCK_NAMES)
 from .superalgebra import (ad_images, center, check_axioms, class_condition,
                            is_nilpotent, is_solvable)
 from .tstar import build, recognize, s_phi_isometry
@@ -367,6 +367,10 @@ def _cmd_example(args, out) -> int:
         else:
             doc = dsl.document_quadratic(build_class_c_example(n))
     elif kind == "stock":
+        m = ABELIAN_RE.match(args.value)
+        if m and int(m[1]) + int(m[2]) > 30 and not args.allow_large:
+            raise PreconditionError(
+                "abelian(p|q) above p + q = 30 is gated behind --allow-large")
         obj = stock(args.value)
         if isinstance(obj, QuadraticLieSuperalgebra):
             doc = dsl.document_quadratic(obj)
@@ -451,7 +455,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("value", help="size for gn/glnn/class-c, name for stock "
                    f"(one of: {', '.join(STOCK_NAMES)})")
     p.add_argument("--allow-large", action="store_true",
-                   help="allow sizes above 4")
+                   help="allow sizes above 4, and abelian(p|q) above 30")
     return parser
 
 
@@ -470,8 +474,6 @@ def main(argv=None, out=None) -> int:
         text = _read_input(args.file)
         report.digest(text)
         doc = dsl.parse(text)
-        if doc.dim == 0:
-            raise dsl.ParseError("document declares no basis", 1, 1)
         if doc.dim > args.max_dim:
             raise PreconditionError(f"document dimension {doc.dim} exceeds "
                                     f"--max-dim {args.max_dim}")

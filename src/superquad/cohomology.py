@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CochainError, DimensionMismatch, PreconditionError)
-from .linalg import RowReducer, ZERO, frac, solve, vec_is_zero
-from .superalgebra import (EVEN, GradedBasis, LieSuperalgebra, sgn,
-                           table_by_target)
+from .linalg import RowReducer, ZERO, frac, integer_rows, solve, vec_is_zero
+from .superalgebra import (EVEN, GradedBasis, LieSuperalgebra, cyclic_sums,
+                           failing, integer_table, sgn)
 
 Triple = tuple[int, int, int]
 
@@ -287,55 +287,43 @@ def _free_row(parities, terms, canon) -> dict:
 
 def _dual_lookup(w: Cochain2Dual) -> dict:
     """w(e_a, e_b) as {c: value} for every ordered pair (a, b) where it is
-    nonzero, expanded once from the free coordinates."""
+    nonzero, expanded once from the free coordinates scaled to ints."""
     p = w.basis.parities
     out: dict = {}
-    for (a, b, c), q in w.coords.items():
+    for (a, b, c), q in integer_rows([w.coords.items()])[1][0]:
         out.setdefault((a, b), {})[c] = q
         if a != b:
             out.setdefault((b, a), {})[c] = -sgn(p[a] * p[b]) * q
     return out
 
 
-def _cocycle2_defect(g: LieSuperalgebra, lookup: dict, by_t: list,
-                     i: int, j: int, k: int) -> dict:
-    """The terms of :func:`_cocycle2_rows` at (i, j, k), evaluated on w
-    through its :func:`_dual_lookup`, as {l: value}; pi(e_a)F is summed
-    over the support of F through ``by_t = table_by_target(g)``."""
-    p = g.basis.parities
-    table = g.table
-    x, y, z = p[i], p[j], p[k]
-    out: dict = {}
-    for a, b, c, s in ((i, j, k, 1), (j, k, i, sgn(x * (y + z))),
-                       (k, i, j, sgn(z * (x + y)))):
-        # w(e_a, [e_b, e_c])
-        for m, q in table[b][c]:
-            w_am = lookup.get((a, m))
-            if w_am:
-                q = q if s == 1 else -q
-                for l, v in w_am.items():
-                    out[l] = out.get(l, ZERO) + q * v
-        # pi(e_a)(w(e_b, e_c)) at e_l: -(-1)^{p_a p_F} F([e_a, e_l])
-        w_bc = lookup.get((b, c))
-        if w_bc:
-            outer = -s * sgn(p[a] * (p[b] + p[c]))
-            for t, v in w_bc.items():
-                v = v if outer == 1 else -v
-                for l, q in by_t[a].get(t, ()):
-                    out[l] = out.get(l, ZERO) + q * v
-    return out
+def _cocycle2_defects(g: LieSuperalgebra, w: Cochain2Dual,
+                      ordered: bool = False) -> dict:
+    """The identity of :func:`_cocycle2_rows` times (-1)^{|i||k|} and the
+    scale factors of the table and of w: the :func:`cyclic_sums` of
+    X(a, b, c) = w(e_a, [e_b, e_c]) + pi(e_a)(w(e_b, e_c)), where
+    pi(e_a)F at e_l is -(-1)^{|a||F|} F([e_a, e_l])."""
+    p, n = g.basis.parities, g.dim
+    _, entries = integer_table(g)
+    lookup = _dual_lookup(w)
+    w_into: list = [[] for _ in range(n)]  # w_into[m]: (a, w(e_a, e_m))
+    for (a, m), col in lookup.items():
+        w_into[m].append((a, col.items()))
+    onto: list = [[] for _ in range(n)]  # onto[t]: (a, l, c_alt)
+    for a, l, e in entries:
+        for t, q in e:
+            onto[t].append((a, l, q))
+    return cyclic_sums(p, itertools.chain(
+        ((a, b, c, q, col) for b, c, e in entries for m, q in e
+         for a, col in w_into[m]),
+        ((a, b, c, -sgn(p[a] * (p[b] + p[c])) * v, ((l, q),))
+         for (b, c), col in lookup.items() for t, v in col.items()
+         for a, l, q in onto[t])), ordered)
 
 
 def cocycle2_violation(g: LieSuperalgebra, w: Cochain2Dual):
     """First sorted basis triple where the 2-cocycle identity fails."""
-    n = g.dim
-    lookup, by_t = _dual_lookup(w), table_by_target(g)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if any(_cocycle2_defect(g, lookup, by_t, i, j, k).values()):
-                    return (i, j, k)
-    return None
+    return next(iter(failing(_cocycle2_defects(g, w))), None)
 
 
 def is_cocycle2(g: LieSuperalgebra, w: Cochain2Dual) -> bool:
@@ -353,8 +341,8 @@ def supercyclic_violation(w: Cochain2Dual):
     lookup = _dual_lookup(w)
     support = {(a, b, c) for (a, b), col in lookup.items() for c in col}
     for i, j, k in sorted(support | {(c, a, b) for a, b, c in support}):
-        w_ijk = lookup.get((i, j), {}).get(k, ZERO)
-        w_jki = lookup.get((j, k), {}).get(i, ZERO)
+        w_ijk = lookup.get((i, j), {}).get(k, 0)
+        w_jki = lookup.get((j, k), {}).get(i, 0)
         if w_ijk != sgn(p[i] * (p[j] + p[k])) * w_jki:
             return (i, j, k)
     return None

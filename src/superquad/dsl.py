@@ -362,9 +362,9 @@ def document_algebra(doc: AlgebraDocument) -> LieSuperalgebra:
     n = basis.dim
     table = [[() for _ in range(n)] for _ in range(n)]
     for (i, j), v in doc.brackets.items():
-        s = -sgn(doc.parities[i] * doc.parities[j])
-        table[i][j] = tuple(enumerate(v))
-        table[j][i] = tuple((k, s * q) for k, q in enumerate(v))
+        table[i][j] = [(k, q) for k, q in enumerate(v) if q]
+        odd = doc.parities[i] & doc.parities[j]
+        table[j][i] = [(k, q if odd else -q) for k, q in table[i][j]]
     return LieSuperalgebra(basis, tuple(tuple(row) for row in table))
 
 

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from .cohomology import store_free_entries
 from .errors import (DimensionMismatch, FormError, PreconditionError)
-from .linalg import (HALF, RowReducer, Vec, ZERO, inverse, mat, mat_mul,
-                     mat_vec, transpose, vec_sub)
+from .linalg import (HALF, RowReducer, Vec, ZERO, integer_rows, inverse, mat,
+                     mat_mul, mat_vec, transpose, vec_sub)
 from .superalgebra import (ODD, GradedBasis, LieSuperalgebra, Subspace,
-                           graded_complement, require_axioms, sgn, subspace,
-                           table_by_target)
+                           failing, graded_complement, integer_table,
+                           require_axioms, sgn, subspace)
 
 
 def canon_form(parities, i: int, j: int):
@@ -114,24 +114,29 @@ def is_nondegenerate(B: EvenForm) -> bool:
 
 def invariance_violation(g: LieSuperalgebra, B: EvenForm):
     """First basis triple with B([e_i,e_j],e_k) != B(e_i,[e_j,e_k]), or None.
-    Per pair (i, j) both sides are summed over the nonzeros of the table
-    and the rows of B into one {k: difference} dict; its least key wins."""
-    rows = B._rows
-    table = g.table
-    by_t = table_by_target(g)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            diff: dict = {}
-            for m, q in table[i][j]:
-                for k, r in rows[m]:
-                    diff[k] = diff.get(k, ZERO) + q * r
-            for m, r in rows[i]:
-                for k, q in by_t[j].get(m, ()):
-                    diff[k] = diff.get(k, ZERO) - q * r
-            bad = [k for k, v in diff.items() if v]
-            if bad:
-                return (i, j, min(bad))
-    return None
+    Each nonzero product of the table with the rows of B, both scaled to
+    ints (the identity has degree 1 in each), is scattered into the
+    {k: difference} of its pair (i, j); the least failing pair wins, with
+    its least k."""
+    p = g.basis.parities
+    _, entries = integer_table(g)
+    _, rows = integer_rows(B._rows)
+    acc: dict = {}
+    for i, j, e in entries:
+        out = acc.setdefault((i, j), {})
+        for m, q in e:
+            for k, r in rows[m]:
+                out[k] = out.get(k, 0) + q * r
+    for j, k, e in entries:
+        for m, q in e:
+            q = -q if p[m] else q  # B(e_i, e_m) = (-1)^{|m|} B(e_m, e_i)
+            for i, r in rows[m]:
+                out = acc.setdefault((i, j), {})
+                out[k] = out.get(k, 0) - r * q
+    bad = failing(acc)
+    if not bad:
+        return None
+    return (*bad[0], min(k for k, v in acc[bad[0]].items() if v))
 
 
 def is_invariant(g: LieSuperalgebra, B: EvenForm) -> bool:

@@ -141,7 +141,7 @@ def even_line() -> QuadraticLieSuperalgebra:
                      check_algebra=False)
 
 
-_ABELIAN_RE = re.compile(r"^abelian\((\d+)\|(\d+)\)$")
+ABELIAN_RE = re.compile(r"^abelian\((\d+)\|(\d+)\)$")
 
 STOCK_NAMES = ("abelian(p|q)", "heisenberg3", "solvable2d",
                "hyperbolic-even", "hyperbolic-odd", "even-line")
@@ -149,7 +149,7 @@ STOCK_NAMES = ("abelian(p|q)", "heisenberg3", "solvable2d",
 
 def stock(name: str) -> LieSuperalgebra | QuadraticLieSuperalgebra:
     """Named catalog algebra; see docs/catalog.md for the full list."""
-    m = _ABELIAN_RE.match(name)
+    m = ABELIAN_RE.match(name)
     if m:
         p, q = int(m.group(1)), int(m.group(2))
         if p + q == 0:

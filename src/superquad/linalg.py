@@ -38,6 +38,15 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+def integer_rows(rows: Iterable) -> tuple[int, list]:
+    """(d, rows times d as ints) for rows of (key, rational value) pairs,
+    d their least common denominator (docs/conventions.md, "Verifiers")."""
+    rows = [list(row) for row in rows]
+    d = math.lcm(*(q.denominator for row in rows for _, q in row))
+    return d, [[(k, q.numerator * (d // q.denominator)) for k, q in row]
+               for row in rows]
+
+
 def vec(entries: Iterable) -> Vec:
     return tuple(frac(e) for e in entries)
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, InitVar
 
 from .errors import (AxiomError, DimensionMismatch, NotGradedError,
                      NotIdealError, PreconditionError)
-from .linalg import (Mat, RowReducer, Vec, ZERO, frac, inverse, mat, mat_vec,
-                     transpose, unit_vec, vec)
+from .linalg import (Mat, RowReducer, Vec, ZERO, frac, integer_rows, inverse,
+                     mat, mat_vec, transpose, unit_vec, vec)
 
 EVEN = 0
 ODD = 1
@@ -84,8 +84,9 @@ def _entry(n: int, pairs) -> tuple:
     for k, q in pairs:
         if k not in range(n):
             raise DimensionMismatch("bracket coordinate outside the basis")
-        acc[k] = acc.get(k, ZERO) + frac(q)
-    return tuple((k, q) for k, q in sorted(acc.items()) if q != 0)
+        q = frac(q)
+        acc[k] = acc[k] + q if k in acc else q
+    return tuple((k, q) for k, q in sorted(acc.items()) if q)
 
 
 @dataclass(frozen=True)
@@ -108,16 +109,12 @@ class LieSuperalgebra:
         object.__setattr__(self, "table", tuple(
             tuple(_entry(n, e.items() if isinstance(e, dict) else e)
                   for e in row) for row in self.table))
-        if validate:
-            bad = _grading_violations(self)
+        for what, violations in (("the grading", _grading_violations),
+                                 ("super-skew-symmetry", _skew_violations)):
+            bad = violations(self) if validate else None
             if bad:
-                raise AxiomError(f"bracket violates the grading at {bad[0]}",
+                raise AxiomError(f"bracket violates {what} at {bad[0]}",
                                  report=bad)
-            bad = _skew_violations(self)
-            if bad:
-                raise AxiomError(
-                    f"bracket violates super-skew-symmetry at {bad[0]}",
-                    report=bad)
 
     @property
     def dim(self) -> int:
@@ -146,13 +143,9 @@ def from_brackets(names, parities, brackets,
     table: dict[tuple[int, int], tuple] = {}
 
     def assign(i: int, j: int, v: tuple, origin: str):
-        prev = table.get((i, j))
-        if prev is not None:
-            if prev != v:
-                raise PreconditionError(
-                    f"contradictory bracket entries for ({origin})")
-            return
-        table[(i, j)] = v
+        if table.setdefault((i, j), v) != v:
+            raise PreconditionError(
+                f"contradictory bracket entries for ({origin})")
 
     for (a, b), terms in brackets.items():
         i, j = basis.index(a), basis.index(b)
@@ -215,48 +208,55 @@ def ad_images(g: LieSuperalgebra, vectors):
             yield {k: c for k, c in acc.items() if c}
 
 
-def table_by_target(g: LieSuperalgebra) -> list:
-    """by_t[a][t] = [(l, c), ...] over the l where [e_a, e_l] has the
-    coefficient c != 0 on e_t: the bracket table read by output index."""
-    by_t: list = [{} for _ in range(g.dim)]
-    for a, row in enumerate(g.table):
-        for l, entry in enumerate(row):
-            for t, q in entry:
-                by_t[a].setdefault(t, []).append((l, q))
-    return by_t
+def integer_table(g: LieSuperalgebra) -> tuple[int, list]:
+    """(d, [(i, j, [(k, c), ...]), ...]): the nonzero table entries,
+    scaled to ints by their least common denominator d."""
+    keys = [(i, j) for i, row in enumerate(g.table)
+            for j, e in enumerate(row) if e]
+    d, scaled = integer_rows(g.table[i][j] for i, j in keys)
+    return d, [(i, j, e) for (i, j), e in zip(keys, scaled)]
 
 
-def _jacobi_fails(table, p, i: int, j: int, k: int) -> bool:
-    """True iff (-1)^{xz}[e_i,[e_j,e_k]] + (-1)^{xy}[e_j,[e_k,e_i]]
-    + (-1)^{yz}[e_k,[e_i,e_j]] != 0, summed into the nonzeros only."""
+def cyclic_sums(parities, terms, ordered: bool = False) -> dict:
+    """{(i, j, k): {t: value}}: the sum over the rotations (a, b, c) of
+    (i, j, k) of (-1)^{|a||c|} X(a, b, c), each term (a, b, c, f, pairs)
+    adding f * v on e_t to X(a, b, c) per (t, v) in pairs.  A term goes
+    to the triples it is a rotation of, only the sorted ones unless
+    ``ordered`` (docs/conventions.md, "Verifiers")."""
     acc: dict = {}
-    for a, b, c, s in ((i, j, k, sgn(p[i] * p[k])), (j, k, i, sgn(p[i] * p[j])),
-                       (k, i, j, sgn(p[j] * p[k]))):
-        row = table[a]
-        for m, q in table[b][c]:
-            q = q if s == 1 else -q
-            for t, r in row[m]:
-                acc[t] = acc.get(t, ZERO) + q * r
-    return any(acc.values())
+    for a, b, c, f, pairs in terms:
+        f = -f if parities[a] & parities[c] else f
+        for t in ((a, b, c), (c, a, b), (b, c, a)):
+            if ordered or t[0] <= t[1] <= t[2]:
+                out = acc.setdefault(t, {})
+                for k, v in pairs:
+                    out[k] = out.get(k, 0) + f * v
+    return acc
 
 
-def jacobi_violations(g: LieSuperalgebra, first: bool = False) -> list:
+def failing(acc: dict) -> list:
+    """The keys of a scattered accumulator whose value is not 0, sorted."""
+    return sorted(key for key, out in acc.items() if any(out.values()))
+
+
+def jacobi_violations(g: LieSuperalgebra, first: bool = False,
+                      ordered: bool = False) -> list:
     """Basis triples where the graded Jacobi identity fails, in
-    lexicographic order (only the first when ``first``).  Requires grading
-    and super-skew-symmetry, so that failure does not depend on the order
-    of the triple: only i <= j <= k are evaluated (docs/conventions.md)."""
-    n = g.dim
-    p = g.basis.parities
-    table = g.table
-    bad = set()
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if _jacobi_fails(table, p, i, j, k):
-                    if first:
-                        return [(i, j, k)]
-                    bad.update(itertools.permutations((i, j, k)))
-    return sorted(bad)
+    lexicographic order (only the first when ``first``).  Unless
+    ``ordered``, requires grading and super-skew-symmetry, so that failure
+    does not depend on the order of the triple: only i <= j <= k are
+    evaluated, and each failing one stands for its permutations."""
+    _, entries = integer_table(g)
+    into: list = [[] for _ in range(g.dim)]  # into[m]: (a, [e_a, e_m])
+    for a, m, e in entries:
+        into[m].append((a, e))
+    # (-1)^{|a||c|} [e_a, [e_b, e_c]] is sum_m c_bcm [e_a, e_m], times d^2
+    bad = failing(cyclic_sums(g.basis.parities, (
+        (a, b, c, q, e_am) for b, c, e in entries for m, q in e
+        for a, e_am in into[m]), ordered))
+    if first or ordered:
+        return bad[:1] if first else bad
+    return sorted({t for ijk in bad for t in itertools.permutations(ijk)})
 
 
 @dataclass(frozen=True)
@@ -274,25 +274,16 @@ class AxiomReport:
 
 def _grading_violations(g: LieSuperalgebra):
     p = g.basis.parities
-    bad = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            target = (p[i] + p[j]) % 2
-            for k, q in g.table[i][j]:
-                if p[k] != target:
-                    bad.append((i, j, k))
-    return bad
+    return [(i, j, k) for i, row in enumerate(g.table)
+            for j, e in enumerate(row) for k, _ in e
+            if p[k] != (p[i] + p[j]) % 2]
 
 
 def _skew_violations(g: LieSuperalgebra):
-    p = g.basis.parities
-    bad = []
-    for i in range(g.dim):
-        for j in range(i, g.dim):
-            s = sgn(p[i] * p[j])
-            if g.table[i][j] != tuple((k, -s * q) for k, q in g.table[j][i]):
-                bad.append((i, j))
-    return bad
+    p, t = g.basis.parities, g.table
+    return [(i, j) for i in range(g.dim) for j in range(i, g.dim)
+            if t[i][j] != tuple((k, q if p[i] & p[j] else -q)
+                                for k, q in t[j][i])]
 
 
 def check_axioms(g: LieSuperalgebra) -> AxiomReport:
@@ -301,12 +292,7 @@ def check_axioms(g: LieSuperalgebra) -> AxiomReport:
     grading or skew, Jacobi is evaluated on every ordered triple."""
     grading = tuple(_grading_violations(g))
     skew = tuple(_skew_violations(g))
-    if grading or skew:
-        p = g.basis.parities
-        jac = [t for t in itertools.product(range(g.dim), repeat=3)
-               if _jacobi_fails(g.table, p, *t)]
-    else:
-        jac = jacobi_violations(g)
+    jac = jacobi_violations(g, ordered=bool(grading or skew))
     return AxiomReport(grading, skew, tuple(jac))
 
 

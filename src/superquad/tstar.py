@@ -24,10 +24,11 @@ from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
                      NotIdealError, NotSupercyclicError, PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, invariance_violation,
                     is_totally_isotropic, isotropic_complement, quadratic)
-from .linalg import Mat, ZERO, mat, rank, transpose, unit_vec
+from .linalg import Mat, ZERO, integer_rows, mat, rank, transpose, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
-                           check_axioms, graded_basis, is_ideal,
-                           jacobi_violations, quotient, sgn, subspace)
+                           check_axioms, failing, graded_basis, integer_table,
+                           is_ideal, jacobi_violations, quotient, sgn,
+                           subspace)
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,12 @@ def _extended_basis(g: LieSuperalgebra) -> GradedBasis:
                         g.basis.parities + g.basis.parities)
 
 
-def _raw_extension(g: LieSuperalgebra, w: Cochain2Dual) -> tuple[LieSuperalgebra, EvenForm]:
+def _raw_extension(g: LieSuperalgebra, w: Cochain2Dual, validate: bool = True
+                   ) -> tuple[LieSuperalgebra, EvenForm]:
     """The would-be extension, built without the cocycle/supercyclicity
-    preconditions; grading and skew-symmetry always hold."""
+    preconditions; grading and skew-symmetry are checked if ``validate``."""
     basis = _extended_basis(g)
-    alg = LieSuperalgebra(basis, _extension_table(g, w))
+    alg = LieSuperalgebra(basis, _extension_table(g, w), validate)
     # B(e_i, e_i*) = (-1)^{p_i}; B(e_i*, e_i) = 1 by supersymmetry
     form = EvenForm(basis, {(i, g.dim + i): sgn(p)
                             for i, p in enumerate(g.basis.parities)})
@@ -122,7 +124,8 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
         raise NotSupercyclicError(
             f"omega is not supercyclic (identity fails at {bad})",
             triple=bad, invariance_witness=invariance_violation(alg, form))
-    alg, form = _raw_extension(g, omega)
+    # check_axioms runs the grading and skew checks that validate would
+    alg, form = _raw_extension(g, omega, validate=False)
     report = check_axioms(alg)
     if not report.passed:
         raise InternalCheckError(
@@ -130,8 +133,7 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
             witness=report)
     total = quadratic(alg, form, check_algebra=False)
     n = g.dim
-    base_embedding = tuple(unit_vec(2 * n, i) for i in range(n))
-    base_embedding = transpose(mat(base_embedding))
+    base_embedding = transpose(mat([unit_vec(2 * n, i) for i in range(n)]))
     dual_embedding = transpose(mat([unit_vec(2 * n, n + i) for i in range(n)]))
     return TStarExtension(g, omega, total, base_embedding, dual_embedding)
 
@@ -143,43 +145,49 @@ def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,
     (parity preservation, bracket, form), or None if it verifies.
 
     The matrix acts on coordinate columns: (m x) are the dst-coordinates.
-    Pairs are checked in lexicographic order, so the witness is the first
-    failing pair.  The columns of m are sparse dicts, m [e_a, e_b] -
-    [m e_a, m e_b] is summed from the two bracket tables and B_dst(m e_a,
-    m e_b) from the sparse Gram rows.
+    The witness is the least failing pair, bracket before form.  Each
+    nonzero product of m [e_a, e_b] - [m e_a, m e_b] and of B_src(e_a, e_b)
+    - B_dst(m e_a, m e_b) (under the key -1) is scattered into its pair
+    (a, b), on inputs scaled to ints (docs/conventions.md, "Verifiers").
     """
-    n = src.dim
-    N = len(m)
-    cols = [{r: m[r][a] for r in range(N) if m[r][a] != 0} for a in range(n)]
+    n, N = src.dim, len(m)
+    dm, cols = integer_rows([(r, m[r][a]) for r in range(N) if m[r][a] != 0]
+                            for a in range(n))
     p_dst = dst.basis.parities
+    into: list = [[] for _ in range(N)]  # into[r]: (a, m[r][a])
     for a, col in enumerate(cols):
-        if col and {p_dst[r] for r in col} != {src.basis.parity(a)}:
+        if col and {p_dst[r] for r, _ in col} != {src.basis.parity(a)}:
             return ("parity", a)
-    src_table, dst_table = src.algebra.table, dst.algebra.table
-    src_rows = [dict(row) for row in src.form._rows]
-    dst_rows = dst.form._rows
-    for a in range(n):
-        ca = cols[a]
-        for b in range(n):
-            cb = cols[b]
-            diff: dict = {}
-            for k, c in src_table[a][b]:
-                for r, q in cols[k].items():
-                    diff[r] = diff.get(r, ZERO) + c * q
-            for r, x in ca.items():
-                row = dst_table[r]
-                for s, y in cb.items():
-                    if row[s]:
-                        xy = x * y
-                        for t, q in row[s]:
-                            diff[t] = diff.get(t, ZERO) - xy * q
-            if any(diff.values()):
-                return ("bracket", (a, b))
-            form = sum((x * q * cb[s] for r, x in ca.items()
-                        for s, q in dst_rows[r] if s in cb), ZERO)
-            if form != src_rows[a].get(b, ZERO):
-                return ("form", (a, b))
-    return None
+        for r, x in col:
+            into[r].append((a, x))
+    ds, src_table = integer_table(src.algebra)
+    dd, dst_table = integer_table(dst.algebra)
+    fs, src_form = integer_rows(src.form._rows)
+    fd, dst_form = integer_rows(dst.form._rows)
+    # m [e_a, e_b] times dm dd, and B_src(e_a, e_b) times dm^2 fd
+    acc = {(a, b): {-1: dm * dm * fd * q}
+           for a, row in enumerate(src_form) for b, q in row}
+    for a, b, e in src_table:
+        out = acc.setdefault((a, b), {})
+        for k, c in e:
+            for r, q in cols[k]:
+                out[r] = out.get(r, 0) + dm * dd * c * q
+    # [m e_a, m e_b] times ds, and B_dst(m e_a, m e_b) times fs
+    dst_terms = [(r, s, [(t, ds * q) for t, q in e]) for r, s, e in dst_table]
+    dst_terms += [(r, s, [(-1, fs * q)]) for r, row in enumerate(dst_form)
+                  for s, q in row]
+    for r, s, e in dst_terms:
+        for a, x in into[r]:
+            for b, y in into[s]:
+                out = acc.setdefault((a, b), {})
+                for t, q in e:
+                    out[t] = out.get(t, 0) - x * y * q
+    bad = failing(acc)
+    if not bad:
+        return None
+    out = acc[bad[0]]
+    return ("bracket" if any(v for t, v in out.items() if t >= 0)
+            else "form", bad[0])
 
 
 def verify_isometry(src: QuadraticLieSuperalgebra,

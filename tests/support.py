@@ -16,19 +16,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
-                                  ScalarCochain3, _cocycle2_defect, _combined,
-                                  _dual_lookup, is_cocycle2, is_supercyclic)
+                                  ScalarCochain3, _cocycle2_defects, _combined,
+                                  is_cocycle2, is_supercyclic)
 from superquad.dsl import AlgebraDocument
 from superquad.errors import (DimensionMismatch, InternalCheckError,
                               NotGradedError, PreconditionError)
 from superquad.forms import (QuadraticLieSuperalgebra, invariance_violation,
                              is_totally_isotropic, orthogonal)
 from superquad.gallery import _layout
-from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
+from superquad.linalg import (Vec, ZERO, integer_rows, mat, unit_vec, vec,
+                              vec_is_zero)
 from superquad.superalgebra import (EVEN, GradedBasis, LieSuperalgebra,
                                     Subspace, bracket, center,
-                                    derived_subspace, is_ideal, sgn,
-                                    table_by_target)
+                                    derived_subspace, integer_table, is_ideal,
+                                    sgn)
 from superquad.tstar import _raw_extension
 
 
@@ -44,10 +45,19 @@ def add_scalar2(a: ScalarCochain2, b: ScalarCochain2) -> ScalarCochain2:
     return ScalarCochain2(a.basis, _combined(a, b, 1))
 
 
-def cocycle2_defect(g: LieSuperalgebra, w: Cochain2Dual,
-                    i: int, j: int, k: int) -> Vec:
-    out = _cocycle2_defect(g, _dual_lookup(w), table_by_target(g), i, j, k)
-    return tuple(out.get(l, ZERO) for l in range(g.dim))
+def cocycle2_defect(g: LieSuperalgebra, w: Cochain2Dual):
+    """The 2-cocycle identity of w at (i, j, k), as a dense vector, for
+    every ordered triple: the library's ordered accumulator, which holds
+    it times (-1)^{|i||k|} and the two least common denominators."""
+    p = g.basis.parities
+    d = integer_table(g)[0] * integer_rows([w.coords.items()])[0]
+    acc = _cocycle2_defects(g, w, ordered=True)
+
+    def at(i: int, j: int, k: int) -> Vec:
+        out = acc.get((i, j, k), {})
+        return tuple(Fraction(sgn(p[i] * p[k]) * out.get(l, 0), d)
+                     for l in range(g.dim))
+    return at
 
 
 def document_cochain3(doc: AlgebraDocument, name: str) -> ScalarCochain3:

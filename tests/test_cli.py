@@ -94,6 +94,33 @@ def test_example_stock_empty_abelian_is_an_input_error():
     assert "p + q >= 1" in rep["error"]["message"]
 
 
+def test_example_stock_abelian_size_gate():
+    """abelian(p|q) past p + q = 30 is gated like the sized families."""
+    code, rep = run_json(["example", "stock", "abelian(20|11)"])
+    assert code == 2
+    assert rep["error"]["kind"] == "input"
+    assert "--allow-large" in rep["error"]["message"]
+    code, doc = run_cli(["example", "stock", "abelian(20|10)"])
+    assert code == 0
+    assert (doc.count(":even"), doc.count(":odd")) == (20, 10)
+    code, doc = run_cli(["example", "stock", "abelian(20|11)",
+                         "--allow-large"])
+    assert code == 0
+    assert (doc.count(":even"), doc.count(":odd")) == (20, 11)
+
+
+def test_check_document_without_basis_is_a_parse_error():
+    message = "line 1, column 1: document declares no basis"
+    for text in ("", "# nothing but a comment\n"):
+        code, rep = run_json(["check"], stdin_text=text)
+        assert code == 2
+        assert rep["error"] == {"kind": "parse", "line": 1, "column": 1,
+                                "message": message}
+        code, out = run_cli(["--text", "check"], stdin_text=text)
+        assert code == 2
+        assert out == f"error[parse]: {message}\n"
+
+
 def test_example_size_gate():
     code, _ = run_cli(["example", "gn", "5"])
     assert code == 2

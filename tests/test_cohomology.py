@@ -336,8 +336,9 @@ def test_cocycle2_violation_matches_dense_loop(gallery, z2_bases):
             violated += full is not None
         for w in cochains[-6:]:
             t = dense.cochain2dual_tensor(w)
+            defect = cocycle2_defect(g, w)
             for ijk in itertools.product(range(g.dim), repeat=3):
-                assert list(cocycle2_defect(g, w, *ijk)) == \
+                assert list(defect(*ijk)) == \
                     dense.cocycle2_defect(p, c, t, *ijk), (name, ijk)
     assert violated > 10
 

@@ -464,3 +464,32 @@ def test_phi_on_another_basis_is_rejected():
             delta_scalar2(h3, phi)
         with pytest.raises(DimensionMismatch):
             s_phi_isometry(h3, zero_cochain2(h3), phi)
+
+
+def test_build_reports_an_extension_that_fails_its_axiom_check():
+    """build does not check g's own axioms: with omega = 0 a table that
+    breaks Jacobi passes the cocycle and supercyclicity checks, and the
+    axiom check of the extension raises InternalCheckError."""
+    g = sq.from_brackets(("x", "y", "z"), (0, 0, 0),
+                         {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1},
+                          ("y", "z"): {"x": 1}})
+    with pytest.raises(InternalCheckError, match="axiom check") as exc:
+        build(g)
+    report = exc.value.witness
+    assert not report.grading and not report.skew and report.jacobi
+
+
+def test_build_checks_grading_and_skew_once(monkeypatch):
+    """The extension is constructed unvalidated, and check_axioms runs
+    the grading and skew checks on it once each."""
+    import superquad.superalgebra as sa
+    g = sq.build_gn(2)
+    calls = []
+    for name in ("_grading_violations", "_skew_violations"):
+        def counted(alg, check=getattr(sa, name), name=name):
+            calls.append((name, alg.dim))
+            return check(alg)
+        monkeypatch.setattr(sa, name, counted)
+    build(g)
+    assert sorted(calls) == [("_grading_violations", 2 * g.dim),
+                             ("_skew_violations", 2 * g.dim)]

@@ -1,8 +1,9 @@
 """Differential tests of the sparse structure verifiers against the dense
 loops of ``dense_oracle``: the Jacobi scan of ``check_axioms``,
 ``invariance_violation``, the isometry check behind ``verify_isometry``,
-the evenness checks of ``even_form`` and the witnesses ``build`` attaches
-to its rejections."""
+the evenness checks of ``even_form``, the witnesses ``build`` attaches
+to its rejections, and ``cocycle2_violation`` on inputs whose
+denominators make the verifiers' integer scale factors exceed 1."""
 
 import itertools
 from fractions import Fraction
@@ -15,13 +16,16 @@ from superquad.errors import CocycleError, FormError, NotSupercyclicError
 from superquad.forms import even_form, invariance_violation
 from superquad.gallery import (random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
+from superquad.linalg import mat_mul, transpose
 from superquad.superalgebra import (AxiomReport, LieSuperalgebra,
-                                    check_axioms, graded_basis, sgn)
+                                    check_axioms, graded_basis,
+                                    jacobi_violations, sgn)
 from superquad.tstar import (_raw_extension, quadratic_morphism_violation,
                              s_phi_isometry)
 
 import dense_oracle as dense
 from conftest import make_rng
+from support import cocycle2_defect
 
 F = Fraction
 
@@ -317,3 +321,282 @@ def test_build_invariance_witness_is_first_dense_violation(
         assert exc.value.invariance_witness == dense.invariance_violation(
             dense.bracket_tensor(alg), dense.gram(form))
     assert seen
+
+
+# --- scaled inputs and scattered terms ----------------------------------------
+#
+# The verifiers scale their inputs to integers and scatter each nonzero
+# product into the triple or pair it belongs to.  The cases below put
+# denominators up to 6 into the tables, cochains, Gram matrices and
+# matrices, and start from identities that hold through cancellation (a
+# random basis change of a gallery algebra, or of a T*-extension), so that
+# a dropped or mis-signed rotation, or a scale factor missing on one side,
+# shows up as a spurious failure; one perturbation then moves the least
+# failing triple or pair somewhere in the middle of the order.
+
+fractions6 = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+
+
+def _disguise(p, c, G=None, seed=0):
+    """(c', G', P): the structure constants and Gram matrix on the basis
+    f_j = sum_i P[i][j] e_i, for a seeded parity-preserving invertible
+    P = L U (L unit lower triangular, U upper triangular with a nonzero
+    diagonal) whose entries have denominators up to 6."""
+    rng = make_rng(seed)
+    n = len(p)
+
+    def entry():
+        return F(rng.choice((-5, -1, 1, 2, 5)), rng.randint(1, 6))
+
+    def triangular(lower):
+        return [[F(1) if i == j else entry()
+                 if p[i] == p[j] and (i > j) == lower and rng.random() < 0.6
+                 else F(0) for j in range(n)] for i in range(n)]
+    P = mat_mul(triangular(True),
+                [[entry() * q for q in row] for row in triangular(False)])
+    Q = dense.inverse(P)
+    c2 = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for a, b, t in itertools.product(range(n), repeat=3):
+        if c[a][b][t]:
+            for i, j, k in itertools.product(range(n), repeat=3):
+                if P[a][i] and P[b][j] and Q[k][t]:
+                    c2[i][j][k] += P[a][i] * P[b][j] * c[a][b][t] * Q[k][t]
+    G2 = None if G is None else mat_mul(transpose(P), mat_mul(G, P))
+    return c2, G2, P
+
+
+def _perturbed(p, c, i, j, k, delta, skew=True):
+    """c with delta added at [e_i, e_j] on e_k, and at [e_j, e_i] by
+    super-skew-symmetry unless ``skew`` is off."""
+    c = [[list(col) for col in row] for row in c]
+    c[i][j][k] += delta
+    if skew and i != j:
+        c[j][i][k] = -sgn(p[i] * p[j]) * c[i][j][k]
+    return c
+
+
+def _has_denominators(c):
+    return any(q.denominator > 1 for row in c for col in row for q in col)
+
+
+DISGUISED = [(name, seed) for name in ("heisenberg3", "gl(1,1)", "g(2)")
+             for seed in (1, 2)]
+
+
+@pytest.fixture(scope="module")
+def disguised(gallery):
+    out = {}
+    for name, seed in DISGUISED:
+        g = gallery[name]
+        p = g.basis.parities
+        c2, _, _ = _disguise(p, dense.bracket_tensor(g), seed=seed)
+        assert _has_denominators(c2)
+        out[(name, seed)] = (p, c2)
+    return out
+
+
+@pytest.mark.parametrize("key", DISGUISED)
+def test_disguised_algebra_passes_with_denominators(disguised, key):
+    p, c = disguised[key]
+    g = _algebra(p, c)
+    assert check_axioms(g).passed
+    assert jacobi_violations(g, first=True) == []
+    assert not any(True for _ in dense.jacobi_violations(p, c))
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_jacobi_witness_matches_dense_after_perturbing_disguised(
+        disguised, data):
+    """One skew pair of a disguised algebra perturbed by a fraction: the
+    report and the least failing triple match the dense loops."""
+    for key in DISGUISED:
+        p, c = disguised[key]
+        n = len(p)
+        i, j = sorted(data.draw(st.tuples(st.integers(0, n - 1),
+                                          st.integers(0, n - 1))))
+        if i == j and p[i] == 0:
+            continue
+        k = data.draw(st.sampled_from(
+            [k for k in range(n) if p[k] == (p[i] + p[j]) % 2]))
+        c2 = _perturbed(p, c, i, j, k, data.draw(fractions6))
+        g = _algebra(p, c2)
+        assert check_axioms(g) == _dense_report(p, c2)
+        first = next(dense.jacobi_violations(p, c2), None)
+        assert jacobi_violations(g, first=True) == ([first] if first else [])
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_fallback_matches_dense_after_breaking_disguised(disguised, data):
+    """The ordered path: one entry of a disguised algebra changed on one
+    side only (not skew) or moved to the wrong parity (not graded)."""
+    for key in DISGUISED:
+        p, c = disguised[key]
+        n = len(p)
+        i, j, k = data.draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        if i == j and p[i] and not p[k]:
+            continue  # an odd [x, x] is symmetric: still graded and skew
+        c2 = _perturbed(p, c, i, j, k, data.draw(fractions6), skew=False)
+        g = _algebra(p, c2, validate=False)
+        report = check_axioms(g)
+        assert report == _dense_report(p, c2)
+        assert report.grading or report.skew
+
+
+@pytest.mark.parametrize("half, five_sixths", [(F(1), F(1)),
+                                                (F(1, 2), F(5, 6))])
+def test_jacobi_at_repeated_indices_matches_dense(half, five_sixths):
+    """x odd, y even, [x, x] = h y, [y, x] = f x: the Jacobiator is
+    3(-1)^{|x|}[x, [x, x]] at (x, x, x) and fails at (x, x, y) too, but
+    holds at (x, y, y), where its terms cancel."""
+    p = (1, 0)
+    c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
+    c[0][0][1] = half
+    c[1][0][0] = five_sixths
+    c[0][1][0] = -five_sixths
+    g = _algebra(p, c)
+    report = check_axioms(g)
+    assert report == _dense_report(p, c)
+    assert {(0, 0, 0), (0, 0, 1)} <= set(report.jacobi)
+    assert (0, 1, 1) not in report.jacobi
+    assert jacobi_violations(g, first=True) == [(0, 0, 0)]
+
+
+@given(bracket_tensors(max_dim=4))
+@settings(max_examples=60, deadline=None)
+def test_odd_squares_and_repeated_triples_match_dense(case):
+    """Random graded skew tables where every odd [x, x] is nonzero, read at
+    the triples with a repeated index."""
+    p, c = case
+    n = len(p)
+    for i in (i for i in range(n) if p[i]):
+        for k in (k for k in range(n) if p[k] == 0):
+            c[i][i][k] = c[i][i][k] or F(k + 1, 6)
+    g = _algebra(p, c)
+    assert check_axioms(g) == _dense_report(p, c)
+    repeated = {t for t in itertools.product(range(n), repeat=3)
+                if len(set(t)) < 3}
+    assert set(check_axioms(g).jacobi) & repeated == \
+        set(dense.jacobi_violations(p, c)) & repeated
+
+
+# --- the cocycle identity with denominators ----------------------------------
+
+@pytest.mark.parametrize("key", DISGUISED)
+def test_cocycle2_witness_matches_dense_with_denominators(disguised, key):
+    p, c = disguised[key]
+    g = _algebra(p, c)
+    rng = make_rng(31 + key[1])
+    w = random_cocycle2(g, rng)
+    assert any(q.denominator > 1 for q in w.coords.values())
+    assert sq.cohomology.cocycle2_violation(g, w) is None
+    assert dense.cocycle2_violation(p, c, dense.cochain2dual_tensor(w)) \
+        is None
+    keys = sq.cohomology.free_coords_cochain2dual(g.basis)
+    violated = 0
+    for key2 in keys[::max(1, len(keys) // 8)]:
+        coords = dict(w.coords)
+        coords[key2] = coords.get(key2, F(0)) + F(5, 6)
+        bad = sq.Cochain2Dual(g.basis, coords)
+        t = dense.cochain2dual_tensor(bad)
+        want = dense.cocycle2_violation(p, c, t)
+        assert sq.cohomology.cocycle2_violation(g, bad) == want
+        if want is not None and not violated:
+            defect = cocycle2_defect(g, bad)
+            for ijk in itertools.product(range(g.dim), repeat=3):
+                assert list(defect(*ijk)) == \
+                    dense.cocycle2_defect(p, c, t, *ijk)
+        violated += want is not None
+    assert violated
+
+
+# --- invariance and the isometry check with denominators ----------------------
+
+@pytest.fixture(scope="module")
+def disguised_extensions(extensions):
+    out = []
+    for seed, q in enumerate(extensions[:3]):
+        p = q.basis.parities
+        c, G, P = _disguise(p, dense.bracket_tensor(q.algebra),
+                            dense.gram(q.form), seed=seed + 3)
+        assert _has_denominators(c)
+        out.append((p, c, G, P))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_invariance_witness_matches_dense_on_disguised_extensions(
+        disguised_extensions, data):
+    for p, c, G, _ in disguised_extensions:
+        n = len(p)
+        g = _algebra(p, c)
+        assert invariance_violation(g, even_form(g.basis, G)) is None
+        i, j = sorted(data.draw(st.tuples(st.integers(0, n - 1),
+                                          st.integers(0, n - 1))))
+        delta = data.draw(fractions6)
+        G2 = [list(r) for r in G]
+        c2 = c
+        if data.draw(st.booleans()):
+            if i == j and p[i] == 0:
+                continue
+            k = data.draw(st.sampled_from(
+                [k for k in range(n) if p[k] == (p[i] + p[j]) % 2]))
+            c2 = _perturbed(p, c, i, j, k, delta)
+        elif p[i] == p[j] and not (i == j and p[i] == 1):
+            G2[i][j] += delta
+            G2[j][i] = sgn(p[i] * p[j]) * G2[i][j]
+        else:
+            continue
+        g = _algebra(p, c2)
+        assert invariance_violation(g, even_form(g.basis, G2)) == \
+            dense.invariance_violation(c2, G2)
+
+
+def _disguised_shear(sh, seeds):
+    """The shear matrix between the two extensions on disguised bases:
+    m' = P_dst^-1 m P_src, with the disguised algebras and forms."""
+    out = []
+    for q, seed in zip((sh.source.total, sh.target.total), seeds):
+        p = q.basis.parities
+        c, G, P = _disguise(p, dense.bracket_tensor(q.algebra),
+                            dense.gram(q.form), seed=seed)
+        g = _algebra(p, c)
+        out.append((sq.QuadraticLieSuperalgebra(g, even_form(g.basis, G)),
+                    P))
+    (src, P_src), (dst, P_dst) = out
+    return src, dst, mat_mul(dense.inverse(P_dst),
+                             mat_mul(sh.matrix, P_src))
+
+
+@pytest.fixture(scope="module")
+def disguised_shears(shears):
+    out = [_disguised_shear(sh, (7 + s, 8 + s))
+           for s, sh in enumerate(shears)]
+    for _, _, m in out:
+        assert any(q.denominator > 1 for row in m for q in row)
+    return out
+
+
+def test_disguised_shears_verify(disguised_shears):
+    for src, dst, m in disguised_shears:
+        assert quadratic_morphism_violation(src, dst, m) is None
+        assert _dense_morphism(src, dst, m) is None
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_morphism_witness_matches_dense_on_disguised_shears(
+        disguised_shears, data):
+    for src, dst, m in disguised_shears:
+        N = len(m)
+        r, a = data.draw(st.tuples(st.integers(0, N - 1),
+                                   st.integers(0, N - 1)))
+        if src.basis.parity(a) != dst.basis.parity(r):
+            continue
+        m2 = [list(row) for row in m]
+        m2[r][a] += data.draw(fractions6)
+        got = quadratic_morphism_violation(src, dst, m2)
+        assert got == _dense_morphism(src, dst, m2)
+        assert got is not None
