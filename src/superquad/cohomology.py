@@ -20,11 +20,18 @@ it is odd; super-alternation is symmetric on odd pairs, and triple
 repeats are killed by evenness).  A cochain keeps only its nonzero values
 keyed by free coordinate, so evenness and super-antisymmetry hold by
 construction and only the keys are checked; any other entry is read
-through its canonical representative and sign.  Z^2, Z^2_sc and Z^3 are
-all solved by one helper that canonicalizes symbolic identity rows into
-free coordinates and reduces them with the sparse ``RowReducer``; the
-coboundaries delta(e_ab) of the unit 2-cochains are read off the bracket
-table once, straight in free coordinates.
+through its canonical representative and sign.
+
+Each of the four cochain maps (the 2-cocycle identity, supercyclicity,
+closedness and the coboundary delta on scalar 2-cochains) is written
+once, as a scatter: built once per algebra, when it indexes the bracket
+table, it adds each nonzero product of a cochain's values (and the
+table) to the accumulator of every tuple whose identity has it as a
+term.  The verifiers read a map's failing tuples, ``delta_scalar2``
+applies delta once, and the solvers reduce the maps' images of the unit
+cochains in one sparse ``RowReducer``: Z^2, Z^2_sc and Z^3 read its
+kernel, B^3 the RREF of delta's images and ``cohomologous`` a reduction
+of [delta(e_ab) | f1 - f2].
 
 Closedness is checked and solved on sorted 4-tuples i <= j <= k <= l only.
 For a super-alternating f, d f is super-alternating in its four
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CochainError, DimensionMismatch, PreconditionError)
-from .linalg import RowReducer, ZERO, frac, integer_rows, solve, vec_is_zero
+from .linalg import RowReducer, ZERO, frac, integer_rows
 from .superalgebra import (EVEN, GradedBasis, LieSuperalgebra, cyclic_sums,
                            failing, integer_table, sgn)
 
@@ -213,14 +220,6 @@ def zero_scalar2(g: LieSuperalgebra | GradedBasis) -> ScalarCochain2:
     return ScalarCochain2(basis, {})
 
 
-def _entry3(f: ScalarCochain3, a: int, b: int, c: int) -> Fraction:
-    """f(e_a, e_b, e_c), read through its free coordinate; an entry whose
-    sorted key is not stored vanishes, so the sign is only needed for the
-    stored ones."""
-    q = f.coords.get(tuple(sorted((a, b, c))))
-    return canon3(f.basis.parities, a, b, c)[1] * q if q else ZERO
-
-
 # arithmetic ------------------------------------------------------------------
 
 def _combined(a, b, s: int) -> dict:
@@ -237,190 +236,188 @@ def sub3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
 
 
 # ---------------------------------------------------------------------------
-# the four multilinear identities, from one symbolic source each
+# the four cochain maps, each one scatter over its input's nonzeros
 # ---------------------------------------------------------------------------
 
-def _cocycle2_rows(g: LieSuperalgebra, i: int, j: int, k: int):
-    """Symbolic 2-cocycle identity at the basis triple (i, j, k).
-
-    Yields (l, terms) per output coordinate l, where terms is a list of
-    ((a, b, c), coeff) contributions meaning coeff * w(e_a, e_b)(e_c).
-    """
-    p = g.basis.parities
-    n = g.dim
-    table = g.table
-    x, y, z = p[i], p[j], p[k]
-    s_yzx = sgn(x * (y + z))
-    s_zxy = sgn(z * (x + y))
-    rows: list[list[tuple[Triple, Fraction]]] = [[] for _ in range(n)]
-    # w(e_i, [e_j, e_k]) and cyclic rotations
-    for (a, bc, s) in ((i, (j, k), 1), (j, (k, i), s_yzx), (k, (i, j), s_zxy)):
-        for m, q in table[bc[0]][bc[1]]:
-            coeff = q if s == 1 else -q
-            for l in range(n):
-                rows[l].append(((a, m, l), coeff))
-    # pi(e_i)(w(e_j, e_k)) and cyclic rotations:
-    # (pi(e_a)F)(e_l) = -(-1)^{p_a p_F} sum_t c[a][l][t] F_t
-    for (a, bc, s) in ((i, (j, k), 1), (j, (k, i), s_yzx), (k, (i, j), s_zxy)):
-        pf = (p[bc[0]] + p[bc[1]]) % 2
-        outer = -s * sgn(p[a] * pf)
-        for l in range(n):
-            for t, q in table[a][l]:
-                rows[l].append(((bc[0], bc[1], t),
-                                q if outer == 1 else -q))
-    return rows
+def _into(g: LieSuperalgebra) -> tuple[int, list]:
+    """(d, into): into[m] lists (a, b, c) for each nonzero coefficient c
+    of e_m in [e_a, e_b], the table scaled to ints by d."""
+    d, entries = integer_table(g)
+    into: list = [[] for _ in range(g.dim)]
+    for a, b, e in entries:
+        for m, q in e:
+            into[m].append((a, b, q))
+    return d, into
 
 
-def _free_row(parities, terms, canon) -> dict:
-    """A symbolic identity row, a list of ((a, b, c), coeff) terms meaning
-    coeff * entry (a, b, c), as {free coordinate: coeff}: ``canon``
-    maps an entry to (free coordinate, sign), or to (None, 0) when the
-    entry is forced to vanish.  Terms that cancel are dropped."""
-    row: dict = {}
-    for (a, b, c), coeff in terms:
-        key, s = canon(parities, a, b, c)
-        if key is not None:
-            q = coeff if s == 1 else -coeff
-            row[key] = row[key] + q if key in row else q
-    return {key: q for key, q in row.items() if q}
-
-
-def _dual_lookup(w: Cochain2Dual) -> dict:
-    """w(e_a, e_b) as {c: value} for every ordered pair (a, b) where it is
-    nonzero, expanded once from the free coordinates scaled to ints."""
-    p = w.basis.parities
+def _dual_lookup(p, coords: dict) -> tuple[int, dict]:
+    """(d, lookup): w(e_a, e_b) as {c: value} for every ordered pair (a, b)
+    where it is nonzero, expanded once from the free coordinates of w
+    scaled to ints by d."""
+    d, (items,) = integer_rows([coords.items()])
     out: dict = {}
-    for (a, b, c), q in integer_rows([w.coords.items()])[1][0]:
+    for (a, b, c), q in items:
         out.setdefault((a, b), {})[c] = q
         if a != b:
             out.setdefault((b, a), {})[c] = -sgn(p[a] * p[b]) * q
-    return out
+    return d, out
 
 
-def _cocycle2_defects(g: LieSuperalgebra, w: Cochain2Dual,
-                      ordered: bool = False) -> dict:
-    """The identity of :func:`_cocycle2_rows` times (-1)^{|i||k|} and the
-    scale factors of the table and of w: the :func:`cyclic_sums` of
-    X(a, b, c) = w(e_a, [e_b, e_c]) + pi(e_a)(w(e_b, e_c)), where
-    pi(e_a)F at e_l is -(-1)^{|a||F|} F([e_a, e_l])."""
-    p, n = g.basis.parities, g.dim
-    _, entries = integer_table(g)
-    lookup = _dual_lookup(w)
-    w_into: list = [[] for _ in range(n)]  # w_into[m]: (a, w(e_a, e_m))
-    for (a, m), col in lookup.items():
-        w_into[m].append((a, col.items()))
-    onto: list = [[] for _ in range(n)]  # onto[t]: (a, l, c_alt)
-    for a, l, e in entries:
-        for t, q in e:
-            onto[t].append((a, l, q))
-    return cyclic_sums(p, itertools.chain(
-        ((a, b, c, q, col) for b, c, e in entries for m, q in e
-         for a, col in w_into[m]),
-        ((a, b, c, -sgn(p[a] * (p[b] + p[c])) * v, ((l, q),))
-         for (b, c), col in lookup.items() for t, v in col.items()
-         for a, l, q in onto[t])), ordered)
+def _cocycle2_defects(g: LieSuperalgebra, ordered: bool = False):
+    """The 2-cocycle map: free coordinates of w -> (d, acc), acc the
+    :func:`cyclic_sums` of X(a, b, c) = w(e_a, [e_b, e_c])
+    + pi(e_a)(w(e_b, e_c)), where pi(e_a)F at e_l is
+    -(-1)^{|a||F|} F([e_a, e_l]): the identity times (-1)^{|i||k|} and d,
+    the scales of the table and of w."""
+    p = g.basis.parities
+    d, into = _into(g)
+
+    def defects(coords: dict) -> tuple[int, dict]:
+        dw, lookup = _dual_lookup(p, coords)
+        return d * dw, cyclic_sums(p, itertools.chain(
+            ((a, b, c, q, col.items()) for (a, m), col in lookup.items()
+             for b, c, q in into[m]),
+            ((a, b, c, -sgn(p[a] * (p[b] + p[c])) * v, ((l, q),))
+             for (b, c), col in lookup.items() for t, v in col.items()
+             for a, l, q in into[t])), ordered)
+    return defects
+
+
+def _supercyclic_defects(p):
+    """The supercyclicity map: free coordinates of w -> (d, acc), acc[(i,
+    j, k)] = d (w(e_i, e_j)(e_k) - (-1)^{|i|(|j|+|k|)} w(e_j, e_k)(e_i))
+    at every ordered triple: w(e_a, e_b)(e_c) is a term at (a, b, c) and
+    at (c, a, b)."""
+    def defects(coords: dict) -> tuple[int, dict]:
+        d, lookup = _dual_lookup(p, coords)
+        acc: dict = {}
+        for (a, b), col in lookup.items():
+            odd = (p[a] + p[b]) % 2
+            for c, v in col.items():
+                acc[a, b, c] = acc.get((a, b, c), 0) + v
+                acc[c, a, b] = acc.get((c, a, b), 0) + (
+                    v if odd and p[c] else -v)
+        return d, acc
+    return defects
+
+
+# (d f)(e_i, e_j, e_k, e_l) is a sum of six pieces s f([e_a, e_b], e_c, e_d):
+# the exponent of -1 in s, from the parities x, y, z, v of i, j, k, l, per
+# piece, with the piece's (a, b, c, d) (docs/conventions.md).
+_CLOSED3_SIGNS = (
+    lambda x, y, z, v: 0,                        # (i, j, k, l)
+    lambda x, y, z, v: 1 + y * z,                # (i, k, j, l)
+    lambda x, y, z, v: x * (y + z),              # (j, k, i, l)
+    lambda x, y, z, v: (y + z) * v,              # (i, l, j, k)
+    lambda x, y, z, v: 1 + x * (y + v) + v * z,  # (j, l, i, k)
+    lambda x, y, z, v: (x + y) * (z + v),        # (k, l, i, j)
+)
+
+
+def _closed3_defects(g: LieSuperalgebra):
+    """The closedness map: free coordinates of f -> (d, acc), acc[(i, j,
+    k, l)] = d (d f)(e_i, e_j, e_k, e_l) at sorted 4-tuples, d the scales
+    of the table and of f.  Each term r f(e_m, e_c, e_d), r the
+    coefficient of e_m in [e_a, e_b], goes to each sorted 4-tuple where
+    it is one of the six pieces, with that piece's sign; every piece keeps
+    a before b and c before d, so only a <= b and c <= d are placed."""
+    p = g.basis.parities
+    d, into = _into(g)
+
+    def defects(coords: dict) -> tuple[int, dict]:
+        df, (items,) = integer_rows([coords.items()])
+        acc: dict = {}
+        for key, q in items:
+            for m, c, e in set(itertools.permutations(key)):
+                if c > e:
+                    continue
+                v = canon3(p, m, c, e)[1] * q
+                for a, b, r in into[m]:
+                    if a > b:
+                        continue
+                    for t, exponent in zip(
+                            ((a, b, c, e), (a, c, b, e), (c, a, b, e),
+                             (a, c, e, b), (c, a, e, b), (c, e, a, b)),
+                            _CLOSED3_SIGNS):
+                        if t[0] <= t[1] <= t[2] <= t[3]:
+                            s = sgn(exponent(p[t[0]], p[t[1]], p[t[2]],
+                                             p[t[3]]))
+                            acc[t] = acc.get(t, 0) + s * r * v
+        return d * df, acc
+    return defects
+
+
+def _delta_map(g: LieSuperalgebra):
+    """The coboundary map: free coordinates of phi -> (d, acc), acc the
+    nonzero values of d delta(phi) at free alt-3 coordinates, d the scales
+    of the table and of phi.  (d phi)(x,y,z) = -phi([x,y],z)
+    + (-1)^{|y||z|} phi([x,z],y) - (-1)^{|x|(|y|+|z|)} phi([y,z],x): each
+    term r phi(e_m, e_c), r the coefficient of e_m in [e_a, e_b], goes to
+    (a, b, c), (a, c, b) and (c, a, b) where they are sorted."""
+    p = g.basis.parities
+    d, into = _into(g)
+
+    def delta(coords: dict) -> tuple[int, dict]:
+        dphi, (items,) = integer_rows([coords.items()])
+        acc: dict = {}
+        for (i, j), q in items:
+            for m, c, v in (((i, j, q), (j, i, -sgn(p[i] * p[j]) * q))
+                            if i != j else ((i, j, q),)):
+                for a, b, r in into[m]:
+                    if a > b:
+                        continue
+                    for t, s in (((a, b, c), -1),
+                                 ((a, c, b), sgn(p[b] * p[c])),
+                                 ((c, a, b), -sgn(p[c] * (p[a] + p[b])))):
+                        if t[0] <= t[1] <= t[2]:
+                            acc[t] = acc.get(t, 0) + s * r * v
+        return d * dphi, {t: v for t, v in acc.items()
+                          if v and canon3(p, *t)[0] == t}
+    return delta
 
 
 def cocycle2_violation(g: LieSuperalgebra, w: Cochain2Dual):
     """First sorted basis triple where the 2-cocycle identity fails."""
-    return next(iter(failing(_cocycle2_defects(g, w))), None)
+    if w.basis != g.basis:
+        raise DimensionMismatch("cochain basis differs from the algebra")
+    return next(iter(failing(_cocycle2_defects(g)(w.coords)[1])), None)
 
 
 def is_cocycle2(g: LieSuperalgebra, w: Cochain2Dual) -> bool:
-    if w.basis != g.basis:
-        raise DimensionMismatch("cochain basis differs from the algebra")
     return cocycle2_violation(g, w) is None
 
 
 def supercyclic_violation(w: Cochain2Dual):
     """First basis triple, in lexicographic order, where supercyclicity
-    fails, or None.  The defect at (i, j, k) reads w at (i, j, k) and at
-    (j, k, i) through its :func:`_dual_lookup`, so only triples next to a
-    nonzero entry can fail."""
+    fails, or None."""
     p = w.basis.parities
-    lookup = _dual_lookup(w)
-    support = {(a, b, c) for (a, b), col in lookup.items() for c in col}
-    for i, j, k in sorted(support | {(c, a, b) for a, b, c in support}):
-        w_ijk = lookup.get((i, j), {}).get(k, 0)
-        w_jki = lookup.get((j, k), {}).get(i, 0)
-        if w_ijk != sgn(p[i] * (p[j] + p[k])) * w_jki:
-            return (i, j, k)
-    return None
+    return next(iter(failing(_supercyclic_defects(p)(w.coords)[1])), None)
 
 
 def is_supercyclic(w: Cochain2Dual) -> bool:
     return supercyclic_violation(w) is None
 
 
-def _closed3_row(g: LieSuperalgebra, i: int, j: int, k: int, l: int):
-    """Symbolic closedness identity at the basis 4-tuple: a list of
-    ((a, b, c), coeff) contributions meaning coeff * f(e_a, e_b, e_c)."""
-    p = g.basis.parities
-    table = g.table
-    x, y, z, v = p[i], p[j], p[k], p[l]
-    pieces = (
-        ((i, j), (k, l), 1),
-        ((i, k), (j, l), -sgn(y * z)),
-        ((j, k), (i, l), sgn(x * (y + z))),
-        ((i, l), (j, k), sgn((y + z) * v)),
-        ((j, l), (i, k), -sgn(x * (y + v) + v * z)),
-        ((k, l), (i, j), sgn((x + y) * (z + v))),
-    )
-    terms: list[tuple[Triple, Fraction]] = []
-    for (a, b), (c, d), s in pieces:
-        for m, q in table[a][b]:
-            terms.append(((m, c, d), s * q))
-    return terms
-
-
-def closed3_defect(g: LieSuperalgebra, f: ScalarCochain3,
-                   i: int, j: int, k: int, l: int) -> Fraction:
-    acc = ZERO
-    for (a, b, c), coeff in _closed3_row(g, i, j, k, l):
-        val = _entry3(f, a, b, c)
-        if val != 0:
-            acc += coeff * val
-    return acc
-
-
-def _sorted_tuples4(parities):
-    """Basis 4-tuples i <= j <= k <= l of even parity sum, in
-    lexicographic order; every other 4-tuple's closedness identity is a
-    signed copy of one of these, or vanishes by evenness."""
-    n = len(parities)
-    for quad in itertools.combinations_with_replacement(range(n), 4):
-        if sum(parities[i] for i in quad) % 2 == 0:
-            yield quad
-
-
 def closed3_violation(g: LieSuperalgebra, f: ScalarCochain3):
     """First basis 4-tuple, in lexicographic order, where d f is nonzero,
-    or None.  Only sorted 4-tuples are visited (see the module notes)."""
-    for i, j, k, l in _sorted_tuples4(g.basis.parities):
-        if closed3_defect(g, f, i, j, k, l) != 0:
-            return (i, j, k, l)
-    return None
+    or None.  Only sorted 4-tuples are evaluated (see the module notes)."""
+    if f.basis != g.basis:
+        raise DimensionMismatch("cochain basis differs from the algebra")
+    return next(iter(failing(_closed3_defects(g)(f.coords)[1])), None)
 
 
 def is_closed3(g: LieSuperalgebra, f: ScalarCochain3) -> bool:
-    if f.basis != g.basis:
-        raise DimensionMismatch("cochain basis differs from the algebra")
     return closed3_violation(g, f) is None
 
 
 def delta_scalar2(g: LieSuperalgebra, phi: ScalarCochain2) -> ScalarCochain3:
     """(d phi)(x,y,z) = -phi([x,y],z) + (-1)^{|y||z|} phi([x,z],y)
-    - (-1)^{|x|(|y|+|z|)} phi([y,z],x), extended trilinearly: the sum of
-    phi's coordinates times the coboundaries of the unit 2-cochains."""
+    - (-1)^{|x|(|y|+|z|)} phi([y,z],x), one application of the
+    coboundary map."""
     if phi.basis != g.basis:
         raise DimensionMismatch("cochain basis differs from the algebra")
-    coords, keys2, cols = _coboundary_columns(g)
-    col_of = dict(zip(keys2, cols))
-    out: dict[int, Fraction] = {}
-    for key, q in phi.coords.items():
-        for t, v in col_of[key].items():
-            out[t] = out.get(t, ZERO) + q * v
-    return ScalarCochain3(g.basis, {coords[t]: q for t, q in out.items()})
+    d, acc = _delta_map(g)(phi.coords)
+    return ScalarCochain3(g.basis, {t: Fraction(v, d) for t, v in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -455,94 +452,70 @@ def unhat(f: ScalarCochain3) -> Cochain2Dual:
 # cocycle spaces by exact linear solving
 # ---------------------------------------------------------------------------
 
-def _cocycle_space(basis: GradedBasis, coords: list[Triple], canon, rows,
-                   expand) -> list:
-    """Solve a cocycle space in free coordinates.
+def _reduced_columns(columns: list[dict]) -> RowReducer:
+    """One RowReducer of the matrix whose s-th column is the {row key:
+    value} map columns[s], each row key's entries transposed into a sparse
+    row {s: value}."""
+    rows: dict = {}
+    for s, col in enumerate(columns):
+        for key, v in col.items():
+            if v:
+                rows.setdefault(key, {})[s] = v
+    red = RowReducer(len(columns))
+    for key in sorted(rows):
+        red.add_sparse(rows[key])
+    return red
 
-    ``rows`` yields symbolic identities, each taken to free coordinates
-    by :func:`_free_row` with ``canon``.  The rows are reduced sparsely
-    and each kernel vector becomes a cochain through the constructor
-    ``expand``.
-    """
-    index = {key: t for t, key in enumerate(coords)}
-    p = basis.parities
-    red = RowReducer(len(coords))
-    for terms in rows:
-        row = _free_row(p, terms, canon)
-        if row:
-            red.add_sparse({index[key]: q for key, q in row.items()})
-    return [expand(basis, {coords[t]: q for t, q in enumerate(kv) if q != 0})
+
+def _kernel(basis: GradedBasis, coords: list, maps, make) -> list:
+    """The common kernel of the cochain ``maps`` in free coordinates: the
+    maps' images of the unit cochain at each coordinate, stacked, are the
+    columns reduced by :func:`_reduced_columns`, and each kernel vector
+    becomes a cochain through the constructor ``make``."""
+    def column(key) -> dict:
+        out = {}
+        for i, fn in enumerate(maps):
+            for k, v in fn({key: 1})[1].items():
+                if isinstance(v, dict):  # a {t: value} vector per key
+                    out.update(((i, k, t), x) for t, x in v.items())
+                else:
+                    out[i, k] = v
+        return out
+    red = _reduced_columns([column(key) for key in coords])
+    return [make(basis, {coords[t]: q for t, q in enumerate(kv) if q != 0})
             for kv in red.kernel()]
-
-
-def _cocycle2_identities(g: LieSuperalgebra):
-    for i, j, k in itertools.combinations_with_replacement(range(g.dim), 3):
-        yield from _cocycle2_rows(g, i, j, k)
-
-
-def _supercyclic_identities(basis: GradedBasis):
-    p = basis.parities
-    for i, j, k in itertools.product(range(basis.dim), repeat=3):
-        yield [((i, j, k), frac(1)),
-               ((j, k, i), -frac(sgn(p[i] * (p[j] + p[k]))))]
 
 
 def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     """Basis of the even scalar 3-cocycles, solved in free coordinates."""
-    rows = (_closed3_row(g, *quad)
-            for quad in _sorted_tuples4(g.basis.parities))
-    return _cocycle_space(g.basis, free_coords_alt3(g.basis), canon3, rows,
-                          ScalarCochain3)
+    return _kernel(g.basis, free_coords_alt3(g.basis), [_closed3_defects(g)],
+                   ScalarCochain3)
 
 
 def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     """Basis of the supercyclic even dual-valued 2-cocycles, solved
     independently of :func:`z3_basis` in its own coordinate space."""
-    rows = itertools.chain(_supercyclic_identities(g.basis),
-                           _cocycle2_identities(g))
-    return _cocycle_space(g.basis, free_coords_cochain2dual(g.basis),
-                          canon_cochain2dual, rows, Cochain2Dual)
+    return _kernel(g.basis, free_coords_cochain2dual(g.basis),
+                   [_supercyclic_defects(g.basis.parities),
+                    _cocycle2_defects(g)], Cochain2Dual)
 
 
 def z2_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     """Basis of all even dual-valued 2-cocycles (supercyclic or not)."""
-    return _cocycle_space(g.basis, free_coords_cochain2dual(g.basis),
-                          canon_cochain2dual, _cocycle2_identities(g),
-                          Cochain2Dual)
-
-
-def _coboundary_columns(g: LieSuperalgebra):
-    """(alt-3 coordinates, scalar 2-coordinates, columns): column s is
-    delta(e_ab) for the unit 2-cochain at the s-th free coordinate (a, b),
-    as a sparse {alt-3 coordinate index: value}, read off the bracket
-    table."""
-    p = g.basis.parities
-    table = g.table
-    coords = free_coords_alt3(g.basis)
-    keys2 = free_coords_scalar2(g.basis)
-    index2 = {key: s for s, key in enumerate(keys2)}
-    cols: list[dict[int, Fraction]] = [{} for _ in keys2]
-    for t, (i, j, k) in enumerate(coords):
-        # delta(phi)(e_i, e_j, e_k) = -phi([e_i, e_j], e_k)
-        #   + (-1)^{|j||k|} phi([e_i, e_k], e_j)
-        #   - (-1)^{|i|(|j|+|k|)} phi([e_j, e_k], e_i)
-        for a, b, c, sign in ((i, j, k, -1), (i, k, j, sgn(p[j] * p[k])),
-                              (j, k, i, -sgn(p[i] * (p[j] + p[k])))):
-            for m, q in table[a][b]:
-                key, s = canon_scalar2(p, m, c)
-                if key is not None:
-                    col = cols[index2[key]]
-                    col[t] = col.get(t, ZERO) + sign * s * q
-    return coords, keys2, [{t: q for t, q in col.items() if q != 0}
-                           for col in cols]
+    return _kernel(g.basis, free_coords_cochain2dual(g.basis),
+                   [_cocycle2_defects(g)], Cochain2Dual)
 
 
 def b3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
-    """Basis of the coboundaries delta(phi), in canonical form."""
-    coords, _, cols = _coboundary_columns(g)
+    """Basis of the coboundaries delta(phi), in canonical form: the RREF
+    of the coboundary map's images of the unit 2-cochains."""
+    delta = _delta_map(g)
+    images = [delta({key: 1})[1] for key in free_coords_scalar2(g.basis)]
+    coords = sorted(set().union(*images))  # the columns that can be nonzero
+    index = {key: t for t, key in enumerate(coords)}
     red = RowReducer(len(coords))
-    for col in cols:
-        red.add_sparse(col)
+    for image in images:
+        red.add_sparse({index[t]: v for t, v in image.items()})
     return [ScalarCochain3(g.basis, {coords[t]: q
                                      for t, q in red.rows[piv].items()})
             for piv in red.pivots]
@@ -554,18 +527,18 @@ def h3_dim(g: LieSuperalgebra) -> int:
 
 def cohomologous(g: LieSuperalgebra, f1: ScalarCochain3,
                  f2: ScalarCochain3) -> ScalarCochain2 | None:
-    """A scalar 2-cochain phi with f2 = f1 - delta(phi), or None."""
+    """A scalar 2-cochain phi with f2 = f1 - delta(phi), or None: one
+    reduction of [delta(e_ab) for each unit e_ab | f1 - f2], where a pivot
+    in the last column means no solution."""
     if not is_closed3(g, f1) or not is_closed3(g, f2):
         raise PreconditionError("both cochains must be closed")
-    coords, keys2, cols = _coboundary_columns(g)
-    diff = sub3(f1, f2).coords
-    target = tuple(diff.get(key, ZERO) for key in coords)
-    if not cols:
-        return zero_scalar2(g) if vec_is_zero(target) else None
-    A = tuple(tuple(col.get(t, ZERO) for col in cols)
-              for t in range(len(coords)))
-    sol = solve(A, target)
-    if sol.particular is None:
+    keys2 = free_coords_scalar2(g.basis)
+    delta = _delta_map(g)
+    d, _ = delta({})  # the table's scale, which each unit image carries
+    target = {t: d * q for t, q in sub3(f1, f2).coords.items()}
+    red = _reduced_columns([delta({key: 1})[1] for key in keys2] + [target])
+    n = len(keys2)
+    if n in red.rows:
         return None
-    return ScalarCochain2(
-        g.basis, {keys2[t]: q for t, q in enumerate(sol.particular) if q != 0})
+    return ScalarCochain2(g.basis, {keys2[piv]: row.get(n, ZERO)
+                                    for piv, row in red.rows.items()})

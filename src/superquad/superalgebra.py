@@ -235,8 +235,10 @@ def cyclic_sums(parities, terms, ordered: bool = False) -> dict:
 
 
 def failing(acc: dict) -> list:
-    """The keys of a scattered accumulator whose value is not 0, sorted."""
-    return sorted(key for key, out in acc.items() if any(out.values()))
+    """The keys of a scattered accumulator whose value, a number or a
+    {t: number} vector, is not 0, sorted."""
+    return sorted(key for key, out in acc.items()
+                  if (any(out.values()) if isinstance(out, dict) else out))
 
 
 def jacobi_violations(g: LieSuperalgebra, first: bool = False,

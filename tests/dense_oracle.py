@@ -6,10 +6,11 @@ a form only as its nonzero values on free coordinates.  The helpers here
 expand them into dense n^3 (or n^2) tensors, check those tensors with
 the entrywise validators for evenness and super-antisymmetry, and
 evaluate the Jacobi, invariance, morphism, cocycle, supercyclicity and
-closedness identities by plain loops over every ordered tuple and every
-coordinate, so the sparse fast paths can be compared with the
-definitions entry by entry.  The ideal test and the lower central
-series bracket basis vectors with dense vectors the same way.
+closedness identities and the coboundary by plain loops over every
+ordered tuple and every coordinate, so the sparse fast paths can be
+compared with the definitions entry by entry.  The ideal test and the
+lower central series bracket basis vectors with dense vectors the same
+way.
 
 The library also has a single eliminator, the sparse ``RowReducer``.
 The last section is the dense elimination it replaced (in-place RREF
@@ -267,11 +268,15 @@ def cocycle2_defect(p, c, w, i, j, k):
     for a, b, d, s in ((i, j, k, 1), (j, k, i, sgn(p[i] * (p[j] + p[k]))),
                        (k, i, j, sgn(p[k] * (p[i] + p[j])))):
         t = -sgn(p[a] * (p[b] + p[d]))
-        for l in range(n):
-            out[l] += s * sum((c[b][d][m] * w[a][m][l] for m in range(n)
-                               if c[b][d][m]), ZERO)
-            out[l] += s * t * sum((c[a][l][m] * w[b][d][m] for m in range(n)
-                                   if c[a][l][m]), ZERO)
+        for m in range(n):  # the products with a zero factor are skipped
+            if c[b][d][m]:
+                for l in range(n):
+                    if w[a][m][l]:
+                        out[l] += s * c[b][d][m] * w[a][m][l]
+            if w[b][d][m]:
+                for l in range(n):
+                    if c[a][l][m]:
+                        out[l] += s * t * c[a][l][m] * w[b][d][m]
     return out
 
 
@@ -283,10 +288,15 @@ def cocycle2_violation(p, c, w):
     return None
 
 
+def supercyclic_defect(p, w, i, j, k):
+    """w(e_i, e_j)(e_k) - (-1)^{|i|(|j|+|k|)} w(e_j, e_k)(e_i)."""
+    return w[i][j][k] - sgn(p[i] * (p[j] + p[k])) * w[j][k][i]
+
+
 def supercyclic_violation(p, w):
     n = len(p)
     for i, j, k in itertools.product(range(n), repeat=3):
-        if w[i][j][k] != sgn(p[i] * (p[j] + p[k])) * w[j][k][i]:
+        if supercyclic_defect(p, w, i, j, k):
             return (i, j, k)
     return None
 
@@ -310,6 +320,16 @@ def closed3_violation(p, c, f):
         if closed3_defect(p, c, f, *quad) != 0:
             return quad
     return None
+
+
+def coboundary(p, c, phi, i, j, k):
+    """(d phi)(e_i, e_j, e_k) = -phi([e_i, e_j], e_k)
+    + (-1)^{|j||k|} phi([e_i, e_k], e_j)
+    - (-1)^{|i|(|j|+|k|)} phi([e_j, e_k], e_i), for a dense matrix phi."""
+    return sum((-c[i][j][m] * phi[m][k]
+                + sgn(p[j] * p[k]) * c[i][k][m] * phi[m][j]
+                - sgn(p[i] * (p[j] + p[k])) * c[j][k][m] * phi[m][i]
+                for m in range(len(p))), ZERO)
 
 
 def extension_tensor(p, c, w):

@@ -24,12 +24,10 @@ from superquad.errors import (DimensionMismatch, InternalCheckError,
 from superquad.forms import (QuadraticLieSuperalgebra, invariance_violation,
                              is_totally_isotropic, orthogonal)
 from superquad.gallery import _layout
-from superquad.linalg import (Vec, ZERO, integer_rows, mat, unit_vec, vec,
-                              vec_is_zero)
+from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
 from superquad.superalgebra import (EVEN, GradedBasis, LieSuperalgebra,
                                     Subspace, bracket, center,
-                                    derived_subspace, integer_table, is_ideal,
-                                    sgn)
+                                    derived_subspace, is_ideal, sgn)
 from superquad.tstar import _raw_extension
 
 
@@ -47,11 +45,10 @@ def add_scalar2(a: ScalarCochain2, b: ScalarCochain2) -> ScalarCochain2:
 
 def cocycle2_defect(g: LieSuperalgebra, w: Cochain2Dual):
     """The 2-cocycle identity of w at (i, j, k), as a dense vector, for
-    every ordered triple: the library's ordered accumulator, which holds
-    it times (-1)^{|i||k|} and the two least common denominators."""
+    every ordered triple: the library's ordered 2-cocycle map, which
+    holds it times (-1)^{|i||k|} and its scale d."""
     p = g.basis.parities
-    d = integer_table(g)[0] * integer_rows([w.coords.items()])[0]
-    acc = _cocycle2_defects(g, w, ordered=True)
+    d, acc = _cocycle2_defects(g, ordered=True)(w.coords)
 
     def at(i: int, j: int, k: int) -> Vec:
         out = acc.get((i, j, k), {})

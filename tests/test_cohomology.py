@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
-                                  ScalarCochain3, b3_basis, canon3,
-                                  closed3_defect, closed3_violation,
-                                  cocycle2_violation,
+                                  ScalarCochain3, _closed3_defects,
+                                  _delta_map, b3_basis, canon3,
+                                  closed3_violation, cocycle2_violation,
                                   cohomologous, collect_alt3,
                                   collect_cochain2dual, collect_scalar2,
                                   delta_scalar2, expand_alt3,
@@ -198,6 +198,19 @@ def test_b3_inside_z3(gallery):
             assert is_closed3(g, f), name
 
 
+def test_violations_reject_a_cochain_on_another_basis():
+    """A cochain on another basis is an error, not a verdict."""
+    g2, h3 = sq.build_gn(2), sq.heisenberg3()
+    w = Cochain2Dual(h3.basis, {(0, 1, 2): 1})
+    f = ScalarCochain3(h3.basis, {(0, 1, 2): 1})
+    for check in (cocycle2_violation, is_cocycle2):
+        with pytest.raises(DimensionMismatch):
+            check(g2, w)
+    for check in (closed3_violation, is_closed3):
+        with pytest.raises(DimensionMismatch):
+            check(g2, f)
+
+
 def test_cocycle2_examples(gallery):
     a3 = sq.abelian(3, 0)
     w = Cochain2Dual(a3.basis, {(0, 1, 2): 1})
@@ -292,12 +305,37 @@ def test_cohomologous_identity_and_roundtrip(gallery):
 
 # --- the sorted-tuple and table-built fast paths against dense oracles -------
 
+def _interleaved(g):
+    """g on its basis reordered odd, even, odd, ... while both last: the
+    gallery lists even vectors first, so its sorted tuples never put an
+    odd index before an even one, and a sign that depends on that order
+    would go unseen."""
+    p = g.basis.parities
+    odd = [i for i in range(g.dim) if p[i] == ODD]
+    even = [i for i in range(g.dim) if p[i] == EVEN]
+    order = [i for pair in itertools.zip_longest(odd, even) for i in pair
+             if i is not None]
+    new = {i: a for a, i in enumerate(order)}
+    return LieSuperalgebra(
+        graded_basis([g.basis.names[i] for i in order], [p[i] for i in order]),
+        tuple(tuple(tuple((new[k], q) for k, q in g.table[i][j])
+                    for j in order) for i in order))
+
+
+def _with_interleaved(gallery):
+    algebras = dict(gallery)
+    for name in ("gl(1,1)", "g(2)"):
+        algebras[name + " interleaved"] = _interleaved(gallery[name])
+    return algebras
+
+
 def test_closed3_violation_matches_full_loop(gallery):
-    """The sorted-tuple loop over canonical reads finds the witness of the
-    full n^4 loop over the dense tensor."""
+    """The closedness map finds the witness of the full n^4 loop over the
+    dense tensor, and holds d f at every sorted 4-tuple and nowhere
+    else."""
     rng = random.Random(41)
     violated = 0
-    for name, g in gallery.items():
+    for name, g in _with_interleaved(gallery).items():
         p, c = g.basis.parities, dense.bracket_tensor(g)
         coords = free_coords_alt3(g.basis)
         cochains = [expand_alt3(g.basis, {key: 1}) for key in coords]
@@ -305,17 +343,44 @@ def test_closed3_violation_matches_full_loop(gallery):
                                            for key in coords
                                            if rng.random() < 0.4})
                      for _ in range(4)]
+        cochains += [expand_alt3(g.basis, {key: F(rng.randint(-3, 3),
+                                                   rng.randint(1, 4))
+                                           for key in coords})]
         for f in cochains:
             t = dense.alt3_tensor(f)
             full = dense.closed3_violation(p, c, t)
             assert closed3_violation(g, f) == full, name
             violated += full is not None
-        for f in cochains[-4:]:
-            t = dense.alt3_tensor(f)
-            for quad in itertools.product(range(g.dim), repeat=4):
-                assert closed3_defect(g, f, *quad) == dense.closed3_defect(
+            d, acc = _closed3_defects(g)(f.coords)
+            assert all(list(quad) == sorted(quad) for quad in acc), name
+            for quad in itertools.combinations_with_replacement(
+                    range(g.dim), 4):
+                assert F(acc.get(quad, 0), d) == dense.closed3_defect(
                     p, c, t, *quad), (name, quad)
     assert violated > 10
+
+
+def test_delta_map_matches_dense_at_every_free_triple(gallery):
+    """The coboundary map holds delta(phi) at every free alt-3 coordinate
+    and nowhere else, for unit and random phi."""
+    rng = random.Random(29)
+    for name, g in _with_interleaved(gallery).items():
+        p, c = g.basis.parities, dense.bracket_tensor(g)
+        coords = free_coords_alt3(g.basis)
+        phis = [ScalarCochain2(g.basis, {key: 1})
+                for key in free_coords_scalar2(g.basis)]
+        phis += [random_scalar2(g, rng) for _ in range(3)]
+        phis += [ScalarCochain2(g.basis, {key: F(rng.randint(-3, 3),
+                                                 rng.randint(1, 4))
+                                          for key in free_coords_scalar2(
+                                              g.basis)})]
+        for phi in phis:
+            m = dense.scalar2_matrix(phi)
+            d, acc = _delta_map(g)(phi.coords)
+            assert set(acc) <= set(coords), name
+            for ijk in coords:
+                assert F(acc.get(ijk, 0), d) == dense.coboundary(
+                    p, c, m, *ijk), (name, ijk)
 
 
 def test_cocycle2_violation_matches_dense_loop(gallery, z2_bases):
@@ -362,9 +427,11 @@ def test_supercyclic_violation_matches_dense_loop(gallery, supercyclic_bases):
 def _z3_oracle(g):
     """Kernel of the closedness identity at every one of the n^4 basis
     4-tuples, each row read off the dense defect of the unit cochains."""
+    p, c = g.basis.parities, dense.bracket_tensor(g)
     coords = free_coords_alt3(g.basis)
-    units = [expand_alt3(g.basis, {key: 1}) for key in coords]
-    rows = [tuple(closed3_defect(g, u, *quad) for u in units)
+    units = [dense.alt3_tensor(expand_alt3(g.basis, {key: 1}))
+             for key in coords]
+    rows = [tuple(dense.closed3_defect(p, c, u, *quad) for u in units)
             for quad in itertools.product(range(g.dim), repeat=4)]
     return [expand_alt3(g.basis, {coords[t]: q for t, q in enumerate(v)
                                   if q != 0})
@@ -372,8 +439,40 @@ def _z3_oracle(g):
 
 
 def test_z3_basis_matches_all_tuples_oracle(gallery):
-    for name, g in gallery.items():
+    for name, g in _with_interleaved(gallery).items():
         assert z3_basis(g) == _z3_oracle(g), name
+
+
+def _z2_oracle(g):
+    """(Z^2, Z^2_sc): the kernel of the 2-cocycle identity at every
+    ordered basis triple and every output coordinate, then with the
+    supercyclic identity at every ordered triple as well.  Each row is
+    read off the dense identities of the unit cochains, and a repeated
+    row is kept once."""
+    p, c = g.basis.parities, dense.bracket_tensor(g)
+    coords = free_coords_cochain2dual(g.basis)
+    units = [dense.cochain2dual_tensor(Cochain2Dual(g.basis, {key: 1}))
+             for key in coords]
+    triples = list(itertools.product(range(g.dim), repeat=3))
+    defects = [[dense.cocycle2_defect(p, c, u, *ijk) for ijk in triples]
+               for u in units]
+    cocycle = {tuple(d[t][l] for d in defects)
+               for t in range(len(triples)) for l in range(g.dim)}
+    supercyclic = {tuple(dense.supercyclic_defect(p, u, *ijk) for u in units)
+                   for ijk in triples}
+    return tuple([Cochain2Dual(g.basis, {coords[t]: q
+                                         for t, q in enumerate(v) if q != 0})
+                  for v in dense.kernel(sorted(rows))]
+                 for rows in (cocycle, cocycle | supercyclic))
+
+
+def test_z2_bases_match_all_triples_oracle(gallery):
+    algebras = _with_interleaved(gallery)
+    algebras["T*(heisenberg3)"] = sq.build(sq.heisenberg3()).total.algebra
+    for name, g in algebras.items():
+        z2, z2_sc = _z2_oracle(g)
+        assert z2_basis(g) == z2, name
+        assert z2_supercyclic_basis(g) == z2_sc, name
 
 
 def _coboundary_oracle(g):
