@@ -22,22 +22,20 @@ keyed by free coordinate, so evenness and super-antisymmetry hold by
 construction and only the keys are checked; any other entry is read
 through its canonical representative and sign.
 
-Each of the four cochain maps (the 2-cocycle identity, supercyclicity,
-closedness and the coboundary delta on scalar 2-cochains) is written
-once, as a scatter: built once per algebra, when it indexes the bracket
-table, it adds each nonzero product of a cochain's values (and the
-table) to the accumulator of every tuple whose identity has it as a
-term.  The verifiers read a map's failing tuples, ``delta_scalar2``
-applies delta once, and the solvers reduce the maps' images of the unit
+Each cochain map (the 2-cocycle identity, supercyclicity and the scalar
+coboundary d, which is delta on 2-cochains and closedness on 3-cochains)
+is written once, as a scatter: built once per algebra, when it indexes
+the bracket table, it adds each nonzero product of a cochain's values
+(and the table) to the accumulator of every tuple whose identity has it
+as a term.  The verifiers read a map's failing tuples, ``delta_scalar2``
+applies d once, and the solvers reduce the maps' images of the unit
 cochains in one sparse ``RowReducer``: Z^2, Z^2_sc and Z^3 read its
-kernel, B^3 the RREF of delta's images and ``cohomologous`` a reduction
-of [delta(e_ab) | f1 - f2].
+kernel, B^3 the RREF of d's images of the unit 2-cochains and
+``cohomologous`` a reduction of [d(e_ab) | f1 - f2].
 
-Closedness is checked and solved on sorted 4-tuples i <= j <= k <= l only.
-For a super-alternating f, d f is super-alternating in its four
-arguments, so the identity at any other ordering of a 4-tuple is a
-signed copy of the identity at the sorted one.  The sorted ordering is
-also the lexicographically smallest, so the first violated 4-tuple in
+d f is super-alternating, so it is held at sorted tuples only: every
+other ordering is a signed copy of its sorted one.  The sorted ordering
+is also the lexicographically smallest, so the first violated 4-tuple in
 lexicographic order over all n^4 is always sorted: ``closed3_violation``
 returns the same witness the full loop would.
 """
@@ -45,6 +43,7 @@ returns the same witness the full loop would.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,11 +107,16 @@ def canon_scalar2(parities, i: int, j: int):
     return canon2_first(parities, i, j)
 
 
-def _free_coords(basis: GradedBasis, arity: int, canon) -> list:
+def _free_coords(basis: GradedBasis, arity: int, canon,
+                 trailing: bool = False) -> list:
     """The index tuples that are their own canonical representative, in
-    lexicographic order."""
-    return [key for key in itertools.product(range(basis.dim), repeat=arity)
-            if canon(basis.parities, *key)[0] == key]
+    lexicographic order: the ascending ``arity``-tuples, each followed by
+    any one index if ``trailing``, that ``canon`` keeps."""
+    n = basis.dim
+    keys = itertools.combinations_with_replacement(range(n), arity)
+    if trailing:
+        keys = (head + (c,) for head in keys for c in range(n))
+    return [key for key in keys if canon(basis.parities, *key)[0] == key]
 
 
 def free_coords_alt3(basis: GradedBasis) -> list[Triple]:
@@ -123,7 +127,7 @@ def free_coords_alt3(basis: GradedBasis) -> list[Triple]:
 def free_coords_cochain2dual(basis: GradedBasis) -> list[Triple]:
     """Free coordinates (i, j, k) of even 2-cochains with values in the
     dual space, antisymmetric in (i, j)."""
-    return _free_coords(basis, 3, canon_cochain2dual)
+    return _free_coords(basis, 2, canon_cochain2dual, trailing=True)
 
 
 def free_coords_scalar2(basis: GradedBasis) -> list[tuple[int, int]]:
@@ -236,7 +240,7 @@ def sub3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
 
 
 # ---------------------------------------------------------------------------
-# the four cochain maps, each one scatter over its input's nonzeros
+# the cochain maps, each one scatter over its input's nonzeros
 # ---------------------------------------------------------------------------
 
 def _into(g: LieSuperalgebra) -> tuple[int, list]:
@@ -301,79 +305,46 @@ def _supercyclic_defects(p):
     return defects
 
 
-# (d f)(e_i, e_j, e_k, e_l) is a sum of six pieces s f([e_a, e_b], e_c, e_d):
-# the exponent of -1 in s, from the parities x, y, z, v of i, j, k, l, per
-# piece, with the piece's (a, b, c, d) (docs/conventions.md).
-_CLOSED3_SIGNS = (
-    lambda x, y, z, v: 0,                        # (i, j, k, l)
-    lambda x, y, z, v: 1 + y * z,                # (i, k, j, l)
-    lambda x, y, z, v: x * (y + z),              # (j, k, i, l)
-    lambda x, y, z, v: (y + z) * v,              # (i, l, j, k)
-    lambda x, y, z, v: 1 + x * (y + v) + v * z,  # (j, l, i, k)
-    lambda x, y, z, v: (x + y) * (z + v),        # (k, l, i, j)
-)
-
-
-def _closed3_defects(g: LieSuperalgebra):
-    """The closedness map: free coordinates of f -> (d, acc), acc[(i, j,
-    k, l)] = d (d f)(e_i, e_j, e_k, e_l) at sorted 4-tuples, d the scales
-    of the table and of f.  Each term r f(e_m, e_c, e_d), r the
-    coefficient of e_m in [e_a, e_b], goes to each sorted 4-tuple where
-    it is one of the six pieces, with that piece's sign; every piece keeps
-    a before b and c before d, so only a <= b and c <= d are placed."""
+def _coboundary(g: LieSuperalgebra):
+    """The coboundary d on even scalar k-cochains: free coordinates of f
+    -> (d, acc), acc the nonzero values of d f at sorted (k+1)-tuples,
+    times the scales d of the table and of f (docs/conventions.md, "One
+    rule for the coboundary").  With mu(c, l) = (-1)^{l + |c| P(l)}, the
+    sign of moving e_c to the front over l entries of parity sum P(l),
+    each free coordinate gives f(e_m, rest) = mu(m, s) f(key) for each
+    entry m = key[s], and a term r f(e_m, rest), r the coefficient of e_m
+    in [e_a, e_b] with a <= b, goes to the sorted tuple that a and b
+    insert into, once per insertion (a after ka entries of rest, b after
+    kb >= ka), with sign (-1)^{k+1} mu(a, ka) mu(b, kb)."""
     p = g.basis.parities
     d, into = _into(g)
+    into = [[(a, b, r, p[a], p[b]) for a, b, r in terms if a <= b]
+            for terms in into]
 
-    def defects(coords: dict) -> tuple[int, dict]:
+    def apply(coords: dict) -> tuple[int, dict]:
         df, (items,) = integer_rows([coords.items()])
         acc: dict = {}
         for key, q in items:
-            for m, c, e in set(itertools.permutations(key)):
-                if c > e:
-                    continue
-                v = canon3(p, m, c, e)[1] * q
-                for a, b, r in into[m]:
-                    if a > b:
-                        continue
-                    for t, exponent in zip(
-                            ((a, b, c, e), (a, c, b, e), (c, a, b, e),
-                             (a, c, e, b), (c, a, e, b), (c, e, a, b)),
-                            _CLOSED3_SIGNS):
-                        if t[0] <= t[1] <= t[2] <= t[3]:
-                            s = sgn(exponent(p[t[0]], p[t[1]], p[t[2]],
-                                             p[t[3]]))
-                            acc[t] = acc.get(t, 0) + s * r * v
-        return d * df, acc
-    return defects
-
-
-def _delta_map(g: LieSuperalgebra):
-    """The coboundary map: free coordinates of phi -> (d, acc), acc the
-    nonzero values of d delta(phi) at free alt-3 coordinates, d the scales
-    of the table and of phi.  (d phi)(x,y,z) = -phi([x,y],z)
-    + (-1)^{|y||z|} phi([x,z],y) - (-1)^{|x|(|y|+|z|)} phi([y,z],x): each
-    term r phi(e_m, e_c), r the coefficient of e_m in [e_a, e_b], goes to
-    (a, b, c), (a, c, b) and (c, a, b) where they are sorted."""
-    p = g.basis.parities
-    d, into = _into(g)
-
-    def delta(coords: dict) -> tuple[int, dict]:
-        dphi, (items,) = integer_rows([coords.items()])
-        acc: dict = {}
-        for (i, j), q in items:
-            for m, c, v in (((i, j, q), (j, i, -sgn(p[i] * p[j]) * q))
-                            if i != j else ((i, j, q),)):
-                for a, b, r in into[m]:
-                    if a > b:
-                        continue
-                    for t, s in (((a, b, c), -1),
-                                 ((a, c, b), sgn(p[b] * p[c])),
-                                 ((c, a, b), -sgn(p[c] * (p[a] + p[b])))):
-                        if t[0] <= t[1] <= t[2]:
-                            acc[t] = acc.get(t, 0) + s * r * v
-        return d * dphi, {t: v for t, v in acc.items()
-                          if v and canon3(p, *t)[0] == t}
-    return delta
+            for s, m in enumerate(key):
+                if s and key[s - 1] == m:
+                    continue  # the same f(e_m, rest) as at s - 1
+                rest = key[:s] + key[s + 1:]
+                P = [0]
+                for x in rest:
+                    P.append(P[-1] + p[x])
+                e0 = len(key) + 1 + s + p[m] * P[s]  # (-1)^{k+1} mu(m, s)
+                for a, b, r, pa, pb in into[m]:
+                    t = tuple(sorted((a, b, *rest)))
+                    v = 0
+                    for ka in range(bisect_left(rest, a),
+                                    bisect_right(rest, a) + 1):
+                        for kb in range(max(ka, bisect_left(rest, b)),
+                                        bisect_right(rest, b) + 1):
+                            v += -1 if (ka + kb + pa * P[ka] + pb * P[kb]
+                                        + e0) % 2 else 1
+                    acc[t] = acc.get(t, 0) + v * r * q
+        return d * df, {t: v for t, v in acc.items() if v}
+    return apply
 
 
 def cocycle2_violation(g: LieSuperalgebra, w: Cochain2Dual):
@@ -403,7 +374,7 @@ def closed3_violation(g: LieSuperalgebra, f: ScalarCochain3):
     or None.  Only sorted 4-tuples are evaluated (see the module notes)."""
     if f.basis != g.basis:
         raise DimensionMismatch("cochain basis differs from the algebra")
-    return next(iter(failing(_closed3_defects(g)(f.coords)[1])), None)
+    return next(iter(failing(_coboundary(g)(f.coords)[1])), None)
 
 
 def is_closed3(g: LieSuperalgebra, f: ScalarCochain3) -> bool:
@@ -416,7 +387,7 @@ def delta_scalar2(g: LieSuperalgebra, phi: ScalarCochain2) -> ScalarCochain3:
     coboundary map."""
     if phi.basis != g.basis:
         raise DimensionMismatch("cochain basis differs from the algebra")
-    d, acc = _delta_map(g)(phi.coords)
+    d, acc = _coboundary(g)(phi.coords)
     return ScalarCochain3(g.basis, {t: Fraction(v, d) for t, v in acc.items()})
 
 
@@ -488,8 +459,8 @@ def _kernel(basis: GradedBasis, coords: list, maps, make) -> list:
 
 def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     """Basis of the even scalar 3-cocycles, solved in free coordinates."""
-    return _kernel(g.basis, free_coords_alt3(g.basis), [_closed3_defects(g)],
-                   ScalarCochain3)
+    return _kernel(g.basis, free_coords_alt3(g.basis),
+                   [_coboundary(g)], ScalarCochain3)
 
 
 def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
@@ -509,7 +480,7 @@ def z2_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
 def b3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     """Basis of the coboundaries delta(phi), in canonical form: the RREF
     of the coboundary map's images of the unit 2-cochains."""
-    delta = _delta_map(g)
+    delta = _coboundary(g)
     images = [delta({key: 1})[1] for key in free_coords_scalar2(g.basis)]
     coords = sorted(set().union(*images))  # the columns that can be nonzero
     index = {key: t for t, key in enumerate(coords)}
@@ -533,7 +504,7 @@ def cohomologous(g: LieSuperalgebra, f1: ScalarCochain3,
     if not is_closed3(g, f1) or not is_closed3(g, f2):
         raise PreconditionError("both cochains must be closed")
     keys2 = free_coords_scalar2(g.basis)
-    delta = _delta_map(g)
+    delta = _coboundary(g)
     d, _ = delta({})  # the table's scale, which each unit image carries
     target = {t: d * q for t, q in sub3(f1, f2).coords.items()}
     red = _reduced_columns([delta({key: 1})[1] for key in keys2] + [target])

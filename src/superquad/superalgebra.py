@@ -131,8 +131,7 @@ class LieSuperalgebra:
         return tuple(out)
 
 
-def from_brackets(names, parities, brackets,
-                  validate: bool = True) -> LieSuperalgebra:
+def from_brackets(names, parities, brackets) -> LieSuperalgebra:
     """Build an algebra from a sparse {(a, b): {label: coeff}} description.
 
     Brackets for the opposite order are filled in by super-skew-symmetry;
@@ -159,8 +158,7 @@ def from_brackets(names, parities, brackets,
             raise PreconditionError(
                 f"bracket [{a},{a}] must vanish for an even generator")
     return LieSuperalgebra(basis, tuple(
-        tuple(table.get((i, j), ()) for j in range(n)) for i in range(n)),
-        validate)
+        tuple(table.get((i, j), ()) for j in range(n)) for i in range(n)))
 
 
 def abelian(even: int, odd: int) -> LieSuperalgebra:
@@ -395,19 +393,20 @@ def extend_subspace(w: Subspace, v: Vec) -> Subspace:
 def graded_complement(basis: GradedBasis, inner: Subspace,
                       within: Subspace | None = None) -> Subspace:
     """Greedy graded complement of ``inner`` inside ``within`` (default:
-    the whole space), spanned by canonical-basis vectors of ``within``."""
+    the whole space), spanned by canonical-basis vectors of ``within``:
+    unit vectors or RREF rows of ``within``, so already an RREF."""
     if within is None:
         pool = [unit_vec(basis.dim, i) for i in range(basis.dim)]
     else:
         pool = list(within.vectors)
     acc = RowReducer(basis.dim)
-    for v in inner.vectors:
-        acc.add(v)
-    chosen = []
+    acc.rows = {c: dict(row) for c, row in inner.reducer.rows.items()}
+    red = RowReducer(basis.dim)
     for v in pool:
         if acc.add(v):
-            chosen.append(v)
-    return subspace(basis, chosen)
+            row = {c: q for c, q in enumerate(v) if q}
+            red.rows[min(row)] = row
+    return Subspace(basis, red)
 
 
 # ---------------------------------------------------------------------------

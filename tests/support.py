@@ -6,12 +6,15 @@ library code path: cochain sums and zero tests, the dense defect of the
 a gl(n,n) basis label, the center identity of a quadratic algebra, the
 invariance refutation for a non-supercyclic cocycle, the Lagrangian
 ideal/abelian lemma, an exact rational square root, vector addition,
-and the coadjoint representation on graded linear functionals.
+the coadjoint representation on graded linear functionals, and a seeded
+basis change with denominators up to 6 of dense structure constants.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,11 +27,14 @@ from superquad.errors import (DimensionMismatch, InternalCheckError,
 from superquad.forms import (QuadraticLieSuperalgebra, invariance_violation,
                              is_totally_isotropic, orthogonal)
 from superquad.gallery import _layout
-from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
+from superquad.linalg import (Vec, ZERO, mat, mat_mul, transpose, unit_vec,
+                              vec, vec_is_zero)
 from superquad.superalgebra import (EVEN, GradedBasis, LieSuperalgebra,
                                     Subspace, bracket, center,
                                     derived_subspace, is_ideal, sgn)
 from superquad.tstar import _raw_extension
+
+import dense_oracle as dense
 
 
 def add3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
@@ -208,3 +214,31 @@ def coadjoint(g: LieSuperalgebra, x: Vec, F: DualVector) -> DualVector:
             if acc != 0:
                 out[m] += s * xi * acc
     return dual_vector(g.basis, out, (px + F.parity) % 2)
+
+
+def disguise(p, c, G=None, seed=0):
+    """(c', G', P): the structure constants and Gram matrix on the basis
+    f_j = sum_i P[i][j] e_i, for a seeded parity-preserving invertible
+    P = L U (L unit lower triangular, U upper triangular with a nonzero
+    diagonal) whose entries have denominators up to 6."""
+    rng = random.Random(seed)
+    n = len(p)
+
+    def entry():
+        return Fraction(rng.choice((-5, -1, 1, 2, 5)), rng.randint(1, 6))
+
+    def triangular(lower):
+        return [[Fraction(1) if i == j else entry()
+                 if p[i] == p[j] and (i > j) == lower and rng.random() < 0.6
+                 else Fraction(0) for j in range(n)] for i in range(n)]
+    P = mat_mul(triangular(True),
+                [[entry() * q for q in row] for row in triangular(False)])
+    Q = dense.inverse(P)
+    c2 = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for a, b, t in itertools.product(range(n), repeat=3):
+        if c[a][b][t]:
+            for i, j, k in itertools.product(range(n), repeat=3):
+                if P[a][i] and P[b][j] and Q[k][t]:
+                    c2[i][j][k] += P[a][i] * P[b][j] * c[a][b][t] * Q[k][t]
+    G2 = None if G is None else mat_mul(transpose(P), mat_mul(G, P))
+    return c2, G2, P

@@ -16,7 +16,7 @@ from superquad.errors import CocycleError, FormError, NotSupercyclicError
 from superquad.forms import even_form, invariance_violation
 from superquad.gallery import (random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
-from superquad.linalg import mat_mul, transpose
+from superquad.linalg import mat_mul
 from superquad.superalgebra import (AxiomReport, LieSuperalgebra,
                                     check_axioms, graded_basis,
                                     jacobi_violations, sgn)
@@ -25,7 +25,7 @@ from superquad.tstar import (_raw_extension, quadratic_morphism_violation,
 
 import dense_oracle as dense
 from conftest import make_rng
-from support import cocycle2_defect
+from support import cocycle2_defect, disguise
 
 F = Fraction
 
@@ -337,34 +337,6 @@ def test_build_invariance_witness_is_first_dense_violation(
 fractions6 = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 6))
 
 
-def _disguise(p, c, G=None, seed=0):
-    """(c', G', P): the structure constants and Gram matrix on the basis
-    f_j = sum_i P[i][j] e_i, for a seeded parity-preserving invertible
-    P = L U (L unit lower triangular, U upper triangular with a nonzero
-    diagonal) whose entries have denominators up to 6."""
-    rng = make_rng(seed)
-    n = len(p)
-
-    def entry():
-        return F(rng.choice((-5, -1, 1, 2, 5)), rng.randint(1, 6))
-
-    def triangular(lower):
-        return [[F(1) if i == j else entry()
-                 if p[i] == p[j] and (i > j) == lower and rng.random() < 0.6
-                 else F(0) for j in range(n)] for i in range(n)]
-    P = mat_mul(triangular(True),
-                [[entry() * q for q in row] for row in triangular(False)])
-    Q = dense.inverse(P)
-    c2 = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for a, b, t in itertools.product(range(n), repeat=3):
-        if c[a][b][t]:
-            for i, j, k in itertools.product(range(n), repeat=3):
-                if P[a][i] and P[b][j] and Q[k][t]:
-                    c2[i][j][k] += P[a][i] * P[b][j] * c[a][b][t] * Q[k][t]
-    G2 = None if G is None else mat_mul(transpose(P), mat_mul(G, P))
-    return c2, G2, P
-
-
 def _perturbed(p, c, i, j, k, delta, skew=True):
     """c with delta added at [e_i, e_j] on e_k, and at [e_j, e_i] by
     super-skew-symmetry unless ``skew`` is off."""
@@ -389,7 +361,7 @@ def disguised(gallery):
     for name, seed in DISGUISED:
         g = gallery[name]
         p = g.basis.parities
-        c2, _, _ = _disguise(p, dense.bracket_tensor(g), seed=seed)
+        c2, _, _ = disguise(p, dense.bracket_tensor(g), seed=seed)
         assert _has_denominators(c2)
         out[(name, seed)] = (p, c2)
     return out
@@ -518,7 +490,7 @@ def disguised_extensions(extensions):
     out = []
     for seed, q in enumerate(extensions[:3]):
         p = q.basis.parities
-        c, G, P = _disguise(p, dense.bracket_tensor(q.algebra),
+        c, G, P = disguise(p, dense.bracket_tensor(q.algebra),
                             dense.gram(q.form), seed=seed + 3)
         assert _has_denominators(c)
         out.append((p, c, G, P))
@@ -560,7 +532,7 @@ def _disguised_shear(sh, seeds):
     out = []
     for q, seed in zip((sh.source.total, sh.target.total), seeds):
         p = q.basis.parities
-        c, G, P = _disguise(p, dense.bracket_tensor(q.algebra),
+        c, G, P = disguise(p, dense.bracket_tensor(q.algebra),
                             dense.gram(q.form), seed=seed)
         g = _algebra(p, c)
         out.append((sq.QuadraticLieSuperalgebra(g, even_form(g.basis, G)),
