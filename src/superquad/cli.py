@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import dsl
 from .cohomology import (b3_basis, collect_alt3, collect_cochain2dual,
@@ -49,11 +48,8 @@ class Report:
             text.encode()).hexdigest()
 
     def check(self, name: str, passed: bool, witness=None):
-        self.checks.append({
-            "name": name,
-            "passed": bool(passed),
-            "witness": witness,
-        })
+        self.checks.append(
+            {"name": name, "passed": bool(passed), "witness": witness})
 
     @property
     def passed(self) -> bool:
@@ -102,11 +98,8 @@ class Report:
 
 def _error_exit(out, kind: str, message: str, text_mode: bool,
                 line: int | None = None, column: int | None = None) -> int:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "error": {"kind": kind, "message": message,
-                  "line": line, "column": column},
-    }
+    payload = {"schema": SCHEMA_VERSION, "error": {
+        "kind": kind, "message": message, "line": line, "column": column}}
     if text_mode:  # a parse error's message already names its location
         out.write(f"error[{kind}]: {message}\n")
     else:
@@ -122,12 +115,8 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _fr(q: Fraction) -> str:
-    return str(q)
-
-
 def _vec_strs(v) -> list[str]:
-    return [_fr(q) for q in v]
+    return [str(q) for q in v]
 
 
 def _mat_strs(m) -> list[list[str]]:
@@ -135,31 +124,23 @@ def _mat_strs(m) -> list[list[str]]:
 
 
 def _triple_names(doc_names, t):
-    if t is None:
-        return None
-    if isinstance(t, tuple):
-        return [doc_names[i] if isinstance(i, int) and i < len(doc_names)
-                else i for i in t]
-    return t
+    if not isinstance(t, tuple):
+        return t
+    return [doc_names[i] if isinstance(i, int) and i < len(doc_names)
+            else i for i in t]
 
 
 def _entries_strs(entries: dict, names) -> dict:
-    out = {}
-    for key, q in sorted(entries.items()):
-        label = ",".join(names[i] for i in key)
-        out[label] = _fr(q)
-    return out
+    return {",".join(names[i] for i in key): str(q)
+            for key, q in sorted(entries.items())}
 
 
 def _axiom_checks(report: Report, doc, alg) -> bool:
     ax = check_axioms(alg)
-    names = doc.names
-    report.check("axioms.grading", not ax.grading,
-                 _triple_names(names, ax.grading[0]) if ax.grading else None)
-    report.check("axioms.super_skew", not ax.skew,
-                 _triple_names(names, ax.skew[0]) if ax.skew else None)
-    report.check("axioms.jacobi", not ax.jacobi,
-                 _triple_names(names, ax.jacobi[0]) if ax.jacobi else None)
+    for name, bad in (("grading", ax.grading), ("super_skew", ax.skew),
+                      ("jacobi", ax.jacobi)):
+        report.check(f"axioms.{name}", not bad,
+                     _triple_names(doc.names, bad[0]) if bad else None)
     return ax.passed
 
 
@@ -168,13 +149,10 @@ def _axiom_checks(report: Report, doc, alg) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args, report: Report, out, doc, alg) -> int:
-    report.dims["dim"] = alg.dim
-    report.dims["dim_even"] = alg.basis.even_dim
-    report.dims["dim_odd"] = alg.basis.odd_dim
-    report.dims["dim_center"] = center(alg).dim
-    report.dims["nilpotent"] = is_nilpotent(alg)
-    report.dims["solvable"] = is_solvable(alg)
-    report.dims["class_condition"] = class_condition(alg)
+    report.dims.update(
+        dim=alg.dim, dim_even=alg.basis.even_dim, dim_odd=alg.basis.odd_dim,
+        dim_center=center(alg).dim, nilpotent=is_nilpotent(alg),
+        solvable=is_solvable(alg), class_condition=class_condition(alg))
     form = dsl.document_form(doc)
     if form is not None:
         _form_checks(report, doc, alg, form)
@@ -261,19 +239,17 @@ def _cmd_cohomology(args, report: Report, out, doc, alg) -> int:
     z2sc = z2_supercyclic_basis(alg)
     z3 = z3_basis(alg)
     b3 = b3_basis(alg)
-    report.dims["dim_z2_supercyclic"] = len(z2sc)
-    report.dims["dim_z3"] = len(z3)
-    report.dims["dim_b3"] = len(b3)
-    report.dims["dim_h3"] = len(z3) - len(b3)
+    report.dims.update(dim_z2_supercyclic=len(z2sc), dim_z3=len(z3),
+                       dim_b3=len(b3), dim_h3=len(z3) - len(b3))
     agree = len(z2sc) == len(z3)
     report.check("hat.dimension_agreement", agree,
                  None if agree else [len(z2sc), len(z3)])
-    report.outputs["z3_basis"] = [
-        _entries_strs(collect_alt3(f), doc.names) for f in z3]
-    report.outputs["b3_basis"] = [
-        _entries_strs(collect_alt3(f), doc.names) for f in b3]
-    report.outputs["z2_supercyclic_basis"] = [
-        _entries_strs(collect_cochain2dual(w), doc.names) for w in z2sc]
+    for key, basis, collect in (("z3_basis", z3, collect_alt3),
+                                ("b3_basis", b3, collect_alt3),
+                                ("z2_supercyclic_basis", z2sc,
+                                 collect_cochain2dual)):
+        report.outputs[key] = [_entries_strs(collect(f), doc.names)
+                               for f in basis]
     return report.render(out)
 
 
@@ -360,22 +336,17 @@ def _cmd_example(args, out) -> int:
         if n > 4 and not args.allow_large:
             raise PreconditionError(
                 "sizes above 4 are gated behind --allow-large")
-        if kind == "gn":
-            doc = dsl.document_from(build_gn(n))
-        elif kind == "glnn":
-            doc = dsl.document_from(build_glnn(n))
-        else:
-            doc = dsl.document_quadratic(build_class_c_example(n))
+        doc = (dsl.document_quadratic(build_class_c_example(n))
+               if kind == "class-c" else dsl.document_from(
+                   (build_gn if kind == "gn" else build_glnn)(n)))
     elif kind == "stock":
         m = ABELIAN_RE.match(args.value)
         if m and int(m[1]) + int(m[2]) > 30 and not args.allow_large:
             raise PreconditionError(
                 "abelian(p|q) above p + q = 30 is gated behind --allow-large")
         obj = stock(args.value)
-        if isinstance(obj, QuadraticLieSuperalgebra):
-            doc = dsl.document_quadratic(obj)
-        else:
-            doc = dsl.document_from(obj)
+        doc = (dsl.document_quadratic if isinstance(
+            obj, QuadraticLieSuperalgebra) else dsl.document_from)(obj)
     else:  # pragma: no cover - argparse restricts choices
         raise PreconditionError(f"unknown example kind {kind!r}")
     out.write(dsl.emit(doc))

@@ -453,8 +453,8 @@ def _kernel(basis: GradedBasis, coords: list, maps, make) -> list:
                     out[i, k] = v
         return out
     red = _reduced_columns([column(key) for key in coords])
-    return [make(basis, {coords[t]: q for t, q in enumerate(kv) if q != 0})
-            for kv in red.kernel()]
+    return [make(basis, {coords[t]: q for t, q in kv.items()})
+            for kv in red.sparse_kernel(red.ncols)]
 
 
 def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
@@ -487,9 +487,8 @@ def b3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     red = RowReducer(len(coords))
     for image in images:
         red.add_sparse({index[t]: v for t, v in image.items()})
-    return [ScalarCochain3(g.basis, {coords[t]: q
-                                     for t, q in red.rows[piv].items()})
-            for piv in red.pivots]
+    return [ScalarCochain3(g.basis, {coords[t]: q for t, q in row.items()})
+            for _, row in sorted(red.rows.items())]
 
 
 def h3_dim(g: LieSuperalgebra) -> int:
@@ -501,15 +500,18 @@ def cohomologous(g: LieSuperalgebra, f1: ScalarCochain3,
     """A scalar 2-cochain phi with f2 = f1 - delta(phi), or None: one
     reduction of [delta(e_ab) for each unit e_ab | f1 - f2], where a pivot
     in the last column means no solution."""
-    if not is_closed3(g, f1) or not is_closed3(g, f2):
-        raise PreconditionError("both cochains must be closed")
-    keys2 = free_coords_scalar2(g.basis)
     delta = _coboundary(g)
+    for f in (f1, f2):
+        if f.basis != g.basis:
+            raise DimensionMismatch("cochain basis differs from the algebra")
+        if any(delta(f.coords)[1].values()):
+            raise PreconditionError("both cochains must be closed")
+    keys2 = free_coords_scalar2(g.basis)
     d, _ = delta({})  # the table's scale, which each unit image carries
     target = {t: d * q for t, q in sub3(f1, f2).coords.items()}
     red = _reduced_columns([delta({key: 1})[1] for key in keys2] + [target])
     n = len(keys2)
-    if n in red.rows:
+    if n in red.int_rows:
         return None
     return ScalarCochain2(g.basis, {keys2[piv]: row.get(n, ZERO)
                                     for piv, row in red.rows.items()})

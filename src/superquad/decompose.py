@@ -117,7 +117,7 @@ class _Coordinates:
         self._red = RowReducer(n + len(rows))
         for t, row in enumerate(rows):
             self._red.add((*row, *unit_vec(len(rows), t)))
-        if any(p >= n for p in self._red.rows):
+        if any(p >= n for p in self._red.int_rows):
             raise InternalCheckError("spanning rows are dependent")
 
     def of(self, v: Vec) -> Vec | None:

@@ -2,9 +2,9 @@
 
 Vectors and matrices are immutable tuples with ``Fraction`` entries and
 every operation is exact; nothing in this package ever rounds.  There is
-one eliminator, the sparse :class:`RowReducer`: dict rows in a map from
-pivot column to row, kept in reduced row echelon form as rows arrive.
-The batch solvers read a single reduction each: ``rref`` and ``rank``
+one eliminator, the sparse fraction-free :class:`RowReducer`: primitive
+int rows by pivot, each an RREF row times its pivot entry, read out as
+``Fraction``s.  The batch solvers read one reduction each: ``rref``, ``rank``
 reduce A, ``kernel`` reads the free columns, ``solve`` reduces [A | b]
 (a pivot in the last column means no solution) and ``inverse`` reduces
 [A | I].  All of them reject a ragged matrix.  Hot callers avoid
@@ -17,6 +17,7 @@ reads coordinates off that factorization.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -115,76 +116,118 @@ def trace(A: Mat) -> Fraction:
     return sum((A[i][i] for i in range(len(A))), ZERO)
 
 
-def _sub_scaled(r: dict[int, Fraction], f: Fraction,
-                row: dict[int, Fraction]) -> None:
-    """r -= f * row on dict rows, dropping the entries that cancel."""
-    for c, q in row.items():
-        v = r.get(c, ZERO) - f * q
-        if v:
-            r[c] = v
-        else:
-            del r[c]
+def _combine(a: int, r: dict[int, int], terms) -> dict[int, int]:
+    """a r - sum of b row over the (b, row) in terms, on int dict rows,
+    without the entries that cancel; r itself is updated when a is 1."""
+    if a != 1:
+        r = {c: a * q for c, q in r.items()}
+    for b, row in terms:
+        for c, q in row.items():
+            v = r.get(c, 0) - b * q
+            if v:
+                r[c] = v
+            else:
+                del r[c]
+    return r
+
+
+def _primitive(r: dict[int, int], p: int) -> dict[int, int]:
+    """r divided by its content, signed to be positive at column p."""
+    g = math.gcd(*r.values())
+    g = -g if r[p] < 0 else g
+    return r if g == 1 else {c: q // g for c, q in r.items()}
 
 
 class RowReducer:
-    """Incremental sparse row reduction.
+    """Incremental sparse fraction-free row reduction.
 
-    Each reduced row is a dict {column: value} of its nonzero entries,
-    held in ``rows``, a map from the row's pivot column to the row.  A
-    row has entry 1 at its pivot and 0 at every other pivot column, and
-    its pivot is its first nonzero column, so the rows always form the
-    reduced row echelon form of everything added: rank, RREF and
-    :meth:`kernel` are the same canonical ones a batch ``rref`` gives.
-    A new row is reduced against the pivots it touches (:meth:`reduce`,
-    which alone tests membership), normalized, and then eliminated from
-    the earlier rows that are nonzero at its pivot.
+    Each row is a primitive dict {column: int} of its nonzero entries, in
+    ``int_rows``, a map from the row's pivot to the row.  A row is
+    positive at its pivot, its first nonzero column, and 0 at every other
+    pivot, so each row over its pivot entry is a row of the reduced row
+    echelon form of everything added (``rows``): rank, RREF and
+    :meth:`kernel` are the canonical ones a batch ``rref`` gives.  A new
+    row is scaled to ints once and reduced by cross-multiplying against
+    the pivots it touches; :meth:`reduce` divides by the tracked scale,
+    so its residual is exact.  ``add`` divides out the content and then
+    eliminates the new pivot from the rows a column index finds nonzero
+    there.  Rows passed as ``echelon``, each 0 at the others' first
+    nonzero columns, are stored as they are.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, echelon: Iterable = ()):
         self.ncols = ncols
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.int_rows: dict[int, dict[int, int]] = {}
+        self._at: dict[int, set[int]] = {}  # column -> pivots nonzero there
+        for row in echelon:
+            self._store(self._residual(row)[1])
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rows))
+        return tuple(sorted(self.int_rows))
+
+    @property
+    def rows(self) -> dict[int, dict[int, Fraction]]:
+        """The RREF rows by pivot: each int row over its pivot entry."""
+        return {p: {c: Fraction(q, r[p]) for c, q in r.items()}
+                for p, r in self.int_rows.items()}
+
+    def _residual(self, row) -> tuple[int, dict[int, int]]:
+        """(f, r): what is left of a row, dense or a {column: value} dict,
+        after eliminating the pivot columns, times f > 0, as ints."""
+        sparse = isinstance(row, dict)
+        if (any(c not in range(self.ncols) for c in row) if sparse
+                else len(row) != self.ncols):
+            raise DimensionMismatch(f"row does not fit {self.ncols} columns")
+        r = {c: q for c, q in (row.items() if sparse else enumerate(row)) if q}
+        f = math.lcm(*[q.denominator for q in r.values()])
+        r = {c: q.numerator * (f // q.denominator) for c, q in r.items()}
+        rows = self.int_rows
+        hits = [(r[c], rows[c], c) for c in r if c in rows]
+        if not hits:
+            return f, r
+        m = math.lcm(*[row[c] // math.gcd(q, row[c]) for q, row, c in hits])
+        return f * m, _combine(m, r, [(q * m // row[c], row)
+                                      for q, row, c in hits])
 
     def reduce(self, row: Sequence[Fraction] | dict[int, Fraction]
                ) -> dict[int, Fraction]:
         """What is left of a row, dense or a {column: value} dict, after
         eliminating the pivot columns: empty iff the row is in the span."""
-        if isinstance(row, dict):
-            if any(c not in range(self.ncols) for c in row):
-                raise DimensionMismatch(
-                    f"sparse row has a column outside range({self.ncols})")
-            r = {c: q for c, q in row.items() if q}
-        else:
-            if len(row) != self.ncols:
-                raise DimensionMismatch(
-                    f"row has {len(row)} entries, expected {self.ncols}")
-            r = {c: q for c, q in enumerate(row) if q}
-        rows = self.rows
-        for c in [c for c in r if c in rows]:
-            _sub_scaled(r, r[c], rows[c])
-        return r
+        f, r = self._residual(row)
+        return {c: Fraction(q, f) for c, q in r.items()}
+
+    def _store(self, r: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """Keep the nonzero reduced row r, primitive, under its pivot."""
+        p = min(r)
+        self.int_rows[p] = r = _primitive(r, p)
+        for c in r:
+            self._at.setdefault(c, set()).add(p)
+        return p, r
 
     def add(self, row: Sequence[Fraction] | dict[int, Fraction]) -> bool:
         """Add a constraint row, dense or a {column: value} dict; True if
         it increased the rank."""
-        r = self.reduce(row)
+        _, r = self._residual(row)
         if not r:
             return False
-        rows = self.rows
-        p = min(r)
-        inv = ONE / r[p]
-        r = {c: inv * q for c, q in r.items()}
-        for other in rows.values():
-            if p in other:
-                _sub_scaled(other, other[p], r)
-        rows[p] = r
+        hits = self._at.pop(min(r), ())
+        p, r = self._store(r)
+        a, rows, at = r[p], self.int_rows, self._at
+        for k in hits:
+            b = rows[k][p]
+            g = math.gcd(a, b)
+            rows[k] = new = _primitive(_combine(a // g, rows[k],
+                                                [(b // g, r)]), k)
+            for c in r:
+                if c in new:
+                    at[c].add(k)
+                elif c != p:
+                    at[c].discard(k)
         return True
 
     def add_sparse(self, entries: dict[int, Fraction]) -> bool:
@@ -193,30 +236,25 @@ class RowReducer:
 
     def basis(self) -> Mat:
         """The dense RREF rows, in pivot order."""
-        out = []
-        for p in self.pivots:
-            x = [ZERO] * self.ncols
-            for c, q in self.rows[p].items():
-                x[c] = q
-            out.append(tuple(x))
-        return tuple(out)
+        return tuple(tuple(map(r.get, range(self.ncols), repeat(ZERO)))
+                     for _, r in sorted(self.rows.items()))
 
-    def kernel(self) -> list[Vec]:
-        """Kernel of the system whose rows were added."""
-        return self._kernel(self.ncols)
+    def kernel(self, n: int | None = None) -> list[Vec]:
+        """Kernel on the first n columns (default: all), one vector per
+        free column; for rows [A | b] and n the width of A, ker A."""
+        n = self.ncols if n is None else n
+        return [tuple(map(x.get, range(n), repeat(ZERO)))
+                for x in self.sparse_kernel(n)]
 
-    def _kernel(self, n: int) -> list[Vec]:
-        """Kernel on the first n columns, one vector per free column; for
-        rows [A | b] and n the width of A, the kernel of A."""
-        free = [c for c in range(n) if c not in self.rows]
-        basis = {f: [ZERO] * n for f in free}
-        for f, x in basis.items():
-            x[f] = ONE
-        for p, row in self.rows.items():
-            for c, q in row.items():
+    def sparse_kernel(self, n: int) -> list[dict[int, Fraction]]:
+        """The vectors of :meth:`kernel` as {column: value} dicts of their
+        nonzero entries, read off the int rows."""
+        out = {f: {f: ONE} for f in range(n) if f not in self.int_rows}
+        for p, r in self.int_rows.items():
+            for c, q in r.items():
                 if c != p and c < n:
-                    basis[c][p] = -q
-        return [tuple(basis[f]) for f in free]
+                    out[c][p] = Fraction(-q, r[p])
+        return list(out.values())
 
 
 def _width(A: Mat) -> int:
@@ -274,13 +312,10 @@ def solve(A: Mat, b: Vec) -> SolutionSet:
             f"matrix has {len(A)} rows but right-hand side has {len(b)}")
     n = _width(A)
     red = _reduced(((*row, rhs) for row, rhs in zip(A, b)), n + 1)
-    kern = tuple(red._kernel(n))
-    if n in red.rows:
-        return SolutionSet(particular=None, kernel_basis=kern)
-    x = [ZERO] * n
-    for p, row in red.rows.items():
-        x[p] = row.get(n, ZERO)
-    return SolutionSet(particular=tuple(x), kernel_basis=kern)
+    rows = red.rows
+    return SolutionSet(None if n in rows else tuple(
+        rows[p].get(n, ZERO) if p in rows else ZERO for p in range(n)),
+        tuple(red.kernel(n)))
 
 
 def inverse(A: Mat) -> Mat:
@@ -292,8 +327,8 @@ def inverse(A: Mat) -> Mat:
                     for i, r in enumerate(A)), 2 * n)
     if red.pivots != tuple(range(n)):
         raise DimensionMismatch("matrix is singular")
-    return tuple(tuple(red.rows[i].get(n + c, ZERO) for c in range(n))
-                 for i in range(n))
+    return tuple(tuple(r.get(n + c, ZERO) for c in range(n))
+                 for _, r in sorted(red.rows.items()))
 
 
 def charpoly(A: Mat) -> tuple[Fraction, ...]:
@@ -364,11 +399,8 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         roots.add(ZERO)
         cs.pop()
     if len(cs) > 1:
-        lcm = 1
-        for c in cs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in cs]
-        lead, const = ints[0], ints[-1]
+        _, (ints,) = integer_rows([enumerate(cs)])
+        lead, const = ints[0][1], ints[-1][1]
         for p in _divisors(const):
             for q in _divisors(lead):
                 if math.gcd(p, q) != 1:

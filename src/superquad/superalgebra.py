@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, InitVar
+from functools import cached_property
 
 from .errors import (AxiomError, DimensionMismatch, NotGradedError,
                      NotIdealError, PreconditionError)
@@ -123,6 +124,13 @@ class LieSuperalgebra:
     def parity(self, i: int) -> int:
         return self.basis.parity(i)
 
+    @cached_property
+    def _integer_table(self) -> tuple[int, tuple]:
+        keys = [(i, j) for i, row in enumerate(self.table)
+                for j, e in enumerate(row) if e]
+        d, scaled = integer_rows(self.table[i][j] for i, j in keys)
+        return d, tuple((i, j, tuple(e)) for (i, j), e in zip(keys, scaled))
+
     def bracket_vector(self, i: int, j: int) -> Vec:
         """[e_i, e_j] as a dense coordinate vector."""
         out = [ZERO] * self.dim
@@ -206,13 +214,10 @@ def ad_images(g: LieSuperalgebra, vectors):
             yield {k: c for k, c in acc.items() if c}
 
 
-def integer_table(g: LieSuperalgebra) -> tuple[int, list]:
-    """(d, [(i, j, [(k, c), ...]), ...]): the nonzero table entries,
-    scaled to ints by their least common denominator d."""
-    keys = [(i, j) for i, row in enumerate(g.table)
-            for j, e in enumerate(row) if e]
-    d, scaled = integer_rows(g.table[i][j] for i, j in keys)
-    return d, [(i, j, e) for (i, j), e in zip(keys, scaled)]
+def integer_table(g: LieSuperalgebra) -> tuple[int, tuple]:
+    """(d, ((i, j, ((k, c), ...)), ...)): the nonzero table entries,
+    scaled to ints by their least common denominator d, once per algebra."""
+    return g._integer_table
 
 
 def cyclic_sums(parities, terms, ordered: bool = False) -> dict:
@@ -328,7 +333,7 @@ class Subspace:
         p = self.basis.parities
         rows: tuple[list, list] = ([], [])
         for pivot, dense in zip(red.pivots, red.basis()):
-            if len({p[c] for c in red.rows[pivot]}) != 1:
+            if len({p[c] for c in red.int_rows[pivot]}) != 1:
                 raise NotGradedError(
                     "spanning set does not span a graded subspace")
             rows[p[pivot]].append(dense)
@@ -366,13 +371,8 @@ class Subspace:
 def subspace(basis: GradedBasis, vectors) -> Subspace:
     """Graded subspace spanned by ``vectors``, dense or {k: c} dicts,
     from one reduction; NotGradedError unless the span is graded."""
-    n = basis.dim
-    red = RowReducer(n)
+    red = RowReducer(basis.dim)
     for v in vectors:
-        if not isinstance(v, dict):
-            if len(v) != n:
-                raise DimensionMismatch("vector does not match the basis")
-            v = {k: frac(q) for k, q in enumerate(v) if q}
         red.add(v)
     return Subspace(basis, red)
 
@@ -399,14 +399,9 @@ def graded_complement(basis: GradedBasis, inner: Subspace,
         pool = [unit_vec(basis.dim, i) for i in range(basis.dim)]
     else:
         pool = list(within.vectors)
-    acc = RowReducer(basis.dim)
-    acc.rows = {c: dict(row) for c, row in inner.reducer.rows.items()}
-    red = RowReducer(basis.dim)
-    for v in pool:
-        if acc.add(v):
-            row = {c: q for c, q in enumerate(v) if q}
-            red.rows[min(row)] = row
-    return Subspace(basis, red)
+    acc = RowReducer(basis.dim, inner.reducer.int_rows.values())
+    return Subspace(basis, RowReducer(basis.dim, [v for v in pool
+                                                  if acc.add(v)]))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +472,7 @@ def class_condition(g: LieSuperalgebra) -> bool:
 
 
 def is_ideal(g: LieSuperalgebra, w: Subspace) -> bool:
-    return all(map(w.contains_vector, ad_images(g, w.vectors)))
+    return all(map(w.contains_vector, filter(None, ad_images(g, w.vectors))))
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,18 @@ def _kernel_from_rref(R, pivots, ncols):
     return basis
 
 
+def residual(A, v):
+    """What reducing v against the rows of A leaves: v less v[p] times the
+    RREF row of A at each pivot p, zero iff v is in the row span."""
+    out = list(v)
+    if A:
+        R, pivots = rref(A)
+        for row, p in zip(R, pivots):
+            f = v[p]
+            out = [a - f * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
 def kernel(A):
     if not A:
         return []

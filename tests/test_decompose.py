@@ -16,11 +16,12 @@ from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
 from superquad.linalg import (RowReducer, mat, mat_vec, rank,
                               transpose, unit_vec, vec, vec_scale, zero_vec)
-from superquad.superalgebra import (EVEN, ODD, bracket, is_ideal, subspace)
+from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra, bracket,
+                                    is_ideal, subspace)
 from superquad.tstar import build
 
 import dense_oracle as dense
-from support import vec_add
+from support import disguise, vec_add
 
 F = Fraction
 
@@ -202,6 +203,49 @@ def test_project_matches_dense_solve(induced_spaces, data):
                     ind.project(x)
             else:
                 assert ind.project(x) == want[:ind.dim]
+
+
+@pytest.fixture(scope="module")
+def disguised_induced_spaces():
+    """The induced space of every flag member of T*(gn(2)) after a seeded
+    basis change whose entries have denominators up to 6
+    (support.disguise), with its spanning rows [lifts | W basis]: dense
+    rows with denominators, unlike the unit vectors of the gallery."""
+    q0 = sq.tstar_of_gn(2).total
+    g, n = q0.algebra, q0.dim
+    c, G, _ = disguise(g.basis.parities, dense.bracket_tensor(g),
+                       dense.gram(q0.form), seed=0)
+    alg = LieSuperalgebra(g.basis, tuple(
+        tuple({k: c[i][j][k] for k in range(n) if c[i][j][k]}
+              for j in range(n)) for i in range(n)))
+    q = quadratic(alg, even_form(g.basis, G))
+    out = []
+    for w in max_isotropic_ideal(q).chain:
+        ind = _InducedSpace(q, w)
+        out.append((ind, tuple(ind.rep_vectors) + tuple(w.vectors)))
+    assert any(x.denominator > 1 for _, rows in out for v in rows
+               for x in v)
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_coordinates_of_disguised_input_match_dense(disguised_induced_spaces,
+                                                    data):
+    """_Coordinates.of reads the exact residual of its reducer: along the
+    flag of a disguised input, the coordinates of a drawn combination of
+    the spanning rows are its coefficients, as the dense solve finds, and
+    a vector off the span gives what the dense solve gives."""
+    coeffs = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    for ind, rows in disguised_induced_spaces:
+        n = ind.q.dim
+        x = tuple(data.draw(coeffs) for _ in rows)
+        v = zero_vec(n)
+        for t, r in zip(x, rows):
+            v = vec_add(v, vec_scale(t, r))
+        assert ind._coords.of(v) == dense.coords_in(rows, v) == x
+        off = vec_add(v, unit_vec(n, data.draw(st.integers(0, n - 1))))
+        assert ind._coords.of(off) == dense.coords_in(rows, off)
 
 
 @given(data=st.data())

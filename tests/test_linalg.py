@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,113 @@ def test_row_reducer_rejects_wrong_shapes():
     assert red.rank == 0
     assert red.add(vec([0, 2, 1])) and red.add_sparse({0: F(1)})
     assert red.kernel() == [vec([0, F(-1, 2), 1])]
+
+
+# Entries whose denominators reach 10^12, on rows up to 30 wide: the
+# fraction-free reducer scales each row by the least common denominator of
+# its entries, so these exercise that scale and the cross-multiplication.
+tall_fractions = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                              max_denominator=10 ** 12)
+
+
+@st.composite
+def _tall_row(draw, ncols, rows=()):
+    """A sparse row of tall fractions, or a combination of ``rows`` with
+    tall coefficients (a row in their span, or one more entry off it)."""
+    if rows and draw(st.booleans()):
+        picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+        row = [F(0)] * ncols
+        for r in picked:
+            t = draw(tall_fractions)
+            row = [a + t * b for a, b in zip(row, r)]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, ncols - 1))] += draw(tall_fractions)
+        return row
+    row = [F(0)] * ncols
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        row[c] = draw(tall_fractions)
+    return row
+
+
+def _sparse(v):
+    return {c: q for c, q in enumerate(v) if q}
+
+
+def _assert_primitive_rows(red):
+    """Each stored row is a primitive int row, positive at its pivot (its
+    first nonzero column) and zero at every other pivot."""
+    for p, row in red.int_rows.items():
+        assert all(type(q) is int and q for q in row.values())
+        assert min(row) == p and row[p] > 0
+        assert math.gcd(*row.values()) == 1
+        assert not any(c in row for c in red.int_rows if c != p)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduce_residual_matches_dense_oracle(data):
+    """reduce() returns the exact residual of the dense RREF, for dense
+    and for dict input."""
+    ncols = data.draw(st.integers(1, 30))
+    rows = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        rows.append(data.draw(_tall_row(ncols, rows)))
+    red = RowReducer(ncols)
+    for r in rows:
+        red.add(r)
+    for _ in range(3):
+        v = data.draw(_tall_row(ncols, rows))
+        want = _sparse(dense.residual(rows, v))
+        assert red.reduce(v) == want
+        assert red.reduce(_sparse(v)) == want
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reducer_interleaved_calls_match_dense_oracle(data):
+    """add, add_sparse, reduce, basis, rows and kernel in a drawn order,
+    each checked against the dense elimination of the rows added so far."""
+    ncols = data.draw(st.integers(1, 30))
+    red, added = RowReducer(ncols), []
+    for _ in range(data.draw(st.integers(1, 16))):
+        op = data.draw(st.sampled_from(
+            ("add", "add_sparse", "reduce", "basis", "kernel")))
+        if op.startswith("add"):
+            row = data.draw(_tall_row(ncols, added))
+            before = red.rank
+            added.append(row)
+            raised = (red.add(row) if op == "add"
+                      else red.add_sparse(_sparse(row)))
+            assert raised == (len(dense.rref(added)[1]) > before)
+        elif op == "reduce":
+            v = data.draw(_tall_row(ncols, added))
+            assert red.reduce(v) == _sparse(dense.residual(added, v))
+        elif op == "basis":
+            R, pivots = dense.rref(added) if added else ((), ())
+            assert red.pivots == pivots
+            assert red.basis() == R[:len(pivots)]
+            assert red.rows == {p: _sparse(r) for p, r in zip(pivots, R)}
+        else:
+            assert red.kernel() == (dense.kernel(added) if added
+                                    else list(identity(ncols)))
+        _assert_primitive_rows(red)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reducer_rows_stay_primitive_and_signed(data):
+    """The row invariant after every add, on rows drawn with either sign
+    at their first entry; a reducer built from an RREF (or from the int
+    rows themselves) as ``echelon`` stores the same rows."""
+    ncols = data.draw(st.integers(1, 30))
+    red, rows = RowReducer(ncols), []
+    for _ in range(data.draw(st.integers(1, 12))):
+        row = data.draw(_tall_row(ncols, rows))
+        rows.append(row)
+        red.add(row if data.draw(st.booleans()) else [-q for q in row])
+        _assert_primitive_rows(red)
+    for echelon in (red.basis(), list(red.int_rows.values())):
+        assert RowReducer(ncols, echelon).int_rows == red.int_rows
 
 
 @st.composite
