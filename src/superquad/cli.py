@@ -16,9 +16,9 @@ import json
 import sys
 
 from . import dsl
-from .cohomology import (b3_basis, collect_alt3, collect_cochain2dual,
-                         cocycle2_violation, supercyclic_violation,
-                         z2_supercyclic_basis, z3_basis, zero_cochain2)
+from .cohomology import (b3_basis, collect_cochain2dual, cocycle2_violation,
+                         supercyclic_violation, z2_supercyclic_basis,
+                         z3_basis, zero_cochain2)
 from .decompose import decompose as run_decompose
 from .errors import (FormError, NotIdealError, PreconditionError,
                      RationalPointNotFound, SuperquadError, UndecidedError)
@@ -236,19 +236,16 @@ def _cmd_tstar(args, report: Report, out, doc, alg) -> int:
 
 
 def _cmd_cohomology(args, report: Report, out, doc, alg) -> int:
-    z2sc = z2_supercyclic_basis(alg)
-    z3 = z3_basis(alg)
-    b3 = b3_basis(alg)
+    z2sc, z3, b3 = z2_supercyclic_basis(alg), z3_basis(alg), b3_basis(alg)
     report.dims.update(dim_z2_supercyclic=len(z2sc), dim_z3=len(z3),
                        dim_b3=len(b3), dim_h3=len(z3) - len(b3))
-    agree = len(z2sc) == len(z3)
-    report.check("hat.dimension_agreement", agree,
-                 None if agree else [len(z2sc), len(z3)])
-    for key, basis, collect in (("z3_basis", z3, collect_alt3),
-                                ("b3_basis", b3, collect_alt3),
-                                ("z2_supercyclic_basis", z2sc,
-                                 collect_cochain2dual)):
-        report.outputs[key] = [_entries_strs(collect(f), doc.names)
+    bad = ([len(z2sc), len(z3)] if len(z2sc) != len(z3) else next(
+        (i for i, w in enumerate(z2sc) if supercyclic_violation(w)
+         or cocycle2_violation(alg, w)), None))
+    report.check("hat.dimension_agreement", bad is None, bad)
+    for key, basis in (("z3_basis", z3), ("b3_basis", b3),
+                       ("z2_supercyclic_basis", z2sc)):
+        report.outputs[key] = [_entries_strs(f.coords, doc.names)
                                for f in basis]
     return report.render(out)
 

@@ -28,10 +28,11 @@ is written once, as a scatter: built once per algebra, when it indexes
 the bracket table, it adds each nonzero product of a cochain's values
 (and the table) to the accumulator of every tuple whose identity has it
 as a term.  The verifiers read a map's failing tuples, ``delta_scalar2``
-applies d once, and the solvers reduce the maps' images of the unit
-cochains in one sparse ``RowReducer``: Z^2, Z^2_sc and Z^3 read its
-kernel, B^3 the RREF of d's images of the unit 2-cochains and
-``cohomologous`` a reduction of [d(e_ab) | f1 - f2].
+applies d once, and the solvers reduce a map's images of the unit
+cochains in one sparse ``RowReducer``: Z^2 and Z^3 read its kernel, B^3
+the RREF of d's images of the unit 2-cochains and ``cohomologous`` a
+reduction of [d(e_ab) | f1 - f2].  Z^2_sc is unhat(Z^3), as hat is a
+bijection, read out in the basis that a direct kernel solve returns.
 
 d f is super-alternating, so it is held at sorted tuples only: every
 other ordering is a signed copy of its sorted one.  The sorted ordering
@@ -438,20 +439,25 @@ def _reduced_columns(columns: list[dict]) -> RowReducer:
     return red
 
 
-def _kernel(basis: GradedBasis, coords: list, maps, make) -> list:
-    """The common kernel of the cochain ``maps`` in free coordinates: the
-    maps' images of the unit cochain at each coordinate, stacked, are the
-    columns reduced by :func:`_reduced_columns`, and each kernel vector
-    becomes a cochain through the constructor ``make``."""
+def _rref(vectors, coords: list) -> list[dict]:
+    """The RREF rows, by ascending pivot, of the span of the {key: value}
+    ``vectors`` in the column order ``coords``."""
+    index = {key: t for t, key in enumerate(coords)}
+    red = RowReducer(len(coords))
+    for v in vectors:
+        red.add({index[key]: q for key, q in v.items()})
+    return [{coords[t]: q for t, q in row.items()}
+            for _, row in sorted(red.rows.items())]
+
+
+def _kernel(basis: GradedBasis, coords: list, fn, make) -> list:
+    """The kernel of the cochain map ``fn`` in free coordinates: its
+    images of the unit cochains (a {t: value} vector at a key read as the
+    entries at (key, t)) are the columns of :func:`_reduced_columns`, and
+    ``make`` turns each kernel vector into a cochain."""
     def column(key) -> dict:
-        out = {}
-        for i, fn in enumerate(maps):
-            for k, v in fn({key: 1})[1].items():
-                if isinstance(v, dict):  # a {t: value} vector per key
-                    out.update(((i, k, t), x) for t, x in v.items())
-                else:
-                    out[i, k] = v
-        return out
+        return {(k, t): x for k, v in fn({key: 1})[1].items() for t, x in (
+            v.items() if isinstance(v, dict) else ((None, v),))}
     red = _reduced_columns([column(key) for key in coords])
     return [make(basis, {coords[t]: q for t, q in kv.items()})
             for kv in red.sparse_kernel(red.ncols)]
@@ -460,21 +466,22 @@ def _kernel(basis: GradedBasis, coords: list, maps, make) -> list:
 def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     """Basis of the even scalar 3-cocycles, solved in free coordinates."""
     return _kernel(g.basis, free_coords_alt3(g.basis),
-                   [_coboundary(g)], ScalarCochain3)
+                   _coboundary(g), ScalarCochain3)
 
 
 def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
-    """Basis of the supercyclic even dual-valued 2-cocycles, solved
-    independently of :func:`z3_basis` in its own coordinate space."""
-    return _kernel(g.basis, free_coords_cochain2dual(g.basis),
-                   [_supercyclic_defects(g.basis.parities),
-                    _cocycle2_defects(g)], Cochain2Dual)
+    """Basis of the supercyclic even dual-valued 2-cocycles, unhat of
+    :func:`z3_basis` in the canonical kernel basis: the RREF over the
+    reversed columns, read by descending pivot (docs/conventions.md)."""
+    rows = _rref((unhat(f).coords for f in z3_basis(g)),
+                 free_coords_cochain2dual(g.basis)[::-1])
+    return [Cochain2Dual(g.basis, row) for row in reversed(rows)]
 
 
 def z2_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     """Basis of all even dual-valued 2-cocycles (supercyclic or not)."""
     return _kernel(g.basis, free_coords_cochain2dual(g.basis),
-                   [_cocycle2_defects(g)], Cochain2Dual)
+                   _cocycle2_defects(g), Cochain2Dual)
 
 
 def b3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
@@ -483,12 +490,7 @@ def b3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     delta = _coboundary(g)
     images = [delta({key: 1})[1] for key in free_coords_scalar2(g.basis)]
     coords = sorted(set().union(*images))  # the columns that can be nonzero
-    index = {key: t for t, key in enumerate(coords)}
-    red = RowReducer(len(coords))
-    for image in images:
-        red.add_sparse({index[t]: v for t, v in image.items()})
-    return [ScalarCochain3(g.basis, {coords[t]: q for t, q in row.items()})
-            for _, row in sorted(red.rows.items())]
+    return [ScalarCochain3(g.basis, row) for row in _rref(images, coords)]
 
 
 def h3_dim(g: LieSuperalgebra) -> int:

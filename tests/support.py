@@ -6,8 +6,10 @@ library code path: cochain sums and zero tests, the dense defect of the
 a gl(n,n) basis label, the center identity of a quadratic algebra, the
 invariance refutation for a non-supercyclic cocycle, the Lagrangian
 ideal/abelian lemma, an exact rational square root, vector addition,
-the coadjoint representation on graded linear functionals, and a seeded
-basis change with denominators up to 6 of dense structure constants.
+the coadjoint representation on graded linear functionals, a seeded
+basis change with denominators up to 6 of dense structure constants, the
+direct sum of two Lie superalgebras, and the supercyclic 2-cocycles
+solved directly, the oracle of the library's transport of Z^3.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from fractions import Fraction
 
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   ScalarCochain3, _cocycle2_defects, _combined,
-                                  is_cocycle2, is_supercyclic)
+                                  _kernel, _supercyclic_defects,
+                                  free_coords_cochain2dual, is_cocycle2,
+                                  is_supercyclic)
 from superquad.dsl import AlgebraDocument
 from superquad.errors import (DimensionMismatch, InternalCheckError,
                               NotGradedError, PreconditionError)
@@ -61,6 +65,33 @@ def cocycle2_defect(g: LieSuperalgebra, w: Cochain2Dual):
         return tuple(Fraction(sgn(p[i] * p[k]) * out.get(l, 0), d)
                      for l in range(g.dim))
     return at
+
+
+def z2_supercyclic_direct(g: LieSuperalgebra) -> list[Cochain2Dual]:
+    """The supercyclic 2-cocycles solved by themselves: the common kernel
+    of the supercyclicity and 2-cocycle maps, their images of the unit
+    cochains stacked over the free dual-valued coordinates.  This is the
+    solve that ``z2_supercyclic_basis`` replaced by unhat of Z^3, and it
+    returns the same canonical kernel basis."""
+    maps = (_supercyclic_defects(g.basis.parities), _cocycle2_defects(g))
+
+    def stacked(coords: dict) -> tuple[int, dict]:
+        return 1, {(i, key): v for i, fn in enumerate(maps)
+                   for key, v in fn(coords)[1].items()}
+    return _kernel(g.basis, free_coords_cochain2dual(g.basis), stacked,
+                   Cochain2Dual)
+
+
+def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra) -> LieSuperalgebra:
+    """a ⊕ b with the two bases side by side and no mixed brackets."""
+    n = a.dim
+    basis = GradedBasis(tuple(f"l_{s}" for s in a.basis.names)
+                        + tuple(f"r_{s}" for s in b.basis.names),
+                        a.basis.parities + b.basis.parities)
+    table = tuple(row + ((),) * b.dim for row in a.table) + tuple(
+        ((),) * n + tuple(tuple((k + n, q) for k, q in e) for e in row)
+        for row in b.table)
+    return LieSuperalgebra(basis, table)
 
 
 def document_cochain3(doc: AlgebraDocument, name: str) -> ScalarCochain3:

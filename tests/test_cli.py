@@ -7,6 +7,10 @@ import sys
 import pytest
 
 from superquad import cli, dsl
+from superquad.cohomology import (Cochain2Dual, ScalarCochain3,
+                                  cocycle2_violation, free_coords_alt3,
+                                  free_coords_cochain2dual,
+                                  supercyclic_violation, unhat)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -154,6 +158,44 @@ def test_cohomology_command():
     assert rep["dims"] == {"dim_b3": 0, "dim_h3": 1,
                            "dim_z2_supercyclic": 1, "dim_z3": 1}
     assert rep["outputs"]["z3_basis"] == [{"e1,e2,e3": "1"}]
+
+
+def test_cohomology_rechecks_each_supercyclic_vector(monkeypatch):
+    """hat.dimension_agreement re-checks every returned Z^2_sc vector with
+    the cocycle and supercyclicity verifiers: a wrong vector fails it with
+    its basis index as witness, a short basis with the two dimensions."""
+    solve = cli.z2_supercyclic_basis
+
+    def check(solver):
+        monkeypatch.setattr(cli, "z2_supercyclic_basis", solver)
+        code, rep = run_json(["cohomology", str(CORPUS / "g2.sqd")])
+        by_name = {c["name"]: c for c in rep["checks"]}
+        return code, by_name["hat.dimension_agreement"]
+
+    def replacing(index, make):
+        def solver(g):
+            basis = solve(g)
+            return basis[:index] + [make(g)] + basis[index + 1:]
+        return solver
+
+    def not_supercyclic(g):
+        w = Cochain2Dual(g.basis, {free_coords_cochain2dual(g.basis)[0]: 1})
+        assert supercyclic_violation(w) is not None
+        return w
+
+    def not_cocycle(g):
+        w = unhat(ScalarCochain3(g.basis, {free_coords_alt3(g.basis)[0]: 1}))
+        assert supercyclic_violation(w) is None
+        assert cocycle2_violation(g, w) is not None
+        return w
+
+    assert check(solve) == (0, {"name": "hat.dimension_agreement",
+                                "passed": True, "witness": None})
+    for index, make in ((2, not_supercyclic), (1, not_cocycle)):
+        code, c = check(replacing(index, make))
+        assert code == 1 and not c["passed"] and c["witness"] == index
+    code, c = check(lambda g: solve(g)[1:])
+    assert code == 1 and not c["passed"] and c["witness"] == [3, 4]
 
 
 def test_isometry_command():

@@ -21,7 +21,7 @@ from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra, bracket,
 from superquad.tstar import build
 
 import dense_oracle as dense
-from support import disguise, vec_add
+from support import direct_sum, disguise, vec_add
 
 F = Fraction
 
@@ -285,18 +285,6 @@ def test_action_matches_dense_coordinates(induced_spaces, data):
         assert ind.action(x, space) == (transpose(mat(want)) if want else ())
 
 
-def _direct_sum(a, b):
-    """a ⊕ b with the two bases side by side and no mixed brackets."""
-    n = a.dim
-    basis = sq.graded_basis(tuple(f"l_{s}" for s in a.basis.names)
-                            + tuple(f"r_{s}" for s in b.basis.names),
-                            a.basis.parities + b.basis.parities)
-    table = tuple(row + ((),) * b.dim for row in a.table) + tuple(
-        ((),) * n + tuple(tuple((k + n, q) for k, q in e) for e in row)
-        for row in b.table)
-    return sq.LieSuperalgebra(basis, table)
-
-
 def test_invariants_match_stacked_induced_operators(supercyclic_bases,
                                                     gallery):
     """At every flag step, the invariants read from the form against the
@@ -308,7 +296,7 @@ def test_invariants_match_stacked_induced_operators(supercyclic_bases,
             gallery[name], rng, basis=supercyclic_bases[name])).total
         for name in ("heisenberg3", "abelian(1|2)", "g(2)")}
     cases["T*(solvable2d + heisenberg3)"] = build(
-        _direct_sum(sq.solvable2d(), sq.heisenberg3())).total
+        direct_sum(sq.solvable2d(), sq.heisenberg3())).total
     cases["class-c(2)"] = sq.build_class_c_example(2)
     cases["T*(heisenberg3) + line"] = orthogonal_direct_sum(
         build(sq.heisenberg3()).total, even_line())
