@@ -14,10 +14,10 @@ Conventions (docs/conventions.md):
   f(x,y,z) = -(-1)^{|x||y|} f(y,x,z) = -(-1)^{|y||z|} f(x,z,y).
 
 Cochains are stored, and cocycle spaces solved, in free coordinates:
-index tuples that are their own canonical representative (for scalar
-3-cochains, triples sorted ascending where an index may repeat only when
-it is odd; super-alternation is symmetric on odd pairs, and triple
-repeats are killed by evenness).  A cochain keeps only its nonzero values
+index tuples that :func:`canon` maps to themselves (for scalar 3-cochains,
+triples sorted ascending where an index may repeat only when it is odd;
+super-alternation is symmetric on odd pairs, and triple repeats are
+killed by evenness).  A cochain keeps only its nonzero values
 keyed by free coordinate, so evenness and super-antisymmetry hold by
 construction and only the keys are checked; any other entry is read
 through its canonical representative and sign.
@@ -50,109 +50,95 @@ from fractions import Fraction
 
 from .errors import (CochainError, DimensionMismatch, PreconditionError)
 from .linalg import RowReducer, ZERO, frac, integer_rows
-from .superalgebra import (EVEN, GradedBasis, LieSuperalgebra, cyclic_sums,
-                           failing, integer_table, sgn)
+from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra,
+                           cyclic_sums, failing, integer_table, sgn)
 
 Triple = tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
-# canonicalization of super-alternating index tuples
+# free coordinates: one Koszul rule for every even tensor
 # ---------------------------------------------------------------------------
 
-def canon3(parities, i: int, j: int, k: int):
-    """Canonical (ascending) representative of a fully super-alternating
-    triple, with the sign relating the entry to its representative.
+def canon(parities, key: tuple, head: int | None = None,
+          symmetric: bool = False):
+    """Free coordinate and sign of the entry at ``key`` of an even tensor
+    that is super-alternating (supersymmetric if ``symmetric``) in its
+    first ``head`` indices, default all of them.
 
-    Returns (triple, sign) or (None, 0) when the entry is forced to
-    vanish (repeated even index, or odd parity sum).
+    The head is sorted ascending; each swap of x and y contributes
+    (-1)^{|x||y|}, negated for an alternating tensor.  Returns (None, 0)
+    when the entry vanishes: odd parity sum, or a repeated head index of
+    the vanishing parity (even if alternating, odd if symmetric).
     """
-    if (parities[i] + parities[j] + parities[k]) % 2:
+    if sum(map(parities.__getitem__, key)) % 2:
         return None, 0
-    idx = [i, j, k]
+    front = key[:head]
+    idx = tuple(sorted(front))
     sign = 1
-    for a in range(2):  # bubble sort of 3 entries
-        for b in range(2 - a):
-            if idx[b] > idx[b + 1]:
-                sign *= -sgn(parities[idx[b]] * parities[idx[b + 1]])
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-    if ((idx[0] == idx[1] and parities[idx[0]] == EVEN)
-            or (idx[1] == idx[2] and parities[idx[1]] == EVEN)):
-        return None, 0
-    return (idx[0], idx[1], idx[2]), sign
+    if idx != front:  # a sort swaps each inverted pair once
+        for s, x in enumerate(front):
+            for y in front[s + 1:]:
+                # the swap's sign is -1 iff |x||y| is 1 if symmetric, else 0
+                if x > y and parities[x] * parities[y] == symmetric:
+                    sign = -sign
+    vanishing = ODD if symmetric else EVEN
+    prev = None
+    for x in idx:
+        if x == prev and parities[x] == vanishing:
+            return None, 0
+        prev = x
+    return idx + key[len(idx):], sign
 
 
-def canon2_first(parities, i: int, j: int):
-    """Canonical representative for a pair antisymmetric in (i, j) only."""
-    if i > j:
-        return (j, i), -sgn(parities[i] * parities[j])
-    if i == j and parities[i] == EVEN:
-        return None, 0
-    return (i, j), 1
-
-
-def canon_cochain2dual(parities, a: int, b: int, c: int):
-    """Free coordinate and sign of the entry w(e_a, e_b)(e_c) of an even
-    dual-valued 2-cochain, or (None, 0) when it vanishes."""
-    pair, s = canon2_first(parities, a, b)
-    if pair is None or (parities[a] + parities[b] + parities[c]) % 2:
-        return None, 0
-    return (pair[0], pair[1], c), s
-
-
-def canon_scalar2(parities, i: int, j: int):
-    """Free coordinate and sign of the entry phi(e_i, e_j) of an even
-    scalar 2-cochain, or (None, 0) when it vanishes."""
-    if parities[i] != parities[j]:
-        return None, 0
-    return canon2_first(parities, i, j)
-
-
-def _free_coords(basis: GradedBasis, arity: int, canon,
-                 trailing: bool = False) -> list:
-    """The index tuples that are their own canonical representative, in
-    lexicographic order: the ascending ``arity``-tuples, each followed by
-    any one index if ``trailing``, that ``canon`` keeps."""
+def _free_coords(basis: GradedBasis, arity: int,
+                 head: int | None = None) -> list:
+    """The index tuples that are their own canonical representative under
+    the alternating :func:`canon`, in lexicographic order: an ascending
+    head of ``head`` indices (default all), then any tail."""
     n = basis.dim
-    keys = itertools.combinations_with_replacement(range(n), arity)
-    if trailing:
-        keys = (head + (c,) for head in keys for c in range(n))
-    return [key for key in keys if canon(basis.parities, *key)[0] == key]
+    head = arity if head is None else head
+    tails = list(itertools.product(range(n), repeat=arity - head))
+    keys = (h + t for h in itertools.combinations_with_replacement(
+        range(n), head) for t in tails)
+    return [key for key in keys if canon(basis.parities, key, head)[0] == key]
 
 
 def free_coords_alt3(basis: GradedBasis) -> list[Triple]:
     """Free coordinates of even super-alternating trilinear tensors."""
-    return _free_coords(basis, 3, canon3)
+    return _free_coords(basis, 3)
 
 
 def free_coords_cochain2dual(basis: GradedBasis) -> list[Triple]:
     """Free coordinates (i, j, k) of even 2-cochains with values in the
     dual space, antisymmetric in (i, j)."""
-    return _free_coords(basis, 2, canon_cochain2dual, trailing=True)
+    return _free_coords(basis, 3, head=2)
 
 
 def free_coords_scalar2(basis: GradedBasis) -> list[tuple[int, int]]:
-    return _free_coords(basis, 2, canon_scalar2)
+    return _free_coords(basis, 2)
 
 
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
 
-def store_free_entries(obj, arity: int, canon, error=CochainError) -> None:
+def store_free_entries(obj, arity: int, head: int | None = None,
+                       symmetric: bool = False, error=CochainError) -> None:
     """Keep the nonzero values of ``obj.coords``, sorted by key.
     Evenness and the (anti)symmetry live in the key set, so only the keys
-    are checked: each must be its own canonical representative, or
-    ``error`` is raised with the key as its witness."""
-    n = obj.basis.dim
+    are checked: each must be its own canonical representative under
+    :func:`canon` with ``head`` and ``symmetric``, or ``error`` is raised
+    with the key as its witness."""
+    inside = range(obj.basis.dim).__contains__
     p = obj.basis.parities
     what = type(obj).__name__
     out = {}
     for key, q in obj.coords.items():
         if (not isinstance(key, tuple) or len(key) != arity
-                or any(a not in range(n) for a in key)):
+                or not all(map(inside, key))):
             raise DimensionMismatch(f"{what} index {key!r} outside the basis")
-        if canon(p, *key)[0] != key:
+        if canon(p, key, head, symmetric)[0] != key:
             raise error(f"{what} entry {key!r} is not a free coordinate", key)
         q = frac(q)
         if q != 0:
@@ -170,7 +156,7 @@ class Cochain2Dual:
     coords: dict
 
     def __post_init__(self):
-        store_free_entries(self, 3, canon_cochain2dual)
+        store_free_entries(self, 3, head=2)
 
 
 @dataclass(frozen=True)
@@ -182,7 +168,7 @@ class ScalarCochain3:
     coords: dict
 
     def __post_init__(self):
-        store_free_entries(self, 3, canon3)
+        store_free_entries(self, 3)
 
 
 @dataclass(frozen=True)
@@ -194,7 +180,7 @@ class ScalarCochain2:
     coords: dict
 
     def __post_init__(self):
-        store_free_entries(self, 2, canon_scalar2)
+        store_free_entries(self, 2)
 
 
 # free coordinates in and out -------------------------------------------------
@@ -410,13 +396,14 @@ def hat(w: Cochain2Dual) -> ScalarCochain3:
 
 
 def unhat(f: ScalarCochain3) -> Cochain2Dual:
-    """Inverse of :func:`hat`; always lands on a supercyclic cochain."""
+    """Inverse of :func:`hat`; always lands on a supercyclic cochain.
+    The value at i <= j <= k is w(e_a, e_b)(e_c) at each of its three
+    orders with a <= b, signed by :func:`canon`."""
     p = f.basis.parities
     coords = {}
-    for key, q in f.coords.items():
-        for a, b, c in set(itertools.permutations(key)):
-            if a <= b:
-                coords[(a, b, c)] = canon3(p, a, b, c)[1] * q
+    for (i, j, k), q in f.coords.items():
+        for key in ((i, j, k), (i, k, j), (j, k, i)):
+            coords[key] = q if canon(p, key)[1] == 1 else -q
     return Cochain2Dual(f.basis, coords)
 
 
@@ -473,8 +460,8 @@ def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     """Basis of the supercyclic even dual-valued 2-cocycles, unhat of
     :func:`z3_basis` in the canonical kernel basis: the RREF over the
     reversed columns, read by descending pivot (docs/conventions.md)."""
-    rows = _rref((unhat(f).coords for f in z3_basis(g)),
-                 free_coords_cochain2dual(g.basis)[::-1])
+    vectors = [unhat(f).coords for f in z3_basis(g)]
+    rows = _rref(vectors, sorted(set().union(*vectors), reverse=True))
     return [Cochain2Dual(g.basis, row) for row in reversed(rows)]
 
 

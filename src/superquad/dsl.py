@@ -12,11 +12,11 @@ Grammar (docs/grammar.ebnf has the formal version)::
 
 Scalars are exact rationals written as integers or p/q.  Unspecified
 entries default to zero.  Each form or cochain entry is stored under its
-container's free coordinate, with the sign the container's canon
-function gives, so symmetric/skew completions are automatic; an explicit
-entry that contradicts the completion (or restates it with a different
-value) is a hard error, as is any entry that violates the parity rules.
-Every entry statement declares its name.
+container's free coordinate, with the sign of the one Koszul rule
+``cohomology.canon``, so symmetric/skew completions are automatic; an
+explicit entry that contradicts the completion (or restates it with a
+different value) is a hard error, as is any entry that violates the
+parity rules.  Every entry statement declares its name.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cohomology import (Cochain2Dual, ScalarCochain2, ScalarCochain3,
-                         canon3, canon_cochain2dual, canon_scalar2)
+from .cohomology import Cochain2Dual, ScalarCochain2, ScalarCochain3, canon
 from .errors import SuperquadError
-from .forms import EvenForm, QuadraticLieSuperalgebra, canon_form
+from .forms import EvenForm, QuadraticLieSuperalgebra
 from .linalg import Vec, vec_is_zero, vec_scale, zero_vec
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra, Subspace,
                            graded_basis, sgn, subspace)
@@ -227,13 +226,13 @@ def _handle_bracket(lp: _LineParser, doc: AlgebraDocument):
         lp.error(f"contradictory entry for bracket [{names[a]},{names[c]}]")
 
 
-# keyword -> (separators between the labels, canon of the container's
-# free coordinates)
+# keyword -> (separators between the labels, the container's ``head`` and
+# ``symmetric`` for :func:`canon`)
 _ENTRIES = {
-    "form": ((",",), canon_form),
-    "cochain2": ((",", ";"), canon_cochain2dual),
-    "cochain3": ((",", ","), canon3),
-    "scalar2": ((",",), canon_scalar2),
+    "form": ((",",), None, True),
+    "cochain2": ((",", ";"), 2, False),
+    "cochain3": ((",", ","), None, False),
+    "scalar2": ((",",), None, False),
 }
 
 
@@ -252,7 +251,7 @@ def _named_entries(doc: AlgebraDocument, kind: str) -> dict:
 def _handle_entry(kind: str, lp: _LineParser, doc: AlgebraDocument):
     """One entry statement, stored under its container's free coordinate
     with the sign ``canon`` gives; every statement declares its name."""
-    seps, canon = _ENTRIES[kind]
+    seps, head, symmetric = _ENTRIES[kind]
     _require_basis(lp, doc)
     name = lp.label()
     if kind == "form":
@@ -272,7 +271,7 @@ def _handle_entry(kind: str, lp: _LineParser, doc: AlgebraDocument):
     q = lp.rational()
     if not lp.at_end():
         lp.error("unexpected trailing input")
-    key, s = canon(doc.parities, *idx)
+    key, s = canon(doc.parities, tuple(idx), head, symmetric)
     if key is None:
         if q != 0:
             lp.error(f"parity violation: {kind} entry "
@@ -344,7 +343,7 @@ def emit(doc: AlgebraDocument) -> str:
         if not vec_is_zero(v):
             lines.append(f"bracket [{doc.names[i]},{doc.names[j]}] = "
                          + signed_sum(zip(v, doc.names)))
-    for kind, (seps, _) in _ENTRIES.items():
+    for kind, (seps, _, _) in _ENTRIES.items():
         for name, entries in sorted(_named_entries(doc, kind).items()):
             lines.extend(f"{kind} {name}({_labels(doc.names, seps, key)}) "
                          f"= {q}" for key, q in sorted(entries.items()) if q)

@@ -15,25 +15,17 @@ from .cohomology import store_free_entries
 from .errors import (DimensionMismatch, FormError, PreconditionError)
 from .linalg import (HALF, RowReducer, Vec, ZERO, integer_rows, inverse, mat,
                      mat_mul, mat_vec, transpose, vec_sub)
-from .superalgebra import (ODD, GradedBasis, LieSuperalgebra, Subspace,
-                           failing, graded_complement, integer_table,
-                           require_axioms, sgn, subspace)
-
-
-def canon_form(parities, i: int, j: int):
-    """Free coordinate and sign of the entry B(e_i, e_j) of an even
-    supersymmetric form, or (None, 0) when it vanishes: mixed parity, or
-    an odd index paired with itself."""
-    if parities[i] != parities[j] or (i == j and parities[i] == ODD):
-        return None, 0
-    return ((i, j), 1) if i <= j else ((j, i), sgn(parities[i]))
+from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
+                           graded_complement, integer_table, require_axioms,
+                           sgn, subspace)
 
 
 @dataclass(frozen=True)
 class EvenForm:
     """Even supersymmetric bilinear form, stored as its nonzero values on
     the free coordinates: coords[(i, j)] = B(e_i, e_j) for i <= j of equal
-    parity, where only an even index may repeat (:func:`canon_form`).
+    parity, where only an even index may repeat (supersymmetric
+    :func:`~superquad.cohomology.canon`).
 
     Construction also derives the sparse rows, ``_rows[i] = ((j,
     B(e_i, e_j)), ...)`` over the nonzero entries, ascending j, and
@@ -46,7 +38,7 @@ class EvenForm:
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        store_free_entries(self, 2, canon_form, FormError)
+        store_free_entries(self, 2, symmetric=True, error=FormError)
         p = self.basis.parities
         rows: list[list] = [[] for _ in range(self.dim)]
         # sorted keys reach row i first from (j, i), j < i, then from (i, j)

@@ -24,7 +24,7 @@ from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
                      NotIdealError, NotSupercyclicError, PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, invariance_violation,
                     is_totally_isotropic, isotropic_complement, quadratic)
-from .linalg import Mat, ZERO, integer_rows, mat, rank, transpose, unit_vec
+from .linalg import Mat, ZERO, integer_rows, rank, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
                            check_axioms, failing, graded_basis, integer_table,
                            is_ideal, jacobi_violations, quotient, sgn,
@@ -33,13 +33,11 @@ from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
 
 @dataclass(frozen=True)
 class TStarExtension:
-    """The extension algebra with its canonical pairing and injections."""
+    """The extension algebra with its canonical pairing."""
 
     base: LieSuperalgebra
     omega: Cochain2Dual
     total: QuadraticLieSuperalgebra
-    base_embedding: Mat   # (2n x n), x -> x + 0
-    dual_embedding: Mat   # (2n x n), F -> 0 + F
 
     @property
     def dim(self) -> int:
@@ -131,11 +129,7 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
         raise InternalCheckError(
             "extension failed the axiom check for a valid cocycle",
             witness=report)
-    total = quadratic(alg, form, check_algebra=False)
-    n = g.dim
-    base_embedding = transpose(mat([unit_vec(2 * n, i) for i in range(n)]))
-    dual_embedding = transpose(mat([unit_vec(2 * n, n + i) for i in range(n)]))
-    return TStarExtension(g, omega, total, base_embedding, dual_embedding)
+    return TStarExtension(g, omega, quadratic(alg, form, check_algebra=False))
 
 
 def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,

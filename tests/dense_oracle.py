@@ -3,12 +3,16 @@ elimination, for oracle tests only.
 
 The library stores a bracket only as its sparse table, and a cochain or
 a form only as its nonzero values on free coordinates.  The helpers here
-expand them into dense n^3 (or n^2) tensors, check those tensors with
-the entrywise validators for evenness and super-antisymmetry, and
-evaluate the Jacobi, invariance, morphism, cocycle, supercyclicity and
-closedness identities and the coboundary by plain loops over every
-ordered tuple and every coordinate, so the sparse fast paths can be
-compared with the definitions entry by entry.  The ideal test and the
+expand them into dense n^3 (or n^2) tensors, reading the 3-cochains'
+entries through sign rules written out once per container (the first
+section, also the reference for the library's one rule
+``cohomology.canon``), check those
+tensors with the entrywise validators for evenness and
+super-antisymmetry, and evaluate the Jacobi, invariance, morphism,
+cocycle, supercyclicity and closedness identities and the coboundary by
+plain loops over every ordered tuple (the Jacobiator over the nonzero
+coefficients of each bracket), so the sparse fast paths can be compared
+with the definitions entry by entry.  The ideal test and the
 lower central series bracket basis vectors with dense vectors the same
 way.
 
@@ -24,12 +28,69 @@ import itertools
 from fractions import Fraction
 
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
-                                  ScalarCochain3, canon2_first, canon3,
-                                  free_coords_alt3, free_coords_cochain2dual,
+                                  ScalarCochain3, free_coords_alt3,
+                                  free_coords_cochain2dual,
                                   free_coords_scalar2)
-from superquad.superalgebra import sgn
+from superquad.superalgebra import EVEN, ODD, sgn
 
 ZERO = Fraction(0)
+
+
+# --- the sign rules, one per container ---------------------------------------
+# Each returns (free coordinate, sign) of an entry, or (None, 0) when the
+# entry is forced to vanish, written out separately for each container so
+# that the library's single rule ``cohomology.canon`` is checked against
+# code it does not share.
+
+def canon3(parities, i, j, k):
+    """A fully super-alternating even triple: ascending by bubble sort,
+    each swap of x and y signed -(-1)^{|x||y|}; a repeated even index or an
+    odd parity sum vanishes."""
+    if (parities[i] + parities[j] + parities[k]) % 2:
+        return None, 0
+    idx = [i, j, k]
+    sign = 1
+    for a in range(2):
+        for b in range(2 - a):
+            if idx[b] > idx[b + 1]:
+                sign *= -sgn(parities[idx[b]] * parities[idx[b + 1]])
+                idx[b], idx[b + 1] = idx[b + 1], idx[b]
+    if ((idx[0] == idx[1] and parities[idx[0]] == EVEN)
+            or (idx[1] == idx[2] and parities[idx[1]] == EVEN)):
+        return None, 0
+    return (idx[0], idx[1], idx[2]), sign
+
+
+def canon2_first(parities, i, j):
+    """A pair super-antisymmetric in (i, j), parity not checked."""
+    if i > j:
+        return (j, i), -sgn(parities[i] * parities[j])
+    if i == j and parities[i] == EVEN:
+        return None, 0
+    return (i, j), 1
+
+
+def canon_cochain2dual(parities, a, b, c):
+    """w(e_a, e_b)(e_c) of an even dual-valued 2-cochain."""
+    pair, s = canon2_first(parities, a, b)
+    if pair is None or (parities[a] + parities[b] + parities[c]) % 2:
+        return None, 0
+    return (pair[0], pair[1], c), s
+
+
+def canon_scalar2(parities, i, j):
+    """phi(e_i, e_j) of an even scalar 2-cochain."""
+    if parities[i] != parities[j]:
+        return None, 0
+    return canon2_first(parities, i, j)
+
+
+def canon_form(parities, i, j):
+    """B(e_i, e_j) of an even supersymmetric form: mixed parity, or an
+    odd index paired with itself, vanishes."""
+    if parities[i] != parities[j] or (i == j and parities[i] == ODD):
+        return None, 0
+    return ((i, j), 1) if i <= j else ((j, i), sgn(parities[i]))
 
 
 def _zero3(n):
@@ -66,9 +127,9 @@ def cochain2dual_tensor(w):
     n = w.basis.dim
     t = _zero3(n)
     for i, j, k in itertools.product(range(n), repeat=3):
-        pair, s = canon2_first(p, i, j)
-        if pair is not None and (p[i] + p[j] + p[k]) % 2 == 0:
-            t[i][j][k] = s * w.coords.get((pair[0], pair[1], k), ZERO)
+        key, s = canon_cochain2dual(p, i, j, k)
+        if key is not None:
+            t[i][j][k] = s * w.coords.get(key, ZERO)
     return t
 
 
@@ -172,25 +233,32 @@ def skew_violations(p, c):
 
 # --- the identities, over every ordered tuple --------------------------------
 
-def jacobi_defect(p, c, i, j, k):
+def bracket_nonzeros(c):
+    """nz[a][b] lists (m, c[a][b][m]) for each nonzero c[a][b][m]."""
+    return [[[(m, q) for m, q in enumerate(entry) if q] for entry in row]
+            for row in c]
+
+
+def jacobi_defect(p, nz, i, j, k):
     """(-1)^{xz}[e_i,[e_j,e_k]] + (-1)^{xy}[e_j,[e_k,e_i]]
-    + (-1)^{yz}[e_k,[e_i,e_j]] as a dense vector."""
-    n = len(p)
-    out = [ZERO] * n
+    + (-1)^{yz}[e_k,[e_i,e_j]] as a dense vector, from the nonzero lists
+    ``nz`` of :func:`bracket_nonzeros`: [e_a, [e_b, e_d]] is the sum over
+    e_m in [e_b, e_d] of its coefficient times [e_a, e_m]."""
+    out = [ZERO] * len(p)
     for a, b, d, s in ((i, j, k, sgn(p[i] * p[k])), (j, k, i, sgn(p[i] * p[j])),
                        (k, i, j, sgn(p[j] * p[k]))):
-        for m in range(n):
-            if c[b][d][m]:
-                for t in range(n):
-                    out[t] += s * c[b][d][m] * c[a][m][t]
+        for m, q in nz[b][d]:
+            for t, r in nz[a][m]:
+                out[t] += s * q * r
     return out
 
 
 def jacobi_violations(p, c):
     """The ordered triples where the Jacobiator is nonzero, generated in
     lexicographic order."""
+    nz = bracket_nonzeros(c)
     return (t for t in itertools.product(range(len(p)), repeat=3)
-            if any(jacobi_defect(p, c, *t)))
+            if any(jacobi_defect(p, nz, *t)))
 
 
 def ad_image(c, i, v):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 import superquad as sq
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   ScalarCochain3, _coboundary, b3_basis,
-                                  canon3, canon_cochain2dual, canon_scalar2,
-                                  closed3_violation, cocycle2_violation,
+                                  canon, closed3_violation, cocycle2_violation,
                                   cohomologous, collect_alt3,
                                   collect_cochain2dual, collect_scalar2,
                                   delta_scalar2, expand_alt3,
@@ -102,19 +101,42 @@ def test_free_coords_diagonal_rules():
 
 def test_free_coords_match_the_full_filter(gallery):
     """Each free-coordinate list is the n^arity index tuples that are their
-    own canonical representative, in lexicographic order."""
+    own canonical representative under the oracle's rule for the
+    container, in lexicographic order."""
     mixed = graded_basis([f"v{i}" for i in range(12)],
                          (ODD, EVEN, EVEN, ODD, ODD, EVEN, ODD, EVEN, EVEN,
                           ODD, EVEN, ODD))
     for basis in [g.basis for g in gallery.values()] + [mixed]:
-        for coords, arity, canon in (
-                (free_coords_alt3, 3, canon3),
-                (free_coords_cochain2dual, 3, canon_cochain2dual),
-                (free_coords_scalar2, 2, canon_scalar2)):
+        for coords, arity, rule in (
+                (free_coords_alt3, 3, dense.canon3),
+                (free_coords_cochain2dual, 3, dense.canon_cochain2dual),
+                (free_coords_scalar2, 2, dense.canon_scalar2)):
             assert coords(basis) == [
                 key for key in itertools.product(range(basis.dim),
                                                  repeat=arity)
-                if canon(basis.parities, *key)[0] == key], coords.__name__
+                if rule(basis.parities, *key)[0] == key], coords.__name__
+
+
+# (oracle rule, arity, head, symmetric) for each container
+_RULES = [(dense.canon3, 3, None, False),
+          (dense.canon_cochain2dual, 3, 2, False),
+          (dense.canon_scalar2, 2, None, False),
+          (dense.canon_form, 2, None, True)]
+
+
+@pytest.mark.parametrize("parities", [
+    (EVEN,) * 4, (ODD,) * 4, (EVEN, ODD, EVEN, ODD), (ODD, EVEN, ODD, EVEN),
+    (ODD, ODD, EVEN, EVEN, ODD)],
+    ids=["even", "odd", "even-odd", "odd-even", "mixed"])
+def test_canon_matches_each_containers_rule(parities):
+    """The one Koszul rule gives the free coordinate and sign of the
+    oracle's per-container rule at every ordered pair and triple.  Odd
+    vectors come before and between even ones as well as after them."""
+    for rule, arity, head, symmetric in _RULES:
+        for key in itertools.product(range(len(parities)), repeat=arity):
+            want = rule(parities, *key)
+            assert canon(parities, key, head, symmetric) == want, (
+                rule.__name__, key)
 
 
 def test_container_validation_errors():
