@@ -48,10 +48,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (CochainError, DimensionMismatch, PreconditionError)
+from .errors import CochainError, DimensionMismatch, PreconditionError
 from .linalg import RowReducer, ZERO, frac, integer_rows
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra,
-                           cyclic_sums, failing, integer_table, sgn)
+                           cyclic_sums, failing, sgn)
 
 Triple = tuple[int, int, int]
 
@@ -139,7 +139,8 @@ def store_free_entries(obj, arity: int, head: int | None = None,
                 or not all(map(inside, key))):
             raise DimensionMismatch(f"{what} index {key!r} outside the basis")
         if canon(p, key, head, symmetric)[0] != key:
-            raise error(f"{what} entry {key!r} is not a free coordinate", key)
+            raise error(f"{what} entry {key!r} is not a free coordinate",
+                        witness=key)
         q = frac(q)
         if q != 0:
             out[key] = q
@@ -233,7 +234,7 @@ def sub3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
 def _into(g: LieSuperalgebra) -> tuple[int, list]:
     """(d, into): into[m] lists (a, b, c) for each nonzero coefficient c
     of e_m in [e_a, e_b], the table scaled to ints by d."""
-    d, entries = integer_table(g)
+    d, entries = g.integer_table
     into: list = [[] for _ in range(g.dim)]
     for a, b, e in entries:
         for m, q in e:
@@ -422,7 +423,7 @@ def _reduced_columns(columns: list[dict]) -> RowReducer:
                 rows.setdefault(key, {})[s] = v
     red = RowReducer(len(columns))
     for key in sorted(rows):
-        red.add_sparse(rows[key])
+        red.add(rows[key])
     return red
 
 

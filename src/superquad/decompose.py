@@ -22,15 +22,16 @@ from .errors import (InternalCheckError, PreconditionError,
                      RationalPointNotFound)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, is_totally_isotropic,
                     orthogonal, quadratic)
+from .gallery import orthogonal_direct_sum
 from .isotropy import isotropic_point
 from .linalg import (Mat, RowReducer, Vec, ZERO, charpoly,
                      diagonalize_symmetric, frac, kernel, mat, mat_vec, rank,
                      rational_roots, transpose, unit_vec, vec_is_zero)
-from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, ad_images,
-                           bracket, class_condition, derived_subspace,
-                           extend_subspace, graded_basis, graded_complement,
-                           is_ideal, is_nilpotent, is_solvable, subspace,
-                           zero_subspace)
+from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, abelian,
+                           ad_images, bracket, class_condition,
+                           derived_subspace, extend_subspace,
+                           graded_complement, is_ideal, is_nilpotent,
+                           is_solvable, subspace, zero_subspace)
 from .tstar import TStarExtension, quadratic_morphism_violation, recognize
 
 _QUADRIC_VARS = ("x", "y", "z", "w")
@@ -355,23 +356,6 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
     return IsotropicFlagResult(w, tuple(chain), w.dim)
 
 
-def _augment_with_central_line(q: QuadraticLieSuperalgebra,
-                               beta: Fraction) -> QuadraticLieSuperalgebra:
-    """q plus a central even line t with B(t, t) = -beta, orthogonal to q."""
-    basis = q.basis
-    existing = set(basis.names)
-    t_name = "t"
-    while t_name in existing:
-        t_name += "'"
-    names = basis.names + (t_name,)
-    parities = basis.parities + (EVEN,)
-    table = tuple(row + ((),) for row in q.algebra.table)
-    alg = LieSuperalgebra(graded_basis(names, parities),
-                          table + (((),) * (q.dim + 1),))
-    form = EvenForm(alg.basis, {**q.form.coords, (q.dim, q.dim): -beta})
-    return quadratic(alg, form, check_algebra=False)
-
-
 def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
     """Present q as a T*-extension (even total dimension) or as a
     verified codimension-1 nondegenerate graded ideal of one (odd total
@@ -384,8 +368,9 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
         return Decomposition(ideal=iso, quotient=ext.base, extension=ext,
                              embedding=psi, parity_case="even")
 
-    # odd case: orthogonally adjoin a central even line to make the
-    # enlarged ideal Lagrangian, then recognize the enlarged algebra
+    # odd case: orthogonally adjoin a central even line t with
+    # B(t, t) = -beta to make the enlarged ideal Lagrangian, then
+    # recognize the enlarged algebra (docs/conventions.md, "Odd dimension")
     wperp = orthogonal(q.form, iso)
     d = next((v for v, p in zip(wperp.vectors, wperp.parities)
               if p == EVEN and not iso.contains_vector(v)), None)
@@ -396,7 +381,9 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
     if beta == 0:
         raise InternalCheckError(
             "degenerate direction transverse to the maximal ideal")
-    qhat = _augment_with_central_line(q, beta)
+    line = abelian(1, 0)
+    qhat = orthogonal_direct_sum(q, quadratic(
+        line, EvenForm(line.basis, {(0, 0): -beta}), check_algebra=False))
     N = n + 1
     iso_hat_vectors = [v + (ZERO,) for v in iso.vectors]
     iso_hat_vectors.append(tuple(d) + (frac(1),))  # d + t is isotropic

@@ -35,10 +35,11 @@ from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra, Subspace,
 
 
 class ParseError(SuperquadError):
+    line = column = None
+
     def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+        super().__init__(f"line {line}, column {column}: {message}",
+                         line=line, column=column)
 
 
 LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_*']*")
@@ -383,7 +384,6 @@ def document_scalar2(doc: AlgebraDocument, name: str) -> ScalarCochain2:
 
 def document_from(algebra: LieSuperalgebra,
                   form: EvenForm | None = None,
-                  form_name: str = "B",
                   cochain2: dict[str, Cochain2Dual] | None = None,
                   cochain3: dict[str, ScalarCochain3] | None = None,
                   scalar2: dict[str, ScalarCochain2] | None = None
@@ -405,7 +405,7 @@ def document_from(algebra: LieSuperalgebra,
     return AlgebraDocument(
         names=basis.names, parities=basis.parities,
         brackets=dict(sorted(brackets.items())),
-        form_name=form_name if form is not None else None,
+        form_name="B" if form is not None else None,
         form_entries=dict(form.coords) if form is not None else {},
         cochain2=coords(cochain2), cochain3=coords(cochain3),
         scalar2=coords(scalar2),
@@ -413,9 +413,8 @@ def document_from(algebra: LieSuperalgebra,
 
 
 def document_quadratic(q: QuadraticLieSuperalgebra,
-                       form_name: str = "B", **kwargs) -> AlgebraDocument:
-    return document_from(q.algebra, form=q.form, form_name=form_name,
-                         **kwargs)
+                       **kwargs) -> AlgebraDocument:
+    return document_from(q.algebra, form=q.form, **kwargs)
 
 
 def parse_span(doc: AlgebraDocument, text: str) -> Subspace:

@@ -4,7 +4,18 @@ from __future__ import annotations
 
 
 class SuperquadError(Exception):
-    """Base class for every error raised by this library."""
+    """Base class for every error raised by this library.
+
+    Keyword arguments become attributes; a class declares the fields it
+    accepts as class attributes set to ``None``, and any other keyword is
+    a ``TypeError``."""
+
+    def __init__(self, *args, **fields):
+        super().__init__(*args)
+        for name, value in fields.items():
+            if getattr(type(self), name, 0) is not None:
+                raise TypeError(f"{type(self).__name__} has no field {name!r}")
+            setattr(self, name, value)
 
 
 class DimensionMismatch(SuperquadError):
@@ -22,30 +33,25 @@ class NotIdealError(SuperquadError):
 class AxiomError(SuperquadError):
     """A constructed algebra failed its axiom check.
 
-    Carries the full report so callers can show the violating triples.
+    ``report`` is the full :class:`AxiomReport`, so callers can show the
+    violating triples.
     """
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    report = None
 
 
 class FormError(SuperquadError):
     """A bilinear form violates evenness, supersymmetry, nondegeneracy
     or invariance."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    witness = None
 
 
 class CochainError(SuperquadError):
     """A cochain tensor violates its container invariants (parity
-    pattern or super-antisymmetry)."""
+    pattern or super-antisymmetry); ``witness`` is the offending key."""
 
-    def __init__(self, message, entry=None):
-        super().__init__(message)
-        self.entry = entry
+    witness = None
 
 
 class CocycleError(SuperquadError):
@@ -56,10 +62,7 @@ class CocycleError(SuperquadError):
     the graded Jacobi identity fails.
     """
 
-    def __init__(self, message, triple=None, jacobi_witness=None):
-        super().__init__(message)
-        self.triple = triple
-        self.jacobi_witness = jacobi_witness
+    triple = jacobi_witness = None
 
 
 class NotSupercyclicError(SuperquadError):
@@ -70,10 +73,7 @@ class NotSupercyclicError(SuperquadError):
     invariance.
     """
 
-    def __init__(self, message, triple=None, invariance_witness=None):
-        super().__init__(message)
-        self.triple = triple
-        self.invariance_witness = invariance_witness
+    triple = invariance_witness = None
 
 
 class PreconditionError(SuperquadError):
@@ -87,9 +87,7 @@ class InternalCheckError(SuperquadError):
     library, never a property of the input.
     """
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    witness = None
 
 
 class UndecidedError(SuperquadError):
@@ -108,11 +106,4 @@ class RationalPointNotFound(SuperquadError):
     ``"definite"``, or a prime p over whose p-adic field it has none.
     """
 
-    def __init__(self, message, quadric=None, quadric_str=None,
-                 polynomial=None, polynomial_str=None, obstruction=None):
-        super().__init__(message)
-        self.quadric = quadric
-        self.quadric_str = quadric_str
-        self.polynomial = polynomial
-        self.polynomial_str = polynomial_str
-        self.obstruction = obstruction
+    quadric = quadric_str = polynomial = polynomial_str = obstruction = None

@@ -16,8 +16,7 @@ from .errors import (DimensionMismatch, FormError, PreconditionError)
 from .linalg import (HALF, RowReducer, Vec, ZERO, integer_rows, inverse, mat,
                      mat_mul, mat_vec, transpose, vec_sub)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
-                           graded_complement, integer_table, require_axioms,
-                           sgn, subspace)
+                           graded_complement, require_axioms, sgn, subspace)
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def invariance_violation(g: LieSuperalgebra, B: EvenForm):
     {k: difference} of its pair (i, j); the least failing pair wins, with
     its least k."""
     p = g.basis.parities
-    _, entries = integer_table(g)
+    _, entries = g.integer_table
     _, rows = integer_rows(B._rows)
     acc: dict = {}
     for i, j, e in entries:

@@ -230,9 +230,8 @@ class RowReducer:
                     at[c].discard(k)
         return True
 
-    def add_sparse(self, entries: dict[int, Fraction]) -> bool:
-        """Add a constraint row given as {column: value}."""
-        return self.add(entries)
+    # an alias of add, kept because bench/tracer.py wraps this name
+    add_sparse = add
 
     def basis(self) -> Mat:
         """The dense RREF rows, in pivot order."""
@@ -363,7 +362,8 @@ FACTOR_CAP = 10 ** 5
 
 def factorize(m: int) -> dict[int, int]:
     """{p: e} for the nonzero integer m, by trial division up to
-    FACTOR_CAP; a cofactor past FACTOR_CAP^2 raises UndecidedError."""
+    FACTOR_CAP; a cofactor past FACTOR_CAP^2 raises UndecidedError unless
+    it is the square of a prime."""
     if not m:
         raise PreconditionError("0 has no prime factorization")
     m, out, p = abs(m), {}, 2
@@ -371,9 +371,14 @@ def factorize(m: int) -> dict[int, int]:
         while m % p == 0:
             m, out[p] = m // p, out.get(p, 0) + 1
         p += 1 if p == 2 else 2
-    if m > FACTOR_CAP ** 2:
+    # no prime up to the cap divides a cofactor m past cap^2, so if
+    # m = r^2 with r <= cap^2, r is prime
+    r = math.isqrt(m)
+    if m > FACTOR_CAP ** 2 and (r * r != m or r > FACTOR_CAP ** 2):
         raise UndecidedError(f"undecided: cannot factor {m} past {FACTOR_CAP}")
-    if m > 1:
+    if m > FACTOR_CAP ** 2:
+        out[r] = 2
+    elif m > 1:
         out[m] = 1
     return out
 

@@ -110,12 +110,12 @@ class LieSuperalgebra:
         object.__setattr__(self, "table", tuple(
             tuple(_entry(n, e.items() if isinstance(e, dict) else e)
                   for e in row) for row in self.table))
-        for what, violations in (("the grading", _grading_violations),
-                                 ("super-skew-symmetry", _skew_violations)):
-            bad = violations(self) if validate else None
+        found = [tuple(v(self)) if validate else ()
+                 for v in (_grading_violations, _skew_violations)]
+        for what, bad in zip(("the grading", "super-skew-symmetry"), found):
             if bad:
                 raise AxiomError(f"bracket violates {what} at {bad[0]}",
-                                 report=bad)
+                                 report=AxiomReport(*found, ()))
 
     @property
     def dim(self) -> int:
@@ -125,7 +125,10 @@ class LieSuperalgebra:
         return self.basis.parity(i)
 
     @cached_property
-    def _integer_table(self) -> tuple[int, tuple]:
+    def integer_table(self) -> tuple[int, tuple]:
+        """(d, ((i, j, ((k, c), ...)), ...)): the nonzero table entries,
+        scaled to ints by their least common denominator d, once per
+        algebra."""
         keys = [(i, j) for i, row in enumerate(self.table)
                 for j, e in enumerate(row) if e]
         d, scaled = integer_rows(self.table[i][j] for i, j in keys)
@@ -214,12 +217,6 @@ def ad_images(g: LieSuperalgebra, vectors):
             yield {k: c for k, c in acc.items() if c}
 
 
-def integer_table(g: LieSuperalgebra) -> tuple[int, tuple]:
-    """(d, ((i, j, ((k, c), ...)), ...)): the nonzero table entries,
-    scaled to ints by their least common denominator d, once per algebra."""
-    return g._integer_table
-
-
 def cyclic_sums(parities, terms, ordered: bool = False) -> dict:
     """{(i, j, k): {t: value}}: the sum over the rotations (a, b, c) of
     (i, j, k) of (-1)^{|a||c|} X(a, b, c), each term (a, b, c, f, pairs)
@@ -251,7 +248,7 @@ def jacobi_violations(g: LieSuperalgebra, first: bool = False,
     ``ordered``, requires grading and super-skew-symmetry, so that failure
     does not depend on the order of the triple: only i <= j <= k are
     evaluated, and each failing one stands for its permutations."""
-    _, entries = integer_table(g)
+    _, entries = g.integer_table
     into: list = [[] for _ in range(g.dim)]  # into[m]: (a, [e_a, e_m])
     for a, m, e in entries:
         into[m].append((a, e))
@@ -304,7 +301,8 @@ def check_axioms(g: LieSuperalgebra) -> AxiomReport:
 def require_axioms(g: LieSuperalgebra, what: str = "algebra") -> None:
     report = check_axioms(g)
     if not report.passed:
-        raise AxiomError(f"{what} fails the superalgebra axioms", report)
+        raise AxiomError(f"{what} fails the superalgebra axioms",
+                         report=report)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,8 @@ from .forms import (EvenForm, QuadraticLieSuperalgebra, invariance_violation,
                     is_totally_isotropic, isotropic_complement, quadratic)
 from .linalg import Mat, ZERO, integer_rows, rank, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
-                           check_axioms, failing, graded_basis, integer_table,
-                           is_ideal, jacobi_violations, quotient, sgn,
-                           subspace)
+                           check_axioms, failing, graded_basis, is_ideal,
+                           jacobi_violations, quotient, sgn, subspace)
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,8 @@ def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,
             return ("parity", a)
         for r, x in col:
             into[r].append((a, x))
-    ds, src_table = integer_table(src.algebra)
-    dd, dst_table = integer_table(dst.algebra)
+    ds, src_table = src.algebra.integer_table
+    dd, dst_table = dst.algebra.integer_table
     fs, src_form = integer_rows(src.form._rows)
     fd, dst_form = integer_rows(dst.form._rows)
     # m [e_a, e_b] times dm dd, and B_src(e_a, e_b) times dm^2 fd

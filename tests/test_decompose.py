@@ -10,7 +10,7 @@ from superquad.decompose import (Decomposition, _InducedSpace, _row_parity,
                                  decompose, isotropic_vector,
                                  max_isotropic_ideal)
 from superquad.errors import (InternalCheckError, PreconditionError,
-                              RationalPointNotFound)
+                              RationalPointNotFound, UndecidedError)
 from superquad.forms import even_form, is_totally_isotropic, orthogonal, quadratic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
@@ -205,20 +205,59 @@ def test_project_matches_dense_solve(induced_spaces, data):
                 assert ind.project(x) == want[:ind.dim]
 
 
-@pytest.fixture(scope="module")
-def disguised_induced_spaces():
-    """The induced space of every flag member of T*(gn(2)) after a seeded
-    basis change whose entries have denominators up to 6
-    (support.disguise), with its spanning rows [lifts | W basis]: dense
-    rows with denominators, unlike the unit vectors of the gallery."""
-    q0 = sq.tstar_of_gn(2).total
+def _disguised(q0):
+    """q0 after the basis change of seed 0, whose entries have
+    denominators up to 6 (support.disguise)."""
     g, n = q0.algebra, q0.dim
     c, G, _ = disguise(g.basis.parities, dense.bracket_tensor(g),
                        dense.gram(q0.form), seed=0)
     alg = LieSuperalgebra(g.basis, tuple(
         tuple({k: c[i][j][k] for k in range(n) if c[i][j][k]}
               for j in range(n)) for i in range(n)))
-    q = quadratic(alg, even_form(g.basis, G))
+    return quadratic(alg, even_form(g.basis, G))
+
+
+def _check_odd_decomposition_dense(q):
+    """Decompose q of odd dimension and check the embedding into the
+    T*-extension against the dense oracle."""
+    dec = decompose(q)
+    assert dec.parity_case == "odd"
+    total = dec.extension.total
+    assert total.dim == q.dim + 1
+    assert dense.morphism_violation(
+        q.basis.parities, dense.bracket_tensor(q.algebra),
+        dense.gram(q.form), total.basis.parities,
+        dense.bracket_tensor(total.algebra), dense.gram(total.form),
+        dec.embedding) is None
+
+
+def test_decompose_disguised_odd_sum():
+    """The odd case on dense coefficients: T*(gn(2)) + line after a basis
+    change (dim 13).  Its induced Gram needs 4011011^2, a prime square
+    past the factorization cap."""
+    q = _disguised(orthogonal_direct_sum(sq.tstar_of_gn(2).total,
+                                         even_line()))
+    assert q.dim == 13
+    _check_odd_decomposition_dense(q)
+
+
+@pytest.mark.xfail(strict=True, raises=UndecidedError,
+                   reason="the induced Gram needs 198101278223 = "
+                          "361349 * 548227, two primes past the cap")
+def test_decompose_disguised_odd_heisenberg_sum():
+    q = _disguised(orthogonal_direct_sum(build(sq.heisenberg3()).total,
+                                         even_line()))
+    assert q.dim == 7
+    _check_odd_decomposition_dense(q)
+
+
+@pytest.fixture(scope="module")
+def disguised_induced_spaces():
+    """The induced space of every flag member of T*(gn(2)) after a seeded
+    basis change (``_disguised``), with its spanning rows [lifts | W
+    basis]: dense rows with denominators, unlike the unit vectors of the
+    gallery."""
+    q = _disguised(sq.tstar_of_gn(2).total)
     out = []
     for w in max_isotropic_ideal(q).chain:
         ind = _InducedSpace(q, w)

@@ -173,12 +173,24 @@ def test_hilbert_symbol_values():
         hilbert_symbol(6, 5, 5)
 
 
+def test_factorization_of_a_prime_square_past_the_cap():
+    """A cofactor m = r^2 past FACTOR_CAP^2 with r <= FACTOR_CAP^2 has no
+    factor up to the cap, so r is prime (a disguised odd sum needs
+    4011011^2)."""
+    assert FACTOR_CAP ** 2 < 4011011 ** 2
+    assert factorize(4011011 ** 2) == {4011011: 2}
+    assert factorize(3 * 4011011 ** 2) == {3: 1, 4011011: 2}
+    assert factorize(-P1 ** 2 * 10) == {2: 1, 5: 1, P1: 2}
+
+
 def test_factorization_cap():
     assert factorize(-360) == {2: 3, 3: 2, 5: 1}
     assert factorize(P1 * 7) == {7: 1, P1: 1}  # a cofactor below the cap^2
     assert FACTOR_CAP < P1 < P2
     with pytest.raises(UndecidedError, match="undecided"):
         factorize(P1 * P2)
+    with pytest.raises(UndecidedError):
+        factorize((P1 * P2) ** 2)
     with pytest.raises(UndecidedError):
         isotropic_point((F(1), F(1), F(-P1 * P2)))
 

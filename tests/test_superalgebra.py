@@ -117,8 +117,21 @@ def test_construction_rejects_bad_grading():
     table = [[()] * 3 for _ in range(3)]
     table[0][1] = ((2, 1),)
     table[1][0] = ((2, -1),)
-    with pytest.raises(AxiomError):
+    with pytest.raises(AxiomError, match="grading") as exc:
         sq.LieSuperalgebra(basis, tuple(map(tuple, table)))
+    assert exc.value.report.grading == ((0, 1, 2), (1, 0, 2))
+    assert exc.value.report.skew == exc.value.report.jacobi == ()
+
+
+def test_construction_rejects_skew_only():
+    """A graded table that is not super-skew-symmetric: the report is an
+    AxiomReport with only skew violations, as ``require_axioms`` gives."""
+    basis = graded_basis(("x", "y", "o"), (EVEN, EVEN, ODD))
+    table = [[()] * 3 for _ in range(3)]
+    table[0][1] = table[1][0] = ((0, 1),)
+    with pytest.raises(AxiomError, match="super-skew-symmetry") as exc:
+        sq.LieSuperalgebra(basis, tuple(map(tuple, table)))
+    assert exc.value.report == sq.AxiomReport((), ((0, 1),), ())
 
 
 def test_jacobi_violation_reported():
