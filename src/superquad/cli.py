@@ -17,12 +17,12 @@ import sys
 
 from . import dsl
 from .cohomology import (b3_basis, collect_cochain2dual, cocycle2_violation,
-                         supercyclic_violation, z2_supercyclic_basis,
+                         supercyclic_violation, z2_supercyclic_from_z3,
                          z3_basis, zero_cochain2)
 from .decompose import decompose as run_decompose
 from .errors import (FormError, NotIdealError, PreconditionError,
                      RationalPointNotFound, SuperquadError, UndecidedError)
-from .forms import (QuadraticLieSuperalgebra, invariance_violation,
+from .forms import (QuadraticLieSuperalgebra, gram, invariance_violation,
                     is_nondegenerate, is_totally_isotropic, radical)
 from .gallery import (ABELIAN_RE, build_class_c_example, build_glnn,
                       build_gn, stock, STOCK_NAMES)
@@ -174,8 +174,9 @@ def _form_checks(report: Report, doc, alg, form) -> None:
 
 
 def _isotropy_witness(form, w):
-    return next(([_vec_strs(u), _vec_strs(v)] for u in w.vectors
-                 for v in w.vectors if form.apply(u, v) != 0), None)
+    vs = w.vectors
+    return next(([_vec_strs(u), _vec_strs(v)] for u, row in zip(
+        vs, gram(form, vs, vs)) for v, q in zip(vs, row) if q), None)
 
 
 def _ideal_witness(alg, w, names):
@@ -236,7 +237,8 @@ def _cmd_tstar(args, report: Report, out, doc, alg) -> int:
 
 
 def _cmd_cohomology(args, report: Report, out, doc, alg) -> int:
-    z2sc, z3, b3 = z2_supercyclic_basis(alg), z3_basis(alg), b3_basis(alg)
+    z3, b3 = z3_basis(alg), b3_basis(alg)
+    z2sc = z2_supercyclic_from_z3(alg.basis, z3)
     report.dims.update(dim_z2_supercyclic=len(z2sc), dim_z3=len(z3),
                        dim_b3=len(b3), dim_h3=len(z3) - len(b3))
     bad = ([len(z2sc), len(z3)] if len(z2sc) != len(z3) else next(

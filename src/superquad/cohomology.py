@@ -421,19 +421,15 @@ def _reduced_columns(columns: list[dict]) -> RowReducer:
         for key, v in col.items():
             if v:
                 rows.setdefault(key, {})[s] = v
-    red = RowReducer(len(columns))
-    for key in sorted(rows):
-        red.add(rows[key])
-    return red
+    return RowReducer(len(columns), map(rows.get, sorted(rows)))
 
 
 def _rref(vectors, coords: list) -> list[dict]:
     """The RREF rows, by ascending pivot, of the span of the {key: value}
     ``vectors`` in the column order ``coords``."""
     index = {key: t for t, key in enumerate(coords)}
-    red = RowReducer(len(coords))
-    for v in vectors:
-        red.add({index[key]: q for key, q in v.items()})
+    red = RowReducer(len(coords), ({index[key]: q for key, q in v.items()}
+                                   for v in vectors))
     return [{coords[t]: q for t, q in row.items()}
             for _, row in sorted(red.rows.items())]
 
@@ -458,12 +454,18 @@ def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
 
 
 def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
-    """Basis of the supercyclic even dual-valued 2-cocycles, unhat of
-    :func:`z3_basis` in the canonical kernel basis: the RREF over the
-    reversed columns, read by descending pivot (docs/conventions.md)."""
-    vectors = [unhat(f).coords for f in z3_basis(g)]
+    """Basis of the supercyclic even dual-valued 2-cocycles."""
+    return z2_supercyclic_from_z3(g.basis, z3_basis(g))
+
+
+def z2_supercyclic_from_z3(basis: GradedBasis, z3: list[ScalarCochain3]
+                           ) -> list[Cochain2Dual]:
+    """The supercyclic 2-cocycles from a basis of Z^3: unhat of each, in
+    the canonical kernel basis, the RREF over the reversed columns read
+    by descending pivot (docs/conventions.md)."""
+    vectors = [unhat(f).coords for f in z3]
     rows = _rref(vectors, sorted(set().union(*vectors), reverse=True))
-    return [Cochain2Dual(g.basis, row) for row in reversed(rows)]
+    return [Cochain2Dual(basis, row) for row in reversed(rows)]
 
 
 def z2_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:

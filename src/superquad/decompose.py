@@ -20,8 +20,8 @@ from fractions import Fraction
 from .dsl import signed_sum
 from .errors import (InternalCheckError, PreconditionError,
                      RationalPointNotFound)
-from .forms import (EvenForm, QuadraticLieSuperalgebra, is_totally_isotropic,
-                    orthogonal, quadratic)
+from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
+                    is_totally_isotropic, orthogonal, quadratic)
 from .gallery import orthogonal_direct_sum
 from .isotropy import isotropic_point
 from .linalg import (Mat, RowReducer, Vec, ZERO, charpoly,
@@ -115,9 +115,8 @@ class _Coordinates:
     def __init__(self, rows):
         self._n = n = len(rows[0]) if rows else 0
         self._pad = (ZERO,) * len(rows)
-        self._red = RowReducer(n + len(rows))
-        for t, row in enumerate(rows):
-            self._red.add((*row, *unit_vec(len(rows), t)))
+        self._red = RowReducer(n + len(rows), (
+            (*row, *unit_vec(len(rows), t)) for t, row in enumerate(rows)))
         if any(p >= n for p in self._red.int_rows):
             raise InternalCheckError("spanning rows are dependent")
 
@@ -184,16 +183,13 @@ class _InducedSpace:
         q = self.q
         images = filter(None, ad_images(q.algebra, self.rep_vectors))
         span = subspace(q.basis, itertools.chain(self.w.vectors, images))
-        red, annihilator = RowReducer(self.dim), RowReducer(self.dim)
-        for u in orthogonal(q.form, span).vectors:
-            red.add(self.project(u))
-        for v in red.kernel():
-            annihilator.add(v)
-        return annihilator.kernel()
+        red = RowReducer(self.dim, map(self.project,
+                                       orthogonal(q.form, span).vectors))
+        return RowReducer(self.dim, red.kernel()).kernel()
 
     def induced_gram_on(self, rows: list[Vec]) -> Mat:
         lifts = [self.lift(r) for r in rows]
-        return mat([[self.q.form.apply(u, v) for v in lifts] for u in lifts])
+        return gram(self.q.form, lifts, lifts)
 
 
 def _row_parity(parities, v: Vec) -> int:
@@ -222,13 +218,10 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
     g = q.algebra
     n = g.dim
     whole = [unit_vec(ind.dim, t) for t in range(ind.dim)]
-    joint = RowReducer(ind.dim)
-    for x in itertools.chain((unit_vec(n, i) for i in range(n)
-                              if g.parity(i) == ODD),
-                             derived_subspace(g).vectors):
-        for row in ind.action(x, whole):
-            joint.add(row)
-    vpp = joint.kernel()
+    xs = itertools.chain((unit_vec(n, i) for i in range(n)
+                          if g.parity(i) == ODD), derived_subspace(g).vectors)
+    vpp = RowReducer(ind.dim, (row for x in xs
+                               for row in ind.action(x, whole))).kernel()
     if not vpp:
         return None, None
     evens = [unit_vec(n, i) for i in range(n) if g.parity(i) == EVEN]
@@ -427,7 +420,5 @@ def _verify_codim1_embedding(q: QuadraticLieSuperalgebra,
         raise InternalCheckError("image does not have codimension 1")
     if not is_ideal(total.algebra, image):
         raise InternalCheckError("image is not an ideal")
-    gram = mat([[total.form.apply(u, v) for v in image.vectors]
-                for u in image.vectors])
-    if rank(gram) != image.dim:
+    if rank(gram(total.form, image.vectors, image.vectors)) != image.dim:
         raise InternalCheckError("form is degenerate on the image")

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .cohomology import store_free_entries
 from .errors import (DimensionMismatch, FormError, PreconditionError)
-from .linalg import (HALF, RowReducer, Vec, ZERO, integer_rows, inverse, mat,
-                     mat_mul, mat_vec, transpose, vec_sub)
+from .linalg import (HALF, Mat, RowReducer, Vec, ZERO, integer_rows, inverse,
+                     mat, mat_mul, mat_vec, transpose, vec_sub)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
                            graded_complement, require_axioms, sgn, subspace)
 
@@ -27,9 +27,10 @@ class EvenForm:
     :func:`~superquad.cohomology.canon`).
 
     Construction also derives the sparse rows, ``_rows[i] = ((j,
-    B(e_i, e_j)), ...)`` over the nonzero entries, ascending j, and
-    pairings walk them: a T*-extension's form has a single nonzero per
-    row, so a dense product would mostly multiply zeros.
+    B(e_i, e_j)), ...)`` over the nonzero entries, ascending j, and every
+    pairing reads the covector :meth:`image` off them: a T*-extension's
+    form has a single nonzero per row, so a dense product would mostly
+    multiply zeros.
     """
 
     basis: GradedBasis
@@ -51,22 +52,33 @@ class EvenForm:
     def dim(self) -> int:
         return self.basis.dim
 
-    def apply(self, x: Vec, y: Vec) -> Fraction:
-        """B(x, y), summed over the nonzeros of x and of the rows."""
-        rows = self._rows
-        if len(x) != len(rows) or len(y) != len(rows):
+    def image(self, y: Vec) -> dict[int, Fraction]:
+        """The covector B(-, y) as {a: B(e_a, y)} over its nonzeros."""
+        if len(y) != self.dim:
             raise DimensionMismatch("vectors do not match the basis")
-        acc = ZERO
-        for i, xi in enumerate(x):
-            if xi != 0:
-                s = ZERO
-                for j, q in rows[i]:
-                    yj = y[j]
-                    if yj != 0:
-                        s += q * yj
-                if s != 0:
-                    acc += xi * s
-        return acc
+        out = {}
+        for a, row in enumerate(self._rows):
+            s = ZERO
+            for j, q in row:
+                if y[j]:
+                    s += q * y[j]
+            if s:
+                out[a] = s
+        return out
+
+    def apply(self, x: Vec, y: Vec) -> Fraction:
+        """B(x, y), summed over :meth:`image` of y."""
+        return gram(self, [x], [y])[0][0]
+
+
+def gram(B: EvenForm, rows, cols) -> Mat:
+    """The matrix [[B(u, v) for v in cols] for u in rows], each entry a
+    sum over the :meth:`~EvenForm.image` of v, read once per column."""
+    images = [B.image(v) for v in cols]
+    if any(len(u) != B.dim for u in rows):
+        raise DimensionMismatch("vectors do not match the basis")
+    return tuple(tuple(sum((u[a] * q for a, q in im.items() if u[a]), ZERO)
+                       for im in images) for u in rows)
 
 
 def even_form(basis: GradedBasis, gram) -> EvenForm:
@@ -93,10 +105,7 @@ def even_form(basis: GradedBasis, gram) -> EvenForm:
 def radical(B: EvenForm) -> list[Vec]:
     """Basis of {v : B(e_i, v) = 0 for all i}, from one reduction of the
     sparse rows."""
-    red = RowReducer(B.dim)
-    for row in B._rows:
-        red.add(dict(row))
-    return red.kernel()
+    return RowReducer(B.dim, map(dict, B._rows)).kernel()
 
 
 def is_nondegenerate(B: EvenForm) -> bool:
@@ -136,15 +145,12 @@ def is_invariant(g: LieSuperalgebra, B: EvenForm) -> bool:
 
 def orthogonal(B: EvenForm, w: Subspace) -> Subspace:
     """w^perp = {v : B(v, u) = 0 for all u in w}."""
-    red = RowReducer(B.dim)
-    for u in w.vectors:
-        red.add(tuple(sum((q * u[j] for j, q in row if u[j] != 0), ZERO)
-                      for row in B._rows))
-    return subspace(B.basis, red.kernel())
+    return subspace(B.basis, RowReducer(B.dim, map(B.image, w.vectors))
+                    .kernel())
 
 
 def is_totally_isotropic(B: EvenForm, w: Subspace) -> bool:
-    return all(B.apply(u, v) == 0 for u in w.vectors for v in w.vectors)
+    return not any(map(any, gram(B, w.vectors, w.vectors)))
 
 
 def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
@@ -176,11 +182,12 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
             continue
         # pairing matrix M[u][b] = B(iso_u, w_b) is invertible here;
         # h(w_a) = sum_u x_u iso_u with x = (M^T)^-1 (1/2 B(w_a, w_b))_b
-        h = mat_mul(transpose(i_rows), inverse(mat(
-            [[B.apply(u, w) for u in i_rows] for w in w_rows])))
-        for w_a in w_rows:
+        pairs = gram(B, i_rows + w_rows, w_rows)
+        h = mat_mul(transpose(i_rows),
+                    inverse(transpose(pairs[:len(i_rows)])))
+        for w_a, row in zip(w_rows, pairs[len(i_rows):]):
             corrected.append(vec_sub(w_a, mat_vec(
-                h, [HALF * B.apply(w_a, w_b) for w_b in w_rows])))
+                h, [HALF * q for q in row])))
     out = subspace(B.basis, corrected)
     if not (out.dim == iso.dim and is_totally_isotropic(B, out)):
         raise PreconditionError("isotropic complement construction failed")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cohomology import (Cochain2Dual, ScalarCochain2, collect_cochain2dual,
+from .cohomology import (Cochain2Dual, ScalarCochain2,
                          free_coords_cochain2dual, free_coords_scalar2,
                          z2_basis, z2_supercyclic_basis)
 from .errors import InternalCheckError, PreconditionError
@@ -215,15 +215,16 @@ def random_scalar2(g: LieSuperalgebra, rng) -> ScalarCochain2:
     return ScalarCochain2(g.basis, coords)
 
 
-def _random_combination(basis_cochains, rng, expand, g):
+def _random_combination(basis: list[Cochain2Dual], rng,
+                        g: LieSuperalgebra) -> Cochain2Dual:
     coords: dict = {}
-    for w in basis_cochains:
+    for w in basis:
         q = _random_fraction(rng)
         if q == 0:
             continue
-        for key, val in w.items():
+        for key, val in w.coords.items():
             coords[key] = coords.get(key, ZERO) + q * val
-    return expand(g.basis, {k: v for k, v in coords.items() if v != 0})
+    return Cochain2Dual(g.basis, coords)
 
 
 def random_supercyclic_cocycle(g: LieSuperalgebra, rng,
@@ -231,13 +232,11 @@ def random_supercyclic_cocycle(g: LieSuperalgebra, rng,
     """Random rational combination of a basis of the supercyclic cocycles."""
     if basis is None:
         basis = z2_supercyclic_basis(g)
-    return _random_combination([collect_cochain2dual(w) for w in basis],
-                               rng, Cochain2Dual, g)
+    return _random_combination(basis, rng, g)
 
 
 def random_cocycle2(g: LieSuperalgebra, rng, basis=None) -> Cochain2Dual:
     """Random element of the full 2-cocycle space (maybe not supercyclic)."""
     if basis is None:
         basis = z2_basis(g)
-    return _random_combination([collect_cochain2dual(w) for w in basis],
-                               rng, Cochain2Dual, g)
+    return _random_combination(basis, rng, g)

@@ -4,14 +4,14 @@ Vectors and matrices are immutable tuples with ``Fraction`` entries and
 every operation is exact; nothing in this package ever rounds.  There is
 one eliminator, the sparse fraction-free :class:`RowReducer`: primitive
 int rows by pivot, each an RREF row times its pivot entry, read out as
-``Fraction``s.  The batch solvers read one reduction each: ``rref``, ``rank``
-reduce A, ``kernel`` reads the free columns, ``solve`` reduces [A | b]
-(a pivot in the last column means no solution) and ``inverse`` reduces
-[A | I].  All of them reject a ragged matrix.  Hot callers avoid
-re-solving: ``forms.EvenForm`` pairs through a sparse Gram row table,
-``superalgebra.Subspace`` tests membership by reducing against its RREF
-rows by pivot, and the decomposition factors each spanning set once and
-reads coordinates off that factorization.
+``Fraction``s; its constructor adds the rows it is given.  The solvers
+read one reduction each: ``rref``, ``rank`` reduce A, ``kernel`` reads
+the free columns, ``solve`` reduces [A | b] (a pivot in the last column
+means no solution) and ``inverse`` reduces [A | I].  All of them reject
+a ragged matrix.  Hot callers avoid re-solving: ``superalgebra.Subspace``
+tests membership by reducing against its RREF rows by pivot, and the
+decomposition factors each spanning set once and reads coordinates off
+that factorization.
 """
 
 from __future__ import annotations
@@ -151,16 +151,15 @@ class RowReducer:
     the pivots it touches; :meth:`reduce` divides by the tracked scale,
     so its residual is exact.  ``add`` divides out the content and then
     eliminates the new pivot from the rows a column index finds nonzero
-    there.  Rows passed as ``echelon``, each 0 at the others' first
-    nonzero columns, are stored as they are.
+    there.  The constructor adds ``rows`` one by one.
     """
 
-    def __init__(self, ncols: int, echelon: Iterable = ()):
+    def __init__(self, ncols: int, rows: Iterable = ()):
         self.ncols = ncols
         self.int_rows: dict[int, dict[int, int]] = {}
         self._at: dict[int, set[int]] = {}  # column -> pivots nonzero there
-        for row in echelon:
-            self._store(self._residual(row)[1])
+        for row in rows:
+            self.add(row)
 
     @property
     def rank(self) -> int:
@@ -201,23 +200,19 @@ class RowReducer:
         f, r = self._residual(row)
         return {c: Fraction(q, f) for c, q in r.items()}
 
-    def _store(self, r: dict[int, int]) -> tuple[int, dict[int, int]]:
-        """Keep the nonzero reduced row r, primitive, under its pivot."""
-        p = min(r)
-        self.int_rows[p] = r = _primitive(r, p)
-        for c in r:
-            self._at.setdefault(c, set()).add(p)
-        return p, r
-
     def add(self, row: Sequence[Fraction] | dict[int, Fraction]) -> bool:
         """Add a constraint row, dense or a {column: value} dict; True if
         it increased the rank."""
         _, r = self._residual(row)
         if not r:
             return False
-        hits = self._at.pop(min(r), ())
-        p, r = self._store(r)
-        a, rows, at = r[p], self.int_rows, self._at
+        p = min(r)
+        rows, at = self.int_rows, self._at
+        hits = at.pop(p, ())
+        rows[p] = r = _primitive(r, p)
+        for c in r:
+            at.setdefault(c, set()).add(p)
+        a = r[p]
         for k in hits:
             b = rows[k][p]
             g = math.gcd(a, b)
@@ -267,28 +262,21 @@ def _width(A: Mat) -> int:
     return n
 
 
-def _reduced(rows: Iterable, ncols: int) -> RowReducer:
-    red = RowReducer(ncols)
-    for row in rows:
-        red.add(row)
-    return red
-
-
 def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form, padded with zero rows to A's shape, and
     the pivot columns."""
     n = _width(A)
-    red = _reduced(A, n)
+    red = RowReducer(n, A)
     return red.basis() + zeros(len(A) - red.rank, n), red.pivots
 
 
 def rank(A: Mat) -> int:
-    return _reduced(A, _width(A)).rank
+    return RowReducer(_width(A), A).rank
 
 
 def kernel(A: Mat) -> list[Vec]:
     """Basis of the right null space {x : A x = 0}."""
-    return _reduced(A, _width(A)).kernel()
+    return RowReducer(_width(A), A).kernel()
 
 
 @dataclass(frozen=True)
@@ -310,7 +298,7 @@ def solve(A: Mat, b: Vec) -> SolutionSet:
         raise DimensionMismatch(
             f"matrix has {len(A)} rows but right-hand side has {len(b)}")
     n = _width(A)
-    red = _reduced(((*row, rhs) for row, rhs in zip(A, b)), n + 1)
+    red = RowReducer(n + 1, ((*row, rhs) for row, rhs in zip(A, b)))
     rows = red.rows
     return SolutionSet(None if n in rows else tuple(
         rows[p].get(n, ZERO) if p in rows else ZERO for p in range(n)),
@@ -322,8 +310,8 @@ def inverse(A: Mat) -> Mat:
     n = len(A)
     if any(len(r) != n for r in A):
         raise DimensionMismatch("only square matrices can be inverted")
-    red = _reduced(({**{c: q for c, q in enumerate(r) if q}, n + i: ONE}
-                    for i, r in enumerate(A)), 2 * n)
+    red = RowReducer(2 * n, ({**{c: q for c, q in enumerate(r) if q},
+                              n + i: ONE} for i, r in enumerate(A)))
     if red.pivots != tuple(range(n)):
         raise DimensionMismatch("matrix is singular")
     return tuple(tuple(r.get(n + c, ZERO) for c in range(n))

@@ -369,10 +369,7 @@ class Subspace:
 def subspace(basis: GradedBasis, vectors) -> Subspace:
     """Graded subspace spanned by ``vectors``, dense or {k: c} dicts,
     from one reduction; NotGradedError unless the span is graded."""
-    red = RowReducer(basis.dim)
-    for v in vectors:
-        red.add(v)
-    return Subspace(basis, red)
+    return Subspace(basis, RowReducer(basis.dim, vectors))
 
 
 def zero_subspace(basis: GradedBasis) -> Subspace:
@@ -414,10 +411,7 @@ def center(g: LieSuperalgebra) -> Subspace:
         for j in range(n):
             for k, q in g.table[i][j]:
                 by_jk.setdefault((j, k), [ZERO] * n)[i] = q
-    red = RowReducer(n)
-    for row in by_jk.values():
-        red.add(row)
-    return subspace(g.basis, red.kernel())
+    return subspace(g.basis, RowReducer(n, by_jk.values()).kernel())
 
 
 def product_subspace(g: LieSuperalgebra, a: Subspace, b: Subspace) -> Subspace:

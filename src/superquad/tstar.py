@@ -22,8 +22,9 @@ from .cohomology import (Cochain2Dual, ScalarCochain2, cocycle2_violation,
                          unhat, zero_cochain2)
 from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
                      NotIdealError, NotSupercyclicError, PreconditionError)
-from .forms import (EvenForm, QuadraticLieSuperalgebra, invariance_violation,
-                    is_totally_isotropic, isotropic_complement, quadratic)
+from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
+                    invariance_violation, is_totally_isotropic,
+                    isotropic_complement, quadratic)
 from .linalg import Mat, ZERO, integer_rows, rank, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
                            check_axioms, failing, graded_basis, is_ideal,
@@ -231,14 +232,11 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
     # of [s(x), s(y)] pairs with s_k as the whole bracket does:
     # omega(x, y)(e_k) = B([s(x), s(y)], s_k), on the free coordinates
     # i <= j (super-antisymmetry gives the rest)
-    w_coords = {}
-    for i in range(m):
-        for j in range(i, m):
-            br = bracket(q.algebra, cvecs[i], cvecs[j])
-            for k, cv in enumerate(cvecs):
-                val = q.form.apply(br, cv)
-                if val != 0:
-                    w_coords[(i, j, k)] = val
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    values = gram(q.form, [bracket(q.algebra, cvecs[i], cvecs[j])
+                           for i, j in pairs], cvecs)
+    w_coords = {(i, j, k): val for (i, j), row in zip(pairs, values)
+                for k, val in enumerate(row) if val}
     try:
         omega = Cochain2Dual(quot.algebra.basis, w_coords)
         ext = build(quot.algebra, omega)
@@ -248,9 +246,8 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
             f"{exc}") from exc
 
     # psi: ambient -> quotient coords ++ (B(., s_k))_k
-    psi = quot.projection + tuple(
-        tuple(q.form.apply(unit_vec(n, a), cv) for a in range(n))
-        for cv in cvecs)
+    psi = quot.projection + tuple(tuple(im.get(a, ZERO) for a in range(n))
+                                  for im in map(q.form.image, cvecs))
     verify_isometry(q, ext.total, psi, what="recognition isometry")
     return ext, psi
 

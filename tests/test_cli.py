@@ -163,27 +163,29 @@ def test_cohomology_command():
 def test_cohomology_rechecks_each_supercyclic_vector(monkeypatch):
     """hat.dimension_agreement re-checks every returned Z^2_sc vector with
     the cocycle and supercyclicity verifiers: a wrong vector fails it with
-    its basis index as witness, a short basis with the two dimensions."""
-    solve = cli.z2_supercyclic_basis
+    its basis index as witness, a short basis with the two dimensions.
+    The command reads Z^2_sc off the Z^3 basis it already holds."""
+    solve = cli.z2_supercyclic_from_z3
+    g = dsl.document_algebra(dsl.parse((CORPUS / "g2.sqd").read_text()))
 
     def check(solver):
-        monkeypatch.setattr(cli, "z2_supercyclic_basis", solver)
+        monkeypatch.setattr(cli, "z2_supercyclic_from_z3", solver)
         code, rep = run_json(["cohomology", str(CORPUS / "g2.sqd")])
         by_name = {c["name"]: c for c in rep["checks"]}
         return code, by_name["hat.dimension_agreement"]
 
     def replacing(index, make):
-        def solver(g):
-            basis = solve(g)
-            return basis[:index] + [make(g)] + basis[index + 1:]
+        def solver(basis, z3):
+            found = solve(basis, z3)
+            return found[:index] + [make()] + found[index + 1:]
         return solver
 
-    def not_supercyclic(g):
+    def not_supercyclic():
         w = Cochain2Dual(g.basis, {free_coords_cochain2dual(g.basis)[0]: 1})
         assert supercyclic_violation(w) is not None
         return w
 
-    def not_cocycle(g):
+    def not_cocycle():
         w = unhat(ScalarCochain3(g.basis, {free_coords_alt3(g.basis)[0]: 1}))
         assert supercyclic_violation(w) is None
         assert cocycle2_violation(g, w) is not None
@@ -194,7 +196,7 @@ def test_cohomology_rechecks_each_supercyclic_vector(monkeypatch):
     for index, make in ((2, not_supercyclic), (1, not_cocycle)):
         code, c = check(replacing(index, make))
         assert code == 1 and not c["passed"] and c["witness"] == index
-    code, c = check(lambda g: solve(g)[1:])
+    code, c = check(lambda basis, z3: solve(basis, z3)[1:])
     assert code == 1 and not c["passed"] and c["witness"] == [3, 4]
 
 

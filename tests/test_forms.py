@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 import superquad as sq
 from superquad import dsl
 from superquad.errors import DimensionMismatch, FormError, PreconditionError
-from superquad.forms import (EvenForm, even_form, invariance_violation,
+from superquad.forms import (EvenForm, even_form, gram, invariance_violation,
                              is_invariant,
                              is_nondegenerate, is_totally_isotropic,
                              isotropic_complement, orthogonal, quadratic,
@@ -133,6 +133,9 @@ def test_sparse_apply_and_orthogonal_match_dense_gram(case):
     B, x, y = case
     G = dense.gram(B)
     assert B.apply(x, y) == dot(mat_vec(G, y), x)
+    assert B.image(y) == {a: q for a, q in enumerate(mat_vec(G, y)) if q}
+    assert gram(B, [x, y], [y, x]) == tuple(
+        tuple(dot(mat_vec(G, v), u) for v in (y, x)) for u in (x, y))
     w = subspace(B.basis, [v for v in split_vector(B.basis, x)
                            if not vec_is_zero(v)])
     rows = [r for r in (mat_vec(G, u) for u in w.vectors)
@@ -143,11 +146,19 @@ def test_sparse_apply_and_orthogonal_match_dense_gram(case):
 
 
 def test_apply_rejects_wrong_length():
+    """apply, image and gram reject a short or a long vector, on either
+    side of the pairing."""
     B = sq.hyperbolic_even().form
     for x, y in (((1,), (1, 0)), ((1, 0), (1,)), ((1, 0, 0), (1, 0)),
                  ((1, 0), (0, 1, 0))):
+        x, y = vec(x), vec(y)
+        for pair in (lambda: B.apply(x, y), lambda: gram(B, [x], [y]),
+                     lambda: gram(B, [y], [x])):
+            with pytest.raises(DimensionMismatch):
+                pair()
+    for y in ((1,), (1, 0, 0)):
         with pytest.raises(DimensionMismatch):
-            B.apply(vec(x), vec(y))
+            B.image(vec(y))
 
 
 def test_nondegeneracy():

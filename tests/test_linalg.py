@@ -312,8 +312,9 @@ def test_reducer_interleaved_calls_match_dense_oracle(data):
 @settings(max_examples=60, deadline=None)
 def test_reducer_rows_stay_primitive_and_signed(data):
     """The row invariant after every add, on rows drawn with either sign
-    at their first entry; a reducer built from an RREF (or from the int
-    rows themselves) as ``echelon`` stores the same rows."""
+    at their first entry; a reducer built by the constructor from the
+    drawn rows (zero, dependent and not echelon among them), from the RREF
+    or from the int rows themselves stores the same rows."""
     ncols = data.draw(st.integers(1, 30))
     red, rows = RowReducer(ncols), []
     for _ in range(data.draw(st.integers(1, 12))):
@@ -321,8 +322,8 @@ def test_reducer_rows_stay_primitive_and_signed(data):
         rows.append(row)
         red.add(row if data.draw(st.booleans()) else [-q for q in row])
         _assert_primitive_rows(red)
-    for echelon in (red.basis(), list(red.int_rows.values())):
-        assert RowReducer(ncols, echelon).int_rows == red.int_rows
+    for given in (rows, red.basis(), list(red.int_rows.values())):
+        assert RowReducer(ncols, given).int_rows == red.int_rows
 
 
 @st.composite
