@@ -24,14 +24,14 @@ from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
                     is_totally_isotropic, orthogonal, quadratic)
 from .gallery import orthogonal_direct_sum
 from .isotropy import isotropic_point
-from .linalg import (Mat, RowReducer, Vec, ZERO, charpoly,
-                     diagonalize_symmetric, frac, kernel, mat, mat_vec, rank,
-                     rational_roots, transpose, unit_vec, vec_is_zero)
+from .linalg import (Coordinates, Mat, ONE, RowReducer, Vec, ZERO, charpoly,
+                     dense_vec, diagonalize_symmetric, kernel, lincomb,
+                     nonzeros, rank, rational_roots, unit_vec)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, abelian,
-                           ad_images, bracket, class_condition,
-                           derived_subspace, extend_subspace,
-                           graded_complement, is_ideal, is_nilpotent,
-                           is_solvable, subspace, zero_subspace)
+                           ad_images, class_condition, derived_subspace,
+                           extend_subspace, graded_complement, is_ideal,
+                           is_nilpotent, is_solvable, sparse_bracket,
+                           subspace, zero_subspace)
 from .tstar import TStarExtension, quadratic_morphism_violation, recognize
 
 _QUADRIC_VARS = ("x", "y", "z", "w")
@@ -69,7 +69,7 @@ def isotropic_vector(gram: Mat, parities: tuple[int, ...], *,
             return P[r]
     point, obstruction = isotropic_point(diag)
     if point is not None:
-        return mat_vec(transpose(P), point)
+        return dense_vec(lincomb(zip(point, map(enumerate, P))), k)
     if certify:
         raise RationalPointNotFound(
             "the even quadric has no rational isotropic vector",
@@ -103,39 +103,13 @@ class Decomposition:
     parity_case: str  # "even" or "odd"
 
 
-class _Coordinates:
-    """Coordinates in the span of independent rows, factored once.
-
-    Each row r_t is reduced once as [r_t | e_t].  Reducing [v | 0]
-    against them then leaves [v - sum_p v[p] R_p | -x], with R_p the RREF
-    row of the span at pivot p and x the coordinates of v; v is in the
-    span exactly when the first part vanishes.
-    """
-
-    def __init__(self, rows):
-        self._n = n = len(rows[0]) if rows else 0
-        self._pad = (ZERO,) * len(rows)
-        self._red = RowReducer(n + len(rows), (
-            (*row, *unit_vec(len(rows), t)) for t, row in enumerate(rows)))
-        if any(p >= n for p in self._red.int_rows):
-            raise InternalCheckError("spanning rows are dependent")
-
-    def of(self, v: Vec) -> Vec | None:
-        """Coordinates of v, or None if v is not in the span."""
-        r = self._red.reduce((*v, *self._pad))
-        if any(c < self._n for c in r):
-            return None
-        x = list(self._pad)
-        for c, q in r.items():
-            x[c - self._n] = -q
-        return tuple(x)
-
-
 class _InducedSpace:
     """The subquotient V' = W^perp / W with its induced action and form.
 
-    The spanning rows [reps | W basis] are independent and factored
-    once; ``project`` reads V'-coordinates off that factorization.
+    Vectors of V' are {t: c} dicts of V'-coordinates, and ambient ones
+    {k: c} dicts; each method also takes dense ones.  The spanning rows
+    [reps | W basis] are independent and factored once; ``project`` reads
+    V'-coordinates off that factorization.
     """
 
     def __init__(self, q: QuadraticLieSuperalgebra, w: Subspace):
@@ -145,57 +119,63 @@ class _InducedSpace:
         if not wperp.contains(w):
             raise InternalCheckError("flag subspace is not isotropic")
         comp = graded_complement(q.basis, w, within=wperp)
-        self.rep_vectors = comp.vectors          # lifts of the V' basis
+        self.reps = comp.rows          # lifts of the V' basis
         self.parities = comp.parities
-        self.dim = len(self.rep_vectors)
-        self._coords = _Coordinates(tuple(self.rep_vectors) + tuple(w.vectors))
+        self.dim = comp.dim
+        self._coords = Coordinates(q.dim, self.reps + w.rows)
 
-    def project(self, v: Vec) -> Vec:
+    def project(self, v: Vec | dict) -> dict:
         """V'-coordinates of a vector of W^perp."""
-        if self.dim == 0:
-            return ()
         x = self._coords.of(v)
         if x is None:
             raise InternalCheckError("vector is not in W^perp")
-        return x[:self.dim]
+        return {t: c for t, c in x.items() if t < self.dim}
 
-    def lift(self, u: Vec) -> Vec:
-        return mat_vec(transpose(self.rep_vectors), u)
+    def lift(self, u: Vec | dict) -> dict:
+        """The ambient vector sum_t u_t reps[t]."""
+        return lincomb((c, self.reps[t].items())
+                       for t, c in nonzeros(u, self.dim).items())
 
-    def action(self, x: Vec, space: list[Vec]) -> Mat:
+    def action(self, x: Vec | dict, space: list) -> Mat:
         """Matrix of the induced action of x on the span of the independent
         V'-vectors ``space`` (columns = images), which must be invariant."""
-        coords = _Coordinates(space)
+        coords = Coordinates(self.dim, space)
         cols = []
         for s in space:
-            c = coords.of(self.project(bracket(self.q.algebra, x,
-                                               self.lift(s))))
+            c = coords.of(self.project(sparse_bracket(self.q.algebra, x,
+                                                      self.lift(s))))
             if c is None:
                 raise InternalCheckError(
                     "span is not invariant under the induced action")
             cols.append(c)
-        return transpose(mat(cols)) if cols else ()
+        return tuple(tuple(c.get(r, ZERO) for c in cols)
+                     for r in range(len(space)))
 
-    def invariants(self) -> list[Vec]:
+    def invariants(self) -> list[dict]:
         """The g-invariants of V', as U / W for U = (W + [g, W^perp])^perp;
         W is an ideal, so the images of the lifts suffice.  The basis is
         the one the stacked induced operators give (docs/conventions.md)."""
         q = self.q
-        images = filter(None, ad_images(q.algebra, self.rep_vectors))
-        span = subspace(q.basis, itertools.chain(self.w.vectors, images))
+        images = filter(None, ad_images(q.algebra, self.reps))
+        span = subspace(q.basis, itertools.chain(self.w.rows, images))
         red = RowReducer(self.dim, map(self.project,
-                                       orthogonal(q.form, span).vectors))
-        return RowReducer(self.dim, red.kernel()).kernel()
+                                       orthogonal(q.form, span).rows))
+        return RowReducer(self.dim, red.sparse_kernel()).sparse_kernel()
 
-    def induced_gram_on(self, rows: list[Vec]) -> Mat:
+    def induced_gram_on(self, rows: list) -> Mat:
         lifts = [self.lift(r) for r in rows]
         return gram(self.q.form, lifts, lifts)
 
 
-def _row_parity(parities, v: Vec) -> int:
+def _combination(x, space: list[dict]) -> dict:
+    """sum_t x_t space[t] for coefficients x given densely."""
+    return lincomb(zip(x, (v.items() for v in space)))
+
+
+def _row_parity(parities, v: Vec | dict) -> int:
     """The parity of a nonzero homogeneous vector of V'; the kernels the
     flag step reads are homogeneous (docs/conventions.md, "Flag step")."""
-    found = {parities[r] for r, c in enumerate(v) if c}
+    found = {parities[r] for r in nonzeros(v, len(parities))}
     if len(found) != 1:
         raise InternalCheckError("vector of V' is not homogeneous",
                                  witness=v)
@@ -217,28 +197,26 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
     """
     g = q.algebra
     n = g.dim
-    whole = [unit_vec(ind.dim, t) for t in range(ind.dim)]
-    xs = itertools.chain((unit_vec(n, i) for i in range(n)
-                          if g.parity(i) == ODD), derived_subspace(g).vectors)
-    vpp = RowReducer(ind.dim, (row for x in xs
-                               for row in ind.action(x, whole))).kernel()
+    whole = [{t: ONE} for t in range(ind.dim)]
+    xs = itertools.chain(({i: ONE} for i in range(n) if g.parity(i) == ODD),
+                         derived_subspace(g).rows)
+    vpp = RowReducer(ind.dim, (row for x in xs for row in
+                               ind.action(x, whole))).sparse_kernel()
     if not vpp:
         return None, None
-    evens = [unit_vec(n, i) for i in range(n) if g.parity(i) == EVEN]
+    evens = [{i: ONE} for i in range(n) if g.parity(i) == EVEN]
     first_poly: list = [None]
 
-    def leaf_pick(space: list[Vec]) -> Vec | None:
+    def leaf_pick(space: list[dict]) -> dict | None:
         par = tuple(_row_parity(ind.parities, v) for v in space)
         point = isotropic_vector(ind.induced_gram_on(space), par)
-        if point is None:
-            return None
-        return mat_vec(transpose(space), point)
+        return None if point is None else _combination(point, space)
 
-    def descend(space: list[Vec], k: int) -> Vec | None:
+    def descend(space: list[dict], k: int) -> dict | None:
         if k == len(evens):
             return leaf_pick(space)
         op = ind.action(evens[k], space)
-        if all(vec_is_zero(r) for r in op):
+        if not any(map(any, op)):
             return descend(space, k + 1)
         coeffs = charpoly(op)
         roots = rational_roots(coeffs)
@@ -251,8 +229,7 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
                 tuple(op[r][s] - (lam if r == s else ZERO)
                       for s in range(len(space)))
                 for r in range(len(space)))
-            new_space = [mat_vec(transpose(space), u)
-                         for u in kernel(shifted)]
+            new_space = [_combination(u, space) for u in kernel(shifted)]
             got = descend(new_space, k + 1)
             if got is not None:
                 return got
@@ -291,7 +268,7 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
             try:
                 point = isotropic_vector(ind.induced_gram_on(u_basis), par,
                                          certify=True)
-                vprime = mat_vec(transpose(u_basis), point)
+                vprime = _combination(point, u_basis)
             except RationalPointNotFound as exc:
                 if nilp:
                     raise
@@ -343,7 +320,7 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         if not (wperp.contains(w) and wperp.dim == w.dim + 1):
             raise InternalCheckError("orthogonal of the maximal member is "
                                      "not one dimension bigger")
-        if not all(map(w.contains_vector, ad_images(g, wperp.vectors))):
+        if not all(map(w.contains_vector, ad_images(g, wperp.rows))):
             raise InternalCheckError("action does not map the orthogonal "
                                      "of the maximal member into it")
     return IsotropicFlagResult(w, tuple(chain), w.dim)
@@ -365,7 +342,7 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
     # B(t, t) = -beta to make the enlarged ideal Lagrangian, then
     # recognize the enlarged algebra (docs/conventions.md, "Odd dimension")
     wperp = orthogonal(q.form, iso)
-    d = next((v for v, p in zip(wperp.vectors, wperp.parities)
+    d = next((v for v, p in zip(wperp.rows, wperp.parities)
               if p == EVEN and not iso.contains_vector(v)), None)
     if d is None:
         raise InternalCheckError(
@@ -378,9 +355,8 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
     qhat = orthogonal_direct_sum(q, quadratic(
         line, EvenForm(line.basis, {(0, 0): -beta}), check_algebra=False))
     N = n + 1
-    iso_hat_vectors = [v + (ZERO,) for v in iso.vectors]
-    iso_hat_vectors.append(tuple(d) + (frac(1),))  # d + t is isotropic
-    iso_hat = subspace(qhat.basis, iso_hat_vectors)
+    # d + t is isotropic
+    iso_hat = subspace(qhat.basis, [*iso.rows, {**d, n: ONE}])
     if not (is_totally_isotropic(qhat.form, iso_hat)
             and is_ideal(qhat.algebra, iso_hat)
             and 2 * iso_hat.dim == N):
@@ -414,11 +390,11 @@ def _verify_codim1_embedding(q: QuadraticLieSuperalgebra,
     if bad is not None:
         kind, witness = bad
         raise InternalCheckError(_EMBEDDING_FAILURES[kind], witness=witness)
-    cols = [tuple(m[r][a] for r in range(N)) for a in range(n)]
-    image = subspace(total.basis, cols)
+    image = subspace(total.basis, [{r: m[r][a] for r in range(N) if m[r][a]}
+                                   for a in range(n)])
     if image.dim != N - 1:
         raise InternalCheckError("image does not have codimension 1")
     if not is_ideal(total.algebra, image):
         raise InternalCheckError("image is not an ideal")
-    if rank(gram(total.form, image.vectors, image.vectors)) != image.dim:
+    if rank(gram(total.form, image.rows, image.rows)) != image.dim:
         raise InternalCheckError("form is degenerate on the image")

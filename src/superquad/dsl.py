@@ -29,7 +29,7 @@ from fractions import Fraction
 from .cohomology import Cochain2Dual, ScalarCochain2, ScalarCochain3, canon
 from .errors import SuperquadError
 from .forms import EvenForm, QuadraticLieSuperalgebra
-from .linalg import Vec, vec_is_zero, vec_scale, zero_vec
+from .linalg import Vec, dense_vec, vec_is_zero, vec_scale, zero_vec
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra, Subspace,
                            graded_basis, sgn, subspace)
 
@@ -398,7 +398,7 @@ def document_from(algebra: LieSuperalgebra,
             if i == j and sgn(basis.parity(i) * basis.parity(j)) == 1:
                 continue
             if algebra.table[i][j]:
-                brackets[(i, j)] = algebra.bracket_vector(i, j)
+                brackets[(i, j)] = dense_vec(dict(algebra.table[i][j]), n)
 
     def coords(objs):
         return {k: dict(v.coords) for k, v in sorted((objs or {}).items())}

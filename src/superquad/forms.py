@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .cohomology import store_free_entries
 from .errors import (DimensionMismatch, FormError, PreconditionError)
-from .linalg import (HALF, Mat, RowReducer, Vec, ZERO, integer_rows, inverse,
-                     mat, mat_mul, mat_vec, transpose, vec_sub)
+from .linalg import (HALF, Mat, RowReducer, Vec, ZERO, integer_rows, lincomb,
+                     mat, nonzeros)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
                            graded_complement, require_axioms, sgn, subspace)
 
@@ -28,9 +28,9 @@ class EvenForm:
 
     Construction also derives the sparse rows, ``_rows[i] = ((j,
     B(e_i, e_j)), ...)`` over the nonzero entries, ascending j, and every
-    pairing reads the covector :meth:`image` off them: a T*-extension's
-    form has a single nonzero per row, so a dense product would mostly
-    multiply zeros.
+    pairing reads the covector :meth:`image` off the rows at the nonzeros
+    of its vector: a T*-extension's form has a single nonzero per row, so
+    a dense product would mostly multiply zeros.
     """
 
     basis: GradedBasis
@@ -52,32 +52,26 @@ class EvenForm:
     def dim(self) -> int:
         return self.basis.dim
 
-    def image(self, y: Vec) -> dict[int, Fraction]:
-        """The covector B(-, y) as {a: B(e_a, y)} over its nonzeros."""
-        if len(y) != self.dim:
-            raise DimensionMismatch("vectors do not match the basis")
-        out = {}
-        for a, row in enumerate(self._rows):
-            s = ZERO
-            for j, q in row:
-                if y[j]:
-                    s += q * y[j]
-            if s:
-                out[a] = s
-        return out
+    def image(self, y: Vec | dict) -> dict[int, Fraction]:
+        """The covector B(-, y) as {a: B(e_a, y)} over its nonzeros, for y
+        dense or a {k: c} dict: the sum of y_j B(e_a, e_j) =
+        (-1)^{|j|} y_j B(e_j, e_a) over the nonzeros y_j, as B is even."""
+        p = self.basis.parities
+        return lincomb((-c if p[j] else c, self._rows[j])
+                       for j, c in nonzeros(y, self.dim).items())
 
-    def apply(self, x: Vec, y: Vec) -> Fraction:
+    def apply(self, x: Vec | dict, y: Vec | dict) -> Fraction:
         """B(x, y), summed over :meth:`image` of y."""
         return gram(self, [x], [y])[0][0]
 
 
 def gram(B: EvenForm, rows, cols) -> Mat:
-    """The matrix [[B(u, v) for v in cols] for u in rows], each entry a
-    sum over the :meth:`~EvenForm.image` of v, read once per column."""
+    """The matrix [[B(u, v) for v in cols] for u in rows], for vectors
+    dense or {k: c} dicts, each entry a sum over the nonzeros of u and
+    the :meth:`~EvenForm.image` of v, read once per column."""
     images = [B.image(v) for v in cols]
-    if any(len(u) != B.dim for u in rows):
-        raise DimensionMismatch("vectors do not match the basis")
-    return tuple(tuple(sum((u[a] * q for a, q in im.items() if u[a]), ZERO)
+    rows = [nonzeros(u, B.dim).items() for u in rows]
+    return tuple(tuple(sum((c * im[a] for a, c in u if a in im), ZERO)
                        for im in images) for u in rows)
 
 
@@ -109,7 +103,7 @@ def radical(B: EvenForm) -> list[Vec]:
 
 
 def is_nondegenerate(B: EvenForm) -> bool:
-    return not radical(B)
+    return RowReducer(B.dim, map(dict, B._rows)).rank == B.dim
 
 
 def invariance_violation(g: LieSuperalgebra, B: EvenForm):
@@ -145,12 +139,12 @@ def is_invariant(g: LieSuperalgebra, B: EvenForm) -> bool:
 
 def orthogonal(B: EvenForm, w: Subspace) -> Subspace:
     """w^perp = {v : B(v, u) = 0 for all u in w}."""
-    return subspace(B.basis, RowReducer(B.dim, map(B.image, w.vectors))
-                    .kernel())
+    return subspace(B.basis, RowReducer(B.dim, map(B.image, w.rows))
+                    .sparse_kernel())
 
 
 def is_totally_isotropic(B: EvenForm, w: Subspace) -> bool:
-    return not any(map(any, gram(B, w.vectors, w.vectors)))
+    return not any(map(any, gram(B, w.rows, w.rows)))
 
 
 def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
@@ -161,6 +155,9 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
     greedy graded complement W, the correction h: W -> iso with
     B(h(w), w') = 1/2 B(w, w') makes C = {w - h(w)} totally isotropic;
     the 1/2 needs characteristic != 2, automatic over the rationals.
+    Per parity, with pairing matrix M[u][b] = B(iso_u, w_b) (invertible
+    here), one reducer of the rows [M[u] | iso_u] reduces
+    [1/2 B(w_a, w_b) for b | w_a] to [0 | w_a - h(w_a)].
     """
     n = B.dim
     if not is_nondegenerate(B):
@@ -173,21 +170,24 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
     comp = graded_complement(B.basis, iso)
     corrected = []
     for p in (0, 1):
-        w_rows = [v for v, pv in zip(comp.vectors, comp.parities) if pv == p]
-        i_rows = [v for v, pv in zip(iso.vectors, iso.parities) if pv == p]
-        if len(w_rows) != len(i_rows):
+        w_rows = [v for v, pv in zip(comp.rows, comp.parities) if pv == p]
+        i_rows = [v for v, pv in zip(iso.rows, iso.parities) if pv == p]
+        k = len(w_rows)
+        if k != len(i_rows):
             raise PreconditionError(
                 "isotropic subspace is not half-dimensional in each parity")
-        if not w_rows:
-            continue
-        # pairing matrix M[u][b] = B(iso_u, w_b) is invertible here;
-        # h(w_a) = sum_u x_u iso_u with x = (M^T)^-1 (1/2 B(w_a, w_b))_b
         pairs = gram(B, i_rows + w_rows, w_rows)
-        h = mat_mul(transpose(i_rows),
-                    inverse(transpose(pairs[:len(i_rows)])))
-        for w_a, row in zip(w_rows, pairs[len(i_rows):]):
-            corrected.append(vec_sub(w_a, mat_vec(
-                h, [HALF * q for q in row])))
+        red = RowReducer(k + n, (
+            {**{b: q for b, q in enumerate(row) if q},
+             **{k + c: q for c, q in i_u.items()}}
+            for row, i_u in zip(pairs, i_rows)))
+        for w_a, row in zip(w_rows, pairs[k:]):
+            r = red.reduce({**{b: HALF * q for b, q in enumerate(row) if q},
+                            **{k + c: q for c, q in w_a.items()}})
+            if any(c < k for c in r):
+                raise PreconditionError("pairing with the complement is "
+                                        "degenerate")
+            corrected.append({c - k: q for c, q in r.items()})
     out = subspace(B.basis, corrected)
     if not (out.dim == iso.dim and is_totally_isotropic(B, out)):
         raise PreconditionError("isotropic complement construction failed")

@@ -101,7 +101,7 @@ def build_class_c_example(n: int) -> QuadraticLieSuperalgebra:
         raise InternalCheckError("extension of a nilpotent base must be "
                                  "nilpotent")
     z = center(total.algebra)
-    if z.is_zero() or z.even_rows:
+    if z.is_zero() or EVEN in z.parities:
         raise InternalCheckError("center must be nonzero and purely odd")
     return total
 

@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Vectors and matrices are immutable tuples with ``Fraction`` entries and
-every operation is exact; nothing in this package ever rounds.  There is
-one eliminator, the sparse fraction-free :class:`RowReducer`: primitive
-int rows by pivot, each an RREF row times its pivot entry, read out as
+Every operation is exact; nothing in this package ever rounds.  Inside
+the package a vector is the {k: c} dict of its nonzero ``Fraction``
+entries; dense tuples, and matrices as tuples of them, appear only at
+the public edge.  Three helpers own that choice: :func:`nonzeros` reads
+either form as a dict, :func:`dense_vec` reads a dict out densely and
+:func:`lincomb` sums c v over sparse rows.  There is one eliminator,
+the sparse fraction-free :class:`RowReducer`: primitive int rows by
+pivot, each an RREF row times its pivot entry, read out as
 ``Fraction``s; its constructor adds the rows it is given.  The solvers
 read one reduction each: ``rref``, ``rank`` reduce A, ``kernel`` reads
-the free columns, ``solve`` reduces [A | b] (a pivot in the last column
-means no solution) and ``inverse`` reduces [A | I].  All of them reject
-a ragged matrix.  Hot callers avoid re-solving: ``superalgebra.Subspace``
-tests membership by reducing against its RREF rows by pivot, and the
-decomposition factors each spanning set once and reads coordinates off
-that factorization.
+the free columns and ``solve`` reduces [A | b] (a pivot in the last
+column means no solution); all of them reject a ragged matrix.
+:class:`Coordinates` factors a spanning set once and reads coordinates
+off that factorization.
 """
 
 from __future__ import annotations
@@ -48,6 +50,31 @@ def integer_rows(rows: Iterable) -> tuple[int, list]:
                for row in rows]
 
 
+def nonzeros(v, n: int) -> dict[int, Fraction]:
+    """The {k: c} dict of the nonzero entries of a vector with n
+    coordinates, given dense or as such a dict."""
+    sparse = isinstance(v, dict)
+    if (any(k not in range(n) for k in v) if sparse else len(v) != n):
+        raise DimensionMismatch(f"vector does not fit {n} coordinates")
+    return {k: c for k, c in (v.items() if sparse else enumerate(v)) if c}
+
+
+def dense_vec(v: dict, n: int) -> Vec:
+    """The dense read-out of a {k: c} dict with n coordinates."""
+    return tuple(map(v.get, range(n), repeat(ZERO)))
+
+
+def lincomb(terms) -> dict[int, Fraction]:
+    """sum of c v over the (c, v) in terms, each v given by its (k, v_k)
+    pairs, as the {k: c} dict of its nonzeros."""
+    out: dict = {}
+    for c, pairs in terms:
+        if c:
+            for k, q in pairs:
+                out[k] = out[k] + c * q if k in out else c * q
+    return {k: q for k, q in out.items() if q}
+
+
 def vec(entries: Iterable) -> Vec:
     return tuple(frac(e) for e in entries)
 
@@ -73,14 +100,6 @@ def zeros(rows: int, cols: int) -> Mat:
     return tuple((ZERO,) * cols for _ in range(rows))
 
 
-def identity(n: int) -> Mat:
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
 def vec_scale(q, x: Vec) -> Vec:
     q = frac(q)
     return tuple(q * a for a in x)
@@ -88,32 +107,6 @@ def vec_scale(q, x: Vec) -> Vec:
 
 def vec_is_zero(x: Vec) -> bool:
     return all(a == 0 for a in x)
-
-
-def dot(x: Vec, y: Vec) -> Fraction:
-    """Sum of the products x_i y_i, skipping those with a zero factor."""
-    return sum((a * b for a, b in zip(x, y, strict=True) if a and b), ZERO)
-
-
-def mat_vec(A: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in A)
-
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    if A and B and len(A[0]) != len(B):
-        raise DimensionMismatch("inner dimensions differ")
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
-def transpose(A: Mat) -> Mat:
-    if not A:
-        return ()
-    return tuple(zip(*A))
-
-
-def trace(A: Mat) -> Fraction:
-    return sum((A[i][i] for i in range(len(A))), ZERO)
 
 
 def _combine(a: int, r: dict[int, int], terms) -> dict[int, int]:
@@ -178,11 +171,7 @@ class RowReducer:
     def _residual(self, row) -> tuple[int, dict[int, int]]:
         """(f, r): what is left of a row, dense or a {column: value} dict,
         after eliminating the pivot columns, times f > 0, as ints."""
-        sparse = isinstance(row, dict)
-        if (any(c not in range(self.ncols) for c in row) if sparse
-                else len(row) != self.ncols):
-            raise DimensionMismatch(f"row does not fit {self.ncols} columns")
-        r = {c: q for c, q in (row.items() if sparse else enumerate(row)) if q}
+        r = nonzeros(row, self.ncols)
         f = math.lcm(*[q.denominator for q in r.values()])
         r = {c: q.numerator * (f // q.denominator) for c, q in r.items()}
         rows = self.int_rows
@@ -228,21 +217,30 @@ class RowReducer:
     # an alias of add, kept because bench/tracer.py wraps this name
     add_sparse = add
 
+    def copy(self) -> "RowReducer":
+        """A reducer with the same rows, to add to without reducing them
+        again or changing this one."""
+        out = RowReducer(self.ncols)
+        out.int_rows = {p: dict(r) for p, r in self.int_rows.items()}
+        out._at = {c: set(ps) for c, ps in self._at.items()}
+        return out
+
     def basis(self) -> Mat:
         """The dense RREF rows, in pivot order."""
-        return tuple(tuple(map(r.get, range(self.ncols), repeat(ZERO)))
+        return tuple(dense_vec(r, self.ncols)
                      for _, r in sorted(self.rows.items()))
 
     def kernel(self, n: int | None = None) -> list[Vec]:
         """Kernel on the first n columns (default: all), one vector per
         free column; for rows [A | b] and n the width of A, ker A."""
         n = self.ncols if n is None else n
-        return [tuple(map(x.get, range(n), repeat(ZERO)))
-                for x in self.sparse_kernel(n)]
+        return [dense_vec(x, n) for x in self.sparse_kernel(n)]
 
-    def sparse_kernel(self, n: int) -> list[dict[int, Fraction]]:
+    def sparse_kernel(self, n: int | None = None
+                      ) -> list[dict[int, Fraction]]:
         """The vectors of :meth:`kernel` as {column: value} dicts of their
         nonzero entries, read off the int rows."""
+        n = self.ncols if n is None else n
         out = {f: {f: ONE} for f in range(n) if f not in self.int_rows}
         for p, r in self.int_rows.items():
             for c, q in r.items():
@@ -305,17 +303,30 @@ def solve(A: Mat, b: Vec) -> SolutionSet:
         tuple(red.kernel(n)))
 
 
-def inverse(A: Mat) -> Mat:
-    """Inverse of a square matrix, read off the reduction of [A | I]."""
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise DimensionMismatch("only square matrices can be inverted")
-    red = RowReducer(2 * n, ({**{c: q for c, q in enumerate(r) if q},
-                              n + i: ONE} for i, r in enumerate(A)))
-    if red.pivots != tuple(range(n)):
-        raise DimensionMismatch("matrix is singular")
-    return tuple(tuple(r.get(n + c, ZERO) for c in range(n))
-                 for _, r in sorted(red.rows.items()))
+class Coordinates:
+    """Coordinates in the span of independent rows with n coordinates,
+    factored once.
+
+    Each row r_t, dense or a {k: c} dict, is reduced once as [r_t | e_t].
+    Reducing [v | 0] against them then leaves [v - sum_p v[p] R_p | -x],
+    with R_p the RREF row of the span at pivot p and x the coordinates of
+    v; v is in the span exactly when the first part vanishes.
+    """
+
+    def __init__(self, n: int, rows):
+        self.n = n
+        self._red = RowReducer(n + len(rows), (
+            {**nonzeros(row, n), n + t: ONE} for t, row in enumerate(rows)))
+        if any(p >= n for p in self._red.int_rows):
+            raise DimensionMismatch("spanning rows are dependent")
+
+    def of(self, v) -> dict[int, Fraction] | None:
+        """The coordinates {t: x_t} of v, dense or a {k: c} dict, over
+        its nonzeros, or None if v is not in the span."""
+        r = self._red.reduce(nonzeros(v, self.n))
+        if any(c < self.n for c in r):
+            return None
+        return {c - self.n: -q for c, q in r.items()}
 
 
 def charpoly(A: Mat) -> tuple[Fraction, ...]:
@@ -326,15 +337,16 @@ def charpoly(A: Mat) -> tuple[Fraction, ...]:
     """
     n = len(A)
     coeffs: list[Fraction] = [ONE]
-    M = identity(n)
+    M = A
     for k in range(1, n + 1):
-        M = mat_mul(A, M)
-        c = -trace(M) / k
+        c = -sum((M[i][i] for i in range(n)), ZERO) / k
         coeffs.append(c)
         if k < n:
-            M = tuple(
-                tuple(M[i][j] + (c if i == j else ZERO) for j in range(n))
-                for i in range(n))
+            # M <- A (M + c I), from the columns of M + c I
+            cols = [[M[i][j] + c if i == j else M[i][j] for i in range(n)]
+                    for j in range(n)]
+            M = tuple(tuple(sum((a * b for a, b in zip(row, col) if a and b),
+                                ZERO) for col in cols) for row in A)
     return tuple(coeffs)
 
 

@@ -23,8 +23,8 @@ from functools import cached_property
 
 from .errors import (AxiomError, DimensionMismatch, NotGradedError,
                      NotIdealError, PreconditionError)
-from .linalg import (Mat, RowReducer, Vec, ZERO, frac, integer_rows, inverse,
-                     mat, mat_vec, transpose, unit_vec, vec)
+from .linalg import (Coordinates, Mat, ONE, RowReducer, Vec, ZERO, dense_vec,
+                     frac, integer_rows, lincomb, nonzeros)
 
 EVEN = 0
 ODD = 1
@@ -134,13 +134,6 @@ class LieSuperalgebra:
         d, scaled = integer_rows(self.table[i][j] for i, j in keys)
         return d, tuple((i, j, tuple(e)) for (i, j), e in zip(keys, scaled))
 
-    def bracket_vector(self, i: int, j: int) -> Vec:
-        """[e_i, e_j] as a dense coordinate vector."""
-        out = [ZERO] * self.dim
-        for k, q in self.table[i][j]:
-            out[k] = q
-        return tuple(out)
-
 
 def from_brackets(names, parities, brackets) -> LieSuperalgebra:
     """Build an algebra from a sparse {(a, b): {label: coeff}} description.
@@ -183,38 +176,31 @@ def abelian(even: int, odd: int) -> LieSuperalgebra:
 # bracket and axiom checking
 # ---------------------------------------------------------------------------
 
-def bracket(g: LieSuperalgebra, x: Vec, y: Vec) -> Vec:
-    """Bilinear extension of the structure constants."""
-    n = g.dim
-    if len(x) != n or len(y) != n:
-        raise DimensionMismatch("vectors do not match the basis")
-    out = [ZERO] * n
-    table = g.table
-    y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in y_nonzero:
-            f = xi * yj
-            for k, q in table[i][j]:
-                out[k] += f * q
-    return tuple(out)
+def sparse_bracket(g: LieSuperalgebra, x, y) -> dict:
+    """[x, y] for x and y dense or {k: c} dicts, as the {k: c} dict of
+    its nonzeros: the bilinear extension of the table over the nonzeros
+    of x and y."""
+    table, n = g.table, g.dim
+    ys = nonzeros(y, n).items()
+    return lincomb((xi * yj, table[i][j]) for i, xi in nonzeros(x, n).items()
+                   for j, yj in ys if table[i][j])
+
+
+def bracket(g: LieSuperalgebra, x, y) -> Vec:
+    """[x, y] as a dense vector, the public read-out of
+    :func:`sparse_bracket`."""
+    return dense_vec(sparse_bracket(g, x, y), g.dim)
 
 
 def ad_images(g: LieSuperalgebra, vectors):
     """Yield [e_i, v] for every basis index i and every v in ``vectors``,
-    i-major, each as the {k: c} dict of its nonzeros, read straight off
-    the table; each v's nonzeros are read once."""
-    if any(len(v) != g.dim for v in vectors):
-        raise DimensionMismatch("vectors do not match the basis")
-    supports = [[(j, q) for j, q in enumerate(v) if q] for v in vectors]
+    dense or {k: c} dicts, i-major, each as the {k: c} dict of its
+    nonzeros, read straight off the table; each v's nonzeros are read
+    once."""
+    supports = [nonzeros(v, g.dim).items() for v in vectors]
     for row in g.table:
         for support in supports:
-            acc: dict = {}
-            for j, q in support:
-                for k, c in row[j]:
-                    acc[k] = acc.get(k, ZERO) + q * c
-            yield {k: c for k, c in acc.items() if c}
+            yield lincomb((q, row[j]) for j, q in support)
 
 
 def cyclic_sums(parities, terms, ordered: bool = False) -> dict:
@@ -309,42 +295,62 @@ def require_axioms(g: LieSuperalgebra, what: str = "algebra") -> None:
 # graded subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """Graded subspace, stored as the ``RowReducer`` of its span.
+    """Graded subspace, stored only as the ``RowReducer`` of its span.
 
     The span is graded iff every RREF row of the reducer is homogeneous
     (docs/conventions.md, "Exact linear algebra"); construction checks
-    that and reads the canonical homogeneous basis off the rows, split by
-    pivot parity.  Membership reduces a vector against the rows by pivot.
+    that.  The canonical homogeneous basis is the RREF rows, even pivots
+    first, each parity in pivot order: ``rows`` reads them as {k: c}
+    dicts, and ``vectors``, ``even_rows`` and ``odd_rows`` read them out
+    densely for public callers, each once.  Membership reduces a vector
+    against the rows by pivot; two subspaces are equal iff they have the
+    same basis and the same span, so the same canonical rows.
     """
 
     basis: GradedBasis
-    reducer: RowReducer = field(repr=False, compare=False)
-    even_rows: Mat = field(init=False)
-    odd_rows: Mat = field(init=False)
+    reducer: RowReducer = field(repr=False)
 
     def __post_init__(self):
         red = self.reducer
         if red.ncols != self.basis.dim:
             raise DimensionMismatch("reducer width does not match the basis")
         p = self.basis.parities
-        rows: tuple[list, list] = ([], [])
-        for pivot, dense in zip(red.pivots, red.basis()):
-            if len({p[c] for c in red.int_rows[pivot]}) != 1:
-                raise NotGradedError(
-                    "spanning set does not span a graded subspace")
-            rows[p[pivot]].append(dense)
-        object.__setattr__(self, "even_rows", tuple(rows[EVEN]))
-        object.__setattr__(self, "odd_rows", tuple(rows[ODD]))
+        if any(len({p[c] for c in r}) != 1 for r in red.int_rows.values()):
+            raise NotGradedError(
+                "spanning set does not span a graded subspace")
 
-    @property
-    def vectors(self) -> Mat:
-        return self.even_rows + self.odd_rows
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Subspace) and self.basis == other.basis
+                and self.reducer.int_rows == other.reducer.int_rows)
 
-    @property
+    def __hash__(self) -> int:
+        return hash((self.basis, self.reducer.pivots))
+
+    @cached_property
+    def rows(self) -> tuple[dict, ...]:
+        """The RREF rows as {k: c} dicts, in the order of ``vectors``."""
+        p = self.basis.parities
+        return tuple(r for _, r in sorted(self.reducer.rows.items(),
+                                          key=lambda pr: (p[pr[0]], pr[0])))
+
+    @cached_property
     def parities(self) -> tuple[int, ...]:
-        return (EVEN,) * len(self.even_rows) + (ODD,) * len(self.odd_rows)
+        p = self.basis.parities
+        return tuple(sorted(p[c] for c in self.reducer.int_rows))
+
+    @cached_property
+    def vectors(self) -> Mat:
+        return tuple(dense_vec(r, self.basis.dim) for r in self.rows)
+
+    @property
+    def even_rows(self) -> Mat:
+        return self.vectors[:self.parities.count(EVEN)]
+
+    @property
+    def odd_rows(self) -> Mat:
+        return self.vectors[self.parities.count(EVEN):]
 
     @property
     def dim(self) -> int:
@@ -355,12 +361,11 @@ class Subspace:
 
     def contains_vector(self, v: Vec | dict) -> bool:
         """Whether v, dense or a {k: c} dict, lies in the subspace."""
-        if not isinstance(v, dict) and len(v) != self.basis.dim:
-            raise DimensionMismatch("vector does not match the ambient basis")
         return not self.reducer.reduce(v)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.vectors)
+        return all(map(self.contains_vector,
+                       other.reducer.int_rows.values()))
 
     def equals(self, other: "Subspace") -> bool:
         return self.dim == other.dim and self.contains(other)
@@ -377,12 +382,15 @@ def zero_subspace(basis: GradedBasis) -> Subspace:
 
 
 def full_subspace(basis: GradedBasis) -> Subspace:
-    n = basis.dim
-    return subspace(basis, [unit_vec(n, i) for i in range(n)])
+    return subspace(basis, [{i: ONE} for i in range(basis.dim)])
 
 
-def extend_subspace(w: Subspace, v: Vec) -> Subspace:
-    return subspace(w.basis, w.vectors + (vec(v),))
+def extend_subspace(w: Subspace, v: Vec | dict) -> Subspace:
+    """w + <v>, for v dense or a {k: c} dict: one row added to a copy of
+    w's reducer."""
+    red = w.reducer.copy()
+    red.add(v)
+    return Subspace(w.basis, red)
 
 
 def graded_complement(basis: GradedBasis, inner: Subspace,
@@ -390,13 +398,10 @@ def graded_complement(basis: GradedBasis, inner: Subspace,
     """Greedy graded complement of ``inner`` inside ``within`` (default:
     the whole space), spanned by canonical-basis vectors of ``within``:
     unit vectors or RREF rows of ``within``, so already an RREF."""
-    if within is None:
-        pool = [unit_vec(basis.dim, i) for i in range(basis.dim)]
-    else:
-        pool = list(within.vectors)
-    acc = RowReducer(basis.dim, inner.reducer.int_rows.values())
-    return Subspace(basis, RowReducer(basis.dim, [v for v in pool
-                                                  if acc.add(v)]))
+    pool = (within.rows if within is not None
+            else [{i: ONE} for i in range(basis.dim)])
+    acc = inner.reducer.copy()
+    return subspace(basis, [v for v in pool if acc.add(v)])
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +415,14 @@ def center(g: LieSuperalgebra) -> Subspace:
     for i in range(n):
         for j in range(n):
             for k, q in g.table[i][j]:
-                by_jk.setdefault((j, k), [ZERO] * n)[i] = q
-    return subspace(g.basis, RowReducer(n, by_jk.values()).kernel())
+                by_jk.setdefault((j, k), {})[i] = q
+    return subspace(g.basis, RowReducer(n, by_jk.values()).sparse_kernel())
 
 
 def product_subspace(g: LieSuperalgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of [a, b] over the spanning sets."""
-    return subspace(g.basis, [bracket(g, u, v) for u in a.vectors
-                              for v in b.vectors])
+    return subspace(g.basis, [sparse_bracket(g, u, v) for u in a.rows
+                              for v in b.rows])
 
 
 def derived_series(g: LieSuperalgebra) -> list[Subspace]:
@@ -433,7 +438,7 @@ def derived_series(g: LieSuperalgebra) -> list[Subspace]:
 def lower_central_series(g: LieSuperalgebra) -> list[Subspace]:
     series = [full_subspace(g.basis)]
     while True:
-        nxt = subspace(g.basis, filter(None, ad_images(g, series[-1].vectors)))
+        nxt = subspace(g.basis, filter(None, ad_images(g, series[-1].rows)))
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -464,7 +469,7 @@ def class_condition(g: LieSuperalgebra) -> bool:
 
 
 def is_ideal(g: LieSuperalgebra, w: Subspace) -> bool:
-    return all(map(w.contains_vector, filter(None, ad_images(g, w.vectors))))
+    return all(map(w.contains_vector, filter(None, ad_images(g, w.rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +494,23 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
         g.basis, ideal)
     if comp.dim + ideal.dim != g.dim:
         raise PreconditionError("complement has the wrong dimension")
-    cols = list(comp.vectors) + list(ideal.vectors)
     try:
-        Minv = inverse(transpose(mat(cols)))
+        coords = Coordinates(g.dim, comp.rows + ideal.rows)
     except DimensionMismatch:
         raise PreconditionError("complement overlaps the ideal") from None
-    q = comp.dim
-    projection = tuple(Minv[:q])
+    q, rows = comp.dim, comp.rows
+
+    def head(v: dict) -> dict:
+        """The quotient coordinates of v: its coordinates on [comp | ideal]
+        on the complement."""
+        return {r: c for r, c in coords.of(v).items() if r < q}
+    units = [head({a: ONE}) for a in range(g.dim)]
+    projection = tuple(tuple(u.get(r, ZERO) for u in units) for r in range(q))
     if names is None:
         names = tuple(f"q{r+1}" for r in range(q))
     qbasis = graded_basis(names, comp.parities)
-    table = tuple(tuple(
-        enumerate(mat_vec(projection, bracket(g, comp.vectors[i],
-                                              comp.vectors[j])))
-        for j in range(q)) for i in range(q))
+    table = tuple(tuple(head(sparse_bracket(g, rows[i], rows[j]))
+                        for j in range(q)) for i in range(q))
     alg = LieSuperalgebra(qbasis, table)
     require_axioms(alg, "quotient algebra")
     return QuotientResult(alg, projection)

@@ -25,10 +25,11 @@ from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
                     invariance_violation, is_totally_isotropic,
                     isotropic_complement, quadratic)
-from .linalg import Mat, ZERO, integer_rows, rank, unit_vec
-from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, bracket,
+from .linalg import Mat, ONE, ZERO, dense_vec, integer_rows, rank
+from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace,
                            check_axioms, failing, graded_basis, is_ideal,
-                           jacobi_violations, quotient, sgn, subspace)
+                           jacobi_violations, quotient, sgn, sparse_bracket,
+                           subspace)
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,7 @@ class TStarExtension:
 
     def dual_ideal(self) -> Subspace:
         n = self.base.dim
-        return subspace(self.total.basis,
-                        [unit_vec(2 * n, n + k) for k in range(n)])
+        return subspace(self.total.basis, [{n + k: ONE} for k in range(n)])
 
 
 def _dual_names(basis: GradedBasis) -> tuple[str, ...]:
@@ -226,15 +226,15 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
                 "complement must be totally isotropic of half the dimension")
     quot = quotient(q.algebra, iso, complement=comp, names=quotient_names)
     m = quot.algebra.dim
-    cvecs = comp.vectors
+    rows = comp.rows
 
     # comp is totally isotropic, so B(s(x), s_k) = 0 and the ideal part
     # of [s(x), s(y)] pairs with s_k as the whole bracket does:
     # omega(x, y)(e_k) = B([s(x), s(y)], s_k), on the free coordinates
     # i <= j (super-antisymmetry gives the rest)
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    values = gram(q.form, [bracket(q.algebra, cvecs[i], cvecs[j])
-                           for i, j in pairs], cvecs)
+    values = gram(q.form, [sparse_bracket(q.algebra, rows[i], rows[j])
+                           for i, j in pairs], rows)
     w_coords = {(i, j, k): val for (i, j), row in zip(pairs, values)
                 for k, val in enumerate(row) if val}
     try:
@@ -246,8 +246,8 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
             f"{exc}") from exc
 
     # psi: ambient -> quotient coords ++ (B(., s_k))_k
-    psi = quot.projection + tuple(tuple(im.get(a, ZERO) for a in range(n))
-                                  for im in map(q.form.image, cvecs))
+    psi = quot.projection + tuple(dense_vec(q.form.image(r), n)
+                                  for r in rows)
     verify_isometry(q, ext.total, psi, what="recognition isometry")
     return ext, psi
 

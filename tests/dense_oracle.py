@@ -16,10 +16,14 @@ with the definitions entry by entry.  The ideal test and the
 lower central series bracket basis vectors with dense vectors the same
 way.
 
-The library also has a single eliminator, the sparse ``RowReducer``.
-The last section is the dense elimination it replaced (in-place RREF
-with row swaps, coordinates by solving a system, the determinant by
-forward elimination), so the batch solvers can be compared with it.
+The library keeps no dense matrix products; the products, transposes
+and identities the tests need are written out from the definitions in
+the section before the last.  The library also has a single
+eliminator, the sparse ``RowReducer``.  The last section is the dense
+elimination it replaced (in-place RREF with row swaps, inverses and
+coordinates by solving a system, the determinant by forward
+elimination), so the batch solvers and the library's factored
+coordinates can be compared with it.
 """
 
 from __future__ import annotations
@@ -437,6 +441,31 @@ def scalar2_from_matrix(basis, m):
     assert scalar2_violation(basis.parities, m) is None
     return ScalarCochain2(basis, {key: m[key[0]][key[1]]
                                   for key in free_coords_scalar2(basis)})
+
+
+# --- dense matrix arithmetic ------------------------------------------------
+# From the definitions, over every entry: the library works on sparse rows
+# and keeps no dense products.
+
+def identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                 for i in range(n))
+
+
+def transpose(A):
+    return tuple(zip(*A))
+
+
+def dot(x, y):
+    return sum((a * b for a, b in zip(x, y, strict=True)), ZERO)
+
+
+def mat_vec(A, x):
+    return tuple(dot(row, x) for row in A)
+
+
+def mat_mul(A, B):
+    return tuple(tuple(dot(row, col) for col in transpose(B)) for row in A)
 
 
 # --- dense Gaussian elimination ----------------------------------------------

@@ -28,17 +28,18 @@ from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
 from superquad.dsl import AlgebraDocument
 from superquad.errors import (DimensionMismatch, InternalCheckError,
                               NotGradedError, PreconditionError)
-from superquad.forms import (QuadraticLieSuperalgebra, invariance_violation,
-                             is_totally_isotropic, orthogonal)
+from superquad.forms import (QuadraticLieSuperalgebra, even_form,
+                             invariance_violation, is_totally_isotropic,
+                             orthogonal, quadratic)
 from superquad.gallery import _layout
-from superquad.linalg import (Vec, ZERO, mat, mat_mul, transpose, unit_vec,
-                              vec, vec_is_zero)
+from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
 from superquad.superalgebra import (EVEN, GradedBasis, LieSuperalgebra,
                                     Subspace, bracket, center,
                                     derived_subspace, is_ideal, sgn)
 from superquad.tstar import _raw_extension
 
 import dense_oracle as dense
+from dense_oracle import mat_mul, transpose
 
 
 def add3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
@@ -265,11 +266,30 @@ def disguise(p, c, G=None, seed=0):
     P = mat_mul(triangular(True),
                 [[entry() * q for q in row] for row in triangular(False)])
     Q = dense.inverse(P)
+    # c2[i][j][k] = sum of P[a][i] P[b][j] c[a][b][t] Q[k][t], over the
+    # nonzeros of c, of P's rows and of Q's columns
+    rows = [[(i, x) for i, x in enumerate(row) if x] for row in P]
+    cols = [[(k, Q[k][t]) for k in range(n) if Q[k][t]] for t in range(n)]
     c2 = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for a, b, t in itertools.product(range(n), repeat=3):
         if c[a][b][t]:
-            for i, j, k in itertools.product(range(n), repeat=3):
-                if P[a][i] and P[b][j] and Q[k][t]:
-                    c2[i][j][k] += P[a][i] * P[b][j] * c[a][b][t] * Q[k][t]
+            for i, x in rows[a]:
+                for j, y in rows[b]:
+                    f = x * y * c[a][b][t]
+                    for k, z in cols[t]:
+                        c2[i][j][k] += f * z
     G2 = None if G is None else mat_mul(transpose(P), mat_mul(G, P))
     return c2, G2, P
+
+
+def disguised_quadratic(q0: QuadraticLieSuperalgebra,
+                        seed: int = 0) -> QuadraticLieSuperalgebra:
+    """q0 after the basis change of :func:`disguise`, whose entries have
+    denominators up to 6."""
+    g, n = q0.algebra, q0.dim
+    c, G, _ = disguise(g.basis.parities, dense.bracket_tensor(g),
+                       dense.gram(q0.form), seed=seed)
+    alg = LieSuperalgebra(g.basis, tuple(
+        tuple({k: c[i][j][k] for k in range(n) if c[i][j][k]}
+              for j in range(n)) for i in range(n)))
+    return quadratic(alg, even_form(g.basis, G))

@@ -14,14 +14,15 @@ from superquad.errors import (InternalCheckError, PreconditionError,
 from superquad.forms import even_form, is_totally_isotropic, orthogonal, quadratic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
-from superquad.linalg import (RowReducer, mat, mat_vec, rank,
-                              transpose, unit_vec, vec, vec_scale, zero_vec)
-from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra, bracket,
+from superquad.linalg import (RowReducer, dense_vec, mat, rank, unit_vec,
+                              vec, vec_scale, zero_vec)
+from superquad.superalgebra import (EVEN, ODD, bracket,
                                     is_ideal, subspace)
 from superquad.tstar import build
 
 import dense_oracle as dense
-from support import direct_sum, disguise, vec_add
+from dense_oracle import mat_vec, transpose
+from support import direct_sum, disguised_quadratic, vec_add
 
 F = Fraction
 
@@ -167,6 +168,11 @@ def test_decompose_g2_roundtrip_with_cocycle(supercyclic_bases):
     assert dec.ideal.dim == 6
 
 
+def _span_rows(ind, w):
+    """The spanning rows [reps | W basis] of an induced space, dense."""
+    return tuple(dense_vec(r, ind.q.dim) for r in ind.reps) + w.vectors
+
+
 @pytest.fixture(scope="module")
 def induced_spaces():
     """(W^perp, span rows, induced space) along the flags of an even, an
@@ -178,8 +184,7 @@ def induced_spaces():
               sq.build_class_c_example(2), build(sq.solvable2d()).total):
         for w in max_isotropic_ideal(Q).chain:
             ind = _InducedSpace(Q, w)
-            out.append((orthogonal(Q.form, w),
-                        tuple(ind.rep_vectors) + tuple(w.vectors), ind))
+            out.append((orthogonal(Q.form, w), _span_rows(ind, w), ind))
     return out
 
 
@@ -195,26 +200,12 @@ def test_project_matches_dense_solve(induced_spaces, data):
         outside = vec_add(v, unit_vec(n, data.draw(st.integers(0, n - 1))))
         for x in (v, outside):
             want = dense.coords_in(span_rows, x)
-            if ind.dim == 0:
-                assert ind.project(x) == ()
-            elif want is None:
+            if want is None:
                 with pytest.raises(InternalCheckError,
                                    match="not in W\\^perp"):
                     ind.project(x)
             else:
-                assert ind.project(x) == want[:ind.dim]
-
-
-def _disguised(q0):
-    """q0 after the basis change of seed 0, whose entries have
-    denominators up to 6 (support.disguise)."""
-    g, n = q0.algebra, q0.dim
-    c, G, _ = disguise(g.basis.parities, dense.bracket_tensor(g),
-                       dense.gram(q0.form), seed=0)
-    alg = LieSuperalgebra(g.basis, tuple(
-        tuple({k: c[i][j][k] for k in range(n) if c[i][j][k]}
-              for j in range(n)) for i in range(n)))
-    return quadratic(alg, even_form(g.basis, G))
+                assert dense_vec(ind.project(x), ind.dim) == want[:ind.dim]
 
 
 def _check_odd_decomposition_dense(q):
@@ -235,8 +226,8 @@ def test_decompose_disguised_odd_sum():
     """The odd case on dense coefficients: T*(gn(2)) + line after a basis
     change (dim 13).  Its induced Gram needs 4011011^2, a prime square
     past the factorization cap."""
-    q = _disguised(orthogonal_direct_sum(sq.tstar_of_gn(2).total,
-                                         even_line()))
+    q = disguised_quadratic(orthogonal_direct_sum(sq.tstar_of_gn(2).total,
+                                                  even_line()))
     assert q.dim == 13
     _check_odd_decomposition_dense(q)
 
@@ -245,8 +236,8 @@ def test_decompose_disguised_odd_sum():
                    reason="the induced Gram needs 198101278223 = "
                           "361349 * 548227, two primes past the cap")
 def test_decompose_disguised_odd_heisenberg_sum():
-    q = _disguised(orthogonal_direct_sum(build(sq.heisenberg3()).total,
-                                         even_line()))
+    q = disguised_quadratic(orthogonal_direct_sum(
+        build(sq.heisenberg3()).total, even_line()))
     assert q.dim == 7
     _check_odd_decomposition_dense(q)
 
@@ -254,14 +245,14 @@ def test_decompose_disguised_odd_heisenberg_sum():
 @pytest.fixture(scope="module")
 def disguised_induced_spaces():
     """The induced space of every flag member of T*(gn(2)) after a seeded
-    basis change (``_disguised``), with its spanning rows [lifts | W
+    basis change (``disguised_quadratic``), with its spanning rows [lifts | W
     basis]: dense rows with denominators, unlike the unit vectors of the
     gallery."""
-    q = _disguised(sq.tstar_of_gn(2).total)
+    q = disguised_quadratic(sq.tstar_of_gn(2).total)
     out = []
     for w in max_isotropic_ideal(q).chain:
         ind = _InducedSpace(q, w)
-        out.append((ind, tuple(ind.rep_vectors) + tuple(w.vectors)))
+        out.append((ind, _span_rows(ind, w)))
     assert any(x.denominator > 1 for _, rows in out for v in rows
                for x in v)
     return out
@@ -271,7 +262,7 @@ def disguised_induced_spaces():
 @settings(max_examples=30, deadline=None)
 def test_coordinates_of_disguised_input_match_dense(disguised_induced_spaces,
                                                     data):
-    """_Coordinates.of reads the exact residual of its reducer: along the
+    """Coordinates.of reads the exact residual of its reducer: along the
     flag of a disguised input, the coordinates of a drawn combination of
     the spanning rows are its coefficients, as the dense solve finds, and
     a vector off the span gives what the dense solve gives."""
@@ -282,9 +273,12 @@ def test_coordinates_of_disguised_input_match_dense(disguised_induced_spaces,
         v = zero_vec(n)
         for t, r in zip(x, rows):
             v = vec_add(v, vec_scale(t, r))
-        assert ind._coords.of(v) == dense.coords_in(rows, v) == x
+        assert dense_vec(ind._coords.of(v), len(rows)) \
+            == dense.coords_in(rows, v) == x
         off = vec_add(v, unit_vec(n, data.draw(st.integers(0, n - 1))))
-        assert ind._coords.of(off) == dense.coords_in(rows, off)
+        got = ind._coords.of(off)
+        assert dense.coords_in(rows, off) == (
+            None if got is None else dense_vec(got, len(rows)))
 
 
 @given(data=st.data())
@@ -301,13 +295,13 @@ def test_action_matches_dense_coordinates(induced_spaces, data):
     g, n, m = ind.q.algebra, ind.q.dim, ind.dim
     x = vec(data.draw(st.lists(coeffs, min_size=n, max_size=n)))
     op = transpose(mat([dense.coords_in(span_rows, bracket(g, x, rep))[:m]
-                        for rep in ind.rep_vectors]))
+                        for rep in ind.reps]))
     kind = data.draw(st.sampled_from(("krylov", "invariants", "drawn")))
     draws = [vec(v) for v in data.draw(st.lists(
         st.lists(coeffs, min_size=m, max_size=m), min_size=1, max_size=m))]
     space, red = [], RowReducer(m)
     if kind == "invariants":
-        space = ind.invariants()
+        space = [dense_vec(u, m) for u in ind.invariants()]
     elif kind == "drawn":
         space = [v for v in draws if red.add(v)]
     else:  # v, op v, op^2 v, ... up to the first dependent one
@@ -345,11 +339,13 @@ def test_invariants_match_stacked_induced_operators(supercyclic_bases,
         for w in max_isotropic_ideal(Q).chain:
             ind = _InducedSpace(Q, w)
             rows = [row for i in range(n) for row in transpose(mat(
-                [ind.project(bracket(Q.algebra, unit_vec(n, i), rep))
-                 for rep in ind.rep_vectors])) if any(row)]
+                [dense_vec(ind.project(bracket(Q.algebra, unit_vec(n, i),
+                                               rep)), ind.dim)
+                 for rep in ind.reps])) if any(row)]
             want = dense.kernel(rows) if rows else [
                 unit_vec(ind.dim, t) for t in range(ind.dim)]
-            assert ind.invariants() == want, (name, w.dim)
+            assert [dense_vec(u, ind.dim) for u in ind.invariants()] \
+                == want, (name, w.dim)
             steps += ind.dim > 0
     assert steps == 27
 

@@ -11,15 +11,15 @@ from superquad.forms import (EvenForm, even_form, gram, invariance_violation,
                              is_nondegenerate, is_totally_isotropic,
                              isotropic_complement, orthogonal, quadratic,
                              radical)
-from superquad.linalg import (dot, kernel, mat, mat_vec, unit_vec, vec,
-                              vec_is_zero, zeros)
+from superquad.linalg import (kernel, mat, unit_vec, vec, vec_is_zero,
+                              zeros)
 from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra,
                                     full_subspace, graded_basis, sgn,
                                     subspace, zero_subspace)
 from superquad.tstar import build
 
 import dense_oracle as dense
-from dense_oracle import split_vector
+from dense_oracle import dot, mat_vec, split_vector
 from support import center_orthogonality_check
 
 F = Fraction

@@ -7,11 +7,12 @@ import superquad as sq
 from superquad.errors import PreconditionError
 from superquad.gallery import (build_class_c_example, build_glnn, build_gn,
                                even_line, orthogonal_direct_sum, stock)
-from superquad.linalg import mat_mul, unit_vec, vec_is_zero
+from superquad.linalg import unit_vec, vec_is_zero
 from superquad.superalgebra import (EVEN, ODD, bracket, center, sgn,
                                     subspace)
 
 import dense_oracle as dense
+from dense_oracle import mat_mul
 from support import matrix_of_glnn
 
 F = Fraction

@@ -17,14 +17,14 @@ from superquad.forms import is_totally_isotropic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
-from superquad.linalg import (kernel, mat, mat_mul, mat_vec, rank, unit_vec,
-                              vec, vec_is_zero)
+from superquad.linalg import kernel, mat, rank, unit_vec, vec, vec_is_zero
 from superquad.superalgebra import (bracket, center, derived_subspace,
                                     is_ideal, sgn, subspace)
 from superquad.tstar import (build, quadratic_morphism_violation, recognize,
                              s_phi_isometry, shear_matrix)
 
 import dense_oracle as dense
+from dense_oracle import mat_mul, mat_vec
 from support import (add3, add_scalar2, is_zero3,
                      lemma_halfdim_ideal_iff_abelian, negative_test_invariance,
                      vector_parity)

@@ -16,7 +16,6 @@ from superquad.errors import CocycleError, FormError, NotSupercyclicError
 from superquad.forms import even_form, invariance_violation
 from superquad.gallery import (random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
-from superquad.linalg import mat_mul
 from superquad.superalgebra import (AxiomReport, LieSuperalgebra,
                                     check_axioms, graded_basis,
                                     jacobi_violations, sgn)
@@ -24,6 +23,7 @@ from superquad.tstar import (_raw_extension, quadratic_morphism_violation,
                              s_phi_isometry)
 
 import dense_oracle as dense
+from dense_oracle import mat_mul
 from conftest import make_rng
 from support import cocycle2_defect, disguise
 
