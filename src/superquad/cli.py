@@ -352,9 +352,6 @@ def _cmd_example(args, out) -> int:
     return 0
 
 
-_GLOBAL_DEFAULTS = {"json": True, "seed": 0, "max_dim": 30}
-
-
 def _global_options() -> argparse.ArgumentParser:
     """Global flags, accepted before or after the subcommand name."""
     p = argparse.ArgumentParser(add_help=False)
@@ -381,28 +378,26 @@ def make_parser() -> argparse.ArgumentParser:
                     "superalgebras and their T*-extensions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, parents=[shared], **kwargs)
+    def add(name, fn, help, file=True):
+        p = sub.add_parser(name, parents=[shared], help=help)
         p.set_defaults(fn=fn)
+        if file:  # every command but example reads a document
+            p.add_argument("file", nargs="?", default="-")
         return p
 
-    p = add("check", _cmd_check, help="verify axioms, form properties and "
-            "structural predicates")
-    p.add_argument("file", nargs="?", default="-")
+    add("check", _cmd_check, help="verify axioms, form properties and "
+        "structural predicates")
 
     p = add("tstar", _cmd_tstar, help="build the T*-extension and emit it "
             "as a DSL document")
-    p.add_argument("file", nargs="?", default="-")
     p.add_argument("--omega", default=None,
                    help="name of a cochain2 in the document (default: 0)")
 
-    p = add("cohomology", _cmd_cohomology, help="dimensions and bases of "
-            "the supercyclic 2-cocycles and scalar 3-cocycle spaces")
-    p.add_argument("file", nargs="?", default="-")
+    add("cohomology", _cmd_cohomology, help="dimensions and bases of "
+        "the supercyclic 2-cocycles and scalar 3-cocycle spaces")
 
     p = add("isometry", _cmd_isometry, help="build the shear isometry "
             "attached to a scalar 2-cochain")
-    p.add_argument("file", nargs="?", default="-")
     p.add_argument("--phi", required=True,
                    help="name of a scalar2 in the document")
     p.add_argument("--omega", default=None,
@@ -410,17 +405,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add("recognize", _cmd_recognize, help="present a quadratic "
             "superalgebra as a T*-extension along a given ideal")
-    p.add_argument("file", nargs="?", default="-")
     p.add_argument("--ideal", required=True,
                    help="semicolon-separated spanning expressions, e.g. "
                    "'e1*; e2*'")
 
-    p = add("decompose", _cmd_decompose, help="find a maximal isotropic "
-            "ideal and present the algebra through a T*-extension")
-    p.add_argument("file", nargs="?", default="-")
+    add("decompose", _cmd_decompose, help="find a maximal isotropic "
+        "ideal and present the algebra through a T*-extension")
 
     p = add("example", _cmd_example, help="emit a gallery algebra as a DSL "
-            "document")
+            "document", file=False)
     p.add_argument("kind", choices=("gn", "glnn", "class-c", "stock"))
     p.add_argument("value", help="size for gn/glnn/class-c, name for stock "
                    f"(one of: {', '.join(STOCK_NAMES)})")
@@ -432,10 +425,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = make_parser()
-    args = parser.parse_args(argv)
-    for key, value in _GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
+    args = parser.parse_args(argv, argparse.Namespace(  # global defaults
+        json=True, seed=0, max_dim=30))
     text_mode = not args.json
     report = Report(args.command, args.seed, text_mode)
     try:

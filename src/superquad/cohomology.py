@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CochainError, DimensionMismatch, PreconditionError
-from .linalg import RowReducer, ZERO, frac, integer_rows
+from .linalg import Record, RowReducer, ZERO, frac, integer_rows, lincomb
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra,
                            cyclic_sums, failing, sgn)
 
@@ -132,23 +131,22 @@ def store_free_entries(obj, arity: int, head: int | None = None,
     with the key as its witness."""
     inside = range(obj.basis.dim).__contains__
     p = obj.basis.parities
-    what = type(obj).__name__
     out = {}
     for key, q in obj.coords.items():
         if (not isinstance(key, tuple) or len(key) != arity
                 or not all(map(inside, key))):
-            raise DimensionMismatch(f"{what} index {key!r} outside the basis")
+            raise DimensionMismatch(
+                f"{type(obj).__name__} index {key!r} outside the basis")
         if canon(p, key, head, symmetric)[0] != key:
-            raise error(f"{what} entry {key!r} is not a free coordinate",
-                        witness=key)
+            raise error(f"{type(obj).__name__} entry {key!r} is not a free "
+                        "coordinate", witness=key)
         q = frac(q)
         if q != 0:
             out[key] = q
     object.__setattr__(obj, "coords", dict(sorted(out.items())))
 
 
-@dataclass(frozen=True)
-class Cochain2Dual:
+class Cochain2Dual(Record):
     """Even bilinear map g x g -> g*, super-antisymmetric in its two
     arguments, stored as its nonzero values on the free coordinates:
     coords[(i, j, k)] = w(e_i, e_j)(e_k) with i <= j."""
@@ -160,8 +158,7 @@ class Cochain2Dual:
         store_free_entries(self, 3, head=2)
 
 
-@dataclass(frozen=True)
-class ScalarCochain3:
+class ScalarCochain3(Record):
     """Even super-alternating trilinear scalar form, stored as its nonzero
     values on the ascending free triples (see :func:`free_coords_alt3`)."""
 
@@ -172,8 +169,7 @@ class ScalarCochain3:
         store_free_entries(self, 3)
 
 
-@dataclass(frozen=True)
-class ScalarCochain2:
+class ScalarCochain2(Record):
     """Even super-antisymmetric bilinear scalar form, stored as its nonzero
     values phi(e_i, e_j) on the free pairs i <= j."""
 
@@ -217,10 +213,7 @@ def zero_scalar2(g: LieSuperalgebra | GradedBasis) -> ScalarCochain2:
 def _combined(a, b, s: int) -> dict:
     if a.basis != b.basis:
         raise DimensionMismatch("cochains live on different bases")
-    out = dict(a.coords)
-    for key, q in b.coords.items():
-        out[key] = out.get(key, ZERO) + s * q
-    return out
+    return lincomb(((1, a.coords.items()), (s, b.coords.items())))
 
 
 def sub3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:

@@ -14,7 +14,6 @@ an explicit certificate instead of returning a short flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dsl import signed_sum
@@ -24,9 +23,9 @@ from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
                     is_totally_isotropic, orthogonal, quadratic)
 from .gallery import orthogonal_direct_sum
 from .isotropy import isotropic_point
-from .linalg import (Coordinates, Mat, ONE, RowReducer, Vec, ZERO, charpoly,
-                     dense_vec, diagonalize_symmetric, kernel, lincomb,
-                     nonzeros, rank, rational_roots, unit_vec)
+from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
+                     charpoly, dense_vec, diagonalize_symmetric, kernel,
+                     lincomb, nonzeros, rank, rational_roots, unit_vec)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, abelian,
                            ad_images, class_condition, derived_subspace,
                            extend_subspace, graded_complement, is_ideal,
@@ -78,8 +77,7 @@ def isotropic_vector(gram: Mat, parities: tuple[int, ...], *,
     return None
 
 
-@dataclass(frozen=True)
-class IsotropicFlagResult:
+class IsotropicFlagResult(Record):
     """Flag of graded totally isotropic ideals grown one dimension at a
     time up to floor(dim/2)."""
 
@@ -88,8 +86,7 @@ class IsotropicFlagResult:
     achieved_dim: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Presentation of a quadratic superalgebra through a T*-extension.
 
     In the even-dimensional case ``embedding`` is onto; in the odd case

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import Cochain2Dual, ScalarCochain2, ScalarCochain3, canon
 from .errors import SuperquadError
 from .forms import EvenForm, QuadraticLieSuperalgebra
-from .linalg import Vec, dense_vec, vec_is_zero, vec_scale, zero_vec
+from .linalg import Record, Vec, dense_vec, vec_is_zero, vec_scale, zero_vec
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra, Subspace,
                            graded_basis, sgn, subspace)
 
@@ -46,22 +45,33 @@ LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_*']*")
 RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
-@dataclass
-class AlgebraDocument:
+class AlgebraDocument(Record):
     """Parsed, canonicalized form of a DSL file.
 
     All entry maps hold only canonical nonzero coordinates, so documents
-    compare by structural content rather than by surface syntax.
+    compare by structural content rather than by surface syntax.  It is
+    mutable, as :func:`parse` fills it; an entry map left out starts empty.
     """
 
-    names: tuple[str, ...] = ()
-    parities: tuple[int, ...] = ()
-    brackets: dict = field(default_factory=dict)      # (i,j) -> Vec
-    form_name: str | None = None
-    form_entries: dict = field(default_factory=dict)  # (i,j), i<=j -> Fraction
-    cochain2: dict = field(default_factory=dict)      # name -> {(i,j,k): q}
-    cochain3: dict = field(default_factory=dict)      # name -> {(i,j,k): q}
-    scalar2: dict = field(default_factory=dict)       # name -> {(i,j): q}
+    names: tuple[str, ...]
+    parities: tuple[int, ...]
+    brackets: dict      # (i,j) -> Vec
+    form_name: str | None
+    form_entries: dict  # (i,j), i<=j -> Fraction
+    cochain2: dict      # name -> {(i,j,k): q}
+    cochain3: dict      # name -> {(i,j,k): q}
+    scalar2: dict       # name -> {(i,j): q}
+
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, names=(), parities=(), brackets=None, form_name=None,
+                 form_entries=None, cochain2=None, cochain3=None,
+                 scalar2=None):
+        maps = [{} if m is None else m for m in
+                (brackets, form_entries, cochain2, cochain3, scalar2)]
+        Record.__init__(self, names, parities, maps[0], form_name, *maps[1:])
 
     @property
     def dim(self) -> int:
@@ -98,10 +108,8 @@ class _LineParser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def literal(self, s: str):
-        self.skip_ws()
-        if not self.text.startswith(s, self.pos):
+        if not self.try_literal(s):
             self.error(f"expected {s!r}")
-        self.pos += len(s)
 
     def try_literal(self, s: str) -> bool:
         self.skip_ws()
@@ -110,26 +118,19 @@ class _LineParser:
             return True
         return False
 
-    def label(self) -> str:
+    def token(self, pattern: re.Pattern, what: str) -> str:
         self.skip_ws()
-        m = LABEL_RE.match(self.text, self.pos)
+        m = pattern.match(self.text, self.pos)
         if not m:
-            self.error("expected a basis label")
+            self.error(f"expected {what}")
         self.pos = m.end()
         return m.group(0)
 
+    def label(self) -> str:
+        return self.token(LABEL_RE, "a basis label")
+
     def rational(self) -> Fraction:
-        self.skip_ws()
-        m = RATIONAL_RE.match(self.text, self.pos)
-        if not m:
-            self.error("expected a rational number")
-        self.pos = m.end()
-        return Fraction(m.group(0))
-
-
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+        return Fraction(self.token(RATIONAL_RE, "a rational number"))
 
 
 def _require_basis(lp: _LineParser, doc: AlgebraDocument):
@@ -292,7 +293,7 @@ _HANDLERS = {
 def parse(text: str) -> AlgebraDocument:
     doc = AlgebraDocument()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).rstrip()
+        line = raw.partition("#")[0].rstrip()
         if not line.strip():
             continue
         lp = _LineParser(line, lineno)

@@ -8,19 +8,17 @@ and every odd homogeneous vector is automatically isotropic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import store_free_entries
 from .errors import (DimensionMismatch, FormError, PreconditionError)
-from .linalg import (HALF, Mat, RowReducer, Vec, ZERO, integer_rows, lincomb,
-                     mat, nonzeros)
+from .linalg import (HALF, Mat, Record, RowReducer, Vec, ZERO, integer_rows,
+                     lincomb, mat, nonzeros)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
                            graded_complement, require_axioms, sgn, subspace)
 
 
-@dataclass(frozen=True)
-class EvenForm:
+class EvenForm(Record):
     """Even supersymmetric bilinear form, stored as its nonzero values on
     the free coordinates: coords[(i, j)] = B(e_i, e_j) for i <= j of equal
     parity, where only an even index may repeat (supersymmetric
@@ -35,7 +33,6 @@ class EvenForm:
 
     basis: GradedBasis
     coords: dict
-    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         store_free_entries(self, 2, symmetric=True, error=FormError)
@@ -194,8 +191,7 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
     return out
 
 
-@dataclass(frozen=True)
-class QuadraticLieSuperalgebra:
+class QuadraticLieSuperalgebra(Record):
     """Lie superalgebra with an invariant scalar product."""
 
     algebra: LieSuperalgebra

@@ -18,7 +18,7 @@ from .cohomology import (Cochain2Dual, ScalarCochain2,
                          z2_basis, z2_supercyclic_basis)
 from .errors import InternalCheckError, PreconditionError
 from .forms import EvenForm, QuadraticLieSuperalgebra, quadratic
-from .linalg import ONE, ZERO
+from .linalg import ONE, ZERO, lincomb
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, abelian, center,
                            from_brackets, graded_basis, is_nilpotent,
                            require_axioms, sgn)
@@ -217,14 +217,8 @@ def random_scalar2(g: LieSuperalgebra, rng) -> ScalarCochain2:
 
 def _random_combination(basis: list[Cochain2Dual], rng,
                         g: LieSuperalgebra) -> Cochain2Dual:
-    coords: dict = {}
-    for w in basis:
-        q = _random_fraction(rng)
-        if q == 0:
-            continue
-        for key, val in w.coords.items():
-            coords[key] = coords.get(key, ZERO) + q * val
-    return Cochain2Dual(g.basis, coords)
+    return Cochain2Dual(g.basis, lincomb(
+        (_random_fraction(rng), w.coords.items()) for w in basis))
 
 
 def random_supercyclic_cocycle(g: LieSuperalgebra, rng,

@@ -19,10 +19,9 @@ off that factorization.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import attrgetter
 
 from .errors import DimensionMismatch, PreconditionError, UndecidedError
 
@@ -32,6 +31,49 @@ Mat = tuple[Vec, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+_set = object.__setattr__  # sets a field past Record.__setattr__
+
+
+class Record:
+    """An immutable value whose fields are its class's annotations, in
+    order (docs/conventions.md, "Value classes")."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._key = attrgetter(*cls._fields)
+        cls.__init__ = cls.__init__  # its own, as bench/tracer.py wraps it
+
+    def __init__(self, *args, **kw):
+        fields = self._fields
+        if kw or len(args) != len(fields):
+            rest = fields[len(args):]
+            if len(args) > len(fields) or kw.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes {fields}")
+            args += tuple(map(kw.__getitem__, rest))
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return other is self or key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def frac(x) -> Fraction:
@@ -150,7 +192,7 @@ class RowReducer:
     def __init__(self, ncols: int, rows: Iterable = ()):
         self.ncols = ncols
         self.int_rows: dict[int, dict[int, int]] = {}
-        self._at: dict[int, set[int]] = {}  # column -> pivots nonzero there
+        self._at: dict[int, set[int]] = {}  # non-pivot column -> pivots
         for row in rows:
             self.add(row)
 
@@ -200,7 +242,8 @@ class RowReducer:
         hits = at.pop(p, ())
         rows[p] = r = _primitive(r, p)
         for c in r:
-            at.setdefault(c, set()).add(p)
+            if c != p:
+                at.setdefault(c, set()).add(p)
         a = r[p]
         for k in hits:
             b = rows[k][p]
@@ -277,8 +320,7 @@ def kernel(A: Mat) -> list[Vec]:
     return RowReducer(_width(A), A).kernel()
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(Record):
     """Full solution of a linear system A x = b.
 
     ``particular`` is present iff the system is consistent;

@@ -18,13 +18,12 @@ Sign conventions used throughout (see docs/conventions.md):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, InitVar
 from functools import cached_property
 
 from .errors import (AxiomError, DimensionMismatch, NotGradedError,
                      NotIdealError, PreconditionError)
-from .linalg import (Coordinates, Mat, ONE, RowReducer, Vec, ZERO, dense_vec,
-                     frac, integer_rows, lincomb, nonzeros)
+from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
+                     dense_vec, frac, integer_rows, lincomb, nonzeros)
 
 EVEN = 0
 ODD = 1
@@ -35,22 +34,22 @@ def sgn(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-@dataclass(frozen=True)
-class GradedBasis:
+class GradedBasis(Record):
     """Ordered list of named basis vectors, each tagged even (0) or odd (1)."""
 
     names: tuple[str, ...]
     parities: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.names) != len(self.parities):
+        n, p = len(self.names), self.parities
+        if n != len(p):
             raise DimensionMismatch("names and parities differ in length")
-        if len(set(self.names)) != len(self.names):
+        index = dict(zip(self.names, range(n)))
+        if len(index) != n:
             raise PreconditionError("basis labels must be unique")
-        if any(p not in (EVEN, ODD) for p in self.parities):
+        if p.count(EVEN) + p.count(ODD) != n:
             raise PreconditionError("parities must be 0 (even) or 1 (odd)")
-        object.__setattr__(self, "_index",
-                           {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def dim(self) -> int:
@@ -79,10 +78,10 @@ def graded_basis(names, parities) -> GradedBasis:
 
 
 def _entry(n: int, pairs) -> tuple:
-    """Canonical table entry from (k, coeff) pairs: summed, nonzero,
-    ascending in k."""
+    """Canonical table entry from (k, coeff) pairs or a {k: coeff} dict:
+    summed, nonzero, ascending in k."""
     acc = {}
-    for k, q in pairs:
+    for k, q in (pairs.items() if isinstance(pairs, dict) else pairs):
         if k not in range(n):
             raise DimensionMismatch("bracket coordinate outside the basis")
         q = frac(q)
@@ -90,8 +89,7 @@ def _entry(n: int, pairs) -> tuple:
     return tuple((k, q) for k, q in sorted(acc.items()) if q)
 
 
-@dataclass(frozen=True)
-class LieSuperalgebra:
+class LieSuperalgebra(Record):
     """Lie superalgebra given by its sparse bracket table.
 
     ``table[i][j]`` may list [e_i, e_j] as any (k, coeff) pairs or a
@@ -101,15 +99,13 @@ class LieSuperalgebra:
 
     basis: GradedBasis
     table: tuple
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
-        n = self.basis.dim
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+    def __init__(self, basis: GradedBasis, table: tuple, validate=True):
+        n = basis.dim
+        if len(table) != n or any(len(row) != n for row in table):
             raise DimensionMismatch("bracket table must be dim x dim")
-        object.__setattr__(self, "table", tuple(
-            tuple(_entry(n, e.items() if isinstance(e, dict) else e)
-                  for e in row) for row in self.table))
+        Record.__init__(self, basis, tuple(
+            tuple(_entry(n, e) if e else () for e in row) for row in table))
         found = [tuple(v(self)) if validate else ()
                  for v in (_grading_violations, _skew_violations)]
         for what, bad in zip(("the grading", "super-skew-symmetry"), found):
@@ -247,8 +243,7 @@ def jacobi_violations(g: LieSuperalgebra, first: bool = False,
     return sorted({t for ijk in bad for t in itertools.permutations(ijk)})
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of check_axioms; empty violation lists mean a pass."""
 
     grading: tuple[tuple[int, int, int], ...]
@@ -295,8 +290,7 @@ def require_axioms(g: LieSuperalgebra, what: str = "algebra") -> None:
 # graded subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
+class Subspace(Record):
     """Graded subspace, stored only as the ``RowReducer`` of its span.
 
     The span is graded iff every RREF row of the reducer is homogeneous
@@ -310,14 +304,14 @@ class Subspace:
     """
 
     basis: GradedBasis
-    reducer: RowReducer = field(repr=False)
+    reducer: RowReducer
 
     def __post_init__(self):
         red = self.reducer
         if red.ncols != self.basis.dim:
             raise DimensionMismatch("reducer width does not match the basis")
         p = self.basis.parities
-        if any(len({p[c] for c in r}) != 1 for r in red.int_rows.values()):
+        if any(p[c] != p[k] for k, r in red.int_rows.items() for c in r):
             raise NotGradedError(
                 "spanning set does not span a graded subspace")
 
@@ -327,6 +321,9 @@ class Subspace:
 
     def __hash__(self) -> int:
         return hash((self.basis, self.reducer.pivots))
+
+    def __repr__(self) -> str:
+        return f"Subspace(basis={self.basis!r})"
 
     @cached_property
     def rows(self) -> tuple[dict, ...]:
@@ -476,8 +473,7 @@ def is_ideal(g: LieSuperalgebra, w: Subspace) -> bool:
 # quotients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(Record):
     """Quotient algebra together with the projection onto its coordinates."""
 
     algebra: LieSuperalgebra

@@ -14,9 +14,6 @@ parity a kills the opposite-parity part; this is what makes B even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .cohomology import (Cochain2Dual, ScalarCochain2, cocycle2_violation,
                          delta_scalar2, hat, sub3, supercyclic_violation,
                          unhat, zero_cochain2)
@@ -25,15 +22,14 @@ from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
                     invariance_violation, is_totally_isotropic,
                     isotropic_complement, quadratic)
-from .linalg import Mat, ONE, ZERO, dense_vec, integer_rows, rank
+from .linalg import Mat, ONE, Record, dense_vec, integer_rows, rank, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace,
                            check_axioms, failing, graded_basis, is_ideal,
                            jacobi_violations, quotient, sgn, sparse_bracket,
                            subspace)
 
 
-@dataclass(frozen=True)
-class TStarExtension:
+class TStarExtension(Record):
     """The extension algebra with its canonical pairing."""
 
     base: LieSuperalgebra
@@ -81,16 +77,12 @@ def _extension_table(g: LieSuperalgebra, w: Cochain2Dual) -> tuple:
     return tuple(tuple(row) for row in table)
 
 
-def _extended_basis(g: LieSuperalgebra) -> GradedBasis:
-    return graded_basis(g.basis.names + _dual_names(g.basis),
-                        g.basis.parities + g.basis.parities)
-
-
 def _raw_extension(g: LieSuperalgebra, w: Cochain2Dual, validate: bool = True
                    ) -> tuple[LieSuperalgebra, EvenForm]:
     """The would-be extension, built without the cocycle/supercyclicity
     preconditions; grading and skew-symmetry are checked if ``validate``."""
-    basis = _extended_basis(g)
+    basis = graded_basis(g.basis.names + _dual_names(g.basis),
+                         g.basis.parities * 2)
     alg = LieSuperalgebra(basis, _extension_table(g, w), validate)
     # B(e_i, e_i*) = (-1)^{p_i}; B(e_i*, e_i) = 1 by supersymmetry
     form = EvenForm(basis, {(i, g.dim + i): sgn(p)
@@ -252,8 +244,7 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
     return ext, psi
 
 
-@dataclass(frozen=True)
-class ShearIsometry:
+class ShearIsometry(Record):
     """S_phi between two extensions of the same base, with its matrix."""
 
     source: TStarExtension
@@ -265,10 +256,7 @@ class ShearIsometry:
 def shear_matrix(g: LieSuperalgebra, phi: ScalarCochain2) -> Mat:
     """Matrix of x + F -> x + phi(x, .) + F on the extension basis."""
     n = g.dim
-    N = 2 * n
-    m = [[ZERO] * N for _ in range(N)]
-    for a in range(N):
-        m[a][a] = Fraction(1)
+    m = [list(unit_vec(2 * n, a)) for a in range(2 * n)]
     p = g.basis.parities
     for (i, k), q in phi.coords.items():
         m[n + k][i] = q

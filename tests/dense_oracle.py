@@ -21,9 +21,9 @@ and identities the tests need are written out from the definitions in
 the section before the last.  The library also has a single
 eliminator, the sparse ``RowReducer``.  The last section is the dense
 elimination it replaced (in-place RREF with row swaps, inverses and
-coordinates by solving a system, the determinant by forward
-elimination), so the batch solvers and the library's factored
-coordinates can be compared with it.
+coordinates by solving a system or from one factored [A | I], the
+determinant by forward elimination), so the batch solvers and the
+library's factored coordinates can be compared with it.
 """
 
 from __future__ import annotations
@@ -582,3 +582,21 @@ def coords_in(vectors, v):
     if not vectors:
         return () if all(a == 0 for a in v) else None
     return solve(tuple(zip(*vectors)), v)[0]
+
+
+def coordinates(vectors):
+    """:func:`coords_in` for the span of independent ``vectors``, with the
+    matrix A whose columns they are factored once: [A | I] reduces to
+    [R | E] with E A = R, the identity over zero rows, and E is
+    invertible, so A x = v iff E v is x over zeros."""
+    A = transpose(vectors)
+    m, n = len(vectors), len(A)
+    R, pivots = _rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                       for i, row in enumerate(A)])
+    assert pivots[:m] == list(range(m)), "vectors are dependent"
+    E = [[(j, e) for j, e in enumerate(row[m:]) if e] for row in R]
+
+    def of(v):
+        ev = [sum((e * v[j] for j, e in row), ZERO) for row in E]
+        return None if any(ev[m:]) else tuple(ev[:m])
+    return of

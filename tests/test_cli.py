@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -79,6 +80,20 @@ def test_example_class_c_pipe_decompose_subprocess():
     assert p2.returncode == 0
     rep = json.loads(p2.stdout)
     assert rep["status"] == "pass"
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
+    """Every CLI process imports the package afresh, so a module it does
+    not need is start-up time on each command (docs/conventions.md,
+    "Value classes").  Run without ``site``, which may import ``typing``
+    itself."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys, superquad.cli; print(sorted("
+             "{'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_example_stock_and_unknown():
