@@ -11,7 +11,7 @@ import superquad as sq
 from superquad.cohomology import unhat, z3_basis
 from superquad.decompose import decompose, max_isotropic_ideal
 from superquad.errors import RationalPointNotFound
-from superquad.forms import even_form, quadratic
+from superquad.forms import QuadraticLieSuperalgebra, even_form
 from superquad.gallery import even_line, orthogonal_direct_sum
 from superquad.tstar import build
 
@@ -46,9 +46,9 @@ def main() -> int:
     show("odd dimension: T*heisenberg3 + a unit line",
          orthogonal_direct_sum(build(h3).total, even_line()))
     a2 = sq.abelian(2, 0)
+    unit = even_form(a2.basis, [[1, 0], [0, 1]])
     show("anisotropic plane over the rationals",
-         quadratic(a2, even_form(a2.basis, [[1, 0], [0, 1]]),
-                   check_algebra=False))
+         QuadraticLieSuperalgebra(a2, unit))
     return 0
 
 

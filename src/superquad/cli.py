@@ -109,10 +109,13 @@ def _error_exit(out, kind: str, message: str, text_mode: bool,
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(str(exc)) from None
 
 
 def _vec_strs(v) -> list[str]:
@@ -447,7 +450,7 @@ def main(argv=None, out=None) -> int:
                            exc.line, exc.column)
     except UndecidedError as exc:
         return _error_exit(out, "undecided", str(exc), text_mode)
-    except (FileNotFoundError, SuperquadError) as exc:
+    except SuperquadError as exc:
         return _error_exit(out, "input", str(exc), text_mode)
 
 

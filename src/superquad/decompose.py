@@ -20,7 +20,7 @@ from .dsl import signed_sum
 from .errors import (InternalCheckError, PreconditionError,
                      RationalPointNotFound)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
-                    is_totally_isotropic, orthogonal, quadratic)
+                    is_totally_isotropic, orthogonal)
 from .gallery import orthogonal_direct_sum
 from .isotropy import isotropic_point
 from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
@@ -349,8 +349,8 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
         raise InternalCheckError(
             "degenerate direction transverse to the maximal ideal")
     line = abelian(1, 0)
-    qhat = orthogonal_direct_sum(q, quadratic(
-        line, EvenForm(line.basis, {(0, 0): -beta}), check_algebra=False))
+    qhat = orthogonal_direct_sum(q, QuadraticLieSuperalgebra(
+        line, EvenForm(line.basis, {(0, 0): -beta})))
     N = n + 1
     # d + t is isotropic
     iso_hat = subspace(qhat.basis, [*iso.rows, {**d, n: ONE}])

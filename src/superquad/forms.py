@@ -219,8 +219,7 @@ class QuadraticLieSuperalgebra(Record):
         return self.algebra.basis
 
 
-def quadratic(algebra: LieSuperalgebra, form: EvenForm,
-              check_algebra: bool = True) -> QuadraticLieSuperalgebra:
-    if check_algebra:
-        require_axioms(algebra)
+def quadratic(algebra: LieSuperalgebra, form: EvenForm
+              ) -> QuadraticLieSuperalgebra:
+    require_axioms(algebra)
     return QuadraticLieSuperalgebra(algebra, form)

@@ -125,20 +125,17 @@ def solvable2d() -> LieSuperalgebra:
 
 def hyperbolic_even() -> QuadraticLieSuperalgebra:
     alg = abelian(2, 0)
-    return quadratic(alg, EvenForm(alg.basis, {(0, 1): 1}),
-                     check_algebra=False)
+    return QuadraticLieSuperalgebra(alg, EvenForm(alg.basis, {(0, 1): 1}))
 
 
 def hyperbolic_odd() -> QuadraticLieSuperalgebra:
     alg = abelian(0, 2)
-    return quadratic(alg, EvenForm(alg.basis, {(0, 1): 1}),
-                     check_algebra=False)
+    return QuadraticLieSuperalgebra(alg, EvenForm(alg.basis, {(0, 1): 1}))
 
 
 def even_line() -> QuadraticLieSuperalgebra:
     alg = abelian(1, 0)
-    return quadratic(alg, EvenForm(alg.basis, {(0, 0): 1}),
-                     check_algebra=False)
+    return QuadraticLieSuperalgebra(alg, EvenForm(alg.basis, {(0, 0): 1}))
 
 
 ABELIAN_RE = re.compile(r"^abelian\((\d+)\|(\d+)\)$")
@@ -174,11 +171,10 @@ def stock(name: str) -> LieSuperalgebra | QuadraticLieSuperalgebra:
 # ---------------------------------------------------------------------------
 
 def orthogonal_direct_sum(a: QuadraticLieSuperalgebra,
-                          b: QuadraticLieSuperalgebra,
-                          prefixes: tuple[str, str] = ("l_", "r_")
+                          b: QuadraticLieSuperalgebra
                           ) -> QuadraticLieSuperalgebra:
-    names = tuple(prefixes[0] + s for s in a.basis.names) + tuple(
-        prefixes[1] + s for s in b.basis.names)
+    names = tuple("l_" + s for s in a.basis.names) + tuple(
+        "r_" + s for s in b.basis.names)
     parities = a.basis.parities + b.basis.parities
     na, nb = a.dim, b.dim
     table = tuple(row + ((),) * nb for row in a.algebra.table) + tuple(

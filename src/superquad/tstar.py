@@ -21,7 +21,7 @@ from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
                      NotIdealError, NotSupercyclicError, PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
                     invariance_violation, is_totally_isotropic,
-                    isotropic_complement, quadratic)
+                    isotropic_complement)
 from .linalg import Mat, ONE, Record, dense_vec, integer_rows, rank, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace,
                            check_axioms, failing, graded_basis, is_ideal,
@@ -77,13 +77,13 @@ def _extension_table(g: LieSuperalgebra, w: Cochain2Dual) -> tuple:
     return tuple(tuple(row) for row in table)
 
 
-def _raw_extension(g: LieSuperalgebra, w: Cochain2Dual, validate: bool = True
+def _raw_extension(g: LieSuperalgebra, w: Cochain2Dual
                    ) -> tuple[LieSuperalgebra, EvenForm]:
     """The would-be extension, built without the cocycle/supercyclicity
-    preconditions; grading and skew-symmetry are checked if ``validate``."""
+    preconditions."""
     basis = graded_basis(g.basis.names + _dual_names(g.basis),
                          g.basis.parities * 2)
-    alg = LieSuperalgebra(basis, _extension_table(g, w), validate)
+    alg = LieSuperalgebra(basis, _extension_table(g, w))
     # B(e_i, e_i*) = (-1)^{p_i}; B(e_i*, e_i) = 1 by supersymmetry
     form = EvenForm(basis, {(i, g.dim + i): sgn(p)
                             for i, p in enumerate(g.basis.parities)})
@@ -104,7 +104,7 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
     bad = cocycle2_violation(g, omega)
     if bad is not None:
         alg, _ = _raw_extension(g, omega)
-        jacobi = jacobi_violations(alg, first=True)
+        jacobi = jacobi_violations(alg)
         raise CocycleError(
             f"omega is not a 2-cocycle (identity fails at {bad})",
             triple=bad, jacobi_witness=jacobi[0] if jacobi else None)
@@ -114,14 +114,13 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
         raise NotSupercyclicError(
             f"omega is not supercyclic (identity fails at {bad})",
             triple=bad, invariance_witness=invariance_violation(alg, form))
-    # check_axioms runs the grading and skew checks that validate would
-    alg, form = _raw_extension(g, omega, validate=False)
+    alg, form = _raw_extension(g, omega)
     report = check_axioms(alg)
     if not report.passed:
         raise InternalCheckError(
             "extension failed the axiom check for a valid cocycle",
             witness=report)
-    return TStarExtension(g, omega, quadratic(alg, form, check_algebra=False))
+    return TStarExtension(g, omega, QuadraticLieSuperalgebra(alg, form))
 
 
 def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,

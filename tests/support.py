@@ -8,8 +8,10 @@ invariance refutation for a non-supercyclic cocycle, the Lagrangian
 ideal/abelian lemma, an exact rational square root, vector addition,
 the coadjoint representation on graded linear functionals, a seeded
 basis change with denominators up to 6 of dense structure constants, the
-direct sum of two Lie superalgebras, and the supercyclic 2-cocycles
-solved directly, the oracle of the library's transport of Z^3.
+direct sum of two Lie superalgebras, an algebra built only from a table
+the dense loops find graded and super-skew, and the supercyclic
+2-cocycles solved directly, the oracle of the library's transport of
+Z^3.
 """
 
 from __future__ import annotations
@@ -20,22 +22,25 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import pytest
+
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   ScalarCochain3, _cocycle2_defects, _combined,
                                   _kernel, _supercyclic_defects,
                                   free_coords_cochain2dual, is_cocycle2,
                                   is_supercyclic)
 from superquad.dsl import AlgebraDocument
-from superquad.errors import (DimensionMismatch, InternalCheckError,
-                              NotGradedError, PreconditionError)
+from superquad.errors import (AxiomError, DimensionMismatch,
+                              InternalCheckError, NotGradedError,
+                              PreconditionError)
 from superquad.forms import (QuadraticLieSuperalgebra, even_form,
                              invariance_violation, is_totally_isotropic,
                              orthogonal, quadratic)
 from superquad.gallery import _layout
 from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
-from superquad.superalgebra import (EVEN, GradedBasis, LieSuperalgebra,
-                                    Subspace, bracket, center,
-                                    derived_subspace, is_ideal, sgn)
+from superquad.superalgebra import (EVEN, AxiomReport, GradedBasis,
+                                    LieSuperalgebra, Subspace, bracket,
+                                    center, derived_subspace, is_ideal, sgn)
 from superquad.tstar import _raw_extension
 
 import dense_oracle as dense
@@ -93,6 +98,25 @@ def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra) -> LieSuperalgebra:
         ((),) * n + tuple(tuple((k + n, q) for k, q in e) for e in row)
         for row in b.table)
     return LieSuperalgebra(basis, table)
+
+
+def algebra_if_valid(basis: GradedBasis, table) -> LieSuperalgebra | None:
+    """LieSuperalgebra(basis, table) when the dense loops find the table,
+    entries as (k, c) pairs or {k: c} dicts with distinct k, graded and
+    super-skew.  Otherwise None, after checking that construction raised
+    AxiomError with their grading and skew violations and no Jacobi
+    triples."""
+    p, n = basis.parities, basis.dim
+    c = [[[dict(e).get(k, ZERO) for k in range(n)] for e in row]
+         for row in table]
+    grading = tuple(dense.grading_violations(p, c))
+    skew = tuple(dense.skew_violations(p, c))
+    if not (grading or skew):
+        return LieSuperalgebra(basis, table)
+    with pytest.raises(AxiomError) as exc:
+        LieSuperalgebra(basis, table)
+    assert exc.value.report == AxiomReport(grading, skew, ())
+    return None
 
 
 def document_cochain3(doc: AlgebraDocument, name: str) -> ScalarCochain3:

@@ -26,7 +26,8 @@ from superquad.cohomology import (collect_cochain2dual, delta_scalar2,
 from superquad.decompose import decompose, max_isotropic_ideal
 from superquad.errors import (CocycleError, NotSupercyclicError,
                               RationalPointNotFound)
-from superquad.forms import even_form, is_totally_isotropic, quadratic
+from superquad.forms import (QuadraticLieSuperalgebra, even_form,
+                             is_totally_isotropic)
 from superquad.gallery import (build_glnn, build_gn, even_line,
                                orthogonal_direct_sum, random_cochain2,
                                random_cocycle2, random_scalar2,
@@ -271,8 +272,8 @@ def test_criterion_6_structure_decomposition():
             assert rank(gram) == image.dim
         # rational-field failure carries the anisotropic quadric
         a2 = sq.abelian(2, 0)
-        qid = quadratic(a2, even_form(a2.basis, [[1, 0], [0, 1]]),
-                        check_algebra=False)
+        qid = QuadraticLieSuperalgebra(
+            a2, even_form(a2.basis, [[1, 0], [0, 1]]))
         with pytest.raises(RationalPointNotFound) as exc:
             max_isotropic_ideal(qid)
         assert exc.value.quadric_str == "x^2 + y^2"

@@ -319,6 +319,16 @@ def test_missing_file_exit_2():
     assert rep["error"]["kind"] == "input"
 
 
+def test_unreadable_input_exit_2(tmp_path):
+    """A directory and a file that is not UTF-8 are input errors."""
+    undecodable = tmp_path / "bytes.sqd"
+    undecodable.write_bytes(b"\xff")
+    for path in (tmp_path, undecodable):
+        code, rep = run_json(["check", str(path)])
+        assert code == 2
+        assert rep["error"]["kind"] == "input"
+
+
 def _form_checks(rep):
     return [c for c in rep["checks"] if c["name"].startswith("form.")]
 

@@ -11,7 +11,8 @@ from superquad.decompose import (Decomposition, _InducedSpace, _row_parity,
                                  max_isotropic_ideal)
 from superquad.errors import (InternalCheckError, PreconditionError,
                               RationalPointNotFound, UndecidedError)
-from superquad.forms import even_form, is_totally_isotropic, orthogonal, quadratic
+from superquad.forms import (QuadraticLieSuperalgebra, even_form,
+                             is_totally_isotropic, orthogonal)
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
 from superquad.linalg import (RowReducer, dense_vec, mat, rank, unit_vec,
@@ -25,8 +26,16 @@ from dense_oracle import mat_vec, transpose
 from support import direct_sum, disguised_quadratic, vec_add
 
 F = Fraction
-# the values of st.fractions(-3, 3, max_denominator=3), drawn far faster
-THIRDS = sorted({F(p, q) for q in (1, 2, 3) for p in range(-3 * q, 3 * q + 1)})
+
+
+def _fraction_values(bound: int, max_denominator: int) -> list:
+    """The values of st.fractions(-bound, bound, max_denominator=...), for
+    st.sampled_from, which draws them far faster."""
+    return sorted({F(p, q) for q in range(1, max_denominator + 1)
+                   for p in range(-bound * q, bound * q + 1)})
+
+
+THIRDS = _fraction_values(3, 3)
 
 
 def test_flag_hyperbolic_even_picks_first_null_vector():
@@ -39,8 +48,7 @@ def test_flag_hyperbolic_even_picks_first_null_vector():
 
 def test_flag_anisotropic_rational_failure():
     a2 = sq.abelian(2, 0)
-    q = quadratic(a2, even_form(a2.basis, [[1, 0], [0, 1]]),
-                  check_algebra=False)
+    q = QuadraticLieSuperalgebra(a2, even_form(a2.basis, [[1, 0], [0, 1]]))
     with pytest.raises(RationalPointNotFound) as exc:
         max_isotropic_ideal(q)
     assert exc.value.quadric_str == "x^2 + y^2"
@@ -270,7 +278,7 @@ def test_coordinates_of_disguised_input_match_dense(disguised_induced_spaces,
     flag of a disguised input, the coordinates of a drawn combination of
     the spanning rows are its coefficients, as the dense solve finds, and
     a vector off the span gives what the dense solve gives."""
-    coeffs = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    coeffs = st.sampled_from(_fraction_values(7, 12))
     for ind, rows in disguised_induced_spaces:
         n = ind.q.dim
         x = tuple(data.draw(coeffs) for _ in rows)
@@ -293,7 +301,7 @@ def test_action_matches_dense_coordinates(induced_spaces, data):
     read from the span rows [reps | W basis].  A Krylov span of that
     matrix and the invariants are invariant spans; a drawn span often is
     not, and then ``action`` raises."""
-    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeffs = st.sampled_from(THIRDS)
     wperp, coords_in_span, ind = data.draw(st.sampled_from(
         [case for case in induced_spaces if case[2].dim]))
     g, n, m = ind.q.algebra, ind.q.dim, ind.dim

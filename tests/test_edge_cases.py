@@ -65,7 +65,7 @@ def test_decompose_odd_dim_solvable():
 def test_decompose_mixed_parity_odd_dim():
     Q = orthogonal_direct_sum(build(sq.abelian(1, 2)).total,
                               build(sq.heisenberg3()).total)
-    Q = orthogonal_direct_sum(Q, even_line(), prefixes=("m_", "u_"))
+    Q = orthogonal_direct_sum(Q, even_line())
     assert Q.dim == 13
     dec = decompose(Q)
     assert dec.parity_case == "odd"

@@ -12,7 +12,7 @@ import pytest
 import superquad as sq
 from superquad.decompose import decompose, isotropic_vector
 from superquad.errors import RationalPointNotFound, UndecidedError
-from superquad.forms import even_form, quadratic
+from superquad.forms import QuadraticLieSuperalgebra, even_form
 from superquad.isotropy import hilbert_symbol, isotropic_point, obstruction
 from superquad.linalg import FACTOR_CAP, factorize, mat, rational_roots
 from superquad.superalgebra import EVEN
@@ -28,7 +28,7 @@ def _diag_quadratic(diag):
     alg = sq.abelian(len(diag), 0)
     gram = [[diag[i] if i == j else 0 for j in range(len(diag))]
             for i in range(len(diag))]
-    return quadratic(alg, even_form(alg.basis, gram), check_algebra=False)
+    return QuadraticLieSuperalgebra(alg, even_form(alg.basis, gram))
 
 
 def _value(diag, x):

@@ -25,6 +25,8 @@ from superquad.superalgebra import (AxiomReport, GradedBasis,
                                     Subspace)
 from superquad.tstar import ShearIsometry, TStarExtension
 
+from support import algebra_if_valid
+
 F = Fraction
 
 
@@ -85,9 +87,6 @@ def _twin(cls):
     ns["__post_init__"] = cls.__post_init__
     if cls is Subspace:  # a repr without the reducer
         fields[1] = (fields[1], object, dataclasses.field(repr=False))
-    if cls is LieSuperalgebra:  # validate is an init-only flag
-        fields.append(("validate", dataclasses.InitVar[bool], True))
-        ns["__post_init__"] = lambda self, validate: None
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
                                       eq=cls is not Subspace, namespace=ns)
 
@@ -175,9 +174,9 @@ def test_post_init_checks_still_raise():
         GradedBasis(("x", "y"), (0, 2))
     b = GradedBasis(("x", "y"), (0, 0))
     not_skew = ((), ((0, ONE),)), ((), ())
-    with pytest.raises(AxiomError, match="super-skew"):
-        LieSuperalgebra(b, not_skew)
-    for g in (LieSuperalgebra(b, not_skew, validate=False),
-              LieSuperalgebra(basis=b, table=not_skew, validate=False)):
-        assert g.table == (((), ((0, ONE),)), ((), ()))
-        assert not sq.check_axioms(g).passed
+    assert algebra_if_valid(b, not_skew) is None
+    with pytest.raises(AxiomError, match="super-skew") as exc:
+        LieSuperalgebra(basis=b, table=not_skew)
+    assert exc.value.report == AxiomReport((), ((0, 1),), ())
+    with pytest.raises(TypeError):  # no flag skips the checks
+        LieSuperalgebra(b, not_skew, False)

@@ -480,8 +480,8 @@ def test_build_reports_an_extension_that_fails_its_axiom_check():
 
 
 def test_build_checks_grading_and_skew_once(monkeypatch):
-    """The extension is constructed unvalidated, and check_axioms runs
-    the grading and skew checks on it once each."""
+    """Constructing the extension runs the grading and skew checks on it
+    once each, and check_axioms evaluates only Jacobi."""
     import superquad.superalgebra as sa
     g = sq.build_gn(2)
     calls = []

@@ -25,7 +25,7 @@ from superquad.tstar import (_raw_extension, quadratic_morphism_violation,
 import dense_oracle as dense
 from dense_oracle import mat_mul
 from conftest import make_rng
-from support import cocycle2_defect, disguise
+from support import algebra_if_valid, cocycle2_defect, disguise
 
 F = Fraction
 
@@ -35,12 +35,16 @@ sparse_entries = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=2))
 
 
-def _algebra(parities, c, validate=True):
+def _basis_table(parities, c):
     n = len(parities)
     basis = graded_basis([f"b{i}" for i in range(n)], parities)
     table = tuple(tuple({k: c[i][j][k] for k in range(n) if c[i][j][k]}
                         for j in range(n)) for i in range(n))
-    return LieSuperalgebra(basis, table, validate)
+    return basis, table
+
+
+def _algebra(parities, c):
+    return LieSuperalgebra(*_basis_table(parities, c))
 
 
 @st.composite
@@ -83,20 +87,25 @@ def test_axiom_report_matches_dense_on_graded_skew_tables(case):
 @given(st.sampled_from(("not-skew", "ungraded")).flatmap(
     lambda kind: bracket_tensors(kind=kind, max_dim=4)))
 @settings(max_examples=120, deadline=None)
-def test_axiom_report_matches_dense_on_fallback_tables(case):
+def test_construction_matches_dense_on_not_skew_or_ungraded_tables(case):
+    """Construction rejects the tables the dense loops find not graded or
+    not skew, with their violations; the others pass check_axioms as the
+    dense report says."""
     p, c = case
-    assert check_axioms(_algebra(p, c, validate=False)) == _dense_report(p, c)
+    g = algebra_if_valid(*_basis_table(p, c))
+    if g is not None:
+        assert check_axioms(g) == _dense_report(p, c)
 
 
-def test_fallback_loop_keeps_order_dependent_violations():
+def test_not_skew_table_is_rejected_before_jacobi():
     # graded but not skew: [x, x] = x and [y, z] = x with [z, y] = 0
-    # break Jacobi at the cyclic rotations of (x, y, z) only
+    # would break Jacobi at the cyclic rotations of (x, y, z) only, but
+    # construction reports the skew pairs and evaluates no triple
     p = (0, 0, 0)
     c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
     c[0][0][0] = c[1][2][0] = F(1)
-    report = check_axioms(_algebra(p, c, validate=False))
-    assert report == _dense_report(p, c)
-    assert report.jacobi == ((0, 0, 0), (0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert algebra_if_valid(*_basis_table(p, c)) is None
+    assert dense.skew_violations(p, c) == [(0, 0), (1, 2)]
 
 
 def test_axiom_report_lists_every_permutation(gallery):
@@ -372,7 +381,7 @@ def test_disguised_algebra_passes_with_denominators(disguised, key):
     p, c = disguised[key]
     g = _algebra(p, c)
     assert check_axioms(g).passed
-    assert jacobi_violations(g, first=True) == []
+    assert jacobi_violations(g) == []
     assert not any(True for _ in dense.jacobi_violations(p, c))
 
 
@@ -395,14 +404,15 @@ def test_jacobi_witness_matches_dense_after_perturbing_disguised(
         g = _algebra(p, c2)
         assert check_axioms(g) == _dense_report(p, c2)
         first = next(dense.jacobi_violations(p, c2), None)
-        assert jacobi_violations(g, first=True) == ([first] if first else [])
+        assert jacobi_violations(g)[:1] == ([first] if first else [])
 
 
 @given(st.data())
 @settings(max_examples=15, deadline=None)
-def test_fallback_matches_dense_after_breaking_disguised(disguised, data):
-    """The ordered path: one entry of a disguised algebra changed on one
-    side only (not skew) or moved to the wrong parity (not graded)."""
+def test_construction_rejects_broken_disguised_as_dense(disguised, data):
+    """One entry of a disguised algebra changed on one side only (not
+    skew) or moved to the wrong parity (not graded): construction raises
+    with the dense loops' violations."""
     for key in DISGUISED:
         p, c = disguised[key]
         n = len(p)
@@ -410,10 +420,7 @@ def test_fallback_matches_dense_after_breaking_disguised(disguised, data):
         if i == j and p[i] and not p[k]:
             continue  # an odd [x, x] is symmetric: still graded and skew
         c2 = _perturbed(p, c, i, j, k, data.draw(fractions6), skew=False)
-        g = _algebra(p, c2, validate=False)
-        report = check_axioms(g)
-        assert report == _dense_report(p, c2)
-        assert report.grading or report.skew
+        assert algebra_if_valid(*_basis_table(p, c2)) is None
 
 
 @pytest.mark.parametrize("half, five_sixths", [(F(1), F(1)),
@@ -432,7 +439,7 @@ def test_jacobi_at_repeated_indices_matches_dense(half, five_sixths):
     assert report == _dense_report(p, c)
     assert {(0, 0, 0), (0, 0, 1)} <= set(report.jacobi)
     assert (0, 1, 1) not in report.jacobi
-    assert jacobi_violations(g, first=True) == [(0, 0, 0)]
+    assert jacobi_violations(g)[:1] == [(0, 0, 0)]
 
 
 @given(bracket_tensors(max_dim=4))
