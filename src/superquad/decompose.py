@@ -17,21 +17,20 @@ import itertools
 from fractions import Fraction
 
 from .dsl import signed_sum
-from .errors import (InternalCheckError, PreconditionError,
+from .errors import (InternalCheckError, NotIdealError, PreconditionError,
                      RationalPointNotFound)
-from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
-                    is_totally_isotropic, orthogonal)
+from .forms import EvenForm, QuadraticLieSuperalgebra, gram, orthogonal
 from .gallery import orthogonal_direct_sum
 from .isotropy import isotropic_point
 from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
                      charpoly, dense_vec, diagonalize_symmetric, kernel,
-                     lincomb, nonzeros, rank, rational_roots, unit_vec)
+                     lincomb, nonzeros, rational_roots, unit_vec)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, abelian,
                            ad_images, class_condition, derived_subspace,
                            extend_subspace, graded_complement, is_ideal,
                            is_nilpotent, is_solvable, sparse_bracket,
                            subspace, zero_subspace)
-from .tstar import TStarExtension, quadratic_morphism_violation, recognize
+from .tstar import TStarExtension, recognize, verify_isometry
 
 _QUADRIC_VARS = ("x", "y", "z", "w")
 
@@ -299,12 +298,10 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         if q.form.apply(lift, lift) != 0:
             raise InternalCheckError("selected vector is not isotropic")
         w = extend_subspace(w, lift)
-        # step postconditions: graded by construction, one dimension up,
-        # still isotropic and still an ideal
+        # step postconditions: graded, one dimension up and an ideal; the
+        # next _InducedSpace, or the test after the loop, checks isotropy
         if w.dim != chain[-1].dim + 1:
             raise InternalCheckError("flag dimension did not grow by one")
-        if not is_totally_isotropic(q.form, w):
-            raise InternalCheckError("flag member is not totally isotropic")
         if not is_ideal(g, w):
             raise InternalCheckError("flag member is not an ideal")
         chain.append(w)
@@ -351,47 +348,15 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
     line = abelian(1, 0)
     qhat = orthogonal_direct_sum(q, QuadraticLieSuperalgebra(
         line, EvenForm(line.basis, {(0, 0): -beta})))
-    N = n + 1
-    # d + t is isotropic
+    # d + t is isotropic, so recognize finds iso_hat a Lagrangian ideal
     iso_hat = subspace(qhat.basis, [*iso.rows, {**d, n: ONE}])
-    if not (is_totally_isotropic(qhat.form, iso_hat)
-            and is_ideal(qhat.algebra, iso_hat)
-            and 2 * iso_hat.dim == N):
-        raise InternalCheckError("augmented ideal is not Lagrangian")
-    ext, psi_hat = recognize(qhat, iso_hat)
+    try:
+        ext, psi_hat = recognize(qhat, iso_hat)
+    except (NotIdealError, PreconditionError) as exc:
+        raise InternalCheckError(
+            f"augmented ideal is not Lagrangian: {exc}") from exc
     embedding = tuple(tuple(row[:n]) for row in psi_hat)
-    _verify_codim1_embedding(q, ext, embedding)
+    verify_isometry(q, ext.total, embedding, what="embedding")
     return Decomposition(ideal=iso, quotient=ext.base, extension=ext,
                          embedding=embedding, parity_case="odd")
 
-
-_EMBEDDING_FAILURES = {
-    "parity": "embedding is not even",
-    "bracket": "embedding is not a bracket map",
-    "form": "embedding is not an isometry",
-}
-
-
-def _verify_codim1_embedding(q: QuadraticLieSuperalgebra,
-                             ext: TStarExtension, m: Mat) -> None:
-    """The embedding must be injective, even, a bracket map, an isometry
-    onto its image, and its image a graded nondegenerate ideal of
-    codimension 1."""
-    n = q.dim
-    total = ext.total
-    N = total.dim
-    if rank(m) != n:
-        raise InternalCheckError("embedding is not injective")
-    # injective, so no column is zero and every column's parity is checked
-    bad = quadratic_morphism_violation(q, total, m)
-    if bad is not None:
-        kind, witness = bad
-        raise InternalCheckError(_EMBEDDING_FAILURES[kind], witness=witness)
-    image = subspace(total.basis, [{r: m[r][a] for r in range(N) if m[r][a]}
-                                   for a in range(n)])
-    if image.dim != N - 1:
-        raise InternalCheckError("image does not have codimension 1")
-    if not is_ideal(total.algebra, image):
-        raise InternalCheckError("image is not an ideal")
-    if rank(gram(total.form, image.rows, image.rows)) != image.dim:
-        raise InternalCheckError("form is degenerate on the image")

@@ -130,7 +130,11 @@ class _LineParser:
         return self.token(LABEL_RE, "a basis label")
 
     def rational(self) -> Fraction:
-        return Fraction(self.token(RATIONAL_RE, "a rational number"))
+        text = self.token(RATIONAL_RE, "a rational number")
+        if text.rstrip("0").endswith("/"):  # the denominator is zero
+            self.pos -= len(text)
+            self.error("denominator must be nonzero")
+        return Fraction(text)
 
 
 def _require_basis(lp: _LineParser, doc: AlgebraDocument):

@@ -161,7 +161,7 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
         raise PreconditionError("form must be nondegenerate")
     if 2 * iso.dim != n:
         raise PreconditionError(
-            f"subspace has dimension {iso.dim}, expected {n // 2}")
+            f"subspace has dimension {iso.dim}, expected half of {n}")
     if not is_totally_isotropic(B, iso):
         raise PreconditionError("subspace is not totally isotropic")
     comp = graded_complement(B.basis, iso)
@@ -192,7 +192,8 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
 
 
 class QuadraticLieSuperalgebra(Record):
-    """Lie superalgebra with an invariant scalar product."""
+    """Lie superalgebra with an invariant scalar product; construction
+    checks Jacobi (AxiomError), then the form (FormError)."""
 
     algebra: LieSuperalgebra
     form: EvenForm
@@ -200,6 +201,7 @@ class QuadraticLieSuperalgebra(Record):
     def __post_init__(self):
         if self.form.basis != self.algebra.basis:
             raise DimensionMismatch("form and algebra bases differ")
+        require_axioms(self.algebra)
         if not is_nondegenerate(self.form):
             raise FormError("scalar product must be nondegenerate")
         w = invariance_violation(self.algebra, self.form)
@@ -219,7 +221,4 @@ class QuadraticLieSuperalgebra(Record):
         return self.algebra.basis
 
 
-def quadratic(algebra: LieSuperalgebra, form: EvenForm
-              ) -> QuadraticLieSuperalgebra:
-    require_axioms(algebra)
-    return QuadraticLieSuperalgebra(algebra, form)
+quadratic = QuadraticLieSuperalgebra  # the older name, kept for bench/

@@ -17,7 +17,7 @@ from .cohomology import (Cochain2Dual, ScalarCochain2,
                          free_coords_cochain2dual, free_coords_scalar2,
                          z2_basis, z2_supercyclic_basis)
 from .errors import InternalCheckError, PreconditionError
-from .forms import EvenForm, QuadraticLieSuperalgebra, quadratic
+from .forms import EvenForm, QuadraticLieSuperalgebra
 from .linalg import ONE, ZERO, lincomb
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, abelian, center,
                            from_brackets, graded_basis, is_nilpotent,
@@ -183,7 +183,7 @@ def orthogonal_direct_sum(a: QuadraticLieSuperalgebra,
     alg = LieSuperalgebra(graded_basis(names, parities), table)
     form = EvenForm(alg.basis, {**a.form.coords, **{
         (na + i, na + j): q for (i, j), q in b.form.coords.items()}})
-    return quadratic(alg, form)
+    return QuadraticLieSuperalgebra(alg, form)
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,15 @@ from .cohomology import (Cochain2Dual, ScalarCochain2, cocycle2_violation,
                          delta_scalar2, hat, sub3, supercyclic_violation,
                          unhat, zero_cochain2)
 from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
-                     NotIdealError, NotSupercyclicError, PreconditionError)
+                     NotSupercyclicError, PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
                     invariance_violation, is_totally_isotropic,
                     isotropic_complement)
-from .linalg import Mat, ONE, Record, dense_vec, integer_rows, rank, unit_vec
-from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace,
-                           check_axioms, failing, graded_basis, is_ideal,
-                           jacobi_violations, quotient, sgn, sparse_bracket,
-                           subspace)
+from .linalg import (Mat, ONE, Record, RowReducer, dense_vec, integer_rows,
+                     rank, unit_vec)
+from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
+                           graded_basis, is_ideal, jacobi_violations,
+                           quotient, sgn, sparse_bracket, subspace)
 
 
 class TStarExtension(Record):
@@ -95,7 +95,8 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
 
     Rejects omega that is not a cocycle (the extension would fail the
     Jacobi identity) or not supercyclic (the pairing would fail
-    invariance); both rejections carry witnessing basis triples.
+    invariance); both rejections carry witnessing basis triples.  A g
+    that fails Jacobi raises AxiomError with the extension's report.
     """
     if omega is None:
         omega = zero_cochain2(g)
@@ -114,13 +115,8 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
         raise NotSupercyclicError(
             f"omega is not supercyclic (identity fails at {bad})",
             triple=bad, invariance_witness=invariance_violation(alg, form))
-    alg, form = _raw_extension(g, omega)
-    report = check_axioms(alg)
-    if not report.passed:
-        raise InternalCheckError(
-            "extension failed the axiom check for a valid cocycle",
-            witness=report)
-    return TStarExtension(g, omega, QuadraticLieSuperalgebra(alg, form))
+    return TStarExtension(g, omega, QuadraticLieSuperalgebra(
+        *_raw_extension(g, omega)))
 
 
 def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,
@@ -178,13 +174,30 @@ def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,
 def verify_isometry(src: QuadraticLieSuperalgebra,
                     dst: QuadraticLieSuperalgebra, m: Mat,
                     what: str = "isometry") -> None:
-    if len(m) != dst.dim or any(len(r) != src.dim for r in m):
+    """Raise InternalCheckError naming ``what`` unless the dst.dim x
+    src.dim matrix m is injective, even, a bracket map and an isometry,
+    with dst.dim = src.dim or src.dim + 1; in codimension 1 its image
+    must also be an ideal on which the form is nondegenerate."""
+    n, N = src.dim, dst.dim
+    if N - n not in (0, 1) or len(m) != N or any(len(r) != n for r in m):
         raise DimensionMismatch(f"{what} matrix has the wrong shape")
-    if src.dim != dst.dim or rank(m) != src.dim:
-        raise InternalCheckError(f"{what} is not bijective")
-    w = quadratic_morphism_violation(src, dst, m)
-    if w is not None:
-        raise InternalCheckError(f"{what} verification failed", witness=w)
+    image = RowReducer(N, ({r: m[r][a] for r in range(N) if m[r][a]}
+                           for a in range(n)))
+    if image.rank != n:
+        raise InternalCheckError(f"{what} is not injective")
+    bad = quadratic_morphism_violation(src, dst, m)
+    if bad is not None:
+        kind, witness = bad
+        word = {"parity": "even", "bracket": "a bracket map",
+                "form": "an isometry"}[kind]
+        raise InternalCheckError(f"{what} is not {word}", witness=witness)
+    if N > n:  # the columns are homogeneous, so their span is graded
+        image = Subspace(dst.basis, image)
+        if not is_ideal(dst.algebra, image):
+            raise InternalCheckError(f"image of the {what} is not an ideal")
+        if rank(gram(dst.form, image.rows, image.rows)) != n:
+            raise InternalCheckError(
+                f"form is degenerate on the image of the {what}")
 
 
 def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
@@ -197,24 +210,18 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
     Returns the extension of the quotient q/iso together with the matrix
     of an even bijection that is simultaneously an algebra isomorphism
     and an isometry; the map is re-verified exactly on all basis pairs
-    before being returned.
+    before being returned.  :func:`isotropic_complement` or the test below
+    checks that iso is Lagrangian, :func:`quotient` that it is an ideal.
     """
     n = q.dim
-    if n % 2 != 0:
-        raise PreconditionError("total dimension must be even")
-    if 2 * iso.dim != n:
-        raise PreconditionError("ideal must have half the dimension")
-    if not is_totally_isotropic(q.form, iso):
-        raise PreconditionError("ideal must be totally isotropic")
-    if not is_ideal(q.algebra, iso):
-        raise NotIdealError("subspace is not an ideal")
     if complement is None:
         comp = isotropic_complement(q.form, iso)
     else:
         comp = complement
-        if comp.dim != n // 2 or not is_totally_isotropic(q.form, comp):
-            raise PreconditionError(
-                "complement must be totally isotropic of half the dimension")
+        if not all(2 * s.dim == n and is_totally_isotropic(q.form, s)
+                   for s in (iso, comp)):
+            raise PreconditionError("ideal and complement must be totally "
+                                    "isotropic of half the dimension")
     quot = quotient(q.algebra, iso, complement=comp, names=quotient_names)
     m = quot.algebra.dim
     rows = comp.rows

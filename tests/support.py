@@ -9,7 +9,8 @@ ideal/abelian lemma, an exact rational square root, vector addition,
 the coadjoint representation on graded linear functionals, a seeded
 basis change with denominators up to 6 of dense structure constants, the
 direct sum of two Lie superalgebras, an algebra built only from a table
-the dense loops find graded and super-skew, and the supercyclic
+the dense loops find graded and super-skew, drawn dense bracket tensors
+and their sparse tables, and the supercyclic
 2-cocycles solved directly, the oracle of the library's transport of
 Z^3.
 """
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   ScalarCochain3, _cocycle2_defects, _combined,
@@ -40,7 +42,8 @@ from superquad.gallery import _layout
 from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
 from superquad.superalgebra import (EVEN, AxiomReport, GradedBasis,
                                     LieSuperalgebra, Subspace, bracket,
-                                    center, derived_subspace, is_ideal, sgn)
+                                    center, derived_subspace, graded_basis,
+                                    is_ideal, sgn)
 from superquad.tstar import _raw_extension
 
 import dense_oracle as dense
@@ -117,6 +120,39 @@ def algebra_if_valid(basis: GradedBasis, table) -> LieSuperalgebra | None:
         LieSuperalgebra(basis, table)
     assert exc.value.report == AxiomReport(grading, skew, ())
     return None
+
+
+@st.composite
+def bracket_tensors(draw, entries, kind="lie", max_dim=5):
+    """(parities, c) for a random dense bracket tensor with coefficients
+    drawn from ``entries``.  ``kind`` "lie" is graded and super-skew;
+    "not-skew" is graded with both orders drawn independently;
+    "ungraded" is super-skew with any output parity."""
+    p = tuple(draw(st.lists(st.sampled_from((0, 1)), min_size=1,
+                            max_size=max_dim)))
+    n = len(p)
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        if kind != "not-skew" and (j < i or (i == j and p[i] == 0)):
+            continue
+        for k in range(n):
+            if kind != "ungraded" and p[k] != (p[i] + p[j]) % 2:
+                continue
+            q = draw(entries)
+            c[i][j][k] = q
+            if kind != "not-skew" and i != j:
+                c[j][i][k] = -sgn(p[i] * p[j]) * q
+    return p, c
+
+
+def basis_table(parities, c):
+    """(basis, table) of a dense bracket tensor, each table entry the
+    (k, c) pairs of its nonzero coordinates."""
+    n = len(parities)
+    basis = graded_basis([f"b{i}" for i in range(n)], parities)
+    table = tuple(tuple(tuple((k, q) for k, q in enumerate(c[i][j]) if q)
+                        for j in range(n)) for i in range(n))
+    return basis, table
 
 
 def document_cochain3(doc: AlgebraDocument, name: str) -> ScalarCochain3:

@@ -241,6 +241,14 @@ def test_recognize_rejects_non_ideal():
     assert by_name["ideal.is_ideal"]["passed"] is False
 
 
+def test_recognize_zero_denominator_in_ideal_is_a_parse_error():
+    code, rep = run_json(["recognize", str(CORPUS / "g2_tstar0.sqd"),
+                          "--ideal", "1/0*a12"])
+    assert code == 2
+    assert rep["error"]["kind"] == "parse"
+    assert "denominator" in rep["error"]["message"]
+
+
 def test_decompose_rational_failure_reports_quadric():
     text = ("basis e1:even e2:even\n"
             "form B(e1,e1) = 1\nform B(e2,e2) = 1\n")

@@ -46,6 +46,24 @@ def test_flag_hyperbolic_even_picks_first_null_vector():
     assert [w.dim for w in flag.chain] == [0, 1]
 
 
+@pytest.mark.parametrize("q", [
+    sq.hyperbolic_even(),
+    orthogonal_direct_sum(sq.hyperbolic_even(), even_line()),
+    orthogonal_direct_sum(sq.hyperbolic_even(), sq.hyperbolic_even())],
+    ids=["last-step-even", "last-step-odd", "next-step"])
+def test_flag_member_that_is_not_isotropic_is_caught(monkeypatch, q):
+    """A flag step that adjoins e1 + e2, with B(e1 + e2, e1 + e2) = 2, to
+    an abelian algebra still yields an ideal one dimension up, so only the
+    isotropy checks can refute it: the next step's, or the last one's."""
+    import importlib
+    from superquad.superalgebra import extend_subspace
+    dec = importlib.import_module("superquad.decompose")
+    monkeypatch.setattr(dec, "extend_subspace",
+                        lambda w, v: extend_subspace(w, {0: 1, 1: 1}))
+    with pytest.raises(InternalCheckError):
+        max_isotropic_ideal(q)
+
+
 def test_flag_anisotropic_rational_failure():
     a2 = sq.abelian(2, 0)
     q = QuadraticLieSuperalgebra(a2, even_form(a2.basis, [[1, 0], [0, 1]]))

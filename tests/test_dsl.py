@@ -122,6 +122,9 @@ REJECTED_ENTRIES = [
     ("scalar2 phi(x,o) = 1  # comment", "parity", 2, 21),
     ("scalar2 phi(x,x) = 1", None, 2, 21),
     ("scalar2 phi(x,y) = 1\nscalar2 phi(y,x) = 1", "contradictory", 3, 21),
+    ("form B(x,x) = 1/0", "denominator", 2, 15),
+    ("bracket [x,y] = 2/0*y", "denominator", 2, 17),
+    ("cochain2 w(x,y;z) = -3/00", "denominator", 2, 21),
 ]
 
 
@@ -203,6 +206,13 @@ def test_parse_span():
     span = dsl.parse_span(doc, "e1; e2 + 1/2*e3")
     assert span.dim == 2
     assert span.contains_vector(vec([0, 2, 1]))
+
+
+def test_parse_span_rejects_a_zero_denominator():
+    doc = dsl.parse("basis x:even y:even\n")
+    with pytest.raises(dsl.ParseError, match="denominator") as exc:
+        dsl.parse_span(doc, "y + 1/0*x")
+    assert (exc.value.line, exc.value.column) == (1, 5)
 
 
 def test_parse_span_rejects_nongraded():

@@ -16,8 +16,9 @@ from superquad.superalgebra import (EVEN, ODD, Subspace, derived_subspace,
                                     subspace, zero_subspace)
 
 import dense_oracle as dense
-from support import (DualVector, algebra_if_valid, coadjoint, dual_vector,
-                     vec_add, vector_parity)
+from support import (DualVector, algebra_if_valid, basis_table,
+                     bracket_tensors, coadjoint, dual_vector, vec_add,
+                     vector_parity)
 
 F = Fraction
 
@@ -485,7 +486,12 @@ def _raw_tables(draw):
     return basis, table
 
 
-@given(_raw_tables(), st.data())
+# graded and super-skew, so that construction accepts them
+_lie_tables = bracket_tensors(sparse_entries, max_dim=4).map(
+    lambda case: basis_table(*case))
+
+
+@given(st.one_of(_raw_tables(), _lie_tables), st.data())
 @settings(max_examples=80, deadline=None)
 def test_skew_violations_and_center_match_dense(raw, data):
     basis, table = raw
@@ -540,7 +546,7 @@ def _few_entry_tables(draw):
             tuple(map(tuple, table)))
 
 
-@given(st.one_of(_raw_tables(), _few_entry_tables()))
+@given(st.one_of(_raw_tables(), _few_entry_tables(), _lie_tables))
 @settings(max_examples=100, deadline=None)
 def test_derived_subspace_matches_brackets_of_the_whole(raw):
     """[g, g] from the table entries against the span of the brackets of

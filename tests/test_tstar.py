@@ -9,19 +9,20 @@ from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   collect_cochain2dual, delta_scalar2, hat,
                                   is_cocycle2, is_supercyclic, sub3, unhat,
                                   z3_basis, zero_cochain2, zero_scalar2)
-from superquad.errors import (CocycleError, DimensionMismatch,
-                              InternalCheckError, NotSupercyclicError,
-                              PreconditionError)
-from superquad.decompose import _verify_codim1_embedding, decompose
+from superquad.errors import (AxiomError, CocycleError, DimensionMismatch,
+                              InternalCheckError, NotIdealError,
+                              NotSupercyclicError, PreconditionError)
+from superquad.decompose import decompose
 from superquad.forms import is_totally_isotropic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
 from superquad.linalg import kernel, mat, rank, unit_vec, vec, vec_is_zero
 from superquad.superalgebra import (bracket, center, derived_subspace,
-                                    is_ideal, sgn, subspace)
+                                    is_ideal, jacobi_violations, sgn,
+                                    subspace)
 from superquad.tstar import (build, quadratic_morphism_violation, recognize,
-                             s_phi_isometry, shear_matrix)
+                             s_phi_isometry, shear_matrix, verify_isometry)
 
 import dense_oracle as dense
 from dense_oracle import mat_mul, mat_vec
@@ -236,6 +237,20 @@ def test_recognize_rejects_odd_dim():
         recognize(q, zero_subspace(q.basis))
 
 
+def test_recognize_rejects_a_lagrangian_subspace_that_is_not_an_ideal():
+    """span(e1, e2*, e3*) in T*(heisenberg3) is Lagrangian, but [e2, e1]
+    = -e3 leaves it: quotient rejects it, with and without a given
+    complement."""
+    ext = build(sq.heisenberg3())
+    q, n = ext.total, ext.dim
+    iso = subspace(q.basis, [unit_vec(n, k) for k in (0, 4, 5)])
+    comp = subspace(q.basis, [unit_vec(n, k) for k in (1, 2, 3)])
+    assert is_totally_isotropic(q.form, iso)
+    for complement in (None, comp):
+        with pytest.raises(NotIdealError, match="not an ideal"):
+            recognize(q, iso, complement=complement)
+
+
 def test_recognize_rejects_an_overlapping_complement():
     ext = build(sq.heisenberg3())
     iso = ext.dual_ideal()
@@ -412,18 +427,32 @@ def test_morphism_check_matches_dense_loop(morphisms, data):
 
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_codim1_embedding_check_reports_the_dense_witness(odd_decomposition,
-                                                          data):
-    src, dec = odd_decomposition
-    bad = _perturbed(data, dec.embedding)
-    witness = _dense_morphism_violation(src, dec.extension.total, bad)
-    if rank(bad) != src.dim or witness is None:
-        return
+def test_verify_isometry_reports_the_dense_witness(morphisms, data):
+    """verify_isometry passes the two square isometries and the codim-1
+    embedding, and refutes an injective perturbation of each with the
+    dense loop's kind and witness."""
     messages = {"parity": "not even", "bracket": "not a bracket map",
                 "form": "not an isometry"}
-    with pytest.raises(InternalCheckError, match=messages[witness[0]]) as exc:
-        _verify_codim1_embedding(src, dec.extension, bad)
-    assert exc.value.witness == witness[1]
+    for src, dst, m in morphisms:
+        verify_isometry(src, dst, m)
+        bad = _perturbed(data, m)
+        witness = _dense_morphism_violation(src, dst, bad)
+        if rank(bad) != src.dim or witness is None:
+            continue
+        with pytest.raises(InternalCheckError,
+                           match=messages[witness[0]]) as exc:
+            verify_isometry(src, dst, bad)
+        assert exc.value.witness == witness[1]
+
+
+def test_verify_isometry_rejects_other_shapes(morphisms):
+    """Only dst.dim x src.dim matrices with dst.dim - src.dim in {0, 1}."""
+    src, dst, m = morphisms[2]  # the codim-1 embedding
+    for shape in (m[:-1], m + m[:1], tuple(r[:-1] for r in m)):
+        with pytest.raises(DimensionMismatch):
+            verify_isometry(src, dst, shape)
+    with pytest.raises(DimensionMismatch):
+        verify_isometry(dst, src, tuple(zip(*m)))
 
 
 # --- the sparse builders against the dense formulas --------------------------
@@ -468,15 +497,19 @@ def test_phi_on_another_basis_is_rejected():
 
 def test_build_reports_an_extension_that_fails_its_axiom_check():
     """build does not check g's own axioms: with omega = 0 a table that
-    breaks Jacobi passes the cocycle and supercyclicity checks, and the
-    axiom check of the extension raises InternalCheckError."""
+    breaks Jacobi passes the cocycle and supercyclicity checks, and
+    constructing the extension's quadratic algebra raises AxiomError with
+    the extension's Jacobi triples."""
+    from superquad.tstar import _raw_extension
     g = sq.from_brackets(("x", "y", "z"), (0, 0, 0),
                          {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1},
                           ("y", "z"): {"x": 1}})
-    with pytest.raises(InternalCheckError, match="axiom check") as exc:
+    with pytest.raises(AxiomError) as exc:
         build(g)
-    report = exc.value.witness
+    report = exc.value.report
+    alg, _ = _raw_extension(g, zero_cochain2(g))
     assert not report.grading and not report.skew and report.jacobi
+    assert report.jacobi == tuple(jacobi_violations(alg))
 
 
 def test_build_checks_grading_and_skew_once(monkeypatch):

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superquad as sq
-from superquad.errors import CocycleError, FormError, NotSupercyclicError
-from superquad.forms import even_form, invariance_violation
+from superquad.errors import (AxiomError, CocycleError, FormError,
+                              NotSupercyclicError)
+from superquad.forms import EvenForm, even_form, invariance_violation
 from superquad.gallery import (random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
 from superquad.superalgebra import (AxiomReport, LieSuperalgebra,
@@ -25,7 +26,8 @@ from superquad.tstar import (_raw_extension, quadratic_morphism_violation,
 import dense_oracle as dense
 from dense_oracle import mat_mul
 from conftest import make_rng
-from support import algebra_if_valid, cocycle2_defect, disguise
+from support import (algebra_if_valid, basis_table, bracket_tensors,
+                     cocycle2_defect, disguise)
 
 F = Fraction
 
@@ -35,38 +37,8 @@ sparse_entries = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=2))
 
 
-def _basis_table(parities, c):
-    n = len(parities)
-    basis = graded_basis([f"b{i}" for i in range(n)], parities)
-    table = tuple(tuple({k: c[i][j][k] for k in range(n) if c[i][j][k]}
-                        for j in range(n)) for i in range(n))
-    return basis, table
-
-
 def _algebra(parities, c):
-    return LieSuperalgebra(*_basis_table(parities, c))
-
-
-@st.composite
-def bracket_tensors(draw, kind="lie", max_dim=5):
-    """(parities, c) for a random bracket tensor.  ``kind`` "lie" is
-    graded and super-skew; "not-skew" is graded with both orders drawn
-    independently; "ungraded" is super-skew with any output parity."""
-    p = tuple(draw(st.lists(st.sampled_from((0, 1)), min_size=1,
-                            max_size=max_dim)))
-    n = len(p)
-    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        if kind != "not-skew" and (j < i or (i == j and p[i] == 0)):
-            continue
-        for k in range(n):
-            if kind != "ungraded" and p[k] != (p[i] + p[j]) % 2:
-                continue
-            q = draw(sparse_entries)
-            c[i][j][k] = q
-            if kind != "not-skew" and i != j:
-                c[j][i][k] = -sgn(p[i] * p[j]) * q
-    return p, c
+    return LieSuperalgebra(*basis_table(parities, c))
 
 
 def _dense_report(p, c):
@@ -77,7 +49,7 @@ def _dense_report(p, c):
 
 # --- check_axioms ------------------------------------------------------------
 
-@given(bracket_tensors())
+@given(bracket_tensors(sparse_entries))
 @settings(max_examples=120, deadline=None)
 def test_axiom_report_matches_dense_on_graded_skew_tables(case):
     p, c = case
@@ -85,14 +57,14 @@ def test_axiom_report_matches_dense_on_graded_skew_tables(case):
 
 
 @given(st.sampled_from(("not-skew", "ungraded")).flatmap(
-    lambda kind: bracket_tensors(kind=kind, max_dim=4)))
+    lambda kind: bracket_tensors(sparse_entries, kind=kind, max_dim=4)))
 @settings(max_examples=120, deadline=None)
 def test_construction_matches_dense_on_not_skew_or_ungraded_tables(case):
     """Construction rejects the tables the dense loops find not graded or
     not skew, with their violations; the others pass check_axioms as the
     dense report says."""
     p, c = case
-    g = algebra_if_valid(*_basis_table(p, c))
+    g = algebra_if_valid(*basis_table(p, c))
     if g is not None:
         assert check_axioms(g) == _dense_report(p, c)
 
@@ -104,7 +76,7 @@ def test_not_skew_table_is_rejected_before_jacobi():
     p = (0, 0, 0)
     c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
     c[0][0][0] = c[1][2][0] = F(1)
-    assert algebra_if_valid(*_basis_table(p, c)) is None
+    assert algebra_if_valid(*basis_table(p, c)) is None
     assert dense.skew_violations(p, c) == [(0, 0), (1, 2)]
 
 
@@ -118,6 +90,21 @@ def test_axiom_report_lists_every_permutation(gallery):
     assert report.jacobi == tuple(sorted(itertools.permutations((0, 1, 2))))
     for g in gallery.values():
         assert check_axioms(g).passed
+
+
+@given(bracket_tensors(sparse_entries, max_dim=4))
+@settings(max_examples=60, deadline=None)
+def test_quadratic_algebra_checks_jacobi_before_the_form(case):
+    """A graded super-skew table that fails Jacobi cannot carry a form:
+    construction raises AxiomError with the dense Jacobi triples, before
+    it sees that the empty form is degenerate."""
+    p, c = case
+    g = _algebra(p, c)
+    jacobi = tuple(dense.jacobi_violations(p, c))
+    with pytest.raises(AxiomError if jacobi else FormError) as exc:
+        sq.QuadraticLieSuperalgebra(g, EvenForm(g.basis, {}))
+    if jacobi:
+        assert exc.value.report == AxiomReport((), (), jacobi)
 
 
 # --- invariance_violation ----------------------------------------------------
@@ -136,7 +123,7 @@ def even_grams(draw, p):
     return G
 
 
-@given(bracket_tensors().flatmap(
+@given(bracket_tensors(sparse_entries).flatmap(
     lambda case: st.tuples(st.just(case), even_grams(case[0]))))
 @settings(max_examples=150, deadline=None)
 def test_invariance_witness_matches_dense_on_random_tables(case):
@@ -420,7 +407,7 @@ def test_construction_rejects_broken_disguised_as_dense(disguised, data):
         if i == j and p[i] and not p[k]:
             continue  # an odd [x, x] is symmetric: still graded and skew
         c2 = _perturbed(p, c, i, j, k, data.draw(fractions6), skew=False)
-        assert algebra_if_valid(*_basis_table(p, c2)) is None
+        assert algebra_if_valid(*basis_table(p, c2)) is None
 
 
 @pytest.mark.parametrize("half, five_sixths", [(F(1), F(1)),
@@ -442,7 +429,7 @@ def test_jacobi_at_repeated_indices_matches_dense(half, five_sixths):
     assert jacobi_violations(g)[:1] == [(0, 0, 0)]
 
 
-@given(bracket_tensors(max_dim=4))
+@given(bracket_tensors(sparse_entries, max_dim=4))
 @settings(max_examples=60, deadline=None)
 def test_odd_squares_and_repeated_triples_match_dense(case):
     """Random graded skew tables where every odd [x, x] is nonzero, read at
