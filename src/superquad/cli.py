@@ -20,14 +20,14 @@ from .cohomology import (b3_basis, collect_cochain2dual, cocycle2_violation,
                          supercyclic_violation, z2_supercyclic_from_z3,
                          z3_basis, zero_cochain2)
 from .decompose import decompose as run_decompose
-from .errors import (FormError, NotIdealError, PreconditionError,
-                     RationalPointNotFound, SuperquadError, UndecidedError)
-from .forms import (QuadraticLieSuperalgebra, gram, invariance_violation,
-                    is_nondegenerate, is_totally_isotropic, radical)
+from .errors import (AxiomError, FormError, NotIdealError,
+                     PreconditionError, RationalPointNotFound,
+                     SuperquadError, UndecidedError)
+from .forms import QuadraticLieSuperalgebra
 from .gallery import (ABELIAN_RE, build_class_c_example, build_glnn,
                       build_gn, stock, STOCK_NAMES)
-from .superalgebra import (ad_images, center, check_axioms, class_condition,
-                           is_nilpotent, is_solvable)
+from .superalgebra import (AxiomReport, center, class_condition,
+                           is_nilpotent, is_solvable, require_axioms)
 from .tstar import build, recognize, s_phi_isometry
 
 SCHEMA_VERSION = 1
@@ -138,56 +138,42 @@ def _entries_strs(entries: dict, names) -> dict:
             for key, q in sorted(entries.items())}
 
 
-def _axiom_checks(report: Report, doc, alg) -> bool:
-    ax = check_axioms(alg)
-    for name, bad in (("grading", ax.grading), ("super_skew", ax.skew),
-                      ("jacobi", ax.jacobi)):
-        report.check(f"axioms.{name}", not bad,
-                     _triple_names(doc.names, bad[0]) if bad else None)
-    return ax.passed
+def _verify(report: Report, doc, alg, form):
+    """Report the axioms, and the form if given, from one check with the
+    witnesses its error carries: the quadratic algebra's construction, or
+    require_axioms.  Returns whether the axioms hold, and q or None."""
+    q, ax, bad = None, AxiomReport((), (), ()), FormError()
+    try:
+        if form is None:
+            require_axioms(alg)
+        else:
+            q = QuadraticLieSuperalgebra(alg, form)
+    except AxiomError as exc:
+        ax = exc.report
+    except FormError as exc:
+        bad = exc
+    for name, found in (("grading", ax.grading), ("super_skew", ax.skew),
+                        ("jacobi", ax.jacobi)):
+        report.check(f"axioms.{name}", not found,
+                     _triple_names(doc.names, found[0]) if found else None)
+    if form is not None and ax.passed:
+        report.check("form.nondegenerate", bad.radical is None,
+                     bad.radical and _vec_strs(bad.radical))
+        report.check("form.invariant", bad.witness is None,
+                     _triple_names(doc.names, bad.witness))
+    return ax.passed, q
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args, report: Report, out, doc, alg) -> int:
+def _cmd_check(args, report: Report, out, doc, alg, q) -> int:
     report.dims.update(
         dim=alg.dim, dim_even=alg.basis.even_dim, dim_odd=alg.basis.odd_dim,
         dim_center=center(alg).dim, nilpotent=is_nilpotent(alg),
         solvable=is_solvable(alg), class_condition=class_condition(alg))
-    form = dsl.document_form(doc)
-    if form is not None:
-        _form_checks(report, doc, alg, form)
     return report.render(out)
-
-
-def _radical_vector(form):
-    """A nonzero vector pairing to zero with everything, as a witness."""
-    ker = radical(form)
-    return _vec_strs(ker[0]) if ker else None
-
-
-def _form_checks(report: Report, doc, alg, form) -> None:
-    nondeg = is_nondegenerate(form)
-    report.check("form.nondegenerate", nondeg,
-                 None if nondeg else _radical_vector(form))
-    w = invariance_violation(alg, form)
-    report.check("form.invariant", w is None, _triple_names(doc.names, w))
-
-
-def _isotropy_witness(form, w):
-    vs = w.vectors
-    return next(([_vec_strs(u), _vec_strs(v)] for u, row in zip(
-        vs, gram(form, vs, vs)) for v, q in zip(vs, row) if q), None)
-
-
-def _ideal_witness(alg, w, names):
-    m = len(w.vectors)
-    for t, image in enumerate(ad_images(alg, w.vectors)):
-        if not w.contains_vector(image):
-            return [names[t // m], _vec_strs(w.vectors[t % m])]
-    return None
 
 
 def _document_omega(args, report: Report, doc, alg, label: str):
@@ -209,25 +195,7 @@ def _document_omega(args, report: Report, doc, alg, label: str):
     return omega
 
 
-def _document_quadratic(report: Report, doc, alg, what: str):
-    """The document's quadratic algebra, or None when a form check fails;
-    the witnesses are only searched for after a failure."""
-    form = dsl.document_form(doc)
-    if form is None:
-        raise PreconditionError(f"{what} needs a form in the document")
-    try:
-        q = QuadraticLieSuperalgebra(alg, form)
-    except FormError:
-        _form_checks(report, doc, alg, form)
-        if report.passed:
-            raise
-        return None
-    report.check("form.nondegenerate", True)
-    report.check("form.invariant", True)
-    return q
-
-
-def _cmd_tstar(args, report: Report, out, doc, alg) -> int:
+def _cmd_tstar(args, report: Report, out, doc, alg, q) -> int:
     omega = _document_omega(args, report, doc, alg, "omega")
     if not report.passed:
         return report.render(out)
@@ -239,7 +207,7 @@ def _cmd_tstar(args, report: Report, out, doc, alg) -> int:
     return report.render(out, document=document)
 
 
-def _cmd_cohomology(args, report: Report, out, doc, alg) -> int:
+def _cmd_cohomology(args, report: Report, out, doc, alg, q) -> int:
     z3, b3 = z3_basis(alg), b3_basis(alg)
     z2sc = z2_supercyclic_from_z3(alg.basis, z3)
     report.dims.update(dim_z2_supercyclic=len(z2sc), dim_z3=len(z3),
@@ -255,7 +223,7 @@ def _cmd_cohomology(args, report: Report, out, doc, alg) -> int:
     return report.render(out)
 
 
-def _cmd_isometry(args, report: Report, out, doc, alg) -> int:
+def _cmd_isometry(args, report: Report, out, doc, alg, q) -> int:
     if args.phi not in doc.scalar2:
         raise PreconditionError(
             f"document defines no scalar2 named {args.phi!r}")
@@ -271,27 +239,30 @@ def _cmd_isometry(args, report: Report, out, doc, alg) -> int:
     return report.render(out)
 
 
-def _cmd_recognize(args, report: Report, out, doc, alg) -> int:
-    q = _document_quadratic(report, doc, alg, "recognition")
-    if q is None:
+def _cmd_recognize(args, report: Report, out, doc, alg, q) -> int:
+    if q is None and report.passed:
+        raise PreconditionError("recognition needs a form in the document")
+    if not report.passed:  # a form check failed
         return report.render(out)
     ideal = dsl.parse_span(doc, args.ideal)
     report.dims["ideal_dim"] = ideal.dim
-    halfdim = q.dim % 2 == 0 and 2 * ideal.dim == q.dim
-    report.check("ideal.half_dimension", halfdim,
-                 None if halfdim else [ideal.dim, q.dim])
-    isotropic = is_totally_isotropic(q.form, ideal)
-    report.check("ideal.totally_isotropic", isotropic,
-                 None if isotropic else _isotropy_witness(q.form, ideal))
-    if not report.passed:
-        return report.render(out)
+    dims = pair = bad = None
     try:
         ext, psi = recognize(q, ideal)
-    except NotIdealError:
-        report.check("ideal.is_ideal", False,
-                     _ideal_witness(q.algebra, ideal, doc.names))
+    except PreconditionError as exc:
+        if exc.dims is None and exc.pair is None:
+            raise
+        dims, pair = exc.dims, exc.pair
+    except NotIdealError as exc:
+        bad = exc.witness
+    report.check("ideal.half_dimension", dims is None, dims and list(dims))
+    report.check("ideal.totally_isotropic", pair is None,
+                 pair and _mat_strs(pair))
+    if not (dims or pair):
+        report.check("ideal.is_ideal", bad is None,
+                     bad and [doc.names[bad[0]], _vec_strs(bad[1])])
+    if not report.passed:
         return report.render(out)
-    report.check("ideal.is_ideal", True)
     report.check("recognition.isometry_verified", True)
     report.outputs["quotient"] = dsl.emit(dsl.document_from(ext.base))
     report.outputs["omega"] = _entries_strs(
@@ -301,9 +272,10 @@ def _cmd_recognize(args, report: Report, out, doc, alg) -> int:
     return report.render(out)
 
 
-def _cmd_decompose(args, report: Report, out, doc, alg) -> int:
-    q = _document_quadratic(report, doc, alg, "decomposition")
-    if q is None:
+def _cmd_decompose(args, report: Report, out, doc, alg, q) -> int:
+    if q is None and report.passed:
+        raise PreconditionError("decomposition needs a form in the document")
+    if not report.passed:  # a form check failed
         return report.render(out)
     try:
         dec = run_decompose(q)
@@ -442,9 +414,12 @@ def main(argv=None, out=None) -> int:
             raise PreconditionError(f"document dimension {doc.dim} exceeds "
                                     f"--max-dim {args.max_dim}")
         alg = dsl.document_algebra(doc)
-        if not _axiom_checks(report, doc, alg):
+        uses_form = args.fn in (_cmd_check, _cmd_recognize, _cmd_decompose)
+        passed, q = _verify(report, doc, alg,
+                            dsl.document_form(doc) if uses_form else None)
+        if not passed:
             return report.render(out)
-        return args.fn(args, report, out, doc, alg)
+        return args.fn(args, report, out, doc, alg, q)
     except dsl.ParseError as exc:
         return _error_exit(out, "parse", str(exc), text_mode,
                            exc.line, exc.column)

@@ -78,9 +78,10 @@ def isotropic_vector(gram: Mat, parities: tuple[int, ...], *,
 
 class IsotropicFlagResult(Record):
     """Flag of graded totally isotropic ideals grown one dimension at a
-    time up to floor(dim/2)."""
+    time up to floor(dim/2), with the orthogonal of its last member."""
 
     w_max: Subspace
+    w_perp: Subspace
     chain: tuple[Subspace, ...]
     achieved_dim: int
 
@@ -317,7 +318,7 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         if not all(map(w.contains_vector, ad_images(g, wperp.rows))):
             raise InternalCheckError("action does not map the orthogonal "
                                      "of the maximal member into it")
-    return IsotropicFlagResult(w, tuple(chain), w.dim)
+    return IsotropicFlagResult(w, wperp, tuple(chain), w.dim)
 
 
 def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
@@ -325,7 +326,7 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
     verified codimension-1 nondegenerate graded ideal of one (odd total
     dimension), along a maximal totally isotropic graded ideal."""
     flag = max_isotropic_ideal(q)
-    iso = flag.w_max
+    iso, wperp = flag.w_max, flag.w_perp
     n = q.dim
     if n % 2 == 0:
         ext, psi = recognize(q, iso)
@@ -335,7 +336,6 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
     # odd case: orthogonally adjoin a central even line t with
     # B(t, t) = -beta to make the enlarged ideal Lagrangian, then
     # recognize the enlarged algebra (docs/conventions.md, "Odd dimension")
-    wperp = orthogonal(q.form, iso)
     d = next((v for v, p in zip(wperp.rows, wperp.parities)
               if p == EVEN and not iso.contains_vector(v)), None)
     if d is None:

@@ -424,13 +424,10 @@ def document_quadratic(q: QuadraticLieSuperalgebra,
 
 def parse_span(doc: AlgebraDocument, text: str) -> Subspace:
     """Subspace from a semicolon-separated list of linear combinations,
-    e.g. ``"e1*; e2 + 1/2*e3"``."""
+    e.g. ``"e1*; e2 + 1/2*e3"``; an error's column counts within text."""
     vectors = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        lp = _LineParser(part, 1)
+    for part in re.finditer(r"[^;\s](?:[^;]*[^;\s])?", text):
+        lp = _LineParser(" " * part.start() + part[0], 1)
         vectors.append(_parse_lincomb(lp, doc))
         if not lp.at_end():
             lp.error("unexpected trailing input in span expression")

@@ -27,7 +27,7 @@ class NotGradedError(SuperquadError):
 
 
 class NotIdealError(SuperquadError):
-    pass
+    witness = None  # superalgebra.ideal_violation: (i, v), [e_i, v] outside
 
 
 class AxiomError(SuperquadError):
@@ -42,9 +42,9 @@ class AxiomError(SuperquadError):
 
 class FormError(SuperquadError):
     """A bilinear form violates evenness, supersymmetry, nondegeneracy
-    or invariance."""
+    or invariance; ``radical`` is a nonzero vector of the form's radical."""
 
-    witness = None
+    witness = radical = None
 
 
 class CochainError(SuperquadError):
@@ -78,6 +78,8 @@ class NotSupercyclicError(SuperquadError):
 
 class PreconditionError(SuperquadError):
     """An operation was called outside its documented preconditions."""
+
+    dims = pair = None  # the witnesses of forms.isotropic_complement
 
 
 class InternalCheckError(SuperquadError):

@@ -147,43 +147,41 @@ def is_totally_isotropic(B: EvenForm, w: Subspace) -> bool:
 def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
     """Graded totally isotropic complement of a Lagrangian subspace.
 
-    Requires B nondegenerate and iso graded totally isotropic with
-    iso = iso^perp (so the ambient dimension is even).  Starting from a
-    greedy graded complement W, the correction h: W -> iso with
-    B(h(w), w') = 1/2 B(w, w') makes C = {w - h(w)} totally isotropic;
-    the 1/2 needs characteristic != 2, automatic over the rationals.
-    Per parity, with pairing matrix M[u][b] = B(iso_u, w_b) (invertible
-    here), one reducer of the rows [M[u] | iso_u] reduces
-    [1/2 B(w_a, w_b) for b | w_a] to [0 | w_a - h(w_a)].
+    Requires B nondegenerate and iso graded, half-dimensional and totally
+    isotropic; a PreconditionError for either of the last two carries
+    both witnesses, ``dims`` and ``pair`` (docs/conventions.md,
+    "Verification").  Starting from a greedy graded complement W, the
+    correction h: W -> iso with B(h(w), w') = 1/2 B(w, w') makes
+    C = {w - h(w)} totally isotropic; the 1/2 needs characteristic != 2,
+    automatic over the rationals.  Per parity, with pairing matrix
+    M[u][b] = B(iso_u, w_b), one reducer of the rows [M[u] | iso_u]
+    reduces [1/2 B(w_a, w_b) for b | w_a] to [0 | w_a - h(w_a)]; B is
+    nondegenerate iff each M is square with every pivot in M.
     """
-    n = B.dim
-    if not is_nondegenerate(B):
-        raise PreconditionError("form must be nondegenerate")
-    if 2 * iso.dim != n:
+    n, vs = B.dim, iso.vectors
+    dims = None if 2 * iso.dim == n else (iso.dim, n)
+    pair = next(((u, v) for u, row in zip(vs, gram(B, iso.rows, iso.rows))
+                 for v, q in zip(vs, row) if q), None)
+    if dims or pair:
         raise PreconditionError(
-            f"subspace has dimension {iso.dim}, expected half of {n}")
-    if not is_totally_isotropic(B, iso):
-        raise PreconditionError("subspace is not totally isotropic")
+            f"subspace has dimension {iso.dim}, expected half of {n}" if dims
+            else "subspace is not totally isotropic", dims=dims, pair=pair)
     comp = graded_complement(B.basis, iso)
     corrected = []
     for p in (0, 1):
         w_rows = [v for v, pv in zip(comp.rows, comp.parities) if pv == p]
         i_rows = [v for v, pv in zip(iso.rows, iso.parities) if pv == p]
         k = len(w_rows)
-        if k != len(i_rows):
-            raise PreconditionError(
-                "isotropic subspace is not half-dimensional in each parity")
         pairs = gram(B, i_rows + w_rows, w_rows)
         red = RowReducer(k + n, (
             {**{b: q for b, q in enumerate(row) if q},
              **{k + c: q for c, q in i_u.items()}}
             for row, i_u in zip(pairs, i_rows)))
+        if k != len(i_rows) or any(c >= k for c in red.pivots):
+            raise PreconditionError("form must be nondegenerate")
         for w_a, row in zip(w_rows, pairs[k:]):
             r = red.reduce({**{b: HALF * q for b, q in enumerate(row) if q},
                             **{k + c: q for c, q in w_a.items()}})
-            if any(c < k for c in r):
-                raise PreconditionError("pairing with the complement is "
-                                        "degenerate")
             corrected.append({c - k: q for c, q in r.items()})
     out = subspace(B.basis, corrected)
     if not (out.dim == iso.dim and is_totally_isotropic(B, out)):
@@ -193,7 +191,9 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
 
 class QuadraticLieSuperalgebra(Record):
     """Lie superalgebra with an invariant scalar product; construction
-    checks Jacobi (AxiomError), then the form (FormError)."""
+    checks Jacobi (AxiomError), then the form: a FormError carries the
+    first radical vector and the invariance triple, each or None
+    (docs/conventions.md, "Verification")."""
 
     algebra: LieSuperalgebra
     form: EvenForm
@@ -202,15 +202,12 @@ class QuadraticLieSuperalgebra(Record):
         if self.form.basis != self.algebra.basis:
             raise DimensionMismatch("form and algebra bases differ")
         require_axioms(self.algebra)
-        if not is_nondegenerate(self.form):
-            raise FormError("scalar product must be nondegenerate")
+        ker = radical(self.form)
         w = invariance_violation(self.algebra, self.form)
-        if w is not None:
-            raise FormError("scalar product is not invariant", witness=w)
-        if self.algebra.basis.odd_dim % 2 != 0:
-            # a nondegenerate antisymmetric odd-odd block forces this
-            raise FormError("odd part of a quadratic superalgebra must have "
-                            "even dimension")
+        if ker or w is not None:
+            raise FormError("scalar product must be nondegenerate" if ker
+                            else "scalar product is not invariant",
+                            radical=ker[0] if ker else None, witness=w)
 
     @property
     def dim(self) -> int:

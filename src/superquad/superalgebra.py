@@ -460,8 +460,17 @@ def class_condition(g: LieSuperalgebra) -> bool:
     return all(map(subspace(g.basis, even).contains_vector, odd))
 
 
+def ideal_violation(g: LieSuperalgebra, w: Subspace):
+    """The least (i, v), i-major, with [e_i, v] outside w, for i a basis
+    index and v a row of ``w.vectors``, or None."""
+    m = len(w.rows)
+    t = next((t for t, image in enumerate(ad_images(g, w.rows))
+              if image and not w.contains_vector(image)), None)
+    return None if t is None else (t // m, w.vectors[t % m])
+
+
 def is_ideal(g: LieSuperalgebra, w: Subspace) -> bool:
-    return all(map(w.contains_vector, filter(None, ad_images(g, w.rows))))
+    return ideal_violation(g, w) is None
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +488,9 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
              complement: Subspace | None = None,
              names: tuple[str, ...] | None = None) -> QuotientResult:
     """Quotient by a graded ideal, on a homogeneous complement basis."""
-    if not is_ideal(g, ideal):
-        raise NotIdealError("subspace is not an ideal")
+    bad = ideal_violation(g, ideal)
+    if bad is not None:
+        raise NotIdealError("subspace is not an ideal", witness=bad)
     comp = complement if complement is not None else graded_complement(
         g.basis, ideal)
     if comp.dim + ideal.dim != g.dim:

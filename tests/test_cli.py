@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from superquad import cli, dsl
+from superquad import cli, dsl, forms, superalgebra
 from superquad.cohomology import (Cochain2Dual, ScalarCochain3,
                                   cocycle2_violation, free_coords_alt3,
                                   free_coords_cochain2dual,
@@ -241,12 +241,96 @@ def test_recognize_rejects_non_ideal():
     assert by_name["ideal.is_ideal"]["passed"] is False
 
 
+def _checks(*pairs):
+    """The full checks list of a report, from (name, witness) pairs: a
+    check with a witness failed, one with None passed."""
+    return [{"name": name, "passed": witness is None, "witness": witness}
+            for name, witness in pairs]
+
+
+_AXIOMS_PASS = [("axioms.grading", None), ("axioms.super_skew", None),
+                ("axioms.jacobi", None)]
+_FORM_PASS = [("form.nondegenerate", None), ("form.invariant", None)]
+
+
+def _unit(n, k):
+    return ["1" if i == k else "0" for i in range(n)]
+
+
+@pytest.mark.parametrize("path, ideal, dims, pair, bad", [
+    ("g2_tstar0.sqd", "a12*;d12*;b11*;b12*;b22*", [5, 12], None, None),
+    ("g2_tstar0.sqd", "a12;d12;b11;b12;b22;a12*", None,
+     [_unit(12, 0), _unit(12, 6)], None),
+    ("g2_tstar0.sqd", "a12; a12*", [2, 12], [_unit(12, 0), _unit(12, 6)],
+     None),
+    ("hyperbolic_odd.sqd", "o1; o2", [2, 2], [_unit(2, 0), _unit(2, 1)],
+     None),
+    ("g2_tstar0.sqd", "a12;d12;b11;b12;b22;c12", None, None,
+     ["a12*", _unit(12, 2)]),
+], ids=["wrong-dimension", "not-isotropic", "both", "odd-whole-space",
+        "not-ideal"])
+def test_recognize_ideal_check_witnesses(path, ideal, dims, pair, bad):
+    """Half dimension and isotropy are reported together, and is_ideal
+    only after both pass; each failure carries its witness."""
+    code, rep = run_json(["recognize", str(CORPUS / path), "--ideal", ideal])
+    want = _AXIOMS_PASS + _FORM_PASS + [("ideal.half_dimension", dims),
+                                        ("ideal.totally_isotropic", pair)]
+    if dims is None and pair is None:
+        want.append(("ideal.is_ideal", bad))
+    assert code == 1
+    assert rep["checks"] == _checks(*want)
+
+
+_JACOBI_FAILS = ("basis e1:even e2:even e3:even\n"
+                 "bracket [e1,e2] = e2\nbracket [e2,e3] = e1\n"
+                 "form B(e1,e1) = 1\nform B(e2,e2) = 1\nform B(e3,e3) = 1\n")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["recognize", "--ideal", "e1"],
+                                  ["decompose"]],
+                         ids=["check", "recognize", "decompose"])
+def test_jacobi_failure_with_a_form_reports_the_axioms_only(argv):
+    code, rep = run_json(argv, stdin_text=_JACOBI_FAILS)
+    assert code == 1
+    assert rep["checks"] == _checks(
+        *_AXIOMS_PASS[:2], ("axioms.jacobi", ["e1", "e2", "e3"]))
+    assert rep["dims"] == {}
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["recognize", "--ideal", "e1"], "recognition"),
+    (["decompose"], "decomposition")], ids=["recognize", "decompose"])
+def test_document_without_a_form_is_an_input_error(argv, what):
+    text = "basis e1:even e2:even\nbracket [e1,e2] = e2\n"
+    message = f"{what} needs a form in the document"
+    code, rep = run_json(argv, stdin_text=text)
+    assert code == 2
+    assert rep["error"] == {"kind": "input", "line": None, "column": None,
+                            "message": message}
+    code, out = run_cli(["--text", *argv], stdin_text=text)
+    assert code == 2
+    assert out == f"error[input]: {message}\n"
+
+
 def test_recognize_zero_denominator_in_ideal_is_a_parse_error():
     code, rep = run_json(["recognize", str(CORPUS / "g2_tstar0.sqd"),
                           "--ideal", "1/0*a12"])
     assert code == 2
     assert rep["error"]["kind"] == "parse"
     assert "denominator" in rep["error"]["message"]
+
+
+def test_ideal_parse_error_column_counts_within_the_option():
+    """The column of an error in a later ``;``-part of --ideal counts
+    from the start of the option's value, not of the part."""
+    text = "basis x:even y:even\nform B(x,y) = 1\n"
+    for ideal, column in (("x; y + 1/0*x", 8), (" 1/0*x", 2),
+                          ("x;;  y y", 8)):
+        code, rep = run_json(["recognize", "--ideal", ideal],
+                             stdin_text=text)
+        assert code == 2
+        assert (rep["error"]["kind"], rep["error"]["line"],
+                rep["error"]["column"]) == ("parse", 1, column), ideal
 
 
 def test_decompose_rational_failure_reports_quadric():
@@ -356,16 +440,36 @@ def test_form_checks_match_the_check_command():
     assert [c["witness"] for c in _form_checks(want)] == [["0", "1"], None]
 
 
-def test_form_verified_once_on_success(monkeypatch):
-    """A passing form is checked by the quadratic algebra's construction
-    alone; the CLI's own checks only run to find witnesses."""
+@pytest.mark.parametrize("argv", [
+    ["check"], ["recognize", "--ideal", "a12*;d12*;b11*;b12*;b22*;c12*"],
+    ["decompose"]], ids=["check", "recognize", "decompose"])
+def test_each_check_runs_once_on_the_document(monkeypatch, argv):
+    """The axioms and the form are checked once, by the quadratic
+    algebra's construction, and the CLI runs no check of its own: Jacobi,
+    invariance and the radical reduction each run once on the document's
+    algebra and form, wherever a module binds them."""
+    text = (CORPUS / "g2_tstar0.sqd").read_text()
+    doc = dsl.parse(text)
+    alg, form = dsl.document_algebra(doc), dsl.document_form(doc)
     calls = []
-    for name in ("is_nondegenerate", "invariance_violation"):
-        monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(
-            name))
-    _, doc = run_cli(["example", "class-c", "2"])
-    code, rep = run_json(["decompose"], stdin_text=doc)
-    assert code == 0 and calls == []
+    for name, own in (("jacobi_violations", lambda g: g == alg),
+                      ("invariance_violation", lambda g, B: g == alg),
+                      ("radical", lambda B: B == form),
+                      ("is_nondegenerate", lambda B: B == form)):
+        fn = getattr(superalgebra if name == "jacobi_violations" else forms,
+                     name)
+
+        def counting(*args, fn=fn, name=name, own=own):
+            calls.extend([name] if own(*args) else [])
+            return fn(*args)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("superquad")
+                    and getattr(module, name, None) is fn):
+                monkeypatch.setattr(module, name, counting)
+    code, rep = run_json(argv, stdin_text=text)
+    assert code == 0
+    assert sorted(calls) == ["invariance_violation", "jacobi_violations",
+                             "radical"]
     assert _form_checks(rep) == [
         {"name": "form.nondegenerate", "passed": True, "witness": None},
         {"name": "form.invariant", "passed": True, "witness": None}]

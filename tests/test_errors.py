@@ -12,13 +12,13 @@ FIELDS = {
     "SuperquadError": (),
     "DimensionMismatch": (),
     "NotGradedError": (),
-    "NotIdealError": (),
+    "NotIdealError": ("witness",),
     "AxiomError": ("report",),
-    "FormError": ("witness",),
+    "FormError": ("witness", "radical"),
     "CochainError": ("witness",),
     "CocycleError": ("triple", "jacobi_witness"),
     "NotSupercyclicError": ("triple", "invariance_witness"),
-    "PreconditionError": (),
+    "PreconditionError": ("dims", "pair"),
     "InternalCheckError": ("witness",),
     "UndecidedError": (),
     "RationalPointNotFound": ("quadric", "quadric_str", "polynomial",

@@ -81,9 +81,49 @@ def test_even_form_of_the_dense_gram_is_the_form(B):
 @given(free_coordinate_forms())
 @settings(max_examples=150, deadline=None)
 def test_radical_matches_dense_kernel(B):
+    """radical against the dense kernel, and the radical vector that the
+    quadratic algebra's construction carries against its first vector:
+    on the abelian algebra, invariance always holds."""
     ker = dense.kernel(dense.gram(B))
     assert radical(B) == ker
     assert is_nondegenerate(B) == (not ker)
+    n = B.dim
+    abelian = LieSuperalgebra(B.basis, (((),) * n,) * n)
+    if ker:
+        with pytest.raises(FormError) as exc:
+            quadratic(abelian, B)
+        assert (exc.value.radical, exc.value.witness) == (ker[0], None)
+    else:
+        quadratic(abelian, B)
+
+
+@pytest.mark.parametrize("odd", [1, 3])
+def test_odd_part_of_odd_dimension_is_degenerate(odd):
+    """An even form's odd block is antisymmetric, so singular at odd
+    size: construction fails on nondegeneracy, with a radical vector."""
+    g = sq.abelian(2, odd)
+    B = EvenForm(g.basis, {(0, 1): 1, **{(2 + k, 3 + k): 1
+                                         for k in range(0, odd - 1, 2)}})
+    with pytest.raises(FormError) as exc:
+        quadratic(g, B)
+    r = exc.value.radical
+    assert r is not None and not vec_is_zero(r)
+    assert r == dense.kernel(dense.gram(B))[0]
+    assert not any(mat_vec(dense.gram(B), r))
+
+
+def test_form_error_carries_both_witnesses():
+    """A degenerate and non-invariant form: the radical vector and the
+    invariance triple are both found before the error is raised."""
+    h3 = sq.heisenberg3()
+    B = even_form(h3.basis, [[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(FormError) as exc:
+        quadratic(h3, B)
+    G = dense.gram(B)
+    want = dense.invariance_violation(dense.bracket_tensor(h3), G)
+    assert want is not None
+    assert (exc.value.radical, exc.value.witness) == (dense.kernel(G)[0],
+                                                      want)
 
 
 @given(free_coordinate_forms(
@@ -289,6 +329,35 @@ def test_isotropic_complement_preconditions():
     anis = even_form(q.basis, [[1, 0], [0, 1]])
     with pytest.raises(PreconditionError):
         isotropic_complement(anis, subspace(q.basis, [unit_vec(2, 0)]))
+    # a Lagrangian-sized isotropic subspace of a degenerate form: the
+    # pairing with the complement is singular, or not even square
+    mixed = graded_basis(("e1", "e2", "o1", "o2"), (EVEN, EVEN, ODD, ODD))
+    for basis, iso in ((q.basis, [unit_vec(2, 0)]),
+                       (mixed, [unit_vec(4, 0), unit_vec(4, 1)])):
+        zero = EvenForm(basis, {})
+        with pytest.raises(PreconditionError, match="nondegenerate") as exc:
+            isotropic_complement(zero, subspace(basis, iso))
+        assert (exc.value.dims, exc.value.pair) == (None, None)
+
+
+@given(even_forms_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_isotropic_complement_witnesses_match_dense(case):
+    """Both witnesses of a refused subspace against the dense Gram
+    matrix: the dimensions unless half, and the first pair of rows of
+    w.vectors, i-major, that pairs to nonzero."""
+    B, x, y = case
+    w = subspace(B.basis, [v for u in (x, y) for v in split_vector(B.basis, u)
+                           if not vec_is_zero(v)])
+    G, vs = dense.gram(B), w.vectors
+    want = (None if 2 * w.dim == B.dim else (w.dim, B.dim), next(
+        ((u, v) for u in vs for v in vs if dot(mat_vec(G, v), u)), None))
+    try:
+        isotropic_complement(B, w)
+        got = (None, None)
+    except PreconditionError as exc:
+        got = (exc.dims, exc.pair)
+    assert got == want
 
 
 def test_quadratic_rejects_noninvariant():

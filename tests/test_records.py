@@ -60,8 +60,9 @@ def _cases():
          (ext.base, ext.omega, hyp)),
         (ShearIsometry, (ext, ext, shear.phi, shear.matrix),
          (ext, ext, shear.phi, ())),
-        (IsotropicFlagResult, (flag.w_max, flag.chain, flag.achieved_dim),
-         (flag.w_max, flag.chain, flag.achieved_dim + 1)),
+        (IsotropicFlagResult, (flag.w_max, flag.w_perp, flag.chain,
+                               flag.achieved_dim),
+         (flag.w_max, flag.w_perp, flag.chain, flag.achieved_dim + 1)),
         (Decomposition, (dec.ideal, dec.quotient, dec.extension,
                          dec.embedding, "even"),
          (dec.ideal, dec.quotient, dec.extension, dec.embedding, "odd")),

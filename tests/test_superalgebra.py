@@ -615,9 +615,9 @@ def _ideal_cases(rng, g):
 
 
 def test_is_ideal_and_lower_central_series_match_dense_loops(gallery):
-    """is_ideal against the first dense failure, looping over i and then
-    over v; the witness order is exercised (v-major would differ)."""
-    from superquad.cli import _ideal_witness
+    """is_ideal, ideal_violation and quotient's NotIdealError against the
+    first dense failure, looping over i and then over v; the witness order
+    is exercised (v-major would differ)."""
     rng = random.Random(23)
     orders_differ = False
     for name, g in _ad_algebras(gallery).items():
@@ -625,9 +625,11 @@ def test_is_ideal_and_lower_central_series_match_dense_loops(gallery):
         for w in _ideal_cases(rng, g):
             want = dense.ideal_witness(c, w.vectors)
             assert sq.superalgebra.is_ideal(g, w) == (want is None), name
-            names = g.basis.names
-            assert _ideal_witness(g, w, names) == (None if want is None else [
-                names[want[0]], [str(q) for q in want[1]]]), name
+            assert sq.superalgebra.ideal_violation(g, w) == want, name
+            if want is not None:
+                with pytest.raises(NotIdealError) as exc:
+                    sq.quotient(g, w)
+                assert exc.value.witness == want, name
             v_major = next(((i, v) for v in w.vectors for i in range(g.dim)
                             if dense.coords_in(w.vectors, dense.ad_image(
                                 c, i, v)) is None), None)
