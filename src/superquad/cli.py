@@ -20,9 +20,9 @@ from .cohomology import (b3_basis, collect_cochain2dual, cocycle2_violation,
                          supercyclic_violation, z2_supercyclic_from_z3,
                          z3_basis, zero_cochain2)
 from .decompose import decompose as run_decompose
-from .errors import (AxiomError, FormError, NotIdealError,
-                     PreconditionError, RationalPointNotFound,
-                     SuperquadError, UndecidedError)
+from .errors import (AxiomError, CocycleError, FormError, NotIdealError,
+                     NotSupercyclicError, PreconditionError,
+                     RationalPointNotFound, SuperquadError, UndecidedError)
 from .forms import QuadraticLieSuperalgebra
 from .gallery import (ABELIAN_RE, build_class_c_example, build_glnn,
                       build_gn, stock, STOCK_NAMES)
@@ -176,30 +176,34 @@ def _cmd_check(args, report: Report, out, doc, alg, q) -> int:
     return report.render(out)
 
 
-def _document_omega(args, report: Report, doc, alg, label: str):
-    """The cochain named by --omega (default 0), with its cocycle and
-    supercyclicity checks reported under ``label``."""
-    if args.omega is None:
-        omega = zero_cochain2(alg)
-    elif args.omega in doc.cochain2:
-        omega = dsl.document_cochain2(doc, args.omega)
-    else:
+def _with_omega(args, report: Report, doc, alg, label: str, make):
+    """make(omega) for the cochain named by --omega (default 0), with its
+    cocycle and supercyclicity checks reported under ``label`` off the
+    error that build raises; None when one fails."""
+    if args.omega is not None and args.omega not in doc.cochain2:
         raise PreconditionError(
             f"document defines no cochain2 named {args.omega!r}")
-    bad = cocycle2_violation(alg, omega)
-    report.check(f"{label}.cocycle", bad is None, _triple_names(doc.names, bad))
-    if bad is None:
-        bad = supercyclic_violation(omega)
+    omega = (zero_cochain2(alg) if args.omega is None
+             else dsl.document_cochain2(doc, args.omega))
+    result = bad = cocycle = None
+    try:
+        result = make(omega)
+    except CocycleError as exc:
+        bad = cocycle = exc.triple
+    except NotSupercyclicError as exc:
+        bad = exc.triple
+    report.check(f"{label}.cocycle", cocycle is None,
+                 _triple_names(doc.names, cocycle))
+    if cocycle is None:
         report.check(f"{label}.supercyclic", bad is None,
                      _triple_names(doc.names, bad))
-    return omega
+    return result
 
 
 def _cmd_tstar(args, report: Report, out, doc, alg, q) -> int:
-    omega = _document_omega(args, report, doc, alg, "omega")
-    if not report.passed:
+    ext = _with_omega(args, report, doc, alg, "omega", lambda w: build(alg, w))
+    if ext is None:
         return report.render(out)
-    ext = build(alg, omega)
     report.check("extension.axioms", True)
     report.check("extension.form_invariant", True)
     report.dims["dim"] = ext.total.dim
@@ -228,10 +232,10 @@ def _cmd_isometry(args, report: Report, out, doc, alg, q) -> int:
         raise PreconditionError(
             f"document defines no scalar2 named {args.phi!r}")
     phi = dsl.document_scalar2(doc, args.phi)
-    omega1 = _document_omega(args, report, doc, alg, "omega1")
-    if not report.passed:
+    shear = _with_omega(args, report, doc, alg, "omega1",
+                        lambda w: s_phi_isometry(alg, w, phi))
+    if shear is None:
         return report.render(out)
-    shear = s_phi_isometry(alg, omega1, phi)
     report.check("shear.isometry_verified", True)
     report.outputs["omega2"] = _entries_strs(
         collect_cochain2dual(shear.target.omega), doc.names)

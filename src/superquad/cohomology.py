@@ -248,7 +248,7 @@ def _dual_lookup(p, coords: dict) -> tuple[int, dict]:
     return d, out
 
 
-def _cocycle2_defects(g: LieSuperalgebra, ordered: bool = False):
+def _cocycle2_defects(g: LieSuperalgebra):
     """The 2-cocycle map: free coordinates of w -> (d, acc), acc the
     :func:`cyclic_sums` of X(a, b, c) = w(e_a, [e_b, e_c])
     + pi(e_a)(w(e_b, e_c)), where pi(e_a)F at e_l is
@@ -264,7 +264,7 @@ def _cocycle2_defects(g: LieSuperalgebra, ordered: bool = False):
              for b, c, q in into[m]),
             ((a, b, c, -sgn(p[a] * (p[b] + p[c])) * v, ((l, q),))
              for (b, c), col in lookup.items() for t, v in col.items()
-             for a, l, q in into[t])), ordered)
+             for a, l, q in into[t])))
     return defects
 
 

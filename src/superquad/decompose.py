@@ -19,7 +19,8 @@ from fractions import Fraction
 from .dsl import signed_sum
 from .errors import (InternalCheckError, NotIdealError, PreconditionError,
                      RationalPointNotFound)
-from .forms import EvenForm, QuadraticLieSuperalgebra, gram, orthogonal
+from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
+                    is_totally_isotropic, orthogonal)
 from .gallery import orthogonal_direct_sum
 from .isotropy import isotropic_point
 from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
@@ -27,9 +28,9 @@ from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
                      lincomb, nonzeros, rational_roots, unit_vec)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, abelian,
                            ad_images, class_condition, derived_subspace,
-                           extend_subspace, graded_complement, is_ideal,
-                           is_nilpotent, is_solvable, sparse_bracket,
-                           subspace, zero_subspace)
+                           extend_subspace, graded_complement, is_nilpotent,
+                           is_solvable, sparse_bracket, subspace,
+                           zero_subspace)
 from .tstar import TStarExtension, recognize, verify_isometry
 
 _QUADRIC_VARS = ("x", "y", "z", "w")
@@ -112,10 +113,7 @@ class _InducedSpace:
     def __init__(self, q: QuadraticLieSuperalgebra, w: Subspace):
         self.q = q
         self.w = w
-        wperp = orthogonal(q.form, w)
-        if not wperp.contains(w):
-            raise InternalCheckError("flag subspace is not isotropic")
-        comp = graded_complement(q.basis, w, within=wperp)
+        comp = graded_complement(q.basis, w, within=orthogonal(q.form, w))
         self.reps = comp.rows          # lifts of the V' basis
         self.parities = comp.parities
         self.dim = comp.dim
@@ -247,16 +245,14 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
     """
     g = q.algebra
     nilp = is_nilpotent(g)
-    if not nilp:
-        if not (is_solvable(g) and class_condition(g)):
-            raise PreconditionError(
-                "algebra must be nilpotent, or solvable with the odd-odd "
-                "brackets inside the even-even brackets")
+    if not (nilp or is_solvable(g) and class_condition(g)):
+        raise PreconditionError(
+            "algebra must be nilpotent, or solvable with the odd-odd "
+            "brackets inside the even-even brackets")
     n = q.dim
-    target = n // 2
     w = zero_subspace(q.basis)
     chain = [w]
-    while w.dim < target:
+    while w.dim < n // 2:
         ind = _InducedSpace(q, w)
         u_basis = ind.invariants()
         vprime = quadric_cert = None
@@ -299,25 +295,22 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         if q.form.apply(lift, lift) != 0:
             raise InternalCheckError("selected vector is not isotropic")
         w = extend_subspace(w, lift)
-        # step postconditions: graded, one dimension up and an ideal; the
-        # next _InducedSpace, or the test after the loop, checks isotropy
+        # the old W is an ideal, so W + Kv is one iff [g, v] lies in it
         if w.dim != chain[-1].dim + 1:
             raise InternalCheckError("flag dimension did not grow by one")
-        if not is_ideal(g, w):
+        if not all(map(w.contains_vector, ad_images(g, [lift]))):
             raise InternalCheckError("flag member is not an ideal")
         chain.append(w)
     wperp = orthogonal(q.form, w)
-    if n % 2 == 0:
-        if not w.equals(wperp):
-            raise InternalCheckError("maximal member differs from its "
-                                     "orthogonal in even dimension")
-    else:
-        if not (wperp.contains(w) and wperp.dim == w.dim + 1):
-            raise InternalCheckError("orthogonal of the maximal member is "
-                                     "not one dimension bigger")
-        if not all(map(w.contains_vector, ad_images(g, wperp.rows))):
-            raise InternalCheckError("action does not map the orthogonal "
-                                     "of the maximal member into it")
+    # dim W = floor(n/2), so W is isotropic iff W = W^perp (even n), or W
+    # lies in W^perp, one dimension bigger (odd n); then so is every member
+    if not (w == wperp if n % 2 == 0 else
+            (wperp.dim == w.dim + 1 and is_totally_isotropic(q.form, w))):
+        raise InternalCheckError("maximal member is not isotropic")
+    # in odd n, W lies in W^perp, so this also shows that W is an ideal
+    if n % 2 and not all(map(w.contains_vector, ad_images(g, wperp.rows))):
+        raise InternalCheckError("action does not map the orthogonal "
+                                 "of the maximal member into it")
     return IsotropicFlagResult(w, wperp, tuple(chain), w.dim)
 
 

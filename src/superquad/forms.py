@@ -100,7 +100,7 @@ def radical(B: EvenForm) -> list[Vec]:
 
 
 def is_nondegenerate(B: EvenForm) -> bool:
-    return RowReducer(B.dim, map(dict, B._rows)).rank == B.dim
+    return not radical(B)
 
 
 def invariance_violation(g: LieSuperalgebra, B: EvenForm):

@@ -200,17 +200,16 @@ def ad_images(g: LieSuperalgebra, vectors):
             yield lincomb((q, row[j]) for j, q in support)
 
 
-def cyclic_sums(parities, terms, ordered: bool = False) -> dict:
-    """{(i, j, k): {t: value}}: the sum over the rotations (a, b, c) of
-    (i, j, k) of (-1)^{|a||c|} X(a, b, c), each term (a, b, c, f, pairs)
-    adding f * v on e_t to X(a, b, c) per (t, v) in pairs.  A term goes
-    to the triples it is a rotation of, only the sorted ones unless
-    ``ordered`` (docs/conventions.md, "Verifiers")."""
+def cyclic_sums(parities, terms) -> dict:
+    """{(i, j, k): {t: value}} at each sorted i <= j <= k: the sum over
+    the rotations (a, b, c) of (i, j, k) of (-1)^{|a||c|} X(a, b, c), each
+    term (a, b, c, f, pairs) adding f * v on e_t to X(a, b, c) per (t, v)
+    in pairs (docs/conventions.md, "Verifiers")."""
     acc: dict = {}
     for a, b, c, f, pairs in terms:
         f = -f if parities[a] & parities[c] else f
         for t in ((a, b, c), (c, a, b), (b, c, a)):
-            if ordered or t[0] <= t[1] <= t[2]:
+            if t[0] <= t[1] <= t[2]:
                 out = acc.setdefault(t, {})
                 for k, v in pairs:
                     out[k] = out.get(k, 0) + f * v

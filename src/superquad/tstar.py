@@ -14,9 +14,9 @@ parity a kills the opposite-parity part; this is what makes B even.
 
 from __future__ import annotations
 
-from .cohomology import (Cochain2Dual, ScalarCochain2, cocycle2_violation,
-                         delta_scalar2, hat, sub3, supercyclic_violation,
-                         unhat, zero_cochain2)
+from .cohomology import (Cochain2Dual, ScalarCochain2, _combined,
+                         cocycle2_violation, delta_scalar2,
+                         supercyclic_violation, unhat, zero_cochain2)
 from .errors import (CocycleError, DimensionMismatch, InternalCheckError,
                      NotSupercyclicError, PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
@@ -236,8 +236,7 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
     w_coords = {(i, j, k): val for (i, j), row in zip(pairs, values)
                 for k, val in enumerate(row) if val}
     try:
-        omega = Cochain2Dual(quot.algebra.basis, w_coords)
-        ext = build(quot.algebra, omega)
+        ext = build(quot.algebra, Cochain2Dual(quot.algebra.basis, w_coords))
     except (CocycleError, NotSupercyclicError) as exc:
         raise InternalCheckError(
             "recovered cochain failed its theorem-backed checks: "
@@ -272,12 +271,16 @@ def shear_matrix(g: LieSuperalgebra, phi: ScalarCochain2) -> Mat:
 
 def s_phi_isometry(g: LieSuperalgebra, omega1: Cochain2Dual,
                    phi: ScalarCochain2) -> ShearIsometry:
-    """Build T* extensions for omega1 and omega2 = omega1 - delta(phi)
-    (computed through the transported tensors) and verify that the shear
-    x + F -> x + phi(x, .) + F is an isometry between them."""
+    """Build T* extensions for omega1 and omega2 = omega1 - unhat(d phi),
+    a supercyclic cocycle by theorem once build has checked omega1, and
+    verify that the shear x + F -> x + phi(x, .) + F is an isometry."""
     ext1 = build(g, omega1)
-    omega2 = unhat(sub3(hat(omega1), delta_scalar2(g, phi)))
-    ext2 = build(g, omega2)
+    try:
+        ext2 = build(g, Cochain2Dual(g.basis, _combined(
+            omega1, unhat(delta_scalar2(g, phi)), -1)))
+    except (CocycleError, NotSupercyclicError) as exc:
+        raise InternalCheckError(
+            f"omega2 failed its theorem-backed checks: {exc}") from exc
     m = shear_matrix(g, phi)
     verify_isometry(ext1.total, ext2.total, m, what="shear isometry")
     return ShearIsometry(ext1, ext2, phi, m)

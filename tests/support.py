@@ -63,11 +63,11 @@ def add_scalar2(a: ScalarCochain2, b: ScalarCochain2) -> ScalarCochain2:
 
 
 def cocycle2_defect(g: LieSuperalgebra, w: Cochain2Dual):
-    """The 2-cocycle identity of w at (i, j, k), as a dense vector, for
-    every ordered triple: the library's ordered 2-cocycle map, which
-    holds it times (-1)^{|i||k|} and its scale d."""
+    """The 2-cocycle identity of w at a sorted triple i <= j <= k, as a
+    dense vector: the library's 2-cocycle map, which holds it times
+    (-1)^{|i||k|} and its scale d at the sorted triples only."""
     p = g.basis.parities
-    d, acc = _cocycle2_defects(g, ordered=True)(w.coords)
+    d, acc = _cocycle2_defects(g)(w.coords)
 
     def at(i: int, j: int, k: int) -> Vec:
         out = acc.get((i, j, k), {})

@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
-from superquad import cli, dsl, forms, superalgebra
+from superquad import cli, cohomology, dsl, forms, superalgebra
 from superquad.cohomology import (Cochain2Dual, ScalarCochain3,
                                   cocycle2_violation, free_coords_alt3,
                                   free_coords_cochain2dual,
-                                  supercyclic_violation, unhat)
+                                  supercyclic_violation, unhat,
+                                  zero_cochain2)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -440,24 +441,38 @@ def test_form_checks_match_the_check_command():
     assert [c["witness"] for c in _form_checks(want)] == [["0", "1"], None]
 
 
-@pytest.mark.parametrize("argv", [
-    ["check"], ["recognize", "--ideal", "a12*;d12*;b11*;b12*;b22*;c12*"],
-    ["decompose"]], ids=["check", "recognize", "decompose"])
-def test_each_check_runs_once_on_the_document(monkeypatch, argv):
-    """The axioms and the form are checked once, by the quadratic
-    algebra's construction, and the CLI runs no check of its own: Jacobi,
-    invariance and the radical reduction each run once on the document's
-    algebra and form, wherever a module binds them."""
-    text = (CORPUS / "g2_tstar0.sqd").read_text()
+G2_TSTAR0 = (CORPUS / "g2_tstar0.sqd").read_text()
+# d phi is nonzero, so omega2 differs from the document's omega (0)
+G2_PHI = (CORPUS / "g2.sqd").read_text() + "scalar2 phi(a12,d12) = 1\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check"], G2_TSTAR0),
+    (["recognize", "--ideal", "a12*;d12*;b11*;b12*;b22*;c12*"], G2_TSTAR0),
+    (["decompose"], G2_TSTAR0),
+    (["tstar", "--omega", "w"],
+     (CORPUS / "h3_volume_cochains.sqd").read_text()),
+    (["isometry", "--phi", "phi"], G2_PHI)],
+    ids=["check", "recognize", "decompose", "tstar", "isometry"])
+def test_each_check_runs_once_on_the_document(monkeypatch, argv, text):
+    """The axioms, the form and omega are checked once, by the quadratic
+    algebra's construction and by build, and the CLI runs no check of its
+    own: Jacobi, then invariance and the radical reduction on the
+    document's form, or the cocycle and supercyclicity checks on its
+    omega, each run once, wherever a module binds them."""
     doc = dsl.parse(text)
     alg, form = dsl.document_algebra(doc), dsl.document_form(doc)
+    omega = (dsl.document_cochain2(doc, argv[argv.index("--omega") + 1])
+             if "--omega" in argv else zero_cochain2(alg))
     calls = []
-    for name, own in (("jacobi_violations", lambda g: g == alg),
-                      ("invariance_violation", lambda g, B: g == alg),
-                      ("radical", lambda B: B == form),
-                      ("is_nondegenerate", lambda B: B == form)):
-        fn = getattr(superalgebra if name == "jacobi_violations" else forms,
-                     name)
+    for home, name, own in (
+            (superalgebra, "jacobi_violations", lambda g: g == alg),
+            (forms, "invariance_violation", lambda g, B: g == alg),
+            (forms, "radical", lambda B: B == form),
+            (forms, "is_nondegenerate", lambda B: B == form),
+            (cohomology, "cocycle2_violation", lambda g, w: w == omega),
+            (cohomology, "supercyclic_violation", lambda w: w == omega)):
+        fn = getattr(home, name)
 
         def counting(*args, fn=fn, name=name, own=own):
             calls.extend([name] if own(*args) else [])
@@ -468,6 +483,15 @@ def test_each_check_runs_once_on_the_document(monkeypatch, argv):
                 monkeypatch.setattr(module, name, counting)
     code, rep = run_json(argv, stdin_text=text)
     assert code == 0
+    if form is None:
+        label = "omega1" if argv[0] == "isometry" else "omega"
+        assert sorted(calls) == ["cocycle2_violation", "jacobi_violations",
+                                 "supercyclic_violation"]
+        assert [c for c in rep["checks"] if c["name"].startswith(label)] \
+            == [{"name": f"{label}.cocycle", "passed": True, "witness": None},
+                {"name": f"{label}.supercyclic", "passed": True,
+                 "witness": None}]
+        return
     assert sorted(calls) == ["invariance_violation", "jacobi_violations",
                              "radical"]
     assert _form_checks(rep) == [

@@ -475,7 +475,8 @@ def test_cocycle2_violation_matches_dense_loop(gallery, z2_bases):
         for w in cochains[-6:]:
             t = dense.cochain2dual_tensor(w)
             defect = cocycle2_defect(g, w)
-            for ijk in itertools.product(range(g.dim), repeat=3):
+            for ijk in itertools.combinations_with_replacement(
+                    range(g.dim), 3):
                 assert list(defect(*ijk)) == \
                     dense.cocycle2_defect(p, c, t, *ijk), (name, ijk)
     assert violated > 10

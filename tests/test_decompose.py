@@ -1,4 +1,6 @@
+import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,8 +19,9 @@ from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
 from superquad.linalg import (RowReducer, dense_vec, mat, rank, unit_vec,
                               vec, vec_scale, zero_vec)
-from superquad.superalgebra import (EVEN, ODD, bracket,
-                                    is_ideal, subspace)
+from superquad.superalgebra import (EVEN, ODD, Subspace, bracket,
+                                    extend_subspace, is_ideal, subspace,
+                                    zero_subspace)
 from superquad.tstar import build
 
 import dense_oracle as dense
@@ -52,15 +55,15 @@ def test_flag_hyperbolic_even_picks_first_null_vector():
     orthogonal_direct_sum(sq.hyperbolic_even(), sq.hyperbolic_even())],
     ids=["last-step-even", "last-step-odd", "next-step"])
 def test_flag_member_that_is_not_isotropic_is_caught(monkeypatch, q):
-    """A flag step that adjoins e1 + e2, with B(e1 + e2, e1 + e2) = 2, to
+    """A first step that adjoins e1 + e2, with B(e1 + e2, e1 + e2) = 2, to
     an abelian algebra still yields an ideal one dimension up, so only the
-    isotropy checks can refute it: the next step's, or the last one's."""
-    import importlib
-    from superquad.superalgebra import extend_subspace
+    test of the last member can refute it: at once when that step is the
+    last, else after a further step ("next-step")."""
     dec = importlib.import_module("superquad.decompose")
-    monkeypatch.setattr(dec, "extend_subspace",
-                        lambda w, v: extend_subspace(w, {0: 1, 1: 1}))
-    with pytest.raises(InternalCheckError):
+    monkeypatch.setattr(dec, "extend_subspace", lambda w, v: extend_subspace(
+        w, {0: 1, 1: 1} if w.is_zero() else v))
+    with pytest.raises(InternalCheckError,
+                       match="maximal member is not isotropic"):
         max_isotropic_ideal(q)
 
 
@@ -387,3 +390,123 @@ def test_row_parity_rejects_mixed_and_zero_vectors():
     for v in ([1, 1, 0], [0, 1, 1], [0, 0, 0]):
         with pytest.raises(InternalCheckError, match="not homogeneous"):
             _row_parity(parities, vec(v))
+
+
+# --- each flag step checks what it adds -----------------------------------
+
+@pytest.fixture(scope="module")
+def flag_inputs(gallery):
+    """Quadratic inputs of both parities, on unit vectors and disguised
+    (``disguised_quadratic``), whose flags the step tests run along."""
+    cases = {f"T*({name})": build(g).total for name, g in gallery.items()
+             if name != "gl(1,1)"}  # T*(gl(1,1)) fails the class condition
+    cases["class-c(2)"] = sq.build_class_c_example(2)
+    for name in ("T*(heisenberg3)", "T*(g(2))", "T*(solvable2d)",
+                 "class-c(2)"):
+        cases[f"disguised {name}"] = disguised_quadratic(cases[name])
+    cases["T*(g(2)) + line"] = orthogonal_direct_sum(
+        cases["T*(g(2))"], even_line())
+    cases["disguised T*(abelian(1|2)) + line"] = disguised_quadratic(
+        orthogonal_direct_sum(cases["T*(abelian(1|2))"], even_line()))
+    cases["hyperbolic_odd"] = sq.hyperbolic_odd()
+    return cases
+
+
+def test_flag_members_are_isotropic_ideals_by_dense_oracle(flag_inputs):
+    """A step checks only the vector it adds and the last member's test
+    covers isotropy; the dense oracle checks every member whole: nested
+    one dimension at a time, an ideal, and totally isotropic."""
+    for name, q in flag_inputs.items():
+        c, G = dense.bracket_tensor(q.algebra), dense.gram(q.form)
+        chain = max_isotropic_ideal(q).chain
+        assert [w.dim for w in chain] == list(range(q.dim // 2 + 1)), name
+        for w, bigger in zip(chain, chain[1:]):
+            assert all(dense.coords_in(bigger.vectors, v) is not None
+                       for v in w.vectors), name
+        for w in chain:
+            vs = w.vectors
+            assert dense.ideal_witness(c, vs) is None, (name, w.dim)
+            assert not any(dense.dot(u, mat_vec(G, v))
+                           for u in vs for v in vs), (name, w.dim)
+
+
+def _patch_everywhere(monkeypatch, name, fn, new):
+    """Replace fn by new in every superquad module that binds it."""
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("superquad")
+                and getattr(module, name, None) is fn):
+            monkeypatch.setattr(module, name, new)
+
+
+def test_flag_step_brackets_only_the_new_vector(monkeypatch, flag_inputs):
+    """No full ideal test and no subspace containment runs inside the
+    flag, and each step asks ad_images for the images of one vector: the
+    one that its member adds to the previous member."""
+    dec = importlib.import_module("superquad.decompose")
+    assert "is_ideal" not in vars(dec)
+
+    def refuse(*args):
+        raise AssertionError("a full test ran inside the flag")
+    for name in ("ideal_violation", "is_ideal"):
+        _patch_everywhere(monkeypatch, name,
+                          getattr(sq.superalgebra, name), refuse)
+    monkeypatch.setattr(Subspace, "contains", refuse)
+    single, ad_images = [], dec.ad_images
+
+    def recording(g, vectors):
+        vectors = list(vectors)
+        single.extend(vectors if len(vectors) == 1 else [])
+        return ad_images(g, vectors)
+    monkeypatch.setattr(dec, "ad_images", recording)
+    for name, q in flag_inputs.items():
+        single.clear()
+        chain = max_isotropic_ideal(q).chain
+        assert len(single) == len(chain) - 1, name
+        for v, w, bigger in zip(single, chain, chain[1:]):
+            assert bigger.contains_vector(v), name
+            assert not w.contains_vector(v), name
+
+
+def test_even_decompose_tests_the_ideal_once_in_quotient(monkeypatch,
+                                                          flag_inputs):
+    """In the even case the flag's last member gets one full ideal test,
+    the one of quotient inside recognize."""
+    ideal_violation, callers = sq.superalgebra.ideal_violation, []
+
+    def counting(g, w):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return ideal_violation(g, w)
+    _patch_everywhere(monkeypatch, "ideal_violation", ideal_violation,
+                      counting)
+    even = 0
+    for name, q in flag_inputs.items():
+        if q.dim % 2 == 0:
+            callers.clear()
+            assert decompose(q).parity_case == "even", name
+            assert callers == ["quotient"], name
+            even += 1
+    assert even == 11
+
+
+@pytest.mark.parametrize("v, match", [
+    ({0: 1}, "flag member is not an ideal"),
+    ({0: 1, 3: 1}, "selected vector is not isotropic")],
+    ids=["brackets-leave", "not-isotropic"])
+def test_flag_step_refuses_a_bad_vector_at_once(monkeypatch, v, match):
+    """Mutants of the step's choice on T*(heisenberg3), basis e1, e2, e3
+    and duals with [e1, e2] = e3: e1 is isotropic but [e2, e1] = -e3
+    leaves K e1, and B(e1 + e1*, e1 + e1*) = 2.  Chosen at the first
+    step, each is refused by that step's own check, before a second
+    step chooses."""
+    dec = importlib.import_module("superquad.decompose")
+    q = build(sq.heisenberg3()).total
+    first = _InducedSpace(q, zero_subspace(q.basis)).project(v)
+    combination, chosen = dec._combination, []
+
+    def choose(x, space):
+        chosen.append(combination(x, space) if chosen else first)
+        return chosen[-1]
+    monkeypatch.setattr(dec, "_combination", choose)
+    with pytest.raises(InternalCheckError, match=match):
+        max_isotropic_ideal(q)
+    assert len(chosen) == 1

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -285,8 +286,31 @@ def test_s_phi_random_verified(gallery, supercyclic_bases):
                                             basis=supercyclic_bases[name])
             phi = random_scalar2(g, rng)
             shear = s_phi_isometry(g, w1, phi)      # verifies internally
-            expected = sub3(hat(w1), delta_scalar2(g, phi))
-            assert shear.target.omega == unhat(expected), name
+            expected = unhat(sub3(hat(w1), delta_scalar2(g, phi)))
+            assert list(shear.target.omega.coords.items()) == \
+                list(expected.coords.items()), name
+
+
+@pytest.mark.parametrize("error", [CocycleError, NotSupercyclicError])
+def test_s_phi_rejected_omega2_is_an_internal_error(monkeypatch, error):
+    """build checks omega1 and raises its own errors; omega2 is then a
+    supercyclic cocycle by theorem, so a rejection of omega2 is an
+    InternalCheckError."""
+    h3 = sq.heisenberg3()
+    phi = ScalarCochain2(h3.basis, {(0, 1): 1})
+    with pytest.raises(NotSupercyclicError):
+        s_phi_isometry(h3, Cochain2Dual(h3.basis, {(0, 1, 0): 1}), phi)
+    tstar = importlib.import_module("superquad.tstar")
+    real, omegas = tstar.build, []
+
+    def build_rejecting_omega2(g, omega=None):
+        omegas.append(omega)
+        if len(omegas) == 2:
+            raise error("injected", triple=(0, 1, 2))
+        return real(g, omega)
+    monkeypatch.setattr(tstar, "build", build_rejecting_omega2)
+    with pytest.raises(InternalCheckError, match="omega2 failed"):
+        s_phi_isometry(h3, zero_cochain2(h3), phi)
 
 
 def test_s_phi_perturbation_breaks_bracket(gallery, supercyclic_bases):

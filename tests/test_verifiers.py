@@ -470,7 +470,8 @@ def test_cocycle2_witness_matches_dense_with_denominators(disguised, key):
         assert sq.cohomology.cocycle2_violation(g, bad) == want
         if want is not None and not violated:
             defect = cocycle2_defect(g, bad)
-            for ijk in itertools.product(range(g.dim), repeat=3):
+            for ijk in itertools.combinations_with_replacement(
+                    range(g.dim), 3):
                 assert list(defect(*ijk)) == \
                     dense.cocycle2_defect(p, c, t, *ijk)
         violated += want is not None
