@@ -3,7 +3,8 @@
 One command per invocation; every command reads a DSL document from a
 file (or stdin with ``-``), writes a deterministic report to stdout and
 exits 0 when all mathematical checks pass, 1 when one fails (the report
-carries a witness) and 2 on input, parse or undecided errors.
+carries a witness) and 2 on input, parse, undecided or internal errors,
+an internal one being a failed check of the library's own output.
 ``example`` is the exception: it emits a bare DSL document so its output
 can be piped into the other commands.
 """
@@ -20,9 +21,10 @@ from .cohomology import (b3_basis, collect_cochain2dual, cocycle2_violation,
                          supercyclic_violation, z2_supercyclic_from_z3,
                          z3_basis, zero_cochain2)
 from .decompose import decompose as run_decompose
-from .errors import (AxiomError, CocycleError, FormError, NotIdealError,
-                     NotSupercyclicError, PreconditionError,
-                     RationalPointNotFound, SuperquadError, UndecidedError)
+from .errors import (AxiomError, CocycleError, FormError,
+                     InternalCheckError, NotIdealError, NotSupercyclicError,
+                     PreconditionError, RationalPointNotFound,
+                     SuperquadError, UndecidedError)
 from .forms import QuadraticLieSuperalgebra
 from .gallery import (ABELIAN_RE, build_class_c_example, build_glnn,
                       build_gn, stock, STOCK_NAMES)
@@ -142,7 +144,7 @@ def _verify(report: Report, doc, alg, form):
     """Report the axioms, and the form if given, from one check with the
     witnesses its error carries: the quadratic algebra's construction, or
     require_axioms.  Returns whether the axioms hold, and q or None."""
-    q, ax, bad = None, AxiomReport((), (), ()), FormError()
+    q, ax, bad = None, AxiomReport(()), FormError()
     try:
         if form is None:
             require_axioms(alg)
@@ -152,10 +154,11 @@ def _verify(report: Report, doc, alg, form):
         ax = exc.report
     except FormError as exc:
         bad = exc
-    for name, found in (("grading", ax.grading), ("super_skew", ax.skew),
-                        ("jacobi", ax.jacobi)):
-        report.check(f"axioms.{name}", not found,
-                     _triple_names(doc.names, found[0]) if found else None)
+    # the grading and super-skew-symmetry held when alg was built
+    report.check("axioms.grading", True)
+    report.check("axioms.super_skew", True)
+    report.check("axioms.jacobi", ax.passed, _triple_names(
+        doc.names, ax.jacobi[0]) if ax.jacobi else None)
     if form is not None and ax.passed:
         report.check("form.nondegenerate", bad.radical is None,
                      bad.radical and _vec_strs(bad.radical))
@@ -429,6 +432,8 @@ def main(argv=None, out=None) -> int:
                            exc.line, exc.column)
     except UndecidedError as exc:
         return _error_exit(out, "undecided", str(exc), text_mode)
+    except InternalCheckError as exc:
+        return _error_exit(out, "internal", str(exc), text_mode)
     except SuperquadError as exc:
         return _error_exit(out, "input", str(exc), text_mode)
 

@@ -14,13 +14,15 @@ Conventions (docs/conventions.md):
   f(x,y,z) = -(-1)^{|x||y|} f(y,x,z) = -(-1)^{|y||z|} f(x,z,y).
 
 Cochains are stored, and cocycle spaces solved, in free coordinates:
-index tuples that :func:`canon` maps to themselves (for scalar 3-cochains,
-triples sorted ascending where an index may repeat only when it is odd;
-super-alternation is symmetric on odd pairs, and triple repeats are
-killed by evenness).  A cochain keeps only its nonzero values
-keyed by free coordinate, so evenness and super-antisymmetry hold by
-construction and only the keys are checked; any other entry is read
-through its canonical representative and sign.
+index tuples that the one Koszul rule ``superalgebra.canon`` maps to
+themselves (for scalar 3-cochains, triples sorted ascending where an
+index may repeat only when it is odd; super-alternation is symmetric on
+odd pairs, and triple repeats are killed by evenness).  A cochain keeps
+only its nonzero values keyed by free coordinate, so evenness and
+super-antisymmetry hold by construction and only the keys are checked;
+any other entry is read through its canonical representative and sign.
+The bracket of a ``LieSuperalgebra`` is stored the same way, on the key
+set of ``Cochain2Dual``.
 
 Each cochain map (the 2-cocycle identity, supercyclicity and the scalar
 coboundary d, which is delta on 2-cochains and closedness on 3-cochains)
@@ -47,48 +49,17 @@ import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .errors import CochainError, DimensionMismatch, PreconditionError
-from .linalg import Record, RowReducer, ZERO, frac, integer_rows, lincomb
-from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra,
-                           cyclic_sums, failing, sgn)
+from .errors import DimensionMismatch, PreconditionError
+from .linalg import Record, RowReducer, ZERO, integer_rows, lincomb
+from .superalgebra import (GradedBasis, LieSuperalgebra, canon, cyclic_sums,
+                           failing, sgn, store_free_entries)
 
 Triple = tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
-# free coordinates: one Koszul rule for every even tensor
+# free coordinates of the one Koszul rule ``superalgebra.canon``
 # ---------------------------------------------------------------------------
-
-def canon(parities, key: tuple, head: int | None = None,
-          symmetric: bool = False):
-    """Free coordinate and sign of the entry at ``key`` of an even tensor
-    that is super-alternating (supersymmetric if ``symmetric``) in its
-    first ``head`` indices, default all of them.
-
-    The head is sorted ascending; each swap of x and y contributes
-    (-1)^{|x||y|}, negated for an alternating tensor.  Returns (None, 0)
-    when the entry vanishes: odd parity sum, or a repeated head index of
-    the vanishing parity (even if alternating, odd if symmetric).
-    """
-    if sum(map(parities.__getitem__, key)) % 2:
-        return None, 0
-    front = key[:head]
-    idx = tuple(sorted(front))
-    sign = 1
-    if idx != front:  # a sort swaps each inverted pair once
-        for s, x in enumerate(front):
-            for y in front[s + 1:]:
-                # the swap's sign is -1 iff |x||y| is 1 if symmetric, else 0
-                if x > y and parities[x] * parities[y] == symmetric:
-                    sign = -sign
-    vanishing = ODD if symmetric else EVEN
-    prev = None
-    for x in idx:
-        if x == prev and parities[x] == vanishing:
-            return None, 0
-        prev = x
-    return idx + key[len(idx):], sign
-
 
 def _free_coords(basis: GradedBasis, arity: int,
                  head: int | None = None) -> list:
@@ -121,30 +92,6 @@ def free_coords_scalar2(basis: GradedBasis) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
-
-def store_free_entries(obj, arity: int, head: int | None = None,
-                       symmetric: bool = False, error=CochainError) -> None:
-    """Keep the nonzero values of ``obj.coords``, sorted by key.
-    Evenness and the (anti)symmetry live in the key set, so only the keys
-    are checked: each must be its own canonical representative under
-    :func:`canon` with ``head`` and ``symmetric``, or ``error`` is raised
-    with the key as its witness."""
-    inside = range(obj.basis.dim).__contains__
-    p = obj.basis.parities
-    out = {}
-    for key, q in obj.coords.items():
-        if (not isinstance(key, tuple) or len(key) != arity
-                or not all(map(inside, key))):
-            raise DimensionMismatch(
-                f"{type(obj).__name__} index {key!r} outside the basis")
-        if canon(p, key, head, symmetric)[0] != key:
-            raise error(f"{type(obj).__name__} entry {key!r} is not a free "
-                        "coordinate", witness=key)
-        q = frac(q)
-        if q != 0:
-            out[key] = q
-    object.__setattr__(obj, "coords", dict(sorted(out.items())))
-
 
 class Cochain2Dual(Record):
     """Even bilinear map g x g -> g*, super-antisymmetric in its two

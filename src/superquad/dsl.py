@@ -13,7 +13,7 @@ Grammar (docs/grammar.ebnf has the formal version)::
 Scalars are exact rationals written as integers or p/q.  Unspecified
 entries default to zero.  Each form or cochain entry is stored under its
 container's free coordinate, with the sign of the one Koszul rule
-``cohomology.canon``, so symmetric/skew completions are automatic; an
+``superalgebra.canon``, so symmetric/skew completions are automatic; an
 explicit entry that contradicts the completion (or restates it with a
 different value) is a hard error, as is any entry that violates the
 parity rules.  Every entry statement declares its name.
@@ -25,12 +25,12 @@ import functools
 import re
 from fractions import Fraction
 
-from .cohomology import Cochain2Dual, ScalarCochain2, ScalarCochain3, canon
+from .cohomology import Cochain2Dual, ScalarCochain2, ScalarCochain3
 from .errors import SuperquadError
 from .forms import EvenForm, QuadraticLieSuperalgebra
 from .linalg import Record, Vec, dense_vec, vec_is_zero, vec_scale, zero_vec
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra, Subspace,
-                           graded_basis, sgn, subspace)
+                           canon, graded_basis, sgn, subspace)
 
 
 class ParseError(SuperquadError):
@@ -363,14 +363,9 @@ def emit(doc: AlgebraDocument) -> str:
 def document_algebra(doc: AlgebraDocument) -> LieSuperalgebra:
     if not doc.names:
         raise ParseError("document declares no basis", 1, 1)
-    basis = doc.basis()
-    n = basis.dim
-    table = [[() for _ in range(n)] for _ in range(n)]
-    for (i, j), v in doc.brackets.items():
-        table[i][j] = [(k, q) for k, q in enumerate(v) if q]
-        odd = doc.parities[i] & doc.parities[j]
-        table[j][i] = [(k, q if odd else -q) for k, q in table[i][j]]
-    return LieSuperalgebra(basis, tuple(tuple(row) for row in table))
+    return LieSuperalgebra(doc.basis(), {
+        (i, j, k): q for (i, j), v in doc.brackets.items()
+        for k, q in enumerate(v) if q})
 
 
 def document_form(doc: AlgebraDocument) -> EvenForm | None:
@@ -396,20 +391,15 @@ def document_from(algebra: LieSuperalgebra,
     """The document of library objects; every entry map is the object's
     own free coordinates."""
     basis = algebra.basis
-    n = basis.dim
-    brackets = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and sgn(basis.parity(i) * basis.parity(j)) == 1:
-                continue
-            if algebra.table[i][j]:
-                brackets[(i, j)] = dense_vec(dict(algebra.table[i][j]), n)
+    brackets: dict = {}
+    for (i, j, k), q in algebra.coords.items():
+        brackets.setdefault((i, j), {})[k] = q
 
     def coords(objs):
         return {k: dict(v.coords) for k, v in sorted((objs or {}).items())}
     return AlgebraDocument(
         names=basis.names, parities=basis.parities,
-        brackets=dict(sorted(brackets.items())),
+        brackets={ij: dense_vec(v, basis.dim) for ij, v in brackets.items()},
         form_name="B" if form is not None else None,
         form_entries=dict(form.coords) if form is not None else {},
         cochain2=coords(cochain2), cochain3=coords(cochain3),

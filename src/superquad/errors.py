@@ -31,13 +31,15 @@ class NotIdealError(SuperquadError):
 
 
 class AxiomError(SuperquadError):
-    """A constructed algebra failed its axiom check.
+    """An algebra failed its axioms.
 
-    ``report`` is the full :class:`AxiomReport`, so callers can show the
-    violating triples.
+    At construction, ``witness`` is a structure-constant key that is not
+    a free coordinate, so the bracket would break the grading or
+    super-skew-symmetry.  From the Jacobi check, ``report`` is the full
+    :class:`AxiomReport`, so callers can show the violating triples.
     """
 
-    report = None
+    report = witness = None
 
 
 class FormError(SuperquadError):

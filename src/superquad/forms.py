@@ -10,19 +10,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import store_free_entries
 from .errors import (DimensionMismatch, FormError, PreconditionError)
 from .linalg import (HALF, Mat, Record, RowReducer, Vec, ZERO, integer_rows,
                      lincomb, mat, nonzeros)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
-                           graded_complement, require_axioms, sgn, subspace)
+                           graded_complement, require_axioms, sgn,
+                           store_free_entries, subspace)
 
 
 class EvenForm(Record):
     """Even supersymmetric bilinear form, stored as its nonzero values on
     the free coordinates: coords[(i, j)] = B(e_i, e_j) for i <= j of equal
     parity, where only an even index may repeat (supersymmetric
-    :func:`~superquad.cohomology.canon`).
+    :func:`~superquad.superalgebra.canon`).
 
     Construction also derives the sparse rows, ``_rows[i] = ((j,
     B(e_i, e_j)), ...)`` over the nonzero entries, ascending j, and every

@@ -49,15 +49,16 @@ def _layout(n: int, triangular: bool):
 
 def _matrix_algebra(n: int, triangular: bool, what: str) -> LieSuperalgebra:
     """The span of the layout's matrix units under
-    [M, N] = MN - (-1)^{ab} NM; closure is verified on every basis pair."""
+    [M, N] = MN - (-1)^{ab} NM; closure is verified on every basis pair
+    i <= j, which also covers [e_j, e_i] = -(-1)^{ab} [e_i, e_j]."""
     if n < 1:
         raise PreconditionError("n must be at least 1")
     labels, positions, parities = _layout(n, triangular)
     index = {pos: t for t, pos in enumerate(positions)}
-    table = []
+    coords = {}
     for i, (p, q) in enumerate(positions):
-        row = []
-        for j, (r, s) in enumerate(positions):
+        for j in range(i, len(positions)):
+            r, s = positions[j]
             # E_pq E_rs = delta_qr E_ps ; E_rs E_pq = delta_sp E_rq
             entries: dict[tuple[int, int], Fraction] = {}
             if q == r:
@@ -65,17 +66,14 @@ def _matrix_algebra(n: int, triangular: bool, what: str) -> LieSuperalgebra:
             if s == p:
                 entries[(r, q)] = (entries.get((r, q), ZERO)
                                    - sgn(parities[i] * parities[j]))
-            entry = {}
             for pos, coeff in entries.items():
                 if coeff == 0:
                     continue
                 if pos not in index:
                     raise InternalCheckError(
                         f"bracket left the triangular family at {pos}")
-                entry[index[pos]] = coeff
-            row.append(entry)
-        table.append(tuple(row))
-    alg = LieSuperalgebra(graded_basis(labels, parities), tuple(table))
+                coords[(i, j, index[pos])] = coeff
+    alg = LieSuperalgebra(graded_basis(labels, parities), coords)
     require_axioms(alg, what)
     return alg
 
@@ -176,11 +174,10 @@ def orthogonal_direct_sum(a: QuadraticLieSuperalgebra,
     names = tuple("l_" + s for s in a.basis.names) + tuple(
         "r_" + s for s in b.basis.names)
     parities = a.basis.parities + b.basis.parities
-    na, nb = a.dim, b.dim
-    table = tuple(row + ((),) * nb for row in a.algebra.table) + tuple(
-        ((),) * na + tuple(tuple((na + k, q) for k, q in e) for e in row)
-        for row in b.algebra.table)
-    alg = LieSuperalgebra(graded_basis(names, parities), table)
+    na = a.dim
+    alg = LieSuperalgebra(graded_basis(names, parities), {
+        **a.algebra.coords, **{(na + i, na + j, na + k): q for (i, j, k), q
+                               in b.algebra.coords.items()}})
     form = EvenForm(alg.basis, {**a.form.coords, **{
         (na + i, na + j): q for (i, j), q in b.form.coords.items()}})
     return QuadraticLieSuperalgebra(alg, form)

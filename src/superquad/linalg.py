@@ -40,7 +40,9 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._key = attrgetter(*cls._fields)
+        key = attrgetter(*cls._fields)  # one field's value, not a 1-tuple
+        cls._key = key if len(cls._fields) > 1 else staticmethod(
+            lambda v: (key(v),))
         cls.__init__ = cls.__init__  # its own, as bench/tracer.py wraps it
 
     def __init__(self, *args, **kw):

@@ -1,11 +1,13 @@
 """Finite-dimensional Lie superalgebras by structure constants.
 
-A superalgebra lives on a :class:`GradedBasis`; the bracket is stored only
-as a sparse table, table[i][j] = ((k, c_ijk), ...) over the nonzero
-structure constants of [e_i, e_j] = sum_k c_ijk e_k, in ascending k, for
-*all* ordered pairs (i, j).  Storing both orders and enforcing
-super-skew-symmetry at construction keeps sign bookkeeping out of the
-algorithms, which is where superalgebra code usually goes wrong.
+A superalgebra lives on a :class:`GradedBasis`; its structure constants
+c_ijk of [e_i, e_j] = sum_k c_ijk e_k are stored like every other even
+tensor of the package, as nonzero values on free coordinates, the index
+tuples that the one Koszul rule :func:`canon` maps to themselves
+(docs/conventions.md, "Free coordinates").  The grading and
+super-skew-symmetry hold by that key set, which keeps sign bookkeeping
+out of the algorithms, where superalgebra code usually goes wrong; they
+read the sparse table over both orders that construction derives.
 
 Sign conventions used throughout (see docs/conventions.md):
 
@@ -20,8 +22,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .errors import (AxiomError, DimensionMismatch, NotGradedError,
-                     NotIdealError, PreconditionError)
+from .errors import (AxiomError, CochainError, DimensionMismatch,
+                     NotGradedError, NotIdealError, PreconditionError)
 from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
                      dense_vec, frac, integer_rows, lincomb, nonzeros)
 
@@ -77,42 +79,88 @@ def graded_basis(names, parities) -> GradedBasis:
     return GradedBasis(tuple(names), tuple(int(p) for p in parities))
 
 
-def _entry(n: int, pairs) -> tuple:
-    """Canonical table entry from (k, coeff) pairs or a {k: coeff} dict:
-    summed, nonzero, ascending in k."""
-    acc = {}
-    for k, q in (pairs.items() if isinstance(pairs, dict) else pairs):
-        if k not in range(n):
-            raise DimensionMismatch("bracket coordinate outside the basis")
+def canon(parities, key: tuple, head: int | None = None,
+          symmetric: bool = False):
+    """Free coordinate and sign of the entry at ``key`` of an even tensor
+    that is super-alternating (supersymmetric if ``symmetric``) in its
+    first ``head`` indices, default all of them.
+
+    The head is sorted ascending; each swap of x and y contributes
+    (-1)^{|x||y|}, negated for an alternating tensor.  Returns (None, 0)
+    when the entry vanishes: odd parity sum, or a repeated head index of
+    the vanishing parity (even if alternating, odd if symmetric).
+    """
+    if sum(map(parities.__getitem__, key)) % 2:
+        return None, 0
+    front = key[:head]
+    idx = tuple(sorted(front))
+    sign = 1
+    if idx != front:  # a sort swaps each inverted pair once
+        for s, x in enumerate(front):
+            for y in front[s + 1:]:
+                # the swap's sign is -1 iff |x||y| is 1 if symmetric, else 0
+                if x > y and parities[x] * parities[y] == symmetric:
+                    sign = -sign
+    vanishing = ODD if symmetric else EVEN
+    prev = None
+    for x in idx:
+        if x == prev and parities[x] == vanishing:
+            return None, 0
+        prev = x
+    return idx + key[len(idx):], sign
+
+
+def store_free_entries(obj, arity: int, head: int | None = None,
+                       symmetric: bool = False, error=CochainError) -> None:
+    """Keep the nonzero values of ``obj.coords``, sorted by key.
+    Evenness and the (anti)symmetry live in the key set, so only the keys
+    are checked: each must be its own canonical representative under
+    :func:`canon` with ``head`` and ``symmetric``, or ``error`` is raised
+    with the key as its witness."""
+    inside = range(obj.basis.dim).__contains__
+    p = obj.basis.parities
+    out = {}
+    for key, q in obj.coords.items():
+        if (not isinstance(key, tuple) or len(key) != arity
+                or not all(map(inside, key))):
+            raise DimensionMismatch(
+                f"{type(obj).__name__} index {key!r} outside the basis")
+        if canon(p, key, head, symmetric)[0] != key:
+            raise error(f"{type(obj).__name__} entry {key!r} is not a free "
+                        "coordinate", witness=key)
         q = frac(q)
-        acc[k] = acc[k] + q if k in acc else q
-    return tuple((k, q) for k, q in sorted(acc.items()) if q)
+        if q != 0:
+            out[key] = q
+    object.__setattr__(obj, "coords", dict(sorted(out.items())))
 
 
 class LieSuperalgebra(Record):
-    """Lie superalgebra given by its sparse bracket table.
+    """Lie superalgebra given by its structure constants, stored as their
+    nonzero values on the free coordinates: coords[(i, j, k)] = c_ijk,
+    [e_i, e_j] = sum_k c_ijk e_k, with i <= j, i = j only for an odd e_i,
+    and an even parity sum (the key set of ``Cochain2Dual``).  The grading
+    and super-skew-symmetry hold by the key set, so only the keys are
+    checked, by AxiomError with the key as its witness.
 
-    ``table[i][j]`` may list [e_i, e_j] as any (k, coeff) pairs or a
-    {k: coeff} dict; construction stores the canonical entry, so two
-    algebras are equal iff their bases and brackets are, and raises
-    AxiomError unless the table is graded and super-skew-symmetric.
+    Construction also derives the sparse table over both orders,
+    ``table[i][j] = ((k, c_ijk), ...)`` over the nonzeros, ascending k,
+    with [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j]; the algorithms read it.
     """
 
     basis: GradedBasis
-    table: tuple
+    coords: dict
 
     def __post_init__(self):
-        n, table = self.basis.dim, self.table
-        if len(table) != n or any(len(row) != n for row in table):
-            raise DimensionMismatch("bracket table must be dim x dim")
+        store_free_entries(self, 3, head=2, error=AxiomError)
+        p, n = self.basis.parities, self.dim
+        table: list = [[[] for _ in range(n)] for _ in range(n)]
+        # sorted keys list each [e_i, e_j] ascending in k
+        for (i, j, k), q in self.coords.items():
+            table[i][j].append((k, q))
+            if i != j:
+                table[j][i].append((k, q if p[i] & p[j] else -q))
         object.__setattr__(self, "table", tuple(
-            tuple(_entry(n, e) if e else () for e in row) for row in table))
-        found = [tuple(v(self)) for v in (_grading_violations,
-                                          _skew_violations)]
-        for what, bad in zip(("the grading", "super-skew-symmetry"), found):
-            if bad:
-                raise AxiomError(f"bracket violates {what} at {bad[0]}",
-                                 report=AxiomReport(*found, ()))
+            tuple(map(tuple, row)) for row in table))
 
     @property
     def dim(self) -> int:
@@ -135,38 +183,32 @@ class LieSuperalgebra(Record):
 def from_brackets(names, parities, brackets) -> LieSuperalgebra:
     """Build an algebra from a sparse {(a, b): {label: coeff}} description.
 
-    Brackets for the opposite order are filled in by super-skew-symmetry;
-    an explicit entry that contradicts the completion is an error.
+    Each bracket is stored at its free pair, signed by super-skew-symmetry;
+    an entry that contradicts another one's completion is an error.
     """
     basis = graded_basis(names, parities)
-    n = basis.dim
-    table: dict[tuple[int, int], tuple] = {}
-
-    def assign(i: int, j: int, v: tuple, origin: str):
-        if table.setdefault((i, j), v) != v:
-            raise PreconditionError(
-                f"contradictory bracket entries for ({origin})")
-
+    p = basis.parities
+    pairs: dict = {}
     for (a, b), terms in brackets.items():
         i, j = basis.index(a), basis.index(b)
+        s = 1 if i <= j else -sgn(p[i] * p[j])
         items = terms.items() if isinstance(terms, dict) else terms
-        v = _entry(n, ((basis.index(label), q) for label, q in items))
-        s = sgn(basis.parity(i) * basis.parity(j))
-        assign(i, j, v, f"{a},{b}")
-        if i != j:
-            assign(j, i, tuple((k, -s * q) for k, q in v), f"{a},{b}")
-        elif s == 1 and v:
+        v = lincomb([(s, [(basis.index(label), frac(q))
+                          for label, q in items])])
+        if i == j and v and not p[i]:
             raise PreconditionError(
                 f"bracket [{a},{a}] must vanish for an even generator")
-    return LieSuperalgebra(basis, tuple(
-        tuple(table.get((i, j), ()) for j in range(n)) for i in range(n)))
+        if pairs.setdefault((min(i, j), max(i, j)), v) != v:
+            raise PreconditionError(
+                f"contradictory bracket entries for ({a},{b})")
+    return LieSuperalgebra(basis, {(i, j, k): q for (i, j), v in pairs.items()
+                                   for k, q in v.items()})
 
 
 def abelian(even: int, odd: int) -> LieSuperalgebra:
     names = [f"e{i+1}" for i in range(even)] + [f"o{i+1}" for i in range(odd)]
     parities = [EVEN] * even + [ODD] * odd
-    n = even + odd
-    return LieSuperalgebra(graded_basis(names, parities), (((),) * n,) * n)
+    return LieSuperalgebra(graded_basis(names, parities), {})
 
 
 # ---------------------------------------------------------------------------
@@ -241,36 +283,20 @@ def jacobi_violations(g: LieSuperalgebra) -> list:
 
 
 class AxiomReport(Record):
-    """Outcome of check_axioms; empty violation lists mean a pass."""
+    """Outcome of check_axioms; an empty violation list means a pass."""
 
-    grading: tuple[tuple[int, int, int], ...]
-    skew: tuple[tuple[int, int], ...]
     jacobi: tuple[tuple[int, int, int], ...]
 
     @property
     def passed(self) -> bool:
-        return not (self.grading or self.skew or self.jacobi)
-
-
-def _grading_violations(g: LieSuperalgebra):
-    p = g.basis.parities
-    return [(i, j, k) for i, row in enumerate(g.table)
-            for j, e in enumerate(row) for k, _ in e
-            if p[k] != (p[i] + p[j]) % 2]
-
-
-def _skew_violations(g: LieSuperalgebra):
-    p, t = g.basis.parities, g.table
-    return [(i, j) for i in range(g.dim) for j in range(i, g.dim)
-            if t[i][j] != tuple((k, q if p[i] & p[j] else -q)
-                                for k, q in t[j][i])]
+        return not self.jacobi
 
 
 def check_axioms(g: LieSuperalgebra) -> AxiomReport:
     """Verify the graded Jacobi identity on all basis triples; grading
-    and super-skew-symmetry already held at construction.  Violations are
-    reported, not raised."""
-    return AxiomReport((), (), tuple(jacobi_violations(g)))
+    and super-skew-symmetry hold by the key set of ``g.coords``.
+    Violations are reported, not raised."""
+    return AxiomReport(tuple(jacobi_violations(g)))
 
 
 def require_axioms(g: LieSuperalgebra, what: str = "algebra") -> None:
@@ -353,13 +379,6 @@ class Subspace(Record):
     def contains_vector(self, v: Vec | dict) -> bool:
         """Whether v, dense or a {k: c} dict, lies in the subspace."""
         return not self.reducer.reduce(v)
-
-    def contains(self, other: "Subspace") -> bool:
-        return all(map(self.contains_vector,
-                       other.reducer.int_rows.values()))
-
-    def equals(self, other: "Subspace") -> bool:
-        return self.dim == other.dim and self.contains(other)
 
 
 def subspace(basis: GradedBasis, vectors) -> Subspace:
@@ -508,9 +527,10 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
     projection = tuple(tuple(u.get(r, ZERO) for u in units) for r in range(q))
     if names is None:
         names = tuple(f"q{r+1}" for r in range(q))
-    qbasis = graded_basis(names, comp.parities)
-    table = tuple(tuple(head(sparse_bracket(g, rows[i], rows[j]))
-                        for j in range(q)) for i in range(q))
-    alg = LieSuperalgebra(qbasis, table)
+    p = comp.parities
+    alg = LieSuperalgebra(graded_basis(names, p), {
+        (i, j, k): c for i in range(q) for j in range(i, q)
+        if i < j or p[i] for k, c in head(sparse_bracket(
+            g, rows[i], rows[j])).items()})
     require_axioms(alg, "quotient algebra")
     return QuotientResult(alg, projection)

@@ -54,27 +54,19 @@ def _dual_names(basis: GradedBasis) -> tuple[str, ...]:
     return duals
 
 
-def _extension_table(g: LieSuperalgebra, w: Cochain2Dual) -> tuple:
-    """Bracket table of g + g* for an arbitrary even super-antisymmetric w
-    (no cocycle condition assumed)."""
-    n = g.dim
-    p = g.basis.parities
-    N = 2 * n
-    table = [[{} for _ in range(N)] for _ in range(N)]
-    for i in range(n):
-        for k in range(n):
-            for j, q in g.table[i][k]:      # q = c_ikj
-                # [e_i, e_k] = [e_i, e_k]_g + w(e_i, e_k), the g part
-                table[i][k][j] = q
-                # [e_i, e_j*] = pi(e_i)(e_j*): coordinate on e_k* is
-                # -(-1)^{p_i p_j} c_ikj
-                table[i][n + j][n + k] = -sgn(p[i] * p[j]) * q
-                # [e_j*, e_i] = -(-1)^{p_i p_j} pi(e_i)(e_j*): on e_k*, c_ikj
-                table[n + j][i][n + k] = q
-    for (i, j, k), q in w.coords.items():   # the g* part of [e_i, e_j]
-        table[i][j][n + k] = q
-        table[j][i][n + k] = -sgn(p[i] * p[j]) * q
-    return tuple(tuple(row) for row in table)
+def _extension_coords(g: LieSuperalgebra, w: Cochain2Dual) -> dict:
+    """Structure constants of g + g*, on the free coordinates, for an
+    arbitrary even super-antisymmetric w (no cocycle condition assumed):
+    [e_i, e_j] = [e_i, e_j]_g + w(e_i, e_j), and [e_i, e_j*] =
+    pi(e_i)(e_j*), whose coordinate on e_k* is -(-1)^{p_i p_j} c_ikj."""
+    n, p = g.dim, g.basis.parities
+    coords = dict(g.coords)
+    coords.update(((i, j, n + k), q) for (i, j, k), q in w.coords.items())
+    for i, row in enumerate(g.table):
+        for k, e in enumerate(row):
+            for j, q in e:      # q = c_ikj
+                coords[(i, n + j, n + k)] = -sgn(p[i] * p[j]) * q
+    return coords
 
 
 def _raw_extension(g: LieSuperalgebra, w: Cochain2Dual
@@ -83,7 +75,7 @@ def _raw_extension(g: LieSuperalgebra, w: Cochain2Dual
     preconditions."""
     basis = graded_basis(g.basis.names + _dual_names(g.basis),
                          g.basis.parities * 2)
-    alg = LieSuperalgebra(basis, _extension_table(g, w))
+    alg = LieSuperalgebra(basis, _extension_coords(g, w))
     # B(e_i, e_i*) = (-1)^{p_i}; B(e_i*, e_i) = 1 by supersymmetry
     form = EvenForm(basis, {(i, g.dim + i): sgn(p)
                             for i, p in enumerate(g.basis.parities)})

@@ -1,12 +1,11 @@
 """Dense tensors of the library's sparse objects, and dense Gaussian
 elimination, for oracle tests only.
 
-The library stores a bracket only as its sparse table, and a cochain or
-a form only as its nonzero values on free coordinates.  The helpers here
-expand them into dense n^3 (or n^2) tensors, reading the 3-cochains'
-entries through sign rules written out once per container (the first
-section, also the reference for the library's one rule
-``cohomology.canon``), check those
+The library stores a bracket, a cochain or a form only as its nonzero
+values on free coordinates.  The helpers here expand them into dense n^3
+(or n^2) tensors, reading every entry through sign rules written out
+once per container (the first section, also the reference for the
+library's one rule ``superalgebra.canon``), check those
 tensors with the entrywise validators for evenness and
 super-antisymmetry, and evaluate the Jacobi, invariance, morphism,
 cocycle, supercyclicity and closedness identities and the coboundary by
@@ -43,7 +42,7 @@ ZERO = Fraction(0)
 # --- the sign rules, one per container ---------------------------------------
 # Each returns (free coordinate, sign) of an entry, or (None, 0) when the
 # entry is forced to vanish, written out separately for each container so
-# that the library's single rule ``cohomology.canon`` is checked against
+# that the library's single rule ``superalgebra.canon`` is checked against
 # code it does not share.
 
 def canon3(parities, i, j, k):
@@ -75,7 +74,8 @@ def canon2_first(parities, i, j):
 
 
 def canon_cochain2dual(parities, a, b, c):
-    """w(e_a, e_b)(e_c) of an even dual-valued 2-cochain."""
+    """w(e_a, e_b)(e_c) of an even dual-valued 2-cochain, and the structure
+    constant c_abc of a bracket, [e_a, e_b] = sum_c c_abc e_c."""
     pair, s = canon2_first(parities, a, b)
     if pair is None or (parities[a] + parities[b] + parities[c]) % 2:
         return None, 0
@@ -104,12 +104,14 @@ def _zero3(n):
 # --- expansions --------------------------------------------------------------
 
 def bracket_tensor(g):
-    """c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k, for every ordered
+    triple, from the free coordinates (not from the library's table)."""
+    p = g.basis.parities
     c = _zero3(g.dim)
-    for i, row in enumerate(g.table):
-        for j, entry in enumerate(row):
-            for k, q in entry:
-                c[i][j][k] = q
+    for i, j, k in itertools.product(range(g.dim), repeat=3):
+        key, s = canon_cochain2dual(p, i, j, k)
+        if key is not None:
+            c[i][j][k] = s * g.coords.get(key, ZERO)
     return c
 
 
@@ -206,13 +208,6 @@ def split_vector(basis, v):
     p = basis.parities
     return (tuple(q if p[k] == 0 else ZERO for k, q in enumerate(v)),
             tuple(q if p[k] == 1 else ZERO for k, q in enumerate(v)))
-
-
-def grading_violations(p, c):
-    """Ordered triples with c[i][j][k] != 0 although |k| != |i| + |j|."""
-    n = len(p)
-    return [(i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
-            if c[i][j][k] != 0 and p[k] != (p[i] + p[j]) % 2]
 
 
 def even_form_violation(p, G):

@@ -8,9 +8,10 @@ invariance refutation for a non-supercyclic cocycle, the Lagrangian
 ideal/abelian lemma, an exact rational square root, vector addition,
 the coadjoint representation on graded linear functionals, a seeded
 basis change with denominators up to 6 of dense structure constants, the
-direct sum of two Lie superalgebras, an algebra built only from a table
-the dense loops find graded and super-skew, drawn dense bracket tensors
-and their sparse tables, and the supercyclic
+direct sum of two Lie superalgebras, the upper triangle of a full
+bracket table, an algebra built only from coordinates the dense sign
+rule finds free, drawn dense bracket tensors and their structure
+constants, and the supercyclic
 2-cocycles solved directly, the oracle of the library's transport of
 Z^3.
 """
@@ -40,10 +41,10 @@ from superquad.forms import (QuadraticLieSuperalgebra, even_form,
                              orthogonal, quadratic)
 from superquad.gallery import _layout
 from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
-from superquad.superalgebra import (EVEN, AxiomReport, GradedBasis,
-                                    LieSuperalgebra, Subspace, bracket,
-                                    center, derived_subspace, graded_basis,
-                                    is_ideal, sgn)
+from superquad.superalgebra import (EVEN, GradedBasis, LieSuperalgebra,
+                                    Subspace, bracket, center,
+                                    derived_subspace, graded_basis, is_ideal,
+                                    sgn)
 from superquad.tstar import _raw_extension
 
 import dense_oracle as dense
@@ -97,28 +98,35 @@ def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra) -> LieSuperalgebra:
     basis = GradedBasis(tuple(f"l_{s}" for s in a.basis.names)
                         + tuple(f"r_{s}" for s in b.basis.names),
                         a.basis.parities + b.basis.parities)
-    table = tuple(row + ((),) * b.dim for row in a.table) + tuple(
-        ((),) * n + tuple(tuple((k + n, q) for k, q in e) for e in row)
-        for row in b.table)
-    return LieSuperalgebra(basis, table)
+    return LieSuperalgebra(basis, {**a.coords, **{
+        (i + n, j + n, k + n): q for (i, j, k), q in b.coords.items()}})
 
 
-def algebra_if_valid(basis: GradedBasis, table) -> LieSuperalgebra | None:
-    """LieSuperalgebra(basis, table) when the dense loops find the table,
-    entries as (k, c) pairs or {k: c} dicts with distinct k, graded and
-    super-skew.  Otherwise None, after checking that construction raised
-    AxiomError with their grading and skew violations and no Jacobi
-    triples."""
-    p, n = basis.parities, basis.dim
-    c = [[[dict(e).get(k, ZERO) for k in range(n)] for e in row]
-         for row in table]
-    grading = tuple(dense.grading_violations(p, c))
-    skew = tuple(dense.skew_violations(p, c))
-    if not (grading or skew):
-        return LieSuperalgebra(basis, table)
+def upper(table) -> dict:
+    """The structure constants {(i, j, k): c} of a full bracket table,
+    entries (k, c) pairs or {k: c} dicts, at its nonzeros with i <= j,
+    sorted: the coordinates a LieSuperalgebra stores.  The lower triangle
+    is not read."""
+    return dict(sorted(
+        ((i, j, k), q) for i, row in enumerate(table)
+        for j, e in enumerate(row) if i <= j
+        for k, q in (e.items() if isinstance(e, dict) else e) if q))
+
+
+def algebra_if_valid(basis: GradedBasis, coords) -> LieSuperalgebra | None:
+    """LieSuperalgebra(basis, coords) when the dense sign rule finds every
+    key a free coordinate.  Otherwise None, after checking that
+    construction raised AxiomError with the least other key as its
+    witness, and no report."""
+    p = basis.parities
+    coords = dict(sorted(coords.items()))
+    bad = [key for key in coords
+           if dense.canon_cochain2dual(p, *key) != (key, 1)]
+    if not bad:
+        return LieSuperalgebra(basis, coords)
     with pytest.raises(AxiomError) as exc:
-        LieSuperalgebra(basis, table)
-    assert exc.value.report == AxiomReport(grading, skew, ())
+        LieSuperalgebra(basis, coords)
+    assert exc.value.witness == bad[0] and exc.value.report is None
     return None
 
 
@@ -145,14 +153,12 @@ def bracket_tensors(draw, entries, kind="lie", max_dim=5):
     return p, c
 
 
-def basis_table(parities, c):
-    """(basis, table) of a dense bracket tensor, each table entry the
-    (k, c) pairs of its nonzero coordinates."""
+def basis_coords(parities, c):
+    """(basis, coords) of a dense bracket tensor: the :func:`upper`
+    triangle of its nonzeros."""
     n = len(parities)
     basis = graded_basis([f"b{i}" for i in range(n)], parities)
-    table = tuple(tuple(tuple((k, q) for k, q in enumerate(c[i][j]) if q)
-                        for j in range(n)) for i in range(n))
-    return basis, table
+    return basis, upper([[enumerate(v) for v in row] for row in c])
 
 
 def document_cochain3(doc: AlgebraDocument, name: str) -> ScalarCochain3:
@@ -170,7 +176,7 @@ def matrix_of_glnn(n: int, label: str):
 
 def center_orthogonality_check(q: QuadraticLieSuperalgebra) -> bool:
     """orthogonal(B, [g, g]) = z(g), exactly."""
-    return orthogonal(q.form, derived_subspace(q.algebra)).equals(
+    return orthogonal(q.form, derived_subspace(q.algebra)) == (
         center(q.algebra))
 
 
@@ -346,10 +352,9 @@ def disguised_quadratic(q0: QuadraticLieSuperalgebra,
                         seed: int = 0) -> QuadraticLieSuperalgebra:
     """q0 after the basis change of :func:`disguise`, whose entries have
     denominators up to 6."""
-    g, n = q0.algebra, q0.dim
+    g = q0.algebra
     c, G, _ = disguise(g.basis.parities, dense.bracket_tensor(g),
                        dense.gram(q0.form), seed=seed)
-    alg = LieSuperalgebra(g.basis, tuple(
-        tuple({k: c[i][j][k] for k in range(n) if c[i][j][k]}
-              for j in range(n)) for i in range(n)))
+    alg = LieSuperalgebra(g.basis, upper([[enumerate(v) for v in row]
+                                          for row in c]))
     return quadratic(alg, even_form(g.basis, G))

@@ -86,7 +86,7 @@ def test_criterion_1_axiom_suite():
             even_part = subspace(g.basis,
                                  [unit_vec(g.dim, i) for i in range(g.dim)
                                   if g.parity(i) == 0])
-            assert span.equals(even_part)
+            assert span == even_part
 
 
 def test_criterion_2_build_iff_cocycle_and_supercyclic(gallery, z2_bases,
@@ -300,7 +300,7 @@ def test_criterion_7_center_identities(gallery):
                 ext.total.basis,
                 [v + (F(0),) * n for v in zg.vectors]
                 + [(F(0),) * n + tuple(a) for a in ann])
-            assert center(ext.total.algebra).equals(expected), name
+            assert center(ext.total.algebra) == expected, name
 
 
 def test_criterion_8_cli_contract():

@@ -13,6 +13,7 @@ from superquad.cohomology import (Cochain2Dual, ScalarCochain3,
                                   free_coords_cochain2dual,
                                   supercyclic_violation, unhat,
                                   zero_cochain2)
+from superquad.errors import InternalCheckError
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -364,6 +365,20 @@ def test_decompose_exact_isotropy_outcomes():
                          stdin_text=_diagonal_document(1, 1, -10002200057))
     assert code == 2
     assert rep["error"]["kind"] == "undecided"
+
+
+def test_internal_check_failure_is_reported_as_internal(monkeypatch):
+    """A failed theorem-backed check of the library's own output is not
+    blamed on the input: the kind is "internal", and the exit code 2."""
+    def injected(*args):
+        raise InternalCheckError("injected")
+    monkeypatch.setattr(cli, "s_phi_isometry", injected)
+    argv = ["isometry", str(CORPUS / "h3_volume_cochains.sqd"), "--phi", "phi"]
+    assert run_cli(argv + ["--text"]) == (2, "error[internal]: injected\n")
+    code, rep = run_json(argv)
+    assert code == 2
+    assert rep["error"] == {"kind": "internal", "message": "injected",
+                            "line": None, "column": None}
 
 
 def test_parse_error_exit_2():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import superquad as sq
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   ScalarCochain3, _coboundary, b3_basis,
-                                  canon, closed3_violation, cocycle2_violation,
+                                  closed3_violation, cocycle2_violation,
                                   cohomologous, collect_alt3,
                                   collect_cochain2dual, collect_scalar2,
                                   delta_scalar2, expand_alt3,
@@ -18,17 +18,17 @@ from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   sub3, supercyclic_violation, unhat,
                                   z2_basis, z2_supercyclic_basis, z3_basis,
                                   zero_cochain2, zero_scalar2)
-from superquad.errors import (CochainError, DimensionMismatch,
+from superquad.errors import (AxiomError, CochainError, DimensionMismatch,
                               PreconditionError)
 from superquad.gallery import random_scalar2, random_supercyclic_cocycle
 from superquad.linalg import mat, rank, unit_vec
 from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra, bracket,
-                                    graded_basis, sgn)
+                                    canon, graded_basis, sgn)
 
 import dense_oracle as dense
 from dense_oracle import inverse, mat_mul, mat_vec, transpose
-from support import (add3, cocycle2_defect, direct_sum, disguise, is_zero3,
-                     z2_supercyclic_direct)
+from support import (add3, basis_coords, cocycle2_defect, direct_sum,
+                     disguise, is_zero3, upper, z2_supercyclic_direct)
 
 F = Fraction
 
@@ -174,8 +174,18 @@ def test_non_free_keys_are_rejected():
         ScalarCochain2(h3.basis, {(0, 5): 1})
     with pytest.raises(DimensionMismatch):
         ScalarCochain2(h3.basis, {(-1, 0): 1})
+    # structure constants have the key set of Cochain2Dual: below the
+    # diagonal, an even self-bracket and an odd parity sum are not free
+    basis = graded_basis(("e1", "o1", "e2"), (EVEN, ODD, EVEN))
+    for key in ((2, 0, 0), (0, 0, 2), (0, 1, 0)):
+        with pytest.raises(AxiomError) as exc:
+            LieSuperalgebra(basis, {(1, 1, 0): 1, key: 1})
+        assert exc.value.witness == key
+    with pytest.raises(DimensionMismatch):
+        LieSuperalgebra(basis, {(0, 1, 3): 1})
     # zero values are dropped, so equal cochains compare equal
     assert expand_alt3(h3.basis, {(0, 1, 2): 0}) == expand_alt3(h3.basis, {})
+    assert LieSuperalgebra(basis, {(0, 2, 0): 0}) == LieSuperalgebra(basis, {})
 
 
 # --- supercyclicity and the transported tensor -------------------------------
@@ -377,8 +387,8 @@ def _interleaved(g):
     new = {i: a for a, i in enumerate(order)}
     return LieSuperalgebra(
         graded_basis([g.basis.names[i] for i in order], [p[i] for i in order]),
-        tuple(tuple(tuple((new[k], q) for k, q in g.table[i][j])
-                    for j in order) for i in order))
+        upper([[[(new[k], q) for k, q in g.table[i][j]] for j in order]
+               for i in order]))
 
 
 def _with_interleaved(gallery):
@@ -394,11 +404,10 @@ def _with_disguised(gallery):
     identities hold only through cancellation."""
     algebras = _with_interleaved(gallery)
     for name in ("heisenberg3", "gl(1,1)", "g(2)"):
-        g, n = gallery[name], gallery[name].dim
+        g = gallery[name]
         c, _, _ = disguise(g.basis.parities, dense.bracket_tensor(g), seed=1)
-        algebras[name + " disguised"] = LieSuperalgebra(g.basis, tuple(
-            tuple({k: c[i][j][k] for k in range(n) if c[i][j][k]}
-                  for j in range(n)) for i in range(n)))
+        algebras[name + " disguised"] = LieSuperalgebra(
+            g.basis, basis_coords(g.basis.parities, c)[1])
     return algebras
 
 
@@ -614,9 +623,9 @@ def _conjugate_algebra(g, L):
     n = g.dim
     Linv = inverse(L)
     cols = [mat_vec(L, unit_vec(n, i)) for i in range(n)]
-    return LieSuperalgebra(g.basis, tuple(
-        tuple(tuple(enumerate(mat_vec(Linv, bracket(g, cols[i], cols[j]))))
-              for j in range(n)) for i in range(n)))
+    return LieSuperalgebra(g.basis, upper(
+        [[enumerate(mat_vec(Linv, bracket(g, cols[i], cols[j])))
+          for j in range(n)] for i in range(n)]))
 
 
 def _transport_cochain2(w, L):

@@ -35,7 +35,6 @@ def _cases():
     b2 = GradedBasis(("x", "y"), (0, 1))
     h = sq.heisenberg3()
     hb = h.basis
-    a3 = sq.abelian(3, 0)
     ext = sq.build(h)
     hyp = sq.hyperbolic_even()
     shear = sq.s_phi_isometry(h, ext.omega, ScalarCochain2(hb, {(0, 1): 1}))
@@ -45,8 +44,8 @@ def _cases():
     w2 = {(0, 1, 1): F(1), (0, 2, 2): F(2)}
     return [
         (GradedBasis, (("x", "y"), (0, 1)), (("x", "y"), (0, 0))),
-        (LieSuperalgebra, (hb, h.table), (hb, a3.table)),
-        (AxiomReport, ((), (), ()), ((), (), ((0, 1, 2),))),
+        (LieSuperalgebra, (hb, h.coords), (hb, {(0, 1, 1): F(1)})),
+        (AxiomReport, ((),), (((0, 1, 2),),)),
         (Subspace, (hb, RowReducer(3, [{2: ONE}])),
          (hb, RowReducer(3, [{1: ONE}]))),
         (QuotientResult, (h, ((ONE, 0, 0),)), (h, ((0, ONE, 0),))),
@@ -174,10 +173,10 @@ def test_post_init_checks_still_raise():
     with pytest.raises(PreconditionError, match="parities"):
         GradedBasis(("x", "y"), (0, 2))
     b = GradedBasis(("x", "y"), (0, 0))
-    not_skew = ((), ((0, ONE),)), ((), ())
-    assert algebra_if_valid(b, not_skew) is None
-    with pytest.raises(AxiomError, match="super-skew") as exc:
-        LieSuperalgebra(basis=b, table=not_skew)
-    assert exc.value.report == AxiomReport((), ((0, 1),), ())
+    lower = {(1, 0, 0): ONE}  # [y, x] has no free coordinate
+    assert algebra_if_valid(b, lower) is None
+    with pytest.raises(AxiomError, match="not a free coordinate") as exc:
+        LieSuperalgebra(basis=b, coords=lower)
+    assert exc.value.witness == (1, 0, 0)
     with pytest.raises(TypeError):  # no flag skips the checks
-        LieSuperalgebra(b, not_skew, False)
+        LieSuperalgebra(b, lower, False)

@@ -16,9 +16,9 @@ from superquad.superalgebra import (EVEN, ODD, Subspace, derived_subspace,
                                     subspace, zero_subspace)
 
 import dense_oracle as dense
-from support import (DualVector, algebra_if_valid, basis_table,
-                     bracket_tensors, coadjoint, dual_vector, vec_add,
-                     vector_parity)
+from support import (DualVector, algebra_if_valid, basis_coords,
+                     bracket_tensors, coadjoint, disguise, dual_vector,
+                     upper, vec_add, vector_parity)
 
 F = Fraction
 
@@ -104,32 +104,24 @@ def test_check_axioms_pass_on_gallery(gallery):
 def test_grading_violation_reported():
     # even pair mapping onto an odd index
     basis = graded_basis(("x", "y", "o"), (EVEN, EVEN, ODD))
-    table = [[()] * 3 for _ in range(3)]
-    table[0][1] = ((2, 1),)
-    table[1][0] = ((2, -1),)
-    assert algebra_if_valid(basis, tuple(map(tuple, table))) is None
+    assert algebra_if_valid(basis, {(0, 1, 2): 1}) is None
 
 
 def test_construction_rejects_bad_grading():
     basis = graded_basis(("x", "y", "o"), (EVEN, EVEN, ODD))
-    table = [[()] * 3 for _ in range(3)]
-    table[0][1] = ((2, 1),)
-    table[1][0] = ((2, -1),)
-    with pytest.raises(AxiomError, match="grading") as exc:
-        sq.LieSuperalgebra(basis, tuple(map(tuple, table)))
-    assert exc.value.report.grading == ((0, 1, 2), (1, 0, 2))
-    assert exc.value.report.skew == exc.value.report.jacobi == ()
+    with pytest.raises(AxiomError, match="not a free coordinate") as exc:
+        sq.LieSuperalgebra(basis, {(0, 1, 0): 1, (0, 1, 2): 1})
+    assert exc.value.witness == (0, 1, 2) and exc.value.report is None
 
 
 def test_construction_rejects_skew_only():
-    """A graded table that is not super-skew-symmetric: the report is an
-    AxiomReport with only skew violations, as ``require_axioms`` gives."""
+    """A graded entry below the diagonal: super-skew-symmetry fills that
+    triangle, so its key is not a free coordinate, whatever its value."""
     basis = graded_basis(("x", "y", "o"), (EVEN, EVEN, ODD))
-    table = [[()] * 3 for _ in range(3)]
-    table[0][1] = table[1][0] = ((0, 1),)
-    with pytest.raises(AxiomError, match="super-skew-symmetry") as exc:
-        sq.LieSuperalgebra(basis, tuple(map(tuple, table)))
-    assert exc.value.report == sq.AxiomReport((), ((0, 1),), ())
+    for value in (1, -1, 0):
+        with pytest.raises(AxiomError, match="not a free coordinate") as exc:
+            sq.LieSuperalgebra(basis, {(0, 1, 0): 1, (1, 0, 0): value})
+        assert exc.value.witness == (1, 0, 0) and exc.value.report is None
 
 
 def test_jacobi_violation_reported():
@@ -291,8 +283,8 @@ def test_subspace_equality_by_double_inclusion():
     g = sq.abelian(3, 0)
     a = subspace(g.basis, [vec([1, 1, 0]), vec([0, 1, 0])])
     b = subspace(g.basis, [vec([1, 0, 0]), vec([1, 2, 0])])
-    assert a.equals(b)
-    assert not a.equals(subspace(g.basis, [vec([1, 0, 0])]))
+    assert a == b
+    assert a != subspace(g.basis, [vec([1, 0, 0])])
 
 
 def _dense_contains(w, v):
@@ -487,47 +479,75 @@ def _raw_tables(draw):
 
 
 # graded and super-skew, so that construction accepts them
-_lie_tables = bracket_tensors(sparse_entries, max_dim=4).map(
-    lambda case: basis_table(*case))
+_lie_coords = bracket_tensors(sparse_entries, max_dim=4).map(
+    lambda case: basis_coords(*case))
 
 
-@given(st.one_of(_raw_tables(), _lie_tables), st.data())
+def _upper_of(tables):
+    """(basis, the upper triangle) of drawn (basis, table) pairs."""
+    return tables.map(lambda raw: (raw[0], upper(raw[1])))
+
+
+@given(st.one_of(_upper_of(_raw_tables()), _lie_coords))
 @settings(max_examples=80, deadline=None)
-def test_skew_violations_and_center_match_dense(raw, data):
-    basis, table = raw
+def test_skew_violations_and_center_match_dense(raw):
+    """An arbitrary table's upper triangle: construction refuses a key the
+    dense sign rule finds not free; otherwise the algebra is the dense
+    skew completion of the triangle, with no skew violation, and its
+    center is the dense kernel."""
+    basis, coords = raw
     n = basis.dim
-    # make part of the table super-skew so that both outcomes occur
-    table = [list(row) for row in table]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if data.draw(st.booleans()):
-                s = -sgn(basis.parity(i) * basis.parity(j))
-                table[j][i] = tuple((k, s * q) for k, q in table[i][j])
-    g = algebra_if_valid(basis, tuple(map(tuple, table)))
-    if g is None:  # construction raised with the dense violations
+    g = algebra_if_valid(basis, coords)
+    if g is None:  # construction raised with the least such key
         return
     c = dense.bracket_tensor(g)
-    assert c == [[[dict(table[i][j]).get(k, F(0)) for k in range(n)]
-                  for j in range(n)] for i in range(n)]
-    assert sq.superalgebra._skew_violations(g) == dense.skew_violations(
-        basis.parities, c)
+    assert {(i, j, k): q for i in range(n) for j in range(i, n)
+            for k, q in enumerate(c[i][j]) if q} == coords
+    assert dense.skew_violations(basis.parities, c) == []
     rows = [tuple(c[i][j][k] for i in range(n))
             for j in range(n) for k in range(n)]
-    assert sq.center(g).equals(subspace(basis, kernel(mat(rows))))
+    assert sq.center(g) == subspace(basis, kernel(mat(rows)))
+
+
+def _table_matches_dense(g) -> bool:
+    """Whether g's table lists, for every ordered pair and in ascending
+    order, exactly the nonzero coordinates of the dense bracket vectors,
+    which the dense sign rule reads off g.coords in both orders."""
+    c = dense.bracket_tensor(g)
+    return all(g.table[i][j] == tuple((k, q) for k, q in enumerate(c[i][j])
+                                      if q != 0)
+               for i in range(g.dim) for j in range(g.dim))
 
 
 def test_gallery_tables_are_canonical(gallery):
-    """Each gallery table lists, in ascending order, exactly the nonzero
-    coordinates of the dense bracket vectors."""
+    """Each gallery table is the dense tensor, and so is each bracket of
+    two basis vectors."""
     for name, g in gallery.items():
         c = dense.bracket_tensor(g)
+        assert _table_matches_dense(g), name
         for i in range(g.dim):
             for j in range(g.dim):
-                assert g.table[i][j] == tuple(
-                    (k, q) for k, q in enumerate(c[i][j]) if q != 0), name
                 assert sq.bracket(g, unit_vec(g.dim, i), unit_vec(g.dim, j)) \
                     == tuple(c[i][j]), name
-        assert not dense.skew_violations(g.basis.parities, c), name
+
+
+def test_disguised_tables_match_dense_in_both_orders(gallery):
+    """The table derived from the free coordinates, on seeded basis
+    changes of the gallery: dense tables with denominators, in which
+    every sign of the lower triangle is read."""
+    for name, g in gallery.items():
+        for seed in (1, 2):
+            c, _, _ = disguise(g.basis.parities, dense.bracket_tensor(g),
+                               seed=seed)
+            d = sq.LieSuperalgebra(*basis_coords(g.basis.parities, c))
+            assert dense.bracket_tensor(d) == c, (name, seed)
+            assert _table_matches_dense(d), (name, seed)
+
+
+@given(_lie_coords)
+@settings(max_examples=60, deadline=None)
+def test_drawn_tables_match_dense_in_both_orders(raw):
+    assert _table_matches_dense(sq.LieSuperalgebra(*raw))
 
 
 @st.composite
@@ -546,13 +566,14 @@ def _few_entry_tables(draw):
             tuple(map(tuple, table)))
 
 
-@given(st.one_of(_raw_tables(), _few_entry_tables(), _lie_tables))
+@given(st.one_of(_upper_of(_raw_tables()), _upper_of(_few_entry_tables()),
+                 _lie_coords))
 @settings(max_examples=100, deadline=None)
 def test_derived_subspace_matches_brackets_of_the_whole(raw):
     """[g, g] from the table entries against the span of the brackets of
-    every pair of basis vectors, on the tables construction accepts."""
-    basis, table = raw
-    g = algebra_if_valid(basis, table)
+    every pair of basis vectors, on the coordinates construction accepts."""
+    basis, coords = raw
+    g = algebra_if_valid(basis, coords)
     if g is None:  # construction raised with the dense violations
         return
     whole = full_subspace(basis)

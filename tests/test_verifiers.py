@@ -26,7 +26,7 @@ from superquad.tstar import (_raw_extension, quadratic_morphism_violation,
 import dense_oracle as dense
 from dense_oracle import mat_mul
 from conftest import make_rng
-from support import (algebra_if_valid, basis_table, bracket_tensors,
+from support import (algebra_if_valid, basis_coords, bracket_tensors,
                      cocycle2_defect, disguise)
 
 F = Fraction
@@ -38,13 +38,11 @@ sparse_entries = st.one_of(
 
 
 def _algebra(parities, c):
-    return LieSuperalgebra(*basis_table(parities, c))
+    return LieSuperalgebra(*basis_coords(parities, c))
 
 
 def _dense_report(p, c):
-    return AxiomReport(tuple(dense.grading_violations(p, c)),
-                       tuple(dense.skew_violations(p, c)),
-                       tuple(dense.jacobi_violations(p, c)))
+    return AxiomReport(tuple(dense.jacobi_violations(p, c)))
 
 
 # --- check_axioms ------------------------------------------------------------
@@ -60,24 +58,32 @@ def test_axiom_report_matches_dense_on_graded_skew_tables(case):
     lambda kind: bracket_tensors(sparse_entries, kind=kind, max_dim=4)))
 @settings(max_examples=120, deadline=None)
 def test_construction_matches_dense_on_not_skew_or_ungraded_tables(case):
-    """Construction rejects the tables the dense loops find not graded or
-    not skew, with their violations; the others pass check_axioms as the
-    dense report says."""
+    """Construction reads only the upper triangle: it rejects the least
+    key there that the dense sign rule finds not free (an ungraded entry,
+    or an even self-bracket of a table that is not skew); the others are
+    the triangle's skew completion, and pass check_axioms as the dense
+    report on that completion says."""
     p, c = case
-    g = algebra_if_valid(*basis_table(p, c))
+    g = algebra_if_valid(*basis_coords(p, c))
     if g is not None:
-        assert check_axioms(g) == _dense_report(p, c)
+        full = dense.bracket_tensor(g)
+        assert all(full[i][j] == c[i][j] for i in range(len(p))
+                   for j in range(i, len(p)))
+        assert check_axioms(g) == _dense_report(p, full)
 
 
 def test_not_skew_table_is_rejected_before_jacobi():
-    # graded but not skew: [x, x] = x and [y, z] = x with [z, y] = 0
-    # would break Jacobi at the cyclic rotations of (x, y, z) only, but
-    # construction reports the skew pairs and evaluates no triple
+    # not skew: [x, x] = x and [y, z] = x would break Jacobi at the
+    # cyclic rotations of (x, y, z) only, but construction refuses the
+    # even self-bracket's key and evaluates no triple; [z, y] has no key
     p = (0, 0, 0)
     c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
     c[0][0][0] = c[1][2][0] = F(1)
-    assert algebra_if_valid(*basis_table(p, c)) is None
     assert dense.skew_violations(p, c) == [(0, 0), (1, 2)]
+    basis, coords = basis_coords(p, c)
+    assert coords == {(0, 0, 0): 1, (1, 2, 0): 1}
+    assert algebra_if_valid(basis, coords) is None
+    assert algebra_if_valid(basis, {(1, 2, 0): 1, (2, 1, 0): 1}) is None
 
 
 def test_axiom_report_lists_every_permutation(gallery):
@@ -104,7 +110,7 @@ def test_quadratic_algebra_checks_jacobi_before_the_form(case):
     with pytest.raises(AxiomError if jacobi else FormError) as exc:
         sq.QuadraticLieSuperalgebra(g, EvenForm(g.basis, {}))
     if jacobi:
-        assert exc.value.report == AxiomReport((), (), jacobi)
+        assert exc.value.report == AxiomReport(jacobi)
 
 
 # --- invariance_violation ----------------------------------------------------
@@ -333,12 +339,12 @@ def test_build_invariance_witness_is_first_dense_violation(
 fractions6 = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 6))
 
 
-def _perturbed(p, c, i, j, k, delta, skew=True):
+def _perturbed(p, c, i, j, k, delta):
     """c with delta added at [e_i, e_j] on e_k, and at [e_j, e_i] by
-    super-skew-symmetry unless ``skew`` is off."""
+    super-skew-symmetry."""
     c = [[list(col) for col in row] for row in c]
     c[i][j][k] += delta
-    if skew and i != j:
+    if i != j:
         c[j][i][k] = -sgn(p[i] * p[j]) * c[i][j][k]
     return c
 
@@ -397,17 +403,18 @@ def test_jacobi_witness_matches_dense_after_perturbing_disguised(
 @given(st.data())
 @settings(max_examples=15, deadline=None)
 def test_construction_rejects_broken_disguised_as_dense(disguised, data):
-    """One entry of a disguised algebra changed on one side only (not
-    skew) or moved to the wrong parity (not graded): construction raises
-    with the dense loops' violations."""
+    """A disguised algebra's coordinates with one more key that is not
+    free: below the diagonal (not skew), an even self-bracket or of the
+    wrong parity (not graded).  Construction raises with that key."""
     for key in DISGUISED:
         p, c = disguised[key]
         n = len(p)
-        i, j, k = data.draw(st.tuples(*[st.integers(0, n - 1)] * 3))
-        if i == j and p[i] and not p[k]:
-            continue  # an odd [x, x] is symmetric: still graded and skew
-        c2 = _perturbed(p, c, i, j, k, data.draw(fractions6), skew=False)
-        assert algebra_if_valid(*basis_table(p, c2)) is None
+        bad = data.draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        if dense.canon_cochain2dual(p, *bad) == (bad, 1):
+            continue  # a free key: still graded and skew
+        basis, coords = basis_coords(p, c)
+        coords[bad] = coords.get(bad, 0) + data.draw(fractions6)
+        assert algebra_if_valid(basis, coords) is None
 
 
 @pytest.mark.parametrize("half, five_sixths", [(F(1), F(1)),
