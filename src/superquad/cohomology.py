@@ -174,9 +174,9 @@ def sub3(a: ScalarCochain3, b: ScalarCochain3) -> ScalarCochain3:
 def _into(g: LieSuperalgebra) -> tuple[int, list]:
     """(d, into): into[m] lists (a, b, c) for each nonzero coefficient c
     of e_m in [e_a, e_b], the table scaled to ints by d."""
-    d, entries = g.integer_table
+    d, table = g.integer_table
     into: list = [[] for _ in range(g.dim)]
-    for a, b, e in entries:
+    for (a, b), e in table.items():
         for m, q in e:
             into[m].append((a, b, q))
     return d, into

@@ -28,8 +28,8 @@ from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
                      lincomb, nonzeros, rational_roots, unit_vec)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, abelian,
                            ad_images, class_condition, derived_subspace,
-                           extend_subspace, graded_complement, is_nilpotent,
-                           is_solvable, sparse_bracket, subspace,
+                           extend_subspace, graded_complement, is_solvable,
+                           lower_central_series, sparse_bracket, subspace,
                            zero_subspace)
 from .tstar import TStarExtension, recognize, verify_isometry
 
@@ -146,20 +146,26 @@ class _InducedSpace:
         return tuple(tuple(c.get(r, ZERO) for c in cols)
                      for r in range(len(space)))
 
-    def invariants(self) -> list[dict]:
-        """The g-invariants of V', as U / W for U = (W + [g, W^perp])^perp;
-        W is an ideal, so the images of the lifts suffice.  The basis is
-        the one the stacked induced operators give (docs/conventions.md)."""
+    def invariants(self, gens) -> list[dict]:
+        """U / W for U = (W + [S, W^perp])^perp, S the basis indices
+        ``gens`` of generators: the g-invariants of V' (docs/conventions.md),
+        in the basis that the stacked induced operators give."""
         q = self.q
-        images = filter(None, ad_images(q.algebra, self.reps))
-        span = subspace(q.basis, itertools.chain(self.w.rows, images))
+        images = filter(None, ad_images(q.algebra, self.reps, gens))
+        span = subspace(q.basis, itertools.chain(
+            self.w.reducer.int_rows.values(), images))
         red = RowReducer(self.dim, map(self.project,
                                        orthogonal(q.form, span).rows))
         return RowReducer(self.dim, red.sparse_kernel()).sparse_kernel()
 
-    def induced_gram_on(self, rows: list) -> Mat:
+    def isotropic(self, rows: list, certify: bool = False) -> dict | None:
+        """An isotropic combination of the homogeneous V'-vectors ``rows``,
+        by :func:`isotropic_vector` on their induced Gram matrix."""
+        par = tuple(_row_parity(self.parities, v) for v in rows)
         lifts = [self.lift(r) for r in rows]
-        return gram(self.q.form, lifts, lifts)
+        point = isotropic_vector(gram(self.q.form, lifts, lifts), par,
+                                 certify=certify)
+        return None if point is None else _combination(point, rows)
 
 
 def _combination(x, space: list[dict]) -> dict:
@@ -202,14 +208,9 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
     evens = [{i: ONE} for i in range(n) if g.parity(i) == EVEN]
     first_poly: list = [None]
 
-    def leaf_pick(space: list[dict]) -> dict | None:
-        par = tuple(_row_parity(ind.parities, v) for v in space)
-        point = isotropic_vector(ind.induced_gram_on(space), par)
-        return None if point is None else _combination(point, space)
-
     def descend(space: list[dict], k: int) -> dict | None:
         if k == len(evens):
-            return leaf_pick(space)
+            return ind.isotropic(space)
         op = ind.action(evens[k], space)
         if not any(map(any, op)):
             return descend(space, k + 1)
@@ -243,25 +244,25 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
     even part of that space is rationally anisotropic the search fails
     with the offending quadric.
     """
-    g = q.algebra
-    nilp = is_nilpotent(g)
+    g, n = q.algebra, q.dim
+    series = lower_central_series(g)
+    nilp = series[-1].is_zero()
     if not (nilp or is_solvable(g) and class_condition(g)):
         raise PreconditionError(
             "algebra must be nilpotent, or solvable with the odd-odd "
             "brackets inside the even-even brackets")
-    n = q.dim
+    # generators S: off the pivots of [g, g] if g is nilpotent, else all
+    gens = [i for i in range(n)
+            if not (nilp and i in series[1].reducer.int_rows)]
     w = zero_subspace(q.basis)
     chain = [w]
     while w.dim < n // 2:
         ind = _InducedSpace(q, w)
-        u_basis = ind.invariants()
+        u_basis = ind.invariants(gens)
         vprime = quadric_cert = None
         if u_basis:
-            par = tuple(_row_parity(ind.parities, v) for v in u_basis)
             try:
-                point = isotropic_vector(ind.induced_gram_on(u_basis), par,
-                                         certify=True)
-                vprime = _combination(point, u_basis)
+                vprime = ind.isotropic(u_basis, certify=True)
             except RationalPointNotFound as exc:
                 if nilp:
                     raise
@@ -295,10 +296,10 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         if q.form.apply(lift, lift) != 0:
             raise InternalCheckError("selected vector is not isotropic")
         w = extend_subspace(w, lift)
-        # the old W is an ideal, so W + Kv is one iff [g, v] lies in it
+        # the old W is an ideal, so W + Kv is one iff [S, v] lies in it
         if w.dim != chain[-1].dim + 1:
             raise InternalCheckError("flag dimension did not grow by one")
-        if not all(map(w.contains_vector, ad_images(g, [lift]))):
+        if not all(map(w.contains_vector, ad_images(g, [lift], gens))):
             raise InternalCheckError("flag member is not an ideal")
         chain.append(w)
     wperp = orthogonal(q.form, w)
@@ -307,8 +308,9 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
     if not (w == wperp if n % 2 == 0 else
             (wperp.dim == w.dim + 1 and is_totally_isotropic(q.form, w))):
         raise InternalCheckError("maximal member is not isotropic")
-    # in odd n, W lies in W^perp, so this also shows that W is an ideal
-    if n % 2 and not all(map(w.contains_vector, ad_images(g, wperp.rows))):
+    # W is an ideal, so g maps W^perp into W iff S does
+    if n % 2 and not all(map(w.contains_vector,
+                             ad_images(g, wperp.rows, gens))):
         raise InternalCheckError("action does not map the orthogonal "
                                  "of the maximal member into it")
     return IsotropicFlagResult(w, wperp, tuple(chain), w.dim)

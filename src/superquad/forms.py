@@ -110,15 +110,15 @@ def invariance_violation(g: LieSuperalgebra, B: EvenForm):
     {k: difference} of its pair (i, j); the least failing pair wins, with
     its least k."""
     p = g.basis.parities
-    _, entries = g.integer_table
+    _, table = g.integer_table
     _, rows = integer_rows(B._rows)
     acc: dict = {}
-    for i, j, e in entries:
+    for (i, j), e in table.items():
         out = acc.setdefault((i, j), {})
         for m, q in e:
             for k, r in rows[m]:
                 out[k] = out.get(k, 0) + q * r
-    for j, k, e in entries:
+    for (j, k), e in table.items():
         for m, q in e:
             q = -q if p[m] else q  # B(e_i, e_m) = (-1)^{|m|} B(e_m, e_i)
             for i, r in rows[m]:
@@ -135,9 +135,9 @@ def is_invariant(g: LieSuperalgebra, B: EvenForm) -> bool:
 
 
 def orthogonal(B: EvenForm, w: Subspace) -> Subspace:
-    """w^perp = {v : B(v, u) = 0 for all u in w}."""
-    return subspace(B.basis, RowReducer(B.dim, map(B.image, w.rows))
-                    .sparse_kernel())
+    """w^perp = {v : B(v, u) = 0 for all u in w}, from w's int rows."""
+    images = map(B.image, w.reducer.int_rows.values())
+    return subspace(B.basis, RowReducer(B.dim, images).sparse_kernel())
 
 
 def is_totally_isotropic(B: EvenForm, w: Subspace) -> bool:

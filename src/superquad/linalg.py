@@ -98,7 +98,7 @@ def nonzeros(v, n: int) -> dict[int, Fraction]:
     """The {k: c} dict of the nonzero entries of a vector with n
     coordinates, given dense or as such a dict."""
     sparse = isinstance(v, dict)
-    if (any(k not in range(n) for k in v) if sparse else len(v) != n):
+    if (v and (min(v) < 0 or max(v) >= n)) if sparse else len(v) != n:
         raise DimensionMismatch(f"vector does not fit {n} coordinates")
     return {k: c for k, c in (v.items() if sparse else enumerate(v)) if c}
 
@@ -215,9 +215,10 @@ class RowReducer:
     def _residual(self, row) -> tuple[int, dict[int, int]]:
         """(f, r): what is left of a row, dense or a {column: value} dict,
         after eliminating the pivot columns, times f > 0, as ints."""
-        r = nonzeros(row, self.ncols)
-        f = math.lcm(*[q.denominator for q in r.values()])
-        r = {c: q.numerator * (f // q.denominator) for c, q in r.items()}
+        r, f = nonzeros(row, self.ncols), 1
+        if {*map(type, r.values())} - {int}:  # an int row is taken as is
+            f = math.lcm(*[q.denominator for q in r.values()])
+            r = {c: q.numerator * (f // q.denominator) for c, q in r.items()}
         rows = self.int_rows
         hits = [(r[c], rows[c], c) for c in r if c in rows]
         if not hits:

@@ -170,14 +170,14 @@ class LieSuperalgebra(Record):
         return self.basis.parity(i)
 
     @cached_property
-    def integer_table(self) -> tuple[int, tuple]:
-        """(d, ((i, j, ((k, c), ...)), ...)): the nonzero table entries,
+    def integer_table(self) -> tuple[int, dict]:
+        """(d, {(i, j): ((k, c), ...)}): the nonzero [e_i, e_j], i-major,
         scaled to ints by their least common denominator d, once per
-        algebra."""
+        algebra; ``ad_images`` and the verifiers read it."""
         keys = [(i, j) for i, row in enumerate(self.table)
                 for j, e in enumerate(row) if e]
         d, scaled = integer_rows(self.table[i][j] for i, j in keys)
-        return d, tuple((i, j, tuple(e)) for (i, j), e in zip(keys, scaled))
+        return d, dict(zip(keys, map(tuple, scaled)))
 
 
 def from_brackets(names, parities, brackets) -> LieSuperalgebra:
@@ -231,15 +231,16 @@ def bracket(g: LieSuperalgebra, x, y) -> Vec:
     return dense_vec(sparse_bracket(g, x, y), g.dim)
 
 
-def ad_images(g: LieSuperalgebra, vectors):
-    """Yield [e_i, v] for every basis index i and every v in ``vectors``,
-    dense or {k: c} dicts, i-major, each as the {k: c} dict of its
-    nonzeros, read straight off the table; each v's nonzeros are read
-    once."""
-    supports = [nonzeros(v, g.dim).items() for v in vectors]
-    for row in g.table:
+def ad_images(g: LieSuperalgebra, vectors, indices=None):
+    """Yield d_g d_v [e_i, v] as {k: int} dicts for spans and membership,
+    i-major over ``indices`` (default all), then ``vectors``, dense or
+    {k: c} dicts: d_g = g.integer_table[0], d_v the lcd of v's entries."""
+    _, table = g.integer_table
+    supports = [integer_rows([nonzeros(v, g.dim).items()])[1][0]
+                for v in vectors]
+    for i in range(g.dim) if indices is None else indices:
         for support in supports:
-            yield lincomb((q, row[j]) for j, q in support)
+            yield lincomb((q, table.get((i, j), ())) for j, q in support)
 
 
 def cyclic_sums(parities, terms) -> dict:
@@ -271,13 +272,13 @@ def jacobi_violations(g: LieSuperalgebra) -> list:
     construction, so failure does not depend on the order of the triple:
     only i <= j <= k are evaluated, and each failing one stands for its
     permutations."""
-    _, entries = g.integer_table
+    _, table = g.integer_table
     into: list = [[] for _ in range(g.dim)]  # into[m]: (a, [e_a, e_m])
-    for a, m, e in entries:
+    for (a, m), e in table.items():
         into[m].append((a, e))
     # (-1)^{|a||c|} [e_a, [e_b, e_c]] is sum_m c_bcm [e_a, e_m], times d^2
     bad = failing(cyclic_sums(g.basis.parities, (
-        (a, b, c, q, e_am) for b, c, e in entries for m, q in e
+        (a, b, c, q, e_am) for (b, c), e in table.items() for m, q in e
         for a, e_am in into[m])))
     return sorted({t for ijk in bad for t in itertools.permutations(ijk)})
 
@@ -420,13 +421,11 @@ def graded_complement(basis: GradedBasis, inner: Subspace,
 
 def center(g: LieSuperalgebra) -> Subspace:
     """Graded subspace {x : [x, g] = 0}, via one stacked kernel computation."""
-    n = g.dim
-    by_jk: dict[tuple[int, int], list] = {}
-    for i in range(n):
-        for j in range(n):
-            for k, q in g.table[i][j]:
-                by_jk.setdefault((j, k), {})[i] = q
-    return subspace(g.basis, RowReducer(n, by_jk.values()).sparse_kernel())
+    cols: dict = {}  # (j, k) -> {i: d c_ijk}
+    for (i, j), e in g.integer_table[1].items():
+        for k, q in e:
+            cols.setdefault((j, k), {})[i] = q
+    return subspace(g.basis, RowReducer(g.dim, cols.values()).sparse_kernel())
 
 
 def product_subspace(g: LieSuperalgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -435,24 +434,21 @@ def product_subspace(g: LieSuperalgebra, a: Subspace, b: Subspace) -> Subspace:
                               for v in b.rows])
 
 
-def derived_series(g: LieSuperalgebra) -> list[Subspace]:
+def _series(g: LieSuperalgebra, step) -> list[Subspace]:
+    """g, step(g), step(step(g)), ... while the dimension falls."""
     series = [full_subspace(g.basis)]
-    while True:
-        nxt = product_subspace(g, series[-1], series[-1])
-        if nxt.dim == series[-1].dim:
-            break
+    while (nxt := step(series[-1])).dim < series[-1].dim:
         series.append(nxt)
     return series
+
+
+def derived_series(g: LieSuperalgebra) -> list[Subspace]:
+    return _series(g, lambda w: product_subspace(g, w, w))
 
 
 def lower_central_series(g: LieSuperalgebra) -> list[Subspace]:
-    series = [full_subspace(g.basis)]
-    while True:
-        nxt = subspace(g.basis, filter(None, ad_images(g, series[-1].rows)))
-        if nxt.dim == series[-1].dim:
-            break
-        series.append(nxt)
-    return series
+    return _series(g, lambda w: subspace(g.basis, filter(
+        None, ad_images(g, w.reducer.int_rows.values()))))
 
 
 def is_solvable(g: LieSuperalgebra) -> bool:
@@ -464,17 +460,17 @@ def is_nilpotent(g: LieSuperalgebra) -> bool:
 
 
 def derived_subspace(g: LieSuperalgebra) -> Subspace:
-    """[g, g], spanned by the nonzero entries of the bracket table."""
-    return subspace(g.basis, [dict(e) for row in g.table for e in row if e])
+    """[g, g], spanned by the brackets at the free pairs i <= j."""
+    return subspace(g.basis, [dict(e) for (i, j), e in
+                              g.integer_table[1].items() if i <= j])
 
 
 def class_condition(g: LieSuperalgebra) -> bool:
     """True iff the span of odd-odd brackets lies inside the span of
-    even-even brackets."""
+    even-even brackets, each read at its free pair i <= j."""
     p = g.basis.parities
-    even, odd = ([dict(e) for i, row in enumerate(g.table)
-                  for j, e in enumerate(row) if e and p[i] == p[j] == par]
-                 for par in (EVEN, ODD))
+    even, odd = ([dict(e) for (i, j), e in g.integer_table[1].items()
+                  if i <= j and p[i] == p[j] == par] for par in (EVEN, ODD))
     return all(map(subspace(g.basis, even).contains_vector, odd))
 
 

@@ -140,13 +140,14 @@ def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,
     # m [e_a, e_b] times dm dd, and B_src(e_a, e_b) times dm^2 fd
     acc = {(a, b): {-1: dm * dm * fd * q}
            for a, row in enumerate(src_form) for b, q in row}
-    for a, b, e in src_table:
+    for (a, b), e in src_table.items():
         out = acc.setdefault((a, b), {})
         for k, c in e:
             for r, q in cols[k]:
                 out[r] = out.get(r, 0) + dm * dd * c * q
     # [m e_a, m e_b] times ds, and B_dst(m e_a, m e_b) times fs
-    dst_terms = [(r, s, [(t, ds * q) for t, q in e]) for r, s, e in dst_table]
+    dst_terms = [(r, s, [(t, ds * q) for t, q in e])
+                 for (r, s), e in dst_table.items()]
     dst_terms += [(r, s, [(-1, fs * q)]) for r, row in enumerate(dst_form)
                   for s, q in row]
     for r, s, e in dst_terms:

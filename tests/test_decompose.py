@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superquad as sq
-from superquad.cohomology import unhat, z3_basis
+from superquad.cohomology import Cochain2Dual, unhat, z3_basis
 from superquad.decompose import (Decomposition, _InducedSpace, _row_parity,
                                  decompose, isotropic_vector,
                                  max_isotropic_ideal)
@@ -17,8 +17,8 @@ from superquad.forms import (QuadraticLieSuperalgebra, even_form,
                              is_totally_isotropic, orthogonal)
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
-from superquad.linalg import (RowReducer, dense_vec, mat, rank, unit_vec,
-                              vec, vec_scale, zero_vec)
+from superquad.linalg import (RowReducer, dense_vec, lincomb, mat, rank,
+                              unit_vec, vec, vec_scale, zero_vec)
 from superquad.superalgebra import (EVEN, ODD, bracket, extend_subspace,
                                     is_ideal, subspace, zero_subspace)
 from superquad.tstar import build
@@ -342,7 +342,7 @@ def test_action_matches_dense_coordinates(induced_spaces, data):
         st.lists(coeffs, min_size=m, max_size=m), min_size=1, max_size=m))]
     space, red = [], RowReducer(m)
     if kind == "invariants":
-        space = [dense_vec(u, m) for u in ind.invariants()]
+        space = [dense_vec(u, m) for u in ind.invariants(range(n))]
     elif kind == "drawn":
         space = [v for v in draws if red.add(v)]
     else:  # v, op v, op^2 v, ... up to the first dependent one
@@ -359,11 +359,31 @@ def test_action_matches_dense_coordinates(induced_spaces, data):
         assert ind.action(x, space) == (transpose(mat(want)) if want else ())
 
 
+def _dense_generators(c) -> list[int]:
+    """S by the dense oracle: the basis indices off the pivots of the
+    RREF of [g, g] if g is nilpotent, else every index."""
+    n, series = len(c), dense.lower_central_series(c)
+    if series[-1]:
+        return list(range(n))
+    pivots = {next(k for k, x in enumerate(r) if x) for r in series[1]}
+    return [i for i in range(n) if i not in pivots]
+
+
+def _dense_invariants(Q, ind) -> list:
+    """The invariants of V' as the dense kernel of all n induced operators
+    stacked, each built column by column from projected brackets."""
+    n = Q.dim
+    rows = [row for i in range(n) for row in transpose(mat(
+        [dense_vec(ind.project(bracket(Q.algebra, unit_vec(n, i), rep)),
+                   ind.dim) for rep in ind.reps])) if any(row)]
+    return dense.kernel(rows) if rows else [
+        unit_vec(ind.dim, t) for t in range(ind.dim)]
+
+
 def test_invariants_match_stacked_induced_operators(supercyclic_bases,
                                                     gallery):
     """At every flag step, the invariants read from the form against the
-    dense kernel of all n induced operators stacked, each built column by
-    column from projected brackets, as lists."""
+    dense kernel of all n induced operators stacked, as lists."""
     rng = random.Random(71)
     cases = {f"T*({name}, seeded)": build(
         gallery[name], random_supercyclic_cocycle(
@@ -376,19 +396,76 @@ def test_invariants_match_stacked_induced_operators(supercyclic_bases,
         build(sq.heisenberg3()).total, even_line())
     steps = 0
     for name, Q in cases.items():
-        n = Q.dim
         for w in max_isotropic_ideal(Q).chain:
             ind = _InducedSpace(Q, w)
-            rows = [row for i in range(n) for row in transpose(mat(
-                [dense_vec(ind.project(bracket(Q.algebra, unit_vec(n, i),
-                                               rep)), ind.dim)
-                 for rep in ind.reps])) if any(row)]
-            want = dense.kernel(rows) if rows else [
-                unit_vec(ind.dim, t) for t in range(ind.dim)]
-            assert [dense_vec(u, ind.dim) for u in ind.invariants()] \
-                == want, (name, w.dim)
+            got = ind.invariants(range(Q.dim))
+            assert [dense_vec(u, ind.dim) for u in got] \
+                == _dense_invariants(Q, ind), (name, w.dim)
             steps += ind.dim > 0
     assert steps == 27
+
+
+def _assert_generators_suffice(Q, name) -> int:
+    """At every step of the flag of Q, the invariants it reads, bracketing
+    only its generators S, against the dense all-basis list; S must be
+    the dense oracle's.  Returns the number of steps with a nonzero V'."""
+    calls, invariants = [], _InducedSpace.invariants
+
+    def recording(ind, gens):
+        calls.append((ind, gens, invariants(ind, gens)))
+        return calls[-1][2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_InducedSpace, "invariants", recording)
+        max_isotropic_ideal(Q)
+    want = _dense_generators(dense.bracket_tensor(Q.algebra))
+    for ind, gens, got in calls:
+        assert list(gens) == want, name
+        assert [dense_vec(u, ind.dim) for u in got] \
+            == _dense_invariants(Q, ind), (name, ind.w.dim)
+    return sum(ind.dim > 0 for ind, _, _ in calls)
+
+
+def test_invariants_on_generators_match_dense(flag_inputs):
+    """Gallery and disguised inputs, nilpotent or solvable: S is a
+    complement of [g, g] or every index, and suffices at every step."""
+    steps = sum(_assert_generators_suffice(q, name)
+                for name, q in flag_inputs.items())
+    assert steps == 50
+
+
+@given(st.data())
+@settings(max_examples=8, deadline=None)
+def test_invariants_on_generators_match_dense_on_drawn_inputs(
+        supercyclic_bases, gallery, data):
+    """T*-extensions of nilpotent gallery algebras by drawn supercyclic
+    cocycles, some after a drawn basis change (``disguised_quadratic``)."""
+    name = data.draw(st.sampled_from(("heisenberg3", "abelian(1|2)", "g(2)")))
+    g, basis = gallery[name], supercyclic_bases[name]
+    coeffs = data.draw(st.lists(st.sampled_from(THIRDS), min_size=len(basis),
+                                max_size=len(basis)))
+    Q = build(g, Cochain2Dual(g.basis, lincomb(
+        zip(coeffs, (w.coords.items() for w in basis))))).total
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 99)))
+    if seed is not None:
+        Q = disguised_quadratic(Q, seed=seed)
+    assert _assert_generators_suffice(Q, name) > 0
+
+
+def test_dropping_a_generator_enlarges_the_invariants(flag_inputs):
+    """A flag that left the first or the last generator out of S would
+    read more invariants than the dense list above: on T*(heisenberg3)
+    (S = e1, e2, e3*) without e3* at its second step, and on T*(g(2))
+    without its first generator, b11, at some step."""
+    for name, drop in (("T*(heisenberg3)", -1), ("T*(g(2))", 0)):
+        Q = flag_inputs[name]
+        gens = _dense_generators(dense.bracket_tensor(Q.algebra))
+        short = gens[:drop] if drop else gens[1:]
+        grew = [len(ind.invariants(short)) - len(ind.invariants(gens))
+                for ind in (_InducedSpace(Q, w)
+                            for w in max_isotropic_ideal(Q).chain)]
+        assert min(grew) >= 0 and max(grew) > 0, name
+    assert _dense_generators(dense.bracket_tensor(
+        flag_inputs["T*(heisenberg3)"].algebra)) == [0, 1, 5]
 
 
 def test_row_parity_rejects_mixed_and_zero_vectors():
@@ -448,8 +525,9 @@ def _patch_everywhere(monkeypatch, name, fn, new):
 
 def test_flag_step_brackets_only_the_new_vector(monkeypatch, flag_inputs):
     """No full ideal test runs inside the flag, and each step asks
-    ad_images for the images of one vector: the one that its member adds
-    to the previous member."""
+    ad_images for the images of one vector, the one that its member adds
+    to the previous member, under the generators S alone; every call in
+    the flag brackets S, the dense oracle's S."""
     dec = importlib.import_module("superquad.decompose")
     assert "is_ideal" not in vars(dec)
 
@@ -458,20 +536,27 @@ def test_flag_step_brackets_only_the_new_vector(monkeypatch, flag_inputs):
     for name in ("ideal_violation", "is_ideal"):
         _patch_everywhere(monkeypatch, name,
                           getattr(sq.superalgebra, name), refuse)
-    single, ad_images = [], dec.ad_images
+    single, indices, ad_images = [], [], dec.ad_images
 
-    def recording(g, vectors):
+    def recording(g, vectors, gens=None):
         vectors = list(vectors)
         single.extend(vectors if len(vectors) == 1 else [])
-        return ad_images(g, vectors)
+        indices.append(gens)
+        return ad_images(g, vectors, gens)
     monkeypatch.setattr(dec, "ad_images", recording)
+    proper = 0
     for name, q in flag_inputs.items():
         single.clear()
+        indices.clear()
         chain = max_isotropic_ideal(q).chain
         assert len(single) == len(chain) - 1, name
         for v, w, bigger in zip(single, chain, chain[1:]):
             assert bigger.contains_vector(v), name
             assert not w.contains_vector(v), name
+        gens = _dense_generators(dense.bracket_tensor(q.algebra))
+        assert all(list(s) == gens for s in indices), name
+        proper += len(gens) < q.dim
+    assert proper == 7
 
 
 def test_even_decompose_tests_the_ideal_once_in_quotient(monkeypatch,

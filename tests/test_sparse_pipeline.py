@@ -12,6 +12,7 @@ coordinates, and the isotropic complement from the dense correction
 basis change with denominators, dense ones.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -96,9 +97,13 @@ def test_bracket_and_ad_images_match_dense_tensor(cases, data):
         for u, v in ((x, y), (_sparse(x), _sparse(y)), (x, _sparse(y))):
             assert bracket(g, u, v) == want, name
             assert sparse_bracket(g, u, v) == _sparse(want), name
+        # each image is d_g d_v [e_i, v], over the denominators of the
+        # structure constants and of v
+        d_g = math.lcm(*(q.denominator for q in g.coords.values()))
+        scale = [d_g * math.lcm(*(q.denominator for q in v)) for v in (x, y)]
         assert list(ad_images(g, [x, _sparse(y)])) == [
-            _sparse(dense.ad_image(c, i, v)) for i in range(n) for v in (x, y)
-        ], name
+            _sparse([f * q for q in dense.ad_image(c, i, v)])
+            for i in range(n) for f, v in zip(scale, (x, y))], name
 
 
 @given(st.data())

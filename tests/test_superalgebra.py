@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from superquad.superalgebra import (EVEN, ODD, Subspace, derived_subspace,
 
 import dense_oracle as dense
 from support import (DualVector, algebra_if_valid, basis_coords,
-                     bracket_tensors, coadjoint, disguise, dual_vector,
-                     upper, vec_add, vector_parity)
+                     bracket_tensors, coadjoint, direct_sum, disguise,
+                     dual_vector, upper, vec_add, vector_parity)
 
 F = Fraction
 
@@ -586,6 +587,27 @@ def test_derived_subspace_of_gallery(gallery):
         assert derived_subspace(g) == product_subspace(g, whole, whole), name
 
 
+def test_free_pairs_span_what_both_orders_span(gallery):
+    """derived_subspace and class_condition read each bracket once, at its
+    free pair; the spans of the table over both orders are the same."""
+    cases = {**gallery, "solvable2d + heisenberg3": direct_sum(
+        sq.solvable2d(), sq.heisenberg3())}
+    cases.update({f"T*({name})": sq.build(g).total.algebra
+                  for name, g in list(cases.items())})
+    for name, g in cases.items():
+        p = g.basis.parities
+        both = [(i, j, dict(e)) for i, row in enumerate(g.table)
+                for j, e in enumerate(row) if e]
+        assert derived_subspace(g) == subspace(
+            g.basis, [v for _, _, v in both]), name
+        even, odd = (subspace(g.basis, [v for i, j, v in both
+                                        if p[i] == p[j] == par])
+                     for par in (EVEN, ODD))
+        assert sq.class_condition(g) == all(
+            map(even.contains_vector, odd.rows)), name
+    assert not sq.class_condition(cases["gl(1,1)"])
+
+
 # --- brackets with basis vectors, read sparse from the table -----------------
 
 def _ad_algebras(gallery):
@@ -609,20 +631,51 @@ def _random_graded_vectors(rng, basis, count):
     return out
 
 
+def _lcd(values) -> int:
+    """The least common denominator of rationals, 1 for none."""
+    return math.lcm(*(F(q).denominator for q in values))
+
+
 def test_ad_images_match_bracket_with_unit_vectors(gallery):
+    """Each image is the int dict of d_g d_v [e_i, v], i-major over the
+    indices asked for: d_g the least common denominator of the structure
+    constants, d_v that of v."""
     rng = random.Random(17)
     for name, g in _ad_algebras(gallery).items():
-        n = g.dim
+        n, d_g = g.dim, _lcd(g.coords.values())
         vs = [zero_vec(n), unit_vec(n, n - 1),
               *_random_graded_vectors(rng, g.basis, 4),
               vec(rng.randint(-2, 2) for _ in range(n))]
+        want = {i: [tuple(d_g * _lcd(v) * q
+                          for q in sq.bracket(g, unit_vec(n, i), v))
+                    for v in vs] for i in range(n)}
         got = list(sq.superalgebra.ad_images(g, vs))
         assert all(all(d.values()) for d in got), name
-        assert [tuple(d.get(k, F(0)) for k in range(n)) for d in got] == [
-            sq.bracket(g, unit_vec(n, i), v) for i in range(n) for v in vs
-        ], name
+        assert all(type(q) is int for d in got for q in d.values()), name
+        assert [tuple(d.get(k, 0) for k in range(n)) for d in got] == [
+            w for i in range(n) for w in want[i]], name
+        some = [n - 1, 0] if n > 1 else [0]
+        got = list(sq.superalgebra.ad_images(g, vs, some))
+        assert [tuple(d.get(k, 0) for k in range(n)) for d in got] == [
+            w for i in some for w in want[i]], name
     with pytest.raises(DimensionMismatch):
         list(sq.superalgebra.ad_images(g, [zero_vec(n + 1)]))
+
+
+def test_ad_images_scale_by_both_denominators():
+    """v = 1/2 e1 + 1/3 e2 has d_v = 6.  With [e1, e2] = e3 (d_g = 1),
+    [e1, v] = 1/3 e3 and [e2, v] = -1/2 e3; with [e1, e2] = 1/2 e3
+    (d_g = 2) both halve, so d_g d_v [e_i, v] is 2 e3 and -3 e3 either
+    way.  Dropping either scale, or reading numerators only, changes an
+    image."""
+    v = {0: F(1, 2), 1: F(1, 3)}
+    for c in (F(1), F(1, 2)):
+        g = sq.from_brackets(("e1", "e2", "e3"), (EVEN,) * 3,
+                             {("e1", "e2"): {"e3": c}})
+        assert g.integer_table[0] == c.denominator
+        assert list(sq.superalgebra.ad_images(g, [v])) == [
+            {2: 2}, {2: -3}, {}]
+        assert list(sq.superalgebra.ad_images(g, [v], [1])) == [{2: -3}]
 
 
 def _ideal_cases(rng, g):
