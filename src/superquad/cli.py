@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import dsl
@@ -44,10 +45,6 @@ class Report:
         self.dims: dict = {}
         self.outputs: dict = {}
         self.input_digest: str | None = None
-
-    def digest(self, text: str):
-        self.input_digest = "sha256:" + hashlib.sha256(
-            text.encode()).hexdigest()
 
     def check(self, name: str, passed: bool, witness=None):
         self.checks.append(
@@ -247,10 +244,8 @@ def _cmd_isometry(args, report: Report, out, doc, alg, q) -> int:
 
 
 def _cmd_recognize(args, report: Report, out, doc, alg, q) -> int:
-    if q is None and report.passed:
+    if q is None:
         raise PreconditionError("recognition needs a form in the document")
-    if not report.passed:  # a form check failed
-        return report.render(out)
     ideal = dsl.parse_span(doc, args.ideal)
     report.dims["ideal_dim"] = ideal.dim
     dims = pair = bad = None
@@ -280,10 +275,8 @@ def _cmd_recognize(args, report: Report, out, doc, alg, q) -> int:
 
 
 def _cmd_decompose(args, report: Report, out, doc, alg, q) -> int:
-    if q is None and report.passed:
+    if q is None:
         raise PreconditionError("decomposition needs a form in the document")
-    if not report.passed:  # a form check failed
-        return report.render(out)
     try:
         dec = run_decompose(q)
     except RationalPointNotFound as exc:
@@ -406,16 +399,27 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = make_parser()
-    args = parser.parse_args(argv, argparse.Namespace(  # global defaults
-        json=True, seed=0, max_dim=30))
+    try:
+        code = _run(argv, out)
+        out.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout: the report is lost
+        if out is sys.stdout:  # so the interpreter's last flush is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+
+
+def _run(argv, out) -> int:
+    args = make_parser().parse_args(argv, argparse.Namespace(
+        json=True, seed=0, max_dim=30))  # the global defaults
     text_mode = not args.json
     report = Report(args.command, args.seed, text_mode)
     try:
         if args.command == "example":
             return args.fn(args, out)
         text = _read_input(args.file)
-        report.digest(text)
+        report.input_digest = "sha256:" + hashlib.sha256(
+            text.encode()).hexdigest()
         doc = dsl.parse(text)
         if doc.dim > args.max_dim:
             raise PreconditionError(f"document dimension {doc.dim} exceeds "
@@ -424,7 +428,8 @@ def main(argv=None, out=None) -> int:
         uses_form = args.fn in (_cmd_check, _cmd_recognize, _cmd_decompose)
         passed, q = _verify(report, doc, alg,
                             dsl.document_form(doc) if uses_form else None)
-        if not passed:
+        # check reports its structure facts past a failed form check too
+        if not (passed if args.fn is _cmd_check else report.passed):
             return report.render(out)
         return args.fn(args, report, out, doc, alg, q)
     except dsl.ParseError as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from fractions import Fraction
 
 from .cohomology import Cochain2Dual, ScalarCochain2, ScalarCochain3
@@ -131,10 +132,14 @@ class _LineParser:
 
     def rational(self) -> Fraction:
         text = self.token(RATIONAL_RE, "a rational number")
-        if text.rstrip("0").endswith("/"):  # the denominator is zero
-            self.pos -= len(text)
-            self.error("denominator must be nonzero")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            message = "denominator must be nonzero"
+        except ValueError:  # past the digits that Python reads as an int
+            message = f"integer has over {sys.get_int_max_str_digits()} digits"
+        self.pos -= len(text)
+        self.error(message)
 
 
 def _require_basis(lp: _LineParser, doc: AlgebraDocument):

@@ -496,6 +496,7 @@ class QuotientResult(Record):
 
     algebra: LieSuperalgebra
     projection: Mat  # (q x n), quotient coordinates of an ambient vector
+    brackets: dict  # (i, j) free pair -> [s_i, s_j] of complement rows
 
 
 def quotient(g: LieSuperalgebra, ideal: Subspace,
@@ -524,9 +525,10 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
     if names is None:
         names = tuple(f"q{r+1}" for r in range(q))
     p = comp.parities
+    brackets = {(i, j): sparse_bracket(g, rows[i], rows[j])
+                for i in range(q) for j in range(i, q) if i < j or p[i]}
     alg = LieSuperalgebra(graded_basis(names, p), {
-        (i, j, k): c for i in range(q) for j in range(i, q)
-        if i < j or p[i] for k, c in head(sparse_bracket(
-            g, rows[i], rows[j])).items()})
+        (i, j, k): c for (i, j), v in brackets.items()
+        for k, c in head(v).items()})
     require_axioms(alg, "quotient algebra")
-    return QuotientResult(alg, projection)
+    return QuotientResult(alg, projection, brackets)

@@ -14,6 +14,7 @@ from superquad.cohomology import (Cochain2Dual, ScalarCochain3,
                                   supercyclic_violation, unhat,
                                   zero_cochain2)
 from superquad.errors import InternalCheckError
+from superquad.tstar import build, s_phi_isometry
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -389,6 +390,93 @@ def test_parse_error_exit_2():
     assert rep["error"]["column"] >= 1
 
 
+@pytest.mark.parametrize("argv, line2, where", [
+    (["check"], "bracket [e1,e2] = {}*e2", (2, 19)),
+    (["tstar"], "bracket [e1,e2] = 1/{}*e2", (2, 19)),
+    (["cohomology"], "bracket [e1,e2] = -{}*e2", (2, 20)),
+    (["check"], "form B(e1,e2) = -{}", (2, 17)),
+    (["recognize", "--ideal", "{}*e1"], "form B(e1,e2) = 1", (1, 1))],
+    ids=["bracket", "denominator", "after-sign", "form", "ideal"])
+def test_an_over_long_literal_is_a_parse_error(argv, line2, where):
+    """Python reads at most sys.get_int_max_str_digits() digits into an
+    int; an integer past that in a literal is a parse error at the
+    literal's first column, in a document or in --ideal (exit 2)."""
+    limit = sys.get_int_max_str_digits()
+    big = "7" * (limit + 1)
+    text = f"basis e1:even e2:even\n{line2.format(big)}\n"
+    argv = [a.format(big) for a in argv]
+    message = f"line {where[0]}, column {where[1]}: integer has over " \
+        f"{limit} digits"
+    code, rep = run_json(argv, stdin_text=text)
+    assert code == 2
+    assert rep["error"] == {"kind": "parse", "line": where[0],
+                            "column": where[1], "message": message}
+    code, out = run_cli(["--text", *argv], stdin_text=text)
+    assert (code, out) == (2, f"error[parse]: {message}\n")
+
+
+def test_a_literal_at_the_digit_limit_parses():
+    limit = sys.get_int_max_str_digits()
+    text = f"basis e1:even e2:even\nbracket [e1,e2] = {'7' * limit}*e2\n"
+    code, rep = run_json(["check"], stdin_text=text)
+    assert code == 0
+    assert rep["dims"]["solvable"] is True
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: writing, or only flushing what was
+    written, raises BrokenPipeError."""
+
+    def __init__(self, on):
+        super().__init__()
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["check", str(CORPUS / "heisenberg3.sqd")],
+    ["--text", "check", str(CORPUS / "heisenberg3_idgram.sqd")],
+    ["check", "--max-dim", "2", str(CORPUS / "heisenberg3.sqd")],
+    ["example", "gn", "2"]], ids=["pass", "fail", "error", "example"])
+def test_a_closed_stdout_exits_2(argv, on):
+    """Whatever the report says, a stdout that cannot take it ends the
+    command with exit 2, without raising."""
+    assert cli.main(argv, out=_ClosedPipe(on)) == 2
+
+
+def test_a_closed_pipe_ends_the_process_quietly(tmp_path):
+    """superquad cohomology FILE | head -c 10: the 150 kB report fills the
+    pipe, head exits after 10 bytes, and the writer then exits 2 with
+    nothing on stderr, rather than a BrokenPipeError traceback."""
+    code, doc = run_cli(["example", "class-c", "3"])
+    path = tmp_path / "class_c3.sqd"
+    path.write_text(doc)
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    writer = subprocess.Popen(
+        [sys.executable, "-m", "superquad.cli", "cohomology", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    try:
+        head = subprocess.run(["head", "-c", "10"], stdin=writer.stdout,
+                              capture_output=True, timeout=60, check=True)
+        writer.stdout.close()  # head has gone, so the pipe has no reader
+        assert writer.wait(timeout=60) == 2
+        assert writer.stderr.read() == b""
+    finally:
+        writer.kill()
+        writer.stderr.close()
+    assert head.stdout == b'{\n  "check'
+
+
 def test_max_dim_guard():
     code, rep = run_json(["check", "--max-dim", "2",
                           str(CORPUS / "heisenberg3.sqd")])
@@ -461,6 +549,48 @@ G2_TSTAR0 = (CORPUS / "g2_tstar0.sqd").read_text()
 G2_PHI = (CORPUS / "g2.sqd").read_text() + "scalar2 phi(a12,d12) = 1\n"
 
 
+def _count_checks(monkeypatch, algebras, form):
+    """Record (check, owner) for each run of Jacobi and invariance on an
+    algebra of ``algebras`` (name -> algebra), of the radical reduction on
+    ``form`` ("document"), and of either cochain verifier on any cochain,
+    wherever a module binds them."""
+    def of(g):
+        return [name for name, alg in algebras.items() if alg == g]
+    calls = []
+    for home, name, owners in (
+            (superalgebra, "jacobi_violations", of),
+            (forms, "invariance_violation", lambda g, B: of(g)),
+            (forms, "radical", lambda B: ["document"] * (B == form)),
+            (forms, "is_nondegenerate", lambda B: ["document"] * (B == form)),
+            (cohomology, "cocycle2_violation", lambda g, w: ["any"]),
+            (cohomology, "supercyclic_violation", lambda w: ["any"])):
+        fn = getattr(home, name)
+
+        def counting(*args, fn=fn, name=name, owners=owners):
+            calls.extend((name, who) for who in owners(*args))
+            return fn(*args)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("superquad")
+                    and getattr(module, name, None) is fn):
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _extensions(argv, doc, alg):
+    """The algebras of the extensions that a tstar or isometry command
+    builds from the document, by name; none for the other commands."""
+    omega = (dsl.document_cochain2(doc, argv[argv.index("--omega") + 1])
+             if "--omega" in argv else zero_cochain2(alg))
+    if argv[0] == "tstar":
+        return {"extension": build(alg, omega).total.algebra}
+    if argv[0] == "isometry":
+        shear = s_phi_isometry(alg, omega, dsl.document_scalar2(
+            doc, argv[argv.index("--phi") + 1]))
+        return {"source": shear.source.total.algebra,
+                "target": shear.target.total.algebra}
+    return {}
+
+
 @pytest.mark.parametrize("argv, text", [
     (["check"], G2_TSTAR0),
     (["recognize", "--ideal", "a12*;d12*;b11*;b12*;b22*;c12*"], G2_TSTAR0),
@@ -471,44 +601,58 @@ G2_PHI = (CORPUS / "g2.sqd").read_text() + "scalar2 phi(a12,d12) = 1\n"
     ids=["check", "recognize", "decompose", "tstar", "isometry"])
 def test_each_check_runs_once_on_the_document(monkeypatch, argv, text):
     """The axioms, the form and omega are checked once, by the quadratic
-    algebra's construction and by build, and the CLI runs no check of its
-    own: Jacobi, then invariance and the radical reduction on the
-    document's form, or the cocycle and supercyclicity checks on its
-    omega, each run once, wherever a module binds them."""
+    algebras' construction, and the CLI runs no check of its own: Jacobi,
+    then invariance and the radical reduction on the document's form, or
+    Jacobi and invariance on each extension that build accepts, each run
+    once, and no cochain verifier at all."""
     doc = dsl.parse(text)
     alg, form = dsl.document_algebra(doc), dsl.document_form(doc)
-    omega = (dsl.document_cochain2(doc, argv[argv.index("--omega") + 1])
-             if "--omega" in argv else zero_cochain2(alg))
-    calls = []
-    for home, name, own in (
-            (superalgebra, "jacobi_violations", lambda g: g == alg),
-            (forms, "invariance_violation", lambda g, B: g == alg),
-            (forms, "radical", lambda B: B == form),
-            (forms, "is_nondegenerate", lambda B: B == form),
-            (cohomology, "cocycle2_violation", lambda g, w: w == omega),
-            (cohomology, "supercyclic_violation", lambda w: w == omega)):
-        fn = getattr(home, name)
-
-        def counting(*args, fn=fn, name=name, own=own):
-            calls.extend([name] if own(*args) else [])
-            return fn(*args)
-        for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("superquad")
-                    and getattr(module, name, None) is fn):
-                monkeypatch.setattr(module, name, counting)
+    exts = _extensions(argv, doc, alg)
+    calls = _count_checks(monkeypatch, {"document": alg, **exts}, form)
     code, rep = run_json(argv, stdin_text=text)
     assert code == 0
     if form is None:
         label = "omega1" if argv[0] == "isometry" else "omega"
-        assert sorted(calls) == ["cocycle2_violation", "jacobi_violations",
-                                 "supercyclic_violation"]
+        assert sorted(calls) == sorted(
+            [("jacobi_violations", "document")]
+            + [(check, name) for name in exts for check in (
+                "jacobi_violations", "invariance_violation")])
         assert [c for c in rep["checks"] if c["name"].startswith(label)] \
             == [{"name": f"{label}.cocycle", "passed": True, "witness": None},
                 {"name": f"{label}.supercyclic", "passed": True,
                  "witness": None}]
         return
-    assert sorted(calls) == ["invariance_violation", "jacobi_violations",
-                             "radical"]
+    assert sorted(calls) == [("invariance_violation", "document"),
+                             ("jacobi_violations", "document"),
+                             ("radical", "document")]
     assert _form_checks(rep) == [
         {"name": "form.nondegenerate", "passed": True, "witness": None},
         {"name": "form.invariant", "passed": True, "witness": None}]
+
+
+NOT_COCYCLE = ((CORPUS / "g2.sqd").read_text()
+               + "cochain2 w(d12,b22;b22) = 1\nscalar2 phi(a12,d12) = 1\n")
+NOT_SUPERCYCLIC = ("basis e1:even e2:even e3:even e4:even\n"
+                   "cochain2 w(e2,e4;e3) = 1\nscalar2 phi(e1,e2) = 1\n")
+
+
+@pytest.mark.parametrize("command", ["tstar", "isometry"])
+@pytest.mark.parametrize("text, verifier, check, witness", [
+    (NOT_COCYCLE, "cocycle2_violation", "cocycle", ["b22", "b22", "c12"]),
+    (NOT_SUPERCYCLIC, "supercyclic_violation", "supercyclic",
+     ["e2", "e4", "e3"])], ids=["not-cocycle", "not-supercyclic"])
+def test_a_rejected_omega_runs_its_verifier_once(monkeypatch, command, text,
+                                                 verifier, check, witness):
+    """When the extension fails its Jacobi (or invariance) check, build
+    runs the matching cochain verifier once, to name omega's triple; the
+    report fails on that triple, the one that checking omega first gave."""
+    calls = _count_checks(monkeypatch, {}, None)
+    argv = [command, "--omega", "w"] + ["--phi", "phi"] * (
+        command == "isometry")
+    code, rep = run_json(argv, stdin_text=text)
+    assert code == 1
+    assert [c for c, _ in calls] == [verifier]
+    label = "omega1" if command == "isometry" else "omega"
+    by_name = {c["name"]: c for c in rep["checks"]}
+    assert by_name[f"{label}.{check}"] == {
+        "name": f"{label}.{check}", "passed": False, "witness": witness}

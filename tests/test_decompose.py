@@ -580,6 +580,27 @@ def test_even_decompose_tests_the_ideal_once_in_quotient(monkeypatch,
     assert even == 11
 
 
+def test_odd_decompose_verifies_one_isometry(monkeypatch):
+    """In odd dimension the map of q + <t> is verified once, in recognize,
+    and the embedding of q is its restriction, not checked again."""
+    real, calls = sq.tstar.quadratic_morphism_violation, []
+
+    def counting(src, dst, m):
+        calls.append((src.dim, dst.dim, len(m), len(m[0])))
+        return real(src, dst, m)
+    _patch_everywhere(monkeypatch, "quadratic_morphism_violation", real,
+                      counting)
+    for q in (orthogonal_direct_sum(build(sq.heisenberg3()).total,
+                                    even_line()),
+              orthogonal_direct_sum(sq.build_class_c_example(2),
+                                    even_line())):
+        calls.clear()
+        dec = decompose(q)
+        assert dec.parity_case == "odd"
+        assert calls == [(q.dim + 1,) * 4]
+        assert {len(row) for row in dec.embedding} == {q.dim}
+
+
 @pytest.mark.parametrize("v, match", [
     ({0: 1}, "flag member is not an ideal"),
     ({0: 1, 3: 1}, "selected vector is not isotropic")],

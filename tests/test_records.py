@@ -48,7 +48,8 @@ def _cases():
         (AxiomReport, ((),), (((0, 1, 2),),)),
         (Subspace, (hb, RowReducer(3, [{2: ONE}])),
          (hb, RowReducer(3, [{1: ONE}]))),
-        (QuotientResult, (h, ((ONE, 0, 0),)), (h, ((0, ONE, 0),))),
+        (QuotientResult, (h, ((ONE, 0, 0),), {}),
+         (h, ((ONE, 0, 0),), {(0, 1): {2: ONE}})),
         (Cochain2Dual, (hb, w), (hb, w2)),
         (ScalarCochain3, (hb, {(0, 1, 2): F(1)}), (hb, {(0, 1, 2): F(3)})),
         (ScalarCochain2, (b2, {(1, 1): F(2)}), (b2, {(1, 1): F(5)})),

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,55 @@ def test_recognize_with_sheared_section_gives_cohomologous(gallery,
         assert phi_rec is not None, name
 
 
+def test_recognize_brackets_each_free_pair_once(monkeypatch, gallery,
+                                                supercyclic_bases):
+    """One recognize forms [s_i, s_j] once for each free pair of the
+    quotient (i < j, or i = j at an odd index): quotient reads its
+    structure constants, and recognize reads omega, off those brackets."""
+    sa = importlib.import_module("superquad.superalgebra")
+    real, pairs = sa.sparse_bracket, []
+
+    def counting(g, x, y):
+        pairs.append((tuple(x.items()), tuple(y.items())))
+        return real(g, x, y)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("superquad")
+                and getattr(module, "sparse_bracket", None) is real):
+            monkeypatch.setattr(module, "sparse_bracket", counting)
+    rng = random.Random(71)
+    for name, g in gallery.items():
+        w = random_supercyclic_cocycle(g, rng, basis=supercyclic_bases[name])
+        ext = build(g, w)
+        pairs.clear()
+        rec, _ = recognize(ext.total, ext.dual_ideal())
+        assert collect_cochain2dual(rec.omega) == collect_cochain2dual(w)
+        p = rec.base.basis.parities
+        free = [(i, j) for i in range(len(p)) for j in range(i, len(p))
+                if i < j or p[i]]
+        assert len(pairs) == len(set(pairs)) == len(free), name
+
+
+@pytest.mark.parametrize("g, key, cause", [
+    (sq.build_gn(2), (1, 4, 4), CocycleError),
+    (sq.abelian(4, 0), (1, 3, 2), NotSupercyclicError)],
+    ids=["not-cocycle", "not-supercyclic"])
+def test_a_perturbed_recovered_omega_is_an_internal_error(monkeypatch, g,
+                                                          key, cause):
+    """One coordinate of the omega that recognize reads out, changed: the
+    extension's own checks in build reject it, the cochain verifier
+    classifies the rejection, and recognize raises InternalCheckError."""
+    ext = build(g)
+    tstar = importlib.import_module("superquad.tstar")
+
+    def perturbed(basis, coords):
+        return Cochain2Dual(basis, {**coords, key: coords.get(key, 0) + 1})
+    monkeypatch.setattr(tstar, "Cochain2Dual", perturbed)
+    with pytest.raises(InternalCheckError,
+                       match="recovered cochain failed") as exc:
+        recognize(ext.total, ext.dual_ideal())
+    assert type(exc.value.__cause__) is cause
+
+
 def test_recognize_rejects_odd_dim():
     q = sq.gallery.even_line()
     from superquad.superalgebra import zero_subspace
@@ -452,12 +502,12 @@ def test_morphism_check_matches_dense_loop(morphisms, data):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_verify_isometry_reports_the_dense_witness(morphisms, data):
-    """verify_isometry passes the two square isometries and the codim-1
-    embedding, and refutes an injective perturbation of each with the
-    dense loop's kind and witness."""
+    """verify_isometry passes the two square isometries, and refutes an
+    injective perturbation of each with the dense loop's kind and
+    witness."""
     messages = {"parity": "not even", "bracket": "not a bracket map",
                 "form": "not an isometry"}
-    for src, dst, m in morphisms:
+    for src, dst, m in morphisms[:2]:
         verify_isometry(src, dst, m)
         bad = _perturbed(data, m)
         witness = _dense_morphism_violation(src, dst, bad)
@@ -470,13 +520,19 @@ def test_verify_isometry_reports_the_dense_witness(morphisms, data):
 
 
 def test_verify_isometry_rejects_other_shapes(morphisms):
-    """Only dst.dim x src.dim matrices with dst.dim - src.dim in {0, 1}."""
-    src, dst, m = morphisms[2]  # the codim-1 embedding
-    for shape in (m[:-1], m + m[:1], tuple(r[:-1] for r in m)):
-        with pytest.raises(DimensionMismatch):
-            verify_isometry(src, dst, shape)
+    """Only square matrices between algebras of one dimension: the odd
+    case's (n+1) x n embedding, a restriction of a verified isometry, is
+    refused like any other shape."""
+    for src, dst, m in (morphisms[0], morphisms[2]):
+        for shape in (m[:-1], m + m[:1], tuple(r[:-1] for r in m)):
+            with pytest.raises(DimensionMismatch):
+                verify_isometry(src, dst, shape)
+    odd, ext, embedding = morphisms[2]
+    assert (len(embedding), len(embedding[0])) == (odd.dim + 1, odd.dim)
     with pytest.raises(DimensionMismatch):
-        verify_isometry(dst, src, tuple(zip(*m)))
+        verify_isometry(odd, ext, embedding)
+    with pytest.raises(DimensionMismatch):
+        verify_isometry(ext, odd, tuple(zip(*embedding)))
 
 
 # --- the sparse builders against the dense formulas --------------------------
@@ -533,6 +589,23 @@ def test_build_reports_an_extension_that_fails_its_axiom_check():
     report = exc.value.report
     alg, _ = _raw_extension(g, zero_cochain2(g))
     assert report.jacobi == tuple(jacobi_violations(alg)) != ()
+
+
+def test_build_on_a_g_that_fails_jacobi_names_no_cochain_triple():
+    """For a g that fails Jacobi, a cocycle omega that is not supercyclic
+    gives the AxiomError of the extension's failed Jacobi check: build
+    classifies the extension's failure by the check that found it, and
+    the cocycle verifier finds no triple of omega to name."""
+    from superquad.tstar import _raw_extension
+    g = sq.from_brackets(("x", "y", "z"), (0, 0, 0),
+                         {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1},
+                          ("y", "z"): {"x": 1}})
+    w = Cochain2Dual(g.basis, {(0, 2, 1): 1})
+    assert is_cocycle2(g, w) and not is_supercyclic(w)
+    with pytest.raises(AxiomError) as exc:
+        build(g, w)
+    alg, _ = _raw_extension(g, w)
+    assert exc.value.report.jacobi == tuple(jacobi_violations(alg)) != ()
 
 
 def test_build_checks_grading_and_skew_once(monkeypatch):
