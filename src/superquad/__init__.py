@@ -19,8 +19,8 @@ from .errors import (AxiomError, CochainError, CocycleError, FormError,
                      NotSupercyclicError, PreconditionError,
                      RationalPointNotFound, SuperquadError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, is_invariant,
-                    is_nondegenerate, is_totally_isotropic,
-                    isotropic_complement, orthogonal, quadratic)
+                    is_totally_isotropic, isotropic_complement, orthogonal,
+                    quadratic)
 from .gallery import (build_class_c_example, build_glnn, build_gn,
                       heisenberg3, hyperbolic_even, hyperbolic_odd,
                       orthogonal_direct_sum, solvable2d, stock, tstar_of_gn)

@@ -24,11 +24,11 @@ class EvenForm(Record):
     parity, where only an even index may repeat (supersymmetric
     :func:`~superquad.superalgebra.canon`).
 
-    Construction also derives the sparse rows, ``_rows[i] = ((j,
-    B(e_i, e_j)), ...)`` over the nonzero entries, ascending j, and every
-    pairing reads the covector :meth:`image` off the rows at the nonzeros
-    of its vector: a T*-extension's form has a single nonzero per row, so
-    a dense product would mostly multiply zeros.
+    Construction also derives the int rows every pairing reads,
+    ``integer_gram = (f, rows)``, rows[i] = ((j, f B(e_i, e_j)), ...) over
+    the nonzeros, ascending j, f the lcd of the entries: a T*-extension's
+    form has a single nonzero per row, so a dense product would mostly
+    multiply zeros.
     """
 
     basis: GradedBasis
@@ -37,13 +37,14 @@ class EvenForm(Record):
     def __post_init__(self):
         store_free_entries(self, 2, symmetric=True, error=FormError)
         p = self.basis.parities
+        f, (entries,) = integer_rows([self.coords.items()])
         rows: list[list] = [[] for _ in range(self.dim)]
         # sorted keys reach row i first from (j, i), j < i, then from (i, j)
-        for (i, j), q in self.coords.items():
+        for (i, j), q in entries:
             rows[i].append((j, q))
             if i != j:
                 rows[j].append((i, sgn(p[i]) * q))
-        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "integer_gram", (f, tuple(map(tuple, rows))))
 
     @property
     def dim(self) -> int:
@@ -51,11 +52,14 @@ class EvenForm(Record):
 
     def image(self, y: Vec | dict) -> dict[int, Fraction]:
         """The covector B(-, y) as {a: B(e_a, y)} over its nonzeros, for y
-        dense or a {k: c} dict: the sum of y_j B(e_a, e_j) =
-        (-1)^{|j|} y_j B(e_j, e_a) over the nonzeros y_j, as B is even."""
+        dense or a {k: c} dict: the int sum of d_y y_j f B(e_a, e_j) =
+        (-1)^{|j|} d_y y_j f B(e_j, e_a) over the nonzeros y_j, as B is
+        even, divided once by f d_y."""
         p = self.basis.parities
-        return lincomb((-c if p[j] else c, self._rows[j])
-                       for j, c in nonzeros(y, self.dim).items())
+        f, rows = self.integer_gram
+        dy, (ys,) = integer_rows([nonzeros(y, self.dim).items()])
+        out = lincomb((-c if p[j] else c, rows[j]) for j, c in ys)
+        return {a: Fraction(c, f * dy) for a, c in out.items()}
 
     def apply(self, x: Vec | dict, y: Vec | dict) -> Fraction:
         """B(x, y), summed over :meth:`image` of y."""
@@ -95,23 +99,19 @@ def even_form(basis: GradedBasis, gram) -> EvenForm:
 
 def radical(B: EvenForm) -> list[Vec]:
     """Basis of {v : B(e_i, v) = 0 for all i}, from one reduction of the
-    sparse rows."""
-    return RowReducer(B.dim, map(dict, B._rows)).kernel()
-
-
-def is_nondegenerate(B: EvenForm) -> bool:
-    return not radical(B)
+    integer rows."""
+    return RowReducer(B.dim, map(dict, B.integer_gram[1])).kernel()
 
 
 def invariance_violation(g: LieSuperalgebra, B: EvenForm):
     """First basis triple with B([e_i,e_j],e_k) != B(e_i,[e_j,e_k]), or None.
-    Each nonzero product of the table with the rows of B, both scaled to
-    ints (the identity has degree 1 in each), is scattered into the
+    Each nonzero product of the integer table with the integer rows of B
+    (the identity has degree 1 in each) is scattered into the
     {k: difference} of its pair (i, j); the least failing pair wins, with
     its least k."""
     p = g.basis.parities
     _, table = g.integer_table
-    _, rows = integer_rows(B._rows)
+    _, rows = B.integer_gram
     acc: dict = {}
     for (i, j), e in table.items():
         out = acc.setdefault((i, j), {})

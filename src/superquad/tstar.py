@@ -22,7 +22,7 @@ from .errors import (AxiomError, CocycleError, DimensionMismatch, FormError,
                      PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
                     is_totally_isotropic, isotropic_complement)
-from .linalg import Mat, ONE, Record, dense_vec, integer_rows, rank, unit_vec
+from .linalg import Mat, ONE, Record, dense_vec, integer_rows, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
                            graded_basis, quotient, sgn, subspace)
 
@@ -60,10 +60,10 @@ def _extension_coords(g: LieSuperalgebra, w: Cochain2Dual) -> dict:
     n, p = g.dim, g.basis.parities
     coords = dict(g.coords)
     coords.update(((i, j, n + k), q) for (i, j, k), q in w.coords.items())
-    for i, row in enumerate(g.table):
-        for k, e in enumerate(row):
-            for j, q in e:      # q = c_ikj
-                coords[(i, n + j, n + k)] = -sgn(p[i] * p[j]) * q
+    for (i, k, j), q in g.coords.items():      # q = c_ikj
+        coords[(i, n + j, n + k)] = -sgn(p[i] * p[j]) * q
+        if i != k:  # c_kij = -(-1)^{|i||k|} c_ikj
+            coords[(k, n + j, n + i)] = sgn(p[k] * (p[i] + p[j])) * q
     return coords
 
 
@@ -136,8 +136,8 @@ def quadratic_morphism_violation(src: QuadraticLieSuperalgebra,
             into[r].append((a, x))
     ds, src_table = src.algebra.integer_table
     dd, dst_table = dst.algebra.integer_table
-    fs, src_form = integer_rows(src.form._rows)
-    fd, dst_form = integer_rows(dst.form._rows)
+    fs, src_form = src.form.integer_gram
+    fd, dst_form = dst.form.integer_gram
     # m [e_a, e_b] times dm dd, and B_src(e_a, e_b) times dm^2 fd
     acc = {(a, b): {-1: dm * dm * fd * q}
            for a, row in enumerate(src_form) for b, q in row}
@@ -169,12 +169,12 @@ def verify_isometry(src: QuadraticLieSuperalgebra,
                     dst: QuadraticLieSuperalgebra, m: Mat,
                     what: str = "isometry") -> None:
     """Raise InternalCheckError naming ``what`` unless the square matrix
-    m is bijective, even, a bracket map and an isometry from src to dst."""
+    m is even, a bracket map and an isometry from src to dst.  Such an m
+    is bijective: src's form has no radical, so m x = 0 forces
+    B_src(x, -) = B_dst(m x, m -) = 0 and x = 0."""
     n = src.dim
     if dst.dim != n or len(m) != n or any(len(r) != n for r in m):
         raise DimensionMismatch(f"{what} matrix has the wrong shape")
-    if rank(m) != n:
-        raise InternalCheckError(f"{what} is not injective")
     bad = quadratic_morphism_violation(src, dst, m)
     if bad is not None:
         kind, witness = bad
@@ -194,7 +194,9 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
     of an even bijection that is simultaneously an algebra isomorphism
     and an isometry; the map is re-verified exactly on all basis pairs
     before being returned.  :func:`isotropic_complement` or the test below
-    checks that iso is Lagrangian, :func:`quotient` that it is an ideal.
+    checks that iso is Lagrangian, :func:`quotient` that it is an ideal;
+    the extension's constructor then checks Jacobi, whose g-part is the
+    quotient's (docs/conventions.md, "Extension bracket").
     """
     n = q.dim
     if complement is None:
@@ -216,7 +218,8 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
                 for k, val in enumerate(row) if val}
     try:
         ext = build(quot.algebra, Cochain2Dual(quot.algebra.basis, w_coords))
-    except (CocycleError, NotSupercyclicError) as exc:
+    except (AxiomError, CocycleError, FormError,
+            NotSupercyclicError) as exc:
         raise InternalCheckError(
             "recovered cochain failed its theorem-backed checks: "
             f"{exc}") from exc

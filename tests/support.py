@@ -113,6 +113,18 @@ def upper(table) -> dict:
         for k, q in (e.items() if isinstance(e, dict) else e) if q))
 
 
+def dense_integer_table(c) -> tuple[int, dict]:
+    """(d, {(i, j): ((k, d c_ijk), ...)}) for a dense tensor c: every
+    nonzero [e_i, e_j] over both orders, i-major, ascending k, scaled to
+    ints by the least common denominator d of the entries; the shape of
+    ``LieSuperalgebra.integer_table``."""
+    d = math.lcm(*(Fraction(q).denominator for row in c for v in row
+                   for q in v))
+    return d, {(i, j): tuple((k, int(q * d)) for k, q in enumerate(v) if q)
+               for i, row in enumerate(c) for j, v in enumerate(row)
+               if any(v)}
+
+
 def algebra_if_valid(basis: GradedBasis, coords) -> LieSuperalgebra | None:
     """LieSuperalgebra(basis, coords) when the dense sign rule finds every
     key a free coordinate.  Otherwise None, after checking that
@@ -299,16 +311,16 @@ def coadjoint(g: LieSuperalgebra, x: Vec, F: DualVector) -> DualVector:
     s = -sgn(px * F.parity)
     n = g.dim
     out = [ZERO] * n
-    table = g.table
+    d, table = g.integer_table
     for i, xi in enumerate(x):
         if xi == 0:
             continue
         for m in range(n):
             acc = ZERO
-            for t, q in table[i][m]:
+            for t, q in table.get((i, m), ()):
                 ft = F.coords[t]
                 if ft != 0:
-                    acc += q * ft
+                    acc += Fraction(q, d) * ft
             if acc != 0:
                 out[m] += s * xi * acc
     return dual_vector(g.basis, out, (px + F.parity) % 2)

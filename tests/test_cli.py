@@ -561,7 +561,6 @@ def _count_checks(monkeypatch, algebras, form):
             (superalgebra, "jacobi_violations", of),
             (forms, "invariance_violation", lambda g, B: of(g)),
             (forms, "radical", lambda B: ["document"] * (B == form)),
-            (forms, "is_nondegenerate", lambda B: ["document"] * (B == form)),
             (cohomology, "cocycle2_violation", lambda g, w: ["any"]),
             (cohomology, "supercyclic_violation", lambda w: ["any"])):
         fn = getattr(home, name)

@@ -385,10 +385,11 @@ def _interleaved(g):
     order = [i for pair in itertools.zip_longest(odd, even) for i in pair
              if i is not None]
     new = {i: a for a, i in enumerate(order)}
+    c = dense.bracket_tensor(g)
     return LieSuperalgebra(
         graded_basis([g.basis.names[i] for i in order], [p[i] for i in order]),
-        upper([[[(new[k], q) for k, q in g.table[i][j]] for j in order]
-               for i in order]))
+        upper([[[(new[k], q) for k, q in enumerate(c[i][j]) if q]
+                for j in order] for i in order]))
 
 
 def _with_interleaved(gallery):

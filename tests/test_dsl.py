@@ -154,9 +154,11 @@ def test_rationals_and_coefficients():
     text = ("basis a:even b:even c:even\n"
             "bracket [a,b] = 2*c\nbracket [a,c] = -1/2*b + 3*c\n")
     alg = dsl.document_algebra(dsl.parse(text))
-    assert alg.table[0][1] == ((2, 2),)
-    assert alg.table[0][2] == ((1, F(-1, 2)), (2, 3))
-    assert alg.table[2][0] == ((1, F(1, 2)), (2, -3))
+    assert alg.coords == {(0, 1, 2): 2, (0, 2, 1): F(-1, 2), (0, 2, 2): 3}
+    assert alg.integer_table == (2, {(0, 1): ((2, 4),),
+                                     (0, 2): ((1, -1), (2, 6)),
+                                     (1, 0): ((2, -4),),
+                                     (2, 0): ((1, 1), (2, -6))})
 
 
 def test_signed_sum_renders_brackets_quadrics_and_polynomials():

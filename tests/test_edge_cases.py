@@ -98,7 +98,7 @@ def test_dsl_primed_and_starred_labels():
             "bracket [e,e'] = 2*e*\n")
     doc = dsl.parse(text)
     alg = dsl.document_algebra(doc)
-    assert alg.table[0][1] == ((2, 2),)
+    assert alg.coords == {(0, 1, 2): 2}
     assert dsl.parse(dsl.emit(doc)) == doc
 
 

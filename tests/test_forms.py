@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,7 @@ import superquad as sq
 from superquad import dsl
 from superquad.errors import DimensionMismatch, FormError, PreconditionError
 from superquad.forms import (EvenForm, even_form, gram, invariance_violation,
-                             is_invariant,
-                             is_nondegenerate, is_totally_isotropic,
+                             is_invariant, is_totally_isotropic,
                              isotropic_complement, orthogonal, quadratic,
                              radical)
 from superquad.linalg import (kernel, mat, unit_vec, vec, vec_is_zero,
@@ -68,8 +68,13 @@ def free_coordinate_forms(draw, entries=sparse_entries):
 @given(free_coordinate_forms())
 @settings(max_examples=150, deadline=None)
 def test_rows_match_dense_gram(B):
-    assert B._rows == tuple(tuple((j, q) for j, q in enumerate(row) if q)
-                            for row in dense.gram(B))
+    """The int rows are the dense Gram rows at their nonzeros, scaled by
+    the least common denominator of the entries."""
+    f, rows = B.integer_gram
+    assert f == math.lcm(*(q.denominator for q in B.coords.values()))
+    assert rows == tuple(tuple((j, q * f) for j, q in enumerate(row) if q)
+                         for row in dense.gram(B))
+    assert all(type(q) is int for row in rows for _, q in row)
 
 
 @given(free_coordinate_forms())
@@ -86,7 +91,6 @@ def test_radical_matches_dense_kernel(B):
     on the abelian algebra, invariance always holds."""
     ker = dense.kernel(dense.gram(B))
     assert radical(B) == ker
-    assert is_nondegenerate(B) == (not ker)
     abelian = LieSuperalgebra(B.basis, {})
     if ker:
         with pytest.raises(FormError) as exc:
@@ -129,7 +133,7 @@ def test_form_error_carries_both_witnesses():
     st.fractions(min_value=-5, max_value=5, max_denominator=4)))
 @settings(max_examples=100, deadline=None)
 def test_dsl_roundtrip_of_random_forms(B):
-    assume(B.basis.odd_dim % 2 == 0 and is_nondegenerate(B))
+    assume(B.basis.odd_dim % 2 == 0 and not radical(B))
     q = quadratic(LieSuperalgebra(B.basis, {}), B)
     doc = dsl.parse(dsl.emit(dsl.document_quadratic(q)))
     assert dsl.document_form(doc) == q.form
@@ -201,10 +205,10 @@ def test_apply_rejects_wrong_length():
 
 def test_nondegeneracy():
     g = sq.abelian(2, 0)
-    assert is_nondegenerate(even_form(g.basis, [[1, 0], [0, 1]]))
-    assert not is_nondegenerate(even_form(g.basis, zeros(2, 2)))
+    assert not radical(even_form(g.basis, [[1, 0], [0, 1]]))
+    assert radical(even_form(g.basis, zeros(2, 2)))
     ext = build(sq.heisenberg3())
-    assert is_nondegenerate(ext.total.form)
+    assert not radical(ext.total.form)
 
 
 def test_invariance_trivial_and_failure():

@@ -30,7 +30,7 @@ from superquad.tstar import build
 
 import dense_oracle as dense
 from dense_oracle import mat_mul, mat_vec, transpose
-from support import disguised_quadratic
+from support import dense_integer_table, disguised_quadratic
 
 F = Fraction
 coeffs = st.one_of(st.just(F(0)),
@@ -106,6 +106,54 @@ def test_bracket_and_ad_images_match_dense_tensor(cases, data):
             for i in range(n) for f, v in zip(scale, (x, y))], name
 
 
+def _forms_of(v):
+    """v dense and as a dict, each with Fraction entries and, where v is
+    integral, with int entries."""
+    out = [v, _sparse(v)]
+    if all(q.denominator == 1 for q in v):
+        ints = tuple(int(q) for q in v)
+        out += [ints, _sparse(ints)]
+    return out
+
+
+@given(st.data())
+@settings(max_examples=10, deadline=None)
+def test_integer_bracket_pass_matches_dense_on_disguised_gn2(cases, data):
+    """sparse_bracket and bracket on disguised T*(gn(2)), whose table has
+    denominators, for vectors with and without denominators, dense and as
+    dicts, ints and Fractions: each scale, d_g, d_x and d_y, is divided
+    out exactly once."""
+    q, c, _ = cases["T*(gn(2)) disguised"]
+    g, n = q.algebra, q.dim
+    assert g.integer_table[0] > 1
+    fixed = (tuple(F(1, k + 2) for k in range(n)),
+             tuple(F(k % 3 - 1, 3) for k in range(n)))
+    drawn = (_vector(data, n), tuple(F(data.draw(st.integers(-3, 3)))
+                                     for _ in range(n)))
+    for x, y in (fixed, drawn, drawn[::-1]):
+        want = _dense_bracket(c, x, y)
+        for u in _forms_of(x):
+            for v in _forms_of(y):
+                assert bracket(g, u, v) == want
+                assert sparse_bracket(g, u, v) == _sparse(want)
+
+
+def test_every_value_is_a_fraction(cases):
+    """bracket, sparse_bracket, EvenForm.image, apply and gram return
+    Fractions only, for int and Fraction inputs, also where a value is
+    an integer: an int division would give a float."""
+    for name, (q, _, _) in cases.items():
+        g, B, n = q.algebra, q.form, q.dim
+        vectors = [{0: 1}, tuple(range(n)), (F(1, 3),) * n,
+                   {k: F(k + 1, 2) for k in range(n)}]
+        for x in vectors:
+            for y in vectors:
+                values = [*bracket(g, x, y), B.apply(x, y),
+                          *sparse_bracket(g, x, y).values(),
+                          *B.image(y).values(), *gram(B, [x, y], [y, x])[1]]
+                assert values and all(type(v) is F for v in values), name
+
+
 @given(st.data())
 @settings(max_examples=10, deadline=None)
 def test_image_and_gram_match_dense_gram(cases, data):
@@ -120,12 +168,12 @@ def test_image_and_gram_match_dense_gram(cases, data):
 
 
 def _dense_quotient(c, comp, ideal):
-    """(projection, table) from the inverse of [comp | ideal] as columns."""
+    """(projection, bracket tensor) from the inverse of [comp | ideal] as
+    columns."""
     proj = dense.inverse(transpose(comp.vectors + ideal.vectors))[:comp.dim]
-    table = tuple(tuple(tuple(_sparse(mat_vec(proj, _dense_bracket(c, u, v)))
-                              .items()) for v in comp.vectors)
-                  for u in comp.vectors)
-    return proj, table
+    tensor = [[mat_vec(proj, _dense_bracket(c, u, v)) for v in comp.vectors]
+              for u in comp.vectors]
+    return proj, tensor
 
 
 def test_quotient_matches_dense_inverse(cases, flags):
@@ -142,9 +190,10 @@ def test_quotient_matches_dense_inverse(cases, flags):
                 comps.append(isotropic_complement(q.form, ideal))
             for comp in comps:
                 got = quotient(g, ideal, complement=comp)
-                proj, table = _dense_quotient(c, comp, ideal)
+                proj, tensor = _dense_quotient(c, comp, ideal)
                 assert got.projection == proj, name
-                assert got.algebra.table == table, name
+                assert got.algebra.integer_table == dense_integer_table(
+                    tensor), name
                 seen += 1
     assert seen == 59
 

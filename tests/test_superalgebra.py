@@ -18,8 +18,9 @@ from superquad.superalgebra import (EVEN, ODD, Subspace, derived_subspace,
 
 import dense_oracle as dense
 from support import (DualVector, algebra_if_valid, basis_coords,
-                     bracket_tensors, coadjoint, direct_sum, disguise,
-                     dual_vector, upper, vec_add, vector_parity)
+                     bracket_tensors, coadjoint, dense_integer_table,
+                     direct_sum, disguise, dual_vector, upper, vec_add,
+                     vector_parity)
 
 F = Fraction
 
@@ -423,13 +424,14 @@ def test_quotient_h3_by_center_is_abelian():
     h3 = sq.heisenberg3()
     q = quotient(h3, sq.center(h3))
     assert q.algebra.dim == 2
-    assert q.algebra.table == (((), ()), ((), ()))
+    assert q.algebra.coords == {}
+    assert q.algebra.integer_table == (1, {})
 
 
 def test_quotient_by_zero_is_copy():
     h3 = sq.heisenberg3()
     q = quotient(h3, zero_subspace(h3.basis))
-    assert q.algebra.table == h3.table
+    assert q.algebra.coords == h3.coords
 
 
 def test_quotient_by_whole_is_zero():
@@ -511,13 +513,14 @@ def test_skew_violations_and_center_match_dense(raw):
 
 
 def _table_matches_dense(g) -> bool:
-    """Whether g's table lists, for every ordered pair and in ascending
-    order, exactly the nonzero coordinates of the dense bracket vectors,
-    which the dense sign rule reads off g.coords in both orders."""
-    c = dense.bracket_tensor(g)
-    return all(g.table[i][j] == tuple((k, q) for k, q in enumerate(c[i][j])
-                                      if q != 0)
-               for i in range(g.dim) for j in range(g.dim))
+    """Whether g's integer table lists, for every ordered pair, i-major
+    and in ascending order, exactly the nonzero coordinates of the dense
+    bracket vectors, which the dense sign rule reads off g.coords in both
+    orders, scaled to ints by their least common denominator."""
+    _, table = g.integer_table
+    return (g.integer_table == dense_integer_table(dense.bracket_tensor(g))
+            and list(table) == sorted(table)
+            and all(type(c) is int for e in table.values() for _, c in e))
 
 
 def test_gallery_tables_are_canonical(gallery):
@@ -595,9 +598,9 @@ def test_free_pairs_span_what_both_orders_span(gallery):
     cases.update({f"T*({name})": sq.build(g).total.algebra
                   for name, g in list(cases.items())})
     for name, g in cases.items():
-        p = g.basis.parities
-        both = [(i, j, dict(e)) for i, row in enumerate(g.table)
-                for j, e in enumerate(row) if e]
+        p, c = g.basis.parities, dense.bracket_tensor(g)
+        both = [(i, j, c[i][j]) for i in range(g.dim) for j in range(g.dim)
+                if any(c[i][j])]
         assert derived_subspace(g) == subspace(
             g.basis, [v for _, _, v in both]), name
         even, odd = (subspace(g.basis, [v for i, j, v in both

@@ -20,7 +20,8 @@ from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
 from superquad.linalg import kernel, mat, rank, unit_vec, vec, vec_is_zero
-from superquad.superalgebra import (bracket, center, derived_subspace,
+from superquad.superalgebra import (LieSuperalgebra, QuotientResult,
+                                    bracket, center, derived_subspace,
                                     is_ideal, jacobi_violations, sgn,
                                     subspace)
 from superquad.tstar import (build, quadratic_morphism_violation, recognize,
@@ -47,7 +48,7 @@ def test_build_purely_odd_frozen():
     assert ext.total.basis.parities == (1, 1)
     G = dense.gram(ext.total.form)
     assert G[0][1] == -1 and G[1][0] == 1 and G[0][0] == 0 and G[1][1] == 0
-    assert ext.total.algebra.table == (((), ()), ((), ()))
+    assert ext.total.algebra.coords == {}
 
 
 def test_dual_parity_convention(gallery):
@@ -191,7 +192,7 @@ def test_recognize_roundtrip_zero_cocycle():
     ext = sq.tstar_of_gn(2)
     ext2, psi = recognize(ext.total, ext.dual_ideal())
     assert not ext2.omega.coords
-    assert ext2.base.table == ext.base.table
+    assert ext2.base.coords == ext.base.coords
 
 
 def test_recognize_roundtrip_random(gallery, supercyclic_bases):
@@ -205,7 +206,7 @@ def test_recognize_roundtrip_random(gallery, supercyclic_bases):
             ext2, psi = recognize(ext.total, ext.dual_ideal())
             # canonical section recovers the cocycle on the nose
             assert collect_cochain2dual(ext2.omega) == collect_cochain2dual(w)
-            assert ext2.base.table == g.table, name
+            assert ext2.base.coords == g.coords, name
             assert rank(psi) == ext.total.dim
 
 
@@ -224,7 +225,7 @@ def test_recognize_with_sheared_section_gives_cohomologous(gallery,
             tuple(shear[r][i] for r in range(N)) for i in range(n)])
         ext2, psi = recognize(ext.total, ext.dual_ideal(),
                               complement=sheared)
-        assert ext2.base.table == g.table, name
+        assert ext2.base.coords == g.coords, name
         # quotient basis names differ; the cochains live on the same grading
         from superquad.cohomology import Cochain2Dual, cohomologous
         w_rec = Cochain2Dual(g.basis, ext2.omega.coords)
@@ -279,6 +280,29 @@ def test_a_perturbed_recovered_omega_is_an_internal_error(monkeypatch, g,
                        match="recovered cochain failed") as exc:
         recognize(ext.total, ext.dual_ideal())
     assert type(exc.value.__cause__) is cause
+
+
+def test_a_corrupted_quotient_is_an_internal_error(monkeypatch):
+    """quotient does not check Jacobi; inside recognize, the extension's
+    constructor does, and its g-part is the quotient's own.  A quotient
+    with [q1, q3] = q1 added fails Jacobi at (q1, q2, q3), build raises
+    AxiomError (the read-out omega, 0, is a cocycle), and recognize turns
+    it into InternalCheckError."""
+    ext = build(sq.heisenberg3())
+    tstar = importlib.import_module("superquad.tstar")
+    real = tstar.quotient
+
+    def corrupted(*args, **kwargs):
+        got = real(*args, **kwargs)
+        alg = LieSuperalgebra(got.algebra.basis,
+                              {**got.algebra.coords, (0, 2, 0): 1})
+        assert jacobi_violations(alg)
+        return QuotientResult(alg, got.projection, got.brackets)
+    monkeypatch.setattr(tstar, "quotient", corrupted)
+    with pytest.raises(InternalCheckError,
+                       match="recovered cochain failed") as exc:
+        recognize(ext.total, ext.dual_ideal())
+    assert type(exc.value.__cause__) is AxiomError
 
 
 def test_recognize_rejects_odd_dim():
@@ -502,21 +526,39 @@ def test_morphism_check_matches_dense_loop(morphisms, data):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_verify_isometry_reports_the_dense_witness(morphisms, data):
-    """verify_isometry passes the two square isometries, and refutes an
-    injective perturbation of each with the dense loop's kind and
-    witness."""
+    """verify_isometry passes the two square isometries, and refutes a
+    perturbation of each with the dense loop's kind and witness.  There
+    is no rank test: a singular perturbation always fails the dense
+    loop, since the source's form has no radical."""
     messages = {"parity": "not even", "bracket": "not a bracket map",
                 "form": "not an isometry"}
     for src, dst, m in morphisms[:2]:
         verify_isometry(src, dst, m)
         bad = _perturbed(data, m)
         witness = _dense_morphism_violation(src, dst, bad)
-        if rank(bad) != src.dim or witness is None:
+        assert witness is not None or rank(bad) == src.dim
+        if witness is None:
             continue
         with pytest.raises(InternalCheckError,
                            match=messages[witness[0]]) as exc:
             verify_isometry(src, dst, bad)
         assert exc.value.witness == witness[1]
+
+
+def test_verify_isometry_rejects_a_singular_even_map(morphisms):
+    """A verified isometry with one column zeroed is even but not
+    injective: the form check refutes it at that column, with no rank
+    test."""
+    for src, dst, m in morphisms[:2]:
+        for a in range(src.dim):
+            bad = tuple(tuple(0 if j == a else q for j, q in enumerate(row))
+                        for row in m)
+            assert rank(bad) < src.dim
+            assert quadratic_morphism_violation(src, dst, bad)[0] != "parity"
+            with pytest.raises(InternalCheckError) as exc:
+                verify_isometry(src, dst, bad)
+            assert exc.value.witness == _dense_morphism_violation(
+                src, dst, bad)[1]
 
 
 def test_verify_isometry_rejects_other_shapes(morphisms):
