@@ -287,9 +287,8 @@ def _cmd_decompose(args, report: Report, out, doc, alg, q) -> int:
         return report.render(out)
     report.check("decomposition.flag_complete", True)
     report.check("decomposition.embedding_verified", True)
-    report.dims["parity_case"] = dec.parity_case
-    report.dims["ideal_dim"] = dec.ideal.dim
-    report.dims["extension_dim"] = dec.extension.total.dim
+    report.dims.update(parity_case=dec.parity_case, ideal_dim=dec.ideal.dim,
+                       extension_dim=dec.extension.total.dim)
     report.outputs["ideal"] = _mat_strs(dec.ideal.vectors)
     report.outputs["quotient"] = dsl.emit(dsl.document_from(dec.quotient))
     report.outputs["extension"] = dsl.emit(

@@ -146,13 +146,11 @@ def collect_scalar2(phi: ScalarCochain2) -> dict[tuple[int, int], Fraction]:
 
 
 def zero_cochain2(g: LieSuperalgebra | GradedBasis) -> Cochain2Dual:
-    basis = g if isinstance(g, GradedBasis) else g.basis
-    return Cochain2Dual(basis, {})
+    return Cochain2Dual(g if isinstance(g, GradedBasis) else g.basis, {})
 
 
 def zero_scalar2(g: LieSuperalgebra | GradedBasis) -> ScalarCochain2:
-    basis = g if isinstance(g, GradedBasis) else g.basis
-    return ScalarCochain2(basis, {})
+    return ScalarCochain2(g if isinstance(g, GradedBasis) else g.basis, {})
 
 
 # arithmetic ------------------------------------------------------------------

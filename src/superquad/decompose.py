@@ -14,13 +14,15 @@ an explicit certificate instead of returning a short flag.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import cached_property
 
 from .dsl import signed_sum
 from .errors import (InternalCheckError, NotIdealError, PreconditionError,
                      RationalPointNotFound)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
-                    is_totally_isotropic, orthogonal)
+                    is_totally_isotropic)
 from .gallery import orthogonal_direct_sum
 from .isotropy import isotropic_point
 from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
@@ -106,18 +108,21 @@ class _InducedSpace:
 
     Vectors of V' are {t: c} dicts of V'-coordinates, and ambient ones
     {k: c} dicts; each method also takes dense ones.  The spanning rows
-    [reps | W basis] are independent and factored once; ``project`` reads
-    V'-coordinates off that factorization.
+    [reps | W basis] are independent; ``project`` reads V'-coordinates
+    off their factorization, made on its first call.
     """
 
-    def __init__(self, q: QuadraticLieSuperalgebra, w: Subspace):
-        self.q = q
-        self.w = w
-        comp = graded_complement(q.basis, w, within=orthogonal(q.form, w))
+    def __init__(self, q: QuadraticLieSuperalgebra, w: Subspace,
+                 wperp: Subspace):
+        self.q, self.w = q, w
+        comp = graded_complement(q.basis, w, within=wperp)
         self.reps = comp.rows          # lifts of the V' basis
         self.parities = comp.parities
         self.dim = comp.dim
-        self._coords = Coordinates(q.dim, self.reps + w.rows)
+
+    @cached_property
+    def _coords(self) -> Coordinates:
+        return Coordinates(self.q.dim, self.reps + self.w.rows)
 
     def project(self, v: Vec | dict) -> dict:
         """V'-coordinates of a vector of W^perp."""
@@ -135,28 +140,32 @@ class _InducedSpace:
         """Matrix of the induced action of x on the span of the independent
         V'-vectors ``space`` (columns = images), which must be invariant."""
         coords = Coordinates(self.dim, space)
-        cols = []
-        for s in space:
-            c = coords.of(self.project(sparse_bracket(self.q.algebra, x,
+        cols = [coords.of(self.project(sparse_bracket(self.q.algebra, x,
                                                       self.lift(s))))
-            if c is None:
-                raise InternalCheckError(
-                    "span is not invariant under the induced action")
-            cols.append(c)
+                for s in space]
+        if None in cols:
+            raise InternalCheckError(
+                "span is not invariant under the induced action")
         return tuple(tuple(c.get(r, ZERO) for c in cols)
                      for r in range(len(space)))
 
     def invariants(self, gens) -> list[dict]:
-        """U / W for U = (W + [S, W^perp])^perp, S the basis indices
-        ``gens`` of generators: the g-invariants of V' (docs/conventions.md),
-        in the basis that the stacked induced operators give."""
-        q = self.q
-        images = filter(None, ad_images(q.algebra, self.reps, gens))
-        span = subspace(q.basis, itertools.chain(
-            self.w.reducer.int_rows.values(), images))
-        red = RowReducer(self.dim, map(self.project,
-                                       orthogonal(q.form, span).rows))
-        return RowReducer(self.dim, red.sparse_kernel()).sparse_kernel()
+        """U / W, the joint kernel on V' of the induced ad(e_s) for s in
+        the generator indices ``gens``: one kernel of the rows (s, c) of
+        the residuals of [e_s, reps[t]] modulo W, each s-block scaled to
+        ints (docs/conventions.md, "Flag step")."""
+        red, reps = self.w.reducer, self.reps
+        fs = [math.lcm(*(c.denominator for c in r.values())) for r in reps]
+        images = ad_images(self.q.algebra, reps, gens)
+        rows: dict = {}
+        for s in gens:
+            block = [red.residual(v) if v else (1, v)
+                     for v in itertools.islice(images, len(fs))]
+            m = math.lcm(*(f * d for f, (d, r) in zip(fs, block) if r))
+            for t, (f, (d, r)) in enumerate(zip(fs, block)):
+                for c, v in r.items():
+                    rows.setdefault((s, c), {})[t] = m // (f * d) * v
+        return RowReducer(self.dim, rows.values()).sparse_kernel()
 
     def isotropic(self, rows: list, certify: bool = False) -> dict | None:
         """An isotropic combination of the homogeneous V'-vectors ``rows``,
@@ -256,8 +265,9 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
             if not (nilp and i in series[1].reducer.int_rows)]
     w = zero_subspace(q.basis)
     chain = [w]
+    cons = RowReducer(n)  # the covectors B(-, v) of W's chosen vectors v
     while w.dim < n // 2:
-        ind = _InducedSpace(q, w)
+        ind = _InducedSpace(q, w, subspace(q.basis, cons.sparse_kernel()))
         u_basis = ind.invariants(gens)
         vprime = quadric_cert = None
         if u_basis:
@@ -296,13 +306,14 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         if q.form.apply(lift, lift) != 0:
             raise InternalCheckError("selected vector is not isotropic")
         w = extend_subspace(w, lift)
+        cons.add(q.form.image(lift))
         # the old W is an ideal, so W + Kv is one iff [S, v] lies in it
         if w.dim != chain[-1].dim + 1:
             raise InternalCheckError("flag dimension did not grow by one")
         if not all(map(w.contains_vector, ad_images(g, [lift], gens))):
             raise InternalCheckError("flag member is not an ideal")
         chain.append(w)
-    wperp = orthogonal(q.form, w)
+    wperp = subspace(q.basis, cons.sparse_kernel())
     # dim W = floor(n/2), so W is isotropic iff W = W^perp (even n), or W
     # lies in W^perp, one dimension bigger (odd n); then so is every member
     if not (w == wperp if n % 2 == 0 else

@@ -192,11 +192,9 @@ def _handle_basis(lp: _LineParser, doc: AlgebraDocument):
         label = lp.label()
         lp.literal(":")
         lp.skip_ws()
-        if lp.try_literal("even"):
-            parity = EVEN
-        elif lp.try_literal("odd"):
-            parity = ODD
-        else:
+        parity = next((p for p, word in ((EVEN, "even"), (ODD, "odd"))
+                       if lp.try_literal(word)), None)
+        if parity is None:
             lp.error("parity must be 'even' or 'odd'")
         if label in doc.names:
             lp.error(f"duplicate basis label {label!r}")
@@ -229,10 +227,7 @@ def _handle_bracket(lp: _LineParser, doc: AlgebraDocument):
             lp.error(f"bracket [{names[a]},{names[a]}] must vanish for "
                      "an even generator")
         return
-    if a > c:
-        key, val = (c, a), vec_scale(-s, v)
-    else:
-        key, val = (a, c), v
+    key, val = ((c, a), vec_scale(-s, v)) if a > c else ((a, c), v)
     if doc.brackets.setdefault(key, val) != val:
         lp.error(f"contradictory entry for bracket [{names[a]},{names[c]}]")
 
@@ -345,11 +340,10 @@ def signed_sum(terms) -> str:
 
 
 def emit(doc: AlgebraDocument) -> str:
-    lines = []
     decls = " ".join(
         f"{n}:{'even' if p == EVEN else 'odd'}"
         for n, p in zip(doc.names, doc.parities))
-    lines.append(f"basis {decls}")
+    lines = [f"basis {decls}"]
     for (i, j), v in sorted(doc.brackets.items()):
         if not vec_is_zero(v):
             lines.append(f"bracket [{doc.names[i]},{doc.names[j]}] = "

@@ -52,28 +52,34 @@ class EvenForm(Record):
 
     def image(self, y: Vec | dict) -> dict[int, Fraction]:
         """The covector B(-, y) as {a: B(e_a, y)} over its nonzeros, for y
-        dense or a {k: c} dict: the int sum of d_y y_j f B(e_a, e_j) =
-        (-1)^{|j|} d_y y_j f B(e_j, e_a) over the nonzeros y_j, as B is
-        even, divided once by f d_y."""
-        p = self.basis.parities
-        f, rows = self.integer_gram
-        dy, (ys,) = integer_rows([nonzeros(y, self.dim).items()])
-        out = lincomb((-c if p[j] else c, rows[j]) for j, c in ys)
-        return {a: Fraction(c, f * dy) for a, c in out.items()}
+        dense or a {k: c} dict, from :func:`_int_images`."""
+        d, (out,) = _int_images(self, [y])
+        return {a: Fraction(c, d) for a, c in out.items()}
 
     def apply(self, x: Vec | dict, y: Vec | dict) -> Fraction:
         """B(x, y), summed over :meth:`image` of y."""
         return gram(self, [x], [y])[0][0]
 
 
+def _int_images(B: EvenForm, ys) -> tuple[int, list[dict]]:
+    """(f d, [d f B(-, y) for y in ys]) with d the lcd of the entries of
+    the ys, each covector the int sum of d y_j f B(e_a, e_j) =
+    (-1)^{|j|} d y_j f B(e_j, e_a) over the nonzeros y_j, as B is even."""
+    p = B.basis.parities
+    f, rows = B.integer_gram
+    d, ys = integer_rows(nonzeros(y, B.dim).items() for y in ys)
+    return f * d, [lincomb((-c if p[j] else c, rows[j]) for j, c in y)
+                   for y in ys]
+
+
 def gram(B: EvenForm, rows, cols) -> Mat:
     """The matrix [[B(u, v) for v in cols] for u in rows], for vectors
-    dense or {k: c} dicts, each entry a sum over the nonzeros of u and
-    the :meth:`~EvenForm.image` of v, read once per column."""
-    images = [B.image(v) for v in cols]
-    rows = [nonzeros(u, B.dim).items() for u in rows]
-    return tuple(tuple(sum((c * im[a] for a, c in u if a in im), ZERO)
-                       for im in images) for u in rows)
+    dense or {k: c} dicts: each entry the int sum of the scaled nonzeros
+    of u against the int covectors of :func:`_int_images`, divided once."""
+    e, images = _int_images(B, cols)
+    d, rows = integer_rows(nonzeros(u, B.dim).items() for u in rows)
+    return tuple(tuple(Fraction(sum(c * im[a] for a, c in u if a in im),
+                                d * e) for im in images) for u in rows)
 
 
 def even_form(basis: GradedBasis, gram) -> EvenForm:

@@ -67,12 +67,11 @@ def _matrix_algebra(n: int, triangular: bool, what: str) -> LieSuperalgebra:
                 entries[(r, q)] = (entries.get((r, q), ZERO)
                                    - sgn(parities[i] * parities[j]))
             for pos, coeff in entries.items():
-                if coeff == 0:
-                    continue
-                if pos not in index:
+                if coeff and pos not in index:
                     raise InternalCheckError(
                         f"bracket left the triangular family at {pos}")
-                coords[(i, j, index[pos])] = coeff
+                if coeff:
+                    coords[(i, j, index[pos])] = coeff
     alg = LieSuperalgebra(graded_basis(labels, parities), coords)
     require_axioms(alg, what)
     return alg
@@ -144,19 +143,14 @@ STOCK_NAMES = ("abelian(p|q)", "heisenberg3", "solvable2d",
 
 def stock(name: str) -> LieSuperalgebra | QuadraticLieSuperalgebra:
     """Named catalog algebra; see docs/catalog.md for the full list."""
-    m = ABELIAN_RE.match(name)
-    if m:
+    if m := ABELIAN_RE.match(name):
         p, q = int(m.group(1)), int(m.group(2))
         if p + q == 0:
             raise PreconditionError("abelian(p|q) needs p + q >= 1")
         return abelian(p, q)
-    table = {
-        "heisenberg3": heisenberg3,
-        "solvable2d": solvable2d,
-        "hyperbolic-even": hyperbolic_even,
-        "hyperbolic-odd": hyperbolic_odd,
-        "even-line": even_line,
-    }
+    table = {"heisenberg3": heisenberg3, "solvable2d": solvable2d,
+             "hyperbolic-even": hyperbolic_even,
+             "hyperbolic-odd": hyperbolic_odd, "even-line": even_line}
     if name not in table:
         raise PreconditionError(
             f"unknown stock algebra {name!r}; known: "
@@ -193,19 +187,15 @@ def _random_fraction(rng) -> Fraction:
 
 def random_cochain2(g: LieSuperalgebra, rng) -> Cochain2Dual:
     """Container-valid (even, super-antisymmetric) but otherwise random."""
-    coords = {}
-    for key in free_coords_cochain2dual(g.basis):
-        if rng.random() < 0.6:
-            coords[key] = _random_fraction(rng)
-    return Cochain2Dual(g.basis, coords)
+    return Cochain2Dual(g.basis, {
+        key: _random_fraction(rng)
+        for key in free_coords_cochain2dual(g.basis) if rng.random() < 0.6})
 
 
 def random_scalar2(g: LieSuperalgebra, rng) -> ScalarCochain2:
-    coords = {}
-    for key in free_coords_scalar2(g.basis):
-        if rng.random() < 0.7:
-            coords[key] = _random_fraction(rng)
-    return ScalarCochain2(g.basis, coords)
+    return ScalarCochain2(g.basis, {
+        key: _random_fraction(rng)
+        for key in free_coords_scalar2(g.basis) if rng.random() < 0.7})
 
 
 def _random_combination(basis: list[Cochain2Dual], rng,

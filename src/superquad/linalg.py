@@ -212,7 +212,7 @@ class RowReducer:
         return {p: {c: Fraction(q, r[p]) for c, q in r.items()}
                 for p, r in self.int_rows.items()}
 
-    def _residual(self, row) -> tuple[int, dict[int, int]]:
+    def residual(self, row) -> tuple[int, dict[int, int]]:
         """(f, r): what is left of a row, dense or a {column: value} dict,
         after eliminating the pivot columns, times f > 0, as ints."""
         r, f = nonzeros(row, self.ncols), 1
@@ -231,13 +231,13 @@ class RowReducer:
                ) -> dict[int, Fraction]:
         """What is left of a row, dense or a {column: value} dict, after
         eliminating the pivot columns: empty iff the row is in the span."""
-        f, r = self._residual(row)
+        f, r = self.residual(row)
         return {c: Fraction(q, f) for c, q in r.items()}
 
     def add(self, row: Sequence[Fraction] | dict[int, Fraction]) -> bool:
         """Add a constraint row, dense or a {column: value} dict; True if
         it increased the rank."""
-        _, r = self._residual(row)
+        _, r = self.residual(row)
         if not r:
             return False
         p = min(r)

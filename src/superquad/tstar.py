@@ -24,7 +24,8 @@ from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
                     is_totally_isotropic, isotropic_complement)
 from .linalg import Mat, ONE, Record, dense_vec, integer_rows, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
-                           graded_basis, quotient, sgn, subspace)
+                           graded_basis, jacobi_violations, quotient, sgn,
+                           subspace)
 
 
 class TStarExtension(Record):
@@ -220,9 +221,10 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
         ext = build(quot.algebra, Cochain2Dual(quot.algebra.basis, w_coords))
     except (AxiomError, CocycleError, FormError,
             NotSupercyclicError) as exc:
-        raise InternalCheckError(
-            "recovered cochain failed its theorem-backed checks: "
-            f"{exc}") from exc
+        what = ("quotient fails Jacobi" if isinstance(exc, AxiomError)
+                and jacobi_violations(quot.algebra) else
+                "cochain failed its theorem-backed checks")
+        raise InternalCheckError(f"recovered {what}: {exc}") from exc
 
     # psi: ambient -> quotient coords ++ (B(., s_k))_k
     psi = quot.projection + tuple(dense_vec(q.form.image(r), n)

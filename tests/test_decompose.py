@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -19,8 +20,9 @@ from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
 from superquad.linalg import (RowReducer, dense_vec, lincomb, mat, rank,
                               unit_vec, vec, vec_scale, zero_vec)
-from superquad.superalgebra import (EVEN, ODD, bracket, extend_subspace,
-                                    is_ideal, subspace, zero_subspace)
+from superquad.superalgebra import (EVEN, ODD, ad_images, bracket,
+                                    extend_subspace, is_ideal, subspace,
+                                    zero_subspace)
 from superquad.tstar import build
 
 import dense_oracle as dense
@@ -214,8 +216,9 @@ def induced_spaces():
                                     even_line()),
               sq.build_class_c_example(2), build(sq.solvable2d()).total):
         for w in max_isotropic_ideal(Q).chain:
-            ind = _InducedSpace(Q, w)
-            out.append((orthogonal(Q.form, w),
+            wperp = orthogonal(Q.form, w)
+            ind = _InducedSpace(Q, w, wperp)
+            out.append((wperp,
                         dense.coordinates(_span_rows(ind, w)), ind))
     return out
 
@@ -292,7 +295,7 @@ def disguised_induced_spaces():
     q = disguised_quadratic(sq.tstar_of_gn(2).total)
     out = []
     for w in max_isotropic_ideal(q).chain:
-        ind = _InducedSpace(q, w)
+        ind = _InducedSpace(q, w, orthogonal(q.form, w))
         out.append((ind, _span_rows(ind, w)))
     assert any(x.denominator > 1 for _, rows in out for v in rows
                for x in v)
@@ -397,7 +400,7 @@ def test_invariants_match_stacked_induced_operators(supercyclic_bases,
     steps = 0
     for name, Q in cases.items():
         for w in max_isotropic_ideal(Q).chain:
-            ind = _InducedSpace(Q, w)
+            ind = _InducedSpace(Q, w, orthogonal(Q.form, w))
             got = ind.invariants(range(Q.dim))
             assert [dense_vec(u, ind.dim) for u in got] \
                 == _dense_invariants(Q, ind), (name, w.dim)
@@ -461,11 +464,91 @@ def test_dropping_a_generator_enlarges_the_invariants(flag_inputs):
         gens = _dense_generators(dense.bracket_tensor(Q.algebra))
         short = gens[:drop] if drop else gens[1:]
         grew = [len(ind.invariants(short)) - len(ind.invariants(gens))
-                for ind in (_InducedSpace(Q, w)
+                for ind in (_InducedSpace(Q, w, orthogonal(Q.form, w))
                             for w in max_isotropic_ideal(Q).chain)]
         assert min(grew) >= 0 and max(grew) > 0, name
     assert _dense_generators(dense.bracket_tensor(
         flag_inputs["T*(heisenberg3)"].algebra)) == [0, 1, 5]
+
+
+def _orthogonal_route_invariants(ind, gens) -> list:
+    """U / W by a second route: U = (W + [S, W^perp])^perp from one
+    orthogonal, its rows projected into V', and the canonical basis read
+    as the kernel of the kernel of those rows."""
+    q = ind.q
+    span = subspace(q.basis, itertools.chain(
+        ind.w.reducer.int_rows.values(),
+        filter(None, ad_images(q.algebra, ind.reps, gens))))
+    red = RowReducer(ind.dim, map(ind.project,
+                                  orthogonal(q.form, span).rows))
+    return RowReducer(ind.dim, red.sparse_kernel()).sparse_kernel()
+
+
+def _assert_carried_steps_match(Q, name) -> int:
+    """At every step of the flag of Q, the W^perp it carries equals
+    ``orthogonal(Q.form, W)``, and its reps and invariants equal those of
+    an induced space built from scratch on that orthogonal, the invariants
+    also those of the second route above.  Returns the number of steps."""
+    steps, init = [], _InducedSpace.__init__
+
+    def recording(ind, q, w, wperp):
+        init(ind, q, w, wperp)
+        steps.append((ind, wperp))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_InducedSpace, "__init__", recording)
+        flag = max_isotropic_ideal(Q)
+    gens = _dense_generators(dense.bracket_tensor(Q.algebra))
+    assert [ind.w for ind, _ in steps] == list(flag.chain[:-1]), name
+    for ind, wperp in steps:
+        want = orthogonal(Q.form, ind.w)
+        assert wperp == want, (name, ind.w.dim)
+        fresh = _InducedSpace(Q, ind.w, want)
+        assert (ind.reps, ind.parities) == (fresh.reps, fresh.parities), name
+        assert ind.invariants(gens) == fresh.invariants(gens) \
+            == _orthogonal_route_invariants(fresh, gens), (name, ind.w.dim)
+    assert flag.w_perp == orthogonal(Q.form, flag.w_max), name
+    return len(steps)
+
+
+def test_carried_orthogonal_matches_a_fresh_one(flag_inputs):
+    """Gallery and disguised inputs of both parities: the flag's carried
+    W^perp, reps and invariants at every step, against a step rebuilt
+    from ``orthogonal``."""
+    steps = sum(_assert_carried_steps_match(q, name)
+                for name, q in flag_inputs.items())
+    assert steps == sum(q.dim // 2 for q in flag_inputs.values())
+
+
+@given(st.data())
+@settings(max_examples=8, deadline=None)
+def test_carried_orthogonal_matches_on_drawn_inputs(supercyclic_bases,
+                                                    gallery, data):
+    """T*-extensions of nilpotent gallery algebras by drawn supercyclic
+    cocycles.  The disguised inputs are the fixed ones of the test above:
+    a drawn basis change can need a factorization past ``FACTOR_CAP``."""
+    name = data.draw(st.sampled_from(("heisenberg3", "abelian(1|2)", "g(2)")))
+    g, basis = gallery[name], supercyclic_bases[name]
+    coeffs = data.draw(st.lists(st.sampled_from(THIRDS), min_size=len(basis),
+                                max_size=len(basis)))
+    Q = build(g, Cochain2Dual(g.basis, lincomb(
+        zip(coeffs, (w.coords.items() for w in basis))))).total
+    assert _assert_carried_steps_match(Q, name) == Q.dim // 2
+
+
+def test_decompose_of_tstar_gn3_builds_few_reducers(monkeypatch):
+    """The flag adds one covector per step to the reducer that carries
+    W^perp and reads each step's invariants off one more reducer: a
+    decomposition of T*(gn(3)), dim 30, builds at most 100 RowReducers;
+    rebuilding W^perp and U from scratch at every step takes 182."""
+    q = sq.tstar_of_gn(3).total
+    init, built = RowReducer.__init__, []
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(RowReducer, "__init__", counting)
+    decompose(q)
+    assert 0 < len(built) <= 100
 
 
 def test_row_parity_rejects_mixed_and_zero_vectors():
@@ -613,7 +696,8 @@ def test_flag_step_refuses_a_bad_vector_at_once(monkeypatch, v, match):
     step chooses."""
     dec = importlib.import_module("superquad.decompose")
     q = build(sq.heisenberg3()).total
-    first = _InducedSpace(q, zero_subspace(q.basis)).project(v)
+    zero = zero_subspace(q.basis)
+    first = _InducedSpace(q, zero, orthogonal(q.form, zero)).project(v)
     combination, chosen = dec._combination, []
 
     def choose(x, space):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.decompose import _InducedSpace, max_isotropic_ideal
-from superquad.forms import gram, isotropic_complement
+from superquad.forms import gram, isotropic_complement, orthogonal
 from superquad.gallery import even_line, orthogonal_direct_sum
 from superquad.linalg import dense_vec
 from superquad.superalgebra import (ad_images, bracket, center,
@@ -207,7 +207,7 @@ def test_lift_and_project_match_dense_coordinates(cases, flags, data):
     for name, (q, _, _) in cases.items():
         n = q.dim
         w = data.draw(st.sampled_from(flags[name]))
-        ind = _InducedSpace(q, w)
+        ind = _InducedSpace(q, w, orthogonal(q.form, w))
         reps = [dense_vec(r, n) for r in ind.reps]
         u = _vector(data, ind.dim)
         lifted = mat_vec(transpose(reps), u) if reps else (F(0),) * n

@@ -287,7 +287,7 @@ def test_a_corrupted_quotient_is_an_internal_error(monkeypatch):
     constructor does, and its g-part is the quotient's own.  A quotient
     with [q1, q3] = q1 added fails Jacobi at (q1, q2, q3), build raises
     AxiomError (the read-out omega, 0, is a cocycle), and recognize turns
-    it into InternalCheckError."""
+    it into InternalCheckError that names the quotient, not the cochain."""
     ext = build(sq.heisenberg3())
     tstar = importlib.import_module("superquad.tstar")
     real = tstar.quotient
@@ -300,7 +300,7 @@ def test_a_corrupted_quotient_is_an_internal_error(monkeypatch):
         return QuotientResult(alg, got.projection, got.brackets)
     monkeypatch.setattr(tstar, "quotient", corrupted)
     with pytest.raises(InternalCheckError,
-                       match="recovered cochain failed") as exc:
+                       match="recovered quotient fails Jacobi") as exc:
         recognize(ext.total, ext.dual_ideal())
     assert type(exc.value.__cause__) is AxiomError
 
