@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
 
 from .dsl import signed_sum
 from .errors import (InternalCheckError, NotIdealError, PreconditionError,
@@ -29,8 +28,8 @@ from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
                      charpoly, dense_vec, diagonalize_symmetric, kernel,
                      lincomb, nonzeros, rational_roots, unit_vec)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, abelian,
-                           ad_images, class_condition, derived_subspace,
-                           extend_subspace, graded_complement, is_solvable,
+                           ad_images, class_condition, extend_subspace,
+                           graded_complement, is_solvable,
                            lower_central_series, sparse_bracket, subspace,
                            zero_subspace)
 from .tstar import TStarExtension, recognize
@@ -107,9 +106,9 @@ class _InducedSpace:
     """The subquotient V' = W^perp / W with its induced action and form.
 
     Vectors of V' are {t: c} dicts of V'-coordinates, and ambient ones
-    {k: c} dicts; each method also takes dense ones.  The spanning rows
-    [reps | W basis] are independent; ``project`` reads V'-coordinates
-    off their factorization, made on its first call.
+    {k: c} dicts; each method also takes dense ones.  A vector of W^perp
+    is read modulo W, by its residual against W's RREF rows, which is 0
+    exactly on W (docs/conventions.md, "Flag step").
     """
 
     def __init__(self, q: QuadraticLieSuperalgebra, w: Subspace,
@@ -120,17 +119,6 @@ class _InducedSpace:
         self.parities = comp.parities
         self.dim = comp.dim
 
-    @cached_property
-    def _coords(self) -> Coordinates:
-        return Coordinates(self.q.dim, self.reps + self.w.rows)
-
-    def project(self, v: Vec | dict) -> dict:
-        """V'-coordinates of a vector of W^perp."""
-        x = self._coords.of(v)
-        if x is None:
-            raise InternalCheckError("vector is not in W^perp")
-        return {t: c for t, c in x.items() if t < self.dim}
-
     def lift(self, u: Vec | dict) -> dict:
         """The ambient vector sum_t u_t reps[t]."""
         return lincomb((c, self.reps[t].items())
@@ -138,27 +126,30 @@ class _InducedSpace:
 
     def action(self, x: Vec | dict, space: list) -> Mat:
         """Matrix of the induced action of x on the span of the independent
-        V'-vectors ``space`` (columns = images), which must be invariant."""
-        coords = Coordinates(self.dim, space)
-        cols = [coords.of(self.project(sparse_bracket(self.q.algebra, x,
-                                                      self.lift(s))))
-                for s in space]
+        V'-vectors ``space`` (columns = images), which must be invariant:
+        each image's residual modulo W in the coordinates of the lifts'
+        residuals, factored once."""
+        reduce = self.w.reducer.reduce
+        lifts = [self.lift(s) for s in space]
+        coords = Coordinates(self.q.dim, [reduce(v) for v in lifts])
+        cols = [coords.of(reduce(sparse_bracket(self.q.algebra, x, v)))
+                for v in lifts]
         if None in cols:
             raise InternalCheckError(
                 "span is not invariant under the induced action")
         return tuple(tuple(c.get(r, ZERO) for c in cols)
                      for r in range(len(space)))
 
-    def invariants(self, gens) -> list[dict]:
-        """U / W, the joint kernel on V' of the induced ad(e_s) for s in
-        the generator indices ``gens``: one kernel of the rows (s, c) of
-        the residuals of [e_s, reps[t]] modulo W, each s-block scaled to
-        ints (docs/conventions.md, "Flag step")."""
+    def invariants(self, xs: list[dict]) -> list[dict]:
+        """U / W, the joint kernel on V' of the induced ad(x) for the
+        {i: int} dicts x of ``xs``: one kernel of the rows (s, c), s the
+        place of x in ``xs``, of the residuals of [x, reps[t]] modulo W,
+        each s-block scaled to ints (docs/conventions.md, "Flag step")."""
         red, reps = self.w.reducer, self.reps
         fs = [math.lcm(*(c.denominator for c in r.values())) for r in reps]
-        images = ad_images(self.q.algebra, reps, gens)
+        images = ad_images(self.q.algebra, reps, xs)
         rows: dict = {}
-        for s in gens:
+        for s in range(len(xs)):
             block = [red.residual(v) if v else (1, v)
                      for v in itertools.islice(images, len(fs))]
             m = math.lcm(*(f * d for f, (d, r) in zip(fs, block) if r))
@@ -193,9 +184,10 @@ def _row_parity(parities, v: Vec | dict) -> int:
 
 
 def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
-                                  ind: _InducedSpace):
+                                  ind: _InducedSpace, derived: Subspace):
     """Isotropic joint eigenvector (in V'-coords) of the induced action
-    of a solvable algebra satisfying the class condition.
+    of a solvable algebra satisfying the class condition, with
+    ``derived`` = [g, g].
 
     Restricts to the subspace killed by the odd part and the derived
     algebra (where the remaining even operators commute), then descends
@@ -205,13 +197,9 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
     Returns (vector or None, first irrational characteristic polynomial
     encountered or None).  Deterministic throughout.
     """
-    g = q.algebra
-    n = g.dim
-    whole = [{t: ONE} for t in range(ind.dim)]
-    xs = itertools.chain(({i: ONE} for i in range(n) if g.parity(i) == ODD),
-                         derived_subspace(g).rows)
-    vpp = RowReducer(ind.dim, (row for x in xs for row in
-                               ind.action(x, whole))).sparse_kernel()
+    g, n = q.algebra, q.dim
+    vpp = ind.invariants([{i: 1} for i in range(n) if g.parity(i) == ODD]
+                         + list(derived.reducer.int_rows.values()))
     if not vpp:
         return None, None
     evens = [{i: ONE} for i in range(n) if g.parity(i) == EVEN]
@@ -230,10 +218,9 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
                 first_poly[0] = coeffs
             return None
         for lam in sorted(roots, key=lambda r: (r == 0, r)):
-            shifted = tuple(
-                tuple(op[r][s] - (lam if r == s else ZERO)
-                      for s in range(len(space)))
-                for r in range(len(space)))
+            shifted = tuple(tuple(x - lam if r == s else x
+                                  for s, x in enumerate(row))
+                            for r, row in enumerate(op))
             new_space = [_combination(u, space) for u in kernel(shifted)]
             got = descend(new_space, k + 1)
             if got is not None:
@@ -261,7 +248,7 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
             "algebra must be nilpotent, or solvable with the odd-odd "
             "brackets inside the even-even brackets")
     # generators S: off the pivots of [g, g] if g is nilpotent, else all
-    gens = [i for i in range(n)
+    gens = [{i: 1} for i in range(n)
             if not (nilp and i in series[1].reducer.int_rows)]
     w = zero_subspace(q.basis)
     chain = [w]
@@ -283,7 +270,7 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         if vprime is None:
             # solvable branch: a joint eigenvector with nonzero character
             # is isotropic even when the invariant subspace is not
-            vprime, poly = _solvable_isotropic_eigvector(q, ind)
+            vprime, poly = _solvable_isotropic_eigvector(q, ind, series[1])
             if vprime is None:
                 if quadric_cert is not None:
                     raise RationalPointNotFound(

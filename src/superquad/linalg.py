@@ -395,13 +395,6 @@ def charpoly(A: Mat) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 FACTOR_CAP = 10 ** 5
 
 
@@ -450,14 +443,17 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         cs.pop()
     if len(cs) > 1:
         _, (ints,) = integer_rows([enumerate(cs)])
-        lead, const = ints[0][1], ints[-1][1]
-        for p in _divisors(const):
-            for q in _divisors(lead):
+        a = [c for _, c in ints]
+        for p in _divisors(a[-1]):
+            for q in _divisors(a[0]):
                 if math.gcd(p, q) != 1:
                     continue
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if poly_eval(cs, cand) == 0:
-                        roots.add(cand)
+                for s in (p, -p):
+                    acc = 0  # q^n f(s/q) = sum_i a_i s^(n-i) q^i, by Horner
+                    for i, c in enumerate(a):
+                        acc = acc * s + c * q ** i
+                    if not acc:
+                        roots.add(Fraction(s, q))
     return sorted(roots)
 
 

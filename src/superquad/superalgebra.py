@@ -227,16 +227,18 @@ def bracket(g: LieSuperalgebra, x, y) -> Vec:
     return dense_vec(sparse_bracket(g, x, y), g.dim)
 
 
-def ad_images(g: LieSuperalgebra, vectors, indices=None):
-    """Yield d_g d_v [e_i, v] as {k: int} dicts for spans and membership,
-    i-major over ``indices`` (default all), then ``vectors``, dense or
-    {k: c} dicts: d_g = g.integer_table[0], d_v the lcd of v's entries."""
+def ad_images(g: LieSuperalgebra, vectors, left=None):
+    """Yield d_g d_v [x, v] as {k: int} dicts for spans and membership,
+    x-major over the {i: int} dicts ``left`` (default: the basis vectors
+    e_i), then ``vectors``, dense or {k: c} dicts: d_g =
+    g.integer_table[0], d_v the lcd of v's entries."""
     _, table = g.integer_table
     supports = [integer_rows([nonzeros(v, g.dim).items()])[1][0]
                 for v in vectors]
-    for i in range(g.dim) if indices is None else indices:
+    for x in ({i: 1} for i in range(g.dim)) if left is None else left:
         for support in supports:
-            yield lincomb((q, table.get((i, j), ())) for j, q in support)
+            yield lincomb((a * q, table.get((i, j), ()))
+                          for i, a in x.items() for j, q in support)
 
 
 def cyclic_sums(parities, terms) -> dict:
@@ -424,12 +426,6 @@ def center(g: LieSuperalgebra) -> Subspace:
     return subspace(g.basis, RowReducer(g.dim, cols.values()).sparse_kernel())
 
 
-def product_subspace(g: LieSuperalgebra, a: Subspace, b: Subspace) -> Subspace:
-    """Span of [a, b] over the spanning sets."""
-    return subspace(g.basis, [sparse_bracket(g, u, v) for u in a.rows
-                              for v in b.rows])
-
-
 def _series(g: LieSuperalgebra, step) -> list[Subspace]:
     """g, step(g), step(step(g)), ... while the dimension falls."""
     series = [full_subspace(g.basis)]
@@ -439,7 +435,14 @@ def _series(g: LieSuperalgebra, step) -> list[Subspace]:
 
 
 def derived_series(g: LieSuperalgebra) -> list[Subspace]:
-    return _series(g, lambda w: product_subspace(g, w, w))
+    """g, [g, g], ...: each member spanned by the brackets of its RREF
+    rows at t <= u, as [r_u, r_t] = ±[r_t, r_u] for homogeneous rows."""
+    def step(w: Subspace) -> Subspace:
+        rows = list(w.reducer.int_rows.values())
+        return subspace(g.basis, filter(None, (
+            image for t, x in enumerate(rows)
+            for image in ad_images(g, rows[t:], [x]))))
+    return _series(g, step)
 
 
 def lower_central_series(g: LieSuperalgebra) -> list[Subspace]:
@@ -453,12 +456,6 @@ def is_solvable(g: LieSuperalgebra) -> bool:
 
 def is_nilpotent(g: LieSuperalgebra) -> bool:
     return lower_central_series(g)[-1].is_zero()
-
-
-def derived_subspace(g: LieSuperalgebra) -> Subspace:
-    """[g, g], spanned by the brackets at the free pairs i <= j."""
-    return subspace(g.basis, [dict(e) for (i, j), e in
-                              g.integer_table[1].items() if i <= j])
 
 
 def class_condition(g: LieSuperalgebra) -> bool:

@@ -267,6 +267,37 @@ def ad_image(c, i, v):
                  for k in range(n))
 
 
+def bracket(c, x, y):
+    """[x, y], summed over every coordinate of x and of y."""
+    out = [ZERO] * len(c)
+    for i, xi in enumerate(x):
+        if xi:
+            for k, a in enumerate(ad_image(c, i, y)):
+                out[k] += xi * a
+    return tuple(out)
+
+
+def derived_series(c):
+    """Nonzero dense RREF rows of g, [g, g], [[g, g], [g, g]], ..., each
+    member spanned by the brackets of every ordered pair of rows of the
+    one before, stopping at the first member that does not shrink."""
+    n = len(c)
+    series = [identity(n)]
+    while True:
+        R, pivots = rref([bracket(c, u, v) for u in series[-1]
+                          for v in series[-1]])
+        if len(pivots) == len(series[-1]):
+            return series
+        series.append(R[:len(pivots)])
+
+
+def derived_rows(c):
+    """Nonzero dense RREF rows of [g, g], from the brackets of every
+    ordered pair of basis vectors."""
+    R, pivots = rref([c[i][j] for i in range(len(c)) for j in range(len(c))])
+    return R[:len(pivots)]
+
+
 def ideal_witness(c, vectors):
     """First (i, v), looping over i and then over v, with [e_i, v] outside
     the span of ``vectors`` (by solving for its coordinates), or None."""
@@ -312,16 +343,18 @@ def morphism_violation(p_src, c_src, G_src, p_dst, c_dst, G_dst, m):
     for a, col in enumerate(cols):
         if any(col) and {p_dst[r] for r in range(N) if col[r]} != {p_src[a]}:
             return ("parity", a)
+    # the nonzero entries of each column: a zero factor adds nothing
+    support = [[(r, x) for r, x in enumerate(col) if x] for col in cols]
     for a, b in itertools.product(range(n), repeat=2):
         lhs = [sum((c_src[a][b][k] * cols[k][r] for k in range(n)), ZERO)
                for r in range(N)]
-        rhs = [sum((cols[a][r] * cols[b][s] * c_dst[r][s][t]
-                    for r in range(N) for s in range(N)), ZERO)
+        rhs = [sum((x * y * c_dst[r][s][t]
+                    for r, x in support[a] for s, y in support[b]), ZERO)
                for t in range(N)]
         if lhs != rhs:
             return ("bracket", (a, b))
-        form = sum((cols[a][r] * G_dst[r][s] * cols[b][s]
-                    for r in range(N) for s in range(N)), ZERO)
+        form = sum((x * G_dst[r][s] * y
+                    for r, x in support[a] for s, y in support[b]), ZERO)
         if form != G_src[a][b]:
             return ("form", (a, b))
     return None
@@ -549,6 +582,12 @@ def inverse(A):
     if list(pivots) != list(range(n)):
         return None
     return tuple(tuple(R[i][n:]) for i in range(n))
+
+
+def poly_value(coeffs, x):
+    """c0 x^n + c1 x^(n-1) + ... + cn, term by term."""
+    n = len(coeffs) - 1
+    return sum((c * x ** (n - i) for i, c in enumerate(coeffs)), ZERO)
 
 
 def det(A):

@@ -8,8 +8,9 @@ invariance refutation for a non-supercyclic cocycle, the Lagrangian
 ideal/abelian lemma, an exact rational square root, vector addition,
 the coadjoint representation on graded linear functionals, a seeded
 basis change with denominators up to 6 of dense structure constants, the
-direct sum of two Lie superalgebras, the upper triangle of a full
-bracket table, an algebra built only from coordinates the dense sign
+direct sum of two Lie superalgebras, the super solvable family s(k) of
+the paper's second class, [g, g] from the dense brackets, the upper
+triangle of a full bracket table, an algebra built only from coordinates the dense sign
 rule finds free, drawn dense bracket tensors and their structure
 constants, and the supercyclic
 2-cocycles solved directly, the oracle of the library's transport of
@@ -41,10 +42,9 @@ from superquad.forms import (QuadraticLieSuperalgebra, even_form,
                              orthogonal, quadratic)
 from superquad.gallery import _layout
 from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
-from superquad.superalgebra import (EVEN, GradedBasis, LieSuperalgebra,
-                                    Subspace, bracket, center,
-                                    derived_subspace, graded_basis, is_ideal,
-                                    sgn)
+from superquad.superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra,
+                                    Subspace, bracket, center, from_brackets,
+                                    graded_basis, is_ideal, sgn, subspace)
 from superquad.tstar import _raw_extension
 
 import dense_oracle as dense
@@ -100,6 +100,22 @@ def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra) -> LieSuperalgebra:
                         a.basis.parities + b.basis.parities)
     return LieSuperalgebra(basis, {**a.coords, **{
         (i + n, j + n, k + n): q for (i, j, k), q in b.coords.items()}})
+
+
+def super_solvable(k: int) -> LieSuperalgebra:
+    """s(k): even h and e, odd u_i and v_i for i < k, with [h, e] = e,
+    [h, u_i] = a_i u_i, [h, v_i] = (1 - a_i) v_i and [u_i, v_i] = e for
+    a_i = (i + 1)/(k + 1).  It is solvable and not nilpotent, and
+    [g_1, g_1] = <e> = [g_0, g_0]: the paper's second class, with an odd
+    part."""
+    us, vs = [f"u{i}" for i in range(k)], [f"v{i}" for i in range(k)]
+    brackets = {("h", "e"): {"e": 1}}
+    for i, (u, v) in enumerate(zip(us, vs)):
+        a = Fraction(i + 1, k + 1)
+        brackets.update({("h", u): {u: a}, ("h", v): {v: 1 - a},
+                         (u, v): {"e": 1}})
+    return from_brackets(("h", "e", *us, *vs), (EVEN, EVEN) + (ODD,) * 2 * k,
+                         brackets)
 
 
 def upper(table) -> dict:
@@ -186,9 +202,15 @@ def matrix_of_glnn(n: int, label: str):
     return mat(m)
 
 
+def derived_by_dense(g: LieSuperalgebra) -> Subspace:
+    """[g, g], spanned by the dense brackets of every ordered pair of
+    basis vectors."""
+    return subspace(g.basis, dense.derived_rows(dense.bracket_tensor(g)))
+
+
 def center_orthogonality_check(q: QuadraticLieSuperalgebra) -> bool:
     """orthogonal(B, [g, g]) = z(g), exactly."""
-    return orthogonal(q.form, derived_subspace(q.algebra)) == (
+    return orthogonal(q.form, derived_by_dense(q.algebra)) == (
         center(q.algebra))
 
 

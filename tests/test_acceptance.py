@@ -33,12 +33,12 @@ from superquad.gallery import (build_glnn, build_gn, even_line,
                                random_cocycle2, random_scalar2,
                                random_supercyclic_cocycle, tstar_of_gn)
 from superquad.linalg import kernel, mat, rank, unit_vec, vec_is_zero
-from superquad.superalgebra import (ODD, bracket, center, derived_subspace,
-                                    is_nilpotent, sgn, subspace)
+from superquad.superalgebra import (ODD, bracket, center, is_nilpotent, sgn,
+                                    subspace)
 from superquad.tstar import (build, quadratic_morphism_violation,
                              shear_matrix, s_phi_isometry)
 
-from support import (add3, center_orthogonality_check,
+from support import (add3, center_orthogonality_check, derived_by_dense,
                      lemma_halfdim_ideal_iff_abelian, negative_test_invariance,
                      z2_supercyclic_direct)
 
@@ -293,7 +293,7 @@ def test_criterion_7_center_identities(gallery):
             ext = build(g)
             n = g.dim
             zg = center(g)
-            derived = derived_subspace(g)
+            derived = derived_by_dense(g)
             ann = (kernel(mat(derived.vectors)) if derived.dim
                    else [unit_vec(n, k) for k in range(n)])
             expected = subspace(

@@ -8,26 +8,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superquad as sq
-from superquad.cohomology import Cochain2Dual, unhat, z3_basis
+from superquad.cohomology import (Cochain2Dual, unhat, z2_supercyclic_basis,
+                                  z3_basis)
 from superquad.decompose import (Decomposition, _InducedSpace, _row_parity,
-                                 decompose, isotropic_vector,
-                                 max_isotropic_ideal)
+                                 _solvable_isotropic_eigvector, decompose,
+                                 isotropic_vector, max_isotropic_ideal)
 from superquad.errors import (InternalCheckError, PreconditionError,
                               RationalPointNotFound, UndecidedError)
 from superquad.forms import (QuadraticLieSuperalgebra, even_form,
                              is_totally_isotropic, orthogonal)
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
-from superquad.linalg import (RowReducer, dense_vec, lincomb, mat, rank,
-                              unit_vec, vec, vec_scale, zero_vec)
+from superquad.linalg import (Coordinates, RowReducer, dense_vec, lincomb,
+                              mat, rank, unit_vec, vec, vec_scale, zero_vec)
 from superquad.superalgebra import (EVEN, ODD, ad_images, bracket,
-                                    extend_subspace, is_ideal, subspace,
+                                    class_condition, extend_subspace,
+                                    is_ideal, is_nilpotent,
+                                    lower_central_series, subspace,
                                     zero_subspace)
 from superquad.tstar import build
 
 import dense_oracle as dense
 from dense_oracle import mat_vec, transpose
-from support import direct_sum, disguised_quadratic, vec_add
+from support import (derived_by_dense, direct_sum, disguised_quadratic,
+                     super_solvable, vec_add)
 
 F = Fraction
 
@@ -40,6 +44,11 @@ def _fraction_values(bound: int, max_denominator: int) -> list:
 
 
 THIRDS = _fraction_values(3, 3)
+
+
+def _units(indices) -> list[dict]:
+    """The basis vectors e_i for i in ``indices``, as {i: 1} dicts."""
+    return [{i: 1} for i in indices]
 
 
 def test_flag_hyperbolic_even_picks_first_null_vector():
@@ -208,39 +217,24 @@ def _span_rows(ind, w):
 @pytest.fixture(scope="module")
 def induced_spaces():
     """(W^perp, dense coordinates on the span rows, induced space) along
-    the flags of an even, an odd-dimensional, a class-c and a solvable
-    non-nilpotent algebra."""
+    the flags of an even, an odd-dimensional, a class-c and solvable
+    non-nilpotent algebras: T*(solvable2d), T*(s(k)) for k = 1, 2, 3 and
+    a disguised T*(s(1)), whose reps have residuals modulo W other than
+    themselves."""
     out = []
+    s1 = build(super_solvable(1)).total
     for Q in (build(sq.heisenberg3()).total,
               orthogonal_direct_sum(build(sq.abelian(1, 2)).total,
                                     even_line()),
-              sq.build_class_c_example(2), build(sq.solvable2d()).total):
+              sq.build_class_c_example(2), build(sq.solvable2d()).total, s1,
+              *(build(super_solvable(k)).total for k in (2, 3)),
+              disguised_quadratic(s1)):
         for w in max_isotropic_ideal(Q).chain:
             wperp = orthogonal(Q.form, w)
             ind = _InducedSpace(Q, w, wperp)
             out.append((wperp,
                         dense.coordinates(_span_rows(ind, w)), ind))
     return out
-
-
-@given(data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_project_matches_dense_solve(induced_spaces, data):
-    coeffs = st.sampled_from(THIRDS)
-    for wperp, coords_in_span, ind in induced_spaces:
-        n = len(wperp.basis.names)
-        v = zero_vec(n)
-        for u in wperp.vectors:
-            v = vec_add(v, vec_scale(data.draw(coeffs), u))
-        outside = vec_add(v, unit_vec(n, data.draw(st.integers(0, n - 1))))
-        for x in (v, outside):
-            want = coords_in_span(x)
-            if want is None:
-                with pytest.raises(InternalCheckError,
-                                   match="not in W\\^perp"):
-                    ind.project(x)
-            else:
-                assert dense_vec(ind.project(x), ind.dim) == want[:ind.dim]
 
 
 def _check_decomposition_dense(q):
@@ -286,18 +280,76 @@ def test_decompose_disguised_odd_heisenberg_sum():
     _check_decomposition_dense(q)
 
 
+# --- the paper's second class with an odd part: T*(s(k)) --------------------
+
+@pytest.mark.parametrize("k, z2", [(1, 3), (2, 10), (3, 21)])
+def test_decompose_super_solvable(k, z2):
+    """s(k) (``support.super_solvable``) is solvable, not nilpotent, meets
+    the class condition, and has dim Z^2_sc = 3, 10, 21 for k = 1, 2, 3.
+    T*(s(k)) plain, with a drawn supercyclic cocycle, disguised
+    (``disguised_quadratic``, seed 0) and + ``even_line()`` meet the
+    flag's solvable precondition, and each embedding passes the dense
+    oracle's morphism check."""
+    g = super_solvable(k)
+    basis = z2_supercyclic_basis(g)
+    assert len(basis) == z2
+    w = random_supercyclic_cocycle(g, random.Random(k), basis=basis)
+    assert w.coords
+    plain = build(g).total
+    cases = [plain, build(g, w).total, disguised_quadratic(plain, seed=0),
+             orthogonal_direct_sum(plain, even_line())]
+    for alg in (g, *(q.algebra for q in cases)):
+        assert sq.is_solvable(alg) and not is_nilpotent(alg)
+        assert class_condition(alg)
+    for q in cases:
+        _check_decomposition_dense(q)
+
+
+def test_solvable_joint_kernel_matches_dense_operators():
+    """At every step of the flags of T*(s(k)) for k = 1, 2, 3, of
+    T*(s(2)) + line and of T*(solvable2d + heisenberg3), the solvable
+    branch's joint kernel, one call of ``invariants``, against the dense
+    joint kernel of the induced operators of the odd basis vectors and the
+    dense rows of [g, g].  The flag hands the branch [g, g] as the second
+    member of its lower central series."""
+    cases = {f"T*(s({k}))": build(super_solvable(k)).total for k in (1, 2, 3)}
+    cases["T*(s(2)) + line"] = orthogonal_direct_sum(cases["T*(s(2))"],
+                                                     even_line())
+    cases["T*(solvable2d + heisenberg3)"] = build(
+        direct_sum(sq.solvable2d(), sq.heisenberg3())).total
+    invariants, steps, proper = _InducedSpace.invariants, 0, 0
+    for name, Q in cases.items():
+        g, n = Q.algebra, Q.dim
+        derived = derived_by_dense(g)
+        assert lower_central_series(g)[1] == derived, name
+        xs = [unit_vec(n, i) for i in range(n) if g.parity(i) == ODD] + list(
+            dense.derived_rows(dense.bracket_tensor(g)))
+        for w in max_isotropic_ideal(Q).chain:
+            ind, got = _InducedSpace(Q, w, orthogonal(Q.form, w)), []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_InducedSpace, "invariants", lambda self, ys: (
+                    got.append(invariants(self, ys)) or got[-1]))
+                _solvable_isotropic_eigvector(Q, ind, derived)
+            assert [dense_vec(u, ind.dim) for u in got[0]] \
+                == _dense_joint_kernel(Q, ind, xs), (name, w.dim)
+            steps += ind.dim > 0
+            proper += 0 < len(got[0]) < ind.dim
+    assert (steps, proper) == (30, 22)
+
+
 @pytest.fixture(scope="module")
 def disguised_induced_spaces():
     """The induced space of every flag member of T*(gn(2)) after a seeded
     basis change (``disguised_quadratic``), with its spanning rows [lifts | W
-    basis]: dense rows with denominators, unlike the unit vectors of the
-    gallery."""
+    basis], dense rows with denominators, unlike the unit vectors of the
+    gallery, and their ``Coordinates``."""
     q = disguised_quadratic(sq.tstar_of_gn(2).total)
     out = []
     for w in max_isotropic_ideal(q).chain:
         ind = _InducedSpace(q, w, orthogonal(q.form, w))
-        out.append((ind, _span_rows(ind, w)))
-    assert any(x.denominator > 1 for _, rows in out for v in rows
+        rows = _span_rows(ind, w)
+        out.append((ind, rows, Coordinates(q.dim, rows)))
+    assert any(x.denominator > 1 for _, rows, _ in out for v in rows
                for x in v)
     return out
 
@@ -311,16 +363,16 @@ def test_coordinates_of_disguised_input_match_dense(disguised_induced_spaces,
     the spanning rows are its coefficients, as the dense solve finds, and
     a vector off the span gives what the dense solve gives."""
     coeffs = st.sampled_from(_fraction_values(7, 12))
-    for ind, rows in disguised_induced_spaces:
+    for ind, rows, coords in disguised_induced_spaces:
         n = ind.q.dim
         x = tuple(data.draw(coeffs) for _ in rows)
         v = zero_vec(n)
         for t, r in zip(x, rows):
             v = vec_add(v, vec_scale(t, r))
-        assert dense_vec(ind._coords.of(v), len(rows)) \
+        assert dense_vec(coords.of(v), len(rows)) \
             == dense.coords_in(rows, v) == x
         off = vec_add(v, unit_vec(n, data.draw(st.integers(0, n - 1))))
-        got = ind._coords.of(off)
+        got = coords.of(off)
         assert dense.coords_in(rows, off) == (
             None if got is None else dense_vec(got, len(rows)))
 
@@ -345,7 +397,7 @@ def test_action_matches_dense_coordinates(induced_spaces, data):
         st.lists(coeffs, min_size=m, max_size=m), min_size=1, max_size=m))]
     space, red = [], RowReducer(m)
     if kind == "invariants":
-        space = [dense_vec(u, m) for u in ind.invariants(range(n))]
+        space = [dense_vec(u, m) for u in ind.invariants(_units(range(n)))]
     elif kind == "drawn":
         space = [v for v in draws if red.add(v)]
     else:  # v, op v, op^2 v, ... up to the first dependent one
@@ -372,15 +424,24 @@ def _dense_generators(c) -> list[int]:
     return [i for i in range(n) if i not in pivots]
 
 
-def _dense_invariants(Q, ind) -> list:
-    """The invariants of V' as the dense kernel of all n induced operators
-    stacked, each built column by column from projected brackets."""
-    n = Q.dim
-    rows = [row for i in range(n) for row in transpose(mat(
-        [dense_vec(ind.project(bracket(Q.algebra, unit_vec(n, i), rep)),
-                   ind.dim) for rep in ind.reps])) if any(row)]
+def _dense_joint_kernel(Q, ind, xs) -> list:
+    """The joint kernel on V' of the induced operators of the dense
+    vectors ``xs``, stacked, each built column by column from the dense
+    brackets' coordinates on the span rows [reps | W basis]."""
+    c, of = dense.bracket_tensor(Q.algebra), dense.coordinates(
+        _span_rows(ind, ind.w))
+    reps = [dense_vec(r, Q.dim) for r in ind.reps]
+    rows = [row for x in xs for row in transpose(mat(
+        [of(dense.bracket(c, x, rep))[:ind.dim] for rep in reps]))
+        if any(row)]
     return dense.kernel(rows) if rows else [
         unit_vec(ind.dim, t) for t in range(ind.dim)]
+
+
+def _dense_invariants(Q, ind) -> list:
+    """The invariants of V' as the dense kernel of all n induced operators
+    stacked."""
+    return _dense_joint_kernel(Q, ind, dense.identity(Q.dim))
 
 
 def test_invariants_match_stacked_induced_operators(supercyclic_bases,
@@ -401,7 +462,7 @@ def test_invariants_match_stacked_induced_operators(supercyclic_bases,
     for name, Q in cases.items():
         for w in max_isotropic_ideal(Q).chain:
             ind = _InducedSpace(Q, w, orthogonal(Q.form, w))
-            got = ind.invariants(range(Q.dim))
+            got = ind.invariants(_units(range(Q.dim)))
             assert [dense_vec(u, ind.dim) for u in got] \
                 == _dense_invariants(Q, ind), (name, w.dim)
             steps += ind.dim > 0
@@ -411,18 +472,22 @@ def test_invariants_match_stacked_induced_operators(supercyclic_bases,
 def _assert_generators_suffice(Q, name) -> int:
     """At every step of the flag of Q, the invariants it reads, bracketing
     only its generators S, against the dense all-basis list; S must be
-    the dense oracle's.  Returns the number of steps with a nonzero V'."""
+    the dense oracle's.  The solvable branch's joint kernel, which also
+    calls ``invariants``, is checked below.  Returns the number of steps
+    with a nonzero V'."""
     calls, invariants = [], _InducedSpace.invariants
 
     def recording(ind, gens):
-        calls.append((ind, gens, invariants(ind, gens)))
-        return calls[-1][2]
+        got = invariants(ind, gens)
+        if sys._getframe(1).f_code.co_name == "max_isotropic_ideal":
+            calls.append((ind, gens, got))
+        return got
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_InducedSpace, "invariants", recording)
         max_isotropic_ideal(Q)
-    want = _dense_generators(dense.bracket_tensor(Q.algebra))
+    want = _units(_dense_generators(dense.bracket_tensor(Q.algebra)))
     for ind, gens, got in calls:
-        assert list(gens) == want, name
+        assert gens == want, name
         assert [dense_vec(u, ind.dim) for u in got] \
             == _dense_invariants(Q, ind), (name, ind.w.dim)
     return sum(ind.dim > 0 for ind, _, _ in calls)
@@ -433,7 +498,7 @@ def test_invariants_on_generators_match_dense(flag_inputs):
     complement of [g, g] or every index, and suffices at every step."""
     steps = sum(_assert_generators_suffice(q, name)
                 for name, q in flag_inputs.items())
-    assert steps == 50
+    assert steps == 62
 
 
 @given(st.data())
@@ -461,7 +526,7 @@ def test_dropping_a_generator_enlarges_the_invariants(flag_inputs):
     without its first generator, b11, at some step."""
     for name, drop in (("T*(heisenberg3)", -1), ("T*(g(2))", 0)):
         Q = flag_inputs[name]
-        gens = _dense_generators(dense.bracket_tensor(Q.algebra))
+        gens = _units(_dense_generators(dense.bracket_tensor(Q.algebra)))
         short = gens[:drop] if drop else gens[1:]
         grew = [len(ind.invariants(short)) - len(ind.invariants(gens))
                 for ind in (_InducedSpace(Q, w, orthogonal(Q.form, w))
@@ -473,14 +538,16 @@ def test_dropping_a_generator_enlarges_the_invariants(flag_inputs):
 
 def _orthogonal_route_invariants(ind, gens) -> list:
     """U / W by a second route: U = (W + [S, W^perp])^perp from one
-    orthogonal, its rows projected into V', and the canonical basis read
-    as the kernel of the kernel of those rows."""
+    orthogonal, its rows read in V'-coordinates by dense elimination on
+    [reps | W basis], and the canonical basis read as the kernel of the
+    kernel of those rows."""
     q = ind.q
     span = subspace(q.basis, itertools.chain(
         ind.w.reducer.int_rows.values(),
         filter(None, ad_images(q.algebra, ind.reps, gens))))
-    red = RowReducer(ind.dim, map(ind.project,
-                                  orthogonal(q.form, span).rows))
+    of = dense.coordinates(_span_rows(ind, ind.w))
+    red = RowReducer(ind.dim, (of(v)[:ind.dim]
+                               for v in orthogonal(q.form, span).vectors))
     return RowReducer(ind.dim, red.sparse_kernel()).sparse_kernel()
 
 
@@ -497,7 +564,7 @@ def _assert_carried_steps_match(Q, name) -> int:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_InducedSpace, "__init__", recording)
         flag = max_isotropic_ideal(Q)
-    gens = _dense_generators(dense.bracket_tensor(Q.algebra))
+    gens = _units(_dense_generators(dense.bracket_tensor(Q.algebra)))
     assert [ind.w for ind, _ in steps] == list(flag.chain[:-1]), name
     for ind, wperp in steps:
         want = orthogonal(Q.form, ind.w)
@@ -577,6 +644,9 @@ def flag_inputs(gallery):
     cases["disguised T*(abelian(1|2)) + line"] = disguised_quadratic(
         orthogonal_direct_sum(cases["T*(abelian(1|2))"], even_line()))
     cases["hyperbolic_odd"] = sq.hyperbolic_odd()
+    cases["T*(s(2))"] = build(super_solvable(2)).total
+    cases["T*(s(2)) + line"] = orthogonal_direct_sum(cases["T*(s(2))"],
+                                                     even_line())
     return cases
 
 
@@ -610,7 +680,9 @@ def test_flag_step_brackets_only_the_new_vector(monkeypatch, flag_inputs):
     """No full ideal test runs inside the flag, and each step asks
     ad_images for the images of one vector, the one that its member adds
     to the previous member, under the generators S alone; every call in
-    the flag brackets S, the dense oracle's S."""
+    the flag brackets S, the dense oracle's S, but the solvable branch's
+    joint kernel, which brackets the odd basis vectors and a basis of
+    [g, g]."""
     dec = importlib.import_module("superquad.decompose")
     assert "is_ideal" not in vars(dec)
 
@@ -621,13 +693,13 @@ def test_flag_step_brackets_only_the_new_vector(monkeypatch, flag_inputs):
                           getattr(sq.superalgebra, name), refuse)
     single, indices, ad_images = [], [], dec.ad_images
 
-    def recording(g, vectors, gens=None):
+    def recording(g, vectors, left=None):
         vectors = list(vectors)
         single.extend(vectors if len(vectors) == 1 else [])
-        indices.append(gens)
-        return ad_images(g, vectors, gens)
+        indices.append(left)
+        return ad_images(g, vectors, left)
     monkeypatch.setattr(dec, "ad_images", recording)
-    proper = 0
+    proper = joint = 0
     for name, q in flag_inputs.items():
         single.clear()
         indices.clear()
@@ -636,10 +708,16 @@ def test_flag_step_brackets_only_the_new_vector(monkeypatch, flag_inputs):
         for v, w, bigger in zip(single, chain, chain[1:]):
             assert bigger.contains_vector(v), name
             assert not w.contains_vector(v), name
-        gens = _dense_generators(dense.bracket_tensor(q.algebra))
-        assert all(list(s) == gens for s in indices), name
+        gens = _units(_dense_generators(dense.bracket_tensor(q.algebra)))
+        odd = _units(i for i in range(q.dim) if q.basis.parity(i) == ODD)
+        for xs in map(list, indices):
+            if xs != gens:
+                assert xs[:len(odd)] == odd, name
+                assert subspace(q.basis, xs[len(odd):]) == derived_by_dense(
+                    q.algebra), name
+                joint += 1
         proper += len(gens) < q.dim
-    assert proper == 7
+    assert proper == 7 and joint > 0
 
 
 def test_even_decompose_tests_the_ideal_once_in_quotient(monkeypatch,
@@ -660,7 +738,7 @@ def test_even_decompose_tests_the_ideal_once_in_quotient(monkeypatch,
             assert decompose(q).parity_case == "even", name
             assert callers == ["quotient"], name
             even += 1
-    assert even == 11
+    assert even == 12
 
 
 def test_odd_decompose_verifies_one_isometry(monkeypatch):
@@ -697,7 +775,8 @@ def test_flag_step_refuses_a_bad_vector_at_once(monkeypatch, v, match):
     dec = importlib.import_module("superquad.decompose")
     q = build(sq.heisenberg3()).total
     zero = zero_subspace(q.basis)
-    first = _InducedSpace(q, zero, orthogonal(q.form, zero)).project(v)
+    ind = _InducedSpace(q, zero, orthogonal(q.form, zero))
+    first = dense.coords_in(_span_rows(ind, zero), dense_vec(v, q.dim))
     combination, chosen = dec._combination, []
 
     def choose(x, space):

@@ -10,17 +10,15 @@ from superquad.errors import (AxiomError, DimensionMismatch, NotGradedError,
                               NotIdealError, PreconditionError)
 from superquad.linalg import (RowReducer, kernel, mat, unit_vec, vec,
                               vec_is_zero, vec_scale, zero_vec)
-from superquad.superalgebra import (EVEN, ODD, Subspace, derived_subspace,
-                                    extend_subspace, full_subspace,
-                                    graded_basis,
-                                    product_subspace, quotient, sgn,
-                                    subspace, zero_subspace)
+from superquad.superalgebra import (EVEN, ODD, Subspace, extend_subspace,
+                                    full_subspace, graded_basis, quotient,
+                                    sgn, subspace, zero_subspace)
 
 import dense_oracle as dense
 from support import (DualVector, algebra_if_valid, basis_coords,
                      bracket_tensors, coadjoint, dense_integer_table,
-                     direct_sum, disguise, dual_vector, upper, vec_add,
-                     vector_parity)
+                     derived_by_dense, direct_sum, disguise, dual_vector,
+                     upper, vec_add, vector_parity)
 
 F = Fraction
 
@@ -573,26 +571,36 @@ def _few_entry_tables(draw):
 @given(st.one_of(_upper_of(_raw_tables()), _upper_of(_few_entry_tables()),
                  _lie_coords))
 @settings(max_examples=100, deadline=None)
-def test_derived_subspace_matches_brackets_of_the_whole(raw):
-    """[g, g] from the table entries against the span of the brackets of
-    every pair of basis vectors, on the coordinates construction accepts."""
-    basis, coords = raw
-    g = algebra_if_valid(basis, coords)
+def test_derived_series_matches_dense_ordered_pairs(raw):
+    """derived_series brackets the rows of each member at the pairs
+    t <= u alone; the dense loop brackets every ordered pair of rows, on
+    the coordinates construction accepts."""
+    g = algebra_if_valid(*raw)
     if g is None:  # construction raised with the dense violations
         return
-    whole = full_subspace(basis)
-    assert derived_subspace(g) == product_subspace(g, whole, whole)
+    assert _derived_series_matches_dense(g)
 
 
-def test_derived_subspace_of_gallery(gallery):
+def _derived_series_matches_dense(g) -> bool:
+    return sq.derived_series(g) == [
+        subspace(g.basis, rows)
+        for rows in dense.derived_series(dense.bracket_tensor(g))]
+
+
+def test_derived_series_of_gallery_matches_dense(gallery):
+    """The gallery, and [o, o] = e for an even e and an odd o, where only
+    the pair t = u brackets to anything: its series is g, <e>, 0."""
     for name, g in gallery.items():
-        whole = full_subspace(g.basis)
-        assert derived_subspace(g) == product_subspace(g, whole, whole), name
+        assert _derived_series_matches_dense(g), name
+    g = sq.from_brackets(("e", "o"), (EVEN, ODD), {("o", "o"): {"e": 1}})
+    assert _derived_series_matches_dense(g)
+    assert [w.dim for w in sq.derived_series(g)] == [2, 1, 0]
 
 
 def test_free_pairs_span_what_both_orders_span(gallery):
-    """derived_subspace and class_condition read each bracket once, at its
-    free pair; the spans of the table over both orders are the same."""
+    """derived_series, whose first step brackets the basis at i <= j, and
+    class_condition read each bracket once, at its free pair; the spans
+    of the table over both orders are the same."""
     cases = {**gallery, "solvable2d + heisenberg3": direct_sum(
         sq.solvable2d(), sq.heisenberg3())}
     cases.update({f"T*({name})": sq.build(g).total.algebra
@@ -601,7 +609,7 @@ def test_free_pairs_span_what_both_orders_span(gallery):
         p, c = g.basis.parities, dense.bracket_tensor(g)
         both = [(i, j, c[i][j]) for i in range(g.dim) for j in range(g.dim)
                 if any(c[i][j])]
-        assert derived_subspace(g) == subspace(
+        assert sq.derived_series(g)[:2][-1] == subspace(
             g.basis, [v for _, _, v in both]), name
         even, odd = (subspace(g.basis, [v for i, j, v in both
                                         if p[i] == p[j] == par])
@@ -640,9 +648,10 @@ def _lcd(values) -> int:
 
 
 def test_ad_images_match_bracket_with_unit_vectors(gallery):
-    """Each image is the int dict of d_g d_v [e_i, v], i-major over the
-    indices asked for: d_g the least common denominator of the structure
-    constants, d_v that of v."""
+    """Each image is the int dict of d_g d_v [x, v], x-major over the left
+    factors asked for, by default the basis vectors: d_g the least common
+    denominator of the structure constants, d_v that of v.  A left factor
+    {i: a, ...} with int values gives sum_i a (d_g d_v [e_i, v])."""
     rng = random.Random(17)
     for name, g in _ad_algebras(gallery).items():
         n, d_g = g.dim, _lcd(g.coords.values())
@@ -658,9 +667,14 @@ def test_ad_images_match_bracket_with_unit_vectors(gallery):
         assert [tuple(d.get(k, 0) for k in range(n)) for d in got] == [
             w for i in range(n) for w in want[i]], name
         some = [n - 1, 0] if n > 1 else [0]
-        got = list(sq.superalgebra.ad_images(g, vs, some))
+        got = list(sq.superalgebra.ad_images(g, vs, [{i: 1} for i in some]))
         assert [tuple(d.get(k, 0) for k in range(n)) for d in got] == [
             w for i in some for w in want[i]], name
+        x = {0: 2, n - 1: -3}  # {0: -3} when n = 1
+        got = list(sq.superalgebra.ad_images(g, vs, [x]))
+        assert [tuple(d.get(k, 0) for k in range(n)) for d in got] == [
+            tuple(sum(a * want[i][t][k] for i, a in x.items())
+                  for k in range(n)) for t in range(len(vs))], name
     with pytest.raises(DimensionMismatch):
         list(sq.superalgebra.ad_images(g, [zero_vec(n + 1)]))
 
@@ -678,13 +692,14 @@ def test_ad_images_scale_by_both_denominators():
         assert g.integer_table[0] == c.denominator
         assert list(sq.superalgebra.ad_images(g, [v])) == [
             {2: 2}, {2: -3}, {}]
-        assert list(sq.superalgebra.ad_images(g, [v], [1])) == [{2: -3}]
+        assert list(sq.superalgebra.ad_images(g, [v], [{1: 1}])) == [
+            {2: -3}]
 
 
 def _ideal_cases(rng, g):
     """Ideals of g and random graded subspaces, most of them not ideals."""
     whole = full_subspace(g.basis)
-    cases = [whole, zero_subspace(g.basis), sq.center(g), derived_subspace(g)]
+    cases = [whole, zero_subspace(g.basis), sq.center(g), derived_by_dense(g)]
     for _ in range(12):
         cases.append(subspace(g.basis, _random_graded_vectors(
             rng, g.basis, rng.randint(1, 3))))

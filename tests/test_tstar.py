@@ -21,15 +21,14 @@ from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_scalar2, random_supercyclic_cocycle)
 from superquad.linalg import kernel, mat, rank, unit_vec, vec, vec_is_zero
 from superquad.superalgebra import (LieSuperalgebra, QuotientResult,
-                                    bracket, center, derived_subspace,
-                                    is_ideal, jacobi_violations, sgn,
-                                    subspace)
+                                    bracket, center, is_ideal,
+                                    jacobi_violations, sgn, subspace)
 from superquad.tstar import (build, quadratic_morphism_violation, recognize,
                              s_phi_isometry, shear_matrix, verify_isometry)
 
 import dense_oracle as dense
 from dense_oracle import mat_mul, mat_vec
-from support import (add3, add_scalar2, is_zero3,
+from support import (add3, add_scalar2, derived_by_dense, is_zero3,
                      lemma_halfdim_ideal_iff_abelian, negative_test_invariance,
                      vector_parity)
 
@@ -448,7 +447,7 @@ def test_center_formula_for_zero_cocycle(gallery):
         n = g.dim
         N = 2 * n
         zg = center(g)
-        derived = derived_subspace(g)
+        derived = derived_by_dense(g)
         if derived.dim:
             ann = kernel(mat(derived.vectors))
         else:
