@@ -29,9 +29,8 @@ from .linalg import (Coordinates, Mat, ONE, Record, RowReducer, Vec, ZERO,
                      lincomb, nonzeros, rational_roots, unit_vec)
 from .superalgebra import (EVEN, ODD, LieSuperalgebra, Subspace, abelian,
                            ad_images, class_condition, extend_subspace,
-                           graded_complement, is_solvable,
-                           lower_central_series, sparse_bracket, subspace,
-                           zero_subspace)
+                           is_solvable, lower_central_series, sparse_bracket,
+                           subspace, zero_subspace)
 from .tstar import TStarExtension, recognize
 
 _QUADRIC_VARS = ("x", "y", "z", "w")
@@ -85,7 +84,6 @@ class IsotropicFlagResult(Record):
     w_max: Subspace
     w_perp: Subspace
     chain: tuple[Subspace, ...]
-    achieved_dim: int
 
 
 class Decomposition(Record):
@@ -114,10 +112,11 @@ class _InducedSpace:
     def __init__(self, q: QuadraticLieSuperalgebra, w: Subspace,
                  wperp: Subspace):
         self.q, self.w = q, w
-        comp = graded_complement(q.basis, w, within=wperp)
-        self.reps = comp.rows          # lifts of the V' basis
-        self.parities = comp.parities
-        self.dim = comp.dim
+        acc = w.reducer.copy()
+        # lifts of the V' basis: W^perp's RREF rows off W, still an RREF
+        self.reps = tuple(v for v in wperp.rows if acc.add(v))
+        self.parities = tuple(q.basis.parities[min(v)] for v in self.reps)
+        self.dim = len(self.reps)
 
     def lift(self, u: Vec | dict) -> dict:
         """The ambient vector sum_t u_t reps[t]."""
@@ -184,28 +183,36 @@ def _row_parity(parities, v: Vec | dict) -> int:
 
 
 def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
-                                  ind: _InducedSpace, derived: Subspace):
-    """Isotropic joint eigenvector (in V'-coords) of the induced action
-    of a solvable algebra satisfying the class condition, with
-    ``derived`` = [g, g].
+                                  ind: _InducedSpace, derived: Subspace,
+                                  u_basis: list[dict]) -> dict:
+    """Isotropic vector (in V'-coords) for the step of a solvable algebra
+    satisfying the class condition, with ``derived`` = [g, g] and
+    ``u_basis`` the invariants U / W.
 
-    Restricts to the subspace killed by the odd part and the derived
-    algebra (where the remaining even operators commute), then descends
+    Tries U / W first, keeping the certificate of its quadric.  Then
+    restricts to the subspace killed by the odd part and the derived
+    algebra (where the remaining even operators commute), and descends
     through their rational eigenspaces, backtracking over eigenvalue
     choices; nonzero eigenvalues are tried first since a nonzero joint
     character makes every vector of the final eigenspace isotropic.
-    Returns (vector or None, first irrational characteristic polynomial
-    encountered or None).  Deterministic throughout.
+    Failing both, RationalPointNotFound carries the quadric of U / W,
+    else the first irrational characteristic polynomial met, else no
+    certificate.  Deterministic throughout.
     """
+    cert = None
+    if u_basis:
+        try:
+            return ind.isotropic(u_basis, certify=True)
+        except RationalPointNotFound as exc:
+            cert = exc
     g, n = q.algebra, q.dim
     vpp = ind.invariants([{i: 1} for i in range(n) if g.parity(i) == ODD]
                          + list(derived.reducer.int_rows.values()))
-    if not vpp:
-        return None, None
     evens = [{i: ONE} for i in range(n) if g.parity(i) == EVEN]
-    first_poly: list = [None]
+    first_poly = None
 
     def descend(space: list[dict], k: int) -> dict | None:
+        nonlocal first_poly
         if k == len(evens):
             return ind.isotropic(space)
         op = ind.action(evens[k], space)
@@ -214,8 +221,8 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
         coeffs = charpoly(op)
         roots = rational_roots(coeffs)
         if not roots:
-            if first_poly[0] is None:
-                first_poly[0] = coeffs
+            if first_poly is None:
+                first_poly = coeffs
             return None
         for lam in sorted(roots, key=lambda r: (r == 0, r)):
             shifted = tuple(tuple(x - lam if r == s else x
@@ -227,7 +234,20 @@ def _solvable_isotropic_eigvector(q: QuadraticLieSuperalgebra,
                 return got
         return None
 
-    return descend(vpp, 0), first_poly[0]
+    if vpp and (got := descend(vpp, 0)) is not None:
+        return got
+    if cert is not None:
+        raise RationalPointNotFound(
+            "no rational isotropic vector found in the invariant subspace, "
+            "and no rational isotropic joint eigenvector exists",
+            quadric=cert.quadric, quadric_str=cert.quadric_str,
+            obstruction=cert.obstruction)
+    if first_poly is not None:
+        raise RationalPointNotFound(
+            "characteristic polynomial of an induced operator has no "
+            "rational root", polynomial=first_poly,
+            polynomial_str=_poly_string(first_poly))
+    raise RationalPointNotFound("the rational joint-eigenvector search failed")
 
 
 def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
@@ -236,9 +256,9 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
 
     Requires q nilpotent, or solvable with [g_odd, g_odd] inside
     [g_even, g_even].  Each step picks a homogeneous isotropic vector of
-    the invariant subspace (or joint eigenspace) of W^perp / W; when the
-    even part of that space is rationally anisotropic the search fails
-    with the offending quadric.
+    the invariant subspace (or joint eigenspace) of W^perp / W, or raises
+    RationalPointNotFound with the offending quadric or, when solvable,
+    characteristic polynomial.
     """
     g, n = q.algebra, q.dim
     series = lower_central_series(g)
@@ -256,37 +276,11 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
     while w.dim < n // 2:
         ind = _InducedSpace(q, w, subspace(q.basis, cons.sparse_kernel()))
         u_basis = ind.invariants(gens)
-        vprime = quadric_cert = None
-        if u_basis:
-            try:
-                vprime = ind.isotropic(u_basis, certify=True)
-            except RationalPointNotFound as exc:
-                if nilp:
-                    raise
-                quadric_cert = exc
-        elif nilp:
+        if nilp and not u_basis:
             raise InternalCheckError(
                 "empty invariant subspace for a nilpotent action")
-        if vprime is None:
-            # solvable branch: a joint eigenvector with nonzero character
-            # is isotropic even when the invariant subspace is not
-            vprime, poly = _solvable_isotropic_eigvector(q, ind, series[1])
-            if vprime is None:
-                if quadric_cert is not None:
-                    raise RationalPointNotFound(
-                        "no rational isotropic vector found in the "
-                        "invariant subspace, and no rational isotropic "
-                        "joint eigenvector exists",
-                        quadric=quadric_cert.quadric,
-                        quadric_str=quadric_cert.quadric_str,
-                        obstruction=quadric_cert.obstruction)
-                if poly is not None:
-                    raise RationalPointNotFound(
-                        "characteristic polynomial of an induced operator "
-                        "has no rational root", polynomial=poly,
-                        polynomial_str=_poly_string(poly))
-                raise RationalPointNotFound(
-                    "the rational joint-eigenvector search failed")
+        vprime = (ind.isotropic(u_basis, certify=True) if nilp else
+                  _solvable_isotropic_eigvector(q, ind, series[1], u_basis))
         # a combination of rows of one parity, so homogeneous
         _row_parity(ind.parities, vprime)
         lift = ind.lift(vprime)
@@ -311,7 +305,7 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
                              ad_images(g, wperp.rows, gens))):
         raise InternalCheckError("action does not map the orthogonal "
                                  "of the maximal member into it")
-    return IsotropicFlagResult(w, wperp, tuple(chain), w.dim)
+    return IsotropicFlagResult(w, wperp, tuple(chain))
 
 
 def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
@@ -319,37 +313,33 @@ def decompose(q: QuadraticLieSuperalgebra) -> Decomposition:
     verified codimension-1 nondegenerate graded ideal of one (odd total
     dimension), along a maximal totally isotropic graded ideal."""
     flag = max_isotropic_ideal(q)
-    iso, wperp = flag.w_max, flag.w_perp
-    n = q.dim
-    if n % 2 == 0:
-        ext, psi = recognize(q, iso)
-        return Decomposition(ideal=iso, quotient=ext.base, extension=ext,
-                             embedding=psi, parity_case="even")
-
-    # odd case: orthogonally adjoin a central even line t with
-    # B(t, t) = -beta to make the enlarged ideal Lagrangian, then
-    # recognize the enlarged algebra (docs/conventions.md, "Odd dimension")
-    d = next((v for v, p in zip(wperp.rows, wperp.parities)
-              if p == EVEN and not iso.contains_vector(v)), None)
-    if d is None:
-        raise InternalCheckError(
-            "no even direction in W^perp beyond W in odd dimension")
-    beta = q.form.apply(d, d)
-    if beta == 0:
-        raise InternalCheckError(
-            "degenerate direction transverse to the maximal ideal")
-    line = abelian(1, 0)
-    qhat = orthogonal_direct_sum(q, QuadraticLieSuperalgebra(
-        line, EvenForm(line.basis, {(0, 0): -beta})))
-    # d + t is isotropic, so recognize finds iso_hat a Lagrangian ideal
-    iso_hat = subspace(qhat.basis, [*iso.rows, {**d, n: ONE}])
+    iso, wperp, n = flag.w_max, flag.w_perp, q.dim
+    qhat, iso_hat = q, iso
+    if n % 2:
+        # odd case: adjoin a central even line t with B(t, t) = -beta to
+        # make the enlarged ideal Lagrangian (docs/conventions.md, "Odd
+        # dimension")
+        d = next((v for v, p in zip(wperp.rows, wperp.parities)
+                  if p == EVEN and not iso.contains_vector(v)), None)
+        if d is None:
+            raise InternalCheckError(
+                "no even direction in W^perp beyond W in odd dimension")
+        beta = q.form.apply(d, d)
+        if beta == 0:
+            raise InternalCheckError(
+                "degenerate direction transverse to the maximal ideal")
+        line = abelian(1, 0)
+        qhat = orthogonal_direct_sum(q, QuadraticLieSuperalgebra(
+            line, EvenForm(line.basis, {(0, 0): -beta})))
+        # d + t is isotropic, so iso_hat is a Lagrangian ideal of qhat
+        iso_hat = subspace(qhat.basis, [*iso.rows, {**d, n: ONE}])
     try:
-        ext, psi_hat = recognize(qhat, iso_hat)
+        ext, psi = recognize(qhat, iso_hat)
     except (NotIdealError, PreconditionError) as exc:
         raise InternalCheckError(
-            f"augmented ideal is not Lagrangian: {exc}") from exc
-    # q's part of the verified psi_hat (docs/conventions.md, "Odd dimension")
+            f"maximal ideal (augmented in odd dimension) is not a "
+            f"Lagrangian ideal: {exc}") from exc
+    # q's part of the verified psi (docs/conventions.md, "Odd dimension")
     return Decomposition(ideal=iso, quotient=ext.base, extension=ext,
-                         embedding=tuple(row[:n] for row in psi_hat),
-                         parity_case="odd")
-
+                         embedding=tuple(row[:n] for row in psi),
+                         parity_case="odd" if n % 2 else "even")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (DimensionMismatch, FormError, PreconditionError)
+from .errors import (DimensionMismatch, FormError, InternalCheckError,
+                     PreconditionError)
 from .linalg import (HALF, Mat, Record, RowReducer, Vec, ZERO, integer_rows,
                      lincomb, mat, nonzeros)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
@@ -191,7 +192,7 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
             corrected.append({c - k: q for c, q in r.items()})
     out = subspace(B.basis, corrected)
     if not (out.dim == iso.dim and is_totally_isotropic(B, out)):
-        raise PreconditionError("isotropic complement construction failed")
+        raise InternalCheckError("isotropic complement construction failed")
     return out
 
 

@@ -402,15 +402,12 @@ def extend_subspace(w: Subspace, v: Vec | dict) -> Subspace:
     return Subspace(w.basis, red)
 
 
-def graded_complement(basis: GradedBasis, inner: Subspace,
-                      within: Subspace | None = None) -> Subspace:
-    """Greedy graded complement of ``inner`` inside ``within`` (default:
-    the whole space), spanned by canonical-basis vectors of ``within``:
-    unit vectors or RREF rows of ``within``, so already an RREF."""
-    pool = (within.rows if within is not None
-            else [{i: ONE} for i in range(basis.dim)])
+def graded_complement(basis: GradedBasis, inner: Subspace) -> Subspace:
+    """Greedy graded complement of ``inner``, spanned by the unit vectors
+    that raise the rank, in index order."""
     acc = inner.reducer.copy()
-    return subspace(basis, [v for v in pool if acc.add(v)])
+    return subspace(basis, [{i: ONE} for i in range(basis.dim)
+                            if acc.add({i: ONE})])
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def test_criterion_6_structure_decomposition():
         dec = decompose(Q)  # embedding verified exactly inside decompose
         assert dec.parity_case == "even"
         flag = max_isotropic_ideal(Q)
-        assert flag.achieved_dim == Q.dim // 2
+        assert flag.w_max.dim == Q.dim // 2
         # even case: extension of the Heisenberg algebra by its volume cocycle
         h3 = sq.heisenberg3()
         w = unhat(z3_basis(h3)[0])

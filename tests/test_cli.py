@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from superquad import cli, cohomology, dsl, forms, superalgebra
+from superquad import cli, cohomology, dsl, forms, gallery, superalgebra
 from superquad.cohomology import (Cochain2Dual, ScalarCochain3,
                                   cocycle2_violation, free_coords_alt3,
                                   free_coords_cochain2dual,
@@ -346,6 +346,42 @@ def test_decompose_rational_failure_reports_quadric():
     assert by_name["decomposition.rational_point"]["witness"] == "x^2 + y^2"
 
 
+def _rotation_tstar_document() -> str:
+    """T*_0 of <h, x, y>, [h, x] = y, [h, y] = 2x, whose dual ideal is a
+    rational Lagrangian ideal that the flag misses (ROADMAP item 5)."""
+    g = superalgebra.from_brackets(("h", "x", "y"), (0, 0, 0), {
+        ("h", "x"): {"y": 1}, ("h", "y"): {"x": 2}})
+    return dsl.emit(dsl.document_quadratic(build(g).total))
+
+
+def test_decompose_of_tstar_rotation_fails_though_recognize_verifies():
+    text = _rotation_tstar_document()
+    code, rep = run_json(["decompose"], stdin_text=text)
+    assert code == 1
+    assert rep["checks"][-1] == {"name": "decomposition.rational_point",
+                                 "passed": False,
+                                 "witness": "t^4 - 4*t^2 + 4"}
+    code, rep = run_json(["recognize", "--ideal", "h*; x*; y*"],
+                         stdin_text=text)
+    assert code == 0
+    by_name = {c["name"]: c["passed"] for c in rep["checks"]}
+    assert by_name["recognition.isometry_verified"] is True
+
+
+def test_decompose_solvable_quadric_failure_reports_the_quadric():
+    a2 = superalgebra.abelian(2, 0)
+    plane = forms.QuadraticLieSuperalgebra(
+        a2, forms.even_form(a2.basis, [[1, 0], [0, 1]]))
+    q = gallery.orthogonal_direct_sum(build(gallery.solvable2d()).total,
+                                      plane)
+    code, rep = run_json(["decompose"],
+                         stdin_text=dsl.emit(dsl.document_quadratic(q)))
+    assert code == 1
+    by_name = {c["name"]: c for c in rep["checks"]}
+    assert by_name["decomposition.rational_point"]["witness"] == "x^2 + y^2"
+    assert rep["dims"]["obstruction"] == "definite"
+
+
 def _diagonal_document(*diag):
     names = [f"e{i + 1}" for i in range(len(diag))]
     return ("basis " + " ".join(f"{n}:even" for n in names) + "\n"
@@ -380,6 +416,17 @@ def test_internal_check_failure_is_reported_as_internal(monkeypatch):
     assert code == 2
     assert rep["error"] == {"kind": "internal", "message": "injected",
                             "line": None, "column": None}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tstar", "--omega", "v"], "document defines no cochain2 named 'v'"),
+    (["isometry", "--phi", "psi"], "document defines no scalar2 named "
+     "'psi'")], ids=["omega", "phi"])
+def test_an_absent_cochain_name_is_an_input_error(argv, message):
+    code, rep = run_json([*argv, str(CORPUS / "h3_volume_cochains.sqd")])
+    assert code == 2
+    assert rep["error"] == {"kind": "input", "line": None, "column": None,
+                            "message": message}
 
 
 def test_parse_error_exit_2():

@@ -353,6 +353,17 @@ def test_h3_volume_not_a_coboundary():
     assert cohomologous(h3, zero, vol) is None
 
 
+def test_cohomologous_rejects_another_basis_and_an_open_cochain():
+    h3, gn2 = sq.heisenberg3(), sq.build_gn(2)
+    zero = ScalarCochain3(h3.basis, {})
+    with pytest.raises(DimensionMismatch, match="basis differs"):
+        cohomologous(h3, zero, ScalarCochain3(gn2.basis, {}))
+    f = ScalarCochain3(gn2.basis, {(0, 2, 2): 1})  # d f != 0
+    assert not is_closed3(gn2, f)
+    with pytest.raises(PreconditionError, match="must be closed"):
+        cohomologous(gn2, f, ScalarCochain3(gn2.basis, {}))
+
+
 def test_cohomologous_identity_and_roundtrip(gallery):
     rng = random.Random(31)
     for name, g in gallery.items():

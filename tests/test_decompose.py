@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import itertools
 import random
@@ -10,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 import superquad as sq
 from superquad.cohomology import (Cochain2Dual, unhat, z2_supercyclic_basis,
                                   z3_basis)
-from superquad.decompose import (Decomposition, _InducedSpace, _row_parity,
+from superquad.decompose import (Decomposition, IsotropicFlagResult,
+                                 _InducedSpace, _row_parity,
                                  _solvable_isotropic_eigvector, decompose,
                                  isotropic_vector, max_isotropic_ideal)
-from superquad.errors import (InternalCheckError, PreconditionError,
-                              RationalPointNotFound, UndecidedError)
+from superquad.errors import (InternalCheckError, NotIdealError,
+                              PreconditionError, RationalPointNotFound,
+                              UndecidedError)
 from superquad.forms import (QuadraticLieSuperalgebra, even_form,
                              is_totally_isotropic, orthogonal)
 from superquad.gallery import (even_line, orthogonal_direct_sum,
@@ -23,10 +26,10 @@ from superquad.linalg import (Coordinates, RowReducer, dense_vec, lincomb,
                               mat, rank, unit_vec, vec, vec_scale, zero_vec)
 from superquad.superalgebra import (EVEN, ODD, ad_images, bracket,
                                     class_condition, extend_subspace,
-                                    is_ideal, is_nilpotent,
+                                    from_brackets, is_ideal, is_nilpotent,
                                     lower_central_series, subspace,
                                     zero_subspace)
-from superquad.tstar import build
+from superquad.tstar import build, recognize
 
 import dense_oracle as dense
 from dense_oracle import mat_vec, transpose
@@ -54,7 +57,7 @@ def _units(indices) -> list[dict]:
 def test_flag_hyperbolic_even_picks_first_null_vector():
     q = sq.hyperbolic_even()
     flag = max_isotropic_ideal(q)
-    assert flag.achieved_dim == 1
+    assert flag.w_max.dim == 1
     assert flag.w_max == subspace(q.basis, [unit_vec(2, 0)])
     assert [w.dim for w in flag.chain] == [0, 1]
 
@@ -77,11 +80,23 @@ def test_flag_member_that_is_not_isotropic_is_caught(monkeypatch, q):
         max_isotropic_ideal(q)
 
 
-def test_flag_anisotropic_rational_failure():
+def _anisotropic_plane() -> QuadraticLieSuperalgebra:
+    """The abelian even plane with the form x^2 + y^2, anisotropic over Q."""
     a2 = sq.abelian(2, 0)
-    q = QuadraticLieSuperalgebra(a2, even_form(a2.basis, [[1, 0], [0, 1]]))
+    return QuadraticLieSuperalgebra(a2, even_form(a2.basis, [[1, 0], [0, 1]]))
+
+
+def _rotation_algebra():
+    """g = <h, x, y>, even, with [h, x] = y and [h, y] = 2x: solvable and
+    not nilpotent, and ad h on <x, y> has characteristic polynomial
+    t^2 - 2, with no rational root."""
+    return from_brackets(("h", "x", "y"), (EVEN,) * 3,
+                         {("h", "x"): {"y": 1}, ("h", "y"): {"x": 2}})
+
+
+def test_flag_anisotropic_rational_failure():
     with pytest.raises(RationalPointNotFound) as exc:
-        max_isotropic_ideal(q)
+        max_isotropic_ideal(_anisotropic_plane())
     assert exc.value.quadric_str == "x^2 + y^2"
     assert tuple(exc.value.quadric) == (F(1), F(1))
 
@@ -89,14 +104,14 @@ def test_flag_anisotropic_rational_failure():
 def test_flag_odd_hyperbolic():
     q = sq.hyperbolic_odd()
     flag = max_isotropic_ideal(q)
-    assert flag.achieved_dim == 1
+    assert flag.w_max.dim == 1
     assert len(flag.w_max.odd_rows) == 1
 
 
 def test_flag_chain_invariants():
     ext = sq.tstar_of_gn(2)
     flag = max_isotropic_ideal(ext.total)
-    assert flag.achieved_dim == 6
+    assert flag.w_max.dim == 6
     dims = [w.dim for w in flag.chain]
     assert dims == list(range(7))
     for w in flag.chain:
@@ -305,6 +320,79 @@ def test_decompose_super_solvable(k, z2):
         _check_decomposition_dense(q)
 
 
+def test_solvable_step_certifies_the_quadric_of_the_invariants():
+    """T*(solvable2d) + <1, 1>, dim 6: its even form is two hyperbolic
+    planes plus x^2 + y^2, of Witt index 2 over Q, so no 3-dimensional
+    isotropic subspace exists.  The solvable step tries the invariants
+    first, and its failure carries their anisotropic quadric."""
+    q = orthogonal_direct_sum(build(sq.solvable2d()).total,
+                              _anisotropic_plane())
+    assert q.dim == 6 and not is_nilpotent(q.algebra)
+    with pytest.raises(RationalPointNotFound) as exc:
+        decompose(q)
+    err = exc.value
+    assert str(err) == ("no rational isotropic vector found in the "
+                        "invariant subspace, and no rational isotropic "
+                        "joint eigenvector exists")
+    assert (err.quadric_str, err.obstruction) == ("x^2 + y^2", "definite")
+    assert tuple(err.quadric) == (F(1), F(1)) and err.polynomial is None
+
+
+def test_solvable_step_certifies_an_irrational_characteristic_polynomial():
+    """On T*_0 of <h, x, y> the invariants are empty after the first step,
+    and h acts on the joint kernel with characteristic polynomial
+    (t^2 - 2)^2: by the rational root theorem a rational root of this
+    monic integer polynomial is an integer dividing 4, and none is one."""
+    q = build(_rotation_algebra()).total
+    with pytest.raises(RationalPointNotFound) as exc:
+        max_isotropic_ideal(q)
+    err = exc.value
+    assert str(err) == ("characteristic polynomial of an induced operator "
+                        "has no rational root")
+    assert err.polynomial_str == "t^4 - 4*t^2 + 4" and err.quadric is None
+    coeffs = list(err.polynomial)
+    assert coeffs == [1, 0, -4, 0, 4]
+    assert all(sum(c * t ** (4 - i) for i, c in enumerate(coeffs))
+               for t in (1, -1, 2, -2, 4, -4))
+
+
+def test_dual_ideal_of_tstar_rotation_is_a_rational_lagrangian_ideal():
+    """g* is a Lagrangian ideal of T*_0(g) over Q for g = <h, x, y>, and
+    recognize verifies the T*-extension along it."""
+    ext = build(_rotation_algebra())
+    q, ideal = ext.total, ext.dual_ideal()
+    assert is_ideal(q.algebra, ideal) and is_totally_isotropic(q.form, ideal)
+    got, _ = recognize(q, ideal)
+    assert got.base.dim == 3
+
+
+@pytest.mark.xfail(strict=True, raises=RationalPointNotFound,
+                   reason="the greedy flag takes h* first and then meets "
+                   "(t^2 - 2)^2 on W^perp / W, though g* is a rational "
+                   "Lagrangian ideal (ROADMAP item 5)")
+def test_decompose_finds_the_rational_lagrangian_ideal_of_tstar_rotation():
+    dec = decompose(build(_rotation_algebra()).total)
+    assert dec.parity_case == "even" and dec.ideal.dim == 3
+
+
+def test_decompose_blames_itself_for_a_flag_that_is_no_ideal(monkeypatch):
+    """decompose hands the flag's last member to recognize once, in either
+    parity, so a member that is no ideal is the library's fault: here
+    span(e1, e2*, e3*) of T*(heisenberg3), Lagrangian, but [e2, e1] = -e3
+    leaves it."""
+    dec = importlib.import_module("superquad.decompose")
+    q = build(sq.heisenberg3()).total
+    w = subspace(q.basis, [unit_vec(6, 0), unit_vec(6, 4), unit_vec(6, 5)])
+    assert 2 * w.dim == q.dim and is_totally_isotropic(q.form, w)
+    assert not is_ideal(q.algebra, w)
+    monkeypatch.setattr(dec, "max_isotropic_ideal",
+                        lambda q: IsotropicFlagResult(w, w, (w,)))
+    with pytest.raises(InternalCheckError,
+                       match="not a Lagrangian ideal") as exc:
+        decompose(q)
+    assert isinstance(exc.value.__cause__, NotIdealError)
+
+
 def test_solvable_joint_kernel_matches_dense_operators():
     """At every step of the flags of T*(s(k)) for k = 1, 2, 3, of
     T*(s(2)) + line and of T*(solvable2d + heisenberg3), the solvable
@@ -329,7 +417,8 @@ def test_solvable_joint_kernel_matches_dense_operators():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_InducedSpace, "invariants", lambda self, ys: (
                     got.append(invariants(self, ys)) or got[-1]))
-                _solvable_isotropic_eigvector(Q, ind, derived)
+                with contextlib.suppress(RationalPointNotFound):
+                    _solvable_isotropic_eigvector(Q, ind, derived, [])
             assert [dense_vec(u, ind.dim) for u in got[0]] \
                 == _dense_joint_kernel(Q, ind, xs), (name, w.dim)
             steps += ind.dim > 0
@@ -604,9 +693,10 @@ def test_carried_orthogonal_matches_on_drawn_inputs(supercyclic_bases,
 
 def test_decompose_of_tstar_gn3_builds_few_reducers(monkeypatch):
     """The flag adds one covector per step to the reducer that carries
-    W^perp and reads each step's invariants off one more reducer: a
-    decomposition of T*(gn(3)), dim 30, builds at most 100 RowReducers;
-    rebuilding W^perp and U from scratch at every step takes 182."""
+    W^perp, reads each step's invariants off one more reducer and keeps
+    the reps as W^perp's own RREF rows: a decomposition of T*(gn(3)),
+    dim 30, builds at most 80 RowReducers; rebuilding W^perp and U from
+    scratch at every step takes 182."""
     q = sq.tstar_of_gn(3).total
     init, built = RowReducer.__init__, []
 
@@ -615,7 +705,7 @@ def test_decompose_of_tstar_gn3_builds_few_reducers(monkeypatch):
         init(self, *args, **kwargs)
     monkeypatch.setattr(RowReducer, "__init__", counting)
     decompose(q)
-    assert 0 < len(built) <= 100
+    assert 0 < len(built) <= 80
 
 
 def test_row_parity_rejects_mixed_and_zero_vectors():

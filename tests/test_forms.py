@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import superquad as sq
-from superquad import dsl
-from superquad.errors import DimensionMismatch, FormError, PreconditionError
+from superquad import dsl, forms
+from superquad.errors import (DimensionMismatch, FormError,
+                              InternalCheckError, PreconditionError)
 from superquad.forms import (EvenForm, even_form, gram, invariance_violation,
                              is_invariant, is_totally_isotropic,
                              isotropic_complement, orthogonal, quadratic,
@@ -279,6 +280,17 @@ def test_isotropic_complement_odd_pair():
     iso = subspace(q.basis, [unit_vec(2, 0)])
     c = isotropic_complement(q.form, iso)
     assert c == subspace(q.basis, [unit_vec(2, 1)])
+
+
+def test_isotropic_complement_blames_itself_for_a_bad_output(monkeypatch):
+    """The test of the constructed complement checks the library's own
+    output, so its failure is internal, not a precondition of the input."""
+    q = sq.hyperbolic_even()
+    iso = subspace(q.basis, [unit_vec(2, 0)])
+    monkeypatch.setattr(forms, "is_totally_isotropic", lambda B, w: False)
+    with pytest.raises(InternalCheckError,
+                       match="isotropic complement construction failed"):
+        isotropic_complement(q.form, iso)
 
 
 def test_isotropic_complement_dual_summand():

@@ -60,9 +60,8 @@ def _cases():
          (ext.base, ext.omega, hyp)),
         (ShearIsometry, (ext, ext, shear.phi, shear.matrix),
          (ext, ext, shear.phi, ())),
-        (IsotropicFlagResult, (flag.w_max, flag.w_perp, flag.chain,
-                               flag.achieved_dim),
-         (flag.w_max, flag.w_perp, flag.chain, flag.achieved_dim + 1)),
+        (IsotropicFlagResult, (flag.w_max, flag.w_perp, flag.chain),
+         (flag.w_max, flag.w_perp, flag.chain[:-1])),
         (Decomposition, (dec.ideal, dec.quotient, dec.extension,
                          dec.embedding, "even"),
          (dec.ideal, dec.quotient, dec.extension, dec.embedding, "odd")),

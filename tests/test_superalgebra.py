@@ -445,6 +445,13 @@ def test_quotient_rejects_an_overlapping_complement():
         quotient(h3, sq.center(h3), complement=comp)
 
 
+def test_quotient_rejects_a_complement_of_the_wrong_dimension():
+    h3 = sq.heisenberg3()
+    comp = subspace(h3.basis, [unit_vec(3, 0)])
+    with pytest.raises(PreconditionError, match="wrong dimension"):
+        quotient(h3, sq.center(h3), complement=comp)
+
+
 def test_quotient_requires_ideal():
     h3 = sq.heisenberg3()
     with pytest.raises(NotIdealError):
