@@ -38,13 +38,9 @@ SCHEMA_VERSION = 1
 
 class Report:
     def __init__(self, command: str, seed: int, text_mode: bool):
-        self.command = command
-        self.seed = seed
-        self.text_mode = text_mode
+        self.command, self.seed, self.text_mode = command, seed, text_mode
         self.checks: list[dict] = []
-        self.dims: dict = {}
-        self.outputs: dict = {}
-        self.input_digest: str | None = None
+        self.dims, self.outputs, self.input_digest = {}, {}, None
 
     def check(self, name: str, passed: bool, witness=None):
         self.checks.append(
@@ -85,8 +81,7 @@ class Report:
                         out.write(f"--- {k} ---\n{v}")
                     else:
                         out.write(f"{k} = {v}\n")
-            out.write(f"{prefix}status: "
-                      f"{'pass' if self.passed else 'fail'}\n")
+            out.write(f"{prefix}status: {'pass' if self.passed else 'fail'}\n")
         else:
             if document is not None:
                 self.outputs["document"] = document

@@ -47,18 +47,14 @@ def _poly_string(coeffs: tuple[Fraction, ...]) -> str:
                        for i, c in enumerate(coeffs))
 
 
-def isotropic_vector(gram: Mat, parities: tuple[int, ...], *,
-                     certify: bool = False) -> Vec | None:
-    """A nonzero isotropic vector for the Gram matrix: an odd coordinate
-    vector, a raw even basis vector with zero diagonal, a zero entry of
-    the congruence-diagonalized even block, or else the point that
-    :func:`isotropy.isotropic_point` decides and builds.  None when there
-    is none over Q; with ``certify``, RationalPointNotFound carrying the
-    diagonalized quadric and its obstruction instead."""
+def isotropic_vector(gram: Mat, *, certify: bool = False) -> Vec | None:
+    """A nonzero isotropic vector for the Gram matrix of even vectors (an
+    odd one goes first, in :meth:`_InducedSpace.isotropic`): a raw basis
+    vector with zero diagonal, a zero entry of the diagonalized matrix, or
+    the point that :func:`isotropy.isotropic_point` decides and builds.
+    None when there is none over Q; with ``certify``,
+    RationalPointNotFound carrying the quadric and its obstruction."""
     k = len(gram)
-    odd = [r for r in range(k) if parities[r] == ODD]
-    if odd:
-        return unit_vec(k, odd[0])
     for r in range(k):
         if gram[r][r] == 0:
             return unit_vec(k, r)
@@ -117,6 +113,8 @@ class _InducedSpace:
         self.reps = tuple(v for v in wperp.rows if acc.add(v))
         self.parities = tuple(q.basis.parities[min(v)] for v in self.reps)
         self.dim = len(self.reps)
+        e = self.parities.count(EVEN)  # the reps of each parity
+        self.even, self.odd = slice(0, e), slice(e, None)
 
     def lift(self, u: Vec | dict) -> dict:
         """The ambient vector sum_t u_t reps[t]."""
@@ -139,12 +137,13 @@ class _InducedSpace:
         return tuple(tuple(c.get(r, ZERO) for c in cols)
                      for r in range(len(space)))
 
-    def invariants(self, xs: list[dict]) -> list[dict]:
+    def invariants(self, xs: list[dict], cols=slice(None)) -> list[dict]:
         """U / W, the joint kernel on V' of the induced ad(x) for the
         {i: int} dicts x of ``xs``: one kernel of the rows (s, c), s the
         place of x in ``xs``, of the residuals of [x, reps[t]] modulo W,
-        each s-block scaled to ints (docs/conventions.md, "Flag step")."""
-        red, reps = self.w.reducer, self.reps
+        each s-block scaled to ints; on the reps ``cols`` of one parity, the
+        part of U / W there, which no other rows touch ("Flag step")."""
+        red, reps = self.w.reducer, self.reps[cols]
         fs = [math.lcm(*(c.denominator for c in r.values())) for r in reps]
         images = ad_images(self.q.algebra, reps, xs)
         rows: dict = {}
@@ -155,14 +154,18 @@ class _InducedSpace:
             for t, (f, (d, r)) in enumerate(zip(fs, block)):
                 for c, v in r.items():
                     rows.setdefault((s, c), {})[t] = m // (f * d) * v
-        return RowReducer(self.dim, rows.values()).sparse_kernel()
+        return [{(cols.start or 0) + t: c for t, c in u.items()} for u in
+                RowReducer(len(reps), rows.values()).sparse_kernel()]
 
     def isotropic(self, rows: list, certify: bool = False) -> dict | None:
-        """An isotropic combination of the homogeneous V'-vectors ``rows``,
-        by :func:`isotropic_vector` on their induced Gram matrix."""
-        par = tuple(_row_parity(self.parities, v) for v in rows)
+        """An isotropic combination of the homogeneous V'-vectors ``rows``:
+        the first odd one, else :func:`isotropic_vector` of their induced
+        Gram matrix."""
+        par = [_row_parity(self.parities, v) for v in rows]
+        if ODD in par:
+            return rows[par.index(ODD)]
         lifts = [self.lift(r) for r in rows]
-        point = isotropic_vector(gram(self.q.form, lifts, lifts), par,
+        point = isotropic_vector(gram(self.q.form, lifts, lifts),
                                  certify=certify)
         return None if point is None else _combination(point, rows)
 
@@ -177,8 +180,7 @@ def _row_parity(parities, v: Vec | dict) -> int:
     flag step reads are homogeneous (docs/conventions.md, "Flag step")."""
     found = {parities[r] for r in nonzeros(v, len(parities))}
     if len(found) != 1:
-        raise InternalCheckError("vector of V' is not homogeneous",
-                                 witness=v)
+        raise InternalCheckError("vector of V' is not homogeneous", witness=v)
     return found.pop()
 
 
@@ -271,11 +273,12 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
     gens = [{i: 1} for i in range(n)
             if not (nilp and i in series[1].reducer.int_rows)]
     w = zero_subspace(q.basis)
-    chain = [w]
-    cons = RowReducer(n)  # the covectors B(-, v) of W's chosen vectors v
+    chain, perp = [w], RowReducer.identity(n)  # the rows of W^perp
     while w.dim < n // 2:
-        ind = _InducedSpace(q, w, subspace(q.basis, cons.sparse_kernel()))
-        u_basis = ind.invariants(gens)
+        # a view of perp's rows as they stand; the odd block is read first
+        ind = _InducedSpace(q, w, Subspace(q.basis, perp))
+        u_basis = (ind.invariants(gens, ind.odd)
+                   or ind.invariants(gens, ind.even))
         if nilp and not u_basis:
             raise InternalCheckError(
                 "empty invariant subspace for a nilpotent action")
@@ -287,14 +290,14 @@ def max_isotropic_ideal(q: QuadraticLieSuperalgebra) -> IsotropicFlagResult:
         if q.form.apply(lift, lift) != 0:
             raise InternalCheckError("selected vector is not isotropic")
         w = extend_subspace(w, lift)
-        cons.add(q.form.image(lift))
+        perp.meet(q.form.image(lift))
         # the old W is an ideal, so W + Kv is one iff [S, v] lies in it
         if w.dim != chain[-1].dim + 1:
             raise InternalCheckError("flag dimension did not grow by one")
         if not all(map(w.contains_vector, ad_images(g, [lift], gens))):
             raise InternalCheckError("flag member is not an ideal")
         chain.append(w)
-    wperp = subspace(q.basis, cons.sparse_kernel())
+    wperp = Subspace(q.basis, perp)
     # dim W = floor(n/2), so W is isotropic iff W = W^perp (even n), or W
     # lies in W^perp, one dimension bigger (odd n); then so is every member
     if not (w == wperp if n % 2 == 0 else

@@ -81,17 +81,12 @@ class AlgebraDocument(Record):
     def basis(self) -> GradedBasis:
         return graded_basis(self.names, self.parities)
 
-    def index(self, label: str) -> int:
-        return self.names.index(label)
-
 
 class _LineParser:
     """Tokenizer over one line, tracking columns for error messages."""
 
     def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
+        self.text, self.lineno, self.pos = text, lineno, 0
 
     def error(self, message: str):
         raise ParseError(message, self.lineno, self.pos + 1)
@@ -103,10 +98,6 @@ class _LineParser:
     def at_end(self) -> bool:
         self.skip_ws()
         return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def literal(self, s: str):
         if not self.try_literal(s):
@@ -149,45 +140,34 @@ def _require_basis(lp: _LineParser, doc: AlgebraDocument):
 
 def _index(lp: _LineParser, doc: AlgebraDocument, label: str) -> int:
     try:
-        return doc.index(label)
+        return doc.names.index(label)
     except ValueError:
         lp.error(f"undeclared basis label {label!r}")
 
 
 def _parse_lincomb(lp: _LineParser, doc: AlgebraDocument) -> Vec:
-    n = doc.dim
-    out = list(zero_vec(n))
+    out = list(zero_vec(doc.dim))
     first = True
-    while True:
-        lp.skip_ws()
-        sign = Fraction(1)
-        if lp.try_literal("+"):
-            pass
-        elif lp.try_literal("-"):
-            sign = Fraction(-1)
-        elif not first:
+    while first or not lp.at_end():
+        sign = -1 if lp.try_literal("-") else 1
+        if sign == 1 and not lp.try_literal("+") and not first:
             lp.error("expected '+' or '-'")
         lp.skip_ws()
-        if lp.peek().isdigit():
+        if lp.text[lp.pos:lp.pos + 1].isdigit():
             coeff = lp.rational()
             if lp.try_literal("*"):
-                label = lp.label()
-                out[_index(lp, doc, label)] += sign * coeff
-            elif coeff == 0:
-                pass  # a bare zero term is allowed
-            else:
+                out[_index(lp, doc, lp.label())] += sign * coeff
+            elif coeff != 0:  # a bare zero term is allowed
                 lp.error("a bare scalar term must be 0")
         else:
-            label = lp.label()
-            out[_index(lp, doc, label)] += sign
+            out[_index(lp, doc, lp.label())] += sign
         first = False
-        if lp.at_end():
-            break
     return tuple(out)
 
 
 def _handle_basis(lp: _LineParser, doc: AlgebraDocument):
-    any_decl = False
+    if lp.at_end():
+        lp.error("empty basis declaration")
     while not lp.at_end():
         label = lp.label()
         lp.literal(":")
@@ -200,9 +180,6 @@ def _handle_basis(lp: _LineParser, doc: AlgebraDocument):
             lp.error(f"duplicate basis label {label!r}")
         doc.names += (label,)
         doc.parities += (parity,)
-        any_decl = True
-    if not any_decl:
-        lp.error("empty basis declaration")
 
 
 def _handle_bracket(lp: _LineParser, doc: AlgebraDocument):
@@ -368,9 +345,8 @@ def document_algebra(doc: AlgebraDocument) -> LieSuperalgebra:
 
 
 def document_form(doc: AlgebraDocument) -> EvenForm | None:
-    if doc.form_name is None:
-        return None
-    return EvenForm(doc.basis(), doc.form_entries)
+    return (None if doc.form_name is None
+            else EvenForm(doc.basis(), doc.form_entries))
 
 
 def document_cochain2(doc: AlgebraDocument, name: str) -> Cochain2Dual:

@@ -79,8 +79,9 @@ def gram(B: EvenForm, rows, cols) -> Mat:
     of u against the int covectors of :func:`_int_images`, divided once."""
     e, images = _int_images(B, cols)
     d, rows = integer_rows(nonzeros(u, B.dim).items() for u in rows)
-    return tuple(tuple(Fraction(sum(c * im[a] for a, c in u if a in im),
-                                d * e) for im in images) for u in rows)
+    return tuple(tuple(Fraction(x, d * e) if (x := sum(
+        c * im[a] for a, c in u if a in im)) else ZERO for im in images)
+        for u in rows)
 
 
 def even_form(basis: GradedBasis, gram) -> EvenForm:
@@ -142,9 +143,11 @@ def is_invariant(g: LieSuperalgebra, B: EvenForm) -> bool:
 
 
 def orthogonal(B: EvenForm, w: Subspace) -> Subspace:
-    """w^perp = {v : B(v, u) = 0 for all u in w}, from w's int rows."""
-    images = map(B.image, w.reducer.int_rows.values())
-    return subspace(B.basis, RowReducer(B.dim, images).sparse_kernel())
+    """w^perp: the whole space met with ker B(-, u) for w's int rows u."""
+    red = RowReducer.identity(B.dim)
+    for u in w.reducer.int_rows.values():
+        red.meet(B.image(u))
+    return Subspace(B.basis, red)
 
 
 def is_totally_isotropic(B: EvenForm, w: Subspace) -> bool:

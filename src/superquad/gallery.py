@@ -92,8 +92,7 @@ def build_class_c_example(n: int) -> QuadraticLieSuperalgebra:
     """The zero-cocycle T*-extension of the triangular family: a
     nilpotent quadratic superalgebra whose center is nonzero and lies
     entirely in the odd part."""
-    ext = tstar_of_gn(n)
-    total = ext.total
+    total = tstar_of_gn(n).total
     if not is_nilpotent(total.algebra):
         raise InternalCheckError("extension of a nilpotent base must be "
                                  "nilpotent")

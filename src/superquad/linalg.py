@@ -80,9 +80,7 @@ class Record:
 
 def frac(x) -> Fraction:
     """Coerce ints, `"p/q"` strings and Fractions to ``Fraction``."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def integer_rows(rows: Iterable) -> tuple[int, list]:
@@ -247,21 +245,48 @@ class RowReducer:
         for c in r:
             if c != p:
                 at.setdefault(c, set()).add(p)
-        a = r[p]
-        for k in hits:
-            b = rows[k][p]
+        self._eliminate(r[p], r, {k: rows[k][p] for k in hits})
+        return True
+
+    def meet(self, phi: dict) -> bool:
+        """Cut the row space down to the kernel of the covector phi, a
+        {column: value} dict; True if the rank fell.  Of the rows phi does
+        not kill, the one of largest pivot is eliminated from the others
+        and dropped, which keeps an RREF (docs/conventions.md, "Flag step")."""
+        d = math.lcm(*[q.denominator for q in phi.values()])
+        phi, rows = {c: int(q * d) for c, q in phi.items()}, self.int_rows
+        hits = {k: v for k, r in rows.items()
+                if (v := sum(q * phi[c] for c, q in r.items() if c in phi))}
+        if not hits:
+            return False
+        r = rows.pop(j := max(hits))
+        for c in r.keys() - {j}:
+            self._at[c].discard(j)
+        self._eliminate(hits.pop(j), r, hits)
+        return True
+
+    def _eliminate(self, a: int, r: dict[int, int], hits: dict[int, int]):
+        """Each row k of ``hits``, {k: b}, becomes a rows[k] - b r over its
+        content, for r 0 at the other pivots; the column index follows."""
+        rows, at = self.int_rows, self._at
+        for k, b in hits.items():
             g = math.gcd(a, b)
             rows[k] = new = _primitive(_combine(a // g, rows[k],
                                                 [(b // g, r)]), k)
             for c in r:
                 if c in new:
-                    at[c].add(k)
-                elif c != p:
+                    at.setdefault(c, set()).add(k)
+                elif c in at:
                     at[c].discard(k)
-        return True
 
     # an alias of add, kept because bench/tracer.py wraps this name
     add_sparse = add
+
+    @classmethod
+    def identity(cls, n: int) -> "RowReducer":
+        """The reducer of the n unit rows, each its own RREF row."""
+        out, out.int_rows = cls(n), {i: {i: 1} for i in range(n)}
+        return out
 
     def copy(self) -> "RowReducer":
         """A reducer with the same rows, to add to without reducing them
@@ -282,8 +307,7 @@ class RowReducer:
         n = self.ncols if n is None else n
         return [dense_vec(x, n) for x in self.sparse_kernel(n)]
 
-    def sparse_kernel(self, n: int | None = None
-                      ) -> list[dict[int, Fraction]]:
+    def sparse_kernel(self, n: int | None = None) -> list[dict[int, Fraction]]:
         """The vectors of :meth:`kernel` as {column: value} dicts of their
         nonzero entries, read off the int rows."""
         n = self.ncols if n is None else n

@@ -216,8 +216,7 @@ def sparse_bracket(g: LieSuperalgebra, x, y) -> dict:
     (d, table), n = g.integer_table, g.dim
     dx, (xs,) = integer_rows([nonzeros(x, n).items()])
     dy, (ys,) = integer_rows([nonzeros(y, n).items()])
-    out = lincomb((a * b, table.get((i, j), ())) for i, a in xs
-                  for j, b in ys)
+    out = lincomb((a * b, table.get((i, j), ())) for i, a in xs for j, b in ys)
     return {k: Fraction(c, d * dx * dy) for k, c in out.items()}
 
 
@@ -391,7 +390,7 @@ def zero_subspace(basis: GradedBasis) -> Subspace:
 
 
 def full_subspace(basis: GradedBasis) -> Subspace:
-    return subspace(basis, [{i: ONE} for i in range(basis.dim)])
+    return Subspace(basis, RowReducer.identity(basis.dim))
 
 
 def extend_subspace(w: Subspace, v: Vec | dict) -> Subspace:
@@ -424,10 +423,13 @@ def center(g: LieSuperalgebra) -> Subspace:
 
 
 def _series(g: LieSuperalgebra, step) -> list[Subspace]:
-    """g, step(g), step(step(g)), ... while the dimension falls."""
+    """g, [g, g] off the table's free pairs, then steps while dim falls."""
     series = [full_subspace(g.basis)]
-    while (nxt := step(series[-1])).dim < series[-1].dim:
+    nxt = subspace(g.basis, (dict(e) for (i, j), e in
+                             g.integer_table[1].items() if i <= j))
+    while nxt.dim < series[-1].dim:
         series.append(nxt)
+        nxt = step(nxt)
     return series
 
 

@@ -46,8 +46,7 @@ class TStarExtension(Record):
 
 def _dual_names(basis: GradedBasis) -> tuple[str, ...]:
     duals = tuple(name + "*" for name in basis.names)
-    clash = set(duals) & set(basis.names)
-    if clash:
+    if clash := set(duals) & set(basis.names):
         raise PreconditionError(
             f"dual labels collide with base labels: {sorted(clash)}")
     return duals
@@ -227,8 +226,7 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
         raise InternalCheckError(f"recovered {what}: {exc}") from exc
 
     # psi: ambient -> quotient coords ++ (B(., s_k))_k
-    psi = quot.projection + tuple(dense_vec(q.form.image(r), n)
-                                  for r in rows)
+    psi = quot.projection + tuple(dense_vec(q.form.image(r), n) for r in rows)
     verify_isometry(q, ext.total, psi, what="recognition isometry")
     return ext, psi
 

@@ -18,13 +18,13 @@ from superquad.decompose import (Decomposition, IsotropicFlagResult,
 from superquad.errors import (InternalCheckError, NotIdealError,
                               PreconditionError, RationalPointNotFound,
                               UndecidedError)
-from superquad.forms import (QuadraticLieSuperalgebra, even_form,
+from superquad.forms import (QuadraticLieSuperalgebra, even_form, gram,
                              is_totally_isotropic, orthogonal)
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
 from superquad.linalg import (Coordinates, RowReducer, dense_vec, lincomb,
                               mat, rank, unit_vec, vec, vec_scale, zero_vec)
-from superquad.superalgebra import (EVEN, ODD, ad_images, bracket,
+from superquad.superalgebra import (EVEN, ODD, Subspace, ad_images, bracket,
                                     class_condition, extend_subspace,
                                     from_brackets, is_ideal, is_nilpotent,
                                     lower_central_series, subspace,
@@ -130,17 +130,16 @@ def test_flag_preconditions():
 
 def test_isotropic_vector_prefers_raw_basis():
     gram = mat([[0, 1], [1, 0]])
-    v = isotropic_vector(gram, (EVEN, EVEN))
+    v = isotropic_vector(gram)
     assert v == unit_vec(2, 0)
     gram = mat([[2, 0], [0, -2]])
-    v = isotropic_vector(gram, (EVEN, EVEN))
+    v = isotropic_vector(gram)
     assert v is not None
     assert sum(v[i] * gram[i][j] * v[j] for i in range(2)
                for j in range(2)) == 0
-    assert isotropic_vector(mat([[1, 0], [0, 2]]), (EVEN, EVEN)) is None
+    assert isotropic_vector(mat([[1, 0], [0, 2]])) is None
     # the exact decision finds three-variable points like (1, 1, 1)
-    v = isotropic_vector(mat([[1, 0, 0], [0, 2, 0], [0, 0, -3]]),
-                         (EVEN, EVEN, EVEN))
+    v = isotropic_vector(mat([[1, 0, 0], [0, 2, 0], [0, 0, -3]]))
     assert v is not None
 
 
@@ -558,28 +557,40 @@ def test_invariants_match_stacked_induced_operators(supercyclic_bases,
     assert steps == 27
 
 
+def _in_block(vectors, cols: slice) -> list:
+    """The dense V'-vectors of ``vectors`` whose last nonzero, the free
+    column of a kernel vector, lies in the slice ``cols``."""
+    return [u for u in vectors
+            if max(t for t, x in enumerate(u) if x) in range(len(u))[cols]]
+
+
 def _assert_generators_suffice(Q, name) -> int:
     """At every step of the flag of Q, the invariants it reads, bracketing
-    only its generators S, against the dense all-basis list; S must be
-    the dense oracle's.  The solvable branch's joint kernel, which also
-    calls ``invariants``, is checked below.  Returns the number of steps
-    with a nonzero V'."""
-    calls, invariants = [], _InducedSpace.invariants
+    only its generators S, against the dense all-basis list: the odd
+    block first, and the even block only when that is empty, each the
+    dense vectors of its parity.  S must be the dense oracle's.  The
+    solvable branch's joint kernel, which also calls ``invariants``, is
+    checked below.  Returns the number of steps."""
+    calls, invariants = {}, _InducedSpace.invariants
 
-    def recording(ind, gens):
-        got = invariants(ind, gens)
+    def recording(ind, gens, cols=slice(None)):
+        got = invariants(ind, gens, cols)
         if sys._getframe(1).f_code.co_name == "max_isotropic_ideal":
-            calls.append((ind, gens, got))
+            calls.setdefault(ind, []).append((gens, cols, got))
         return got
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_InducedSpace, "invariants", recording)
         max_isotropic_ideal(Q)
     want = _units(_dense_generators(dense.bracket_tensor(Q.algebra)))
-    for ind, gens, got in calls:
-        assert gens == want, name
-        assert [dense_vec(u, ind.dim) for u in got] \
-            == _dense_invariants(Q, ind), (name, ind.w.dim)
-    return sum(ind.dim > 0 for ind, _, _ in calls)
+    for ind, step in calls.items():
+        dense_u = _dense_invariants(Q, ind)
+        assert [cols for _, cols, _ in step] == [ind.odd, ind.even][
+            :1 if step[0][2] else 2], (name, ind.w.dim)
+        for gens, cols, got in step:
+            assert gens == want, name
+            assert [dense_vec(u, ind.dim) for u in got] \
+                == _in_block(dense_u, cols), (name, ind.w.dim)
+    return len(calls)
 
 
 def test_invariants_on_generators_match_dense(flag_inputs):
@@ -608,6 +619,52 @@ def test_invariants_on_generators_match_dense_on_drawn_inputs(
     assert _assert_generators_suffice(Q, name) > 0
 
 
+def test_flag_step_reads_the_odd_block_first(flag_inputs):
+    """At every step the flag reads U / W one parity block at a time: each
+    block is the dense joint kernel's vectors of its parity, and the
+    vector chosen off the blocks is the one that a choice on all of U / W
+    makes: its first odd vector if there is one, else isotropic_vector on
+    its Gram matrix, whenever that picks one (the solvable branch may go
+    on to its eigenvalue descent)."""
+    chosen, row_parity = [], _row_parity
+
+    def recording(parities, v):
+        if sys._getframe(1).f_code.co_name == "max_isotropic_ideal":
+            chosen.append(v)
+        return row_parity(parities, v)
+    steps, inits = {"odd": 0, "even": 0}, []
+    init = _InducedSpace.__init__
+    for name, Q in flag_inputs.items():
+        chosen.clear()
+        inits.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys.modules["superquad.decompose"], "_row_parity",
+                       recording)
+            mp.setattr(_InducedSpace, "__init__", lambda ind, *a: (
+                init(ind, *a) or inits.append(ind)))
+            max_isotropic_ideal(Q)
+        gens = _units(_dense_generators(dense.bracket_tensor(Q.algebra)))
+        assert len(chosen) == len(inits) == Q.dim // 2, name
+        for ind, v in zip(inits, chosen):
+            want = _dense_invariants(Q, ind)
+            odd, even = (ind.invariants(gens, cols)
+                         for cols in (ind.odd, ind.even))
+            assert [dense_vec(u, ind.dim) for u in odd + even] \
+                == _in_block(want, ind.odd) + _in_block(want, ind.even)
+            assert all(ind.parities[t] == ODD for u in odd for t in u)
+            full = ind.invariants(gens)
+            first_odd = [u for u in full
+                         if row_parity(ind.parities, u) == ODD][:1]
+            lifts = [ind.lift(u) for u in full]
+            point = None if first_odd else isotropic_vector(
+                gram(Q.form, lifts, lifts))
+            if first_odd or point is not None:
+                assert v == (first_odd[0] if first_odd else lincomb(
+                    zip(point, (u.items() for u in full)))), name
+                steps["odd" if odd else "even"] += 1
+    assert steps == {"odd": 25, "even": 25}
+
+
 def test_dropping_a_generator_enlarges_the_invariants(flag_inputs):
     """A flag that left the first or the last generator out of S would
     read more invariants than the dense list above: on T*(heisenberg3)
@@ -625,9 +682,18 @@ def test_dropping_a_generator_enlarges_the_invariants(flag_inputs):
         flag_inputs["T*(heisenberg3)"].algebra)) == [0, 1, 5]
 
 
-def _orthogonal_route_invariants(ind, gens) -> list:
-    """U / W by a second route: U = (W + [S, W^perp])^perp from one
-    orthogonal, its rows read in V'-coordinates by dense elimination on
+def _dense_orthogonal(q, vectors) -> Subspace:
+    """{v : B(v, u) = 0 for u in ``vectors``}, the dense kernel of the
+    rows G u of the dense Gram matrix G."""
+    G = dense.gram(q.form)
+    rows = [mat_vec(G, dense_vec(u, q.dim)) for u in vectors]
+    return subspace(q.basis, dense.kernel(rows) if rows
+                    else dense.identity(q.dim))
+
+
+def _dense_route_invariants(ind, gens) -> list:
+    """U / W by a second route: U = (W + [S, W^perp])^perp as a dense
+    kernel, its rows read in V'-coordinates by dense elimination on
     [reps | W basis], and the canonical basis read as the kernel of the
     kernel of those rows."""
     q = ind.q
@@ -635,41 +701,43 @@ def _orthogonal_route_invariants(ind, gens) -> list:
         ind.w.reducer.int_rows.values(),
         filter(None, ad_images(q.algebra, ind.reps, gens))))
     of = dense.coordinates(_span_rows(ind, ind.w))
-    red = RowReducer(ind.dim, (of(v)[:ind.dim]
-                               for v in orthogonal(q.form, span).vectors))
+    red = RowReducer(ind.dim, (of(v)[:ind.dim] for v in
+                               _dense_orthogonal(q, span.rows).vectors))
     return RowReducer(ind.dim, red.sparse_kernel()).sparse_kernel()
 
 
 def _assert_carried_steps_match(Q, name) -> int:
-    """At every step of the flag of Q, the W^perp it carries equals
-    ``orthogonal(Q.form, W)``, and its reps and invariants equal those of
-    an induced space built from scratch on that orthogonal, the invariants
-    also those of the second route above.  Returns the number of steps."""
+    """At every step of the flag of Q, the W^perp it carries equals the
+    dense kernel of W's Gram rows, and its reps and invariants equal those
+    of an induced space built from scratch on that kernel, the invariants
+    also those of the second route above.  The flag hands each step a
+    view of the reducer it goes on to meet, so the rows are read at the
+    step.  Returns the number of steps."""
     steps, init = [], _InducedSpace.__init__
 
     def recording(ind, q, w, wperp):
         init(ind, q, w, wperp)
-        steps.append((ind, wperp))
+        steps.append((ind, wperp.rows))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_InducedSpace, "__init__", recording)
         flag = max_isotropic_ideal(Q)
     gens = _units(_dense_generators(dense.bracket_tensor(Q.algebra)))
     assert [ind.w for ind, _ in steps] == list(flag.chain[:-1]), name
-    for ind, wperp in steps:
-        want = orthogonal(Q.form, ind.w)
-        assert wperp == want, (name, ind.w.dim)
+    for ind, wperp_rows in steps:
+        want = _dense_orthogonal(Q, ind.w.rows)
+        assert wperp_rows == want.rows, (name, ind.w.dim)
         fresh = _InducedSpace(Q, ind.w, want)
         assert (ind.reps, ind.parities) == (fresh.reps, fresh.parities), name
         assert ind.invariants(gens) == fresh.invariants(gens) \
-            == _orthogonal_route_invariants(fresh, gens), (name, ind.w.dim)
-    assert flag.w_perp == orthogonal(Q.form, flag.w_max), name
+            == _dense_route_invariants(fresh, gens), (name, ind.w.dim)
+    assert flag.w_perp == _dense_orthogonal(Q, flag.w_max.rows), name
     return len(steps)
 
 
 def test_carried_orthogonal_matches_a_fresh_one(flag_inputs):
     """Gallery and disguised inputs of both parities: the flag's carried
     W^perp, reps and invariants at every step, against a step rebuilt
-    from ``orthogonal``."""
+    from the dense orthogonal."""
     steps = sum(_assert_carried_steps_match(q, name)
                 for name, q in flag_inputs.items())
     assert steps == sum(q.dim // 2 for q in flag_inputs.values())
@@ -692,11 +760,11 @@ def test_carried_orthogonal_matches_on_drawn_inputs(supercyclic_bases,
 
 
 def test_decompose_of_tstar_gn3_builds_few_reducers(monkeypatch):
-    """The flag adds one covector per step to the reducer that carries
-    W^perp, reads each step's invariants off one more reducer and keeps
-    the reps as W^perp's own RREF rows: a decomposition of T*(gn(3)),
-    dim 30, builds at most 80 RowReducers; rebuilding W^perp and U from
-    scratch at every step takes 182."""
+    """The flag meets one reducer, W^perp's, with one covector per step,
+    reads each step's invariants off one more reducer (two when the odd
+    block is empty) and keeps the reps as W^perp's own RREF rows: a
+    decomposition of T*(gn(3)), dim 30, builds at most 67 RowReducers;
+    rebuilding W^perp and U from scratch at every step takes 182."""
     q = sq.tstar_of_gn(3).total
     init, built = RowReducer.__init__, []
 
@@ -705,7 +773,7 @@ def test_decompose_of_tstar_gn3_builds_few_reducers(monkeypatch):
         init(self, *args, **kwargs)
     monkeypatch.setattr(RowReducer, "__init__", counting)
     decompose(q)
-    assert 0 < len(built) <= 80
+    assert 0 < len(built) <= 67
 
 
 def test_row_parity_rejects_mixed_and_zero_vectors():
@@ -769,10 +837,11 @@ def _patch_everywhere(monkeypatch, name, fn, new):
 def test_flag_step_brackets_only_the_new_vector(monkeypatch, flag_inputs):
     """No full ideal test runs inside the flag, and each step asks
     ad_images for the images of one vector, the one that its member adds
-    to the previous member, under the generators S alone; every call in
-    the flag brackets S, the dense oracle's S, but the solvable branch's
-    joint kernel, which brackets the odd basis vectors and a basis of
-    [g, g]."""
+    to the previous member, under the generators S alone.  Every other
+    call comes from ``invariants``: it brackets reps of one parity, a
+    block, under S, the dense oracle's S, but in the solvable branch's
+    joint kernel, which brackets all the reps under the odd basis vectors
+    and a basis of [g, g]."""
     dec = importlib.import_module("superquad.decompose")
     assert "is_ideal" not in vars(dec)
 
@@ -781,18 +850,21 @@ def test_flag_step_brackets_only_the_new_vector(monkeypatch, flag_inputs):
     for name in ("ideal_violation", "is_ideal"):
         _patch_everywhere(monkeypatch, name,
                           getattr(sq.superalgebra, name), refuse)
-    single, indices, ad_images = [], [], dec.ad_images
+    single, calls, ad_images = [], [], dec.ad_images
 
     def recording(g, vectors, left=None):
         vectors = list(vectors)
-        single.extend(vectors if len(vectors) == 1 else [])
-        indices.append(left)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "max_isotropic_ideal":
+            single.extend(vectors if len(vectors) == 1 else [])
+        else:
+            calls.append((frame.f_locals["self"], vectors, left))
         return ad_images(g, vectors, left)
     monkeypatch.setattr(dec, "ad_images", recording)
-    proper = joint = 0
+    proper = joint = blocks = 0
     for name, q in flag_inputs.items():
         single.clear()
-        indices.clear()
+        calls.clear()
         chain = max_isotropic_ideal(q).chain
         assert len(single) == len(chain) - 1, name
         for v, w, bigger in zip(single, chain, chain[1:]):
@@ -800,14 +872,19 @@ def test_flag_step_brackets_only_the_new_vector(monkeypatch, flag_inputs):
             assert not w.contains_vector(v), name
         gens = _units(_dense_generators(dense.bracket_tensor(q.algebra)))
         odd = _units(i for i in range(q.dim) if q.basis.parity(i) == ODD)
-        for xs in map(list, indices):
-            if xs != gens:
+        for ind, vectors, xs in calls:
+            if xs == gens:
+                assert len({ind.parities[ind.reps.index(v)]
+                            for v in vectors}) <= 1, name
+                blocks += len(vectors) < ind.dim
+            else:
+                assert vectors == list(ind.reps), name
                 assert xs[:len(odd)] == odd, name
                 assert subspace(q.basis, xs[len(odd):]) == derived_by_dense(
                     q.algebra), name
                 joint += 1
         proper += len(gens) < q.dim
-    assert proper == 7 and joint > 0
+    assert proper == 7 and joint > 0 and blocks > 0
 
 
 def test_even_decompose_tests_the_ideal_once_in_quotient(monkeypatch,

@@ -106,7 +106,7 @@ def test_decision_matches_brute_force_on_random_forms():
 def test_isotropic_vector_rechecks_on_mixed_gram():
     # P^T diag(1, 1, -41) P for a unimodular P: built on the diagonalization
     gram = mat([[1, 1, 0], [1, 2, 1], [0, 1, -40]])
-    v = isotropic_vector(gram, (EVEN, EVEN, EVEN))
+    v = isotropic_vector(gram)
     assert any(v)
     assert sum(v[i] * gram[i][j] * v[j] for i in range(3)
                for j in range(3)) == 0
@@ -147,7 +147,7 @@ def _no_primitive_point_mod(diag, m):
 def test_certificates():
     with pytest.raises(RationalPointNotFound) as exc:
         isotropic_vector(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                         (EVEN,) * 3, certify=True)
+                         certify=True)
     assert exc.value.obstruction == "definite"
     assert exc.value.quadric_str == "x^2 + y^2 + z^2"
     with pytest.raises(RationalPointNotFound) as exc:

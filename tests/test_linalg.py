@@ -333,6 +333,38 @@ def test_reducer_rows_stay_primitive_and_signed(data):
         assert RowReducer(ncols, given).int_rows == red.int_rows
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_meet_matches_dense_kernel_of_stacked_covectors(data):
+    """RowReducer.identity met with drawn covectors one at a time (zero,
+    dependent and tall ones among them) holds the canonical RREF of the
+    dense kernel of the covectors so far, in primitive rows.  Afterwards
+    add and reduce agree with the dense oracle, so the column index
+    followed the meets."""
+    ncols = data.draw(st.integers(1, 12))
+    red, phis = RowReducer.identity(ncols), []
+    assert red.int_rows == RowReducer(ncols, identity(ncols)).int_rows
+    for _ in range(data.draw(st.integers(1, 8))):
+        phi = data.draw(_tall_row(ncols, phis))
+        before = red.rank
+        phis.append(phi)
+        fell = red.meet(_sparse(phi))
+        ker = dense.kernel(phis)
+        R, pivots = dense.rref(ker) if ker else ((), ())
+        assert fell == (len(ker) < before)
+        assert red.pivots == pivots and red.basis() == R[:len(pivots)]
+        _assert_primitive_rows(red)
+    rows = list(red.basis())
+    u = data.draw(_tall_row(ncols, rows))
+    assert red.reduce(u) == _sparse(dense.residual(rows, u))
+    for v in [u, *identity(ncols)]:  # each unit raises a free column
+        rows.append(v)
+        red.add(v)
+        R, pivots = dense.rref(rows)
+        assert red.basis() == R[:len(pivots)]
+        _assert_primitive_rows(red)
+
+
 @st.composite
 def _awkward_matrices(draw):
     """A random matrix with zero, duplicate and combination rows and

@@ -604,6 +604,40 @@ def test_derived_series_of_gallery_matches_dense(gallery):
     assert [w.dim for w in sq.derived_series(g)] == [2, 1, 0]
 
 
+def _derived_by_ad_images(g):
+    """[g, g] by the route the table read replaced: every [e_i, e_j],
+    through ad_images over the basis, both orders."""
+    units = [{i: 1} for i in range(g.dim)]
+    return subspace(g.basis, filter(None, sq.superalgebra.ad_images(
+        g, units)))
+
+
+def _assert_series_open_with_the_table(g):
+    """Both series read [g, g] off the table's free pairs; each equals
+    the ad_images route (g itself when [g, g] = g)."""
+    want = _derived_by_ad_images(g)
+    for series in (sq.lower_central_series(g), sq.derived_series(g)):
+        assert series[:2][-1] == want
+
+
+def test_series_read_the_derived_algebra_off_the_table(gallery):
+    """On the gallery, T*(gl(1,1)) and [o, o] = e, the one bracket at a
+    repeated odd index."""
+    cases = {**gallery, "[o, o] = e": sq.from_brackets(
+        ("e", "o"), (EVEN, ODD), {("o", "o"): {"e": 1}})}
+    cases["T*(gl(1,1))"] = sq.build(gallery["gl(1,1)"]).total.algebra
+    for name, g in cases.items():
+        _assert_series_open_with_the_table(g)
+
+
+@given(_lie_coords)
+@settings(max_examples=60, deadline=None)
+def test_series_read_the_derived_algebra_off_drawn_tables(raw):
+    g = algebra_if_valid(*raw)
+    if g is not None:
+        _assert_series_open_with_the_table(g)
+
+
 def test_free_pairs_span_what_both_orders_span(gallery):
     """derived_series, whose first step brackets the basis at i <= j, and
     class_condition read each bracket once, at its free pair; the spans
