@@ -13,16 +13,12 @@ Conventions (docs/conventions.md):
   f(x, y, z) = w(x, y)(z), is even and super-alternating:
   f(x,y,z) = -(-1)^{|x||y|} f(y,x,z) = -(-1)^{|y||z|} f(x,z,y).
 
-Cochains are stored, and cocycle spaces solved, in free coordinates:
-index tuples that the one Koszul rule ``superalgebra.canon`` maps to
-themselves (for scalar 3-cochains, triples sorted ascending where an
-index may repeat only when it is odd; super-alternation is symmetric on
-odd pairs, and triple repeats are killed by evenness).  A cochain keeps
-only its nonzero values keyed by free coordinate, so evenness and
-super-antisymmetry hold by construction and only the keys are checked;
-any other entry is read through its canonical representative and sign.
-The bracket of a ``LieSuperalgebra`` is stored the same way, on the key
-set of ``Cochain2Dual``.
+Cochains are stored, and cocycle spaces solved, in free coordinates,
+the index tuples ``superalgebra.is_free`` accepts (docs/conventions.md,
+"Free coordinates").  A cochain keeps only its nonzero values keyed by
+free coordinate, so evenness and super-antisymmetry hold by construction
+and only the keys are checked; any other entry is read through its
+canonical representative and sign, ``superalgebra.canon``.
 
 Each cochain map (the 2-cocycle identity, supercyclicity and the scalar
 coboundary d, which is delta on 2-cochains and closedness on 3-cochains)
@@ -33,8 +29,9 @@ as a term.  The verifiers read a map's failing tuples, ``delta_scalar2``
 applies d once, and the solvers reduce a map's images of the unit
 cochains in one sparse ``RowReducer``: Z^2 and Z^3 read its kernel, B^3
 the RREF of d's images of the unit 2-cochains and ``cohomologous`` a
-reduction of [d(e_ab) | f1 - f2].  Z^2_sc is unhat(Z^3), as hat is a
-bijection, read out in the basis that a direct kernel solve returns.
+reduction of [d(e_ab) | f1 - f2], d taking all unit cochains in one
+pass.  Z^2_sc is unhat(Z^3), as hat is a bijection, read out in the
+basis that a direct kernel solve returns.
 
 d f is super-alternating, so it is held at sorted tuples only: every
 other ordering is a signed copy of its sorted one.  The sorted ordering
@@ -51,8 +48,8 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, PreconditionError
 from .linalg import Record, RowReducer, ZERO, integer_rows, lincomb
-from .superalgebra import (GradedBasis, LieSuperalgebra, canon, cyclic_sums,
-                           failing, sgn, store_free_entries)
+from .superalgebra import (GradedBasis, LieSuperalgebra, cyclic_sums, failing,
+                           is_free, require_axioms, sgn, store_free_entries)
 
 Triple = tuple[int, int, int]
 
@@ -61,22 +58,20 @@ Triple = tuple[int, int, int]
 # free coordinates of the one Koszul rule ``superalgebra.canon``
 # ---------------------------------------------------------------------------
 
-def _free_coords(basis: GradedBasis, arity: int,
-                 head: int | None = None) -> list:
-    """The index tuples that are their own canonical representative under
-    the alternating :func:`canon`, in lexicographic order: an ascending
-    head of ``head`` indices (default all), then any tail."""
+def _free_coords(basis: GradedBasis, arity: int, head: int) -> list:
+    """The index tuples that the alternating :func:`canon` maps to
+    themselves, in lexicographic order: those of an ascending head of
+    ``head`` indices, then any tail, that are :func:`is_free`."""
     n = basis.dim
-    head = arity if head is None else head
     tails = list(itertools.product(range(n), repeat=arity - head))
     keys = (h + t for h in itertools.combinations_with_replacement(
         range(n), head) for t in tails)
-    return [key for key in keys if canon(basis.parities, key, head)[0] == key]
+    return [key for key in keys if is_free(basis.parities, key, head)]
 
 
 def free_coords_alt3(basis: GradedBasis) -> list[Triple]:
     """Free coordinates of even super-alternating trilinear tensors."""
-    return _free_coords(basis, 3)
+    return _free_coords(basis, 3, 3)
 
 
 def free_coords_cochain2dual(basis: GradedBasis) -> list[Triple]:
@@ -86,7 +81,7 @@ def free_coords_cochain2dual(basis: GradedBasis) -> list[Triple]:
 
 
 def free_coords_scalar2(basis: GradedBasis) -> list[tuple[int, int]]:
-    return _free_coords(basis, 2)
+    return _free_coords(basis, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +128,12 @@ def expand_alt3(basis: GradedBasis, coords: dict[Triple, Fraction]) -> ScalarCoc
     return ScalarCochain3(basis, coords)
 
 
-def collect_alt3(f: ScalarCochain3) -> dict[Triple, Fraction]:
+def collect_alt3(f: ScalarCochain3 | Cochain2Dual | ScalarCochain2) -> dict:
+    """A copy of a cochain's {free coordinate: value} map."""
     return dict(f.coords)
 
 
-def collect_cochain2dual(w: Cochain2Dual) -> dict[Triple, Fraction]:
-    return dict(w.coords)
-
-
-def collect_scalar2(phi: ScalarCochain2) -> dict[tuple[int, int], Fraction]:
-    return dict(phi.coords)
+collect_cochain2dual = collect_scalar2 = collect_alt3
 
 
 def zero_cochain2(g: LieSuperalgebra | GradedBasis) -> Cochain2Dual:
@@ -213,53 +204,54 @@ def _cocycle2_defects(g: LieSuperalgebra):
     return defects
 
 
-def _supercyclic_defects(p):
+def _supercyclic_defects(p, coords: dict) -> tuple[int, dict]:
     """The supercyclicity map: free coordinates of w -> (d, acc), acc[(i,
     j, k)] = d (w(e_i, e_j)(e_k) - (-1)^{|i|(|j|+|k|)} w(e_j, e_k)(e_i))
     at every ordered triple: w(e_a, e_b)(e_c) is a term at (a, b, c) and
     at (c, a, b)."""
-    def defects(coords: dict) -> tuple[int, dict]:
-        d, lookup = _dual_lookup(p, coords)
-        acc: dict = {}
-        for (a, b), col in lookup.items():
-            odd = (p[a] + p[b]) % 2
-            for c, v in col.items():
-                acc[a, b, c] = acc.get((a, b, c), 0) + v
-                acc[c, a, b] = acc.get((c, a, b), 0) + (
-                    v if odd and p[c] else -v)
-        return d, acc
-    return defects
+    d, lookup = _dual_lookup(p, coords)
+    acc: dict = {}
+    for (a, b), col in lookup.items():
+        odd = (p[a] + p[b]) % 2
+        for c, v in col.items():
+            acc[a, b, c] = acc.get((a, b, c), 0) + v
+            acc[c, a, b] = acc.get((c, a, b), 0) + (v if odd and p[c] else -v)
+    return d, acc
 
 
 def _coboundary(g: LieSuperalgebra):
-    """The coboundary d on even scalar k-cochains: free coordinates of f
-    -> (d, acc), acc the nonzero values of d f at sorted (k+1)-tuples,
-    times the scales d of the table and of f (docs/conventions.md, "One
-    rule for the coboundary").  With mu(c, l) = (-1)^{l + |c| P(l)}, the
-    sign of moving e_c to the front over l entries of parity sum P(l),
-    each free coordinate gives f(e_m, rest) = mu(m, s) f(key) for each
-    entry m = key[s], and a term r f(e_m, rest), r the coefficient of e_m
-    in [e_a, e_b] with a <= b, goes to the sorted tuple that a and b
-    insert into, once per insertion (a after ka entries of rest, b after
-    kb >= ka), with sign (-1)^{k+1} mu(a, ka) mu(b, kb)."""
+    """The coboundary d on even scalar k-cochains, in one scatter over a
+    list of them (a whole cochain, or the unit cochains of a solve), each
+    as (free coordinate, value) pairs -> (d, [acc]), acc the nonzero
+    values of d f at sorted (k+1)-tuples, times the scales d of the table
+    and of the list (docs/conventions.md, "One rule for the coboundary").
+    With mu(c, l) = (-1)^{l + |c| P(l)}, the sign of moving e_c to the
+    front over l entries of parity sum P(l), each free coordinate gives
+    f(e_m, rest) = mu(m, s) f(key) for each entry m = key[s], and a term
+    r f(e_m, rest), r the coefficient of e_m in [e_a, e_b] with a <= b,
+    goes to the sorted tuple that a and b insert into, once per insertion
+    (a after ka entries of rest, b after kb >= ka), with sign
+    (-1)^{k+1} mu(a, ka) mu(b, kb)."""
     p = g.basis.parities
     d, into = _into(g)
     into = [[(a, b, r, p[a], p[b]) for a, b, r in terms if a <= b]
             for terms in into]
 
-    def apply(coords: dict) -> tuple[int, dict]:
-        df, (items,) = integer_rows([coords.items()])
-        acc: dict = {}
-        for key, q in items:
+    def apply(cochains: list) -> tuple[int, list[dict]]:
+        df, rows = integer_rows(cochains)
+        accs: list = [{} for _ in rows]
+        for key, q, acc in ((key, q, acc) for row, acc in zip(rows, accs)
+                            for key, q in row):
             for s, m in enumerate(key):
-                if s and key[s - 1] == m:
-                    continue  # the same f(e_m, rest) as at s - 1
+                terms = into[m]
+                if not terms or s and key[s - 1] == m:
+                    continue  # no [e_a, e_b] holds e_m, or done at s - 1
                 rest = key[:s] + key[s + 1:]
                 P = [0]
                 for x in rest:
                     P.append(P[-1] + p[x])
                 e0 = len(key) + 1 + s + p[m] * P[s]  # (-1)^{k+1} mu(m, s)
-                for a, b, r, pa, pb in into[m]:
+                for a, b, r, pa, pb in terms:
                     t = tuple(sorted((a, b, *rest)))
                     v = 0
                     for ka in range(bisect_left(rest, a),
@@ -269,7 +261,7 @@ def _coboundary(g: LieSuperalgebra):
                             v += -1 if (ka + kb + pa * P[ka] + pb * P[kb]
                                         + e0) % 2 else 1
                     acc[t] = acc.get(t, 0) + v * r * q
-        return d * df, {t: v for t, v in acc.items() if v}
+        return d * df, [{t: v for t, v in acc.items() if v} for acc in accs]
     return apply
 
 
@@ -288,7 +280,7 @@ def supercyclic_violation(w: Cochain2Dual):
     """First basis triple, in lexicographic order, where supercyclicity
     fails, or None."""
     p = w.basis.parities
-    return next(iter(failing(_supercyclic_defects(p)(w.coords)[1])), None)
+    return next(iter(failing(_supercyclic_defects(p, w.coords)[1])), None)
 
 
 def is_supercyclic(w: Cochain2Dual) -> bool:
@@ -300,7 +292,7 @@ def closed3_violation(g: LieSuperalgebra, f: ScalarCochain3):
     or None.  Only sorted 4-tuples are evaluated (see the module notes)."""
     if f.basis != g.basis:
         raise DimensionMismatch("cochain basis differs from the algebra")
-    return next(iter(failing(_coboundary(g)(f.coords)[1])), None)
+    return next(iter(failing(_coboundary(g)([f.coords.items()])[1][0])), None)
 
 
 def is_closed3(g: LieSuperalgebra, f: ScalarCochain3) -> bool:
@@ -313,7 +305,7 @@ def delta_scalar2(g: LieSuperalgebra, phi: ScalarCochain2) -> ScalarCochain3:
     coboundary map."""
     if phi.basis != g.basis:
         raise DimensionMismatch("cochain basis differs from the algebra")
-    d, acc = _coboundary(g)(phi.coords)
+    d, (acc,) = _coboundary(g)([phi.coords.items()])
     return ScalarCochain3(g.basis, {t: Fraction(v, d) for t, v in acc.items()})
 
 
@@ -335,15 +327,19 @@ def hat(w: Cochain2Dual) -> ScalarCochain3:
 
 
 def unhat(f: ScalarCochain3) -> Cochain2Dual:
-    """Inverse of :func:`hat`; always lands on a supercyclic cochain.
-    The value at i <= j <= k is w(e_a, e_b)(e_c) at each of its three
-    orders with a <= b, signed by :func:`canon`."""
-    p = f.basis.parities
+    """Inverse of :func:`hat`; always lands on a supercyclic cochain."""
+    return Cochain2Dual(f.basis, _unhat(f.basis.parities, f.coords.items()))
+
+
+def _unhat(p, items) -> dict:
+    """f(i, j, k) at (i, j, k), and by transpositions times
+    -(-1)^{|j||k|} at (i, k, j) and (-1)^{|i|} at (j, k, i)."""
     coords = {}
-    for (i, j, k), q in f.coords.items():
-        for key in ((i, j, k), (i, k, j), (j, k, i)):
-            coords[key] = q if canon(p, key)[1] == 1 else -q
-    return Cochain2Dual(f.basis, coords)
+    for (i, j, k), q in items:
+        coords[i, j, k] = q
+        coords[i, k, j] = q if p[j] & p[k] else -q
+        coords[j, k, i] = -q if p[i] else q
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -362,33 +358,30 @@ def _reduced_columns(columns: list[dict]) -> RowReducer:
     return RowReducer(len(columns), map(rows.get, sorted(rows)))
 
 
-def _rref(vectors, coords: list) -> list[dict]:
-    """The RREF rows, by ascending pivot, of the span of the {key: value}
-    ``vectors`` in the column order ``coords``."""
+def _rref(vectors: list, order=None) -> list[tuple]:
+    """(pivot, row) of the RREF rows, by ascending pivot, of the span of
+    the {key: value} ``vectors``, over their keys sorted by ``order``."""
+    coords = sorted(set().union(*vectors), key=order)
     index = {key: t for t, key in enumerate(coords)}
     red = RowReducer(len(coords), ({index[key]: q for key, q in v.items()}
                                    for v in vectors))
-    return [{coords[t]: q for t, q in row.items()}
-            for _, row in sorted(red.rows.items())]
+    return [(coords[piv], {coords[t]: q for t, q in row.items()})
+            for piv, row in sorted(red.rows.items())]
 
 
-def _kernel(basis: GradedBasis, coords: list, fn, make) -> list:
-    """The kernel of the cochain map ``fn`` in free coordinates: its
-    images of the unit cochains (a {t: value} vector at a key read as the
-    entries at (key, t)) are the columns of :func:`_reduced_columns`, and
-    ``make`` turns each kernel vector into a cochain."""
-    def column(key) -> dict:
-        return {(k, t): x for k, v in fn({key: 1})[1].items() for t, x in (
-            v.items() if isinstance(v, dict) else ((None, v),))}
-    red = _reduced_columns([column(key) for key in coords])
+def _kernel(basis: GradedBasis, coords: list, cols: list, make) -> list:
+    """The kernel, as cochains by ``make``, of the cochain map whose
+    images of the unit cochains at the free ``coords`` are ``cols``."""
+    red = _reduced_columns(cols)
     return [make(basis, {coords[t]: q for t, q in kv.items()})
             for kv in red.sparse_kernel(red.ncols)]
 
 
 def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     """Basis of the even scalar 3-cocycles, solved in free coordinates."""
-    return _kernel(g.basis, free_coords_alt3(g.basis),
-                   _coboundary(g), ScalarCochain3)
+    coords = free_coords_alt3(g.basis)
+    _, cols = _coboundary(g)([((key, 1),) for key in coords])
+    return _kernel(g.basis, coords, cols, ScalarCochain3)
 
 
 def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
@@ -398,30 +391,35 @@ def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
 
 def z2_supercyclic_from_z3(basis: GradedBasis, z3: list[ScalarCochain3]
                            ) -> list[Cochain2Dual]:
-    """The supercyclic 2-cocycles from a basis of Z^3: unhat of each, in
-    the canonical kernel basis, the RREF over the reversed columns read
-    by descending pivot (docs/conventions.md)."""
-    vectors = [unhat(f).coords for f in z3]
-    rows = _rref(vectors, sorted(set().union(*vectors), reverse=True))
-    return [Cochain2Dual(basis, row) for row in reversed(rows)]
+    """Z^2_sc from a basis of Z^3, in the canonical kernel basis: unhat of
+    the RREF of Z^3 by descending (j, k, i), unhat's largest key of
+    (i, j, k), each row signed +1 there (docs/conventions.md)."""
+    p = basis.parities
+    rows = _rref([f.coords for f in z3], lambda t: (-t[1], -t[2], -t[0]))
+    return [Cochain2Dual(basis, _unhat(p, ((t, -q if p[i] else q)
+                                           for t, q in row.items())))
+            for (i, _, _), row in reversed(rows)]
 
 
 def z2_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
     """Basis of all even dual-valued 2-cocycles (supercyclic or not)."""
-    return _kernel(g.basis, free_coords_cochain2dual(g.basis),
-                   _cocycle2_defects(g), Cochain2Dual)
+    coords, fn = free_coords_cochain2dual(g.basis), _cocycle2_defects(g)
+    return _kernel(g.basis, coords, [
+        {(t, l): x for t, v in fn({key: 1})[1].items() for l, x in v.items()}
+        for key in coords], Cochain2Dual)
 
 
 def b3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     """Basis of the coboundaries delta(phi), in canonical form: the RREF
     of the coboundary map's images of the unit 2-cochains."""
-    delta = _coboundary(g)
-    images = [delta({key: 1})[1] for key in free_coords_scalar2(g.basis)]
-    coords = sorted(set().union(*images))  # the columns that can be nonzero
-    return [ScalarCochain3(g.basis, row) for row in _rref(images, coords)]
+    keys = free_coords_scalar2(g.basis)
+    _, cols = _coboundary(g)([((key, 1),) for key in keys])
+    return [ScalarCochain3(g.basis, row) for _, row in _rref(cols)]
 
 
 def h3_dim(g: LieSuperalgebra) -> int:
+    """dim Z^3 - dim B^3; AxiomError if g fails Jacobi (B^3 outside Z^3)."""
+    require_axioms(g)
     return len(z3_basis(g)) - len(b3_basis(g))
 
 
@@ -434,12 +432,12 @@ def cohomologous(g: LieSuperalgebra, f1: ScalarCochain3,
     for f in (f1, f2):
         if f.basis != g.basis:
             raise DimensionMismatch("cochain basis differs from the algebra")
-        if any(delta(f.coords)[1].values()):
+        if delta([f.coords.items()])[1][0]:
             raise PreconditionError("both cochains must be closed")
     keys2 = free_coords_scalar2(g.basis)
-    d, _ = delta({})  # the table's scale, which each unit image carries
+    d, cols = delta([((key, 1),) for key in keys2])  # d: the table's scale
     target = {t: d * q for t, q in sub3(f1, f2).coords.items()}
-    red = _reduced_columns([delta({key: 1})[1] for key in keys2] + [target])
+    red = _reduced_columns(cols + [target])
     n = len(keys2)
     if n in red.int_rows:
         return None

@@ -80,19 +80,26 @@ def graded_basis(names, parities) -> GradedBasis:
     return GradedBasis(tuple(names), tuple(int(p) for p in parities))
 
 
+def is_free(parities, key: tuple, head=None, symmetric=False) -> bool:
+    """Whether ``key`` is a free coordinate: an ascending head (its first
+    ``head`` indices, default all) whose repeats have the parity that does
+    not vanish (odd if alternating, even if symmetric), and even parity."""
+    x = -1
+    for y in key[:head]:
+        if x > y or x == y and parities[x] == symmetric:
+            return False
+        x = y
+    return not sum([parities[y] for y in key]) % 2
+
+
 def canon(parities, key: tuple, head: int | None = None,
           symmetric: bool = False):
     """Free coordinate and sign of the entry at ``key`` of an even tensor
     that is super-alternating (supersymmetric if ``symmetric``) in its
-    first ``head`` indices, default all of them.
-
-    The head is sorted ascending; each swap of x and y contributes
-    (-1)^{|x||y|}, negated for an alternating tensor.  Returns (None, 0)
-    when the entry vanishes: odd parity sum, or a repeated head index of
-    the vanishing parity (even if alternating, odd if symmetric).
+    first ``head`` indices, default all of them: the head sorted, each
+    swap of x and y contributing (-1)^{|x||y|}, negated for an
+    alternating tensor; (None, 0) if the sorted key is not :func:`is_free`.
     """
-    if sum(map(parities.__getitem__, key)) % 2:
-        return None, 0
     front = key[:head]
     idx = tuple(sorted(front))
     sign = 1
@@ -102,22 +109,17 @@ def canon(parities, key: tuple, head: int | None = None,
                 # the swap's sign is -1 iff |x||y| is 1 if symmetric, else 0
                 if x > y and parities[x] * parities[y] == symmetric:
                     sign = -sign
-    vanishing = ODD if symmetric else EVEN
-    prev = None
-    for x in idx:
-        if x == prev and parities[x] == vanishing:
-            return None, 0
-        prev = x
-    return idx + key[len(idx):], sign
+    key = idx + key[len(idx):]
+    return ((key, sign) if is_free(parities, key, head, symmetric)
+            else (None, 0))
 
 
 def store_free_entries(obj, arity: int, head: int | None = None,
                        symmetric: bool = False, error=CochainError) -> None:
     """Keep the nonzero values of ``obj.coords``, sorted by key.
     Evenness and the (anti)symmetry live in the key set, so only the keys
-    are checked: each must be its own canonical representative under
-    :func:`canon` with ``head`` and ``symmetric``, or ``error`` is raised
-    with the key as its witness."""
+    are checked: each must be :func:`is_free` with ``head`` and
+    ``symmetric``, or ``error`` is raised with the key as its witness."""
     inside = range(obj.basis.dim).__contains__
     p = obj.basis.parities
     out = {}
@@ -126,7 +128,7 @@ def store_free_entries(obj, arity: int, head: int | None = None,
                 or not all(map(inside, key))):
             raise DimensionMismatch(
                 f"{type(obj).__name__} index {key!r} outside the basis")
-        if canon(p, key, head, symmetric)[0] != key:
+        if not is_free(p, key, head, symmetric):
             raise error(f"{type(obj).__name__} entry {key!r} is not a free "
                         "coordinate", witness=key)
         q = frac(q)

@@ -471,6 +471,22 @@ def scalar2_from_matrix(basis, m):
                                   for key in free_coords_scalar2(basis)})
 
 
+def z2_supercyclic_from_z3(basis, z3):
+    """Z^2_sc in the canonical kernel basis, from a basis of Z^3 by unhat
+    and then an RREF: each f read as the dual-valued cochain
+    w(e_i, e_j)(e_k) = f(e_i, e_j, e_k) at every free dual-valued
+    coordinate, the RREF of their span over those coordinates in reverse
+    order, and its rows by descending pivot (docs/conventions.md)."""
+    coords = free_coords_cochain2dual(basis)[::-1]
+    rows = []
+    for f in z3:
+        t = alt3_tensor(f)
+        rows.append([t[i][j][k] for i, j, k in coords])
+    R, pivots = rref(rows)
+    return [Cochain2Dual(basis, {key: q for key, q in zip(coords, R[r]) if q})
+            for r in reversed(range(len(pivots)))]
+
+
 # --- dense matrix arithmetic ------------------------------------------------
 # From the definitions, over every entry: the library works on sparse rows
 # and keeps no dense products.

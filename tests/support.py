@@ -83,12 +83,16 @@ def z2_supercyclic_direct(g: LieSuperalgebra) -> list[Cochain2Dual]:
     cochains stacked over the free dual-valued coordinates.  This is the
     solve that ``z2_supercyclic_basis`` replaced by unhat of Z^3, and it
     returns the same canonical kernel basis."""
-    maps = (_supercyclic_defects(g.basis.parities), _cocycle2_defects(g))
+    p, cocycle = g.basis.parities, _cocycle2_defects(g)
 
-    def stacked(coords: dict) -> tuple[int, dict]:
-        return 1, {(i, key): v for i, fn in enumerate(maps)
-                   for key, v in fn(coords)[1].items()}
-    return _kernel(g.basis, free_coords_cochain2dual(g.basis), stacked,
+    def stacked(key) -> dict:
+        unit = {key: 1}
+        col = {(0, t): v for t, v in _supercyclic_defects(p, unit)[1].items()}
+        col.update({(1, t, l): x for t, v in cocycle(unit)[1].items()
+                    for l, x in v.items()})
+        return col
+    coords = free_coords_cochain2dual(g.basis)
+    return _kernel(g.basis, coords, [stacked(key) for key in coords],
                    Cochain2Dual)
 
 

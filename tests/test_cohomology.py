@@ -23,12 +23,14 @@ from superquad.errors import (AxiomError, CochainError, DimensionMismatch,
 from superquad.gallery import random_scalar2, random_supercyclic_cocycle
 from superquad.linalg import mat, rank, unit_vec
 from superquad.superalgebra import (EVEN, ODD, LieSuperalgebra, bracket,
-                                    canon, graded_basis, sgn)
+                                    canon, from_brackets, graded_basis,
+                                    is_free, sgn)
 
 import dense_oracle as dense
 from dense_oracle import inverse, mat_mul, mat_vec, transpose
-from support import (add3, basis_coords, cocycle2_defect, direct_sum,
-                     disguise, is_zero3, upper, z2_supercyclic_direct)
+from support import (add3, basis_coords, bracket_tensors, cocycle2_defect,
+                     direct_sum, disguise, is_zero3, upper,
+                     z2_supercyclic_direct)
 
 F = Fraction
 
@@ -140,6 +142,27 @@ def test_canon_matches_each_containers_rule(parities):
                 rule.__name__, key)
 
 
+@given(st.lists(st.sampled_from([EVEN, ODD]), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_is_free_matches_canon_on_every_key(parities):
+    """The sort-free key test is canon's "maps the key to itself", on
+    every pair and triple of drawn parities, for a head of 2 and of all
+    indices, alternating and symmetric; where the oracle has a rule for
+    the container (canon itself calls is_free), it agrees with that too."""
+    n = len(parities)
+    rules = {(a, h, sym): rule for rule, a, h, sym in _RULES}
+    for arity, head, symmetric in itertools.product((2, 3), (2, None),
+                                                    (False, True)):
+        rule = rules.get((arity, None if head == arity else head, symmetric))
+        for key in itertools.product(range(n), repeat=arity):
+            free = is_free(parities, key, head, symmetric)
+            case = (arity, head, symmetric, key)
+            assert free == (canon(parities, key, head, symmetric)[0]
+                            == key), case
+            if rule is not None:
+                assert free == (rule(parities, *key)[0] == key), case
+
+
 def test_container_validation_errors():
     basis = graded_basis(("e1", "e2"), (EVEN, EVEN))
     with pytest.raises(CochainError):
@@ -233,10 +256,13 @@ def test_dimension_agreement(gallery):
         assert len(z2_supercyclic_direct(g)) == len(z3_basis(g)), name
 
 
-def test_z2_supercyclic_transport_matches_direct_solve():
-    """unhat of Z^3, read out over the reversed columns, is the basis the
-    stacked supercyclicity and 2-cocycle solve returns, order included."""
-    algebras = {
+def test_z2_supercyclic_transport_matches_direct_solve(gallery):
+    """Z^3 reduced over its own triples, each row signed and unhatted, is
+    the basis that unhat of Z^3 read out over the reversed dual-valued
+    coordinates gives, and the one the stacked supercyclicity and
+    2-cocycle solve returns, order included."""
+    algebras = _with_disguised(gallery)
+    algebras |= {
         "gl(2,2)": sq.build_glnn(2),
         "gn(2)+gn(2)": direct_sum(sq.build_gn(2), sq.build_gn(2)),
         "T*(gl(1,1))": sq.build(sq.build_glnn(1)).total.algebra,
@@ -245,7 +271,23 @@ def test_z2_supercyclic_transport_matches_direct_solve():
         "gn(3)": sq.build_gn(3),
     }
     for name, g in algebras.items():
-        assert z2_supercyclic_basis(g) == z2_supercyclic_direct(g), name
+        z2_sc = z2_supercyclic_basis(g)
+        assert z2_sc == dense.z2_supercyclic_from_z3(
+            g.basis, z3_basis(g)), name
+        assert z2_sc == z2_supercyclic_direct(g), name
+
+
+def test_h3_dim_rejects_an_algebra_that_fails_jacobi():
+    """[e1, e2] = e1 and [e3, e4] = e2 + e4 fail Jacobi at (e1, e3, e4).
+    There B^3 need not lie in Z^3 (dim Z^3 = 3 < dim B^3 = 4), and h3_dim
+    raises AxiomError instead of returning dim Z^3 - dim B^3 = -1."""
+    g = from_brackets(("e1", "e2", "e3", "e4"), (EVEN,) * 4,
+                      {("e1", "e2"): {"e1": 1}, ("e3", "e4"): {"e2": 1,
+                                                               "e4": 1}})
+    assert (0, 2, 3) in sq.check_axioms(g).jacobi
+    assert (len(z3_basis(g)), len(b3_basis(g))) == (3, 4)
+    with pytest.raises(AxiomError):
+        sq.h3_dim(g)
 
 
 def test_frozen_cohomology_dims():
@@ -445,7 +487,7 @@ def test_closed3_violation_matches_full_loop(gallery):
             full = dense.closed3_violation(p, c, t)
             assert closed3_violation(g, f) == full, name
             violated += full is not None
-            d, acc = _coboundary(g)(f.coords)
+            d, (acc,) = _coboundary(g)([f.coords.items()])
             assert all(list(quad) == sorted(quad) for quad in acc), name
             for quad in itertools.combinations_with_replacement(
                     range(g.dim), 4):
@@ -470,11 +512,50 @@ def test_delta_map_matches_dense_at_every_free_triple(gallery):
                                               g.basis)})]
         for phi in phis:
             m = dense.scalar2_matrix(phi)
-            d, acc = _coboundary(g)(phi.coords)
+            d, (acc,) = _coboundary(g)([phi.coords.items()])
             assert set(acc) <= set(coords), name
             for ijk in coords:
                 assert F(acc.get(ijk, 0), d) == dense.coboundary(
                     p, c, m, *ijk), (name, ijk)
+
+
+def _assert_unit_images_match_dense(g, name):
+    """The coboundary's images of all unit 2-cochains, and of all unit
+    3-cochains, each list from one pass, against the dense coboundary at
+    every free alt-3 triple and the dense closedness defect at every
+    sorted 4-tuple, the only tuples they may hold."""
+    p, c = g.basis.parities, dense.bracket_tensor(g)
+    delta = _coboundary(g)
+    keys2, keys3 = free_coords_scalar2(g.basis), free_coords_alt3(g.basis)
+    d, images = delta([((key, 1),) for key in keys2])
+    for key, image in zip(keys2, images):
+        m = dense.scalar2_matrix(ScalarCochain2(g.basis, {key: 1}))
+        assert set(image) <= set(keys3), (name, key)
+        for t in keys3:
+            assert F(image.get(t, 0), d) == dense.coboundary(p, c, m, *t), (
+                name, key, t)
+    quads = list(itertools.combinations_with_replacement(range(g.dim), 4))
+    d, images = delta([((key, 1),) for key in keys3])
+    for key, image in zip(keys3, images):
+        t3 = dense.alt3_tensor(expand_alt3(g.basis, {key: 1}))
+        assert set(image) <= set(quads), (name, key)
+        for quad in quads:
+            assert F(image.get(quad, 0), d) == dense.closed3_defect(
+                p, c, t3, *quad), (name, key, quad)
+
+
+def test_unit_images_match_dense_coboundary(gallery):
+    for name, g in _with_disguised(gallery).items():
+        _assert_unit_images_match_dense(g, name)
+
+
+@given(bracket_tensors(st.one_of(st.just(F(0)), small_fractions), max_dim=4))
+@settings(max_examples=40, deadline=None)
+def test_unit_images_match_dense_coboundary_on_drawn_algebras(case):
+    """The same on drawn graded super-skew tables, Jacobi or not: the
+    coboundary formula does not need it."""
+    basis, coords = basis_coords(*case)
+    _assert_unit_images_match_dense(LieSuperalgebra(basis, coords), case)
 
 
 def test_cocycle2_violation_matches_dense_loop(gallery, z2_bases):
