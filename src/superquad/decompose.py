@@ -126,10 +126,9 @@ class _InducedSpace:
         V'-vectors ``space`` (columns = images), which must be invariant:
         each image's residual modulo W in the coordinates of the lifts'
         residuals, factored once."""
-        reduce = self.w.reducer.reduce
         lifts = [self.lift(s) for s in space]
-        coords = Coordinates(self.q.dim, [reduce(v) for v in lifts])
-        cols = [coords.of(reduce(sparse_bracket(self.q.algebra, x, v)))
+        coords = Coordinates(self.w.reducer, lifts)
+        cols = [coords.of(sparse_bracket(self.q.algebra, x, v))
                 for v in lifts]
         if None in cols:
             raise InternalCheckError(

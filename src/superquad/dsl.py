@@ -394,6 +394,4 @@ def parse_span(doc: AlgebraDocument, text: str) -> Subspace:
     for part in re.finditer(r"[^;\s](?:[^;]*[^;\s])?", text):
         lp = _LineParser(" " * part.start() + part[0], 1)
         vectors.append(_parse_lincomb(lp, doc))
-        if not lp.at_end():
-            lp.error("unexpected trailing input in span expression")
     return subspace(doc.basis(), vectors)

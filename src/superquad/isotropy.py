@@ -122,12 +122,10 @@ def _legendre(a: int, b: int, primes) -> tuple[int, int, int]:
 
 
 def _solve(a: list[int], primes: set[int]) -> list[Fraction]:
-    """A nonzero point of the isotropic form with squarefree integer
-    coefficients a; ``primes`` as for :func:`obstruction`.  From rank 4
-    on, the first squarefree t = 1, -1, 2, -2, 3, ... with <a_1, a_2, -t>
-    and <a_3, ..., a_n, t> isotropic joins a point of each."""
-    if len(a) == 2:
-        return [Fraction(1), Fraction(1)]  # isotropic means a_2 = -a_1
+    """A nonzero point of the isotropic form with n >= 3 squarefree
+    integer coefficients a; ``primes`` as for :func:`obstruction`.  From
+    rank 4 on, the first squarefree t = 1, -1, 2, -2, 3, ... with <a_1,
+    a_2, -t> and <a_3, ..., a_n, t> isotropic joins a point of each."""
     if len(a) == 3:  # x = a_1 X gives Legendre's form
         g2, g3 = math.gcd(a[0], a[1]), math.gcd(a[0], a[2])
         x, y, z = _legendre(-a[0] * a[1] // g2 ** 2, -a[0] * a[2] // g3 ** 2,
@@ -151,17 +149,23 @@ def _solve(a: list[int], primes: set[int]) -> list[Fraction]:
 def isotropic_point(diag) -> tuple[tuple[Fraction, ...] | None,
                                    str | int | None]:
     """For nonzero rationals d_i: (x, None) with x a re-checked nonzero
-    rational solution of sum d_i x_i^2 = 0, or (None, obstruction)."""
-    a, scale, primes = [], [], {2}
-    for d in diag:
-        s, r = _squarefree(d.numerator * d.denominator)
-        a.append(s)
-        scale.append(Fraction(d.denominator, r))
-        primes.update(factorize(s))
-    found = obstruction(a, primes)
-    if found is not None:
-        return None, found
-    x = tuple(y * c for y, c in zip(_solve(a, primes), scale))
+    rational solution of sum d_i x_i^2 = 0, or (None, obstruction); in
+    rank 2, -d_1 d_2 = s^2 gives x = (s, |d_1|) without factoring."""
+    m = -diag[0] * diag[1] if len(diag) == 2 else -1
+    s = Fraction(math.isqrt(abs(m.numerator)), math.isqrt(m.denominator))
+    if s * s == m:
+        x = (s, abs(diag[0]))
+    else:
+        a, scale, primes = [], [], {2}
+        for d in diag:
+            sf, r = _squarefree(d.numerator * d.denominator)
+            a.append(sf)
+            scale.append(Fraction(d.denominator, r))
+            primes.update(factorize(sf))
+        found = obstruction(a, primes)
+        if found is not None:
+            return None, found
+        x = tuple(y * c for y, c in zip(_solve(a, primes), scale))
     if not any(x) or sum(d * v * v for d, v in zip(diag, x)):
         raise InternalCheckError("constructed point is not isotropic",
                                  witness=x)

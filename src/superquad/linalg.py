@@ -13,7 +13,7 @@ read one reduction each: ``rref``, ``rank`` reduce A, ``kernel`` reads
 the free columns and ``solve`` reduces [A | b] (a pivot in the last
 column means no solution); all of them reject a ragged matrix.
 :class:`Coordinates` factors a spanning set once and reads coordinates
-off that factorization.
+off that factorization, modulo the span of a given reducer.
 """
 
 from __future__ import annotations
@@ -373,29 +373,31 @@ def solve(A: Mat, b: Vec) -> SolutionSet:
 
 
 class Coordinates:
-    """Coordinates in the span of independent rows with n coordinates,
-    factored once.
+    """Coordinates, modulo the span of the reducer ``mod``, in the span of
+    rows independent modulo it, factored once; a reducer with no rows
+    gives plain coordinates.
 
-    Each row r_t, dense or a {k: c} dict, is reduced once as [r_t | e_t].
-    Reducing [v | 0] against them then leaves [v - sum_p v[p] R_p | -x],
-    with R_p the RREF row of the span at pivot p and x the coordinates of
-    v; v is in the span exactly when the first part vanishes.
+    Each row r_t, dense or a {k: c} dict, is reduced modulo ``mod`` and
+    then once as [r_t | e_t].  Reducing [v | 0] against them, v also
+    reduced modulo ``mod`` first, leaves [v - sum_p v[p] R_p | -x], with
+    R_p the RREF row of the span at pivot p and x the coordinates of v;
+    v is in the span exactly when the first part vanishes.
     """
 
-    def __init__(self, n: int, rows):
-        self.n = n
+    def __init__(self, mod: RowReducer, rows):
+        self.mod, n = mod, mod.ncols
         self._red = RowReducer(n + len(rows), (
-            {**nonzeros(row, n), n + t: ONE} for t, row in enumerate(rows)))
+            {**mod.reduce(row), n + t: ONE} for t, row in enumerate(rows)))
         if any(p >= n for p in self._red.int_rows):
             raise DimensionMismatch("spanning rows are dependent")
 
     def of(self, v) -> dict[int, Fraction] | None:
         """The coordinates {t: x_t} of v, dense or a {k: c} dict, over
         its nonzeros, or None if v is not in the span."""
-        r = self._red.reduce(nonzeros(v, self.n))
-        if any(c < self.n for c in r):
+        r, n = self._red.reduce(self.mod.reduce(v)), self.mod.ncols
+        if any(c < n for c in r):
             return None
-        return {c - self.n: -q for c, q in r.items()}
+        return {c - n: -q for c, q in r.items()}
 
 
 def charpoly(A: Mat) -> tuple[Fraction, ...]:

@@ -496,8 +496,9 @@ class QuotientResult(Record):
 def quotient(g: LieSuperalgebra, ideal: Subspace,
              complement: Subspace | None = None,
              names: tuple[str, ...] | None = None) -> QuotientResult:
-    """Quotient by a graded ideal, on a homogeneous complement basis; it
-    satisfies Jacobi as g does, so that is not checked again."""
+    """Quotient by a graded ideal, on a homogeneous complement basis read
+    modulo the ideal; it satisfies Jacobi as g does, so that is not
+    checked again."""
     bad = ideal_violation(g, ideal)
     if bad is not None:
         raise NotIdealError("subspace is not an ideal", witness=bad)
@@ -505,17 +506,12 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
         g.basis, ideal)
     if comp.dim + ideal.dim != g.dim:
         raise PreconditionError("complement has the wrong dimension")
+    q, rows = comp.dim, comp.rows
     try:
-        coords = Coordinates(g.dim, comp.rows + ideal.rows)
+        coords = Coordinates(ideal.reducer, rows).of
     except DimensionMismatch:
         raise PreconditionError("complement overlaps the ideal") from None
-    q, rows = comp.dim, comp.rows
-
-    def head(v: dict) -> dict:
-        """The quotient coordinates of v: its coordinates on [comp | ideal]
-        on the complement."""
-        return {r: c for r, c in coords.of(v).items() if r < q}
-    units = [head({a: ONE}) for a in range(g.dim)]
+    units = [coords({a: ONE}) for a in range(g.dim)]
     projection = tuple(tuple(u.get(r, ZERO) for u in units) for r in range(q))
     if names is None:
         names = tuple(f"q{r+1}" for r in range(q))
@@ -524,5 +520,5 @@ def quotient(g: LieSuperalgebra, ideal: Subspace,
                 for i in range(q) for j in range(i, q) if i < j or p[i]}
     alg = LieSuperalgebra(graded_basis(names, p), {
         (i, j, k): c for (i, j), v in brackets.items()
-        for k, c in head(v).items()})
+        for k, c in coords(v).items()})
     return QuotientResult(alg, projection, brackets)

@@ -21,7 +21,7 @@ from .errors import (AxiomError, CocycleError, DimensionMismatch, FormError,
                      InternalCheckError, NotSupercyclicError,
                      PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
-                    is_totally_isotropic, isotropic_complement)
+                    isotropic_complement)
 from .linalg import Mat, ONE, Record, dense_vec, integer_rows, unit_vec
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
                            graded_basis, jacobi_violations, quotient, sgn,
@@ -184,7 +184,6 @@ def verify_isometry(src: QuadraticLieSuperalgebra,
 
 
 def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
-              complement: Subspace | None = None,
               quotient_names: tuple[str, ...] | None = None
               ) -> tuple[TStarExtension, Mat]:
     """Present q as a T*-extension along a graded totally isotropic ideal
@@ -193,20 +192,12 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
     Returns the extension of the quotient q/iso together with the matrix
     of an even bijection that is simultaneously an algebra isomorphism
     and an isometry; the map is re-verified exactly on all basis pairs
-    before being returned.  :func:`isotropic_complement` or the test below
-    checks that iso is Lagrangian, :func:`quotient` that it is an ideal;
-    the extension's constructor then checks Jacobi, whose g-part is the
-    quotient's (docs/conventions.md, "Extension bracket").
+    before being returned.  :func:`isotropic_complement` checks that iso
+    is Lagrangian, :func:`quotient` that it is an ideal; the extension's
+    constructor then checks Jacobi, whose g-part is the quotient's
+    (docs/conventions.md, "Extension bracket").
     """
-    n = q.dim
-    if complement is None:
-        comp = isotropic_complement(q.form, iso)
-    else:
-        comp = complement
-        if not all(2 * s.dim == n and is_totally_isotropic(q.form, s)
-                   for s in (iso, comp)):
-            raise PreconditionError("ideal and complement must be totally "
-                                    "isotropic of half the dimension")
+    n, comp = q.dim, isotropic_complement(q.form, iso)
     quot = quotient(q.algebra, iso, complement=comp, names=quotient_names)
     rows = comp.rows
 

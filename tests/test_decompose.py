@@ -294,6 +294,20 @@ def test_decompose_disguised_odd_heisenberg_sum():
     _check_decomposition_dense(q)
 
 
+@pytest.mark.parametrize("name, coeff, seed", [
+    *(("g(2)", -3, seed) for seed in (36, 40, 44, 54, 58, 87)),
+    *(("heisenberg3", 0, seed) for seed in (46, 54, 77))])
+def test_decompose_disguised_rank_two_steps(gallery, supercyclic_bases, name,
+                                            coeff, seed):
+    """A flag step of each of these disguised T*-extensions meets an
+    isotropic 2x2 Gram whose coefficients have cofactors past FACTOR_CAP:
+    -d_1 d_2 is a square, so its point needs no factoring."""
+    g = gallery[name]
+    Q = build(g, Cochain2Dual(g.basis, lincomb(
+        (F(coeff), w.coords.items()) for w in supercyclic_bases[name]))).total
+    _check_decomposition_dense(disguised_quadratic(Q, seed=seed))
+
+
 # --- the paper's second class with an odd part: T*(s(k)) --------------------
 
 @pytest.mark.parametrize("k, z2", [(1, 3), (2, 10), (3, 21)])
@@ -436,7 +450,7 @@ def disguised_induced_spaces():
     for w in max_isotropic_ideal(q).chain:
         ind = _InducedSpace(q, w, orthogonal(q.form, w))
         rows = _span_rows(ind, w)
-        out.append((ind, rows, Coordinates(q.dim, rows)))
+        out.append((ind, rows, Coordinates(RowReducer(q.dim), rows)))
     assert any(x.denominator > 1 for _, rows, _ in out for v in rows
                for x in v)
     return out
@@ -449,20 +463,25 @@ def test_coordinates_of_disguised_input_match_dense(disguised_induced_spaces,
     """Coordinates.of reads the exact residual of its reducer: along the
     flag of a disguised input, the coordinates of a drawn combination of
     the spanning rows are its coefficients, as the dense solve finds, and
-    a vector off the span gives what the dense solve gives."""
+    a vector off the span gives what the dense solve gives.  Read modulo
+    W, the coordinates on the reps are the first part of those."""
     coeffs = st.sampled_from(_fraction_values(7, 12))
     for ind, rows, coords in disguised_induced_spaces:
-        n = ind.q.dim
+        n, k = ind.q.dim, ind.dim
+        modulo_w = Coordinates(ind.w.reducer, ind.reps)
         x = tuple(data.draw(coeffs) for _ in rows)
         v = zero_vec(n)
         for t, r in zip(x, rows):
             v = vec_add(v, vec_scale(t, r))
         assert dense_vec(coords.of(v), len(rows)) \
             == dense.coords_in(rows, v) == x
+        assert dense_vec(modulo_w.of(v), k) == x[:k]
         off = vec_add(v, unit_vec(n, data.draw(st.integers(0, n - 1))))
-        got = coords.of(off)
-        assert dense.coords_in(rows, off) == (
-            None if got is None else dense_vec(got, len(rows)))
+        got, got_w, want = coords.of(off), modulo_w.of(off), \
+            dense.coords_in(rows, off)
+        assert want == (None if got is None else dense_vec(got, len(rows)))
+        assert (None if want is None else want[:k]) == (
+            None if got_w is None else dense_vec(got_w, k))
 
 
 @given(data=st.data())

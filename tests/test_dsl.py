@@ -143,6 +143,39 @@ def test_rejected_entry_statements(monkeypatch, body, word, line, column):
         "parse", line, column)
 
 
+@pytest.mark.parametrize("argv, text, message, line, column", [
+    (["check"], "basis x:even\nbracket [1,x] = 0", "expected a basis label",
+     2, 10),
+    (["check"], "bracket [x,y] = 0",
+     "basis must be declared before this statement", 1, 8),
+    (["check"], "basis x:even y:even\nbracket [x,y] = 2",
+     "a bare scalar term must be 0", 2, 18),
+    (["check"], "basis x:evn", "parity must be 'even' or 'odd'", 1, 9),
+    (["check"], "basis x:even x:odd", "duplicate basis label 'x'", 1, 19),
+    (["check"], "basis x:even\nbracket [x,x] = x",
+     "bracket [x,x] must vanish for an even generator", 2, 18),
+    (["check"], "basis x:even\nform B(x,x) = 1 2",
+     "unexpected trailing input", 2, 17),
+    (["example", "gn", "two"], "", "expected an integer size", None, None),
+    (["example", "gn", "0"], "", "size must be at least 1", None, None),
+])
+def test_each_input_error_names_its_place(monkeypatch, argv, text, message,
+                                          line, column):
+    """Each rejection of a document or an ``example`` size exits 2 with its
+    message; a parse error also gives its line and column."""
+    if line is not None:
+        with pytest.raises(dsl.ParseError, match=re.escape(message)) as exc:
+            dsl.parse(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        message = f"line {line}, column {column}: {message}"
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(argv, out=out) == 2
+    assert json.loads(out.getvalue())["error"] == {
+        "kind": "input" if line is None else "parse", "line": line,
+        "column": column, "message": message}
+
+
 def test_syntax_error_position():
     with pytest.raises(dsl.ParseError) as exc:
         dsl.parse("basis x:even\nbracket [x y] = 0")

@@ -103,6 +103,44 @@ def test_decision_matches_brute_force_on_random_forms():
             assert why is None and any(x) and _value(diag, x) == 0, diag
 
 
+def test_rank_two_square_gives_a_positive_point_unfactored():
+    """-d_1 d_2 = t^2 decides the pair without factoring, even past the
+    cap, and the point has x_2 / x_1 > 0, the positive root of -d_1 / d_2."""
+    rng = random.Random(20261021)
+    for big in (1, P1 * P2) * 100:
+        d1 = F(rng.choice((-1, 1)) * rng.randint(1, 60) * big,
+               rng.randint(1, 12))
+        t = F(rng.randint(1, 60), rng.randint(1, 12))
+        diag = (d1, -t * t / d1)
+        x, why = isotropic_point(diag)
+        assert why is None and _value(diag, x) == 0, diag
+        assert x[1] / x[0] > 0 and (x[1] / x[0]) ** 2 == -d1 / diag[1], diag
+
+
+def _is_padic_square(m, p):
+    """Squarefree m is a square in Q_p iff p does not divide it and it is
+    a square modulo p (modulo 8 for p = 2)."""
+    k = 8 if p == 2 else p
+    return m % p != 0 and any((x * x - m) % k == 0 for x in range(k))
+
+
+def test_rank_two_anisotropic_pairs_name_their_obstruction():
+    """A pair with -d_1 d_2 not a square is definite, or fails at the
+    least prime of 2 and the a_i where -a_1 a_2 is not a p-adic square."""
+    rng = random.Random(20261022)
+    for _ in range(300):
+        diag = tuple(F(rng.choice((-1, 1)) * rng.randint(1, 60),
+                       rng.randint(1, 6)) for _ in range(2))
+        if _is_rational_square(-diag[0] * diag[1]):
+            continue
+        x, why = isotropic_point(diag)
+        a = [_squarefree_part(d.numerator * d.denominator) for d in diag]
+        primes = sorted({2} | {p for m in a for p in factorize(m)})
+        m = _squarefree_part(-a[0] * a[1])
+        assert x is None and why == ("definite" if m < 0 else next(
+            p for p in primes if not _is_padic_square(m, p))), diag
+
+
 def test_isotropic_vector_rechecks_on_mixed_gram():
     # P^T diag(1, 1, -41) P for a unimodular P: built on the diagonalization
     gram = mat([[1, 1, 0], [1, 2, 1], [0, 1, -40]])

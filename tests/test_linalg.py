@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superquad.decompose import isotropic_vector
 from superquad.errors import DimensionMismatch
 from superquad.linalg import (Coordinates, RowReducer, charpoly,
                               diagonalize_symmetric, kernel, mat, rank, rational_roots, rref, solve, vec, zeros)
@@ -146,6 +147,19 @@ def test_diagonalize_symmetric(rows):
             assert PGPt[i][j] == (d[i] if i == j else 0)
 
 
+def test_diagonalize_symmetric_adds_a_row_at_a_zero_pivot():
+    """After one step G leaves [[0, 1], [1, 0]]: a zero pivot with no
+    nonzero diagonal entry below it, which takes adding row and column 2
+    to row and column 1."""
+    G = mat([[1, 1, 1], [1, 1, 2], [1, 2, 1]])
+    P, d = diagonalize_symmetric(G)
+    assert d == (1, 2, F(-1, 2))
+    assert mat_mul(mat_mul(P, G), transpose(P)) == tuple(
+        tuple(d[i] if i == j else 0 for j in range(3)) for i in range(3))
+    x = isotropic_vector(G)
+    assert any(x) and dense.dot(x, mat_vec(G, x)) == 0
+
+
 def test_inverse_and_coords():
     """The dense oracle's inverse and coordinates, and the library's
     factored coordinates on the same spans, dense or dict arguments."""
@@ -155,12 +169,20 @@ def test_inverse_and_coords():
                            vec([2, 3, 2])) \
         == vec([2, 3])
     assert dense.coords_in([vec([1, 0, 1])], vec([0, 1, 0])) is None
-    coords = Coordinates(3, [vec([1, 0, 1]), {1: F(1)}])
+    coords = Coordinates(RowReducer(3), [vec([1, 0, 1]), {1: F(1)}])
     assert coords.of(vec([2, 3, 2])) == coords.of({0: 2, 1: 3, 2: 2}) \
         == {0: 2, 1: 3}
-    assert Coordinates(3, [{0: F(1), 2: F(1)}]).of(vec([0, 1, 0])) is None
+    assert Coordinates(RowReducer(3), [{0: F(1), 2: F(1)}]).of(
+        vec([0, 1, 0])) is None
     with pytest.raises(DimensionMismatch, match="dependent"):
-        Coordinates(3, [vec([1, 0, 1]), vec([2, 0, 2])])
+        Coordinates(RowReducer(3), [vec([1, 0, 1]), vec([2, 0, 2])])
+    # modulo span(e3): e1 + e3 reads as e1, and e3 adds nothing
+    mod = RowReducer(3, [{2: F(1)}])
+    coords = Coordinates(mod, [vec([1, 0, 1]), {1: F(1)}])
+    assert coords.of(vec([2, 3, -5])) == {0: 2, 1: 3}
+    assert coords.of({2: F(7)}) == {}
+    with pytest.raises(DimensionMismatch, match="dependent"):
+        Coordinates(mod, [vec([1, 0, 1]), vec([1, 0, 0])])
 
 
 @st.composite

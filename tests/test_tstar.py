@@ -8,21 +8,23 @@ from hypothesis import given, settings, strategies as st
 
 import superquad as sq
 from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
-                                  collect_cochain2dual, delta_scalar2, hat,
-                                  is_cocycle2, is_supercyclic, sub3, unhat,
-                                  z3_basis, zero_cochain2, zero_scalar2)
+                                  cohomologous, collect_cochain2dual,
+                                  delta_scalar2, hat, is_cocycle2,
+                                  is_supercyclic, sub3, unhat, z3_basis,
+                                  zero_cochain2, zero_scalar2)
 from superquad.errors import (AxiomError, CocycleError, DimensionMismatch,
                               InternalCheckError, NotIdealError,
                               NotSupercyclicError, PreconditionError)
 from superquad.decompose import decompose
-from superquad.forms import is_totally_isotropic
+from superquad.forms import gram, is_totally_isotropic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
 from superquad.linalg import kernel, mat, rank, unit_vec, vec, vec_is_zero
 from superquad.superalgebra import (LieSuperalgebra, QuotientResult,
                                     bracket, center, is_ideal,
-                                    jacobi_violations, sgn, subspace)
+                                    jacobi_violations, quotient, sgn,
+                                    subspace)
 from superquad.tstar import (build, quadratic_morphism_violation, recognize,
                              s_phi_isometry, shear_matrix, verify_isometry)
 
@@ -222,14 +224,17 @@ def test_recognize_with_sheared_section_gives_cohomologous(gallery,
         shear = shear_matrix(g, phi)
         sheared = subspace(ext.total.basis, [
             tuple(shear[r][i] for r in range(N)) for i in range(n)])
-        ext2, psi = recognize(ext.total, ext.dual_ideal(),
-                              complement=sheared)
-        assert ext2.base.coords == g.coords, name
-        # quotient basis names differ; the cochains live on the same grading
-        from superquad.cohomology import Cochain2Dual, cohomologous
-        w_rec = Cochain2Dual(g.basis, ext2.omega.coords)
-        phi_rec = cohomologous(g, hat(w_rec), hat(w))
-        assert phi_rec is not None, name
+        assert is_totally_isotropic(ext.total.form, sheared), name
+        quot = quotient(ext.total.algebra, ext.dual_ideal(),
+                        complement=sheared)
+        assert quot.algebra.coords == g.coords, name
+        # omega(x, y)(e_k) = B([s(x), s(y)], s_k), read as recognize reads
+        # it; the cochains live on the same grading
+        values = gram(ext.total.form, quot.brackets.values(), sheared.rows)
+        w_rec = Cochain2Dual(g.basis, {
+            (i, j, k): v for (i, j), row in zip(quot.brackets, values)
+            for k, v in enumerate(row) if v})
+        assert cohomologous(g, hat(w_rec), hat(w)) is not None, name
 
 
 def test_recognize_brackets_each_free_pair_once(monkeypatch, gallery,
@@ -313,23 +318,25 @@ def test_recognize_rejects_odd_dim():
 
 def test_recognize_rejects_a_lagrangian_subspace_that_is_not_an_ideal():
     """span(e1, e2*, e3*) in T*(heisenberg3) is Lagrangian, but [e2, e1]
-    = -e3 leaves it: quotient rejects it, with and without a given
-    complement."""
+    = -e3 leaves it: quotient rejects it, called by recognize or with a
+    given complement."""
     ext = build(sq.heisenberg3())
     q, n = ext.total, ext.dim
     iso = subspace(q.basis, [unit_vec(n, k) for k in (0, 4, 5)])
     comp = subspace(q.basis, [unit_vec(n, k) for k in (1, 2, 3)])
     assert is_totally_isotropic(q.form, iso)
-    for complement in (None, comp):
-        with pytest.raises(NotIdealError, match="not an ideal"):
-            recognize(q, iso, complement=complement)
+    with pytest.raises(NotIdealError, match="not an ideal"):
+        recognize(q, iso)
+    with pytest.raises(NotIdealError, match="not an ideal"):
+        quotient(q.algebra, iso, complement=comp)
 
 
-def test_recognize_rejects_an_overlapping_complement():
+def test_quotient_rejects_the_ideal_as_its_complement():
+    """Its rows vanish modulo the ideal, so they are dependent there."""
     ext = build(sq.heisenberg3())
     iso = ext.dual_ideal()
     with pytest.raises(PreconditionError, match="overlaps the ideal"):
-        recognize(ext.total, iso, complement=iso)
+        quotient(ext.total.algebra, iso, complement=iso)
 
 
 def test_s_phi_zero_is_identity():
