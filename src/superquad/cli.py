@@ -19,7 +19,7 @@ import sys
 
 from . import dsl
 from .cohomology import (b3_basis, collect_cochain2dual, cocycle2_violation,
-                         supercyclic_violation, z2_supercyclic_from_z3,
+                         supercyclic_violation, z2_supercyclic_basis,
                          z3_basis, zero_cochain2)
 from .decompose import decompose as run_decompose
 from .errors import (AxiomError, CocycleError, FormError,
@@ -208,7 +208,7 @@ def _cmd_tstar(args, report: Report, out, doc, alg, q) -> int:
 
 def _cmd_cohomology(args, report: Report, out, doc, alg, q) -> int:
     z3, b3 = z3_basis(alg), b3_basis(alg)
-    z2sc = z2_supercyclic_from_z3(alg.basis, z3)
+    z2sc = z2_supercyclic_basis(alg)
     report.dims.update(dim_z2_supercyclic=len(z2sc), dim_z3=len(z3),
                        dim_b3=len(b3), dim_h3=len(z3) - len(b3))
     bad = ([len(z2sc), len(z3)] if len(z2sc) != len(z3) else next(

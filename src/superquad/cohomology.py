@@ -30,8 +30,9 @@ applies d once, and the solvers reduce a map's images of the unit
 cochains in one sparse ``RowReducer``: Z^2 and Z^3 read its kernel, B^3
 the RREF of d's images of the unit 2-cochains and ``cohomologous`` a
 reduction of [d(e_ab) | f1 - f2], d taking all unit cochains in one
-pass.  Z^2_sc is unhat(Z^3), as hat is a bijection, read out in the
-basis that a direct kernel solve returns.
+pass.  Z^2_sc is unhat(Z^3), as hat is a bijection: its own solve of d
+on 3-cochains, with the columns ordered so that the kernel basis unhats
+to the one a direct kernel solve returns.
 
 d f is super-alternating, so it is held at sorted tuples only: every
 other ordering is a signed copy of its sorted one.  The sorted ordering
@@ -358,17 +359,6 @@ def _reduced_columns(columns: list[dict]) -> RowReducer:
     return RowReducer(len(columns), map(rows.get, sorted(rows)))
 
 
-def _rref(vectors: list, order=None) -> list[tuple]:
-    """(pivot, row) of the RREF rows, by ascending pivot, of the span of
-    the {key: value} ``vectors``, over their keys sorted by ``order``."""
-    coords = sorted(set().union(*vectors), key=order)
-    index = {key: t for t, key in enumerate(coords)}
-    red = RowReducer(len(coords), ({index[key]: q for key, q in v.items()}
-                                   for v in vectors))
-    return [(coords[piv], {coords[t]: q for t, q in row.items()})
-            for piv, row in sorted(red.rows.items())]
-
-
 def _kernel(basis: GradedBasis, coords: list, cols: list, make) -> list:
     """The kernel, as cochains by ``make``, of the cochain map whose
     images of the unit cochains at the free ``coords`` are ``cols``."""
@@ -385,20 +375,19 @@ def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
 
 
 def z2_supercyclic_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
-    """Basis of the supercyclic even dual-valued 2-cocycles."""
-    return z2_supercyclic_from_z3(g.basis, z3_basis(g))
-
-
-def z2_supercyclic_from_z3(basis: GradedBasis, z3: list[ScalarCochain3]
-                           ) -> list[Cochain2Dual]:
-    """Z^2_sc from a basis of Z^3, in the canonical kernel basis: unhat of
-    the RREF of Z^3 by descending (j, k, i), unhat's largest key of
-    (i, j, k), each row signed +1 there (docs/conventions.md)."""
-    p = basis.parities
-    rows = _rref([f.coords for f in z3], lambda t: (-t[1], -t[2], -t[0]))
-    return [Cochain2Dual(basis, _unhat(p, ((t, -q if p[i] else q)
-                                           for t, q in row.items())))
-            for (i, _, _), row in reversed(rows)]
+    """Basis of the supercyclic even dual-valued 2-cocycles, canonical:
+    unhat of Z^3 solved over the alt-3 coordinates (i, j, k) by (j, k, i),
+    each kernel vector signed (-1)^{|i|} at its free coordinate, its last
+    nonzero (docs/conventions.md, "Cochains")."""
+    p = g.basis.parities
+    coords = sorted(free_coords_alt3(g.basis), key=lambda t: (*t[1:], t[0]))
+    _, cols = _coboundary(g)([((key, 1),) for key in coords])
+    out = []
+    for kv in _reduced_columns(cols).sparse_kernel():
+        s = -1 if p[coords[max(kv)][0]] else 1
+        out.append(Cochain2Dual(g.basis, _unhat(p, (
+            (coords[t], s * q) for t, q in kv.items()))))
+    return out
 
 
 def z2_basis(g: LieSuperalgebra) -> list[Cochain2Dual]:
@@ -414,7 +403,12 @@ def b3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:
     of the coboundary map's images of the unit 2-cochains."""
     keys = free_coords_scalar2(g.basis)
     _, cols = _coboundary(g)([((key, 1),) for key in keys])
-    return [ScalarCochain3(g.basis, row) for _, row in _rref(cols)]
+    coords = sorted(set().union(*cols))  # the 3-tuples some image holds
+    index = {key: t for t, key in enumerate(coords)}
+    red = RowReducer(len(coords), ({index[key]: q for key, q in v.items()}
+                                   for v in cols))
+    return [ScalarCochain3(g.basis, {coords[t]: q for t, q in row.items()})
+            for _, row in sorted(red.rows.items())]
 
 
 def h3_dim(g: LieSuperalgebra) -> int:

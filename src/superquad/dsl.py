@@ -170,14 +170,15 @@ def _handle_basis(lp: _LineParser, doc: AlgebraDocument):
         lp.error("empty basis declaration")
     while not lp.at_end():
         label = lp.label()
+        if label in doc.names:
+            lp.pos -= len(label)
+            lp.error(f"duplicate basis label {label!r}")
         lp.literal(":")
         lp.skip_ws()
         parity = next((p for p, word in ((EVEN, "even"), (ODD, "odd"))
                        if lp.try_literal(word)), None)
         if parity is None:
             lp.error("parity must be 'even' or 'odd'")
-        if label in doc.names:
-            lp.error(f"duplicate basis label {label!r}")
         doc.names += (label,)
         doc.parities += (parity,)
 

@@ -7,8 +7,8 @@ the public edge.  Three helpers own that choice: :func:`nonzeros` reads
 either form as a dict, :func:`dense_vec` reads a dict out densely and
 :func:`lincomb` sums c v over sparse rows.  There is one eliminator,
 the sparse fraction-free :class:`RowReducer`: primitive int rows by
-pivot, each an RREF row times its pivot entry, read out as
-``Fraction``s; its constructor adds the rows it is given.  The solvers
+pivot, each an RREF row times its pivot entry, read out as ``Fraction``s;
+its constructor pins one-entry rows as unit pivots first.  The solvers
 read one reduction each: ``rref``, ``rank`` reduce A, ``kernel`` reads
 the free columns and ``solve`` reduces [A | b] (a pivot in the last
 column means no solution); all of them reject a ragged matrix.
@@ -186,15 +186,19 @@ class RowReducer:
     the pivots it touches; :meth:`reduce` divides by the tracked scale,
     so its residual is exact.  ``add`` divides out the content and then
     eliminates the new pivot from the rows a column index finds nonzero
-    there.  The constructor adds ``rows`` one by one.
+    there.  The constructor stores each one-entry row of ``rows`` as its
+    unit pivot row, then adds the others one by one without those columns.
     """
 
     def __init__(self, ncols: int, rows: Iterable = ()):
-        self.ncols = ncols
-        self.int_rows: dict[int, dict[int, int]] = {}
+        self.ncols, rows = ncols, [nonzeros(row, ncols) for row in rows]
+        self.int_rows: dict[int, dict[int, int]] = {
+            c: {c: 1} for r in rows if len(r) == 1 for c in r}
         self._at: dict[int, set[int]] = {}  # non-pivot column -> pivots
-        for row in rows:
-            self.add(row)
+        pinned = set(self.int_rows)  # not the pivots that add makes
+        for r in rows:  # a one-entry row is left empty
+            if r := {c: q for c, q in r.items() if c not in pinned}:
+                self.add(r)
 
     @property
     def rank(self) -> int:
@@ -214,7 +218,7 @@ class RowReducer:
         """(f, r): what is left of a row, dense or a {column: value} dict,
         after eliminating the pivot columns, times f > 0, as ints."""
         r, f = nonzeros(row, self.ncols), 1
-        if {*map(type, r.values())} - {int}:  # an int row is taken as is
+        if any(type(q) is not int for q in r.values()):  # ints as they are
             f = math.lcm(*[q.denominator for q in r.values()])
             r = {c: q.numerator * (f // q.denominator) for c, q in r.items()}
         rows = self.int_rows
@@ -245,7 +249,8 @@ class RowReducer:
         for c in r:
             if c != p:
                 at.setdefault(c, set()).add(p)
-        self._eliminate(r[p], r, {k: rows[k][p] for k in hits})
+        if hits:
+            self._eliminate(r[p], r, {k: rows[k][p] for k in hits})
         return True
 
     def meet(self, phi: dict) -> bool:

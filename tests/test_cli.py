@@ -181,20 +181,19 @@ def test_cohomology_command():
 def test_cohomology_rechecks_each_supercyclic_vector(monkeypatch):
     """hat.dimension_agreement re-checks every returned Z^2_sc vector with
     the cocycle and supercyclicity verifiers: a wrong vector fails it with
-    its basis index as witness, a short basis with the two dimensions.
-    The command reads Z^2_sc off the Z^3 basis it already holds."""
-    solve = cli.z2_supercyclic_from_z3
+    its basis index as witness, a short basis with the two dimensions."""
+    solve = cli.z2_supercyclic_basis
     g = dsl.document_algebra(dsl.parse((CORPUS / "g2.sqd").read_text()))
 
     def check(solver):
-        monkeypatch.setattr(cli, "z2_supercyclic_from_z3", solver)
+        monkeypatch.setattr(cli, "z2_supercyclic_basis", solver)
         code, rep = run_json(["cohomology", str(CORPUS / "g2.sqd")])
         by_name = {c["name"]: c for c in rep["checks"]}
         return code, by_name["hat.dimension_agreement"]
 
     def replacing(index, make):
-        def solver(basis, z3):
-            found = solve(basis, z3)
+        def solver(alg):
+            found = solve(alg)
             return found[:index] + [make()] + found[index + 1:]
         return solver
 
@@ -214,7 +213,7 @@ def test_cohomology_rechecks_each_supercyclic_vector(monkeypatch):
     for index, make in ((2, not_supercyclic), (1, not_cocycle)):
         code, c = check(replacing(index, make))
         assert code == 1 and not c["passed"] and c["witness"] == index
-    code, c = check(lambda basis, z3: solve(basis, z3)[1:])
+    code, c = check(lambda alg: solve(alg)[1:])
     assert code == 1 and not c["passed"] and c["witness"] == [3, 4]
 
 

@@ -151,7 +151,7 @@ def test_rejected_entry_statements(monkeypatch, body, word, line, column):
     (["check"], "basis x:even y:even\nbracket [x,y] = 2",
      "a bare scalar term must be 0", 2, 18),
     (["check"], "basis x:evn", "parity must be 'even' or 'odd'", 1, 9),
-    (["check"], "basis x:even x:odd", "duplicate basis label 'x'", 1, 19),
+    (["check"], "basis x:even x:odd", "duplicate basis label 'x'", 1, 14),
     (["check"], "basis x:even\nbracket [x,x] = x",
      "bracket [x,x] must vanish for an even generator", 2, 18),
     (["check"], "basis x:even\nform B(x,x) = 1 2",

@@ -181,8 +181,10 @@ def test_inverse_and_coords():
     coords = Coordinates(mod, [vec([1, 0, 1]), {1: F(1)}])
     assert coords.of(vec([2, 3, -5])) == {0: 2, 1: 3}
     assert coords.of({2: F(7)}) == {}
-    with pytest.raises(DimensionMismatch, match="dependent"):
-        Coordinates(mod, [vec([1, 0, 1]), vec([1, 0, 0])])
+    # a row in the span of mod is the one-entry row [0 | e_t]
+    for rows in ([vec([1, 0, 1]), vec([1, 0, 0])], [{0: F(1)}, {2: F(5)}]):
+        with pytest.raises(DimensionMismatch, match="dependent"):
+            Coordinates(mod, rows)
 
 
 @st.composite
@@ -243,8 +245,103 @@ def test_row_reducer_rejects_wrong_shapes():
         with pytest.raises(DimensionMismatch):
             red.add_sparse(entries)
     assert red.rank == 0
+    # the constructor too, whatever the number of entries
+    for row in (vec([1]), vec([1, 0, 0, 0]), {3: F(1)}, {-1: F(1)},
+                {0: F(1), 5: F(0)}, {0: F(1), 4: F(2)}):
+        with pytest.raises(DimensionMismatch):
+            RowReducer(3, [{0: F(1)}, row])
     assert red.add(vec([0, 2, 1])) and red.add_sparse({0: F(1)})
     assert red.kernel() == [vec([0, F(-1, 2), 1])]
+
+
+@st.composite
+def _mostly_unit_rows(draw, ncols):
+    """(rows, given): sparse rows of width ncols, most of them with one entry, with
+    repeated one-entry rows on one column (other values), zero rows, rows
+    that shrink to one entry once a unit row's column is eliminated and
+    rows one entry off an earlier row, each given dense, as a Fraction dict
+    or, when its entries are ints, as an int dict."""
+    column = st.integers(0, ncols - 1)
+    nonzero = small_fractions.filter(bool)
+    dense_rows, units = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("unit", "unit", "unit", "repeat", "zero",
+                                     "shrinks", "sparse", "near")))
+        row = [F(0)] * ncols
+        if kind in ("unit", "repeat"):
+            c = (draw(st.sampled_from(units)) if kind == "repeat" and units
+                 else draw(column))
+            row[c] = draw(nonzero)
+            units.append(c)
+        elif kind == "shrinks" and units:
+            row[draw(st.sampled_from(units))] = draw(nonzero)
+            row[draw(column)] += draw(nonzero)
+        elif kind == "near" and dense_rows:
+            t = draw(nonzero)
+            row = [t * q for q in draw(st.sampled_from(dense_rows))]
+            row[draw(column)] += draw(nonzero)
+        elif kind != "zero":
+            for c in draw(st.sets(column, min_size=min(ncols, 2),
+                                  max_size=4)):
+                row[c] = draw(nonzero)
+        dense_rows.append(row)
+    given = []
+    for row in dense_rows:
+        form = draw(st.sampled_from(("dense", "fraction", "int")))
+        if form == "dense":
+            given.append(vec(row))
+        elif form == "int" and all(q.denominator == 1 for q in row):
+            given.append({c: int(q) for c, q in enumerate(row) if q})
+        else:
+            given.append(_sparse(row))
+    return dense_rows, given
+
+
+def _assert_same_reduction(red, other):
+    assert red.int_rows == other.int_rows
+    assert (red.rank, red.pivots) == (other.rank, other.pivots)
+    assert red.basis() == other.basis()
+    assert red.kernel() == other.kernel()
+    assert red.sparse_kernel() == other.sparse_kernel()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_pinned_constructor_matches_adds_and_dense_oracle(data):
+    """The constructor, which stores one-entry rows as unit pivot rows
+    before it adds the others, reduces to what one ``add`` per row and the
+    dense elimination give, and adds on top of it the same way."""
+    ncols = data.draw(st.integers(1, 8))
+    dense_rows, given = data.draw(_mostly_unit_rows(ncols))
+    batch, one_by_one = RowReducer(ncols, given), RowReducer(ncols)
+    for row in given:
+        one_by_one.add(row)
+    _assert_same_reduction(batch, one_by_one)
+    R, pivots = dense.rref(mat(dense_rows))
+    assert batch.pivots == pivots
+    assert batch.basis() == R[:len(pivots)]
+    assert batch.kernel() == dense.kernel(mat(dense_rows))
+    assert batch.sparse_kernel() == [_sparse(x) for x in batch.kernel()]
+    _assert_primitive_rows(batch)
+    more = data.draw(_mostly_unit_rows(ncols))[1]
+    for row in more:
+        assert batch.add(row) == one_by_one.add(row)
+    _assert_same_reduction(batch, one_by_one)
+    _assert_same_reduction(batch, RowReducer(ncols, dense_rows + more))
+    _assert_primitive_rows(batch)
+
+
+def test_pinning_leaves_multi_entry_rows_to_add():
+    """Only one-entry rows become unit pivots: e0 + e1 and e0 + e2 are
+    both reduced at column 0, e0 + e1's pivot, and 5 e3 pins column 3,
+    which e1 - e2 + 7 e3 then loses, to lie in the span."""
+    rows = [{0: F(1), 1: F(1)}, {0: F(1), 2: F(1)}, {3: F(5)},
+            {1: F(1), 2: F(-1), 3: F(7)}]
+    red, want = RowReducer(4, rows), RowReducer(4)
+    for row in rows:
+        want.add(row)
+    _assert_same_reduction(red, want)
+    assert red.int_rows == {0: {0: 1, 2: 1}, 1: {1: 1, 2: -1}, 3: {3: 1}}
 
 
 # Entries whose denominators reach 10^12, on rows up to 30 wide: the
