@@ -112,19 +112,12 @@ def _read_input(path: str) -> str:
         raise PreconditionError(str(exc)) from None
 
 
-def _vec_strs(v) -> list[str]:
-    return [str(q) for q in v]
-
-
-def _mat_strs(m) -> list[list[str]]:
-    return [_vec_strs(r) for r in m]
+def _strs(x) -> list:
+    return [_strs(r) if isinstance(r, tuple) else str(r) for r in x]
 
 
 def _triple_names(doc_names, t):
-    if not isinstance(t, tuple):
-        return t
-    return [doc_names[i] if isinstance(i, int) and i < len(doc_names)
-            else i for i in t]
+    return None if t is None else [doc_names[i] for i in t]
 
 
 def _entries_strs(entries: dict, names) -> dict:
@@ -153,7 +146,7 @@ def _verify(report: Report, doc, alg, form):
         doc.names, ax.jacobi[0]) if ax.jacobi else None)
     if form is not None and ax.passed:
         report.check("form.nondegenerate", bad.radical is None,
-                     bad.radical and _vec_strs(bad.radical))
+                     bad.radical and _strs(bad.radical))
         report.check("form.invariant", bad.witness is None,
                      _triple_names(doc.names, bad.witness))
     return ax.passed, q
@@ -234,7 +227,7 @@ def _cmd_isometry(args, report: Report, out, doc, alg, q) -> int:
     report.check("shear.isometry_verified", True)
     report.outputs["omega2"] = _entries_strs(
         collect_cochain2dual(shear.target.omega), doc.names)
-    report.outputs["map"] = _mat_strs(shear.matrix)
+    report.outputs["map"] = _strs(shear.matrix)
     return report.render(out)
 
 
@@ -254,10 +247,10 @@ def _cmd_recognize(args, report: Report, out, doc, alg, q) -> int:
         bad = exc.witness
     report.check("ideal.half_dimension", dims is None, dims and list(dims))
     report.check("ideal.totally_isotropic", pair is None,
-                 pair and _mat_strs(pair))
+                 pair and _strs(pair))
     if not (dims or pair):
         report.check("ideal.is_ideal", bad is None,
-                     bad and [doc.names[bad[0]], _vec_strs(bad[1])])
+                     bad and [doc.names[bad[0]], _strs(bad[1])])
     if not report.passed:
         return report.render(out)
     report.check("recognition.isometry_verified", True)
@@ -265,7 +258,7 @@ def _cmd_recognize(args, report: Report, out, doc, alg, q) -> int:
     report.outputs["omega"] = _entries_strs(
         collect_cochain2dual(ext.omega), ext.base.basis.names)
     report.outputs["extension"] = dsl.emit(dsl.document_quadratic(ext.total))
-    report.outputs["isometry"] = _mat_strs(psi)
+    report.outputs["isometry"] = _strs(psi)
     return report.render(out)
 
 
@@ -284,11 +277,11 @@ def _cmd_decompose(args, report: Report, out, doc, alg, q) -> int:
     report.check("decomposition.embedding_verified", True)
     report.dims.update(parity_case=dec.parity_case, ideal_dim=dec.ideal.dim,
                        extension_dim=dec.extension.total.dim)
-    report.outputs["ideal"] = _mat_strs(dec.ideal.vectors)
+    report.outputs["ideal"] = _strs(dec.ideal.vectors)
     report.outputs["quotient"] = dsl.emit(dsl.document_from(dec.quotient))
     report.outputs["extension"] = dsl.emit(
         dsl.document_quadratic(dec.extension.total))
-    report.outputs["embedding"] = _mat_strs(dec.embedding)
+    report.outputs["embedding"] = _strs(dec.embedding)
     return report.render(out)
 
 
@@ -393,6 +386,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a report writes every value in full
     try:
         code = _run(argv, out)
         out.flush()
@@ -401,6 +396,8 @@ def main(argv=None, out=None) -> int:
         if out is sys.stdout:  # so the interpreter's last flush is silent
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def _run(argv, out) -> int:

@@ -193,15 +193,16 @@ def _cocycle2_defects(g: LieSuperalgebra):
     the scales of the table and of w."""
     p = g.basis.parities
     d, into = _into(g)
+    pairs = [[(b, c, q) for b, c, q in terms if b <= c] for terms in into]
 
     def defects(coords: dict) -> tuple[int, dict]:
         dw, lookup = _dual_lookup(p, coords)
         return d * dw, cyclic_sums(p, itertools.chain(
             ((a, b, c, q, col.items()) for (a, m), col in lookup.items()
-             for b, c, q in into[m]),
+             for b, c, q in pairs[m]),
             ((a, b, c, -sgn(p[a] * (p[b] + p[c])) * v, ((l, q),))
-             for (b, c), col in lookup.items() for t, v in col.items()
-             for a, l, q in into[t])))
+             for (b, c), col in lookup.items() if b <= c
+             for t, v in col.items() for a, l, q in into[t])))
     return defects
 
 
@@ -362,9 +363,8 @@ def _reduced_columns(columns: list[dict]) -> RowReducer:
 def _kernel(basis: GradedBasis, coords: list, cols: list, make) -> list:
     """The kernel, as cochains by ``make``, of the cochain map whose
     images of the unit cochains at the free ``coords`` are ``cols``."""
-    red = _reduced_columns(cols)
     return [make(basis, {coords[t]: q for t, q in kv.items()})
-            for kv in red.sparse_kernel(red.ncols)]
+            for kv in _reduced_columns(cols).sparse_kernel()]
 
 
 def z3_basis(g: LieSuperalgebra) -> list[ScalarCochain3]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import re
-import sys
 from fractions import Fraction
 
 from .cohomology import Cochain2Dual, ScalarCochain2, ScalarCochain3
@@ -44,6 +43,7 @@ class ParseError(SuperquadError):
 
 LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_*']*")
 RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+MAX_DIGITS = 4300  # per integer of a literal: Python's default int cap
 
 
 class AlgebraDocument(Record):
@@ -123,12 +123,12 @@ class _LineParser:
 
     def rational(self) -> Fraction:
         text = self.token(RATIONAL_RE, "a rational number")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            message = "denominator must be nonzero"
-        except ValueError:  # past the digits that Python reads as an int
-            message = f"integer has over {sys.get_int_max_str_digits()} digits"
+        message = f"integer has over {MAX_DIGITS} digits"
+        if max(map(len, text.lstrip("-").split("/"))) <= MAX_DIGITS:
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                message = "denominator must be nonzero"
         self.pos -= len(text)
         self.error(message)
 

@@ -57,23 +57,17 @@ class CochainError(SuperquadError):
 
 
 class CocycleError(SuperquadError):
-    """omega fails the 2-cocycle identity.
-
-    ``triple`` is a basis triple violating the cocycle identity;
+    """omega fails the 2-cocycle identity at the basis triple ``triple``;
     ``jacobi_witness`` is a basis triple of the would-be extension where
-    the graded Jacobi identity fails.
-    """
+    the graded Jacobi identity fails."""
 
     triple = jacobi_witness = None
 
 
 class NotSupercyclicError(SuperquadError):
-    """omega fails the supercyclicity identity.
-
-    ``triple`` violates supercyclicity; ``invariance_witness`` is a basis
-    triple of the would-be extension where the pairing form fails
-    invariance.
-    """
+    """omega fails supercyclicity at the basis triple ``triple``;
+    ``invariance_witness`` is a basis triple of the would-be extension
+    where the pairing form fails invariance."""
 
     triple = invariance_witness = None
 

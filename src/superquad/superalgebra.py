@@ -245,16 +245,22 @@ def ad_images(g: LieSuperalgebra, vectors, left=None):
 def cyclic_sums(parities, terms) -> dict:
     """{(i, j, k): {t: value}} at each sorted i <= j <= k: the sum over
     the rotations (a, b, c) of (i, j, k) of (-1)^{|a||c|} X(a, b, c), each
-    term (a, b, c, f, pairs) adding f * v on e_t to X(a, b, c) per (t, v)
-    in pairs (docs/conventions.md, "Verifiers")."""
+    term (a, b, c, f, pairs), given for b <= c only, adding f * v on e_t
+    to X(a, b, c) per (t, v) in pairs, and X(a, c, b) = -(-1)^{|b||c|}
+    X(a, b, c) stands for the other order (docs/conventions.md,
+    "Verifiers")."""
     acc: dict = {}
     for a, b, c, f, pairs in terms:
-        f = -f if parities[a] & parities[c] else f
-        for t in ((a, b, c), (c, a, b), (b, c, a)):
-            if t[0] <= t[1] <= t[2]:
-                out = acc.setdefault(t, {})
-                for k, v in pairs:
-                    out[k] = out.get(k, 0) + f * v
+        s = -f if parities[a] & parities[c] else f
+        places = ([((a, b, c), 3 * s if a == c else s)] if a <= b
+                  else [((b, c, a), s)] if a >= c else [])
+        if b <= a <= c and b < c:  # X(a, c, b) in the rotation (b, a, c)
+            places.append(((b, a, c), f if parities[b] & (
+                parities[a] ^ parities[c]) else -f))
+        for t, x in places:
+            out = acc.setdefault(t, {})
+            for k, v in pairs:
+                out[k] = out.get(k, 0) + x * v
     return acc
 
 
@@ -277,8 +283,8 @@ def jacobi_violations(g: LieSuperalgebra) -> list:
         into[m].append((a, e))
     # (-1)^{|a||c|} [e_a, [e_b, e_c]] is sum_m c_bcm [e_a, e_m], times d^2
     bad = failing(cyclic_sums(g.basis.parities, (
-        (a, b, c, q, e_am) for (b, c), e in table.items() for m, q in e
-        for a, e_am in into[m])))
+        (a, b, c, q, e_am) for (b, c), e in table.items() if b <= c
+        for m, q in e for a, e_am in into[m])))
     return sorted({t for ijk in bad for t in itertools.permutations(ijk)})
 
 

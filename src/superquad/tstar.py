@@ -14,18 +14,18 @@ parity a kills the opposite-parity part; this is what makes B even.
 
 from __future__ import annotations
 
-from .cohomology import (Cochain2Dual, ScalarCochain2, _combined,
+from .cohomology import (Cochain2Dual, ScalarCochain2, _unhat,
                          cocycle2_violation, delta_scalar2,
-                         supercyclic_violation, unhat, zero_cochain2)
+                         supercyclic_violation, zero_cochain2)
 from .errors import (AxiomError, CocycleError, DimensionMismatch, FormError,
                      InternalCheckError, NotSupercyclicError,
                      PreconditionError)
 from .forms import (EvenForm, QuadraticLieSuperalgebra, gram,
                     isotropic_complement)
-from .linalg import Mat, ONE, Record, dense_vec, integer_rows, unit_vec
+from .linalg import (Mat, ONE, Record, dense_vec, integer_rows, lincomb,
+                     unit_vec)
 from .superalgebra import (GradedBasis, LieSuperalgebra, Subspace, failing,
-                           graded_basis, jacobi_violations, quotient, sgn,
-                           subspace)
+                           graded_basis, quotient, sgn, subspace)
 
 
 class TStarExtension(Record):
@@ -85,9 +85,10 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
 
     The extension's own Jacobi and invariance checks stand for the cocycle
     and supercyclicity checks (docs/conventions.md, "Extension bracket"):
-    a failure runs the cochain verifier, and CocycleError or
-    NotSupercyclicError carries its triple with the extension's witness.
-    A g that fails Jacobi raises AxiomError with the extension's report.
+    CocycleError or NotSupercyclicError carries omega's triple, read off
+    the Jacobi report when no failing triple there holds a dual index,
+    else found by the cochain verifier, with the extension's witness.
+    A g that fails Jacobi under a cocycle omega raises AxiomError.
     """
     if omega is None:
         omega = zero_cochain2(g)
@@ -97,16 +98,15 @@ def build(g: LieSuperalgebra, omega: Cochain2Dual | None = None) -> TStarExtensi
     try:
         return TStarExtension(g, omega, QuadraticLieSuperalgebra(alg, form))
     except AxiomError as exc:
-        bad = cocycle2_violation(g, omega)
+        jac = exc.report.jacobi  # every permutation, sorted
+        bad = jac[0] if jac[-1][0] < g.dim else cocycle2_violation(g, omega)
         if bad is None:
             raise
         raise CocycleError(
             f"omega is not a 2-cocycle (identity fails at {bad})",
-            triple=bad, jacobi_witness=exc.report.jacobi[0]) from exc
+            triple=bad, jacobi_witness=jac[0]) from exc
     except FormError as exc:
         bad = supercyclic_violation(omega)
-        if bad is None:
-            raise
         raise NotSupercyclicError(
             f"omega is not supercyclic (identity fails at {bad})",
             triple=bad, invariance_witness=exc.witness) from exc
@@ -209,11 +209,9 @@ def recognize(q: QuadraticLieSuperalgebra, iso: Subspace,
                 for k, val in enumerate(row) if val}
     try:
         ext = build(quot.algebra, Cochain2Dual(quot.algebra.basis, w_coords))
-    except (AxiomError, CocycleError, FormError,
-            NotSupercyclicError) as exc:
+    except (AxiomError, CocycleError, NotSupercyclicError) as exc:
         what = ("quotient fails Jacobi" if isinstance(exc, AxiomError)
-                and jacobi_violations(quot.algebra) else
-                "cochain failed its theorem-backed checks")
+                else "cochain failed its theorem-backed checks")
         raise InternalCheckError(f"recovered {what}: {exc}") from exc
 
     # psi: ambient -> quotient coords ++ (B(., s_k))_k
@@ -248,9 +246,10 @@ def s_phi_isometry(g: LieSuperalgebra, omega1: Cochain2Dual,
     a supercyclic cocycle by theorem once build has checked omega1, and
     verify that the shear x + F -> x + phi(x, .) + F is an isometry."""
     ext1 = build(g, omega1)
+    d_phi = _unhat(g.basis.parities, delta_scalar2(g, phi).coords.items())
     try:
-        ext2 = build(g, Cochain2Dual(g.basis, _combined(
-            omega1, unhat(delta_scalar2(g, phi)), -1)))
+        ext2 = build(g, Cochain2Dual(g.basis, lincomb(
+            ((1, omega1.coords.items()), (-1, d_phi.items())))))
     except (CocycleError, NotSupercyclicError) as exc:
         raise InternalCheckError(
             f"omega2 failed its theorem-backed checks: {exc}") from exc

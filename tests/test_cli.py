@@ -444,10 +444,11 @@ def test_parse_error_exit_2():
     (["recognize", "--ideal", "{}*e1"], "form B(e1,e2) = 1", (1, 1))],
     ids=["bracket", "denominator", "after-sign", "form", "ideal"])
 def test_an_over_long_literal_is_a_parse_error(argv, line2, where):
-    """Python reads at most sys.get_int_max_str_digits() digits into an
-    int; an integer past that in a literal is a parse error at the
-    literal's first column, in a document or in --ideal (exit 2)."""
-    limit = sys.get_int_max_str_digits()
+    """A numerator or denominator has at most dsl.MAX_DIGITS digits,
+    Python's default cap on reading an int; an integer past that in a
+    literal is a parse error at the literal's first column, in a document
+    or in --ideal (exit 2), though main lifts Python's own cap."""
+    limit = dsl.MAX_DIGITS
     big = "7" * (limit + 1)
     text = f"basis e1:even e2:even\n{line2.format(big)}\n"
     argv = [a.format(big) for a in argv]
@@ -462,11 +463,36 @@ def test_an_over_long_literal_is_a_parse_error(argv, line2, where):
 
 
 def test_a_literal_at_the_digit_limit_parses():
-    limit = sys.get_int_max_str_digits()
+    limit = dsl.MAX_DIGITS
     text = f"basis e1:even e2:even\nbracket [e1,e2] = {'7' * limit}*e2\n"
     code, rep = run_json(["check"], stdin_text=text)
     assert code == 0
     assert rep["dims"]["solvable"] is True
+
+
+def test_a_value_past_the_int_digit_limit_is_written_in_full():
+    """[x, y] = N z and phi(z, u) = N give omega2(x, y)(u) = N^2, past
+    the digits Python converts to a string by default: the report writes
+    it in full, in JSON and in --text, and main restores the limit."""
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** (limit // 2 + 100) + 7
+    text = ("basis x:even y:even z:even u:even\n"
+            f"bracket [x,y] = {big}*z\ncochain2 w(x,y;z) = 0\n"
+            f"scalar2 phi(z,u) = {big}\n")
+    argv = ["isometry", "--omega", "w", "--phi", "phi"]
+    code, rep = run_json(argv, stdin_text=text)
+    text_code, out = run_cli(["--text", *argv], stdin_text=text)
+    assert (code, text_code) == (0, 0)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        square = str(big * big)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(square) > limit
+    want = {"x,y,u": square, "x,u,y": "-" + square, "y,u,x": square}
+    assert rep["outputs"]["omega2"] == want
+    assert f"omega2 = {want}\n" in out
 
 
 class _ClosedPipe(io.StringIO):
@@ -681,23 +707,40 @@ NOT_SUPERCYCLIC = ("basis e1:even e2:even e3:even e4:even\n"
                    "cochain2 w(e2,e4;e3) = 1\nscalar2 phi(e1,e2) = 1\n")
 
 
-@pytest.mark.parametrize("command", ["tstar", "isometry"])
-@pytest.mark.parametrize("text, verifier, check, witness", [
-    (NOT_COCYCLE, "cocycle2_violation", "cocycle", ["b22", "b22", "c12"]),
-    (NOT_SUPERCYCLIC, "supercyclic_violation", "supercyclic",
-     ["e2", "e4", "e3"])], ids=["not-cocycle", "not-supercyclic"])
-def test_a_rejected_omega_runs_its_verifier_once(monkeypatch, command, text,
-                                                 verifier, check, witness):
-    """When the extension fails its Jacobi (or invariance) check, build
-    runs the matching cochain verifier once, to name omega's triple; the
-    report fails on that triple, the one that checking omega first gave."""
+def _rejected_omega(monkeypatch, command, text, check):
+    """The cochain verifiers that a tstar or isometry run on ``text``
+    calls, and its failed omega check."""
     calls = _count_checks(monkeypatch, {}, None)
     argv = [command, "--omega", "w"] + ["--phi", "phi"] * (
         command == "isometry")
     code, rep = run_json(argv, stdin_text=text)
     assert code == 1
-    assert [c for c, _ in calls] == [verifier]
     label = "omega1" if command == "isometry" else "omega"
     by_name = {c["name"]: c for c in rep["checks"]}
-    assert by_name[f"{label}.{check}"] == {
-        "name": f"{label}.{check}", "passed": False, "witness": witness}
+    assert by_name[f"{label}.{check}"]["passed"] is False
+    return [c for c, _ in calls], by_name[f"{label}.{check}"]["witness"]
+
+
+@pytest.mark.parametrize("command", ["tstar", "isometry"])
+def test_a_rejected_non_cocycle_runs_no_verifier(monkeypatch, command):
+    """g satisfies Jacobi, so the extension's first Jacobi triple is
+    omega's first failing cocycle triple: build names it off the report,
+    and the report fails on the triple that checking omega first gave."""
+    calls, witness = _rejected_omega(monkeypatch, command, NOT_COCYCLE,
+                                     "cocycle")
+    assert calls == []
+    assert witness == ["b22", "b22", "c12"]
+
+
+@pytest.mark.parametrize("command", ["tstar", "isometry"])
+@pytest.mark.parametrize("text, verifier, check, witness", [
+    (NOT_SUPERCYCLIC, "supercyclic_violation", "supercyclic",
+     ["e2", "e4", "e3"])], ids=["not-supercyclic"])
+def test_a_rejected_omega_runs_its_verifier_once(monkeypatch, command, text,
+                                                 verifier, check, witness):
+    """When the extension fails its invariance check, build runs
+    supercyclic_violation once, to name omega's triple; the report fails
+    on that triple, the one that checking omega first gave."""
+    calls, got = _rejected_omega(monkeypatch, command, text, check)
+    assert calls == [verifier]
+    assert got == witness

@@ -20,6 +20,7 @@ from superquad.gallery import (random_cochain2, random_cocycle2,
 from superquad.superalgebra import (AxiomReport, LieSuperalgebra,
                                     check_axioms, graded_basis,
                                     jacobi_violations, sgn)
+from superquad import tstar
 from superquad.tstar import (_raw_extension, quadratic_morphism_violation,
                              s_phi_isometry)
 
@@ -323,6 +324,134 @@ def test_build_invariance_witness_is_first_dense_violation(
         assert exc.value.invariance_witness == dense.invariance_violation(
             dense.bracket_tensor(alg), dense.gram(form))
     assert seen
+
+
+def _first_dense_jacobi(g, w):
+    alg, _ = _raw_extension(g, w)
+    return next(dense.jacobi_violations(alg.basis.parities,
+                                        dense.bracket_tensor(alg)), None)
+
+
+def _counted_cocycle2_violation(monkeypatch):
+    calls = []
+
+    def counted(g, w, check=tstar.cocycle2_violation):
+        calls.append(w)
+        return check(g, w)
+    monkeypatch.setattr(tstar, "cocycle2_violation", counted)
+    return calls
+
+
+def test_build_names_a_non_cocycle_from_the_jacobi_report(monkeypatch,
+                                                         gallery):
+    """On a g that satisfies Jacobi the extension fails Jacobi exactly at
+    omega's failing cocycle triples, so build reads omega's triple off
+    the extension's report: on drawn non-cocycles, CocycleError's triple
+    and jacobi_witness are the dense first failing triples, and
+    cocycle2_violation never runs."""
+    calls = _counted_cocycle2_violation(monkeypatch)
+    rng = make_rng(41)
+    seen = 0
+    for g in gallery.values():
+        p, c = g.basis.parities, dense.bracket_tensor(g)
+        for _ in range(8):
+            w = random_cochain2(g, rng)
+            want = dense.cocycle2_violation(p, c,
+                                            dense.cochain2dual_tensor(w))
+            if want is None:
+                continue
+            seen += 1
+            with pytest.raises(CocycleError) as exc:
+                sq.build(g, w)
+            assert exc.value.triple == want
+            assert exc.value.jacobi_witness == _first_dense_jacobi(g, w)
+    assert seen >= 20 and calls == []
+
+
+def test_build_on_a_g_that_fails_jacobi_runs_the_cocycle_verifier(
+        monkeypatch):
+    """When g itself fails Jacobi, the extension fails at triples with a
+    dual index too, and its report no longer names omega's triple: build
+    falls back on cocycle2_violation, once."""
+    g = sq.from_brackets(("x", "y", "z"), (0, 0, 0),
+                         {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1},
+                          ("y", "z"): {"x": 1}})
+    w = sq.Cochain2Dual(g.basis, {(0, 1, 0): 1})
+    p, c = g.basis.parities, dense.bracket_tensor(g)
+    want = dense.cocycle2_violation(p, c, dense.cochain2dual_tensor(w))
+    assert want is not None and check_axioms(g).jacobi
+    calls = _counted_cocycle2_violation(monkeypatch)
+    with pytest.raises(CocycleError) as exc:
+        sq.build(g, w)
+    assert calls == [w]
+    assert exc.value.triple == want
+    assert exc.value.jacobi_witness == _first_dense_jacobi(g, w)
+
+
+# --- one order per pair: the rotation rule -------------------------------------
+#
+# cyclic_sums is fed each term X(a, b, c) at b <= c only and places the
+# term of the other order, X(a, c, b) = -(-1)^{|b||c|} X(a, b, c), itself
+# (docs/conventions.md, "Verifiers").  The triples with a repeated index
+# are where the placements tie: a = b < c, b < a = c, a = b = c, b = c.
+
+JACOBI_ALGEBRAS = (sq.heisenberg3, sq.solvable2d, lambda: sq.build_glnn(1),
+                   lambda: sq.build_gn(2), lambda: sq.abelian(1, 2))
+
+
+@st.composite
+def _tables_and_cochains(draw):
+    """(p, c, coords): a drawn graded skew table of dim <= 6, mostly not
+    Jacobi, or a gallery one, and a drawn cochain on its basis."""
+    p, c = draw(st.one_of(
+        bracket_tensors(sparse_entries, max_dim=6),
+        st.sampled_from(JACOBI_ALGEBRAS).map(lambda make: make()).map(
+            lambda g: (g.basis.parities, dense.bracket_tensor(g)))))
+    basis, _ = basis_coords(p, c)
+    return p, c, {key: draw(sparse_entries) for key in
+                  sq.cohomology.free_coords_cochain2dual(basis)}
+
+
+def _assert_rotation_rule(p, c, coords):
+    g = _algebra(p, c)
+    assert jacobi_violations(g) == list(dense.jacobi_violations(p, c))
+    w = sq.Cochain2Dual(g.basis, coords)
+    t = dense.cochain2dual_tensor(w)
+    assert sq.cohomology.cocycle2_violation(g, w) == \
+        dense.cocycle2_violation(p, c, t)
+    defect = cocycle2_defect(g, w)
+    for ijk in itertools.combinations_with_replacement(range(len(p)), 3):
+        assert list(defect(*ijk)) == dense.cocycle2_defect(p, c, t, *ijk)
+
+
+@given(_tables_and_cochains())
+@settings(max_examples=80, deadline=None)
+def test_one_order_per_pair_matches_dense(case):
+    _assert_rotation_rule(*case)
+
+
+def test_one_order_per_pair_at_every_tie():
+    """A table and a cochain with every free entry nonzero, on mixed
+    parities: each shape of repeated triple, (i, i, i) odd, (i, i, k) and
+    (i, k, k), has a nonzero dense defect, and the library's is equal."""
+    p = (1, 0, 1, 0, 1)
+    n, rng = len(p), make_rng(43)
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if (i < j or i == j and p[i]) and p[k] == (p[i] + p[j]) % 2:
+            c[i][j][k] = F(rng.randint(1, 5), rng.randint(1, 3))
+            c[j][i][k] = -sgn(p[i] * p[j]) * c[i][j][k]
+    basis, _ = basis_coords(p, c)
+    coords = {key: F(rng.randint(-4, 4) or 1) for key in
+              sq.cohomology.free_coords_cochain2dual(basis)}
+    _assert_rotation_rule(p, c, coords)
+    t = dense.cochain2dual_tensor(sq.Cochain2Dual(basis, coords))
+    shapes = {(0, 0): [], (0, 1): [], (1, 0): []}  # (i,i,i), (i,i,k), (i,k,k)
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+        shape = (int(j != i), int(k != j))
+        if shape in shapes:
+            shapes[shape].append(any(dense.cocycle2_defect(p, c, t, i, j, k)))
+    assert all(map(any, shapes.values()))
 
 
 # --- scaled inputs and scattered terms ----------------------------------------
