@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .cohomology import Cochain2Dual, ScalarCochain2, ScalarCochain3
 from .errors import SuperquadError
 from .forms import EvenForm, QuadraticLieSuperalgebra
-from .linalg import Record, Vec, dense_vec, vec_is_zero, vec_scale, zero_vec
+from .linalg import ONE, Record, dense_vec
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra, Subspace,
                            canon, graded_basis, sgn, subspace)
 
@@ -145,11 +146,12 @@ def _index(lp: _LineParser, doc: AlgebraDocument, label: str) -> int:
         lp.error(f"undeclared basis label {label!r}")
 
 
-def _parse_lincomb(lp: _LineParser, doc: AlgebraDocument) -> Vec:
-    out = list(zero_vec(doc.dim))
+def _parse_lincomb(lp: _LineParser, doc: AlgebraDocument) -> dict:
+    """The {k: c} dict of the nonzeros of a sum of terms, by index."""
+    out = Counter()
     first = True
     while first or not lp.at_end():
-        sign = -1 if lp.try_literal("-") else 1
+        sign = -ONE if lp.try_literal("-") else ONE
         if sign == 1 and not lp.try_literal("+") and not first:
             lp.error("expected '+' or '-'")
         lp.skip_ws()
@@ -162,7 +164,7 @@ def _parse_lincomb(lp: _LineParser, doc: AlgebraDocument) -> Vec:
         else:
             out[_index(lp, doc, lp.label())] += sign
         first = False
-    return tuple(out)
+    return {k: q for k, q in sorted(out.items()) if q}
 
 
 def _handle_basis(lp: _LineParser, doc: AlgebraDocument):
@@ -194,18 +196,19 @@ def _handle_bracket(lp: _LineParser, doc: AlgebraDocument):
     v = _parse_lincomb(lp, doc)
     names, parities = doc.names, doc.parities
     target = (parities[a] + parities[c]) % 2
-    for k, q in enumerate(v):
-        if q != 0 and parities[k] != target:
+    for k in v:
+        if parities[k] != target:
             lp.error(
                 f"parity violation: [{names[a]},{names[c]}] cannot "
                 f"contain {names[k]}")
     s = sgn(parities[a] * parities[c])
     if a == c and s == 1:
-        if not vec_is_zero(v):
+        if v:
             lp.error(f"bracket [{names[a]},{names[a]}] must vanish for "
                      "an even generator")
         return
-    key, val = ((c, a), vec_scale(-s, v)) if a > c else ((a, c), v)
+    key, val = (((c, a), {k: -s * q for k, q in v.items()}) if a > c
+                else ((a, c), v))
     if doc.brackets.setdefault(key, val) != val:
         lp.error(f"contradictory entry for bracket [{names[a]},{names[c]}]")
 
@@ -291,7 +294,8 @@ def parse(text: str) -> AlgebraDocument:
     def nonzero(store: dict) -> dict:
         return {k: q for k, q in sorted(store.items()) if q}
 
-    doc.brackets = {k: v for k, v in sorted(doc.brackets.items()) if any(v)}
+    doc.brackets = {k: dense_vec(v, doc.dim)  # dense while bench/ reads it
+                    for k, v in sorted(doc.brackets.items()) if v}
     doc.form_entries = nonzero(doc.form_entries)
     for kind in ("cochain2", "cochain3", "scalar2"):
         setattr(doc, kind, {name: nonzero(entries) for name, entries
@@ -323,7 +327,7 @@ def emit(doc: AlgebraDocument) -> str:
         for n, p in zip(doc.names, doc.parities))
     lines = [f"basis {decls}"]
     for (i, j), v in sorted(doc.brackets.items()):
-        if not vec_is_zero(v):
+        if any(v):
             lines.append(f"bracket [{doc.names[i]},{doc.names[j]}] = "
                          + signed_sum(zip(v, doc.names)))
     for kind, (seps, _, _) in _ENTRIES.items():

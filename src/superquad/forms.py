@@ -163,10 +163,10 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
     "Verification").  Starting from a greedy graded complement W, the
     correction h: W -> iso with B(h(w), w') = 1/2 B(w, w') makes
     C = {w - h(w)} totally isotropic; the 1/2 needs characteristic != 2,
-    automatic over the rationals.  Per parity, with pairing matrix
+    automatic over the rationals.  With pairing matrix
     M[u][b] = B(iso_u, w_b), one reducer of the rows [M[u] | iso_u]
     reduces [1/2 B(w_a, w_b) for b | w_a] to [0 | w_a - h(w_a)]; B is
-    nondegenerate iff each M is square with every pivot in M.
+    nondegenerate iff every pivot lies in M.
     """
     n, vs = B.dim, iso.vectors
     dims = None if 2 * iso.dim == n else (iso.dim, n)
@@ -176,23 +176,20 @@ def isotropic_complement(B: EvenForm, iso: Subspace) -> Subspace:
         raise PreconditionError(
             f"subspace has dimension {iso.dim}, expected half of {n}" if dims
             else "subspace is not totally isotropic", dims=dims, pair=pair)
-    comp = graded_complement(B.basis, iso)
+    w_rows = graded_complement(B.basis, iso).rows
+    k = len(w_rows)
+    pairs = gram(B, iso.rows + w_rows, w_rows)
+    red = RowReducer(k + n, (
+        {**{b: q for b, q in enumerate(row) if q},
+         **{k + c: q for c, q in i_u.items()}}
+        for row, i_u in zip(pairs, iso.rows)))
+    if any(c >= k for c in red.pivots):
+        raise PreconditionError("form must be nondegenerate")
     corrected = []
-    for p in (0, 1):
-        w_rows = [v for v, pv in zip(comp.rows, comp.parities) if pv == p]
-        i_rows = [v for v, pv in zip(iso.rows, iso.parities) if pv == p]
-        k = len(w_rows)
-        pairs = gram(B, i_rows + w_rows, w_rows)
-        red = RowReducer(k + n, (
-            {**{b: q for b, q in enumerate(row) if q},
-             **{k + c: q for c, q in i_u.items()}}
-            for row, i_u in zip(pairs, i_rows)))
-        if k != len(i_rows) or any(c >= k for c in red.pivots):
-            raise PreconditionError("form must be nondegenerate")
-        for w_a, row in zip(w_rows, pairs[k:]):
-            r = red.reduce({**{b: HALF * q for b, q in enumerate(row) if q},
-                            **{k + c: q for c, q in w_a.items()}})
-            corrected.append({c - k: q for c, q in r.items()})
+    for w_a, row in zip(w_rows, pairs[k:]):
+        r = red.reduce({**{b: HALF * q for b, q in enumerate(row) if q},
+                        **{k + c: q for c, q in w_a.items()}})
+        corrected.append({c - k: q for c, q in r.items()})
     out = subspace(B.basis, corrected)
     if not (out.dim == iso.dim and is_totally_isotropic(B, out)):
         raise InternalCheckError("isotropic complement construction failed")

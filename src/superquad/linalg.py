@@ -130,25 +130,12 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def zeros(rows: int, cols: int) -> Mat:
     return tuple((ZERO,) * cols for _ in range(rows))
-
-
-def vec_scale(q, x: Vec) -> Vec:
-    q = frac(q)
-    return tuple(q * a for a in x)
-
-
-def vec_is_zero(x: Vec) -> bool:
-    return all(a == 0 for a in x)
 
 
 def _combine(a: int, r: dict[int, int], terms) -> dict[int, int]:

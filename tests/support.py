@@ -5,9 +5,9 @@ library code path: cochain sums and zero tests, the dense defect of the
 2-cocycle identity at one triple, a document's 3-cochain, the matrix of
 a gl(n,n) basis label, the center identity of a quadratic algebra, the
 invariance refutation for a non-supercyclic cocycle, the Lagrangian
-ideal/abelian lemma, an exact rational square root, vector addition,
-the coadjoint representation on graded linear functionals, a seeded
-basis change with denominators up to 6 of dense structure constants, the
+ideal/abelian lemma, an exact rational square root, the dense zero
+vector, scaling, zero test and addition, the coadjoint representation
+on graded linear functionals, a seeded basis change with denominators up to 6 of dense structure constants, the
 direct sum of two Lie superalgebras, the super solvable family s(k) of
 the paper's second class, [g, g] from the dense brackets, the upper
 triangle of a full bracket table, an algebra built only from coordinates the dense sign
@@ -41,7 +41,7 @@ from superquad.forms import (QuadraticLieSuperalgebra, even_form,
                              invariance_violation, is_totally_isotropic,
                              orthogonal, quadratic)
 from superquad.gallery import _layout
-from superquad.linalg import Vec, ZERO, mat, unit_vec, vec, vec_is_zero
+from superquad.linalg import Vec, ZERO, frac, mat, unit_vec, vec
 from superquad.superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra,
                                     Subspace, bracket, center, from_brackets,
                                     graded_basis, is_ideal, sgn, subspace)
@@ -282,6 +282,19 @@ def sqrt_fraction(q: Fraction) -> Fraction | None:
     if sn * sn == q.numerator and sd * sd == q.denominator:
         return Fraction(sn, sd)
     return None
+
+
+def zero_vec(n: int) -> Vec:
+    return (ZERO,) * n
+
+
+def vec_scale(q, x: Vec) -> Vec:
+    q = frac(q)
+    return tuple(q * a for a in x)
+
+
+def vec_is_zero(x: Vec) -> bool:
+    return all(a == 0 for a in x)
 
 
 def vec_add(x: Vec, y: Vec) -> Vec:

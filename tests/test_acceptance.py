@@ -32,7 +32,7 @@ from superquad.gallery import (build_glnn, build_gn, even_line,
                                orthogonal_direct_sum, random_cochain2,
                                random_cocycle2, random_scalar2,
                                random_supercyclic_cocycle, tstar_of_gn)
-from superquad.linalg import kernel, mat, rank, unit_vec, vec_is_zero
+from superquad.linalg import kernel, mat, rank, unit_vec
 from superquad.superalgebra import (ODD, bracket, center, is_nilpotent, sgn,
                                     subspace)
 from superquad.tstar import (build, quadratic_morphism_violation,
@@ -40,7 +40,7 @@ from superquad.tstar import (build, quadratic_morphism_violation,
 
 from support import (add3, center_orthogonality_check, derived_by_dense,
                      lemma_halfdim_ideal_iff_abelian, negative_test_invariance,
-                     z2_supercyclic_direct)
+                     vec_is_zero, z2_supercyclic_direct)
 
 F = Fraction
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"

@@ -23,7 +23,7 @@ from superquad.forms import (QuadraticLieSuperalgebra, even_form, gram,
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_supercyclic_cocycle)
 from superquad.linalg import (Coordinates, RowReducer, dense_vec, lincomb,
-                              mat, rank, unit_vec, vec, vec_scale, zero_vec)
+                              mat, rank, unit_vec, vec)
 from superquad.superalgebra import (EVEN, ODD, Subspace, ad_images, bracket,
                                     class_condition, extend_subspace,
                                     from_brackets, is_ideal, is_nilpotent,
@@ -34,7 +34,7 @@ from superquad.tstar import build, recognize
 import dense_oracle as dense
 from dense_oracle import mat_vec, transpose
 from support import (derived_by_dense, direct_sum, disguised_quadratic,
-                     super_solvable, vec_add)
+                     super_solvable, vec_add, vec_scale, zero_vec)
 
 F = Fraction
 

@@ -272,6 +272,7 @@ def test_comments_and_blank_lines():
     ("form B(x,y) = 0\nform B(y,x) = 1", "form B"),
     ("bracket [x,y] = 0\nbracket [x,y] = z", "bracket [x,y]"),
     ("bracket [x,y] = 0\nbracket [y,x] = z", "bracket [y,x]"),
+    ("bracket [x,y] = z - z\nbracket [x,y] = z", "bracket [x,y]"),
     ("cochain2 w(x,y;z) = 0\ncochain2 w(y,x;z) = 1", "cochain2 w"),
 ])
 def test_contradicting_an_explicit_zero(body, what):
@@ -286,6 +287,7 @@ def test_restated_zeros_are_not_stored():
     doc = dsl.parse("basis x:even y:even z:even\n"
                     "form B(x,y) = 0\nform B(y,x) = 0\nform B(z,z) = 1\n"
                     "bracket [x,y] = 0\nbracket [y,x] = 0\n"
-                    "bracket [x,z] = 0\nbracket [y,z] = x\n")
+                    "bracket [x,z] = y - y\nbracket [x,z] = 0\n"
+                    "bracket [y,z] = x\n")
     assert doc.form_entries == {(2, 2): 1}
     assert doc.brackets == {(1, 2): vec([1, 0, 0])}

@@ -7,13 +7,13 @@ import superquad as sq
 from superquad.errors import PreconditionError
 from superquad.gallery import (build_class_c_example, build_glnn, build_gn,
                                even_line, orthogonal_direct_sum, stock)
-from superquad.linalg import unit_vec, vec_is_zero
+from superquad.linalg import unit_vec
 from superquad.superalgebra import (EVEN, ODD, bracket, center, sgn,
                                     subspace)
 
 import dense_oracle as dense
 from dense_oracle import mat_mul
-from support import matrix_of_glnn
+from support import matrix_of_glnn, vec_is_zero
 
 F = Fraction
 

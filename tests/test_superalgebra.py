@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 import superquad as sq
 from superquad.errors import (AxiomError, DimensionMismatch, NotGradedError,
                               NotIdealError, PreconditionError)
-from superquad.linalg import (RowReducer, kernel, mat, unit_vec, vec,
-                              vec_is_zero, vec_scale, zero_vec)
+from superquad.linalg import RowReducer, kernel, mat, unit_vec, vec
 from superquad.superalgebra import (EVEN, ODD, Subspace, extend_subspace,
                                     full_subspace, graded_basis, quotient,
                                     sgn, subspace, zero_subspace)
@@ -18,7 +17,8 @@ import dense_oracle as dense
 from support import (DualVector, algebra_if_valid, basis_coords,
                      bracket_tensors, coadjoint, dense_integer_table,
                      derived_by_dense, direct_sum, disguise, dual_vector,
-                     upper, vec_add, vector_parity)
+                     upper, vec_add, vec_is_zero, vec_scale, vector_parity,
+                     zero_vec)
 
 F = Fraction
 

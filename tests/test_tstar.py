@@ -20,7 +20,7 @@ from superquad.forms import gram, is_totally_isotropic
 from superquad.gallery import (even_line, orthogonal_direct_sum,
                                random_cochain2, random_cocycle2,
                                random_scalar2, random_supercyclic_cocycle)
-from superquad.linalg import kernel, mat, rank, unit_vec, vec, vec_is_zero
+from superquad.linalg import kernel, mat, rank, unit_vec, vec
 from superquad.superalgebra import (LieSuperalgebra, QuotientResult,
                                     bracket, center, is_ideal,
                                     jacobi_violations, quotient, sgn,
@@ -32,7 +32,7 @@ import dense_oracle as dense
 from dense_oracle import mat_mul, mat_vec
 from support import (add3, add_scalar2, derived_by_dense, is_zero3,
                      lemma_halfdim_ideal_iff_abelian, negative_test_invariance,
-                     vector_parity)
+                     vec_is_zero, vector_parity)
 
 F = Fraction
 
