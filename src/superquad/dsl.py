@@ -10,7 +10,7 @@ Grammar (docs/grammar.ebnf has the formal version)::
     scalar2 phi(a,b) = q
     # comment
 
-Scalars are exact rationals written as integers or p/q.  Unspecified
+Scalars are exact rationals, integers or p/q in ASCII digits.  Unspecified
 entries default to zero.  Each form or cochain entry is stored under its
 container's free coordinate, with the sign of the one Koszul rule
 ``superalgebra.canon``, so symmetric/skew completions are automatic; an
@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import functools
 import re
-from collections import Counter
 from fractions import Fraction
 
 from .cohomology import Cochain2Dual, ScalarCochain2, ScalarCochain3
 from .errors import SuperquadError
 from .forms import EvenForm, QuadraticLieSuperalgebra
-from .linalg import ONE, Record, dense_vec
+from .linalg import ONE, ZERO, Record, dense_vec
 from .superalgebra import (EVEN, ODD, GradedBasis, LieSuperalgebra, Subspace,
                            canon, graded_basis, sgn, subspace)
 
@@ -43,8 +42,13 @@ class ParseError(SuperquadError):
 
 
 LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_*']*")
-RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+# One token: a label; a number in ASCII digits, with the "-" before it
+# (a sum reads that as the term's sign); a colon with the parity word
+# after it; or any other character.  Spaces and tabs only separate them.
+_TOKEN_RE = re.compile(r"[ \t]*([A-Za-z][A-Za-z0-9_*']*|-?[0-9]+(?:/[0-9]+)?"
+                       r"|:[ \t]*(?:even|odd)?|[^ \t])")
 MAX_DIGITS = 4300  # per integer of a literal: Python's default int cap
+_MINUS_ONE = -ONE
 
 
 class AlgebraDocument(Record):
@@ -83,149 +87,140 @@ class AlgebraDocument(Record):
         return graded_basis(self.names, self.parities)
 
 
-class _LineParser:
-    """Tokenizer over one line, tracking columns for error messages."""
+class _Line:
+    """The tokens of one line from one scan, then "" for its end.  Only an
+    error scans again, for its column: token i's (the end's for i = -1),
+    shifted by ``past``."""
+
+    __slots__ = ("text", "lineno", "toks")
 
     def __init__(self, text: str, lineno: int):
-        self.text, self.lineno, self.pos = text, lineno, 0
+        self.text, self.lineno = text, lineno
+        self.toks = _TOKEN_RE.findall(text) + [""]
 
-    def error(self, message: str):
-        raise ParseError(message, self.lineno, self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def literal(self, s: str):
-        if not self.try_literal(s):
-            self.error(f"expected {s!r}")
-
-    def try_literal(self, s: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def token(self, pattern: re.Pattern, what: str) -> str:
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if not m:
-            self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group(0)
-
-    def label(self) -> str:
-        return self.token(LABEL_RE, "a basis label")
-
-    def rational(self) -> Fraction:
-        text = self.token(RATIONAL_RE, "a rational number")
-        message = f"integer has over {MAX_DIGITS} digits"
-        if max(map(len, text.lstrip("-").split("/"))) <= MAX_DIGITS:
-            try:
-                return Fraction(text)
-            except ZeroDivisionError:
-                message = "denominator must be nonzero"
-        self.pos -= len(text)
-        self.error(message)
+    def fail(self, message: str, i: int = -1, past: int = 0):
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        raise ParseError(message, self.lineno,
+                         (starts + [len(self.text)])[i] + past + 1)
 
 
-def _require_basis(lp: _LineParser, doc: AlgebraDocument):
-    if not doc.names:
-        lp.error("basis must be declared before this statement")
+def _unknown(ln: _Line, i: int, term: bool = False):
+    """Raise at token i, where a declared label (or a term) was due."""
+    tok = ln.toks[i]
+    if LABEL_RE.match(tok):
+        ln.fail(f"undeclared basis label {tok!r}", i, len(tok))
+    ln.fail("expected a rational number" if term and tok[:1].isdigit()
+            else "expected a basis label", i)
 
 
-def _index(lp: _LineParser, doc: AlgebraDocument, label: str) -> int:
-    try:
-        return doc.names.index(label)
-    except ValueError:
-        lp.error(f"undeclared basis label {label!r}")
+def _rational(ln: _Line, i: int, tok: str, past: int = 0) -> Fraction:
+    """The value of the number tok, read at token i shifted by past."""
+    p, _, q = tok.partition("/")
+    if max(len(p.lstrip("-")), len(q)) > MAX_DIGITS:
+        ln.fail(f"integer has over {MAX_DIGITS} digits", i, past)
+    if q and not int(q):
+        ln.fail("denominator must be nonzero", i, past)
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
-def _parse_lincomb(lp: _LineParser, doc: AlgebraDocument) -> dict:
-    """The {k: c} dict of the nonzeros of a sum of terms, by index."""
-    out = Counter()
-    first = True
-    while first or not lp.at_end():
-        sign = -ONE if lp.try_literal("-") else ONE
-        if sign == 1 and not lp.try_literal("+") and not first:
-            lp.error("expected '+' or '-'")
-        lp.skip_ws()
-        if lp.text[lp.pos:lp.pos + 1].isdigit():
-            coeff = lp.rational()
-            if lp.try_literal("*"):
-                out[_index(lp, doc, lp.label())] += sign * coeff
-            elif coeff != 0:  # a bare zero term is allowed
-                lp.error("a bare scalar term must be 0")
-        else:
-            out[_index(lp, doc, lp.label())] += sign
-        first = False
-    return {k: q for k, q in sorted(out.items()) if q}
+def _read(ln: _Line, i: int, index: dict, shape: tuple) -> list:
+    """The indices of the labels of shape, literal tokens and None for
+    each declared label, read from token i on."""
+    toks, idx = ln.toks, []
+    for want in shape:
+        if want is None:
+            k = index.get(toks[i])
+            if k is None:
+                _unknown(ln, i)
+            idx.append(k)
+        elif toks[i] != want:
+            ln.fail(f"expected {want!r}", i)
+        i += 1
+    return idx
 
 
-def _handle_basis(lp: _LineParser, doc: AlgebraDocument):
-    if lp.at_end():
-        lp.error("empty basis declaration")
-    while not lp.at_end():
-        label = lp.label()
-        if label in doc.names:
-            lp.pos -= len(label)
-            lp.error(f"duplicate basis label {label!r}")
-        lp.literal(":")
-        lp.skip_ws()
-        parity = next((p for p, word in ((EVEN, "even"), (ODD, "odd"))
-                       if lp.try_literal(word)), None)
-        if parity is None:
-            lp.error("parity must be 'even' or 'odd'")
+def _lincomb(ln: _Line, i: int, index: dict) -> dict:
+    """The {k: c} dict of the nonzeros of the sum of terms from token i
+    to the end of the line, by index."""
+    toks, out, first = ln.toks, {}, True
+    while first or toks[i]:
+        tok, sign, past = toks[i], "", 0
+        if tok == "-" or tok == "+":
+            sign, i, tok = "-" if tok == "-" else "", i + 1, toks[i + 1]
+        elif tok[:1] == "-":  # a number that carries its sign
+            sign, tok, past = "-", tok[1:], 1
+        elif not first:
+            ln.fail("expected '+' or '-'", i)
+        first, at, c = False, i, _MINUS_ONE if sign else ONE
+        if "0" <= tok[:1] <= "9":
+            c = _rational(ln, i, sign + tok, past)
+            if toks[i + 1] != "*":
+                if c:  # a bare zero term is allowed
+                    ln.fail("a bare scalar term must be 0", i + 1)
+                i += 1
+                continue
+            i += 2
+        k = index.get(toks[i])
+        if k is None:
+            _unknown(ln, i, term=i == at)
+        i += 1
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in sorted(out.items()) if c}
+
+
+def _handle_basis(ln: _Line, doc: AlgebraDocument, index: dict):
+    toks = ln.toks
+    if not toks[1]:
+        ln.fail("empty basis declaration")
+    for i in range(1, len(toks) - 1, 2):
+        label, colon = toks[i], toks[i + 1]
+        if not LABEL_RE.match(label):
+            ln.fail("expected a basis label", i)
+        if label in index:
+            ln.fail(f"duplicate basis label {label!r}", i)
+        if colon[:1] != ":":
+            ln.fail("expected ':'", i + 1)
+        if not colon.endswith(("even", "odd")):
+            ln.fail("parity must be 'even' or 'odd'", i + 1, len(colon))
+        index[label] = doc.dim
         doc.names += (label,)
-        doc.parities += (parity,)
+        doc.parities += (ODD if colon.endswith("odd") else EVEN,)
 
 
-def _handle_bracket(lp: _LineParser, doc: AlgebraDocument):
-    _require_basis(lp, doc)
-    lp.literal("[")
-    a = _index(lp, doc, lp.label())
-    lp.literal(",")
-    c = _index(lp, doc, lp.label())
-    lp.literal("]")
-    lp.literal("=")
-    v = _parse_lincomb(lp, doc)
+def _handle_bracket(ln: _Line, doc: AlgebraDocument, index: dict):
+    a, c = _read(ln, 1, index, ("[", None, ",", None, "]", "="))
+    v = _lincomb(ln, 7, index)
     names, parities = doc.names, doc.parities
     target = (parities[a] + parities[c]) % 2
     for k in v:
         if parities[k] != target:
-            lp.error(
-                f"parity violation: [{names[a]},{names[c]}] cannot "
-                f"contain {names[k]}")
+            ln.fail(f"parity violation: [{names[a]},{names[c]}] cannot "
+                    f"contain {names[k]}")
     s = sgn(parities[a] * parities[c])
     if a == c and s == 1:
         if v:
-            lp.error(f"bracket [{names[a]},{names[a]}] must vanish for "
-                     "an even generator")
+            ln.fail(f"bracket [{names[a]},{names[a]}] must vanish for "
+                    "an even generator")
         return
     key, val = (((c, a), {k: -s * q for k, q in v.items()}) if a > c
                 else ((a, c), v))
     if doc.brackets.setdefault(key, val) != val:
-        lp.error(f"contradictory entry for bracket [{names[a]},{names[c]}]")
+        ln.fail(f"contradictory entry for bracket [{names[a]},{names[c]}]")
 
 
-# keyword -> (separators between the labels, the container's ``head`` and
-# ``symmetric`` for :func:`canon`)
+# keyword -> (its tokens from "(" to "=", None for each label; the
+# container's ``head`` and ``symmetric`` for :func:`canon`)
 _ENTRIES = {
-    "form": ((",",), None, True),
-    "cochain2": ((",", ";"), 2, False),
-    "cochain3": ((",", ","), None, False),
-    "scalar2": ((",",), None, False),
+    "form": (("(", None, ",", None, ")", "="), None, True),
+    "cochain2": (("(", None, ",", None, ";", None, ")", "="), 2, False),
+    "cochain3": (("(", None, ",", None, ",", None, ")", "="), None, False),
+    "scalar2": (("(", None, ",", None, ")", "="), None, False),
 }
 
 
-def _labels(names, seps, idx) -> str:
+def _labels(names, shape, idx) -> str:
     """The arguments of an entry statement, e.g. ``a,b;c``."""
-    return "".join(sep + names[i] for sep, i in zip(("",) + seps, idx))
+    return "".join(sep + names[i] for sep, i in zip(("",) + shape[2::2], idx))
 
 
 def _named_entries(doc: AlgebraDocument, kind: str) -> dict:
@@ -235,37 +230,39 @@ def _named_entries(doc: AlgebraDocument, kind: str) -> dict:
     return {} if doc.form_name is None else {doc.form_name: doc.form_entries}
 
 
-def _handle_entry(kind: str, lp: _LineParser, doc: AlgebraDocument):
+def _handle_entry(kind: str, ln: _Line, doc: AlgebraDocument, index: dict):
     """One entry statement, stored under its container's free coordinate
     with the sign ``canon`` gives; every statement declares its name."""
-    seps, head, symmetric = _ENTRIES[kind]
-    _require_basis(lp, doc)
-    name = lp.label()
+    shape, head, symmetric = _ENTRIES[kind]
+    toks = ln.toks
+    name = toks[1]
+    if not LABEL_RE.match(name):
+        ln.fail("expected a basis label", 1)
     if kind == "form":
         if doc.form_name not in (None, name):
-            lp.error(f"document already defines form {doc.form_name!r}")
+            ln.fail(f"document already defines form {doc.form_name!r}", 1,
+                    len(name))
         doc.form_name = name
         store = doc.form_entries
     else:
         store = getattr(doc, kind).setdefault(name, {})
-    lp.literal("(")
-    idx = [_index(lp, doc, lp.label())]
-    for sep in seps:
-        lp.literal(sep)
-        idx.append(_index(lp, doc, lp.label()))
-    lp.literal(")")
-    lp.literal("=")
-    q = lp.rational()
-    if not lp.at_end():
-        lp.error("unexpected trailing input")
+    idx = _read(ln, 2, index, shape)
+    i = 2 + len(shape)
+    if not "0" <= toks[i].lstrip("-")[:1] <= "9":
+        ln.fail("expected a rational number", i)
+    q = _rational(ln, i, toks[i])
+    if toks[i + 1]:
+        ln.fail("unexpected trailing input", i + 1)
     key, s = canon(doc.parities, tuple(idx), head, symmetric)
     if key is None:
-        if q != 0:
-            lp.error(f"parity violation: {kind} entry "
-                     f"{name}({_labels(doc.names, seps, idx)}) must vanish")
+        if q:
+            ln.fail(f"parity violation: {kind} entry "
+                    f"{name}({_labels(doc.names, shape, idx)}) must vanish")
         return
-    if store.setdefault(key, s * q) != s * q:
-        lp.error(f"contradictory entry for {kind} {name}")
+    if s < 0:
+        q = -q
+    if store.setdefault(key, q) != q:
+        ln.fail(f"contradictory entry for {kind} {name}")
 
 
 _HANDLERS = {
@@ -276,20 +273,20 @@ _HANDLERS = {
 
 
 def parse(text: str) -> AlgebraDocument:
-    doc = AlgebraDocument()
+    doc, index = AlgebraDocument(), {}  # index: label -> its position
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].rstrip()
         if not line.strip():
             continue
-        lp = _LineParser(line, lineno)
-        lp.skip_ws()
-        m = LABEL_RE.match(lp.text, lp.pos)
-        keyword = m.group(0) if m else ""
+        ln = _Line(line, lineno)
+        keyword = ln.toks[0]
         if keyword not in _HANDLERS:
-            lp.error(f"unknown statement {keyword!r}" if keyword
-                     else "expected a statement keyword")
-        lp.pos = m.end()
-        _HANDLERS[keyword](lp, doc)
+            ln.fail(f"unknown statement {keyword!r}" if LABEL_RE.match(keyword)
+                    else "expected a statement keyword", 0)
+        if keyword != "basis" and not doc.names:
+            ln.fail("basis must be declared before this statement", 0,
+                    len(keyword))
+        _HANDLERS[keyword](ln, doc, index)
     # explicit zeros were kept only to catch a later contradiction
     def nonzero(store: dict) -> dict:
         return {k: q for k, q in sorted(store.items()) if q}
@@ -313,26 +310,29 @@ def signed_sum(terms) -> str:
     monomial, and the empty sum is "0"."""
     parts = []
     for c, base in terms:
-        if c != 0:
-            m = abs(c)
-            term = (base if m == 1 else f"{m}*{base}") if base else str(m)
-            parts.append((("+ " if c > 0 else "- ") if parts
-                          else ("" if c > 0 else "-")) + term)
+        if c:
+            m = str(c)
+            neg = m[0] == "-"
+            m = m[neg:]
+            term = (base if m == "1" else f"{m}*{base}") if base else m
+            parts.append((("- " if neg else "+ ") if parts
+                          else ("-" if neg else "")) + term)
     return " ".join(parts) if parts else "0"
 
 
 def emit(doc: AlgebraDocument) -> str:
-    decls = " ".join(
-        f"{n}:{'even' if p == EVEN else 'odd'}"
-        for n, p in zip(doc.names, doc.parities))
-    lines = [f"basis {decls}"]
+    names = doc.names
+    lines = ["basis " + " ".join(f"{n}:{'even' if p == EVEN else 'odd'}"
+                                 for n, p in zip(names, doc.parities))]
     for (i, j), v in sorted(doc.brackets.items()):
-        if any(v):
-            lines.append(f"bracket [{doc.names[i]},{doc.names[j]}] = "
-                         + signed_sum(zip(v, doc.names)))
-    for kind, (seps, _, _) in _ENTRIES.items():
+        # ZERO, dense_vec's padding, is skipped without a Fraction call
+        terms = [(c, n) for c, n in zip(v, names) if c is not ZERO and c]
+        if terms:
+            lines.append(f"bracket [{names[i]},{names[j]}] = "
+                         + signed_sum(terms))
+    for kind, (shape, _, _) in _ENTRIES.items():
         for name, entries in sorted(_named_entries(doc, kind).items()):
-            lines.extend(f"{kind} {name}({_labels(doc.names, seps, key)}) "
+            lines.extend(f"{kind} {name}({_labels(names, shape, key)}) "
                          f"= {q}" for key, q in sorted(entries.items()) if q)
     return "\n".join(lines) + "\n"
 
@@ -346,7 +346,7 @@ def document_algebra(doc: AlgebraDocument) -> LieSuperalgebra:
         raise ParseError("document declares no basis", 1, 1)
     return LieSuperalgebra(doc.basis(), {
         (i, j, k): q for (i, j), v in doc.brackets.items()
-        for k, q in enumerate(v) if q})
+        for k, q in enumerate(v) if q is not ZERO and q})
 
 
 def document_form(doc: AlgebraDocument) -> EvenForm | None:
@@ -395,8 +395,7 @@ def document_quadratic(q: QuadraticLieSuperalgebra,
 def parse_span(doc: AlgebraDocument, text: str) -> Subspace:
     """Subspace from a semicolon-separated list of linear combinations,
     e.g. ``"e1*; e2 + 1/2*e3"``; an error's column counts within text."""
-    vectors = []
-    for part in re.finditer(r"[^;\s](?:[^;]*[^;\s])?", text):
-        lp = _LineParser(" " * part.start() + part[0], 1)
-        vectors.append(_parse_lincomb(lp, doc))
-    return subspace(doc.basis(), vectors)
+    index = {label: k for k, label in enumerate(doc.names)}
+    return subspace(doc.basis(), [
+        _lincomb(_Line(" " * part.start() + part[0], 1), 0, index)
+        for part in re.finditer(r"[^;\s](?:[^;]*[^;\s])?", text)])

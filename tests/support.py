@@ -14,7 +14,7 @@ triangle of a full bracket table, an algebra built only from coordinates the den
 rule finds free, drawn dense bracket tensors and their structure
 constants, and the supercyclic
 2-cocycles solved directly, the oracle of the library's transport of
-Z^3.
+Z^3, and one hostile edit of a DSL document.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from superquad.cohomology import (Cochain2Dual, ScalarCochain2,
                                   _kernel, _supercyclic_defects,
                                   free_coords_cochain2dual, is_cocycle2,
                                   is_supercyclic)
-from superquad.dsl import AlgebraDocument
+from superquad.dsl import _HANDLERS, AlgebraDocument
 from superquad.errors import (AxiomError, DimensionMismatch,
                               InternalCheckError, NotGradedError,
                               PreconditionError)
@@ -409,3 +409,38 @@ def disguised_quadratic(q0: QuadraticLieSuperalgebra,
     alg = LieSuperalgebra(g.basis, upper([[enumerate(v) for v in row]
                                           for row in c]))
     return quadratic(alg, even_form(g.basis, G))
+
+
+HOSTILE_EDITS = ("huge", "zero-denominator", "nul", "keyword", "truncate",
+                 "restate")
+
+
+def hostile_edit(draw, text: str, names, edit: str) -> str:
+    """text with one edit of the given kind at a drawn line and column:
+    a 5,000-digit integer or 1/0 for the last token, a NUL byte or a
+    stray keyword inserted, the line cut short, or a bracket restated
+    and then restated doubled."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    at = draw(st.integers(0, len(line)))
+    head = line.rpartition(" ")[0]
+    if edit == "huge":
+        lines[i] = f"{head} {'7' * 5000}"
+    elif edit == "zero-denominator":
+        lines[i] = f"{head} 1/0"
+    elif edit == "nul":
+        lines[i] = line[:at] + "\0" + line[at:]
+    elif edit == "keyword":
+        word = draw(st.sampled_from(sorted(_HANDLERS)))
+        lines[i] = f"{line[:at]} {word} {line[at:]}"
+    elif edit == "truncate":
+        lines[i] = line[:at]
+    else:
+        brackets = [b.partition(" = ") for b in lines
+                    if b.startswith("bracket")]
+        pair, _, value = (draw(st.sampled_from(brackets)) if brackets else
+                          (f"bracket [{names[0]},{names[-1]}]", "",
+                           names[0]))
+        lines += [f"{pair} = {value}", f"{pair} = {value} + {value}"]
+    return "\n".join(lines) + "\n"

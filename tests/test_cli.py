@@ -18,6 +18,8 @@ from superquad.cohomology import (Cochain2Dual, ScalarCochain3,
 from superquad.errors import InternalCheckError
 from superquad.tstar import build, s_phi_isometry
 
+from support import HOSTILE_EDITS, hostile_edit
+
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -749,42 +751,8 @@ def test_a_rejected_omega_runs_its_verifier_once(monkeypatch, command, text,
 
 
 FUZZ_SECONDS = 5.0  # each command on an edited corpus document takes < 0.1 s
-EDITS = ("huge", "zero-denominator", "nul", "keyword", "truncate", "restate")
-
-
-def _hostile_edit(draw, text: str, names, edit: str) -> str:
-    """text with one edit of the given kind at a drawn line and column:
-    a 5,000-digit integer or 1/0 for the last token, a NUL byte or a
-    stray keyword inserted, the line cut short, or a bracket restated
-    and then restated doubled."""
-    lines = text.splitlines()
-    i = draw(st.integers(0, len(lines) - 1))
-    line = lines[i]
-    at = draw(st.integers(0, len(line)))
-    head = line.rpartition(" ")[0]
-    if edit == "huge":
-        lines[i] = f"{head} {'7' * 5000}"
-    elif edit == "zero-denominator":
-        lines[i] = f"{head} 1/0"
-    elif edit == "nul":
-        lines[i] = line[:at] + "\0" + line[at:]
-    elif edit == "keyword":
-        word = draw(st.sampled_from(sorted(dsl._HANDLERS)))
-        lines[i] = f"{line[:at]} {word} {line[at:]}"
-    elif edit == "truncate":
-        lines[i] = line[:at]
-    else:
-        brackets = [b.partition(" = ") for b in lines
-                    if b.startswith("bracket")]
-        pair, _, value = (draw(st.sampled_from(brackets)) if brackets else
-                          (f"bracket [{names[0]},{names[-1]}]", "",
-                           names[0]))
-        lines += [f"{pair} = {value}", f"{pair} = {value} + {value}"]
-    return "\n".join(lines) + "\n"
-
-
 @given(st.sampled_from(sorted(CORPUS.glob("*.sqd"))),
-       st.sampled_from(EDITS), st.data())
+       st.sampled_from(HOSTILE_EDITS), st.data())
 @settings(max_examples=40, deadline=None)
 def test_hostile_edits_of_the_corpus_end_in_a_report(path, edit, data):
     """Every command form on a corpus document with one hostile edit
@@ -796,7 +764,7 @@ def test_hostile_edits_of_the_corpus_end_in_a_report(path, edit, data):
     commands = [["check"], ["tstar"], ["cohomology"],
                 ["recognize", "--ideal", "; ".join(ideal)], ["decompose"]]
     commands += [["isometry", "--phi", phi] for phi in sorted(doc.scalar2)]
-    edited = _hostile_edit(data.draw, text, doc.names, edit)
+    edited = hostile_edit(data.draw, text, doc.names, edit)
     for argv in commands:
         start = time.perf_counter()
         code, out = run_cli(argv, stdin_text=edited)

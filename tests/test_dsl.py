@@ -1,19 +1,23 @@
+import functools
 import io
 import json
 import pathlib
+import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superquad as sq
-from superquad import cli, dsl
-from superquad.cohomology import hat, unhat, z3_basis
-from superquad.errors import NotGradedError
+from superquad import cli, dsl, gallery
+from superquad.cohomology import delta_scalar2, hat, unhat, z3_basis
+from superquad.errors import NotGradedError, SuperquadError
 from superquad.linalg import vec
 
 import dense_oracle as dense
-from support import document_cochain3
+import dsl_oracle
+from support import HOSTILE_EDITS, document_cochain3, hostile_edit
 
 F = Fraction
 
@@ -291,3 +295,107 @@ def test_restated_zeros_are_not_stored():
                     "bracket [y,z] = x\n")
     assert doc.form_entries == {(2, 2): 1}
     assert doc.brackets == {(1, 2): vec([1, 0, 0])}
+
+
+# ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT THREE
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
+@pytest.mark.parametrize("body, column", [
+    ("bracket [x,y] = {}*z", 17),
+    ("bracket [x,y] = z - {}*z", 21),
+    ("form B(x,y) = {}", 15),
+    ("form B(x,y) = -{}", 15),
+])
+def test_numbers_take_ascii_digits_only(digit, body, column):
+    with pytest.raises(dsl.ParseError,
+                       match="expected a rational number") as exc:
+        dsl.parse("basis x:even y:even z:even\n" + body.format(digit))
+    assert (exc.value.line, exc.value.column) == (2, column)
+    doc = dsl.parse("basis x:even y:even\n")
+    with pytest.raises(dsl.ParseError,
+                       match="expected a rational number") as exc:
+        dsl.parse_span(doc, f"x; y + {digit}*x")
+    assert (exc.value.line, exc.value.column) == (1, 8)
+
+
+# --- the one-line scan against the character-level parser -------------------
+
+# pieces that one edit inserts, or puts in place of a character
+SNIPPETS = ("  ", "\t", " \t ", "+", "-", " + ", " - ", "+-", "- -", "--",
+            "2x", "2 x", "0x", "-0", "0", "2*", "*", "/", "1/", ":", ";",
+            ",", "[", "]", "(", ")", "=", "x", "e1", "'", "_", "even", "odd",
+            ":even", " :  odd", "1/0", "-3/00", "\u0663", "\uff13", "\u00b2",
+            "\u00a0", "\u00e9", "#")
+EDITS = HOSTILE_EDITS + ("insert", "replace", "delete")
+
+
+@functools.cache
+def documents() -> tuple[str, ...]:
+    """The corpus, then the emitted gn(2), gl(1|1), T*(gn(2)) and
+    T*(gn(3)), the extensions by a nonzero omega = unhat(delta phi)."""
+    texts = [p.read_text(encoding="utf-8")
+             for p in sorted(CORPUS.glob("*.sqd"))]
+    texts += [dsl.emit(dsl.document_from(g))
+              for g in (sq.build_gn(2), sq.build_glnn(1))]
+    for n in (2, 3):
+        g = sq.build_gn(n)
+        omega = unhat(delta_scalar2(
+            g, gallery.random_scalar2(g, random.Random(n))))
+        texts.append(dsl.emit(dsl.document_quadratic(sq.build(g, omega)
+                                                     .total)))
+    return tuple(texts)
+
+
+def edit_line(draw, text: str, edit: str) -> str:
+    """text with a snippet inserted at, or put in place of, one drawn
+    character, or up to three characters deleted there."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    at = draw(st.integers(0, len(lines[i])))
+    cut = (draw(st.integers(1, 3)) if edit == "delete"
+           else int(edit == "replace"))
+    new = "" if edit == "delete" else draw(st.sampled_from(SNIPPETS))
+    lines[i] = lines[i][:at] + new + lines[i][at + cut:]
+    return "\n".join(lines) + "\n"
+
+
+def outcome(read, *args):
+    """What read(*args) gives: its value, or its error's type, message,
+    line and column."""
+    try:
+        return read(*args)
+    except SuperquadError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_scan_reads_documents_as_the_character_parser(data):
+    """Each document, unedited or with one edit, parses to the same
+    document under both parsers, or to the same ParseError."""
+    text = data.draw(st.sampled_from(documents()))
+    edit = data.draw(st.sampled_from((None,) + EDITS))
+    if edit in HOSTILE_EDITS:
+        text = hostile_edit(data.draw, text, dsl.parse(text).names, edit)
+    elif edit:
+        text = edit_line(data.draw, text, edit)
+    assert outcome(dsl.parse, text) == outcome(dsl_oracle.parse, text)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_scan_reads_spans_as_the_character_parser(data):
+    """An --ideal string of sums of basis labels, unedited or with one
+    edit, gives the same subspace under both parsers, or the same
+    error."""
+    doc = dsl.parse(data.draw(st.sampled_from(documents())))
+    term = st.tuples(st.sampled_from(("", "-", "2*", "-1/2*")),
+                     st.sampled_from(doc.names)).map("".join)
+    parts = data.draw(st.lists(st.lists(term, min_size=1, max_size=3)
+                               .map(" + ".join), min_size=1, max_size=3))
+    text = "; ".join(parts)
+    edit = data.draw(st.sampled_from((None, "insert", "replace", "delete")))
+    if edit:
+        text = edit_line(data.draw, text, edit).rstrip("\n")
+    assert (outcome(dsl.parse_span, doc, text)
+            == outcome(dsl_oracle.parse_span, doc, text))
